@@ -110,6 +110,8 @@ func TestFaultCallDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -120,7 +122,11 @@ func TestFaultCallDeadline(t *testing.T) {
 			go func(c net.Conn) {
 				var req Request
 				ReadFrame(c, &req)
-				// hold the connection open, silent
+				// Hold the connection open, silent: an unreferenced
+				// conn is closed by its finalizer at the next GC, which
+				// the client would see as EOF before its deadline.
+				<-done
+				c.Close()
 			}(conn)
 		}
 	}()

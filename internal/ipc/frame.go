@@ -19,7 +19,14 @@ package ipc
 // is reused with a 12-byte header hole reserved at the front (one
 // conn.Write per frame, no copy), the receive buffer is reused and
 // grown to the high-water mark, and header scratch lives in the
-// caller's frame — pinned by TestFramedHotPathAllocFree.
+// caller's frame — pinned by TestFramedHotPathAllocFree.  (A whole
+// call is not allocation-free: gob and the decoded values allocate.)
+//
+// Each side reads v2 frames through one readBufSize bufio.Reader
+// created at the v1→v2 switch, never earlier: the hello exchange is
+// read with exact-length reads straight off the connection, so no byte
+// of it can be stranded in a buffer.  A frame then costs at most one
+// read on the connection, and frames that arrived together share one.
 
 import (
 	"encoding/binary"
@@ -38,6 +45,11 @@ const (
 
 // hdrSize is the v2 frame header: 4-byte payload length + 8-byte tag.
 const hdrSize = 12
+
+// readBufSize is each direction's v2 receive buffer: several control
+// frames (~100 bytes each) per fill; what a large payload has left
+// once the buffer is drained is read straight into the frame buffer.
+const readBufSize = 4096
 
 // sendBuf assembles one outgoing v2 frame: the gob encoder appends
 // payload bytes after a reserved header hole, seal stamps the header

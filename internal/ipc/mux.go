@@ -8,6 +8,7 @@ package ipc
 // requires.
 
 import (
+	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -50,22 +51,19 @@ type session struct {
 	sbuf   sendBuf
 
 	// v2 receive side: the tag table shared between callers and the
-	// reader goroutine (guarded by tagMu).  err is set exactly once,
-	// before done closes; calls is nil afterwards.
+	// reader goroutine (guarded by tagMu).  Each in-flight tag maps to
+	// its completion channel, buffered with the expected completion
+	// count (1 for a call, items+1 for a batch) so the reader never
+	// blocks delivering and a duplicate completion is detectably
+	// droppable.  A channel belongs to one tag for life — it is never
+	// recycled, so a completion that arrives after its tag was
+	// abandoned can only be discarded, never answer another call.  err
+	// is set exactly once, before done closes; calls is nil afterwards.
 	tagMu   sync.Mutex
 	nextTag uint64
-	calls   map[uint64]*pending
+	calls   map[uint64]chan *Response
 	err     error
 	done    chan struct{}
-}
-
-// pending is one in-flight tag: the channel is buffered with the
-// expected completion count (1 for a call, items+1 for a batch) so
-// the reader never blocks delivering and a duplicate completion is
-// detectably droppable.
-type pending struct {
-	tag uint64
-	ch  chan *Response
 }
 
 func newSession(conn net.Conn, forceV1 bool, secret string) *session {
@@ -155,8 +153,10 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 		s.proto = ProtoV2
 		s.conn.SetDeadline(time.Time{})
 		s.enc = gob.NewEncoder(&s.sbuf)
-		s.calls = make(map[uint64]*pending)
-		go s.readLoop()
+		s.calls = make(map[uint64]chan *Response)
+		// The hello ack above was read with exact-length reads off the
+		// connection; only from here on is the stream buffered.
+		go s.readLoop(bufio.NewReaderSize(s.conn, readBufSize))
 		return nil
 	}
 	// Any refusal (typically `unknown operation "hello"`) is a
@@ -171,13 +171,13 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 // scratch are reused across iterations; the persistent decoder is fed
 // one payload per frame.  Any failure fails the whole session — every
 // parked call errors out and the client redials.
-func (s *session) readLoop() {
+func (s *session) readLoop(br *bufio.Reader) {
 	feeder := &payloadFeeder{}
 	dec := gob.NewDecoder(feeder)
 	var hdr [hdrSize]byte
 	var buf []byte
 	for {
-		tag, payload, err := readTagged(s.conn, &hdr, &buf)
+		tag, payload, err := readTagged(br, &hdr, &buf)
 		if err != nil {
 			s.fail(err)
 			return
@@ -189,7 +189,7 @@ func (s *session) readLoop() {
 			return
 		}
 		s.tagMu.Lock()
-		p, ok := s.calls[tag]
+		ch, ok := s.calls[tag]
 		issued := tag > 0 && tag <= s.nextTag
 		s.tagMu.Unlock()
 		if !ok {
@@ -206,7 +206,7 @@ func (s *session) readLoop() {
 			return
 		}
 		select {
-		case p.ch <- resp:
+		case ch <- resp:
 		default:
 			// Duplicate completion beyond the tag's expected count:
 			// drop it; the tag's caller already has its answer and
@@ -240,16 +240,16 @@ func (s *session) failure() error {
 }
 
 // register assigns the next tag, expecting want completions.
-func (s *session) register(want int) (*pending, error) {
+func (s *session) register(want int) (uint64, chan *Response, error) {
 	s.tagMu.Lock()
 	defer s.tagMu.Unlock()
 	if s.err != nil {
-		return nil, s.err
+		return 0, nil, s.err
 	}
 	s.nextTag++
-	p := &pending{tag: s.nextTag, ch: make(chan *Response, want)}
-	s.calls[p.tag] = p
-	return p, nil
+	ch := make(chan *Response, want)
+	s.calls[s.nextTag] = ch
+	return s.nextTag, ch, nil
 }
 
 // deregister abandons a tag; a completion arriving later is discarded
@@ -313,12 +313,12 @@ func (s *session) callV1(deadline time.Time, req *Request) (*Response, error) {
 // the deadline, or cancellation.  Deadline and cancellation merely
 // abandon the tag — the connection stays healthy for everyone else.
 func (s *session) callV2(ctx context.Context, deadline time.Time, req *Request) (*Response, error) {
-	p, err := s.register(1)
+	tag, ch, err := s.register(1)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.send(p.tag, req, deadline); err != nil {
-		s.deregister(p.tag)
+	if err := s.send(tag, req, deadline); err != nil {
+		s.deregister(tag)
 		return nil, mapTimeout(err)
 	}
 	var timerC <-chan time.Time
@@ -328,23 +328,23 @@ func (s *session) callV2(ctx context.Context, deadline time.Time, req *Request) 
 		timerC = t.C
 	}
 	select {
-	case resp := <-p.ch:
-		s.deregister(p.tag)
+	case resp := <-ch:
+		s.deregister(tag)
 		return resp, nil
 	case <-s.done:
 		// The completion may have raced in just before the failure.
 		select {
-		case resp := <-p.ch:
-			s.deregister(p.tag)
+		case resp := <-ch:
+			s.deregister(tag)
 			return resp, nil
 		default:
 		}
 		return nil, s.failure()
 	case <-timerC:
-		s.deregister(p.tag)
+		s.deregister(tag)
 		return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
 	case <-ctx.Done():
-		s.deregister(p.tag)
+		s.deregister(tag)
 		return nil, ctx.Err()
 	}
 }
@@ -448,12 +448,12 @@ func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([
 	}
 	// v2: one tag carries len(paths) item completions plus the Final
 	// summary, streamed in whatever order the server finishes them.
-	p, err := s.register(len(paths) + 1)
+	tag, ch, err := s.register(len(paths) + 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.send(p.tag, req, deadline); err != nil {
-		s.deregister(p.tag)
+	if err := s.send(tag, req, deadline); err != nil {
+		s.deregister(tag)
 		return nil, mapTimeout(err)
 	}
 	results := make([]BatchResult, len(paths))
@@ -483,10 +483,10 @@ func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([
 	}
 	for {
 		select {
-		case resp := <-p.ch:
+		case resp := <-ch:
 			final, err := record(resp)
 			if final {
-				s.deregister(p.tag)
+				s.deregister(tag)
 				if err != nil {
 					return nil, err
 				}
@@ -497,12 +497,12 @@ func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([
 			// the Final may already be buffered.
 			for {
 				select {
-				case resp := <-p.ch:
+				case resp := <-ch:
 					final, err := record(resp)
 					if !final {
 						continue
 					}
-					s.deregister(p.tag)
+					s.deregister(tag)
 					if err != nil {
 						return nil, err
 					}
@@ -512,10 +512,10 @@ func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([
 				}
 			}
 		case <-timerC:
-			s.deregister(p.tag)
+			s.deregister(tag)
 			return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
 		case <-ctx.Done():
-			s.deregister(p.tag)
+			s.deregister(tag)
 			return nil, ctx.Err()
 		}
 	}
@@ -612,12 +612,12 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 	// v2: chunked blob responses (Index set) close with a Final frame
 	// carrying the MeshInfo.  The server writes them sequentially, so
 	// they arrive in order.
-	p, err := s.register(maxMeshChunks + 1)
+	tag, ch, err := s.register(maxMeshChunks + 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.send(p.tag, req, deadline); err != nil {
-		s.deregister(p.tag)
+	if err := s.send(tag, req, deadline); err != nil {
+		s.deregister(tag)
 		return nil, nil, mapTimeout(err)
 	}
 	var timerC <-chan time.Time
@@ -629,12 +629,12 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 	var blob []byte
 	for {
 		select {
-		case resp := <-p.ch:
+		case resp := <-ch:
 			if !resp.Final {
 				blob = append(blob, resp.Blob...)
 				continue
 			}
-			s.deregister(p.tag)
+			s.deregister(tag)
 			if err := c.meshFetchError(resp); err != nil {
 				return nil, nil, err
 			}
@@ -648,12 +648,12 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 			// Drain completions that raced in before the failure.
 			for {
 				select {
-				case resp := <-p.ch:
+				case resp := <-ch:
 					if !resp.Final {
 						blob = append(blob, resp.Blob...)
 						continue
 					}
-					s.deregister(p.tag)
+					s.deregister(tag)
 					if err := c.meshFetchError(resp); err != nil {
 						return nil, nil, err
 					}
@@ -663,10 +663,10 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 				}
 			}
 		case <-timerC:
-			s.deregister(p.tag)
+			s.deregister(tag)
 			return nil, nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
 		case <-ctx.Done():
-			s.deregister(p.tag)
+			s.deregister(tag)
 			return nil, nil, ctx.Err()
 		}
 	}

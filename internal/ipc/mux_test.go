@@ -2,16 +2,19 @@ package ipc
 
 // Tests for the multiplexed (v2) protocol: negotiation against v1
 // peers, out-of-order completion, -race stress on one shared client,
-// drain with dozens of parked tags, tag corruption and duplicate
-// delivery, the SetOptions race fix, the allocation-free framed hot
-// path, batch streaming, and the fault sites under pipelined load.
+// drain with dozens of parked tags, tag corruption, duplicate and late
+// delivery, reused request scratch, the SetOptions race fix, the
+// allocation-free framed hot path, batch streaming, and the fault
+// sites under pipelined load.
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -336,29 +339,38 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send f
 	return l.Addr().String()
 }
 
+// eachRequest decodes the tagged requests arriving on a harness
+// connection and calls handle with each one's tag, until the stream
+// ends or is damaged.
+func eachRequest(conn net.Conn, handle func(tag uint64)) {
+	feeder := &payloadFeeder{}
+	dec := gob.NewDecoder(feeder)
+	var hdr [hdrSize]byte
+	var buf []byte
+	for {
+		tag, payload, err := readTagged(conn, &hdr, &buf)
+		if err != nil {
+			return
+		}
+		feeder.set(payload)
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		handle(tag)
+	}
+}
+
 func TestMuxDuplicateTagDelivery(t *testing.T) {
 	// The server completes tag 1 twice, then answers tag 2 normally:
 	// the duplicate must be discarded and the connection survive.
 	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
-		feeder := &payloadFeeder{}
-		dec := gob.NewDecoder(feeder)
-		var hdr [hdrSize]byte
-		var buf []byte
-		for {
-			tag, payload, err := readTagged(conn, &hdr, &buf)
-			if err != nil {
-				return
-			}
-			feeder.set(payload)
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
+		eachRequest(conn, func(tag uint64) {
 			send(tag, &Response{Text: "first", Final: true})
 			if tag == 1 {
 				send(tag, &Response{Text: "duplicate", Final: true})
 			}
-		}
+		})
 	})
 	c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
 	if resp, err := c.Call(&Request{Op: OpPing}); err != nil || resp.Text != "first" {
@@ -391,6 +403,119 @@ func TestMuxNeverIssuedTagPoisonsSession(t *testing.T) {
 	var frameErr *FrameError
 	if !errors.As(err, &frameErr) || frameErr.Reason != "tag-mismatch" {
 		t.Fatalf("got %v, want tag-mismatch FrameError", err)
+	}
+}
+
+func TestMuxLateCompletionNeverAnswersAnotherCall(t *testing.T) {
+	// Tag 1 is abandoned by deadline; its completion arrives only after
+	// tag 2 has been issued, ahead of tag 2's own.  Tag 2's caller must
+	// get tag 2's answer — an abandoned tag's channel is never handed
+	// to a later call.
+	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
+		eachRequest(conn, func(tag uint64) {
+			switch tag {
+			case 1: // never answered in time
+			case 2:
+				send(1, &Response{Text: "late", Final: true})
+				send(2, &Response{Text: "second", Final: true})
+			default:
+				send(tag, &Response{Text: "later", Final: true})
+			}
+		})
+	})
+	c := dialMux(t, addr, Options{CallTimeout: 50 * time.Millisecond})
+	if _, err := c.Call(&Request{Op: OpRun, Path: "/bin/slow"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("tag 1: got %v, want a deadline", err)
+	}
+	c.SetOptions(Options{CallTimeout: 5 * time.Second})
+	if resp, err := c.Call(&Request{Op: OpPing}); err != nil || resp.Text != "second" {
+		t.Fatalf("tag 2 after a late completion for tag 1: %v %+v", err, resp)
+	}
+	// The harness accepts one connection only: a third answer proves
+	// the late completion was discarded without costing the session.
+	if resp, err := c.Call(&Request{Op: OpPing}); err != nil || resp.Text != "later" {
+		t.Fatalf("tag 3: %v %+v", err, resp)
+	}
+}
+
+// recordingBackend keeps what the backend was handed by the operations
+// that between them expose every Request field.
+type recordingBackend struct {
+	*fakeBackend
+	mu   sync.Mutex
+	seen []string
+}
+
+func (b *recordingBackend) record(format string, args ...interface{}) {
+	b.mu.Lock()
+	b.seen = append(b.seen, fmt.Sprintf(format, args...))
+	b.mu.Unlock()
+}
+
+func (b *recordingBackend) DefineAllow(path, bp string, allow bool) error {
+	b.record("define path=%q text=%q allow=%v", path, bp, allow)
+	return nil
+}
+func (b *recordingBackend) DefineLibraryAllow(path, bp string, allow bool) error { return nil }
+func (b *recordingBackend) RemoveAllow(path string, allow bool) error            { return nil }
+func (b *recordingBackend) CompileTo(dir, unit, src string) ([]string, error) {
+	b.record("compile dir=%q unit=%q text=%q", dir, unit, src)
+	return nil, nil
+}
+func (b *recordingBackend) Run(name string, args []string, boot bool) (RunOutcome, error) {
+	b.record("run path=%q args=%q", name, args)
+	return RunOutcome{}, nil
+}
+func (b *recordingBackend) PutObjectBytes(path string, blob []byte) error {
+	b.record("put path=%q blob=%q", path, blob)
+	return nil
+}
+func (b *recordingBackend) MeshFetch(*MeshReq) (*MeshInfo, []byte, error) { return nil, nil, nil }
+func (b *recordingBackend) MeshGossip(*MeshReq) (*MeshInfo, error)        { return nil, nil }
+func (b *recordingBackend) MeshRebalance(*MeshReq) (*MeshInfo, error)     { return nil, nil }
+func (b *recordingBackend) MeshPut(req *MeshReq) error {
+	b.record("mesh-put key=%q", req.CKey)
+	return nil
+}
+
+func TestMuxRequestStateDoesNotLeak(t *testing.T) {
+	// The read loop decodes every request into one reused scratch
+	// Request, and gob leaves fields absent from the stream untouched:
+	// a request with every field set, followed by bare ones, must reach
+	// the backend with zero values in everything the later ones omit.
+	b := &recordingBackend{fakeBackend: newFakeBackend()}
+	_, addr := startMuxServer(t, b, nil)
+	c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
+	full := &Request{Op: OpDefine, Path: "/stale/path", Unit: "stale-unit", Text: "stale text",
+		Args: []string{"stale", "args"}, Blob: []byte("stale blob"), AllowRebind: true,
+		Mesh: &MeshReq{CKey: "stale-key"}}
+	if _, err := c.Call(full); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Op{OpDefine, OpCompile, OpRun, OpPutObject} {
+		if _, err := c.Call(&Request{Op: op}); err != nil {
+			t.Fatalf("bare %s: %v", op, err)
+		}
+	}
+	// A bare mesh-put has no payload: the guard in handle must see nil,
+	// not the first request's MeshReq.
+	if _, err := c.Call(&Request{Op: OpMeshPut}); err == nil || !strings.Contains(err.Error(), "without payload") {
+		t.Fatalf("bare mesh-put: got %v, want the missing-payload refusal", err)
+	}
+	if c.ProtocolVersion() != ProtoV2 {
+		t.Fatal("test did not exercise the mux")
+	}
+	want := []string{
+		`define path="/stale/path" text="stale text" allow=true`,
+		`define path="" text="" allow=false`,
+		`compile dir="" unit="" text=""`,
+		`run path="" args=[]`,
+		`put path="" blob=""`,
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !reflect.DeepEqual(b.seen, want) {
+		t.Fatalf("backend saw\n  %s\nwant\n  %s", strings.Join(b.seen, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 
