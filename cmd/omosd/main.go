@@ -38,7 +38,7 @@
 // -max-inflight/-queue-depth size the admission gate (overload
 // protection: excess requests are shed with a retry-after hint rather
 // than queued without bound).  -handlers-per-conn bounds how many
-// tagged requests one v2 connection may have executing at once — the
+// tagged requests one connection may have executing at once — the
 // per-connection backpressure knob of the pipelined protocol (the
 // reader stops consuming frames when the pool is full).
 // -build-timeout arms the per-build watchdog.  -scrub-interval enables the background store scrubber.
@@ -104,7 +104,7 @@ func main() {
 	scrubPerTick := flag.Int("scrub-per-tick", 4, "blobs re-verified per scrub tick")
 	superviseInterval := flag.Duration("supervise-interval", 250*time.Millisecond, "supervisor sampling period (0: no supervisor)")
 	handlersPerConn := flag.Int("handlers-per-conn", ipc.DefaultHandlerPool,
-		"concurrent tagged requests per v2 connection (backpressure: the reader pauses when full)")
+		"concurrent tagged requests per connection (backpressure: the reader pauses when full)")
 	peers := flag.String("peers", "", "comma-separated peer daemon addresses: join the federated mesh")
 	meshSecret := flag.String("mesh-secret", os.Getenv("OMOS_MESH_SECRET"),
 		"shared secret authenticating mesh peers (default $OMOS_MESH_SECRET)")

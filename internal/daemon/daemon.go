@@ -164,8 +164,8 @@ func (b *Backend) Run(name string, args []string, bootstrap bool) (ipc.RunOutcom
 // InstantiateBatch implements ipc.BatchBackend: OpInstantiateBatch
 // fans the named meta-objects into the server's build executor,
 // warming the image cache without running anything.  Per-item
-// completions reach done as they land; on a v2 connection the
-// transport streams each one back immediately.
+// completions reach done as they land and the transport streams each
+// one back immediately.
 func (b *Backend) InstantiateBatch(paths []string, done func(i int, err error)) {
 	b.Sys.Srv.InstantiateBatch(context.Background(), paths, nil, done)
 }

@@ -1,18 +1,19 @@
 package ipc
 
-// Protocol v2 framing: tagged frames for multiplexed, pipelined
-// connections.
+// Tagged frames for multiplexed, pipelined connections: the framing of
+// everything after the hello exchange.
 //
-// A v2 frame is a 12-byte header — 4-byte big-endian payload length,
+// A frame is a 12-byte header — 4-byte big-endian payload length,
 // 8-byte big-endian tag — followed by the gob payload.  The tag is
 // assigned by the client (monotonically increasing per connection) and
 // echoed by the server on the completion, so one connection carries
 // any number of in-flight calls and responses return in whatever order
 // the server finishes them.
 //
-// Unlike v1 frames (WriteFrame/ReadFrame, which spin up a fresh gob
-// codec per frame and so resend type descriptors every time), a v2
-// connection runs one persistent gob encoder and one persistent
+// Unlike the hello's self-contained frames (WriteFrame/ReadFrame,
+// which spin up a fresh gob codec per frame and so resend type
+// descriptors every time), a connection runs one persistent gob
+// encoder and one persistent
 // decoder per direction: type descriptors cross the wire once at
 // stream start, and every later frame is just the value bytes.  The
 // framing itself is allocation-free in steady state — the send buffer
@@ -22,8 +23,8 @@ package ipc
 // caller's frame — pinned by TestFramedHotPathAllocFree.  (A whole
 // call is not allocation-free: gob and the decoded values allocate.)
 //
-// Each side reads v2 frames through one readBufSize bufio.Reader
-// created at the v1→v2 switch, never earlier: the hello exchange is
+// Each side reads tagged frames through one readBufSize bufio.Reader
+// created after the hello, never earlier: the hello exchange is
 // read with exact-length reads straight off the connection, so no byte
 // of it can be stranded in a buffer.  A frame then costs at most one
 // read on the connection, and frames that arrived together share one.
@@ -31,27 +32,17 @@ package ipc
 import (
 	"encoding/binary"
 	"io"
-	"sync"
 )
 
-// Protocol versions.  Version 1 is the original single-shot
-// request/response protocol (one outstanding exchange per connection);
-// version 2 multiplexes tagged frames.  Peers negotiate at connect via
-// OpHello; either side speaking only v1 keeps working.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-)
-
-// hdrSize is the v2 frame header: 4-byte payload length + 8-byte tag.
+// hdrSize is the frame header: 4-byte payload length + 8-byte tag.
 const hdrSize = 12
 
-// readBufSize is each direction's v2 receive buffer: several control
+// readBufSize is each direction's receive buffer: several control
 // frames (~100 bytes each) per fill; what a large payload has left
 // once the buffer is drained is read straight into the frame buffer.
 const readBufSize = 4096
 
-// sendBuf assembles one outgoing v2 frame: the gob encoder appends
+// sendBuf assembles one outgoing frame: the gob encoder appends
 // payload bytes after a reserved header hole, seal stamps the header
 // in place, and the whole frame goes out in a single Write.  The
 // backing array is reused across frames (capacity is retained).
@@ -88,7 +79,7 @@ func (s *sendBuf) seal(tag uint64) {
 // without desynchronizing the gob payload stream).
 func (s *sendBuf) tagBytes() []byte { return s.b[4:12] }
 
-// readTagged reads one v2 frame: header into hdr, payload into *buf
+// readTagged reads one frame: header into hdr, payload into *buf
 // (reused and grown as needed; the returned slice aliases it — valid
 // only until the next call).  Frame damage surfaces as *FrameError
 // exactly like ReadFrame; a clean close between frames is io.EOF.
@@ -131,9 +122,3 @@ func (f *payloadFeeder) Read(p []byte) (int, error) {
 	f.b = f.b[n:]
 	return n, nil
 }
-
-// v1BufPool recycles the payload buffers WriteFrame assembles v1
-// frames in, so the legacy single-shot path stops allocating a fresh
-// buffer per frame (the gob codec itself is still per-frame on v1 —
-// that protocol's frames must stay self-contained).
-var v1BufPool = sync.Pool{New: func() interface{} { return &frameBuffer{} }}

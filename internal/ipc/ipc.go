@@ -8,15 +8,15 @@
 // cover namespace management (define, put-object, list, remove) and
 // program execution inside the daemon's simulated machine.
 //
-// Two protocol versions share the port.  Version 1 is strictly
-// single-shot: one request, one response, one outstanding exchange per
-// connection.  Version 2 (negotiated at connect via OpHello; see
-// frame.go) tags every frame with a client-assigned request ID so one
-// connection carries any number of in-flight calls, completions return
-// out of order, and OpInstantiateBatch streams per-item results.
-// Either peer speaking only v1 keeps working: a v2 client falls back
-// when the hello is refused, and a v2 server answers unupgraded
-// connections in v1 framing.
+// There is one protocol version.  A connection opens with a hello
+// exchange in self-contained frames (WriteFrame/ReadFrame) — the
+// version gate, readable by any version of either peer — and then
+// carries tagged frames (frame.go): every frame bears a client-assigned
+// request ID, so one connection carries any number of in-flight calls,
+// completions return out of order, and OpInstantiateBatch streams
+// per-item results.  A server answers a first frame that is not a
+// hello with one refusal and closes; a client whose hello is refused
+// reports the refusal, it does not fall back.
 //
 // Failure model: frame-level damage (truncated, oversized, or
 // malformed frames) surfaces as *FrameError and costs only the one
@@ -27,6 +27,7 @@
 package ipc
 
 import (
+	"bytes"
 	"context"
 	"crypto/hmac"
 	crand "crypto/rand"
@@ -75,28 +76,28 @@ const (
 	OpUpgrade       Op = "upgrade"
 	OpUpgradeStatus Op = "upgrade-status"
 	OpRollback      Op = "rollback"
-	// OpHello negotiates the protocol version: Text carries the
-	// client's requested version ("2"); a capable server acknowledges
-	// with Flag set and the connection switches to tagged v2 framing.
-	// A v1-only server answers "unknown operation" and the client
-	// falls back.  Always sent in v1 framing.
+	// OpHello opens every connection: Text carries the protocol
+	// version the client speaks ("2"); the server acknowledges with
+	// Flag set and the same version, and the connection switches to
+	// tagged framing.  Anything else is a refusal, which the client
+	// reports as an error.  Always sent in self-contained frames
+	// (WriteFrame), so the gate stays readable whatever follows it.
 	//
 	// Mesh peer auth is a challenge-response inside the hello: a
 	// client configured with the mesh secret puts a fresh nonce in
 	// Unit; a server that also has the secret answers the ack with a
-	// challenge nonce in Output, the client sends one more v1-framed
-	// OpHello whose Blob is meshProof(secret, server nonce, client
+	// challenge nonce in Output, the client sends one more
+	// OpHello frame whose Blob is meshProof(secret, server nonce, client
 	// nonce, version), and the server verifies it (hmac.Equal) before
-	// the final ack.  A wrong proof still upgrades the protocol —
+	// the final ack.  A wrong proof still opens the connection —
 	// only the mesh operations are gated on the authenticated mark.
 	// A secretless server ignores Unit (no challenge, no extra round
 	// trip) and a secretless client sends no nonce.
 	OpHello Op = "hello"
 	// OpInstantiateBatch instantiates a vector of meta-objects (Args)
 	// in one request: the server fans the items into its build
-	// executor and, on v2 connections, streams each completion back as
-	// its own tagged response (Index set) before a Final summary.  On
-	// v1 connections the reply is a single aggregated response.
+	// executor and streams each completion back as its own tagged
+	// response (Index set) before a Final summary.
 	OpInstantiateBatch Op = "instantiate-batch"
 	// Mesh operations federate daemons into a consistent-hash sharded
 	// image store (internal/mesh).  All carry Request.Mesh and answer
@@ -105,7 +106,7 @@ const (
 	// the HMAC proof on OpHello.  OpMeshFetch asks a content key's ring
 	// owner for its image — metadata only when the requester holds a
 	// local variant to rebase, otherwise the encoded record blob,
-	// streamed in chunks over v2 framing.  OpMeshPut hands the owner a
+	// streamed in chunks.  OpMeshPut hands the owner a
 	// record built elsewhere; OpMeshGossip exchanges anti-entropy
 	// digests; OpMeshRebalance announces ring membership for
 	// join/leave.  All four are idempotent (content-addressed records
@@ -117,8 +118,13 @@ const (
 )
 
 // protoVersionText is the version string OpHello carries ("2"): the
-// highest protocol this package speaks.
+// protocol this package speaks.
 const protoVersionText = "2"
+
+// errHelloRefused marks a hello the server answered with anything but
+// an acknowledgement of protoVersionText.  The peer speaks another
+// protocol; redialing cannot change that, so it is never retried.
+var errHelloRefused = errors.New("ipc: server refused the protocol " + protoVersionText + " hello")
 
 // meshProof computes the shared-secret proof of the mesh handshake:
 // HMAC-SHA256(secret, server nonce || "|" || client nonce || "|" ||
@@ -314,11 +320,10 @@ type Response struct {
 	// in milliseconds, of when capacity should free up.  (gob tolerates
 	// the field's absence, so old clients interoperate.)
 	RetryAfterMS int64
-	// Index and Final frame streamed batch completions
-	// (OpInstantiateBatch over protocol v2): each item answers with
-	// its Index and Final false, and the batch closes with a Final
-	// summary carrying any batch-level error.  (gob tolerates absent
-	// fields, so v1 peers interoperate.)
+	// Index and Final frame streamed completions (OpInstantiateBatch,
+	// OpMeshFetch): each item or chunk answers with its Index and Final
+	// false, and the stream closes with a Final summary carrying any
+	// request-level error.
 	Index int
 	Final bool
 	// Rebind and Pin carry the structured detail of a typed rebind /
@@ -504,26 +509,23 @@ func (e *FrameError) Error() string {
 
 func (e *FrameError) Unwrap() error { return e.Err }
 
-// WriteFrame sends one gob-encoded value with a length prefix (v1
-// framing: a fresh gob codec per frame, so every frame is
-// self-contained).  Payload buffers are pool-recycled.
+// WriteFrame sends one gob-encoded value with a length prefix, using a
+// fresh gob codec so the frame is self-contained: the framing of the
+// hello exchange, which must decode without any stream state.
 func WriteFrame(w io.Writer, v interface{}) error {
-	payload := v1BufPool.Get().(*frameBuffer)
-	payload.b = payload.b[:0]
-	defer v1BufPool.Put(payload)
-	enc := gob.NewEncoder(payload)
-	if err := enc.Encode(v); err != nil {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("ipc: encode: %w", err)
 	}
 	var hdr [4]byte
-	if len(payload.b) > maxFrame {
-		return fmt.Errorf("ipc: frame too large (%d bytes)", len(payload.b))
+	if payload.Len() > maxFrame {
+		return fmt.Errorf("ipc: frame too large (%d bytes)", payload.Len())
 	}
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload.b)))
+	binary.BigEndian.PutUint32(hdr[:], uint32(payload.Len()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload.b)
+	_, err := w.Write(payload.Bytes())
 	return err
 }
 
@@ -546,32 +548,10 @@ func ReadFrame(r io.Reader, v interface{}) error {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return &FrameError{Reason: "truncated", Size: n, Err: err}
 	}
-	dec := gob.NewDecoder(&byteReader{b: buf})
-	if err := dec.Decode(v); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
 		return &FrameError{Reason: "malformed", Size: n, Err: err}
 	}
 	return nil
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 // Options tunes a Client's robustness behavior.  The zero value means
@@ -589,12 +569,7 @@ type Options struct {
 	// Backoff is the delay before the first retry; it doubles per
 	// attempt.  Defaults to 10ms when Retries > 0.
 	Backoff time.Duration
-	// ForceV1 skips protocol negotiation and speaks the legacy v1
-	// single-shot protocol even to servers that could multiplex —
-	// the serial baseline for benchmarks and wire-compat tests.
-	// Affects sessions established after it is set.
-	ForceV1 bool
-	// MeshSecret, when set, makes the v2 hello request a server
+	// MeshSecret, when set, makes the hello request a server
 	// challenge and answer it with an HMAC-SHA256 proof of the shared
 	// mesh secret, so the server marks the connection as an
 	// authenticated peer (required for mesh operations against a
@@ -613,15 +588,12 @@ var DefaultOptions = Options{
 }
 
 // Client is a connection to an OMOS daemon.  It is safe for
-// concurrent use.  On a v2 (multiplexed) session many calls share one
-// connection: each is assigned a monotonically increasing tag, writes
-// its frame under a brief send lock, and parks on a per-tag channel
-// while a single reader goroutine demultiplexes completions to
-// waiters — so one connection carries hundreds of in-flight calls and
-// a slow request never blocks the fast ones behind it.  Against a
-// v1-only server (or under Options.ForceV1) calls serialize on the
-// session's exchange lock, exactly as the single-shot protocol
-// requires.
+// concurrent use.  Many calls share one connection: each is assigned
+// a monotonically increasing tag, writes its frame under a brief send
+// lock, and parks on a per-tag channel while a single reader goroutine
+// demultiplexes completions to waiters — so one connection carries
+// hundreds of in-flight calls and a slow request never blocks the fast
+// ones behind it.
 //
 // There is deliberately no big client lock: options are read
 // atomically, the breaker and the jitter rng have their own small
@@ -661,14 +633,14 @@ type Client struct {
 func Dial(addr string) (*Client, error) { return DialWith(addr, Options{}) }
 
 // DialWith connects to a daemon with explicit robustness tuning.
-// Protocol negotiation happens lazily on the first call, so its
+// The hello exchange happens lazily on the first call, so its
 // failures flow through that call's retry budget.
 func DialWith(addr string, opts Options) (*Client, error) {
 	conn, err := dialAddr(addr, opts.ConnectTimeout)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, sess: newSession(conn, opts.ForceV1, opts.MeshSecret)}
+	c := &Client{addr: addr, sess: newSession(conn, opts.MeshSecret)}
 	c.opts.Store(&opts)
 	return c, nil
 }
@@ -683,13 +655,13 @@ func dialAddr(addr string, timeout time.Duration) (net.Conn, error) {
 // NewClient wraps an existing connection.  No reconnect is possible
 // (the client does not know how the connection was made).
 func NewClient(conn net.Conn) *Client {
-	return &Client{sess: newSession(conn, false, "")}
+	return &Client{sess: newSession(conn, "")}
 }
 
 // SetOptions replaces the client's robustness tuning.  Safe to call
 // concurrently with Call: in-flight calls finish under the options
-// they started with; later calls see the new value.  ForceV1 affects
-// only sessions established afterwards.
+// they started with; later calls see the new value.  MeshSecret
+// affects only sessions established afterwards.
 func (c *Client) SetOptions(opts Options) { c.opts.Store(&opts) }
 
 // options snapshots the current tuning.
@@ -710,19 +682,6 @@ func (c *Client) Close() error {
 		return c.sess.close()
 	}
 	return nil
-}
-
-// ProtocolVersion reports the negotiated protocol of the current
-// session (ProtoV1 or ProtoV2), or 0 before the first call completes
-// the handshake.
-func (c *Client) ProtocolVersion() int {
-	c.connMu.Lock()
-	s := c.sess
-	c.connMu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return s.version()
 }
 
 // session returns the live session, redialing if the previous one
@@ -747,7 +706,7 @@ func (c *Client) session(opts Options) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sess = newSession(conn, opts.ForceV1, opts.MeshSecret)
+	c.sess = newSession(conn, opts.MeshSecret)
 	return c.sess, nil
 }
 
@@ -849,17 +808,16 @@ func (c *Client) CallCtx(ctx context.Context, req *Request) (*Response, error) {
 			return resp, nil
 		}
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// A timed-out v1 exchange poisons its session (the stream
-			// may still carry the late response); a timed-out v2 call
-			// just abandons its tag and the connection lives on.
-			// Either way the deadline is the caller's answer.
+			// A timed-out call just abandons its tag and the connection
+			// lives on; the deadline is the caller's answer.
 			return nil, err
 		}
 		var pre *preSendError
 		if errors.As(err, &pre) {
 			// The request never hit the wire: dial or handshake
-			// failure, retryable even for non-idempotent ops.
-			if preSendLeft <= 0 {
+			// failure, retryable even for non-idempotent ops — unless
+			// the server refused the protocol itself.
+			if preSendLeft <= 0 || errors.Is(err, errHelloRefused) {
 				return nil, pre.err
 			}
 			preSendLeft--
@@ -982,9 +940,8 @@ func callDeadline(ctx context.Context, opts Options) time.Time {
 }
 
 // exchange performs one attempt: get (or redial) a session, complete
-// the version handshake if this is its first use, then run the
-// request over whichever protocol was negotiated.  I/O timeouts map
-// to context.DeadlineExceeded.
+// the hello exchange if this is its first use, then run the request.
+// I/O timeouts map to context.DeadlineExceeded.
 func (c *Client) exchange(ctx context.Context, req *Request, opts Options) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -997,10 +954,7 @@ func (c *Client) exchange(ctx context.Context, req *Request, opts Options) (*Res
 	if err := s.ensureHandshake(deadline); err != nil {
 		return nil, &preSendError{err: mapTimeout(err)}
 	}
-	if s.version() == ProtoV2 {
-		return s.callV2(ctx, deadline, req)
-	}
-	return s.callV1(deadline, req)
+	return s.call(ctx, deadline, req)
 }
 
 // mapTimeout converts net timeout errors into context.DeadlineExceeded

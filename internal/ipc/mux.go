@@ -1,11 +1,9 @@
 package ipc
 
-// Client side of the multiplexed (v2) protocol: the session type.  A
-// session is one connection in either protocol mode.  On v2 it runs a
-// single reader goroutine that demultiplexes tagged completions to
-// per-call channels, so any number of calls share the connection; on
-// v1 it serializes exchanges on a lock, as the single-shot protocol
-// requires.
+// Client side of the protocol: the session type.  A session is one
+// connection; it runs a single reader goroutine that demultiplexes
+// tagged completions to per-call channels, so any number of calls
+// share the connection.
 
 import (
 	"bufio"
@@ -20,12 +18,11 @@ import (
 )
 
 // session is one client connection.  It is created in a
-// pre-handshake state; the first call completes the version
-// negotiation (so connect-time failures flow through that call's
-// retry budget) and, on v2, starts the reader goroutine.
+// pre-handshake state; the first call completes the hello exchange
+// (so connect-time failures flow through that call's retry budget)
+// and starts the reader goroutine.
 type session struct {
-	conn    net.Conn
-	forceV1 bool
+	conn net.Conn
 	// secret, when set, makes the hello request a server challenge
 	// and answer it with a mesh-peer HMAC proof (see meshProof) so
 	// the server authenticates this connection.
@@ -35,22 +32,18 @@ type session struct {
 	hsMu   sync.Mutex
 	hsDone bool
 	hsErr  error
-	proto  int
 
 	// dead flips once the session is unusable; the client redials.
 	dead atomic.Bool
 
-	// v1 mode: one outstanding exchange at a time.
-	exMu sync.Mutex
-
-	// v2 send side (guarded by sendMu): a persistent gob encoder into
+	// Send side (guarded by sendMu): a persistent gob encoder into
 	// the reused frame buffer — type descriptors cross once, frames
 	// go out in a single write each, no allocation in steady state.
 	sendMu sync.Mutex
 	enc    *gob.Encoder
 	sbuf   sendBuf
 
-	// v2 receive side: the tag table shared between callers and the
+	// Receive side: the tag table shared between callers and the
 	// reader goroutine (guarded by tagMu).  Each in-flight tag maps to
 	// its completion channel, buffered with the expected completion
 	// count (1 for a call, items+1 for a batch) so the reader never
@@ -66,34 +59,25 @@ type session struct {
 	done    chan struct{}
 }
 
-func newSession(conn net.Conn, forceV1 bool, secret string) *session {
-	return &session{conn: conn, forceV1: forceV1, secret: secret, done: make(chan struct{})}
+func newSession(conn net.Conn, secret string) *session {
+	return &session{conn: conn, secret: secret, done: make(chan struct{})}
 }
 
 func (s *session) isDead() bool { return s.dead.Load() }
 
-// close tears the session down; in-flight v2 calls fail with a
+// close tears the session down; in-flight calls fail with a
 // transport error when the reader notices.
 func (s *session) close() error {
 	s.dead.Store(true)
 	return s.conn.Close()
 }
 
-// version reports the negotiated protocol (0 before the handshake).
-func (s *session) version() int {
-	s.hsMu.Lock()
-	defer s.hsMu.Unlock()
-	if !s.hsDone || s.hsErr != nil {
-		return 0
-	}
-	return s.proto
-}
-
-// ensureHandshake negotiates the protocol version on first use: a
-// v1-framed OpHello that a capable server acknowledges (switching the
-// connection to tagged framing) and a legacy server refuses (the
-// session falls back to single-shot v1).  Transport failures poison
-// the session; the caller's retry redials.
+// ensureHandshake opens the connection on first use: an OpHello in a
+// self-contained frame, which the server must acknowledge with the
+// same protocol version before the connection switches to tagged
+// framing.  Transport failures poison the session and the caller's
+// retry redials; a refusal poisons it with errHelloRefused, which no
+// one retries.
 func (s *session) ensureHandshake(deadline time.Time) error {
 	s.hsMu.Lock()
 	defer s.hsMu.Unlock()
@@ -101,10 +85,6 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 		return s.hsErr
 	}
 	s.hsDone = true
-	if s.forceV1 {
-		s.proto = ProtoV1
-		return nil
-	}
 	s.conn.SetDeadline(deadline)
 	hello := &Request{Op: OpHello, Text: protoVersionText}
 	if s.secret != "" {
@@ -149,24 +129,21 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 			return err
 		}
 	}
-	if resp.Flag && resp.Text == protoVersionText {
-		s.proto = ProtoV2
-		s.conn.SetDeadline(time.Time{})
-		s.enc = gob.NewEncoder(&s.sbuf)
-		s.calls = make(map[uint64]chan *Response)
-		// The hello ack above was read with exact-length reads off the
-		// connection; only from here on is the stream buffered.
-		go s.readLoop(bufio.NewReaderSize(s.conn, readBufSize))
-		return nil
+	if !resp.Flag || resp.Text != protoVersionText {
+		s.hsErr = fmt.Errorf("%w: %q", errHelloRefused, resp.Err)
+		s.close()
+		return s.hsErr
 	}
-	// Any refusal (typically `unknown operation "hello"`) is a
-	// v1-only peer: fall back to the single-shot protocol.  The
-	// refused hello consumed one harmless exchange.
-	s.proto = ProtoV1
+	s.conn.SetDeadline(time.Time{})
+	s.enc = gob.NewEncoder(&s.sbuf)
+	s.calls = make(map[uint64]chan *Response)
+	// The hello ack above was read with exact-length reads off the
+	// connection; only from here on is the stream buffered.
+	go s.readLoop(bufio.NewReaderSize(s.conn, readBufSize))
 	return nil
 }
 
-// readLoop is the reader goroutine of a v2 session: it demultiplexes
+// readLoop is the reader goroutine of a session: it demultiplexes
 // tagged completions to parked callers.  Frame buffers and header
 // scratch are reused across iterations; the persistent decoder is fed
 // one payload per frame.  Any failure fails the whole session — every
@@ -289,30 +266,11 @@ func (s *session) send(tag uint64, req *Request, deadline time.Time) error {
 	return nil
 }
 
-// callV1 is one single-shot exchange under the session's exchange
-// lock.  Any failure poisons the session (the stream may be desynced
-// or carry a late response); the caller's retry redials.
-func (s *session) callV1(deadline time.Time, req *Request) (*Response, error) {
-	s.exMu.Lock()
-	defer s.exMu.Unlock()
-	s.conn.SetDeadline(deadline) // zero time clears any prior deadline
-	if err := WriteFrame(s.conn, req); err != nil {
-		s.close()
-		return nil, mapTimeout(err)
-	}
-	var resp Response
-	if err := ReadFrame(s.conn, &resp); err != nil {
-		s.close()
-		return nil, mapTimeout(err)
-	}
-	return &resp, nil
-}
-
-// callV2 is one multiplexed call: register a tag, send the frame,
+// call is one multiplexed call: register a tag, send the frame,
 // park on the tag's channel until the completion, a session failure,
 // the deadline, or cancellation.  Deadline and cancellation merely
 // abandon the tag — the connection stays healthy for everyone else.
-func (s *session) callV2(ctx context.Context, deadline time.Time, req *Request) (*Response, error) {
+func (s *session) call(ctx context.Context, deadline time.Time, req *Request) (*Response, error) {
 	tag, ch, err := s.register(1)
 	if err != nil {
 		return nil, err
@@ -355,9 +313,6 @@ type BatchResult struct {
 	Err  error
 }
 
-// batchOK is the v1 aggregated wire form of a successful batch item.
-const batchOK = "ok"
-
 // InstantiateBatch asks the daemon to instantiate every named
 // meta-object in one request (OpInstantiateBatch), warming its image
 // cache in parallel.  Results are positional; a per-item failure
@@ -367,9 +322,8 @@ func (c *Client) InstantiateBatch(paths []string) ([]BatchResult, error) {
 }
 
 // InstantiateBatchCtx is InstantiateBatch bounded by ctx and the
-// configured CallTimeout.  On a v2 session the per-item completions
-// stream back as the server's executor finishes them; on v1 the
-// server answers one aggregated response.  Instantiation is
+// configured CallTimeout.  The per-item completions stream back as
+// the server's executor finishes them.  Instantiation is
 // idempotent, so transport failures retry with jittered backoff like
 // any idempotent call.
 func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]BatchResult, error) {
@@ -392,7 +346,7 @@ func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]Bat
 			return results, nil
 		}
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, ErrDraining) {
+			errors.Is(err, ErrDraining) || errors.Is(err, errHelloRefused) {
 			return nil, err
 		}
 		attempts--
@@ -406,8 +360,7 @@ func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]Bat
 	}
 }
 
-// batchOnce performs one batch attempt over whichever protocol the
-// session negotiated.
+// batchOnce performs one batch attempt.
 func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([]BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -421,32 +374,7 @@ func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([
 		return nil, mapTimeout(err)
 	}
 	req := &Request{Op: OpInstantiateBatch, Args: paths}
-	if s.version() != ProtoV2 {
-		// v1 fallback: a single aggregated response.
-		resp, err := s.callV1(deadline, req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == drainingMsg:
-			return nil, fmt.Errorf("omosd: %w", ErrDraining)
-		case resp.Err != "":
-			return nil, fmt.Errorf("omosd: %s", resp.Err)
-		}
-		if len(resp.Paths) != len(paths) {
-			return nil, fmt.Errorf("ipc: batch shape: %d outcomes for %d items",
-				len(resp.Paths), len(paths))
-		}
-		results := make([]BatchResult, len(paths))
-		for i, o := range resp.Paths {
-			results[i].Path = paths[i]
-			if o != batchOK {
-				results[i].Err = errors.New(o)
-			}
-		}
-		return results, nil
-	}
-	// v2: one tag carries len(paths) item completions plus the Final
+	// One tag carries len(paths) item completions plus the Final
 	// summary, streamed in whatever order the server finishes them.
 	tag, ch, err := s.register(len(paths) + 1)
 	if err != nil {
@@ -521,8 +449,8 @@ func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([
 	}
 }
 
-// meshChunk is the blob chunk size OpMeshFetch streams over v2
-// framing: large enough to amortize framing, small enough that a blob
+// meshChunk is the blob chunk size OpMeshFetch streams: large enough
+// to amortize framing, small enough that a blob
 // transfer never monopolizes the connection's send lock.
 const meshChunk = 256 << 10
 
@@ -533,7 +461,7 @@ const maxMeshChunks = maxFrame/meshChunk + 1
 // MeshFetch asks a mesh peer for a content key's image (OpMeshFetch):
 // a metadata-only MeshInfo when the request set HaveBytes and the
 // owner confirms a rebase suffices, otherwise the encoded record blob,
-// streamed in chunks on a v2 session.  An overload shed trips the
+// streamed in chunks.  An overload shed trips the
 // per-peer breaker and surfaces as *OverloadedError so the caller can
 // fall back to a local build immediately.
 func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byte, error) {
@@ -553,7 +481,7 @@ func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byt
 			return info, blob, nil
 		}
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, ErrDraining) || errors.Is(err, ErrOverloaded) {
+			errors.Is(err, ErrDraining) || errors.Is(err, ErrOverloaded) || errors.Is(err, errHelloRefused) {
 			return nil, nil, err
 		}
 		attempts--
@@ -583,8 +511,7 @@ func (c *Client) meshFetchError(resp *Response) error {
 	}
 }
 
-// meshFetchOnce performs one fetch attempt over whichever protocol the
-// session negotiated.
+// meshFetchOnce performs one fetch attempt.
 func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options) (*MeshInfo, []byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -598,18 +525,7 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 		return nil, nil, mapTimeout(err)
 	}
 	req := &Request{Op: OpMeshFetch, Mesh: mreq}
-	if s.version() != ProtoV2 {
-		// v1 fallback: the whole blob in one response.
-		resp, err := s.callV1(deadline, req)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := c.meshFetchError(resp); err != nil {
-			return nil, nil, err
-		}
-		return resp.Mesh, resp.Blob, nil
-	}
-	// v2: chunked blob responses (Index set) close with a Final frame
+	// Chunked blob responses (Index set) close with a Final frame
 	// carrying the MeshInfo.  The server writes them sequentially, so
 	// they arrive in order.
 	tag, ch, err := s.register(maxMeshChunks + 1)

@@ -1,8 +1,8 @@
 package ipc
 
-// Tests for the multiplexed (v2) protocol: negotiation against v1
-// peers, out-of-order completion, -race stress on one shared client,
-// drain with dozens of parked tags, tag corruption, duplicate and late
+// Tests for the multiplexed protocol: out-of-order completion, -race
+// stress on one shared client, the hello gate's two refusals, drain
+// with dozens of parked tags, tag corruption, duplicate and late
 // delivery, reused request scratch, the SetOptions race fix, the
 // allocation-free framed hot path, batch streaming, and the fault
 // sites under pipelined load.
@@ -13,6 +13,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -25,7 +26,7 @@ import (
 )
 
 // startMuxServer is startServer with access to the Server value (for
-// DisableMux, HandlerPool, Shutdown) and a custom backend.
+// HandlerPool, Shutdown) and a custom backend.
 func startMuxServer(t *testing.T, b Backend, tune func(*Server)) (*Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,42 +52,88 @@ func dialMux(t *testing.T, addr string, opts Options) *Client {
 	return c
 }
 
-func TestMixedVersionNegotiation(t *testing.T) {
-	// v2 client <-> v2 server: upgrade.
-	_, addr := startMuxServer(t, newFakeBackend(), nil)
-	c := dialMux(t, addr, Options{})
-	if _, err := c.Call(&Request{Op: OpPing}); err != nil {
+// TestHelloGateRefusesUngreetedFrame: a peer that opens with a request
+// instead of a hello (what a protocol-1 client sent) gets exactly one
+// refusal it can read, naming the version it needs, and then EOF.
+// Nothing is dispatched and nothing panics.
+func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
+	b := newFakeBackend()
+	srv, addr := startMuxServer(t, b, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ProtocolVersion(); got != ProtoV2 {
-		t.Fatalf("v2<->v2 negotiated %d, want %d", got, ProtoV2)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteFrame(conn, &Request{Op: OpDefine, Path: "/bin/x", Text: "(merge /a)"}); err != nil {
+		t.Fatal(err)
 	}
+	var resp Response
+	if err := ReadFrame(conn, &resp); err != nil {
+		t.Fatalf("no refusal frame: %v", err)
+	}
+	if !strings.Contains(resp.Err, "protocol version "+protoVersionText) || resp.Flag {
+		t.Fatalf("refusal = %+v, want an error naming protocol version %s", resp, protoVersionText)
+	}
+	if err := ReadFrame(conn, &resp); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want EOF", err)
+	}
+	if len(b.defined) != 0 {
+		t.Fatalf("the ungreeted request was dispatched: %v", b.defined)
+	}
+	if n := srv.Recovered(); n != 0 {
+		t.Fatalf("Recovered = %d, want 0", n)
+	}
+}
 
-	// v1-pinned client <-> v2 server: the server answers unupgraded
-	// connections in v1 framing.
-	cv1 := dialMux(t, addr, Options{ForceV1: true})
-	if _, err := cv1.Call(&Request{Op: OpPing}); err != nil {
+// TestHelloRefusedIsAnError: a server that answers the hello with
+// anything but the acknowledgement is not fallen back from.  The call
+// fails with an error naming the protocol, is not retried, and the
+// request — here a non-idempotent one — never reaches the wire.
+func TestHelloRefusedIsAnError(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cv1.ProtocolVersion(); got != ProtoV1 {
-		t.Fatalf("forced-v1 client negotiated %d, want %d", got, ProtoV1)
+	t.Cleanup(func() { l.Close() })
+	var conns atomic.Int32
+	afterHello := make(chan int, 8) // bytes each connection sent after its hello; room for every retry
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conn.Close()
+				var req Request
+				if err := ReadFrame(conn, &req); err != nil || req.Op != OpHello {
+					afterHello <- -1
+					return
+				}
+				WriteFrame(conn, &Response{Err: `unknown operation "hello"`})
+				var hdr [4]byte
+				n, _ := io.ReadFull(conn, hdr[:])
+				afterHello <- n
+			}()
+		}
+	}()
+	c := dialMux(t, l.Addr().String(), Options{CallTimeout: 5 * time.Second, Retries: 3, Backoff: time.Millisecond})
+	_, err = c.Call(&Request{Op: OpRun, Path: "/bin/x"})
+	if err == nil || !strings.Contains(err.Error(), "protocol "+protoVersionText) {
+		t.Fatalf("err = %v, want a refusal naming protocol %s", err, protoVersionText)
 	}
-
-	// v2 client <-> v1-only server: the refused hello falls back.
-	_, addrOld := startMuxServer(t, newFakeBackend(), func(s *Server) { s.DisableMux = true })
-	cOld := dialMux(t, addrOld, Options{})
-	if _, err := cOld.Call(&Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("client dialed %d times, want 1 (a refusal is not retried)", n)
 	}
-	if got := cOld.ProtocolVersion(); got != ProtoV1 {
-		t.Fatalf("v2 client against v1 server negotiated %d, want %d", got, ProtoV1)
-	}
-	// The whole op surface still works on the fallback path.
-	if _, err := cOld.Call(&Request{Op: OpDefine, Path: "/bin/x", Text: "(merge /a)"}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := cOld.Call(&Request{Op: OpRun, Path: "/bin/x"}); err != nil || resp.ExitCode != 7 {
-		t.Fatalf("run over fallback: %v %+v", err, resp)
+	select {
+	case n := <-afterHello:
+		if n != 0 {
+			t.Fatalf("after its hello was refused the client sent %d bytes, want a bare close", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client kept the refused connection open")
 	}
 }
 
@@ -152,9 +199,6 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 	close(g.release["/bin/slow"])
 	if err := <-slowDone; err != nil {
 		t.Fatal(err)
-	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("test did not exercise the mux")
 	}
 }
 
@@ -315,7 +359,7 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send f
 			return
 		}
 		defer conn.Close()
-		// Complete the hello in v1 framing.
+		// Complete the hello in its self-contained framing.
 		var req Request
 		if err := ReadFrame(conn, &req); err != nil || req.Op != OpHello {
 			return
@@ -380,9 +424,6 @@ func TestMuxDuplicateTagDelivery(t *testing.T) {
 	// been mistaken for tag 2's completion.
 	if resp, err := c.Call(&Request{Op: OpPing}); err != nil || resp.Text != "first" {
 		t.Fatalf("tag 2 after duplicate: %v %+v", err, resp)
-	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("harness did not negotiate v2")
 	}
 }
 
@@ -501,9 +542,6 @@ func TestMuxRequestStateDoesNotLeak(t *testing.T) {
 	// not the first request's MeshReq.
 	if _, err := c.Call(&Request{Op: OpMeshPut}); err == nil || !strings.Contains(err.Error(), "without payload") {
 		t.Fatalf("bare mesh-put: got %v, want the missing-payload refusal", err)
-	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("test did not exercise the mux")
 	}
 	want := []string{
 		`define path="/stale/path" text="stale text" allow=true`,
@@ -625,9 +663,6 @@ func TestBatchStreamingV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("batch did not ride the mux")
-	}
 	if len(results) != len(paths) {
 		t.Fatalf("got %d results for %d paths", len(results), len(paths))
 	}
@@ -645,23 +680,6 @@ func TestBatchStreamingV2(t *testing.T) {
 	b.mu.Unlock()
 	if n != len(paths) {
 		t.Fatalf("backend saw %d items, want %d", n, len(paths))
-	}
-}
-
-func TestBatchAggregatedV1(t *testing.T) {
-	b := &batchBackend{fakeBackend: newFakeBackend()}
-	_, addr := startMuxServer(t, b, func(s *Server) { s.DisableMux = true })
-	c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
-	paths := []string{"/bin/a", "/bogus/x"}
-	results, err := c.InstantiateBatch(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ProtocolVersion() != ProtoV1 {
-		t.Fatal("expected the v1 fallback")
-	}
-	if results[0].Err != nil || results[1].Err == nil {
-		t.Fatalf("v1 aggregated results: %+v", results)
 	}
 }
 

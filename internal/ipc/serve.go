@@ -116,8 +116,8 @@ type BatchBackend interface {
 // ErrDraining to retrying clients before closing their connections.
 const DefaultDrainGrace = 250 * time.Millisecond
 
-// DefaultHandlerPool bounds how many requests one multiplexed (v2)
-// connection may have in handlers at once.  When the pool is full the
+// DefaultHandlerPool bounds how many requests one connection may have
+// in handlers at once.  When the pool is full the
 // connection's read loop blocks, so backpressure reaches the peer
 // through the transport instead of unbounded goroutine growth; the
 // admission gate behind the handlers still bounds total build
@@ -136,23 +136,13 @@ type Server struct {
 	DrainGrace time.Duration
 
 	// HandlerPool overrides DefaultHandlerPool (per-connection
-	// concurrent handler bound for v2 connections) when set before
-	// Serve.
+	// concurrent handler bound) when set before Serve.
 	HandlerPool int
-
-	// DisableMux refuses protocol upgrades, emulating a legacy
-	// v1-only server: OpHello is answered "unknown operation" and
-	// every connection stays single-shot.  For wire-compat tests and
-	// staged rollouts.
-	DisableMux bool
 
 	// MeshSecret, when set before Serve, gates the mesh operations:
 	// only connections that answered the hello challenge with a valid
 	// HMAC proof of this shared secret may issue them (see
-	// helloUpgrade).  Ordinary client operations are
-	// unaffected.  (Authentication rides the v2 hello, so against a
-	// DisableMux server a secretful mesh peer cannot authenticate —
-	// mesh and mux are deployed together.)
+	// helloUpgrade).  Ordinary client operations are unaffected.
 	MeshSecret string
 
 	mu       sync.Mutex
@@ -276,62 +266,42 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	for {
-		if err := s.faults.Fire(fault.SiteIPCRead); err != nil {
-			return // simulated receive failure: drop the connection
-		}
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil {
-			// EOF, a drain-deadline expiry, or a damaged frame
-			// (*FrameError): all fatal to this connection only.
-			return
-		}
-		if req.Op == OpHello && !s.DisableMux {
-			// Protocol upgrade: acknowledge in v1 framing, then the
-			// connection switches to tagged v2 frames.  (A v1-only
-			// server falls through to handle(), whose unknown-op
-			// error tells the client to stay on v1.)  When both sides
-			// hold the mesh secret the hello also runs the
-			// challenge-response that marks the connection as an
-			// authenticated peer; a wrong proof still upgrades the
-			// protocol — only the mesh operations are gated.
-			authed, ok := s.helloUpgrade(conn, &req)
-			if !ok {
-				return
-			}
-			s.serveMux(conn, authed)
-			return
-		}
-		// Register in-flight under the lock: a request is either
-		// registered before Shutdown flips closed (and thus drained),
-		// or refused.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			// Keep answering retries until the drain deadline set by
-			// Shutdown expires the read above.
-			if err := WriteFrame(conn, &Response{Err: drainingMsg}); err != nil {
-				return
-			}
-			continue
-		}
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		resp := s.safeHandle(&req, false)
-		s.inflight.Done()
-		if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-			return // simulated send failure: response lost, conn dropped
-		}
-		if err := WriteFrame(conn, resp); err != nil {
-			return
-		}
+	if err := s.faults.Fire(fault.SiteIPCRead); err != nil {
+		return // simulated receive failure: drop the connection
 	}
+	var req Request
+	if err := ReadFrame(conn, &req); err != nil {
+		// EOF, a drain-deadline expiry, or a damaged frame
+		// (*FrameError): all fatal to this connection only.
+		return
+	}
+	if req.Op != OpHello {
+		// Not a peer of this protocol (the hello has opened every
+		// connection since version 2): one refusal it can read, then
+		// close.  Nothing was dispatched.
+		WriteFrame(conn, &Response{Err: helloRequiredMsg})
+		return
+	}
+	// Acknowledge in the hello's own framing, then the connection
+	// switches to tagged frames.  When both sides hold the mesh secret
+	// the hello also runs the challenge-response that marks the
+	// connection as an authenticated peer; a wrong proof still opens
+	// the connection — only the mesh operations are gated.
+	authed, ok := s.helloUpgrade(conn, &req)
+	if !ok {
+		return
+	}
+	s.serveMux(conn, authed)
 }
 
-// helloUpgrade acknowledges a hello in v1 framing and, when this
+// helloRequiredMsg refuses a connection whose first frame is not a
+// hello.
+const helloRequiredMsg = "protocol version " + protoVersionText + " required: a connection opens with a hello"
+
+// helloUpgrade acknowledges a hello in its own framing and, when this
 // server has a mesh secret and the hello carried a client nonce, runs
 // the peer-auth challenge-response: the ack carries a fresh server
-// nonce (Output), the client answers with one more v1-framed hello
+// nonce (Output), the client answers with one more hello frame
 // whose Blob is meshProof(secret, server nonce, client nonce,
 // version), and a final ack closes the exchange.  The server nonce is
 // issued here, never chosen by the client, so a proof captured off one
@@ -589,28 +559,6 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 		if err := ub.UpgradeRollback(req.Text); err != nil {
 			return fail(err)
 		}
-	case OpInstantiateBatch:
-		// v1 aggregated form: the items still build concurrently
-		// server-side, but the outcomes travel in one response
-		// ("ok" or the error text, positionally).  v2 connections
-		// stream per-item completions instead (handleBatchMux).
-		bb, ok := b.(BatchBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not support batch instantiation"))
-		}
-		outcomes := make([]string, len(req.Args))
-		bb.InstantiateBatch(req.Args, func(i int, err error) {
-			if i < 0 || i >= len(outcomes) {
-				return
-			}
-			if err != nil {
-				outcomes[i] = err.Error()
-			} else {
-				outcomes[i] = batchOK
-			}
-		})
-		resp.Paths = outcomes
-		resp.Final = true
 	case OpMeshFetch, OpMeshPut, OpMeshGossip, OpMeshRebalance:
 		mb, ok := b.(MeshBackend)
 		if !ok {

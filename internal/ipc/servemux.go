@@ -1,15 +1,14 @@
 package ipc
 
-// Server side of the multiplexed (v2) protocol.  serveConn upgrades a
+// Server side of the tagged-frame protocol.  serveConn hands a
 // connection here after acknowledging OpHello: a read loop decodes
 // tagged requests through one buffered reader and hands each to a
 // bounded set of persistent per-connection workers, and completions
 // are written back as they land — out of order — under a send mutex.
-// The v1 robustness semantics hold per tag instead of per connection:
-// a draining server answers every late tag with a clean ErrDraining,
-// the inflight ledger spans every admitted tag (so Shutdown waits for
-// all of them), and a handler panic is contained to its connection,
-// never the accept loop.
+// Robustness holds per tag: a draining server answers every late tag
+// with a clean ErrDraining, the inflight ledger spans every admitted
+// tag (so Shutdown waits for all of them), and a handler panic is
+// contained to its connection, never the accept loop.
 
 import (
 	"bufio"
@@ -30,7 +29,7 @@ type tagWork struct {
 	req Request
 }
 
-// muxConn is one v2 connection's shared state: the send half (a
+// muxConn is one connection's shared state: the send half (a
 // persistent gob encoder into a reused frame buffer, serialized by
 // sendMu so concurrent handlers interleave whole frames, never bytes)
 // and the hand-off between the read loop and its workers.
@@ -93,7 +92,7 @@ func (s *Server) handlerPool() int {
 	return DefaultHandlerPool
 }
 
-// serveMux runs one upgraded connection until it dies or the drain
+// serveMux runs one greeted connection until it dies or the drain
 // deadline expires.  The read loop never handles requests itself: each
 // decoded request takes a pool slot (blocking when the pool is
 // saturated — backpressure reaches the peer through the transport) and
@@ -103,7 +102,7 @@ func (s *Server) handlerPool() int {
 // stack it grew through gob and the backend instead of regrowing it on
 // every tag.
 //
-// The buffered reader is created here, after the v1 hello exchange was
+// The buffered reader is created here, after the hello exchange was
 // read with exact-length reads straight off conn, so no hello byte can
 // be stranded in it; deadlines stay on conn and reach the loop through
 // the reader's next fill.

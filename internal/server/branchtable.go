@@ -1,18 +1,13 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"omos/internal/asm"
-	"omos/internal/buildgraph"
-	"omos/internal/constraint"
-	"omos/internal/fault"
 	"omos/internal/jigsaw"
 	"omos/internal/link"
-	"omos/internal/mgraph"
 	"omos/internal/obj"
 	"omos/internal/osim"
 	"omos/internal/vm"
@@ -22,92 +17,56 @@ import (
 // lib-branch-table image.
 const btSlotPrefix = "$bt$slot$"
 
-// buildBranchTableLib builds a library under the "lib-branch-table"
+// routeUpward is planLibrary's step for the "lib-branch-table"
 // specialization of §4.1: upward references (library calls to
 // procedures the client must supply) are routed through per-process
 // data slots, so one cached text image serves every application
 // instead of "a new library image for each different application".
-func (s *Server) buildBranchTableLib(ctx context.Context, dep mgraph.LibDep, v *mgraph.Value, libs []*Instance,
-	prefs []constraint.Pref, ch string, c charger) (*Instance, error) {
-
-	externs := externsOf(libs)
-	var upward []string
-	for _, u := range v.Module.Undefined() {
-		if _, ok := externs[u]; !ok {
-			upward = append(upward, u)
+// It binds the plan's externs directly and merges the indirection
+// stubs into the plan's module.  The plan keeps no content key: the
+// per-process slot patching is placement metadata a slide does not
+// model, so these libraries stay out of the rebase and mesh paths.
+func (pl *plan) routeUpward(path string) error {
+	pl.bound = externsOf(pl.libs)
+	for _, u := range pl.module.Undefined() {
+		if _, ok := pl.bound[u]; !ok {
+			pl.upward = append(pl.upward, u)
 		}
 	}
-	sort.Strings(upward)
-	if err := checkCallOnly(v.Module, upward); err != nil {
-		return nil, fmt.Errorf("server: %s: %w", dep.Path, err)
+	sort.Strings(pl.upward)
+	if err := checkCallOnly(pl.module, pl.upward); err != nil {
+		return fmt.Errorf("server: %s: %w", path, err)
 	}
-	module := v.Module
-	if len(upward) > 0 {
-		stubObj, err := genBTStubs(upward)
-		if err != nil {
-			return nil, err
-		}
-		sm, err := jigsaw.NewModule(stubObj)
-		if err != nil {
-			return nil, err
-		}
-		module, err = jigsaw.Merge(v.Module, sm)
-		if err != nil {
-			return nil, err
-		}
+	if len(pl.upward) == 0 {
+		return nil
 	}
-
-	textSize, dataSize := link.Measure(module)
-	pl, err := s.place(constraint.Request{
-		Key:      "lib:" + dep.Path + "|" + dep.Spec.Hash(),
-		TextSize: textSize,
-		DataSize: dataSize,
-		Prefs:    prefs,
-	})
+	stubObj, err := genBTStubs(pl.upward)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	key := digestStr("lib-bt", ch, dep.Spec.Hash(),
-		fmt.Sprintf("%#x/%#x", pl.TextBase, pl.DataBase), libKeys(libs))
-	node := buildgraph.NodeFrom(ctx)
-	node.SetKeys(key, "")
-	return s.buildShared(ctx, key, func() (*Instance, error) {
-		if err := s.faults.Fire(fault.SiteBuildLink); err != nil {
-			return nil, fmt.Errorf("server: linking branch-table library %s: %w", dep.Path, err)
+	sm, err := jigsaw.NewModule(stubObj)
+	if err != nil {
+		return err
+	}
+	pl.module, err = jigsaw.Merge(pl.module, sm)
+	return err
+}
+
+// slotsIn finds the linked addresses of the plan's branch-table slots
+// (nil for every other kind of image).
+func (pl *plan) slotsIn(res *link.Result) (map[string]uint64, error) {
+	if len(pl.upward) == 0 {
+		return nil, nil
+	}
+	slots := make(map[string]uint64, len(pl.upward))
+	for _, f := range pl.upward {
+		slot, ok := res.Syms[btSlotPrefix+f]
+		if !ok {
+			return nil, fmt.Errorf("server: %s: branch-table slot for %s missing", definerPath(pl.name), f)
 		}
-		node.MarkLink()
-		res, err := link.Link(module, link.Options{
-			Name:     "lib:" + dep.Path,
-			TextBase: pl.TextBase,
-			DataBase: pl.DataBase,
-			Externs:  externs,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: linking branch-table library %s: %w", dep.Path, err)
-		}
-		// Branch-table libraries stay out of the rebase path (empty
-		// content key): their per-process slot patching is placement
-		// metadata the slide does not model.
-		inst, err := s.materialize(key, "", "", "lib:"+dep.Path, res, libs, c)
-		if err != nil {
-			return nil, err
-		}
-		inst.BTSlots = map[string]uint64{}
-		for _, f := range upward {
-			slot, ok := res.Syms[btSlotPrefix+f]
-			if !ok {
-				return nil, fmt.Errorf("server: %s: branch-table slot for %s missing", dep.Path, f)
-			}
-			inst.BTSlots[f] = slot
-		}
-		inst.place = placeRec{
-			SolverKey: "lib:" + dep.Path + "|" + dep.Spec.Hash(),
-			TextBase:  pl.TextBase, TextSize: textSize,
-			DataBase: pl.DataBase, DataSize: dataSize,
-		}
-		s.checkpointInstance(node, inst)
-		return inst, nil
-	})
+		slots[f] = slot
+	}
+	return slots, nil
 }
 
 // checkCallOnly enforces the paper's constraint: upward references may

@@ -1,9 +1,15 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"omos/internal/fault"
+	"omos/internal/image"
+	"omos/internal/link"
+	"omos/internal/osim"
 )
 
 // defineConcurrentWorld installs three shared libraries and nprogs
@@ -281,4 +287,115 @@ func (failFetcher) FetchMeta(string) (string, bool, error) {
 }
 func (failFetcher) FetchObject(string) ([]byte, error) {
 	return nil, fmt.Errorf("unavailable")
+}
+
+// TestPublishedInstancesAreComplete: an instance becomes visible — to
+// cache hits, to the variants index, to a mesh peer's export — only
+// once nothing about it is left to fill in.  Many goroutines miss on
+// the same cold program and its cold branch-table library while a
+// watcher exports every content key and reads every cached instance;
+// whatever any of them sees has its placement and, for the library, its
+// branch-table slots.  Run under -race: a field written after
+// publication is a reported race even when the values happen to look
+// right.
+func TestPublishedInstancesAreComplete(t *testing.T) {
+	const rounds, goroutines = 12, 8
+	check := func(inst *Instance) {
+		if inst.place.SolverKey == "" {
+			t.Errorf("%s visible without its placement", inst.Name)
+		}
+		if inst.Name == "lib:/lib/cb" && len(inst.BTSlots) != 1 {
+			t.Errorf("%s visible with slots %v, want app_hook's", inst.Name, inst.BTSlots)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		s := newTestServer(t)
+		if err := s.DefineLibrary("/lib/cb", `
+(constraint-list "T" 0x5000000 "D" 0x45000000)
+(source "c" "
+extern int app_hook(int x);
+int drive(int x) { return app_hook(x) * 10; }
+")`); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Define("/bin/app", `
+(merge /lib/crt0.o
+  (source "c" "
+extern int drive(int);
+int app_hook(int x) { return x + 1; }
+int main() { return drive(3); }
+")
+  (specialize "lib-branch-table" /lib/cb))`); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var watcher sync.WaitGroup
+		watcher.Add(1)
+		go func() {
+			defer watcher.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, ck := range s.ContentKeys() {
+					if _, _, ok := s.ExportContent(ck, false); !ok {
+						t.Errorf("content key %s listed but not exportable", ck)
+					}
+				}
+				s.cacheMu.RLock()
+				for _, inst := range s.cache {
+					check(inst)
+				}
+				s.cacheMu.RUnlock()
+			}
+		}()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				inst, err := s.Instantiate("/bin/app", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(inst)
+				check(inst.Libs[0])
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(stop)
+		watcher.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestMaterializeReleasesFramesOnFailure: when a later segment cannot
+// be materialized, the frames already made for earlier ones go back to
+// the frame table.
+func TestMaterializeReleasesFramesOnFailure(t *testing.T) {
+	s := newTestServer(t)
+	fs := fault.New(1)
+	s.Kernel().FT.Faults = fs
+	if err := fs.Enable(fault.Rule{Site: fault.SiteFrameMake, Kind: fault.KindError, EveryN: 2, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	res := &link.Result{Image: &image.Image{Name: "/bin/two", Segments: []image.Segment{
+		{Name: "text", Addr: 0x100000, Data: []byte{1}, MemSize: 3 * osim.PageSize, Perm: image.PermR | image.PermX},
+		{Name: "rodata", Addr: 0x200000, Data: []byte{2}, MemSize: osim.PageSize, Perm: image.PermR},
+	}}}
+	base := s.Kernel().FT.Stats().Frames
+	if _, _, err := s.materialize(&plan{name: "/bin/two"}, res, nil); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("err = %v, want the injected frame fault on the second segment", err)
+	}
+	if got := s.Kernel().FT.Stats().Frames; got != base {
+		t.Fatalf("%d frames live after the failed materialize, want the baseline %d", got, base)
+	}
 }

@@ -64,7 +64,7 @@ func (s *Server) InstantiateLib(dep mgraph.LibDep, p *osim.Process) (*Instance, 
 	// differs.
 	impl := dep
 	impl.Spec.Kind = "lib-static"
-	return s.instantiateLibrary(context.Background(), impl, asCharger(p))
+	return s.libraryImage(context.Background(), impl, asCharger(p))
 }
 
 // ExportTable returns (building and caching on first use) the

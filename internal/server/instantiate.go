@@ -11,6 +11,7 @@ import (
 	"omos/internal/constraint"
 	"omos/internal/fault"
 	"omos/internal/image"
+	"omos/internal/jigsaw"
 	"omos/internal/link"
 	"omos/internal/mgraph"
 	"omos/internal/obj"
@@ -85,9 +86,9 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 	ch := withNode(asCharger(p), root)
 	var inst *Instance
 	if meta.IsLibrary {
-		inst, err = s.instantiateLibrary(ctx, mgraph.LibDep{Path: name, Spec: meta.DefaultSpec}, ch)
+		inst, err = s.libraryImage(ctx, mgraph.LibDep{Path: name, Spec: meta.DefaultSpec}, ch)
 	} else {
-		inst, err = s.instantiateProgram(ctx, name, meta, ch)
+		inst, err = s.programImage(ctx, name, meta, ch)
 	}
 	s.finishNode(root, inst, err)
 	run.End(err)
@@ -122,7 +123,7 @@ func (s *Server) InstantiateBlueprint(src string, p *osim.Process) (*Instance, e
 	run, rootNode := s.beginRun(name, buildgraph.KindProgram)
 	rootNode.Start()
 	ctx := buildgraph.WithNode(context.Background(), rootNode)
-	inst, err := s.instantiateProgram(ctx, name, meta, withNode(asCharger(p), rootNode))
+	inst, err := s.programImage(ctx, name, meta, withNode(asCharger(p), rootNode))
 	s.finishNode(rootNode, inst, err)
 	run.End(err)
 	return inst, err
@@ -164,9 +165,9 @@ func (s *Server) evalValue(ctx context.Context, meta *mgraph.Meta, c charger) (*
 }
 
 // externsOf unions the exported symbols of library instances (first
-// definition wins, matching link search order).  The main build paths
-// resolve through the stable resolution cache instead (resolve.go);
-// this remains the branch-table path's resolver, where the slot
+// definition wins, matching link search order).  Programs and plain
+// libraries resolve through the stable resolution cache instead
+// (resolve.go); this remains the branch-table resolver, where the slot
 // symbols make the undefined set an unreliable guide.
 func externsOf(libs []*Instance) map[string]uint64 {
 	ext := map[string]uint64{}
@@ -187,7 +188,58 @@ func (s *Server) place(req constraint.Request) (constraint.Placement, error) {
 	return s.solver.Place(req)
 }
 
-func (s *Server) instantiateLibrary(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
+// plan is everything the server must know to find or build one image:
+// what it is called, what it is made of, where it goes and under which
+// identities it is cached.  planProgram and planLibrary fill one from
+// the namespace (hash, evaluate, measure, place, key); build consumes
+// it.  Nothing in it changes once the planner returns.
+type plan struct {
+	// name is the instance name: cache entries, frame-segment names and
+	// store records carry it.  image is the link image name; label is
+	// how errors refer to the build ("/bin/ls", "library /lib/libc").
+	name, image, label string
+	module             *jigsaw.Module
+	libs               []*Instance
+	place              placeRec
+	// key is the cache key (content + placement); ckey the
+	// placement-independent content identity shared by rebase variants
+	// and mesh peers; bkey the resolution identity the binding table
+	// lives under.  ckey and bkey are empty for branch-table libraries,
+	// which keeps them off the mesh, rebase and binding-replay paths.
+	key, ckey, bkey string
+	// entry is the entry symbol ("" for libraries).
+	entry string
+	// upward lists the client-supplied procedures a branch-table
+	// library reaches through per-process slots, and bound its externs,
+	// which that kind of library binds while planning (branchtable.go).
+	// Every other image leaves bound nil and resolves at link time,
+	// through the binding table (resolve.go).
+	upward []string
+	bound  map[string]uint64
+}
+
+// settle measures the plan's module and places it with the constraint
+// solver, returning the placement rendered as cache-key material.
+func (s *Server) settle(pl *plan, solverKey string, prefs []constraint.Pref) (string, error) {
+	textSize, dataSize := link.Measure(pl.module)
+	at, err := s.place(constraint.Request{
+		Key:      solverKey,
+		TextSize: textSize,
+		DataSize: dataSize,
+		Prefs:    prefs,
+	})
+	if err != nil {
+		return "", err
+	}
+	pl.place = placeRec{
+		SolverKey: solverKey,
+		TextBase:  at.TextBase, TextSize: textSize,
+		DataBase: at.DataBase, DataSize: dataSize,
+	}
+	return fmt.Sprintf("%#x/%#x", at.TextBase, at.DataBase), nil
+}
+
+func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger) (*plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -216,72 +268,28 @@ func (s *Server) instantiateLibrary(ctx context.Context, dep mgraph.LibDep, c ch
 	if len(prefs) == 0 {
 		prefs = meta.DefaultSpec.Prefs
 	}
+	pl := &plan{name: dep.Path, image: "lib:" + dep.Path, label: "library " + dep.Path,
+		module: v.Module, libs: libs}
+	kind := "lib"
 	if dep.Spec.Kind == "lib-branch-table" {
-		return s.buildBranchTableLib(ctx, dep, v, libs, prefs, ch, c)
+		kind = "lib-bt"
+		pl.name, pl.label = pl.image, "branch-table "+pl.label
+		if err := pl.routeUpward(dep.Path); err != nil {
+			return nil, err
+		}
+	} else {
+		pl.ckey = contentKeyLib(ch, dep.Spec.Kind, libs)
+		pl.bkey = bindKeyLib(dep, meta)
 	}
-	textSize, dataSize := link.Measure(v.Module)
-	pl, err := s.place(constraint.Request{
-		Key:      "lib:" + dep.Path + "|" + dep.Spec.Hash(),
-		TextSize: textSize,
-		DataSize: dataSize,
-		Prefs:    prefs,
-	})
+	at, err := s.settle(pl, "lib:"+dep.Path+"|"+dep.Spec.Hash(), prefs)
 	if err != nil {
 		return nil, err
 	}
-	key := digestStr("lib", ch, dep.Spec.Hash(),
-		fmt.Sprintf("%#x/%#x", pl.TextBase, pl.DataBase), libKeys(libs))
-	ckey := contentKeyLib(ch, dep.Spec.Kind, libs)
-	bkey := bindKeyLib(dep, meta)
-	pr := placeRec{
-		SolverKey: "lib:" + dep.Path + "|" + dep.Spec.Hash(),
-		TextBase:  pl.TextBase, TextSize: textSize,
-		DataBase: pl.DataBase, DataSize: dataSize,
-	}
-	node := buildgraph.NodeFrom(ctx)
-	node.SetKeys(key, ckey)
-	return s.buildShared(ctx, key, func() (*Instance, error) {
-		// Cache miss: in a mesh, content another daemon owns is asked
-		// for before anything is built locally (meshhook.go).
-		if inst, ok := s.tryMeshFetch(node, key, ckey, bkey, dep.Path, pl.TextBase, pl.DataBase, libs, pr, c); ok {
-			return inst, nil
-		}
-		// Placement miss: a cached variant of the same content at other
-		// bases can be slid here instead of relinked (rebase.go).
-		if inst, ok := s.tryRebase(node, key, ckey, bkey, dep.Path, pl.TextBase, pl.DataBase, libs, pr, c); ok {
-			return inst, nil
-		}
-		s.stats.rebaseMiss.Add(1)
-		if canaryFrom(ctx) {
-			if err := s.faults.Fire(fault.SiteUpgradeCanary); err != nil {
-				return nil, fmt.Errorf("server: canary build of library %s: %w", dep.Path, err)
-			}
-		}
-		if err := s.faults.Fire(fault.SiteBuildLink); err != nil {
-			return nil, fmt.Errorf("server: linking library %s: %w", dep.Path, err)
-		}
-		node.MarkLink()
-		res, err := link.Link(v.Module, link.Options{
-			Name:     "lib:" + dep.Path,
-			TextBase: pl.TextBase,
-			DataBase: pl.DataBase,
-			Externs:  s.resolveExterns(dep.Path, bkey, v, libs, c),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: linking library %s: %w", dep.Path, err)
-		}
-		inst, err := s.materialize(key, ckey, bkey, dep.Path, res, libs, c)
-		if err != nil {
-			return nil, err
-		}
-		inst.place = pr
-		s.checkpointInstance(node, inst)
-		s.offerMesh(ckey, inst)
-		return inst, nil
-	})
+	pl.key = digestStr(kind, ch, dep.Spec.Hash(), at, libKeys(libs))
+	return pl, nil
 }
 
-func (s *Server) instantiateProgram(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*Instance, error) {
+func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*plan, error) {
 	s.chargeLookup(c)
 	subHash, err := meta.Root.Hash(s.ectx(ctx))
 	if err != nil {
@@ -308,63 +316,115 @@ func (s *Server) instantiateProgram(ctx context.Context, name string, meta *mgra
 			{Seg: 'D', Addr: DefaultClientData},
 		}
 	}
-	textSize, dataSize := link.Measure(v.Module)
-	pl, err := s.place(constraint.Request{
-		Key:      "prog:" + name,
-		TextSize: textSize,
-		DataSize: dataSize,
-		Prefs:    prefs,
-	})
+	pl := &plan{name: name, image: name, label: name, module: v.Module, libs: libs, entry: "_start",
+		ckey: contentKeyProg(subHash, libs), bkey: bindKeyProg(meta)}
+	at, err := s.settle(pl, "prog:"+name, prefs)
 	if err != nil {
 		return nil, err
 	}
-	key := digestStr("prog", meta.SrcHash, subHash,
-		fmt.Sprintf("%#x/%#x", pl.TextBase, pl.DataBase), libKeys(libs))
-	ckey := contentKeyProg(subHash, libs)
-	bkey := bindKeyProg(meta)
-	pr := placeRec{
-		SolverKey: "prog:" + name,
-		TextBase:  pl.TextBase, TextSize: textSize,
-		DataBase: pl.DataBase, DataSize: dataSize,
+	pl.key = digestStr("prog", meta.SrcHash, subHash, at, libKeys(libs))
+	return pl, nil
+}
+
+// libraryImage and programImage are the two ways into the pipeline:
+// fill the plan, then find or build its image.
+func (s *Server) libraryImage(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
+	pl, err := s.planLibrary(ctx, dep, c)
+	if err != nil {
+		return nil, err
 	}
+	return s.build(ctx, pl, c)
+}
+
+func (s *Server) programImage(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*Instance, error) {
+	pl, err := s.planProgram(ctx, name, meta, c)
+	if err != nil {
+		return nil, err
+	}
+	return s.build(ctx, pl, c)
+}
+
+// build resolves a plan to its instance: through the cache or a build
+// already in flight (buildShared), else — for exactly one caller — by
+// the cheapest way the image can come into being: fetched from the
+// mesh peer that owns its content (meshhook.go), slid from a cached
+// variant at other bases (rebase.go), or linked.  This is the only
+// place cached images are linked.  Whichever way produced it, the
+// instance is complete before publish makes it visible; it is then
+// checkpointed to the store, and a fresh link of content another
+// daemon owns is offered to that owner.
+func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, error) {
 	node := buildgraph.NodeFrom(ctx)
-	node.SetKeys(key, ckey)
-	return s.buildShared(ctx, key, func() (*Instance, error) {
-		if inst, ok := s.tryMeshFetch(node, key, ckey, bkey, name, pl.TextBase, pl.DataBase, libs, pr, c); ok {
-			return inst, nil
+	node.SetKeys(pl.key, pl.ckey)
+	return s.buildShared(ctx, pl.key, func() (*Instance, error) {
+		inst, ok := s.tryMeshFetch(node, pl, c)
+		if !ok {
+			inst, ok = s.tryRebase(node, pl, c)
 		}
-		if inst, ok := s.tryRebase(node, key, ckey, bkey, name, pl.TextBase, pl.DataBase, libs, pr, c); ok {
-			return inst, nil
-		}
-		s.stats.rebaseMiss.Add(1)
-		if canaryFrom(ctx) {
-			if err := s.faults.Fire(fault.SiteUpgradeCanary); err != nil {
-				return nil, fmt.Errorf("server: canary build of %s: %w", name, err)
+		if !ok {
+			var err error
+			if inst, err = s.linkImage(ctx, node, pl, c); err != nil {
+				return nil, err
 			}
 		}
-		if err := s.faults.Fire(fault.SiteBuildLink); err != nil {
-			return nil, fmt.Errorf("server: linking %s: %w", name, err)
-		}
-		node.MarkLink()
-		res, err := link.Link(v.Module, link.Options{
-			Name:     name,
-			TextBase: pl.TextBase,
-			DataBase: pl.DataBase,
-			Entry:    "_start",
-			Externs:  s.resolveExterns(name, bkey, v, libs, c),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: linking %s: %w", name, err)
-		}
-		inst, err := s.materialize(key, ckey, bkey, name, res, libs, c)
-		if err != nil {
-			return nil, err
-		}
-		inst.place = pr
+		inst = s.publish(inst)
 		s.checkpointInstance(node, inst)
-		s.offerMesh(ckey, inst)
+		if !ok { // linked here, not fetched or slid
+			s.offerMesh(pl.ckey, inst)
+		}
 		return inst, nil
 	})
+}
+
+// linkImage is the full-link stage of build.  Build cost is charged to
+// the requesting process (the only one that ever pays it).
+func (s *Server) linkImage(ctx context.Context, node *buildgraph.Node, pl *plan, c charger) (*Instance, error) {
+	if pl.ckey != "" {
+		s.stats.rebaseMiss.Add(1)
+	}
+	if canaryFrom(ctx) {
+		if err := s.faults.Fire(fault.SiteUpgradeCanary); err != nil {
+			return nil, fmt.Errorf("server: canary build of %s: %w", pl.label, err)
+		}
+	}
+	if err := s.faults.Fire(fault.SiteBuildLink); err != nil {
+		return nil, fmt.Errorf("server: linking %s: %w", pl.label, err)
+	}
+	node.MarkLink()
+	externs := pl.bound
+	if externs == nil {
+		externs = s.resolveExterns(pl, c)
+	}
+	res, err := link.Link(pl.module, link.Options{
+		Name:     pl.image,
+		TextBase: pl.place.TextBase,
+		DataBase: pl.place.DataBase,
+		Entry:    pl.entry,
+		Externs:  externs,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: linking %s: %w", pl.label, err)
+	}
+	slots, err := pl.slotsIn(res)
+	if err != nil {
+		return nil, err
+	}
+	inst, _, err := s.materialize(pl, res, nil)
+	if err != nil {
+		return nil, err
+	}
+	inst.BTSlots = slots
+	cost := s.buildCost(res)
+	if c != nil {
+		c.ChargeServer(cost)
+	}
+	s.stats.cacheMisses.Add(1)
+	s.stats.imagesBuilt.Add(1)
+	s.stats.builtBytes.Add(res.TextSize + res.DataSize + res.BSSSize)
+	s.stats.relocsApplied.Add(uint64(res.NumRelocs))
+	s.stats.externBinds.Add(uint64(res.ExternBinds))
+	s.stats.buildCycles.Add(cost)
+	return inst, nil
 }
 
 func libKeys(libs []*Instance) string {
@@ -387,42 +447,66 @@ func (s *Server) ReleaseInstance(inst *Instance) {
 	}
 }
 
-// materialize turns a link result into a cached Instance: read-only
-// segments become shared frames, writable segments stay as pristine
-// bytes for per-client copying.  Build cost is charged to the
-// requesting process (the only one that ever pays it).  ckey is the
-// placement-independent content identity registered in the variants
-// index (empty to keep the instance out of the rebase path); bindKey
-// the resolution identity the binding table lives under (empty for
-// images whose resolution is not cached).  Library pins are attached
-// here — before publication, so concurrent cache hits never observe a
-// partially pinned instance.
-func (s *Server) materialize(key, ckey, bindKey, name string, res *link.Result, libs []*Instance, c charger) (*Instance, error) {
-	inst := &Instance{Key: key, ContentKey: ckey, Name: name, Res: res, Libs: libs,
-		Pins: s.pinsOf(libs), bindKey: bindKey}
+// materialize turns an image into an instance that is complete but not
+// yet visible: read-only segments become shared frames, writable
+// segments stay as pristine bytes for per-client copying, and the
+// plan's identities, placement and library pins are attached.  When the
+// image was slid from src, every page the slide left clean shares
+// src's physical frame; shared counts them.  Frames already made are
+// released if a later segment fails.
+func (s *Server) materialize(pl *plan, res *link.Result, src *Instance) (inst *Instance, shared int, err error) {
+	inst = &Instance{Key: pl.key, ContentKey: pl.ckey, Name: pl.name, Res: res, Libs: pl.libs,
+		Pins: s.pinsOf(pl.libs), bindKey: pl.bkey, place: pl.place}
 	for i := range res.Image.Segments {
 		seg := &res.Image.Segments[i]
 		if seg.Perm&image.PermW != 0 {
 			inst.RWSegs = append(inst.RWSegs, *seg)
 			continue
 		}
-		fs, err := s.kern.FT.MakeFrameSeg(name+"/"+seg.Name, seg.Addr, seg.Data, seg.MemSize, uint8(seg.Perm))
-		if err != nil {
-			return nil, err
+		var from *osim.FrameSeg
+		if src != nil {
+			for _, fs := range src.ROSegs {
+				if segBaseName(fs.Name) == seg.Name {
+					from = fs
+					break
+				}
+			}
 		}
+		fs, n, err := s.kern.FT.MakeFrameSegDelta(pl.name+"/"+seg.Name, seg.Addr, seg.Data, seg.MemSize, uint8(seg.Perm), from)
+		if err != nil {
+			s.ReleaseInstance(inst)
+			return nil, 0, err
+		}
+		shared += n
 		inst.ROSegs = append(inst.ROSegs, fs)
 	}
-	cost := s.buildCost(res)
-	if c != nil {
-		c.ChargeServer(cost)
+	return inst, shared, nil
+}
+
+// publish makes a complete instance visible to cache hits, rebases and
+// mesh exports.  It is the only writer of the cache and the variants
+// index, and nothing about the instance but its LRU stamp and lazily
+// built export table changes afterwards.  If another build published
+// the key first (a watchdog-abandoned build finishing late) the prior
+// instance wins and this one's frames are released.
+func (s *Server) publish(inst *Instance) *Instance {
+	if s.DisableCache {
+		return inst
 	}
-	s.stats.cacheMisses.Add(1)
-	s.stats.imagesBuilt.Add(1)
-	s.stats.builtBytes.Add(res.TextSize + res.DataSize + res.BSSSize)
-	s.stats.relocsApplied.Add(uint64(res.NumRelocs))
-	s.stats.externBinds.Add(uint64(res.ExternBinds))
-	s.stats.buildCycles.Add(cost)
-	return s.cacheInstance(inst), nil
+	s.cacheMu.Lock()
+	if prior := s.cache[inst.Key]; prior != nil {
+		s.cacheMu.Unlock()
+		s.ReleaseInstance(inst)
+		return prior
+	}
+	s.cache[inst.Key] = inst
+	if inst.ContentKey != "" {
+		s.variants[inst.ContentKey] = append(s.variants[inst.ContentKey], inst)
+	}
+	st := s.store
+	s.cacheMu.Unlock()
+	s.touch(inst.Key, inst, st)
+	return inst
 }
 
 // Evict removes every cached instance derived from the named

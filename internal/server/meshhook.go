@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"omos/internal/buildgraph"
-	"omos/internal/image"
 	"omos/internal/link"
 	"omos/internal/store"
 )
@@ -164,8 +163,9 @@ func (s *Server) variantMatches(ckey string, m MeshMeta) bool {
 // unknown, validation or decode trouble — returns (nil, false) and the
 // caller proceeds down the ordinary local path, so the mesh can only
 // ever remove work, never availability.
-func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name string, textBase, dataBase uint64, libs []*Instance, pr placeRec, c charger) (*Instance, bool) {
+func (s *Server) tryMeshFetch(node *buildgraph.Node, pl *plan, c charger) (*Instance, bool) {
 	h := s.mesh
+	ckey, textBase, dataBase := pl.ckey, pl.place.TextBase, pl.place.DataBase
 	if h == nil || s.DisableCache || ckey == "" || h.Owned(ckey) {
 		return nil, false
 	}
@@ -181,7 +181,7 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name strin
 		// invariants: validate the local variant against them, then
 		// slide it locally via the rebase fast path.
 		if s.variantMatches(ckey, reply.Meta) {
-			if inst, ok := s.tryRebase(node, key, ckey, bkey, name, textBase, dataBase, libs, pr, c); ok {
+			if inst, ok := s.tryRebase(node, pl, c); ok {
 				s.stats.meshMetaRebases.Add(1)
 				return inst, true
 			}
@@ -194,7 +194,11 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name strin
 			return nil, false
 		}
 	}
-	inst, err := s.installFetched(node, key, ckey, bkey, name, textBase, dataBase, libs, pr, c, reply.Blob)
+	var inst *Instance
+	res, err := fetchedResult(pl, reply.Blob)
+	if err == nil {
+		inst, _, err = s.slide(node, pl, res, nil, c)
+	}
 	if err != nil {
 		s.stats.meshFallbacks.Add(1)
 		return nil, false
@@ -203,58 +207,25 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name strin
 	return inst, true
 }
 
-// installFetched decodes a peer's record blob, rebases it to the local
-// placement, and materializes it as a cached instance.  The content
-// key's construction guarantees safety: equal ckeys imply the same
-// library cache keys, which pin the same library placements — so the
-// extern addresses baked into the fetched bytes are valid here too.
-// Local resolution state (pins, binding key) is attached fresh; the
-// peer's is ignored.
-func (s *Server) installFetched(node *buildgraph.Node, key, ckey, bkey, name string, textBase, dataBase uint64, libs []*Instance, pr placeRec, c charger, blob []byte) (*Instance, error) {
+// fetchedResult decodes a peer's record blob into a result the plan's
+// image can be slid from.  The content key's construction guarantees
+// safety: equal ckeys imply the same library cache keys, which pin the
+// same library placements — so the extern addresses baked into the
+// fetched bytes are valid here too.  Local resolution state (pins,
+// binding key) is attached fresh by materialize; the peer's is ignored.
+func fetchedResult(pl *plan, blob []byte) (*link.Result, error) {
 	rec, err := store.Decode(blob)
 	if err != nil {
-		return nil, fmt.Errorf("server: mesh blob for %s: %w", name, err)
+		return nil, fmt.Errorf("server: mesh blob for %s: %w", pl.name, err)
 	}
-	if rec.ContentKey != ckey {
-		return nil, fmt.Errorf("server: mesh blob content key mismatch: want %s, got %s", ckey, rec.ContentKey)
+	if rec.ContentKey != pl.ckey {
+		return nil, fmt.Errorf("server: mesh blob content key mismatch: want %s, got %s", pl.ckey, rec.ContentKey)
 	}
 	res := resultFromRecord(rec)
-	if len(res.Image.Segments) == 0 || res.SymSegs == nil {
-		return nil, fmt.Errorf("server: mesh blob for %s carries no rebase metadata", name)
+	if len(res.Image.Segments) == 0 {
+		return nil, fmt.Errorf("server: mesh blob for %s carries no rebase metadata", pl.name)
 	}
-	slid, err := link.Rebase(res, textBase, dataBase)
-	if err != nil {
-		return nil, fmt.Errorf("server: rebasing mesh blob for %s: %w", name, err)
-	}
-	node.MarkRebase()
-	slid.Image.Name = name
-	inst := &Instance{Key: key, ContentKey: ckey, Name: name, Res: slid, Libs: libs,
-		Pins: s.pinsOf(libs), bindKey: bkey}
-	for i := range slid.Image.Segments {
-		seg := &slid.Image.Segments[i]
-		if seg.Perm&image.PermW != 0 {
-			inst.RWSegs = append(inst.RWSegs, *seg)
-			continue
-		}
-		fs, err := s.kern.FT.MakeFrameSeg(name+"/"+seg.Name, seg.Addr, seg.Data, seg.MemSize, uint8(seg.Perm))
-		if err != nil {
-			for _, made := range inst.ROSegs {
-				s.kern.FT.Release(made)
-			}
-			return nil, err
-		}
-		inst.ROSegs = append(inst.ROSegs, fs)
-	}
-	cost := uint64(slid.Rebased.Patches) * s.kern.Cost.ServerRebasePatch
-	if c != nil {
-		c.ChargeServer(cost)
-	}
-	s.stats.cacheMisses.Add(1)
-	s.stats.buildCycles.Add(cost)
-	inst = s.cacheInstance(inst)
-	inst.place = pr
-	s.checkpointInstance(node, inst)
-	return inst, nil
+	return res, nil
 }
 
 // offerMesh hands a freshly built image of remotely owned content to

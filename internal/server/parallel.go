@@ -194,5 +194,5 @@ func (s *Server) buildDep(ctx context.Context, dep mgraph.LibDep, c charger) (in
 	if c != nil {
 		c.ChargeServer(s.kern.Cost.ServerNodeSchedule)
 	}
-	return s.instantiateLibrary(ctx, dep, c)
+	return s.libraryImage(ctx, dep, c)
 }

@@ -110,7 +110,7 @@ func (s *Server) checkpointInstance(node *buildgraph.Node, inst *Instance) {
 	s.cacheMu.RLock()
 	st := s.store
 	s.cacheMu.RUnlock()
-	if st == nil || inst.place.SolverKey == "" {
+	if st == nil {
 		return
 	}
 	defer func() {
@@ -123,23 +123,13 @@ func (s *Server) checkpointInstance(node *buildgraph.Node, inst *Instance) {
 		s.graph.Checkpointed(node, 0, err)
 		return
 	}
-	n, err := s.persistInstance(inst)
-	if n > 0 || err != nil {
-		s.graph.Checkpointed(node, n, err)
-	}
+	n, err := s.persistInstance(st, inst)
+	s.graph.Checkpointed(node, n, err)
 }
 
-// persistInstance writes a freshly built instance through to the
-// store, returning the encoded size.  (0, nil) means there was
-// nothing to do: no store attached, or the instance carries no solver
-// placement to restore.
-func (s *Server) persistInstance(inst *Instance) (int, error) {
-	s.cacheMu.RLock()
-	st := s.store
-	s.cacheMu.RUnlock()
-	if st == nil || inst.place.SolverKey == "" {
-		return 0, nil
-	}
+// persistInstance writes a built instance through to the store,
+// returning the encoded size.
+func (s *Server) persistInstance(st *store.Store, inst *Instance) (int, error) {
 	blob, err := store.Encode(s.recordOf(inst))
 	if err != nil {
 		return 0, err
@@ -177,7 +167,7 @@ func blobChecksum(blob []byte) string {
 
 // recordOf serializes an instance's reconstruction state: segment
 // bytes, bound symbols, branch-table slots, placement, library keys,
-// and (v3) the resolution state — the binding table recorded for the
+// and the resolution state — the binding table recorded for the
 // image and the library pins to re-verify at warm load.
 func (s *Server) recordOf(inst *Instance) *store.Record {
 	rec := &store.Record{
@@ -364,18 +354,9 @@ func (s *Server) loadFromStore(key string, visiting map[string]bool) *Instance {
 	// build-graph node that resolves to it counts as a resume
 	// (finishNode in graph.go).
 	inst.warm = true
-	s.cacheMu.Lock()
-	if prior := s.cache[key]; prior != nil {
-		s.cacheMu.Unlock()
-		s.ReleaseInstance(inst)
-		return prior
+	if got := s.publish(inst); got != inst {
+		return got
 	}
-	s.cache[key] = inst
-	if inst.ContentKey != "" {
-		s.variants[inst.ContentKey] = append(s.variants[inst.ContentKey], inst)
-	}
-	s.cacheMu.Unlock()
-	s.touch(key, inst, st)
 	s.stats.warmLoaded.Add(1)
 	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreLoadPerByte)
 	return inst
@@ -426,11 +407,10 @@ func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Insta
 }
 
 // resultFromRecord rebuilds the link.Result a record was persisted
-// from: the bound symbol table, the accounting, and — for v2 records
-// (ContentKey set) — the full rebase metadata, so the result can serve
-// as a link.Rebase source.  Shared between warm restore and the mesh
-// blob-install path, which decodes a peer's record instead of a store
-// entry.
+// from: the bound symbol table, the accounting, and the full rebase
+// metadata, so the result can serve as a link.Rebase source.  Shared
+// between warm restore and the mesh blob-install path, which decodes a
+// peer's record instead of a store entry.
 func resultFromRecord(rec *store.Record) *link.Result {
 	im := &image.Image{Name: rec.Name, Entry: rec.Entry, Syms: map[string]uint64{}}
 	res := &link.Result{
@@ -439,6 +419,7 @@ func resultFromRecord(rec *store.Record) *link.Result {
 		AllSyms:     map[string]uint64{},
 		SymSizes:    map[string]uint64{},
 		SymKinds:    map[string]obj.SymKind{},
+		SymSegs:     make(map[string]byte, len(rec.Syms)),
 		NumRelocs:   int(rec.NumRelocs),
 		ExternBinds: int(rec.ExternBinds),
 		TextBase:    rec.ResTextBase,
@@ -457,39 +438,33 @@ func resultFromRecord(rec *store.Record) *link.Result {
 		if sym.Kind != store.KindNone {
 			res.SymKinds[sym.Name] = obj.SymKind(sym.Kind)
 		}
+		if sym.Seg != 0 {
+			res.SymSegs[sym.Name] = sym.Seg
+		}
 	}
-	// A v2 record carries the rebase metadata; reconstruct everything
-	// link.Rebase needs (segment bytes, symbol segment classes, patch
-	// sites) so the warm-loaded instance can serve as a rebase source.
-	if rec.ContentKey != "" {
-		res.SymSegs = make(map[string]byte, len(rec.Syms))
-		for _, sym := range rec.Syms {
-			if sym.Seg != 0 {
-				res.SymSegs[sym.Name] = sym.Seg
-			}
-		}
-		for _, p := range rec.AbsPatches {
-			res.AbsPatches = append(res.AbsPatches, link.AbsPatch{Site: p.Site, Value: p.Value, Seg: p.Seg})
-		}
-		for _, p := range rec.RelPatches {
-			res.RelPatches = append(res.RelPatches, link.RelPatch{Site: p.Site, Seg: p.Seg})
-		}
-		for _, sr := range rec.ROSegs {
-			// Stored data is zero-trimmed; Rebase patches sites anywhere
-			// in the segment, so restore the full extent.
-			data := make([]byte, sr.MemSize)
-			copy(data, sr.Data)
-			im.Segments = append(im.Segments, image.Segment{
-				Name: segBaseName(sr.Name), Addr: sr.Addr, Data: data,
-				MemSize: sr.MemSize, Perm: image.Perm(sr.Perm),
-			})
-		}
-		for _, sr := range rec.RWSegs {
-			im.Segments = append(im.Segments, image.Segment{
-				Name: segBaseName(sr.Name), Addr: sr.Addr, Data: sr.Data,
-				MemSize: sr.MemSize, Perm: image.Perm(sr.Perm),
-			})
-		}
+	// Everything link.Rebase needs beyond the symbols: patch sites and
+	// segment bytes.
+	for _, p := range rec.AbsPatches {
+		res.AbsPatches = append(res.AbsPatches, link.AbsPatch{Site: p.Site, Value: p.Value, Seg: p.Seg})
+	}
+	for _, p := range rec.RelPatches {
+		res.RelPatches = append(res.RelPatches, link.RelPatch{Site: p.Site, Seg: p.Seg})
+	}
+	for _, sr := range rec.ROSegs {
+		// Stored data is zero-trimmed; Rebase patches sites anywhere
+		// in the segment, so restore the full extent.
+		data := make([]byte, sr.MemSize)
+		copy(data, sr.Data)
+		im.Segments = append(im.Segments, image.Segment{
+			Name: segBaseName(sr.Name), Addr: sr.Addr, Data: data,
+			MemSize: sr.MemSize, Perm: image.Perm(sr.Perm),
+		})
+	}
+	for _, sr := range rec.RWSegs {
+		im.Segments = append(im.Segments, image.Segment{
+			Name: segBaseName(sr.Name), Addr: sr.Addr, Data: sr.Data,
+			MemSize: sr.MemSize, Perm: image.Perm(sr.Perm),
+		})
 	}
 	return res
 }

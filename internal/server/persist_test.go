@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"omos/internal/store"
 )
@@ -101,6 +102,95 @@ func TestWarmRestartFromStore(t *testing.T) {
 	_, code2 := runInstance(t, s2, inst2, nil)
 	if code2 != 42 {
 		t.Fatalf("warm exit = %d, want 42", code2)
+	}
+}
+
+// restampBlobs rewrites the version field of every blob in a store
+// directory, behind the store's back.  The envelope checksum covers the
+// payload only, so the result is a well-formed blob of another codec
+// version — what a daemon from before (or after) this one leaves
+// behind.
+func restampBlobs(t *testing.T, dir string, version byte) int {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[4] = version
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return len(paths)
+}
+
+// TestOldCodecBlobsQuarantinedAndRebuilt: exactly one codec version
+// decodes.  Blobs stamped with an older one take the path a corrupt
+// blob takes — quarantined at attach, rebuilt on demand, re-persisted
+// at the current version — and the scrubber flags one it finds at rest.
+func TestOldCodecBlobsQuarantinedAndRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t)
+	s1.AttachStore(openStore(t, dir, 0))
+	definePersistWorld(t, s1)
+	if _, err := s1.Instantiate("/bin/app", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	if n := restampBlobs(t, dir, store.Version-1); n != 2 {
+		t.Fatalf("restamped %d blobs, want the library's and the program's", n)
+	}
+
+	s2 := newTestServer(t)
+	st := openStore(t, dir, 0)
+	if n := s2.AttachStore(st); n != 0 {
+		t.Fatalf("warm-loaded %d images from old-version blobs", n)
+	}
+	if got := s2.Stats().StoreQuarantined; got != 2 {
+		t.Fatalf("StoreQuarantined = %d, want 2", got)
+	}
+	definePersistWorld(t, s2)
+	inst, err := s2.Instantiate("/bin/app", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Stats(); got.ImagesBuilt != 2 || got.StoreStores != 2 {
+		t.Fatalf("built %d, stored %d; want both images rebuilt and re-persisted", got.ImagesBuilt, got.StoreStores)
+	}
+	if _, code := runInstance(t, s2, inst, nil); code != 42 {
+		t.Fatalf("rebuilt image exits %d, want 42", code)
+	}
+	for _, key := range []string{inst.Key, inst.Libs[0].Key} {
+		blob, ok, err := st.Get(key)
+		if err != nil || !ok {
+			t.Fatalf("re-persisted blob %s: ok=%v err=%v", key, ok, err)
+		}
+		if blob[4] != store.Version {
+			t.Fatalf("re-persisted blob %s has version %d, want %d", key, blob[4], store.Version)
+		}
+		if _, err := store.Decode(blob); err != nil {
+			t.Fatalf("re-persisted blob %s: %v", key, err)
+		}
+	}
+
+	// At rest: an old-version blob the running daemon never reads is
+	// the scrubber's to find.
+	restampBlobs(t, dir, store.Version-1)
+	stop := st.StartScrub(store.ScrubConfig{Interval: time.Millisecond, PerTick: 8})
+	defer stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for s2.Stats().ScrubQuarantined < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("scrubber quarantined %d old-version blobs, want 2", s2.Stats().ScrubQuarantined)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

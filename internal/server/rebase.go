@@ -1,12 +1,8 @@
 package server
 
 import (
-	"strings"
-
 	"omos/internal/buildgraph"
-	"omos/internal/image"
 	"omos/internal/link"
-	"omos/internal/osim"
 )
 
 // This file is the server half of the rebase fast path.  The cache
@@ -18,9 +14,8 @@ import (
 // variants index maps each content key to its cached placement
 // variants.  A placement miss with a content hit slides the most
 // recently used variant with link.Rebase — O(patch sites) instead of
-// a full four-pass relink — and materializes the slid image with
-// MakeFrameSegDelta so pages without a patch site stay physically
-// shared with the source.
+// a full four-pass relink — and materializes the slid image so pages
+// without a patch site stay physically shared with the source.
 
 // contentKeyLib is a library's placement-independent identity:
 // content hash, specialization kind (but not address preferences —
@@ -41,118 +36,62 @@ func contentKeyProg(subHash string, libs []*Instance) string {
 
 // rebaseSource reports whether a cached instance carries everything
 // link.Rebase needs: segment bytes and the per-symbol segment classes
-// recorded at link time.  Warm-loaded instances from v1 store records
-// lack the metadata and are skipped.
+// recorded at link time.  Branch-table libraries carry no content key
+// and never reach the variants index.
 func rebaseSource(src *Instance) bool {
 	r := src.Res
 	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.SymSegs != nil
 }
 
 // tryRebase attempts to serve a placement miss from a content hit:
-// find a cached variant of ckey, slide it to the new bases, and
-// materialize the result sharing clean pages with the source.
-// Returns (nil, false) when no variant is usable — the caller falls
-// back to the full relink.
-func (s *Server) tryRebase(node *buildgraph.Node, key, ckey, bindKey, name string, textBase, dataBase uint64, libs []*Instance, pr placeRec, c charger) (*Instance, bool) {
-	if s.DisableCache || ckey == "" {
+// slide the most recently used cached variant of the plan's content to
+// the plan's bases, sharing clean pages with it.  Returns (nil, false)
+// when no variant is usable — the caller falls back to the full
+// relink.
+func (s *Server) tryRebase(node *buildgraph.Node, pl *plan, c charger) (*Instance, bool) {
+	if s.DisableCache || pl.ckey == "" {
 		return nil, false
 	}
-	var src *Instance
-	s.cacheMu.RLock()
-	for _, v := range s.variants[ckey] {
-		if !rebaseSource(v) {
-			continue
-		}
-		if src == nil || v.lastUse.Load() > src.lastUse.Load() {
-			src = v
-		}
-	}
-	s.cacheMu.RUnlock()
+	src := s.mruVariant(pl.ckey)
 	if src == nil {
 		return nil, false
 	}
-	slid, err := link.Rebase(src.Res, textBase, dataBase)
+	inst, shared, err := s.slide(node, pl, src.Res, src, c)
 	if err != nil {
 		return nil, false
 	}
-	node.MarkRebase()
-	inst, err := s.materializeRebased(key, ckey, bindKey, name, slid, libs, src, c)
-	if err != nil {
-		return nil, false
-	}
-	inst.place = pr
-	s.checkpointInstance(node, inst)
-	return inst, true
-}
-
-// materializeRebased is materialize for a slid image: read-only
-// segments become frames that share every clean page with the source
-// variant's frames, and the cost charged is proportional to the patch
-// count, not the relocation count.
-func (s *Server) materializeRebased(key, ckey, bindKey, name string, res *link.Result, libs []*Instance, src *Instance, c charger) (*Instance, error) {
-	res.Image.Name = name
-	inst := &Instance{Key: key, ContentKey: ckey, Name: name, Res: res, Libs: libs,
-		Pins: s.pinsOf(libs), bindKey: bindKey}
-	shared := 0
-	for i := range res.Image.Segments {
-		seg := &res.Image.Segments[i]
-		if seg.Perm&image.PermW != 0 {
-			inst.RWSegs = append(inst.RWSegs, *seg)
-			continue
-		}
-		var from *osim.FrameSeg
-		for _, fs := range src.ROSegs {
-			if fs.Name == seg.Name || strings.HasSuffix(fs.Name, "/"+seg.Name) {
-				from = fs
-				break
-			}
-		}
-		fs, nshared, err := s.kern.FT.MakeFrameSegDelta(name+"/"+seg.Name, seg.Addr, seg.Data, seg.MemSize, uint8(seg.Perm), from)
-		if err != nil {
-			for _, made := range inst.ROSegs {
-				s.kern.FT.Release(made)
-			}
-			return nil, err
-		}
-		shared += nshared
-		inst.ROSegs = append(inst.ROSegs, fs)
-	}
-	info := res.Rebased
-	cost := uint64(info.Patches) * s.kern.Cost.ServerRebasePatch
-	if c != nil {
-		c.ChargeServer(cost)
-	}
-	s.stats.cacheMisses.Add(1)
+	info := inst.Res.Rebased
 	s.stats.rebases.Add(1)
 	s.stats.rebasePatches.Add(uint64(info.Patches))
 	s.stats.rebaseDirtyPages.Add(uint64(info.TextDirtyPages + info.DataDirtyPages))
 	s.stats.rebaseSharedPages.Add(uint64(shared))
-	s.stats.buildCycles.Add(cost)
-	return s.cacheInstance(inst), nil
+	return inst, true
 }
 
-// cacheInstance installs a freshly materialized instance in the
-// in-memory cache and the variants index.  If a racing build already
-// cached the key (unreachable under singleflight, kept as a safety
-// net) the prior instance wins and this build's frames are released.
-func (s *Server) cacheInstance(inst *Instance) *Instance {
-	if s.DisableCache {
-		return inst
+// slide derives the plan's image from a result linked at other bases
+// and materializes it: the common tail of the rebase fast path (src is
+// the local variant whose clean pages the new frames share) and of a
+// mesh blob install (src is nil, the bytes came from a peer).  The
+// cost charged is proportional to the patch count, not the relocation
+// count.
+func (s *Server) slide(node *buildgraph.Node, pl *plan, from *link.Result, src *Instance, c charger) (*Instance, int, error) {
+	slid, err := link.Rebase(from, pl.place.TextBase, pl.place.DataBase)
+	if err != nil {
+		return nil, 0, err
 	}
-	s.cacheMu.Lock()
-	if prior, raced := s.cache[inst.Key]; raced {
-		s.cacheMu.Unlock()
-		s.ReleaseInstance(inst)
-		return prior
+	node.MarkRebase()
+	slid.Image.Name = pl.name
+	inst, shared, err := s.materialize(pl, slid, src)
+	if err != nil {
+		return nil, 0, err
 	}
-	s.cache[inst.Key] = inst
-	if inst.ContentKey != "" {
-		s.variants[inst.ContentKey] = append(s.variants[inst.ContentKey], inst)
+	cost := uint64(slid.Rebased.Patches) * s.kern.Cost.ServerRebasePatch
+	if c != nil {
+		c.ChargeServer(cost)
 	}
-	st := s.store
-	s.cacheMu.Unlock()
-	s.touch(inst.Key, inst, st)
-	return inst
+	s.stats.cacheMisses.Add(1)
+	s.stats.buildCycles.Add(cost)
+	return inst, shared, nil
 }
 
 // dropVariantLocked removes an evicted instance from the variants

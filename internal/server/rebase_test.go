@@ -4,6 +4,14 @@ import (
 	"testing"
 )
 
+// That a slid image is byte for byte the fresh link, for every
+// workload image, is the oracle's to prove (oracle_test.go).  The
+// tests here pin what the oracle does not look at: which path served
+// the request (the rebase counters), that clean pages are physically
+// shared, that slid images run, that a warm-restarted variant is as
+// good a source as a cached one, and that eviction and the cache-off
+// ablation retire rebase sources.
+
 // rebaseProgSrc is the shared construction used by the program-rebase
 // tests: programs defined from it at different paths share a content
 // key, so only the first placement pays a full relink.

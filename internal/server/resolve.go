@@ -22,7 +22,7 @@ import (
 // rebuild of an unchanged program — after eviction, a placement
 // change, or a warm restart — replays the recorded bindings with
 // direct definer lookups instead of searching the library list.
-// Tables persist through the store codec (v3), so a warm-restarted
+// Tables persist through the store codec, so a warm-restarted
 // daemon resolves with zero symbol searches.
 //
 // The same tables make resolution *enforceable*:
@@ -138,15 +138,15 @@ func definerPath(name string) string { return strings.TrimPrefix(name, "lib:") }
 // first-definition-wins search otherwise.  The returned extern map is
 // restricted to the undefined set either way, so the two paths bind
 // identically and an incomplete resolution fails loudly in the link.
-func (s *Server) resolveExterns(name, bindKey string, v *mgraph.Value, libs []*Instance, c charger) map[string]uint64 {
-	und := v.Module.Undefined()
+func (s *Server) resolveExterns(pl *plan, c charger) map[string]uint64 {
+	und := pl.module.Undefined()
 	if len(und) == 0 {
 		return map[string]uint64{}
 	}
-	if ext, ok := s.cachedExterns(bindKey, und, libs, c); ok {
+	if ext, ok := s.cachedExterns(pl.bkey, und, pl.libs, c); ok {
 		return ext
 	}
-	return s.searchExterns(name, bindKey, und, libs, c)
+	return s.searchExterns(pl.name, pl.bkey, und, pl.libs, c)
 }
 
 // cachedExterns replays a recorded binding table.  The fault site

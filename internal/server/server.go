@@ -322,7 +322,7 @@ type Instance struct {
 	// addresses.  Instances sharing a ContentKey are placement variants
 	// of the same bytes, and any of them can be slid to a new base by
 	// the rebase fast path.  Empty when the instance cannot serve as a
-	// rebase source (branch-table libraries, v1 store records).
+	// rebase source (branch-table libraries).
 	ContentKey string
 	Res        *link.Result
 	ROSegs     []*osim.FrameSeg

@@ -169,8 +169,10 @@ func (s *Server) canaryPick(name string, meta *mgraph.Meta) bool {
 	pct, id := ep.canaryPct, ep.id
 	s.upMu.Unlock()
 	if pct < 100 {
+		// 32 hash bits: the residues of 2^32 mod 100 are uneven by
+		// less than one part in 4·10^7 (one byte made a 10% canary 11.7%).
 		h := digestStr("canary", id, meta.SrcHash)
-		v, _ := strconv.ParseUint(h[:2], 16, 64)
+		v, _ := strconv.ParseUint(h[:8], 16, 64)
 		if int(v%100) >= pct {
 			return false
 		}

@@ -2,12 +2,14 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"omos/internal/fault"
+	"omos/internal/mgraph"
 )
 
 const (
@@ -133,6 +135,32 @@ func TestUpgradeCanaryDeterministic(t *testing.T) {
 	}
 	if s.canaryPick("/bin/t", meta) {
 		t.Fatal("0%% canary routed a program to the cohort")
+	}
+}
+
+// TestUpgradeCanaryShareMatchesPercentage: over many programs the
+// share routed to the cohort is the percentage asked for.  (Reducing a
+// single hash byte mod 100 favoured residues 0-55, so a 10% canary
+// took 11.7% and a 50% canary 58.6%.)  With 40,000 programs one
+// standard deviation of the share is at most a quarter point, so the
+// one-point tolerance is four of them.
+func TestUpgradeCanaryShareMatchesPercentage(t *testing.T) {
+	const progs = 40000
+	for _, pct := range []int{1, 10, 50, 90} {
+		s := newTestServer(t)
+		if _, err := s.UpgradeStart(pct); err != nil {
+			t.Fatal(err)
+		}
+		picked := 0
+		for i := 0; i < progs; i++ {
+			meta := &mgraph.Meta{SrcHash: digestStr("synthetic", fmt.Sprint(i))}
+			if s.canaryPick(fmt.Sprintf("/bin/p%d", i), meta) {
+				picked++
+			}
+		}
+		if share := 100 * float64(picked) / progs; share < float64(pct)-1 || share > float64(pct)+1 {
+			t.Errorf("%d%% canary routed %.2f%% of %d programs, want within one point", pct, share, progs)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // flight deregisters as usual, and followers re-elect a new leader.
 //
 // The abandoned goroutine is not killed — Go cannot do that — but it
-// is harmless: if it eventually finishes, materialize's cache-race
-// path hands the late result to the cache (or releases it), and the
+// is harmless: if it eventually finishes, publish hands the late result
+// to the cache (or, finding the key taken, releases it), and the
 // goroutine exits.
 
 // BuildTimeoutError reports a build cancelled by the watchdog.  Like a
@@ -42,7 +42,7 @@ func (s *Server) BuildTimeout() time.Duration { return s.buildTimeout }
 // its own goroutine while the caller selects on completion or the
 // deadline.  On timeout the caller walks away with a
 // *BuildTimeoutError and the build goroutine is abandoned (its late
-// result, if any, is absorbed by the materialize cache-race path).
+// result, if any, is absorbed by publish).
 func (s *Server) runBuildWatched(key string, build func() (*Instance, error)) (*Instance, error) {
 	if s.buildTimeout <= 0 {
 		return s.runBuild(key, build)

@@ -36,27 +36,16 @@ import (
 // Magic identifies a serialized image record.
 var Magic = [4]byte{'O', 'M', 'S', '1'}
 
-// Version is the current codec version; bump on layout change so old
-// daemons' blobs are rejected as stale rather than misparsed.
-// Version 2 adds the rebase metadata: per-symbol segment classes, the
-// content key, the link-result bases, and the recorded patch sites,
-// so a warm-restarted server can slide a stored image to a new
-// placement without relinking.  Version 3 adds the stable-resolution
-// state: the image's resolution identity, its recorded binding table
-// (symbol -> definer, with the namespace generation it was resolved
-// under), and the pinned library identities verified at warm load.
-// Version 4 adds a leading record-type byte to the payload so the
-// store can hold more than one kind of record: type 0 is a cached
-// image, type 1 is a live-upgrade epoch record (the write-ahead
-// transaction state of an in-flight library upgrade).  Version 1–3
-// blobs still decode as images (v1 instances cannot serve as rebase
-// sources; v1/v2 instances carry no bindings or pins).
+// Version is the one codec version this package reads and writes; bump
+// on layout change so blobs in any other layout are rejected as stale
+// (quarantined, then rebuilt from the m-graph) rather than misparsed.
+// The payload leads with a record-type byte so the store can hold more
+// than one kind of record: type 0 is a cached image, type 1 is a
+// live-upgrade epoch record (the write-ahead transaction state of an
+// in-flight library upgrade).
 const Version = 4
 
-// minVersion is the oldest codec version Decode still accepts.
-const minVersion = 1
-
-// Record-type bytes leading every v4 payload.
+// Record-type bytes leading every payload.
 const (
 	recImage = uint8(0)
 	recEpoch = uint8(1)
@@ -109,7 +98,7 @@ type Seg struct {
 // Sym is one bound symbol: name, absolute address, size, and the
 // link-level kind byte (func/data; 0xff when the kind is unknown).
 // Seg is the segment class the symbol's value lives in ('T'/'D'/'X',
-// link.SegText etc.; zero in v1 records, where it was not recorded).
+// link.SegText etc.).
 type Sym struct {
 	Name string
 	Addr uint64
@@ -198,11 +187,10 @@ type Record struct {
 	// links against; they must be loadable for this record to be used.
 	LibKeys []string
 
-	// The remaining fields (v2) carry the rebase metadata: the
-	// placement-independent content key, the link result's segment
-	// bases, the entry point's segment class, and the recorded patch
-	// sites.  A v1 record decodes with these zero/empty, which marks
-	// the reconstructed instance as not rebaseable.
+	// The rebase metadata: the placement-independent content key
+	// (empty marks the reconstructed instance as not rebaseable), the
+	// link result's segment bases, the entry point's segment class,
+	// and the recorded patch sites.
 	ContentKey  string
 	ResTextBase uint64
 	ResDataBase uint64
@@ -210,12 +198,11 @@ type Record struct {
 	AbsPatches  []Patch
 	RelPatches  []Patch
 
-	// The remaining fields (v3) carry the stable-resolution state.
-	// BindKey is the image's resolution identity; Gen the namespace
-	// generation the binding table was recorded under; Bindings the
-	// symbol -> definer table replayed at warm resolution; Pins the
-	// library identities verified before the instance is trusted.
-	// v1/v2 records decode with these zero/empty.
+	// The stable-resolution state.  BindKey is the image's resolution
+	// identity; Gen the namespace generation the binding table was
+	// recorded under; Bindings the symbol -> definer table replayed at
+	// warm resolution; Pins the library identities verified before the
+	// instance is trusted.
 	BindKey  string
 	Gen      uint64
 	Bindings []Binding
@@ -357,61 +344,40 @@ func writeSegs(buf *bytes.Buffer, segs []Seg) {
 // the bytes its writer checksummed (a later Decode can still reject
 // it as structurally stale, which is a rebuild, not corruption).
 func Verify(b []byte) error {
+	_, err := open(b)
+	return err
+}
+
+// open verifies the envelope and returns the payload.
+func open(b []byte) ([]byte, error) {
 	if len(b) < headerSize {
-		return fmt.Errorf("store: blob too short (%d bytes)", len(b))
+		return nil, fmt.Errorf("store: blob too short (%d bytes)", len(b))
 	}
 	if !bytes.Equal(b[:4], Magic[:]) {
-		return fmt.Errorf("store: bad magic %q", b[:4])
+		return nil, fmt.Errorf("store: bad magic %q", b[:4])
 	}
-	if ver := binary.LittleEndian.Uint32(b[4:8]); ver < minVersion || ver > Version {
-		return fmt.Errorf("store: unsupported version %d", ver)
+	if ver := binary.LittleEndian.Uint32(b[4:8]); ver != Version {
+		return nil, fmt.Errorf("store: unsupported version %d", ver)
 	}
 	paylen := binary.LittleEndian.Uint64(b[8:16])
 	payload := b[headerSize:]
 	if paylen != uint64(len(payload)) {
-		return fmt.Errorf("store: payload length %d, have %d bytes", paylen, len(payload))
+		return nil, fmt.Errorf("store: payload length %d, have %d bytes", paylen, len(payload))
 	}
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(sum[:], b[16:48]) {
-		return fmt.Errorf("store: checksum mismatch")
+		return nil, fmt.Errorf("store: checksum mismatch")
 	}
-	return nil
+	return payload, nil
 }
 
-// open verifies the envelope and returns the payload and version.
-func open(b []byte) ([]byte, uint32, error) {
-	if len(b) < headerSize {
-		return nil, 0, fmt.Errorf("store: blob too short (%d bytes)", len(b))
-	}
-	if !bytes.Equal(b[:4], Magic[:]) {
-		return nil, 0, fmt.Errorf("store: bad magic %q", b[:4])
-	}
-	ver := binary.LittleEndian.Uint32(b[4:8])
-	if ver < minVersion || ver > Version {
-		return nil, 0, fmt.Errorf("store: unsupported version %d", ver)
-	}
-	paylen := binary.LittleEndian.Uint64(b[8:16])
-	payload := b[headerSize:]
-	if paylen != uint64(len(payload)) {
-		return nil, 0, fmt.Errorf("store: payload length %d, have %d bytes", paylen, len(payload))
-	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], b[16:48]) {
-		return nil, 0, fmt.Errorf("store: checksum mismatch")
-	}
-	return payload, ver, nil
-}
-
-// DecodeEpoch parses a live-upgrade epoch record.  Only v4 blobs can
-// carry one; anything else — including an image record under the
-// epoch key — is an error the caller treats as corrupt.
+// DecodeEpoch parses a live-upgrade epoch record.  Anything else —
+// including an image record under the epoch key — is an error the
+// caller treats as corrupt.
 func DecodeEpoch(b []byte) (*EpochRecord, error) {
-	payload, ver, err := open(b)
+	payload, err := open(b)
 	if err != nil {
 		return nil, err
-	}
-	if ver < 4 {
-		return nil, fmt.Errorf("store: version %d carries no epoch records", ver)
 	}
 	r := &reader{b: payload}
 	if t := r.u8(); r.err == nil && t != recEpoch {
@@ -453,15 +419,13 @@ func DecodeEpoch(b []byte) (*EpochRecord, error) {
 // mismatch, implausible counts, trailing bytes — is an error; the
 // caller treats the entry as corrupt and rebuilds.
 func Decode(b []byte) (*Record, error) {
-	payload, ver, err := open(b)
+	payload, err := open(b)
 	if err != nil {
 		return nil, err
 	}
 	r := &reader{b: payload}
-	if ver >= 4 {
-		if t := r.u8(); r.err == nil && t != recImage {
-			return nil, fmt.Errorf("store: record type %d is not an image", t)
-		}
+	if t := r.u8(); r.err == nil && t != recImage {
+		return nil, fmt.Errorf("store: record type %d is not an image", t)
 	}
 	rec := &Record{}
 	rec.Key = r.str()
@@ -480,9 +444,7 @@ func Decode(b []byte) (*Record, error) {
 		s.Addr = r.u64()
 		s.Size = r.u64()
 		s.Kind = r.u8()
-		if ver >= 2 {
-			s.Seg = r.u8()
-		}
+		s.Seg = r.u8()
 		rec.Syms = append(rec.Syms, s)
 	}
 	rec.NumRelocs = r.u64()
@@ -505,48 +467,44 @@ func Decode(b []byte) (*Record, error) {
 	for i := 0; i < nlibs && r.err == nil; i++ {
 		rec.LibKeys = append(rec.LibKeys, r.str())
 	}
-	if ver >= 2 {
-		rec.ContentKey = r.str()
-		rec.ResTextBase = r.u64()
-		rec.ResDataBase = r.u64()
-		rec.EntrySeg = r.u8()
-		rec.AbsPatches = r.patches(len(payload))
-		rec.RelPatches = r.patches(len(payload))
+	rec.ContentKey = r.str()
+	rec.ResTextBase = r.u64()
+	rec.ResDataBase = r.u64()
+	rec.EntrySeg = r.u8()
+	rec.AbsPatches = r.patches(len(payload))
+	rec.RelPatches = r.patches(len(payload))
+	rec.BindKey = r.str()
+	rec.Gen = r.u64()
+	nbind := r.count(len(payload))
+	if nbind > 0 {
+		rec.Bindings = make([]Binding, 0, nbind)
 	}
-	if ver >= 3 {
-		rec.BindKey = r.str()
-		rec.Gen = r.u64()
-		nbind := r.count(len(payload))
-		if nbind > 0 {
-			rec.Bindings = make([]Binding, 0, nbind)
+	for i := 0; i < nbind && r.err == nil; i++ {
+		var bd Binding
+		bd.Symbol = r.str()
+		bd.Definer = r.str()
+		bd.DefKey = r.str()
+		bd.LibIdx = r.u32()
+		bd.Addr = r.u64()
+		// A binding pointing outside the library list is a corrupt
+		// record: reject it here so the server quarantines the blob
+		// instead of replaying a nonsense resolution.
+		if r.err == nil && int(bd.LibIdx) >= len(rec.LibKeys) {
+			r.err = fmt.Errorf("binding %q: library index %d out of range (have %d libraries)",
+				bd.Symbol, bd.LibIdx, len(rec.LibKeys))
 		}
-		for i := 0; i < nbind && r.err == nil; i++ {
-			var bd Binding
-			bd.Symbol = r.str()
-			bd.Definer = r.str()
-			bd.DefKey = r.str()
-			bd.LibIdx = r.u32()
-			bd.Addr = r.u64()
-			// A binding pointing outside the library list is a corrupt
-			// record: reject it here so the server quarantines the blob
-			// instead of replaying a nonsense resolution.
-			if r.err == nil && int(bd.LibIdx) >= len(rec.LibKeys) {
-				r.err = fmt.Errorf("binding %q: library index %d out of range (have %d libraries)",
-					bd.Symbol, bd.LibIdx, len(rec.LibKeys))
-			}
-			rec.Bindings = append(rec.Bindings, bd)
-		}
-		npins := r.count(len(payload))
-		if npins > 0 {
-			rec.Pins = make([]LibPin, 0, npins)
-		}
-		for i := 0; i < npins && r.err == nil; i++ {
-			var p LibPin
-			p.LibKey = r.str()
-			p.ContentKey = r.str()
-			p.Checksum = r.str()
-			rec.Pins = append(rec.Pins, p)
-		}
+		rec.Bindings = append(rec.Bindings, bd)
+	}
+	npins := r.count(len(payload))
+	if npins > 0 {
+		rec.Pins = make([]LibPin, 0, npins)
+	}
+	for i := 0; i < npins && r.err == nil; i++ {
+		var p LibPin
+		p.LibKey = r.str()
+		p.ContentKey = r.str()
+		p.Checksum = r.str()
+		rec.Pins = append(rec.Pins, p)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("store: decode: %w", r.err)
