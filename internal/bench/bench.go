@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"omos/internal/osim"
@@ -50,7 +51,9 @@ func mc(v uint64) string { return fmt.Sprintf("%10.2f", float64(v)/1e6) }
 
 // Format renders the table in the paper's layout (User/System/Elapsed
 // plus a Server column for OMOS's server-side work and the ratio
-// column, with the paper's measured ratio alongside when known).
+// column, with the paper's measured ratio alongside when known),
+// followed by one detail line per row: the exact cycle counts and the
+// row's extra metrics.
 func (t *Table) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table %s: %s\n", t.ID, t.Title)
@@ -71,12 +74,17 @@ func (t *Table) Format() string {
 			r.Label, mc(r.Clock.User), mc(r.Clock.Sys), mc(r.Clock.Server),
 			mc(r.Clock.Wait), mc(r.Clock.Elapsed()), ratio, paper)
 	}
+	// The grid above rounds to 10,000 cycles; the detail lines carry
+	// every count to the digit, which is what testdata/quick.golden pins.
 	for i := range t.Rows {
 		r := &t.Rows[i]
-		if len(r.Extra) == 0 {
+		if len(r.Extra) == 0 && r.Clock == (osim.Clock{}) {
 			continue
 		}
 		fmt.Fprintf(&sb, "  %s:", r.Label)
+		if r.Clock != (osim.Clock{}) {
+			fmt.Fprintf(&sb, " %s", r.Clock.String())
+		}
 		for _, k := range sortedKeys(r.Extra) {
 			fmt.Fprintf(&sb, " %s=%.0f", k, r.Extra[k])
 		}
@@ -93,11 +101,7 @@ func sortedKeys(m map[string]float64) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 

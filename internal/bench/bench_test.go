@@ -1,56 +1,35 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTable1aShape(t *testing.T) {
-	tab, err := Table1a(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "1a")
 	// Paper: OMOS and HP-UX effectively tie on tiny ls (ratio 1.007).
 	r := tab.Ratio(1)
 	if r < 0.7 || r > 1.4 {
 		t.Errorf("1a ratio = %.3f, want near parity (paper 1.007)\n%s", r, tab.Format())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestTable1bShape(t *testing.T) {
-	tab, err := Table1b(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Table1a(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "1b")
+	a := quickTable(t, "1a")
 	// Paper: the -laF variant shifts the balance toward OMOS.
 	if tab.Ratio(1) >= a.Ratio(1) {
 		t.Errorf("1b ratio %.3f should improve on 1a ratio %.3f\n%s", tab.Ratio(1), a.Ratio(1), tab.Format())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestTable1cShape(t *testing.T) {
-	tab, err := Table1c(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "1c")
 	// Paper: OMOS wins on the large program (ratio .82).
 	if r := tab.Ratio(1); r >= 1.0 {
 		t.Errorf("1c ratio = %.3f, want < 1 (paper 0.82)\n%s", r, tab.Format())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestTable1dShape(t *testing.T) {
-	tab, err := Table1d(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "1d")
 	boot, integ := tab.Ratio(1), tab.Ratio(2)
 	if boot >= 1.0 {
 		t.Errorf("1d bootstrap ratio = %.3f, want < 1 (paper 0.60)", boot)
@@ -58,17 +37,10 @@ func TestTable1dShape(t *testing.T) {
 	if integ >= boot {
 		t.Errorf("1d integrated ratio %.3f should beat bootstrap %.3f (paper 0.44 vs 0.60)", integ, boot)
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestReorderShape(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.CG.Units = 12
-	cfg.CG.FuncsPerUnit = 12
-	tab, err := Reorder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "reorder")
 	if r := tab.Ratio(1); r >= 1.0 {
 		t.Errorf("reorder ratio = %.3f, want < 1 (paper: >10%% speedup)\n%s", r, tab.Format())
 	}
@@ -77,14 +49,10 @@ func TestReorderShape(t *testing.T) {
 	if opt >= base {
 		t.Errorf("reordered layout touches %v pages, want fewer than %v", opt, base)
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestMemoryShape(t *testing.T) {
-	tab, err := Memory(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "memory")
 	shared := tab.Rows[0].Extra["resident-KB"]
 	static := tab.Rows[1].Extra["resident-KB"]
 	omos := tab.Rows[2].Extra["resident-KB"]
@@ -97,14 +65,10 @@ func TestMemoryShape(t *testing.T) {
 	if tab.Rows[0].Extra["dispatch-bytes-ls"] <= 0 {
 		t.Error("traditional scheme should report dispatch overhead")
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestLinkTimeShape(t *testing.T) {
-	tab, err := LinkTime(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "linktime")
 	staticE := tab.Rows[0].Clock.Elapsed()
 	nfsE := tab.Rows[1].Clock.Elapsed()
 	sharedE := tab.Rows[2].Clock.Elapsed()
@@ -118,26 +82,18 @@ func TestLinkTimeShape(t *testing.T) {
 	if warmE >= tab.Rows[3].Clock.Elapsed() {
 		t.Errorf("warm instantiation %d should beat cold %d", warmE, tab.Rows[3].Clock.Elapsed())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestCacheWarmCold(t *testing.T) {
-	tab, err := CacheWarmCold(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "cache")
 	if tab.Rows[1].Clock.Server*10 > tab.Rows[0].Clock.Server {
 		t.Errorf("warm hit (%d) should be far cheaper than cold build (%d)",
 			tab.Rows[1].Clock.Server, tab.Rows[0].Clock.Server)
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestConstraints(t *testing.T) {
-	tab, err := Constraints(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "constraints")
 	if tab.Rows[0].Extra["moved"] != 0 {
 		t.Error("first library should get its preferred region")
 	}
@@ -150,27 +106,10 @@ func TestConstraints(t *testing.T) {
 	if tab.Rows[2].Extra["cache-hit"] != 1 {
 		t.Error("re-instantiation should hit the cache")
 	}
-	t.Log("\n" + tab.Format())
-}
-
-func TestTableFormat(t *testing.T) {
-	tab, err := Table1a(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tab.Format()
-	for _, want := range []string{"HP-UX Shared Lib", "OMOS bootstrap exec", "Elapsed", "Ratio"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted table missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestSchemesShape(t *testing.T) {
-	tab, err := Schemes(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "schemes")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -185,51 +124,35 @@ func TestSchemesShape(t *testing.T) {
 	if integ >= lazy {
 		t.Errorf("OMOS integrated (%d) should beat traditional lazy (%d)", integ, lazy)
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestBindAblationShape(t *testing.T) {
-	tab, err := BindAblation(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "binding")
 	// codegen references far more imports than it calls, so deferred
 	// binding must win.
 	if r := tab.Ratio(1); r <= 1.0 {
 		t.Errorf("bind-now ratio = %.3f, want > 1 (lazy should win)\n%s", r, tab.Format())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestCacheAblationShape(t *testing.T) {
-	tab, err := CacheAblation(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "cacheoff")
 	// Cached (row 1) must be dramatically cheaper than uncached (row 0).
 	if r := tab.Ratio(1); r >= 0.95 {
 		t.Errorf("cache ratio = %.3f, want well under 1\n%s", r, tab.Format())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestMonitorOverheadShape(t *testing.T) {
-	tab, err := MonitorOverhead(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "monitor")
 	// Monitoring must cost something, but the program must still run.
 	if tab.Ratio(1) <= 1.0 {
 		t.Errorf("monitored ratio = %.3f, want > 1\n%s", tab.Ratio(1), tab.Format())
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestClientsShape(t *testing.T) {
-	tab, err := Clients(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "clients")
 	static8 := tab.Rows[0].Extra["resident-KB@8"]
 	trad8 := tab.Rows[1].Extra["resident-KB@8"]
 	omos8 := tab.Rows[2].Extra["resident-KB@8"]
@@ -245,14 +168,10 @@ func TestClientsShape(t *testing.T) {
 	if gap8 <= gap1 {
 		t.Errorf("sharing advantage should grow with clients: gap@1=%.0f gap@8=%.0f", gap1, gap8)
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestRebaseShape(t *testing.T) {
-	tab, err := Rebase(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "rebase")
 	fresh := tab.Rows[0].Clock.Server
 	for _, i := range []int{1, 2} {
 		r := &tab.Rows[i]
@@ -272,11 +191,10 @@ func TestRebaseShape(t *testing.T) {
 			t.Errorf("%s: no pages shared with the source variant", r.Label)
 		}
 	}
-	t.Log("\n" + tab.Format())
 }
 
 // TestPaperRatiosFullScale pins the calibrated Table 1 ratios at the
-// paper's workload sizes (skipped under -short; ~1 minute).
+// paper's workload sizes (skipped under -short).
 func TestPaperRatiosFullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibration check skipped in -short mode")
@@ -285,21 +203,25 @@ func TestPaperRatiosFullScale(t *testing.T) {
 	cfg.ItersHPUX = 10
 	cfg.ItersMach = 10
 	checks := []struct {
-		name   string
-		run    func(Config) (*Table, error)
-		row    int
-		lo, hi float64
+		name, id string
+		row      int
+		lo, hi   float64
 	}{
-		{"1a", Table1a, 1, 0.93, 1.10},       // paper 1.007
-		{"1b", Table1b, 1, 0.87, 0.97},       // paper 0.93
-		{"1c", Table1c, 1, 0.74, 0.88},       // paper 0.82
-		{"1d-boot", Table1d, 1, 0.55, 0.75},  // paper 0.60
-		{"1d-integ", Table1d, 2, 0.45, 0.65}, // paper 0.44
+		{"1a", "1a", 1, 0.93, 1.10},       // paper 1.007
+		{"1b", "1b", 1, 0.87, 0.97},       // paper 0.93
+		{"1c", "1c", 1, 0.74, 0.88},       // paper 0.82
+		{"1d-boot", "1d", 1, 0.55, 0.75},  // paper 0.60
+		{"1d-integ", "1d", 2, 0.45, 0.65}, // paper 0.44
 	}
+	tabs := map[string]*Table{}
 	for _, c := range checks {
-		tab, err := c.run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		tab := tabs[c.id]
+		if tab == nil {
+			var err error
+			if tab, err = entry(t, c.id).Run(cfg); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			tabs[c.id] = tab
 		}
 		r := tab.Ratio(c.row)
 		if r < c.lo || r > c.hi {
@@ -311,10 +233,7 @@ func TestPaperRatiosFullScale(t *testing.T) {
 }
 
 func TestBuildgraphShape(t *testing.T) {
-	tab, err := Buildgraph(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "buildgraph")
 	cold := tab.Rows[0].Clock.Server
 	prev := cold
 	for _, i := range []int{1, 2, 3} {
@@ -336,14 +255,10 @@ func TestBuildgraphShape(t *testing.T) {
 				r.Label, r.Extra["images-built"], r.Extra["nodes-resumed"], graphLibs+1)
 		}
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestResolutionShape(t *testing.T) {
-	tab, err := Resolution(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "resolution")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("row count = %d, want 4\n%s", len(tab.Rows), tab.Format())
 	}
@@ -365,14 +280,10 @@ func TestResolutionShape(t *testing.T) {
 	if inv.Extra["binding-invalidations"] <= 0 || inv.Extra["symbol-searches"] <= 0 {
 		t.Errorf("invalidation row did not invalidate and re-search: %v", inv.Extra)
 	}
-	t.Log("\n" + tab.Format())
 }
 
 func TestMeshShape(t *testing.T) {
-	tab, err := Mesh(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "mesh")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("row count = %d, want 2\n%s", len(tab.Rows), tab.Format())
 	}
@@ -392,19 +303,17 @@ func TestMeshShape(t *testing.T) {
 	if pct := meshed.Extra["meta-share-pct"]; pct < 50 {
 		t.Errorf("metadata rebases served %.0f%% of remote misses, want >= 50%%", pct)
 	}
-	// The warm path must stay an ordinary cache hit on both fleets.
-	if indep.Extra["warm-ops-per-sec"] <= 0 || meshed.Extra["warm-ops-per-sec"] <= 0 {
-		t.Errorf("warm throughput missing: indep %v mesh %v",
-			indep.Extra["warm-ops-per-sec"], meshed.Extra["warm-ops-per-sec"])
+	// The warm path must stay an ordinary cache hit: once the fleet has
+	// converged, further runs consult no peer.
+	if meshed.Extra["warm-runs"] <= 0 || meshed.Extra["warm-mesh-fetches"] != 0 {
+		t.Errorf("%.0f warm runs on the converged fleet made %.0f peer consults, want > 0 runs and 0 consults",
+			meshed.Extra["warm-runs"], meshed.Extra["warm-mesh-fetches"])
 	}
-	t.Log("\n" + tab.Format())
+	t.Log("\n" + tab.Format()) // not in the golden: this log is the run's only record
 }
 
 func TestUpgradeShape(t *testing.T) {
-	tab, err := Upgrade(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "upgrade")
 	if len(tab.Rows) != 3 {
 		t.Fatalf("row count = %d, want 3\n%s", len(tab.Rows), tab.Format())
 	}
@@ -430,5 +339,4 @@ func TestUpgradeShape(t *testing.T) {
 			t.Errorf("%s: no images built while flipping", r.Label)
 		}
 	}
-	t.Log("\n" + tab.Format())
 }

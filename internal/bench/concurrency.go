@@ -13,8 +13,12 @@ import (
 // server behaves when 1/2/4/8 clients hit it at once, cold and warm,
 // plus the worker-pool ablation.
 //
-// All numbers are simulated cycles, so the table is deterministic and
-// machine-independent.  The Server column of each row is the critical
+// All numbers are simulated cycles.  The warm and ablation rows repeat
+// to the digit on any machine; the cold rows do not — where a racing
+// client joins the winner's singleflight (before a library, after it,
+// at the program) decides what it is charged, so their Server column
+// and sum-cycles move with the schedule while images-built stays put.
+// The Server column of each row is the critical
 // path: the worst single client's server-side cycles.  Cold rows show
 // the singleflight dedup (N racing clients still cost ~one build, and
 // the N-1 losers pay only a lookup); warm rows show hit-path

@@ -3,10 +3,7 @@ package bench
 import "testing"
 
 func TestConcurrencyShape(t *testing.T) {
-	tab, err := Concurrency(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "concurrency")
 	rows := map[string]*Row{}
 	for i := range tab.Rows {
 		rows[tab.Rows[i].Label] = &tab.Rows[i]

@@ -17,12 +17,19 @@ const degradedReboots = 10
 // Degraded measures what graceful degradation costs: the warm-restart
 // instantiation latency of codegen when every store read is clean,
 // versus when 1% of store reads return corrupted bytes (injected via
-// internal/fault, deterministic seed).  A corrupted read fails to
+// internal/fault, seeded).  A corrupted read fails to
 // decode, the blob is quarantined, and the image is rebuilt from
 // source on demand — the request still succeeds, it just pays the
 // link again (and write-through self-heals the store for the next
 // reboot).  The gap between the rows is the price of a lossy disk
 // under the quarantine-and-rebuild policy.
+//
+// The seed fixes which store reads trip, counted in read order; which
+// blob a given read fetches follows the store's LRU order — the order
+// images were last built or touched in, which the parallel dependency
+// fan-out leaves to the scheduler.  Every server here therefore runs
+// one build worker: libraries are visited in link order, the same
+// blobs are lost on every run, and the table repeats to the digit.
 func Degraded(cfg Config) (*Table, error) {
 	t := &Table{ID: "degraded", Title: "degraded store: warm-hit latency, clean vs 1% injected read faults (codegen)",
 		Iters: degradedReboots,
@@ -30,6 +37,7 @@ func Degraded(cfg Config) (*Table, error) {
 			"each row averages the instantiating process's server cycles over warm restarts",
 			"degraded row arms store.read:corrupt:p=0.01 (seed 3); corrupt blobs quarantine + rebuild",
 			"rebuilds counts images relinked because their warm load was lost to a fault",
+			"builds run on one worker, so Server is total work, not the fan-out's makespan",
 		}}
 
 	for _, mode := range []struct {
@@ -54,6 +62,7 @@ func Degraded(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		ow.Srv.SetBuildWorkers(1)
 		ow.Srv.AttachStore(st)
 		p := ow.Kern.Spawn()
 		if _, err := ow.Srv.Instantiate("/bin/codegen", p); err != nil {
@@ -81,6 +90,7 @@ func Degraded(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			st2.SetFaults(f)
+			ow2.Srv.SetBuildWorkers(1)
 			ow2.Srv.AttachStore(st2)
 			p2 := ow2.Kern.Spawn()
 			if _, err := ow2.Srv.Instantiate("/bin/codegen", p2); err != nil {

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"net"
-	"sync"
-	"time"
 
 	"omos"
 	"omos/internal/daemon"
@@ -17,37 +15,38 @@ import (
 // program (same construction, fresh namespace path → fresh placement).
 const meshLibs = 6
 
+// meshWarmRuns is how many further cache-hot runs each daemon makes
+// once the fleet has converged.
+const meshWarmRuns = 25
+
 // Mesh compares a 4-daemon federated mesh against 4 independent
 // daemons on the shared workload.  Every daemon serves the same six
 // libraries and programs; independent daemons each relink the world
 // from scratch, while mesh daemons build each content key once
 // fleet-wide — later placement misses are served by a peer, first as
 // a streamed blob and from then on as metadata-only rebases of the
-// local variant.  Rows report total bytes linked across the fleet and
-// aggregate warm ops/sec over the wire (the mesh must not tax the warm
-// path: consults happen only on build misses).
-func Mesh(cfg Config) (*Table, error) {
-	perG := 25
-	if cfg.ItersHPUX >= 1000 {
-		perG = 100
-	}
+// local variant.  Rows report total bytes linked across the fleet, how
+// the remote misses were served, and — the mesh must not tax the warm
+// path — how many peer consults further cache-hot runs cost (none:
+// consults happen only on build misses).
+func Mesh(Config) (*Table, error) {
 	t := &Table{
 		ID:    "mesh",
 		Title: "federated mesh: 4-daemon fleet vs 4 independent daemons (shared 6-library workload)",
-		Iters: perG,
+		Iters: meshWarmRuns,
 		Notes: []string{
 			"built-bytes totals full links across the fleet; blob installs and rebases link nothing",
 			"each daemon runs every program plus 3 placement variants of it (distinct paths, distinct bases)",
 			"meta-share-pct = peer metadata rebases / all remote misses served; the wire carries patch sites, not images",
-			"warm ops/sec is wall-clock across 4 connections, one per daemon, after the fleet converges",
+			"warm-mesh-fetches = peer consults made by warm-runs further cache-hot runs after the fleet converges",
 		},
 	}
 
-	indep, err := meshFleetRow(false, perG)
+	indep, err := meshFleetRow(false)
 	if err != nil {
 		return nil, err
 	}
-	meshed, err := meshFleetRow(true, perG)
+	meshed, err := meshFleetRow(true)
 	if err != nil {
 		return nil, err
 	}
@@ -60,9 +59,9 @@ func Mesh(cfg Config) (*Table, error) {
 }
 
 // meshFleetRow stands up a 4-daemon fleet (meshed or independent),
-// drives the shared workload on every daemon, and measures aggregate
-// warm throughput over the wire.
-func meshFleetRow(meshed bool, perG int) (Row, error) {
+// drives the shared workload on every daemon, then re-runs one program
+// cache-hot on each and counts the peer consults that cost.
+func meshFleetRow(meshed bool) (Row, error) {
 	const nD = 4
 	syss := make([]*omos.System, nD)
 	nodes := make([]*mesh.Node, nD)
@@ -87,24 +86,24 @@ func meshFleetRow(meshed bool, perG int) (Row, error) {
 			return Row{}, err
 		}
 		syss[i] = sys
+		if !meshed {
+			continue // nobody dials an independent daemon: the bare system is all of it
+		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return Row{}, err
 		}
 		addrs[i] = l.Addr().String()
-		b := daemon.New(sys)
-		if meshed {
-			node, err := mesh.New(sys.Srv, mesh.Config{Self: addrs[i], Secret: "bench"})
-			if err != nil {
-				return Row{}, err
-			}
-			nodes[i] = node
-			b.Mesh = node
+		node, err := mesh.New(sys.Srv, mesh.Config{Self: addrs[i], Secret: "bench"})
+		if err != nil {
+			return Row{}, err
 		}
-		srv := ipc.NewServer(b)
-		srv.MeshSecret = "bench"
-		srvs[i] = srv
-		go srv.Serve(l)
+		nodes[i] = node
+		b := daemon.New(sys)
+		b.Mesh = node
+		srvs[i] = ipc.NewServer(b)
+		srvs[i].MeshSecret = "bench"
+		go srvs[i].Serve(l)
 	}
 	if meshed {
 		for i, n := range nodes {
@@ -152,50 +151,17 @@ func meshFleetRow(meshed bool, perG int) (Row, error) {
 		}
 	}
 
-	// Aggregate warm throughput: one connection per daemon, hammering
-	// cache-hot runs concurrently.
-	clients := make([]*ipc.Client, nD)
-	for i := range clients {
-		c, err := ipc.DialWith(addrs[i], ipc.Options{
-			ConnectTimeout: 5 * time.Second,
-			CallTimeout:    30 * time.Second,
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		clients[i] = c
-		defer c.Close()
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	start := time.Now()
-	for i := range clients {
-		wg.Add(1)
-		go func(c *ipc.Client) {
-			defer wg.Done()
-			for k := 0; k < perG; k++ {
-				resp, err := c.Call(&ipc.Request{Op: ipc.OpRun, Path: "/bin/mb0"})
-				if err == nil && resp.ExitCode != 20 {
-					err = fmt.Errorf("warm run exit = %d, want 20", resp.ExitCode)
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
+	// The warm path must stay an ordinary cache hit: on the converged
+	// fleet, further runs consult no peer.
+	var warmFetches uint64
+	for i := range syss {
+		before := syss[i].Srv.Stats().MeshFetches
+		for k := 0; k < meshWarmRuns; k++ {
+			if err := runMeshBench(syss[i], "/bin/mb0", 0); err != nil {
+				return Row{}, err
 			}
-		}(clients[i])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return Row{}, fmt.Errorf("bench mesh: warm loop: %w", firstErr)
+		}
+		warmFetches += syss[i].Srv.Stats().MeshFetches - before
 	}
 
 	var built, fetches, meta, blob uint64
@@ -206,13 +172,11 @@ func meshFleetRow(meshed bool, perG int) (Row, error) {
 		meta += st.MeshMetaRebases
 		blob += st.MeshBlobInstalls
 	}
-	label := "4 independent daemons"
-	row := Row{Extra: map[string]float64{
-		"built-bytes-total": float64(built),
-		"warm-ops-per-sec":  float64(nD*perG) / elapsed.Seconds(),
-	}}
+	row := Row{Label: "4 independent daemons", Extra: map[string]float64{"built-bytes-total": float64(built)}}
 	if meshed {
-		label = "4-daemon mesh"
+		row.Label = "4-daemon mesh"
+		row.Extra["warm-runs"] = float64(nD * meshWarmRuns)
+		row.Extra["warm-mesh-fetches"] = float64(warmFetches)
 		row.Extra["mesh-fetches"] = float64(fetches)
 		row.Extra["mesh-meta-rebases"] = float64(meta)
 		row.Extra["mesh-blob-installs"] = float64(blob)
@@ -220,7 +184,6 @@ func meshFleetRow(meshed bool, perG int) (Row, error) {
 			row.Extra["meta-share-pct"] = 100 * float64(meta) / float64(served)
 		}
 	}
-	row.Label = label
 	return row, nil
 }
 

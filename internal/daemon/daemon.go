@@ -228,30 +228,6 @@ func (b *Backend) MeshRebalance(req *ipc.MeshReq) (*ipc.MeshInfo, error) {
 	return b.Mesh.AcceptRebalance(req)
 }
 
-// Fetcher adapts an ipc.Client to server.RemoteFetcher, letting one
-// OMOS server mount another's namespace over the wire.
-type Fetcher struct {
-	C *ipc.Client
-}
-
-// FetchMeta implements server.RemoteFetcher.
-func (f Fetcher) FetchMeta(path string) (string, bool, error) {
-	resp, err := f.C.Call(&ipc.Request{Op: ipc.OpGetMeta, Path: path})
-	if err != nil {
-		return "", false, err
-	}
-	return resp.Text, resp.Flag, nil
-}
-
-// FetchObject implements server.RemoteFetcher.
-func (f Fetcher) FetchObject(path string) ([]byte, error) {
-	resp, err := f.C.Call(&ipc.Request{Op: ipc.OpGetObject, Path: path})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Blob, nil
-}
-
 // Health implements ipc.HealthBackend: the liveness and robustness
 // counters behind omosd -health.  The transport adds its own
 // recovered-panic count and the draining flag.

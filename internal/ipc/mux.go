@@ -543,6 +543,20 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 		timerC = t.C
 	}
 	var blob []byte
+	// finish settles the fetch on its Final frame; both exits below end
+	// here, so a short blob is the same error whichever one sees it.
+	finish := func(resp *Response) (*MeshInfo, []byte, error) {
+		s.deregister(tag)
+		if err := c.meshFetchError(resp); err != nil {
+			return nil, nil, err
+		}
+		if resp.Mesh != nil && resp.Mesh.Found && !resp.Mesh.MetaOnly &&
+			uint64(len(blob)) != resp.Mesh.Size {
+			return nil, nil, fmt.Errorf("ipc: mesh fetch: got %d blob bytes, want %d",
+				len(blob), resp.Mesh.Size)
+		}
+		return resp.Mesh, blob, nil
+	}
 	for {
 		select {
 		case resp := <-ch:
@@ -550,16 +564,7 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 				blob = append(blob, resp.Blob...)
 				continue
 			}
-			s.deregister(tag)
-			if err := c.meshFetchError(resp); err != nil {
-				return nil, nil, err
-			}
-			if resp.Mesh != nil && resp.Mesh.Found && !resp.Mesh.MetaOnly &&
-				uint64(len(blob)) != resp.Mesh.Size {
-				return nil, nil, fmt.Errorf("ipc: mesh fetch: got %d blob bytes, want %d",
-					len(blob), resp.Mesh.Size)
-			}
-			return resp.Mesh, blob, nil
+			return finish(resp)
 		case <-s.done:
 			// Drain completions that raced in before the failure.
 			for {
@@ -569,11 +574,7 @@ func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options)
 						blob = append(blob, resp.Blob...)
 						continue
 					}
-					s.deregister(tag)
-					if err := c.meshFetchError(resp); err != nil {
-						return nil, nil, err
-					}
-					return resp.Mesh, blob, nil
+					return finish(resp)
 				default:
 					return nil, nil, s.failure()
 				}

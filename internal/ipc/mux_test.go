@@ -479,6 +479,31 @@ func TestMuxLateCompletionNeverAnswersAnotherCall(t *testing.T) {
 	}
 }
 
+// TestMeshFetchShortBlobIsASizeError: a peer that announces ten blob
+// bytes, streams five, sends the Final frame and hangs up is caught by
+// the length check however the client's select orders the Final frame
+// against the connection's death — the drain exit used to return the
+// short blob unchecked.
+func TestMeshFetchShortBlobIsASizeError(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
+			var hdr [hdrSize]byte
+			var buf []byte
+			tag, _, err := readTagged(conn, &hdr, &buf)
+			if err != nil {
+				return
+			}
+			send(tag, &Response{Blob: []byte("short")})
+			send(tag, &Response{Final: true, Mesh: &MeshInfo{Found: true, Size: 10}})
+		})
+		c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
+		_, blob, err := c.MeshFetch(context.Background(), &MeshReq{From: "x", CKey: "k"})
+		if err == nil || !strings.Contains(err.Error(), "got 5 blob bytes, want 10") {
+			t.Fatalf("iteration %d: short blob returned (%d bytes, err %v), want the size error", i, len(blob), err)
+		}
+	}
+}
+
 // recordingBackend keeps what the backend was handed by the operations
 // that between them expose every Request field.
 type recordingBackend struct {

@@ -552,6 +552,7 @@ func (s *Server) Evict(name string) int {
 		s.evictEntryLocked(s.cache[key])
 		if s.store != nil {
 			s.store.Delete(key)
+			s.dropBlobSum(key)
 		}
 		evicted++
 	}

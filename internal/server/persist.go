@@ -291,6 +291,7 @@ func (s *Server) loadFromStore(key string, visiting map[string]bool) *Instance {
 	}
 	reject := func() *Instance {
 		st.Quarantine(key)
+		s.dropBlobSum(key)
 		return nil
 	}
 	rec, err := store.Decode(blob)
@@ -511,6 +512,7 @@ func (s *Server) evictForCapacity(exclude string) {
 			s.evictEntryLocked(inst)
 		}
 		st.Delete(key)
+		s.dropBlobSum(key)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // RemoteFetcher retrieves namespace entries from another OMOS server —
 // the "consolidating OMOS servers in a network" engineering item of
-// §10.  The ipc package's client satisfies this through the daemon
-// protocol (see daemon.Fetcher).
+// §10.  mesh.MountPeer supplies one that speaks the daemon protocol
+// to a mesh peer.
 type RemoteFetcher interface {
 	// FetchMeta returns the blueprint source and library flag of a
 	// meta-object on the remote server.

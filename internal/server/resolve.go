@@ -298,12 +298,39 @@ func (s *Server) bindingTable(bindKey string) *BindingTable {
 	return s.bindings[bindKey]
 }
 
+// dropBindingsOf forgets every resolution recorded for the image at a
+// namespace path.  A table outlives eviction — replaying it after a
+// rebuild is its purpose — but not removal of the path it describes:
+// kept, it would grow by one per program ever defined, and the rebind
+// guard and Explain would go on answering for a program that no longer
+// exists.  p is a clean path, as image names are (Evict matches them
+// the same way).  Takes bindMu alone, after the caller has let go of
+// nsMu.
+func (s *Server) dropBindingsOf(p string) {
+	s.bindMu.Lock()
+	for k, tbl := range s.bindings {
+		if tbl.Image == p {
+			delete(s.bindings, k)
+		}
+	}
+	s.bindMu.Unlock()
+}
+
 // setBlobSum records the store checksum of a persisted instance blob,
 // so pins can carry (and later verify) the on-disk identity of the
 // libraries an image was linked against.
 func (s *Server) setBlobSum(key, sum string) {
 	s.bindMu.Lock()
 	s.blobSums[key] = sum
+	s.bindMu.Unlock()
+}
+
+// dropBlobSum forgets the checksum of a blob the store no longer holds
+// (deleted or quarantined).  An in-memory-only eviction keeps it: the
+// blob is still on disk and pins may still verify against it.
+func (s *Server) dropBlobSum(key string) {
+	s.bindMu.Lock()
+	delete(s.blobSums, key)
 	s.bindMu.Unlock()
 }
 
@@ -380,6 +407,7 @@ func (s *Server) verifyPinned(inst *Instance) error {
 		s.evictEntryLocked(inst)
 		if s.store != nil {
 			s.store.Quarantine(inst.Key)
+			s.dropBlobSum(inst.Key)
 		}
 	}
 	s.cacheMu.Unlock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -358,5 +359,89 @@ func TestResolveCacheFaultDegradesToMiss(t *testing.T) {
 				t.Fatalf("exit = %d, want 42", code)
 			}
 		})
+	}
+}
+
+// TestRemoveForgetsResolutionState: a binding table survives eviction
+// (that is what replay is for) but not removal of the path it
+// describes, and a blob checksum dies with its store blob.  Before the
+// fix every program ever defined left one entry in each map, the rebind
+// guard protected programs that no longer existed, and Explain went on
+// listing them.
+func TestRemoveForgetsResolutionState(t *testing.T) {
+	s := newTestServer(t)
+	s.AttachStore(openStore(t, t.TempDir(), 0))
+	definePersistWorld(t, s)
+	if _, err := s.Instantiate("/bin/app", nil); err != nil {
+		t.Fatal(err)
+	}
+	sizes := func() (bindings, sums int) {
+		s.bindMu.RLock()
+		defer s.bindMu.RUnlock()
+		return len(s.bindings), len(s.blobSums)
+	}
+	bind0, sums0 := sizes()
+
+	// Eviction alone keeps the table: the rebuild replays it.
+	before := s.Stats()
+	if s.Evict("/bin/app") == 0 {
+		t.Fatal("nothing evicted")
+	}
+	if _, err := s.Instantiate("/bin/app", nil); err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if after.BindingHits != before.BindingHits+1 || after.SymbolSearches != before.SymbolSearches {
+		t.Fatalf("evict without remove: binding hits %d -> %d, symbol searches %d -> %d; want +1 and +0",
+			before.BindingHits, after.BindingHits, before.SymbolSearches, after.SymbolSearches)
+	}
+
+	// Fifty programs come and go; both maps return to where they were.
+	for i := 0; i < 50; i++ {
+		p := fmt.Sprintf("/bin/app%d", i)
+		src := strings.Replace(persistProgSrc, "lib_val, 12", fmt.Sprintf("lib_val, %d", 100+i), 1)
+		if err := s.Define(p, src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Instantiate(p, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Evict(p)
+		if err := s.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, c := sizes(); b != bind0 || c != sums0 {
+		t.Fatalf("after 50 define/instantiate/evict/remove: %d binding tables and %d blob checksums, want %d and %d",
+			b, c, bind0, sums0)
+	}
+
+	// A removed program is nobody the guard needs to protect, and
+	// nothing Explain should list.
+	s.Evict("/bin/app")
+	if err := s.Remove("/bin/app"); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := s.Explain("lib_add"); err == nil {
+		t.Fatalf("Explain still lists a removed program:\n%s", out)
+	}
+	if err := s.Remove("/lib/tiny"); err != nil {
+		t.Fatalf("removing a library no remaining program binds through: %v", err)
+	}
+
+	// Redefining the removed path with the same source resolves afresh:
+	// one search, one new table.
+	definePersistWorld(t, s)
+	before = s.Stats()
+	if _, err := s.Instantiate("/bin/app", nil); err != nil {
+		t.Fatal(err)
+	}
+	after = s.Stats()
+	if after.SymbolSearches == before.SymbolSearches || after.BindingHits != before.BindingHits {
+		t.Fatalf("redefined program: symbol searches %d -> %d, binding hits %d -> %d; want a fresh search and no replay",
+			before.SymbolSearches, after.SymbolSearches, before.BindingHits, after.BindingHits)
+	}
+	if out, err := s.Explain("lib_add"); err != nil || !strings.Contains(out, "/bin/app binds lib_add") || !strings.Contains(out, "resolved by search") {
+		t.Fatalf("no fresh table recorded for the redefined program: %v\n%s", err, out)
 	}
 }

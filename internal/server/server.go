@@ -427,8 +427,9 @@ type Server struct {
 	// bindMu guards the stable-resolution state (resolve.go): the
 	// binding tables keyed by resolution identity and the store-blob
 	// checksums pins verify against.  Lock order: bindMu may be taken
-	// before nsMu (the rebind guard consults the namespace); never the
-	// reverse.
+	// before nsMu (the rebind guard consults the namespace), never the
+	// reverse; and under cacheMu (a checksum is dropped beside the store
+	// delete it belongs to), never the reverse.
 	bindMu   sync.RWMutex
 	bindings map[string]*BindingTable
 	blobSums map[string]string
@@ -686,6 +687,7 @@ func (s *Server) RemoveAllow(p string, allow bool) error {
 	s.nsMu.Lock()
 	delete(s.ns, cleanPath(p))
 	s.nsMu.Unlock()
+	s.dropBindingsOf(cleanPath(p))
 	s.invalidateHashes()
 	return nil
 }
