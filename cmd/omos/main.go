@@ -56,7 +56,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"omos/internal/ipc"
 )
@@ -235,31 +234,8 @@ func main() {
 		if resp.Health == nil {
 			fatal(fmt.Errorf("daemon did not report health"))
 		}
-		h := resp.Health
-		fmt.Printf("uptime=%s inflight-builds=%d recovered=%d quarantined=%d warm-loaded=%d "+
-			"queue-depth=%d shed=%d build-timeouts=%d scrub-checked=%d scrub-quarantined=%d "+
-			"degraded=%v draining=%v\n",
-			(time.Duration(h.UptimeMS) * time.Millisecond).Round(time.Millisecond),
-			h.InflightBuilds, h.Recovered, h.Quarantined, h.WarmLoaded,
-			h.QueueDepth, h.Shed, h.BuildTimeouts, h.ScrubChecked, h.ScrubQuarantined,
-			h.Degraded, h.Draining)
-		if h.Degraded {
-			fmt.Printf("degraded-reason: %s\n", h.DegradedReason)
-		}
-		if h.UpgradeActive || h.UpgradeVerdict != "" {
-			fmt.Printf("upgrade: active=%v epoch=%s canary=%d%% rolling-back=%v verdict=%q\n",
-				h.UpgradeActive, h.UpgradeEpoch, h.UpgradeCanaryPct,
-				h.UpgradeRollingBack, h.UpgradeVerdict)
-		}
-		if h.MeshShards > 0 {
-			fmt.Printf("mesh: peers-up=%d/%d shards=%d peer-fetches=%d meta-rebases=%d blob-fetches=%d gossip-rounds=%d\n",
-				h.MeshPeersUp, h.MeshPeers, h.MeshShards,
-				h.MeshPeerFetches, h.MeshMetaRebases, h.MeshBlobFetches, h.MeshGossipRounds)
-		}
-		// A draining or degraded daemon is not a healthy daemon — nor
-		// is one mid-rollback: non-zero exit so scripts and
-		// orchestrators notice.
-		if h.Draining || h.Degraded || h.UpgradeRollingBack {
+		fmt.Print(resp.Health.Format())
+		if resp.Health.Unhealthy() {
 			os.Exit(1)
 		}
 	default:

@@ -217,8 +217,9 @@ func main() {
 	log.Printf("omosd: shut down cleanly")
 }
 
-// queryGraph dials a running daemon and prints its build-graph report.
-func queryGraph(addr string) int {
+// query dials a running daemon at the -listen address and performs
+// one call; what names the query in the error it prints on failure.
+func query(addr, what string, req *ipc.Request) (*ipc.Response, bool) {
 	if strings.HasPrefix(addr, ":") {
 		addr = "127.0.0.1" + addr
 	}
@@ -227,70 +228,41 @@ func queryGraph(addr string) int {
 		CallTimeout:    5 * time.Second,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: graph: %v\n", err)
-		return 1
+		fmt.Fprintf(os.Stderr, "omosd: %s: %v\n", what, err)
+		return nil, false
 	}
 	defer c.Close()
-	resp, err := c.Call(&ipc.Request{Op: ipc.OpGraph})
+	resp, err := c.Call(req)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: graph: %v\n", err)
+		fmt.Fprintf(os.Stderr, "omosd: %s: %v\n", what, err)
+		return nil, false
+	}
+	return resp, true
+}
+
+// queryGraph prints a running daemon's build-graph report.
+func queryGraph(addr string) int {
+	resp, ok := query(addr, "graph", &ipc.Request{Op: ipc.OpGraph})
+	if !ok {
 		return 1
 	}
 	fmt.Print(resp.Text)
 	return 0
 }
 
-// queryHealth dials a running daemon and prints its health counters.
-// Exit status 0 means alive and not draining.
+// queryHealth prints a running daemon's health counters.  Exit status
+// 0 means alive and healthy (see ipc.HealthInfo.Unhealthy).
 func queryHealth(addr string) int {
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
-	}
-	c, err := ipc.DialWith(addr, ipc.Options{
-		ConnectTimeout: 3 * time.Second,
-		CallTimeout:    5 * time.Second,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: health: %v\n", err)
+	resp, ok := query(addr, "health", &ipc.Request{Op: ipc.OpHealth})
+	if !ok {
 		return 1
 	}
-	defer c.Close()
-	resp, err := c.Call(&ipc.Request{Op: ipc.OpHealth})
-	if err != nil || resp.Health == nil {
-		fmt.Fprintf(os.Stderr, "omosd: health: %v\n", err)
+	if resp.Health == nil {
+		fmt.Fprintln(os.Stderr, "omosd: health: daemon did not report health")
 		return 1
 	}
-	h := resp.Health
-	fmt.Printf("uptime:          %s\n", (time.Duration(h.UptimeMS) * time.Millisecond).Round(time.Millisecond))
-	fmt.Printf("inflight-builds: %d\n", h.InflightBuilds)
-	fmt.Printf("recovered:       %d\n", h.Recovered)
-	fmt.Printf("quarantined:     %d\n", h.Quarantined)
-	fmt.Printf("warm-loaded:     %d\n", h.WarmLoaded)
-	fmt.Printf("queue-depth:     %d\n", h.QueueDepth)
-	fmt.Printf("shed:            %d\n", h.Shed)
-	fmt.Printf("build-timeouts:  %d\n", h.BuildTimeouts)
-	fmt.Printf("scrub-checked:   %d\n", h.ScrubChecked)
-	fmt.Printf("scrub-quarantined: %d\n", h.ScrubQuarantined)
-	fmt.Printf("nodes-built:     %d\n", h.NodesBuilt)
-	fmt.Printf("nodes-resumed:   %d\n", h.NodesResumed)
-	fmt.Printf("checkpoints:     %d\n", h.NodesCheckpointed)
-	fmt.Printf("checkpoint-bytes: %d\n", h.CheckpointBytes)
-	fmt.Printf("degraded:        %v\n", h.Degraded)
-	if h.Degraded {
-		fmt.Printf("degraded-reason: %s\n", h.DegradedReason)
-	}
-	if h.UpgradeActive || h.UpgradeVerdict != "" {
-		fmt.Printf("upgrade:         active=%v epoch=%s canary=%d%% rolling-back=%v verdict=%q\n",
-			h.UpgradeActive, h.UpgradeEpoch, h.UpgradeCanaryPct,
-			h.UpgradeRollingBack, h.UpgradeVerdict)
-	}
-	if h.MeshShards > 0 {
-		fmt.Printf("mesh:            peers-up=%d/%d shards=%d peer-fetches=%d meta-rebases=%d blob-fetches=%d gossip-rounds=%d\n",
-			h.MeshPeersUp, h.MeshPeers, h.MeshShards,
-			h.MeshPeerFetches, h.MeshMetaRebases, h.MeshBlobFetches, h.MeshGossipRounds)
-	}
-	fmt.Printf("draining:        %v\n", h.Draining)
-	if h.Draining || h.Degraded || h.UpgradeRollingBack {
+	fmt.Print(resp.Health.Format())
+	if resp.Health.Unhealthy() {
 		return 1
 	}
 	return 0

@@ -40,6 +40,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -304,6 +305,51 @@ type HealthInfo struct {
 	MeshGossipRounds uint64
 }
 
+// Unhealthy reports whether the daemon is draining, degraded or rolling
+// an upgrade back: alive, but not a daemon to send work to.  `omos
+// health` and `omosd -health` exit nonzero on it so scripts and
+// orchestrators notice.
+func (h *HealthInfo) Unhealthy() bool {
+	return h.Draining || h.Degraded || h.UpgradeRollingBack
+}
+
+// Format renders the report one "name: value" line per counter, the
+// text both `omos health` and `omosd -health` print.  The upgrade and
+// mesh lines appear only on a daemon that has something to say there.
+func (h *HealthInfo) Format() string {
+	var b strings.Builder
+	row := func(name string, v interface{}) { fmt.Fprintf(&b, "%-16s %v\n", name+":", v) }
+	row("uptime", (time.Duration(h.UptimeMS) * time.Millisecond).Round(time.Millisecond))
+	row("inflight-builds", h.InflightBuilds)
+	row("recovered", h.Recovered)
+	row("quarantined", h.Quarantined)
+	row("warm-loaded", h.WarmLoaded)
+	row("queue-depth", h.QueueDepth)
+	row("shed", h.Shed)
+	row("build-timeouts", h.BuildTimeouts)
+	row("scrub-checked", h.ScrubChecked)
+	row("scrub-quarantined", h.ScrubQuarantined)
+	row("nodes-built", h.NodesBuilt)
+	row("nodes-resumed", h.NodesResumed)
+	row("checkpoints", h.NodesCheckpointed)
+	row("checkpoint-bytes", h.CheckpointBytes)
+	row("degraded", h.Degraded)
+	if h.Degraded {
+		row("degraded-reason", h.DegradedReason)
+	}
+	if h.UpgradeActive || h.UpgradeVerdict != "" {
+		row("upgrade", fmt.Sprintf("active=%v epoch=%s canary=%d%% rolling-back=%v verdict=%q",
+			h.UpgradeActive, h.UpgradeEpoch, h.UpgradeCanaryPct, h.UpgradeRollingBack, h.UpgradeVerdict))
+	}
+	if h.MeshShards > 0 {
+		row("mesh", fmt.Sprintf("peers-up=%d/%d shards=%d peer-fetches=%d meta-rebases=%d blob-fetches=%d gossip-rounds=%d",
+			h.MeshPeersUp, h.MeshPeers, h.MeshShards,
+			h.MeshPeerFetches, h.MeshMetaRebases, h.MeshBlobFetches, h.MeshGossipRounds))
+	}
+	row("draining", h.Draining)
+	return b.String()
+}
+
 // Response is the server's reply.
 type Response struct {
 	Err      string
@@ -563,8 +609,9 @@ type Options struct {
 	// CallTimeout bounds each Call exchange (write + read).  Exceeding
 	// it surfaces context.DeadlineExceeded.
 	CallTimeout time.Duration
-	// Retries is the number of additional attempts for idempotent
-	// operations after a transport failure.
+	// Retries sizes each of a request's three retry budgets (see
+	// Client.do): pre-send failures, transport failures of idempotent
+	// operations, and overload sheds.
 	Retries int
 	// Backoff is the delay before the first retry; it doubles per
 	// attempt.  Defaults to 10ms when Retries > 0.
@@ -717,118 +764,94 @@ func (c *Client) Call(req *Request) (*Response, error) {
 }
 
 // CallCtx performs one request/response exchange bounded by both ctx
-// and the configured CallTimeout (whichever deadline is sooner).  A
-// deadline overrun surfaces as context.DeadlineExceeded.  Transport
-// failures on idempotent operations are retried with jittered
-// exponential backoff and at most one transparent reconnect; an
-// application-level error in the response is never retried — except an
-// overload shed, which happened before any work and so is retried
-// (honoring the server's retry-after hint) for every operation, even
-// non-idempotent ones.  A call arriving while the circuit breaker is
-// open fails fast with an *OverloadedError instead of touching the
-// network.
+// and the configured CallTimeout (whichever deadline is sooner), under
+// the retry policy of do.
 func (c *Client) CallCtx(ctx context.Context, req *Request) (*Response, error) {
-	opts := c.options()
+	return c.do(ctx, req, 1, nil)
+}
 
-	// Breaker open: don't even pile this request onto the server.
+// defaultBackoff is the delay before the first retry when Options
+// leaves Backoff unset.
+const defaultBackoff = 10 * time.Millisecond
+
+// do is the one request lifecycle, shared by a plain call, a batch
+// and a mesh fetch (want and onFrame are stream's).  Each attempt gets
+// (or redials) a session, completes its hello, runs the exchange and
+// decodes the closing frame's error; what happens next depends only on
+// the class of failure (the same table is in DESIGN.md "Wire
+// protocol"):
+//
+//   - Breaker open: fail fast with an *OverloadedError, no round trip.
+//   - Deadline, cancellation: the caller's answer, never retried.  A
+//     timed-out call just abandons its tag and the connection lives on.
+//   - Hello refused: the peer speaks another protocol; never retried.
+//   - Dial or handshake failure: the request never hit the wire, so
+//     every op retries, from the pre-send budget.
+//   - Transport failure mid-exchange: the session is dead and the next
+//     attempt redials.  Only idempotent ops retry (the request may have
+//     been acted on), from the transport budget.
+//   - Overload shed: it happened before any work, so every op waits out
+//     the breaker hold and retries as the half-open probe, from the
+//     overload budget.  A mesh fetch has none: the mesh answers a shed
+//     with a local build, so it wants the typed error at once.  The
+//     breaker trips either way.
+//   - Draining: a clean refusal from a server going away; never retried.
+//   - Any other error in the reply is the application's answer: never
+//     retried, and like a success it proves the server is answering, so
+//     it closes the breaker.
+//
+// Each budget is Options.Retries; the two failure budgets share one
+// jittered, doubling back-off.  A reply that carries an error is
+// returned beside it.
+func (c *Client) do(ctx context.Context, req *Request, want int, onFrame func(*Response)) (*Response, error) {
+	opts := c.options()
 	if rem := c.breakerRemaining(); rem > 0 {
 		return nil, fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: rem})
 	}
-
-	transportLeft := 0
+	preSendLeft, transportLeft, overloadLeft := opts.Retries, 0, opts.Retries
 	if idempotent(req.Op) {
 		transportLeft = opts.Retries
 	}
-	// Session establishment (redial + version handshake) happens
-	// before the request is transmitted, so its failures are
-	// retry-safe for every op, from their own budget.  Overload sheds
-	// likewise happen before any server-side work.
-	preSendLeft := opts.Retries
-	overloadLeft := opts.Retries
+	if req.Op == OpMeshFetch {
+		overloadLeft = 0 // the mesh builds locally rather than wait out a hold
+	}
 	backoff := opts.Backoff
 	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
+		backoff = defaultBackoff
 	}
 	for {
-		resp, err := c.exchange(ctx, req, opts)
+		resp, sent, err := c.attempt(ctx, req, opts, want, onFrame)
 		if err == nil {
-			switch {
-			case resp.Err == drainingMsg:
-				// Clean refusal: the server is going away; retrying
-				// this connection cannot help.
-				return resp, fmt.Errorf("omosd: %w", ErrDraining)
-			case resp.Err == overloadedMsg:
-				hint := time.Duration(resp.RetryAfterMS) * time.Millisecond
-				hold := c.tripBreaker(hint)
+			if err = wireError(resp); err == nil {
+				c.resetBreaker()
+				return resp, nil
+			}
+			var shed *OverloadedError
+			if errors.As(err, &shed) {
+				shed.RetryAfter = c.tripBreaker(shed.RetryAfter)
 				if overloadLeft > 0 {
 					overloadLeft--
-					// Wait out the hold, then this call is the
-					// half-open probe.
-					if err := sleepCtx(ctx, hold); err != nil {
+					if err := sleepCtx(ctx, shed.RetryAfter); err != nil {
 						return nil, err
 					}
 					continue
 				}
-				return resp, fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: hold})
-			case resp.Err == rebindMsg:
-				// Typed refusal: the mutation needs an explicit
-				// AllowRebind.  The server is healthy.
+			} else if !errors.Is(err, ErrDraining) {
 				c.resetBreaker()
-				re := &RebindError{}
-				if resp.Rebind != nil {
-					re.RebindInfo = *resp.Rebind
-				}
-				return resp, fmt.Errorf("omosd: %w", re)
-			case resp.Err == pinViolationMsg:
-				// Typed refusal: the hijack defense rejected a pinned
-				// image.  Retrying is the caller's choice (it rebuilds).
-				c.resetBreaker()
-				pe := &PinViolationError{}
-				if resp.Pin != nil {
-					pe.PinInfo = *resp.Pin
-				}
-				return resp, fmt.Errorf("omosd: %w", pe)
-			case resp.Err == upgradeAbortedMsg:
-				// Typed refusal: the epoch was rolled back; the server
-				// is healthy and serving the pre-upgrade version.
-				c.resetBreaker()
-				ue := &UpgradeAbortedError{}
-				if resp.Upgrade != nil {
-					ue.UpgradeAbortedInfo = *resp.Upgrade
-				}
-				return resp, fmt.Errorf("omosd: %w", ue)
-			case resp.Err != "":
-				// Any ordinary application error still proves the
-				// server is answering; a half-open probe may close the
-				// breaker on it.
-				c.resetBreaker()
-				return resp, fmt.Errorf("omosd: %s", resp.Err)
 			}
-			c.resetBreaker()
-			return resp, nil
+			return resp, err
 		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// A timed-out call just abandons its tag and the connection
-			// lives on; the deadline is the caller's answer.
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+			errors.Is(err, errHelloRefused) {
 			return nil, err
 		}
-		var pre *preSendError
-		if errors.As(err, &pre) {
-			// The request never hit the wire: dial or handshake
-			// failure, retryable even for non-idempotent ops — unless
-			// the server refused the protocol itself.
-			if preSendLeft <= 0 || errors.Is(err, errHelloRefused) {
-				return nil, pre.err
-			}
+		switch {
+		case !sent && preSendLeft > 0:
 			preSendLeft--
-		} else {
-			// Transport failure mid-exchange: the session is dead and
-			// the next attempt redials.  Only idempotent ops may
-			// retry — the request may have been acted on.
-			if transportLeft <= 0 {
-				return nil, err
-			}
+		case sent && transportLeft > 0:
 			transportLeft--
+		default:
+			return nil, err
 		}
 		if err := sleepCtx(ctx, c.jitter(backoff)); err != nil {
 			return nil, err
@@ -837,13 +860,71 @@ func (c *Client) CallCtx(ctx context.Context, req *Request) (*Response, error) {
 	}
 }
 
-// preSendError marks a failure that happened before the request was
-// transmitted (dial, version handshake): retrying is safe for every
-// operation.
-type preSendError struct{ err error }
+// attempt is one try of do: get (or redial) a session, complete the
+// hello exchange if this is its first use, then run the request.  sent
+// is false when the failure came before the request was transmitted
+// (dial, version handshake), which makes a retry safe for every
+// operation.  I/O timeouts map to context.DeadlineExceeded.
+func (c *Client) attempt(ctx context.Context, req *Request, opts Options, want int, onFrame func(*Response)) (resp *Response, sent bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	s, err := c.session(opts)
+	if err != nil {
+		return nil, false, err
+	}
+	deadline := callDeadline(ctx, opts)
+	if err := s.ensureHandshake(deadline); err != nil {
+		return nil, false, mapTimeout(err)
+	}
+	resp, err = s.stream(ctx, deadline, req, want, onFrame)
+	return resp, true, err
+}
 
-func (e *preSendError) Error() string { return e.err.Error() }
-func (e *preSendError) Unwrap() error { return e.err }
+// wireError decodes the Err field of a completion — a call's reply, a
+// batch item, a batch or fetch Final — into its typed error: nil for
+// success, a sentinel-matching error for the refusals the protocol
+// names, the server's text for anything else.
+func wireError(resp *Response) error {
+	switch {
+	case resp.Err == "":
+		return nil
+	case resp.Err == drainingMsg:
+		return fmt.Errorf("omosd: %w", ErrDraining)
+	case resp.Err == overloadedMsg:
+		// Shed at an admission gate before any work was done.  The hint
+		// is floored so a caller honoring it never spins.
+		hint := time.Duration(resp.RetryAfterMS) * time.Millisecond
+		if hint < minBreakerHold {
+			hint = minBreakerHold
+		}
+		return fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: hint})
+	case resp.Err == rebindMsg:
+		// The mutation needs an explicit AllowRebind.
+		re := &RebindError{}
+		if resp.Rebind != nil {
+			re.RebindInfo = *resp.Rebind
+		}
+		return fmt.Errorf("omosd: %w", re)
+	case resp.Err == pinViolationMsg:
+		// The hijack defense rejected a pinned image.  Retrying is the
+		// caller's choice (it rebuilds).
+		pe := &PinViolationError{}
+		if resp.Pin != nil {
+			pe.PinInfo = *resp.Pin
+		}
+		return fmt.Errorf("omosd: %w", pe)
+	case resp.Err == upgradeAbortedMsg:
+		// The epoch was rolled back; the server is serving the
+		// pre-upgrade version.
+		ue := &UpgradeAbortedError{}
+		if resp.Upgrade != nil {
+			ue.UpgradeAbortedInfo = *resp.Upgrade
+		}
+		return fmt.Errorf("omosd: %w", ue)
+	}
+	return fmt.Errorf("omosd: %s", resp.Err)
+}
 
 // sleepCtx waits d or until ctx is done.
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -937,24 +1018,6 @@ func callDeadline(ctx context.Context, opts Options) time.Time {
 		deadline = d
 	}
 	return deadline
-}
-
-// exchange performs one attempt: get (or redial) a session, complete
-// the hello exchange if this is its first use, then run the request.
-// I/O timeouts map to context.DeadlineExceeded.
-func (c *Client) exchange(ctx context.Context, req *Request, opts Options) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := c.session(opts)
-	if err != nil {
-		return nil, &preSendError{err: err}
-	}
-	deadline := callDeadline(ctx, opts)
-	if err := s.ensureHandshake(deadline); err != nil {
-		return nil, &preSendError{err: mapTimeout(err)}
-	}
-	return s.call(ctx, deadline, req)
 }
 
 // mapTimeout converts net timeout errors into context.DeadlineExceeded

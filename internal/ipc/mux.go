@@ -72,19 +72,26 @@ func (s *session) close() error {
 	return s.conn.Close()
 }
 
-// ensureHandshake opens the connection on first use: an OpHello in a
-// self-contained frame, which the server must acknowledge with the
-// same protocol version before the connection switches to tagged
-// framing.  Transport failures poison the session and the caller's
-// retry redials; a refusal poisons it with errHelloRefused, which no
-// one retries.
+// ensureHandshake opens the connection on first use.  Transport
+// failures poison the session and the caller's retry redials; a refusal
+// poisons it with errHelloRefused, which no one retries.
 func (s *session) ensureHandshake(deadline time.Time) error {
 	s.hsMu.Lock()
 	defer s.hsMu.Unlock()
-	if s.hsDone {
-		return s.hsErr
+	if !s.hsDone {
+		s.hsDone = true
+		if s.hsErr = s.handshake(deadline); s.hsErr != nil {
+			s.close()
+		}
 	}
-	s.hsDone = true
+	return s.hsErr
+}
+
+// handshake is the hello exchange: an OpHello in a self-contained
+// frame, which the server must acknowledge with the same protocol
+// version before the connection switches to tagged framing and the
+// reader goroutine starts.
+func (s *session) handshake(deadline time.Time) error {
 	s.conn.SetDeadline(deadline)
 	hello := &Request{Op: OpHello, Text: protoVersionText}
 	if s.secret != "" {
@@ -93,21 +100,15 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 		// without the secret ignores it.
 		nonce, err := meshNonce()
 		if err != nil {
-			s.hsErr = err
-			s.close()
 			return err
 		}
 		hello.Unit = nonce
 	}
 	if err := WriteFrame(s.conn, hello); err != nil {
-		s.hsErr = err
-		s.close()
 		return err
 	}
 	var resp Response
 	if err := ReadFrame(s.conn, &resp); err != nil {
-		s.hsErr = err
-		s.close()
 		return err
 	}
 	if resp.Flag && resp.Text == protoVersionText && s.secret != "" && resp.Output != "" {
@@ -118,21 +119,15 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 		proof := &Request{Op: OpHello, Text: protoVersionText,
 			Blob: meshProof(s.secret, resp.Output, hello.Unit, protoVersionText)}
 		if err := WriteFrame(s.conn, proof); err != nil {
-			s.hsErr = err
-			s.close()
 			return err
 		}
 		resp = Response{}
 		if err := ReadFrame(s.conn, &resp); err != nil {
-			s.hsErr = err
-			s.close()
 			return err
 		}
 	}
 	if !resp.Flag || resp.Text != protoVersionText {
-		s.hsErr = fmt.Errorf("%w: %q", errHelloRefused, resp.Err)
-		s.close()
-		return s.hsErr
+		return fmt.Errorf("%w: %q", errHelloRefused, resp.Err)
 	}
 	s.conn.SetDeadline(time.Time{})
 	s.enc = gob.NewEncoder(&s.sbuf)
@@ -266,17 +261,21 @@ func (s *session) send(tag uint64, req *Request, deadline time.Time) error {
 	return nil
 }
 
-// call is one multiplexed call: register a tag, send the frame,
-// park on the tag's channel until the completion, a session failure,
-// the deadline, or cancellation.  Deadline and cancellation merely
-// abandon the tag — the connection stays healthy for everyone else.
-func (s *session) call(ctx context.Context, deadline time.Time, req *Request) (*Response, error) {
-	tag, ch, err := s.register(1)
+// stream is the one request exchange of a session: register a tag
+// expecting want completions, send the frame, and park on the tag's
+// channel until the frame that closes it, a session failure, the
+// deadline, or cancellation.  A plain call (onFrame nil) is closed by
+// its first completion; a streamed request hands every non-Final frame
+// to onFrame, on this goroutine, and is closed by its Final frame.
+// Deadline and cancellation merely abandon the tag — the connection
+// stays healthy for everyone else.
+func (s *session) stream(ctx context.Context, deadline time.Time, req *Request, want int, onFrame func(*Response)) (*Response, error) {
+	tag, ch, err := s.register(want)
 	if err != nil {
 		return nil, err
 	}
+	defer s.deregister(tag)
 	if err := s.send(tag, req, deadline); err != nil {
-		s.deregister(tag)
 		return nil, mapTimeout(err)
 	}
 	var timerC <-chan time.Time
@@ -285,25 +284,28 @@ func (s *session) call(ctx context.Context, deadline time.Time, req *Request) (*
 		defer t.Stop()
 		timerC = t.C
 	}
-	select {
-	case resp := <-ch:
-		s.deregister(tag)
-		return resp, nil
-	case <-s.done:
-		// The completion may have raced in just before the failure.
+	for {
+		var resp *Response
 		select {
-		case resp := <-ch:
-			s.deregister(tag)
-			return resp, nil
-		default:
+		case resp = <-ch:
+		case <-s.done:
+			// Completions may have raced in just before the failure —
+			// the closing frame may already be buffered.  Take what is
+			// there; the failure is the answer only once it runs dry.
+			select {
+			case resp = <-ch:
+			default:
+				return nil, s.failure()
+			}
+		case <-timerC:
+			return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return nil, s.failure()
-	case <-timerC:
-		s.deregister(tag)
-		return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
-	case <-ctx.Done():
-		s.deregister(tag)
-		return nil, ctx.Err()
+		if onFrame == nil || resp.Final {
+			return resp, nil
+		}
+		onFrame(resp)
 	}
 }
 
@@ -323,130 +325,31 @@ func (c *Client) InstantiateBatch(paths []string) ([]BatchResult, error) {
 
 // InstantiateBatchCtx is InstantiateBatch bounded by ctx and the
 // configured CallTimeout.  The per-item completions stream back as
-// the server's executor finishes them.  Instantiation is
-// idempotent, so transport failures retry with jittered backoff like
-// any idempotent call.
+// the server's executor finishes them.  An item's error is decoded
+// like any reply's (a shed item is a typed *OverloadedError, safe to
+// retry) but stays that item's: only the Final summary speaks for the
+// request.
 func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]BatchResult, error) {
 	if len(paths) == 0 {
 		return nil, nil
-	}
-	opts := c.options()
-	if rem := c.breakerRemaining(); rem > 0 {
-		return nil, fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: rem})
-	}
-	attempts := 1 + opts.Retries
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for {
-		results, err := c.batchOnce(ctx, paths, opts)
-		if err == nil {
-			c.resetBreaker()
-			return results, nil
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, ErrDraining) || errors.Is(err, errHelloRefused) {
-			return nil, err
-		}
-		attempts--
-		if attempts <= 0 {
-			return nil, err
-		}
-		if serr := sleepCtx(ctx, c.jitter(backoff)); serr != nil {
-			return nil, serr
-		}
-		backoff *= 2
-	}
-}
-
-// batchOnce performs one batch attempt.
-func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([]BatchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := c.session(opts)
-	if err != nil {
-		return nil, err
-	}
-	deadline := callDeadline(ctx, opts)
-	if err := s.ensureHandshake(deadline); err != nil {
-		return nil, mapTimeout(err)
-	}
-	req := &Request{Op: OpInstantiateBatch, Args: paths}
-	// One tag carries len(paths) item completions plus the Final
-	// summary, streamed in whatever order the server finishes them.
-	tag, ch, err := s.register(len(paths) + 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.send(tag, req, deadline); err != nil {
-		s.deregister(tag)
-		return nil, mapTimeout(err)
 	}
 	results := make([]BatchResult, len(paths))
 	for i := range results {
 		results[i].Path = paths[i]
 	}
-	var timerC <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timerC = t.C
-	}
-	record := func(resp *Response) (final bool, err error) {
-		if resp.Final {
-			switch {
-			case resp.Err == drainingMsg:
-				return true, fmt.Errorf("omosd: %w", ErrDraining)
-			case resp.Err != "":
-				return true, fmt.Errorf("omosd: %s", resp.Err)
-			}
-			return true, nil
+	// One tag carries len(paths) item completions plus the Final
+	// summary, streamed in whatever order the server finishes them.  A
+	// retried attempt reports every item again, so it overwrites whatever
+	// a failed one recorded.
+	_, err := c.do(ctx, &Request{Op: OpInstantiateBatch, Args: paths}, len(paths)+1, func(item *Response) {
+		if i := item.Index; i >= 0 && i < len(results) {
+			results[i].Err = wireError(item)
 		}
-		if i := resp.Index; i >= 0 && i < len(results) {
-			results[i].Err = batchItemError(resp)
-		}
-		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for {
-		select {
-		case resp := <-ch:
-			final, err := record(resp)
-			if final {
-				s.deregister(tag)
-				if err != nil {
-					return nil, err
-				}
-				return results, nil
-			}
-		case <-s.done:
-			// Drain completions that raced in before the failure —
-			// the Final may already be buffered.
-			for {
-				select {
-				case resp := <-ch:
-					final, err := record(resp)
-					if !final {
-						continue
-					}
-					s.deregister(tag)
-					if err != nil {
-						return nil, err
-					}
-					return results, nil
-				default:
-					return nil, s.failure()
-				}
-			}
-		case <-timerC:
-			s.deregister(tag)
-			return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
-		case <-ctx.Done():
-			s.deregister(tag)
-			return nil, ctx.Err()
-		}
-	}
+	return results, nil
 }
 
 // meshChunk is the blob chunk size OpMeshFetch streams: large enough
@@ -465,144 +368,26 @@ const maxMeshChunks = maxFrame/meshChunk + 1
 // per-peer breaker and surfaces as *OverloadedError so the caller can
 // fall back to a local build immediately.
 func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byte, error) {
-	opts := c.options()
-	if rem := c.breakerRemaining(); rem > 0 {
-		return nil, nil, fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: rem})
-	}
-	attempts := 1 + opts.Retries
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for {
-		info, blob, err := c.meshFetchOnce(ctx, mreq, opts)
-		if err == nil {
-			c.resetBreaker()
-			return info, blob, nil
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, ErrDraining) || errors.Is(err, ErrOverloaded) || errors.Is(err, errHelloRefused) {
-			return nil, nil, err
-		}
-		attempts--
-		if attempts <= 0 {
-			return nil, nil, err
-		}
-		if serr := sleepCtx(ctx, c.jitter(backoff)); serr != nil {
-			return nil, nil, serr
-		}
-		backoff *= 2
-	}
-}
-
-// meshFetchError maps a fetch completion's Err field to a typed error
-// (nil for success), tripping the breaker on an overload shed.
-func (c *Client) meshFetchError(resp *Response) error {
-	switch {
-	case resp.Err == "":
-		return nil
-	case resp.Err == drainingMsg:
-		return fmt.Errorf("omosd: %w", ErrDraining)
-	case resp.Err == overloadedMsg:
-		hold := c.tripBreaker(time.Duration(resp.RetryAfterMS) * time.Millisecond)
-		return fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: hold})
-	default:
-		return fmt.Errorf("omosd: %s", resp.Err)
-	}
-}
-
-// meshFetchOnce performs one fetch attempt.
-func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options) (*MeshInfo, []byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	s, err := c.session(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	deadline := callDeadline(ctx, opts)
-	if err := s.ensureHandshake(deadline); err != nil {
-		return nil, nil, mapTimeout(err)
-	}
-	req := &Request{Op: OpMeshFetch, Mesh: mreq}
+	var blob []byte
 	// Chunked blob responses (Index set) close with a Final frame
 	// carrying the MeshInfo.  The server writes them sequentially, so
-	// they arrive in order.
-	tag, ch, err := s.register(maxMeshChunks + 1)
+	// they arrive in order — and chunk 0 opens an attempt: a retried
+	// fetch starts its blob over.
+	resp, err := c.do(ctx, &Request{Op: OpMeshFetch, Mesh: mreq}, maxMeshChunks+1, func(chunk *Response) {
+		if chunk.Index == 0 {
+			blob = blob[:0]
+		}
+		blob = append(blob, chunk.Blob...)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.send(tag, req, deadline); err != nil {
-		s.deregister(tag)
-		return nil, nil, mapTimeout(err)
+	info := resp.Mesh
+	if info == nil || !info.Found || info.MetaOnly {
+		return info, nil, nil // no bytes belong to such a reply
 	}
-	var timerC <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timerC = t.C
+	if uint64(len(blob)) != info.Size {
+		return nil, nil, fmt.Errorf("ipc: mesh fetch: got %d blob bytes, want %d", len(blob), info.Size)
 	}
-	var blob []byte
-	// finish settles the fetch on its Final frame; both exits below end
-	// here, so a short blob is the same error whichever one sees it.
-	finish := func(resp *Response) (*MeshInfo, []byte, error) {
-		s.deregister(tag)
-		if err := c.meshFetchError(resp); err != nil {
-			return nil, nil, err
-		}
-		if resp.Mesh != nil && resp.Mesh.Found && !resp.Mesh.MetaOnly &&
-			uint64(len(blob)) != resp.Mesh.Size {
-			return nil, nil, fmt.Errorf("ipc: mesh fetch: got %d blob bytes, want %d",
-				len(blob), resp.Mesh.Size)
-		}
-		return resp.Mesh, blob, nil
-	}
-	for {
-		select {
-		case resp := <-ch:
-			if !resp.Final {
-				blob = append(blob, resp.Blob...)
-				continue
-			}
-			return finish(resp)
-		case <-s.done:
-			// Drain completions that raced in before the failure.
-			for {
-				select {
-				case resp := <-ch:
-					if !resp.Final {
-						blob = append(blob, resp.Blob...)
-						continue
-					}
-					return finish(resp)
-				default:
-					return nil, nil, s.failure()
-				}
-			}
-		case <-timerC:
-			s.deregister(tag)
-			return nil, nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
-		case <-ctx.Done():
-			s.deregister(tag)
-			return nil, nil, ctx.Err()
-		}
-	}
-}
-
-// batchItemError maps one streamed item completion to its error: nil,
-// a typed *OverloadedError (that item was shed at the admission gate
-// — retry-safe), or the server's error text.
-func batchItemError(resp *Response) error {
-	switch {
-	case resp.Err == "":
-		return nil
-	case resp.Err == overloadedMsg:
-		hint := time.Duration(resp.RetryAfterMS) * time.Millisecond
-		if hint <= 0 {
-			hint = minBreakerHold
-		}
-		return fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: hint})
-	default:
-		return fmt.Errorf("omosd: %s", resp.Err)
-	}
+	return info, blob, nil
 }

@@ -210,18 +210,22 @@ func (s *Server) handleTag(m *muxConn, tag uint64, req *Request) {
 
 // runTag does a tag's work, streaming any non-final frames itself, and
 // returns the completion that closes the tag — nil when the connection
-// was dropped instead.
+// was dropped instead.  The ipc.write fault site fires here for every
+// kind of tag: after the work, before the frame (or the chunks) that
+// would report it.
 func (s *Server) runTag(m *muxConn, tag uint64, req *Request) *Response {
-	switch req.Op {
-	case OpInstantiateBatch:
-		return s.handleBatchMux(m, tag, req)
-	case OpMeshFetch:
-		return s.handleMeshFetchMux(m, tag, req)
+	var resp *Response
+	if req.Op == OpInstantiateBatch {
+		resp = s.handleBatchMux(m, tag, req)
+	} else {
+		resp = s.safeHandle(req, m.authed)
 	}
-	resp := s.safeHandle(req, m.authed)
 	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
 		m.conn.Close() // simulated send failure: completion lost, conn dropped
 		return nil
+	}
+	if req.Op == OpMeshFetch {
+		return streamBlob(m, tag, resp)
 	}
 	return resp
 }
@@ -248,27 +252,17 @@ func (s *Server) handleBatchMux(m *muxConn, tag uint64, req *Request) *Response 
 		// wasted).
 		m.write(tag, resp)
 	})
-	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-		m.conn.Close()
-		return nil
-	}
 	return &Response{}
 }
 
-// handleMeshFetchMux streams one mesh fetch: a metadata-only or
-// not-found reply is the returned Final frame alone, while a blob
-// reply travels first as meshChunk-sized chunk frames (Index set, Final
-// false), the Final frame carrying the MeshInfo.  The chunks are
-// written sequentially from this one goroutine, so they arrive in
-// order.
-func (s *Server) handleMeshFetchMux(m *muxConn, tag uint64, req *Request) *Response {
-	resp := s.safeHandle(req, m.authed)
+// streamBlob sends a mesh fetch's reply: a metadata-only or not-found
+// reply is the returned Final frame alone, while a blob reply travels
+// first as meshChunk-sized chunk frames (Index set, Final false), the
+// Final frame carrying the MeshInfo.  The chunks are written
+// sequentially from this one goroutine, so they arrive in order.
+func streamBlob(m *muxConn, tag uint64, resp *Response) *Response {
 	blob := resp.Blob
 	resp.Blob = nil
-	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-		m.conn.Close()
-		return nil
-	}
 	for i := 0; len(blob) > 0; i++ {
 		n := len(blob)
 		if n > meshChunk {

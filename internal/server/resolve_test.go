@@ -362,6 +362,50 @@ func TestResolveCacheFaultDegradesToMiss(t *testing.T) {
 	}
 }
 
+// TestRollbackDoesNotResurrectRemovedPath: rolling an epoch back
+// restores the pre-epoch binding tables, but not the table of a path
+// removed while the epoch was open.  Before the fix the whole snapshot
+// came back: Explain listed the removed program again and the next
+// mutation of its library hit a rebind conflict on its behalf.
+func TestRollbackDoesNotResurrectRemovedPath(t *testing.T) {
+	s := newTestServer(t)
+	defineUpgradeWorld(t, s)
+	// A different program (tables are keyed by content, not path).
+	if err := s.Define("/bin/keep", strings.Replace(upProg, "triple(14)", "triple(15)", 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/bin/t", "/bin/keep"} {
+		if _, err := s.Instantiate(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.UpgradeStart(50); err != nil {
+		t.Fatal(err)
+	}
+	s.Evict("/bin/t")
+	if err := s.Remove("/bin/t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpgradeRollback("operator drill"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Explain("triple")
+	if err != nil {
+		t.Fatalf("rollback lost the surviving program's table: %v", err)
+	}
+	if !strings.Contains(out, "/bin/keep binds triple") || strings.Contains(out, "/bin/t binds") {
+		t.Fatalf("after rollback Explain should list /bin/keep and not the removed /bin/t:\n%s", out)
+	}
+	// With the survivor gone too, nobody binds through the library.
+	s.Evict("/bin/keep")
+	if err := s.Remove("/bin/keep"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("/lib/up"); err != nil {
+		t.Fatalf("removing a library only a removed program bound through: %v", err)
+	}
+}
+
 // TestRemoveForgetsResolutionState: a binding table survives eviction
 // (that is what replay is for) but not removal of the path it
 // describes, and a blob checksum dies with its store blob.  Before the

@@ -419,12 +419,19 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 		return fmt.Errorf("server: rollback of %s: %w", ep.id, err)
 	}
 	// Restore the pre-epoch resolution state: any table a canary build
-	// overwrote goes back to naming the v1 definers.
+	// overwrote goes back to naming the v1 definers.  A path removed
+	// while the epoch was open stays forgotten (see dropBindingsOf) —
+	// its snapshot table would be a ghost Explain row and a ghost rebind
+	// conflict.  Lock order bindMu → nsMu, as in rebindConflict.
 	s.bindMu.Lock()
 	s.bindings = make(map[string]*BindingTable, len(ep.savedBindings))
+	s.nsMu.RLock()
 	for k, v := range ep.savedBindings {
-		s.bindings[k] = v
+		if _, live := s.ns[v.Image]; live {
+			s.bindings[k] = v
+		}
 	}
+	s.nsMu.RUnlock()
 	s.bindMu.Unlock()
 	// Release every image the epoch built or could have built against
 	// staged content: the staged paths' instances and the cohort's
