@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"omos/internal/obj"
@@ -122,7 +123,7 @@ val:
 			site = dataBase + r.Offset
 		}
 		var b [8]byte
-		putU64(b[:], v)
+		binary.LittleEndian.PutUint64(b[:], v)
 		copy(mem.Data[site:], b[:])
 	}
 	cpu := vm.New(mem, nil)

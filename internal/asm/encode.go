@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"encoding/binary"
 	"strconv"
 	"strings"
 
@@ -60,7 +61,7 @@ func (a *assembler) directive(line string, lineno int, sizing bool) error {
 				return a.errf(lineno, "bad .quad operand %q", op)
 			}
 			var b [8]byte
-			putU64(b[:], uint64(v))
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
 			a.emit(b[:])
 		}
 	case ".byte":
@@ -393,16 +394,4 @@ func (a *assembler) checkArity(shape opShape, ops []string, lineno int) error {
 		return a.errf(lineno, "want %d operands, got %d", want, len(ops))
 	}
 	return nil
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

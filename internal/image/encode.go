@@ -1,15 +1,25 @@
 package image
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
+
+	"omos/internal/lebin"
 )
 
 // ExecMagic identifies an executable/shared-object file.
 var ExecMagic = [4]byte{'E', 'X', 'E', '1'}
+
+// Smallest encodings of one element of each list (empty names and
+// data), the bound lebin.Reader.Count holds a claimed count to.
+const (
+	minSegmentBytes  = 4 + 8 + 8 + 1 + 4
+	minNeededBytes   = 4
+	minDynRelocBytes = 8 + 1 + 4 + 8
+	minLazySlotBytes = 8 + 4 + 4
+	minExportBytes   = 4 + 8
+	minSymBytes      = 4 + 8
+)
 
 // EncodeExec serializes an ExecFile for storage in the simulated
 // filesystem.  Native exec and the baseline dynamic linker decode this
@@ -18,10 +28,10 @@ func EncodeExec(f *ExecFile) ([]byte, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	var w bytes.Buffer
-	w.Write(ExecMagic[:])
-	wstr(&w, f.Name)
-	w64(&w, f.Entry)
+	var w lebin.Writer
+	w.Raw(ExecMagic[:])
+	w.Str(f.Name)
+	w.U64(f.Entry)
 	flags := byte(0)
 	if f.Shared {
 		flags |= 1
@@ -29,120 +39,106 @@ func EncodeExec(f *ExecFile) ([]byte, error) {
 	if f.PIC {
 		flags |= 2
 	}
-	w.WriteByte(flags)
-	w32(&w, uint32(len(f.Segments)))
+	w.U8(flags)
+	w.U32(uint32(len(f.Segments)))
 	for i := range f.Segments {
 		s := &f.Segments[i]
-		wstr(&w, s.Name)
-		w64(&w, s.Addr)
-		w64(&w, s.MemSize)
-		w.WriteByte(byte(s.Perm))
-		w32(&w, uint32(len(s.Data)))
-		w.Write(s.Data)
+		w.Str(s.Name)
+		w.U64(s.Addr)
+		w.U64(s.MemSize)
+		w.U8(byte(s.Perm))
+		w.Bytes(s.Data)
 	}
-	w32(&w, uint32(len(f.Needed)))
+	w.U32(uint32(len(f.Needed)))
 	for _, n := range f.Needed {
-		wstr(&w, n)
+		w.Str(n)
 	}
-	w32(&w, uint32(len(f.DynRelocs)))
+	w.U32(uint32(len(f.DynRelocs)))
 	for i := range f.DynRelocs {
 		r := &f.DynRelocs[i]
-		w64(&w, r.Addr)
-		w.WriteByte(byte(r.Kind))
-		wstr(&w, r.Symbol)
-		w64(&w, uint64(r.Addend))
+		w.U64(r.Addr)
+		w.U8(byte(r.Kind))
+		w.Str(r.Symbol)
+		w.U64(uint64(r.Addend))
 	}
-	w32(&w, uint32(len(f.LazySlots)))
+	w.U32(uint32(len(f.LazySlots)))
 	for i := range f.LazySlots {
 		s := &f.LazySlots[i]
-		w64(&w, s.Addr)
-		wstr(&w, s.Symbol)
-		w32(&w, s.Index)
+		w.U64(s.Addr)
+		w.Str(s.Symbol)
+		w.U32(s.Index)
 	}
-	w32(&w, uint32(len(f.Exports)))
+	w.U32(uint32(len(f.Exports)))
 	for i := range f.Exports {
-		wstr(&w, f.Exports[i].Name)
-		w64(&w, f.Exports[i].Addr)
+		w.Str(f.Exports[i].Name)
+		w.U64(f.Exports[i].Addr)
 	}
-	w32(&w, uint32(len(f.Syms)))
+	w.U32(uint32(len(f.Syms)))
 	for _, name := range sortedKeys(f.Syms) {
-		wstr(&w, name)
-		w64(&w, f.Syms[name])
+		w.Str(name)
+		w.U64(f.Syms[name])
 	}
-	return w.Bytes(), nil
+	return w, nil
 }
 
 // DecodeExec parses an executable file.
 func DecodeExec(b []byte) (*ExecFile, error) {
-	r := &rd{b: b}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if magic != ExecMagic {
-		return nil, fmt.Errorf("image: bad exec magic %q", magic[:])
+	r := lebin.NewReader(b)
+	if magic := r.Raw(4); string(magic) != string(ExecMagic[:]) {
+		return nil, fmt.Errorf("image: bad exec magic %q", magic)
 	}
 	f := &ExecFile{}
-	f.Name = r.str()
-	f.Entry = r.u64()
-	flags := r.u8()
+	f.Name = r.Str()
+	f.Entry = r.U64()
+	flags := r.U8()
 	f.Shared = flags&1 != 0
 	f.PIC = flags&2 != 0
-	nseg := r.u32()
-	r.checkCount(nseg)
-	for i := uint32(0); i < nseg && r.err == nil; i++ {
+	for n := r.Count(minSegmentBytes); n > 0 && r.Err() == nil; n-- {
 		var s Segment
-		s.Name = r.str()
-		s.Addr = r.u64()
-		s.MemSize = r.u64()
-		s.Perm = Perm(r.u8())
-		s.Data = r.blob()
+		s.Name = r.Str()
+		s.Addr = r.U64()
+		s.MemSize = r.U64()
+		s.Perm = Perm(r.U8())
+		s.Data = r.Blob()
 		f.Segments = append(f.Segments, s)
 	}
-	nneed := r.u32()
-	r.checkCount(nneed)
-	for i := uint32(0); i < nneed && r.err == nil; i++ {
-		f.Needed = append(f.Needed, r.str())
+	for n := r.Count(minNeededBytes); n > 0 && r.Err() == nil; n-- {
+		f.Needed = append(f.Needed, r.Str())
 	}
-	nrel := r.u32()
-	r.checkCount(nrel)
-	for i := uint32(0); i < nrel && r.err == nil; i++ {
+	for n := r.Count(minDynRelocBytes); n > 0 && r.Err() == nil; n-- {
 		var dr DynReloc
-		dr.Addr = r.u64()
-		dr.Kind = DynRelocKind(r.u8())
-		dr.Symbol = r.str()
-		dr.Addend = int64(r.u64())
+		dr.Addr = r.U64()
+		dr.Kind = DynRelocKind(r.U8())
+		dr.Symbol = r.Str()
+		dr.Addend = int64(r.U64())
 		f.DynRelocs = append(f.DynRelocs, dr)
 	}
-	nlazy := r.u32()
-	r.checkCount(nlazy)
-	for i := uint32(0); i < nlazy && r.err == nil; i++ {
+	for n := r.Count(minLazySlotBytes); n > 0 && r.Err() == nil; n-- {
 		var ls LazySlot
-		ls.Addr = r.u64()
-		ls.Symbol = r.str()
-		ls.Index = r.u32()
+		ls.Addr = r.U64()
+		ls.Symbol = r.Str()
+		ls.Index = r.U32()
 		f.LazySlots = append(f.LazySlots, ls)
 	}
-	nexp := r.u32()
-	r.checkCount(nexp)
-	for i := uint32(0); i < nexp && r.err == nil; i++ {
+	for n := r.Count(minExportBytes); n > 0 && r.Err() == nil; n-- {
 		var e Export
-		e.Name = r.str()
-		e.Addr = r.u64()
+		e.Name = r.Str()
+		e.Addr = r.U64()
 		f.Exports = append(f.Exports, e)
 	}
-	nsym := r.u32()
-	r.checkCount(nsym)
-	if nsym > 0 && r.err == nil {
+	nsym := r.Count(minSymBytes)
+	if nsym > 0 {
 		f.Syms = make(map[string]uint64, nsym)
 	}
-	for i := uint32(0); i < nsym && r.err == nil; i++ {
-		name := r.str()
-		f.Syms[name] = r.u64()
+	for ; nsym > 0 && r.Err() == nil; nsym-- {
+		name := r.Str()
+		f.Syms[name] = r.U64()
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("image: decode exec: %w", r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("image: decode exec: %w", err)
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("image: %d trailing bytes", len(b)-r.off)
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("image: %d trailing bytes", r.Rest())
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -157,81 +153,4 @@ func sortedKeys(m map[string]uint64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func w32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func w64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func wstr(w *bytes.Buffer, s string) {
-	w32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-type rd struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *rd) bytes(p []byte) {
-	if r.err != nil {
-		return
-	}
-	if r.off+len(p) > len(r.b) {
-		r.err = io.ErrUnexpectedEOF
-		return
-	}
-	copy(p, r.b[r.off:])
-	r.off += len(p)
-}
-
-func (r *rd) u8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	return b[0]
-}
-
-func (r *rd) u32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (r *rd) u64() uint64 {
-	var b [8]byte
-	r.bytes(b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (r *rd) blob() []byte {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if int(n) > len(r.b)-r.off {
-		r.err = fmt.Errorf("implausible length %d", n)
-		return nil
-	}
-	p := make([]byte, n)
-	r.bytes(p)
-	return p
-}
-
-func (r *rd) str() string { return string(r.blob()) }
-
-func (r *rd) checkCount(n uint32) {
-	// Every record costs at least 8 encoded bytes; anything claiming
-	// more records than the remaining bytes could hold is hostile.
-	if r.err == nil && int(n) > (len(r.b)-r.off)/8+1 {
-		r.err = fmt.Errorf("implausible record count %d", n)
-	}
 }

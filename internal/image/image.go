@@ -165,16 +165,6 @@ func (f *ExecFile) RecordCount() int {
 	return n
 }
 
-// TotalFileBytes returns the stored byte size of all segments; the
-// cost model uses it to price writing the file out at link time.
-func (f *ExecFile) TotalFileBytes() int {
-	n := 0
-	for i := range f.Segments {
-		n += len(f.Segments[i].Data)
-	}
-	return n
-}
-
 // FindExport returns the address of a dynamic symbol and whether it
 // exists, adjusted by delta (the load-base displacement).
 func (f *ExecFile) FindExport(name string, delta uint64) (uint64, bool) {

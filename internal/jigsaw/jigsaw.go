@@ -122,9 +122,6 @@ func (m *Module) clone() *Module {
 	return out
 }
 
-// NumFragments returns the number of fragments.
-func (m *Module) NumFragments() int { return len(m.frags) }
-
 // exportedDefs returns ext name -> count of exported, non-deleted
 // definition-like entries.
 func (m *Module) exportedDefs() map[string]int {

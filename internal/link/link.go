@@ -12,6 +12,7 @@
 package link
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -417,7 +418,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 			if off+8 > uint64(len(seg)) {
 				return fmt.Errorf("link %s: patch site %#x out of range", opts.Name, site)
 			}
-			putU64(seg[off:], val)
+			binary.LittleEndian.PutUint64(seg[off:], val)
 			f.absPatches = append(f.absPatches, AbsPatch{Site: site, Value: val, Seg: valSeg})
 			return nil
 		}
@@ -487,7 +488,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 					f.err = fmt.Errorf("link %s: pc-relative relocation in data", opts.Name)
 					return
 				}
-				putU64(textBuf[off:], target+uint64(r.Addend)-instr)
+				binary.LittleEndian.PutUint64(textBuf[off:], target+uint64(r.Addend)-instr)
 				if targetSeg != SegText {
 					f.relPatches = append(f.relPatches, RelPatch{Site: site, Seg: targetSeg})
 				}
@@ -502,7 +503,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 					f.err = fmt.Errorf("link %s: got relocation outside text", opts.Name)
 					return
 				}
-				putU64(textBuf[off:], slot-instr)
+				binary.LittleEndian.PutUint64(textBuf[off:], slot-instr)
 				f.relPatches = append(f.relPatches, RelPatch{Site: site, Seg: SegData})
 				if bound {
 					// Slot contents resolved statically; the final
@@ -541,7 +542,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	gotBytes := make([]byte, gotSize)
 	for _, p := range res.AbsPatches {
 		if p.Site >= opts.DataBase && p.Site < opts.DataBase+gotSize {
-			putU64(gotBytes[p.Site-opts.DataBase:], p.Value)
+			binary.LittleEndian.PutUint64(gotBytes[p.Site-opts.DataBase:], p.Value)
 		}
 	}
 	dataAll := append(gotBytes, dataBuf...)
@@ -579,16 +580,4 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	res.Image = img
 	sort.Slice(res.Unresolved, func(i, j int) bool { return res.Unresolved[i].Site < res.Unresolved[j].Site })
 	return res, nil
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -169,7 +170,7 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 		if off+8 > uint64(len(buf)) {
 			return fmt.Errorf("link: rebase %s: patch site %#x out of range", res.Image.Name, site)
 		}
-		putU64(buf[off:], val)
+		binary.LittleEndian.PutUint64(buf[off:], val)
 		info.Patches++
 		if changed {
 			dirty[off/osim.PageSize] = true
@@ -199,7 +200,7 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 		if off+8 > uint64(len(textBuf)) {
 			return nil, fmt.Errorf("link: rebase %s: pc-rel site %#x out of range", res.Image.Name, rp.Site)
 		}
-		old := getU64(textBuf[off:])
+		old := binary.LittleEndian.Uint64(textBuf[off:])
 		if err := patch(rp.Site, old+adj, adj != 0); err != nil {
 			return nil, err
 		}
@@ -217,10 +218,4 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 	out.Image = img
 	out.Rebased = info
 	return out, nil
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

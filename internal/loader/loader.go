@@ -18,6 +18,7 @@
 package loader
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -100,7 +101,7 @@ func (rt *Runtime) ipc(p *osim.Process, port uint64, req []byte) ([]byte, error)
 		return nil, err
 	}
 	var reply [8]byte
-	putU64(reply[:], inst.Entry())
+	binary.LittleEndian.PutUint64(reply[:], inst.Entry())
 	return reply[:], nil
 }
 
@@ -267,16 +268,4 @@ func (rt *Runtime) ExecIntegrated(name string, args []string) (*osim.Process, er
 // code.
 func (rt *Runtime) Run(p *osim.Process) (uint64, error) {
 	return rt.Kern.RunToExit(p)
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

@@ -1023,12 +1023,6 @@ func (n *Node) PeersUp() (up, total int) {
 	return up, len(peers)
 }
 
-// GossipRounds reports completed anti-entropy rounds.
-func (n *Node) GossipRounds() uint64 { return n.gossipRounds.Load() }
-
-// Served reports inbound peer fetches answered with content.
-func (n *Node) Served() uint64 { return n.served.Load() }
-
 // Health fills the mesh fields of a health report.
 func (n *Node) Health(hi *ipc.HealthInfo) {
 	up, total := n.PeersUp()

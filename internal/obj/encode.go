@@ -1,10 +1,9 @@
 package obj
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
+
+	"omos/internal/lebin"
 )
 
 // Binary ROF encoding.
@@ -30,94 +29,91 @@ import (
 // Magic identifies a ROF file.
 var Magic = [4]byte{'R', 'O', 'F', '1'}
 
-const maxStr = 1 << 20 // sanity bound on decoded string/section lengths
+// Smallest encodings of one symbol and one reloc (empty names), the
+// bound lebin.Reader.Count holds a claimed count to.
+const (
+	minSymBytes   = 4 + 1 + 1 + 1 + 1 + 8 + 8
+	minRelocBytes = 1 + 8 + 4 + 1 + 8
+)
 
 // Encode serializes the object to its binary form.
 func Encode(o *Object) ([]byte, error) {
 	if err := o.Validate(); err != nil {
 		return nil, fmt.Errorf("obj: encode: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	writeStr(&buf, o.Name)
-	writeBytes(&buf, o.Text)
-	writeBytes(&buf, o.Data)
-	writeU64(&buf, o.BSSSize)
-	writeU32(&buf, uint32(len(o.Syms)))
+	var w lebin.Writer
+	w.Raw(Magic[:])
+	w.Str(o.Name)
+	w.Bytes(o.Text)
+	w.Bytes(o.Data)
+	w.U64(o.BSSSize)
+	w.U32(uint32(len(o.Syms)))
 	for i := range o.Syms {
 		s := &o.Syms[i]
-		writeStr(&buf, s.Name)
-		buf.WriteByte(byte(s.Kind))
-		buf.WriteByte(byte(s.Bind))
+		w.Str(s.Name)
+		w.U8(byte(s.Kind))
+		w.U8(byte(s.Bind))
 		if s.Defined {
-			buf.WriteByte(1)
+			w.U8(1)
 		} else {
-			buf.WriteByte(0)
+			w.U8(0)
 		}
-		buf.WriteByte(byte(s.Section))
-		writeU64(&buf, s.Offset)
-		writeU64(&buf, s.Size)
+		w.U8(byte(s.Section))
+		w.U64(s.Offset)
+		w.U64(s.Size)
 	}
-	writeU32(&buf, uint32(len(o.Relocs)))
+	w.U32(uint32(len(o.Relocs)))
 	for i := range o.Relocs {
 		r := &o.Relocs[i]
-		buf.WriteByte(byte(r.Section))
-		writeU64(&buf, r.Offset)
-		writeStr(&buf, r.Symbol)
-		buf.WriteByte(byte(r.Kind))
-		writeU64(&buf, uint64(r.Addend))
+		w.U8(byte(r.Section))
+		w.U64(r.Offset)
+		w.Str(r.Symbol)
+		w.U8(byte(r.Kind))
+		w.U64(uint64(r.Addend))
 	}
-	return buf.Bytes(), nil
+	return w, nil
 }
 
 // Decode parses a binary ROF image.
 func Decode(b []byte) (*Object, error) {
-	r := &reader{b: b}
-	var magic [4]byte
-	r.bytes(magic[:])
-	if magic != Magic {
-		return nil, fmt.Errorf("obj: bad magic %q", magic[:])
+	r := lebin.NewReader(b)
+	if magic := r.Raw(4); string(magic) != string(Magic[:]) {
+		return nil, fmt.Errorf("obj: bad magic %q", magic)
 	}
 	o := &Object{}
-	o.Name = r.str()
-	o.Text = r.blob()
-	o.Data = r.blob()
-	o.BSSSize = r.u64()
-	nsyms := r.u32()
-	if uint64(nsyms) > uint64(len(b)/8+1) {
-		return nil, fmt.Errorf("obj: implausible symbol count %d", nsyms)
-	}
+	o.Name = r.Str()
+	o.Text = r.Blob()
+	o.Data = r.Blob()
+	o.BSSSize = r.U64()
+	nsyms := r.Count(minSymBytes)
 	o.Syms = make([]Symbol, 0, nsyms)
-	for i := uint32(0); i < nsyms && r.err == nil; i++ {
+	for i := 0; i < nsyms && r.Err() == nil; i++ {
 		var s Symbol
-		s.Name = r.str()
-		s.Kind = SymKind(r.u8())
-		s.Bind = Binding(r.u8())
-		s.Defined = r.u8() != 0
-		s.Section = SectionKind(r.u8())
-		s.Offset = r.u64()
-		s.Size = r.u64()
+		s.Name = r.Str()
+		s.Kind = SymKind(r.U8())
+		s.Bind = Binding(r.U8())
+		s.Defined = r.U8() != 0
+		s.Section = SectionKind(r.U8())
+		s.Offset = r.U64()
+		s.Size = r.U64()
 		o.Syms = append(o.Syms, s)
 	}
-	nrels := r.u32()
-	if uint64(nrels) > uint64(len(b)/8+1) {
-		return nil, fmt.Errorf("obj: implausible reloc count %d", nrels)
-	}
+	nrels := r.Count(minRelocBytes)
 	o.Relocs = make([]Reloc, 0, nrels)
-	for i := uint32(0); i < nrels && r.err == nil; i++ {
+	for i := 0; i < nrels && r.Err() == nil; i++ {
 		var rel Reloc
-		rel.Section = SectionKind(r.u8())
-		rel.Offset = r.u64()
-		rel.Symbol = r.str()
-		rel.Kind = RelocKind(r.u8())
-		rel.Addend = int64(r.u64())
+		rel.Section = SectionKind(r.U8())
+		rel.Offset = r.U64()
+		rel.Symbol = r.Str()
+		rel.Kind = RelocKind(r.U8())
+		rel.Addend = int64(r.U64())
 		o.Relocs = append(o.Relocs, rel)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("obj: decode: %w", r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("obj: decode: %w", err)
 	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("obj: %d trailing bytes", len(b)-r.off)
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("obj: %d trailing bytes", r.Rest())
 	}
 	if err := o.Validate(); err != nil {
 		return nil, fmt.Errorf("obj: decode: %w", err)
@@ -129,77 +125,3 @@ func Decode(b []byte) (*Object, error) {
 // the osim cost model uses it to price header parsing in the native
 // exec path.
 func (o *Object) RecordCount() int { return 3 + len(o.Syms) + len(o.Relocs) }
-
-func writeU32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func writeU64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func writeStr(w *bytes.Buffer, s string) {
-	writeU32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-func writeBytes(w *bytes.Buffer, p []byte) {
-	writeU32(w, uint32(len(p)))
-	w.Write(p)
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) bytes(p []byte) {
-	if r.err != nil {
-		return
-	}
-	if r.off+len(p) > len(r.b) {
-		r.err = io.ErrUnexpectedEOF
-		return
-	}
-	copy(p, r.b[r.off:])
-	r.off += len(p)
-}
-
-func (r *reader) u8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	return b[0]
-}
-
-func (r *reader) u32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (r *reader) u64() uint64 {
-	var b [8]byte
-	r.bytes(b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (r *reader) blob() []byte {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxStr && int(n) > len(r.b)-r.off {
-		r.err = fmt.Errorf("implausible length %d", n)
-		return nil
-	}
-	p := make([]byte, n)
-	r.bytes(p)
-	return p
-}
-
-func (r *reader) str() string { return string(r.blob()) }

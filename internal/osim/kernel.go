@@ -2,6 +2,7 @@ package osim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -251,7 +252,7 @@ func (p *Process) SetupStack(args []string) error {
 	for i := len(ptrs) - 1; i >= 0; i-- {
 		cur -= 8
 		var w [8]byte
-		putU64(w[:], ptrs[i])
+		binary.LittleEndian.PutUint64(w[:], ptrs[i])
 		if err := p.AS.Poke(cur, w[:]); err != nil {
 			return err
 		}
@@ -408,9 +409,9 @@ func (p *Process) Syscall(cpu *vm.CPU, num uint64) error {
 			return nil
 		}
 		var buf [24]byte
-		putU64(buf[0:], st.Size)
-		putU64(buf[8:], uint64(st.Kind))
-		putU64(buf[16:], uint64(st.Mode))
+		binary.LittleEndian.PutUint64(buf[0:], st.Size)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(st.Kind))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(st.Mode))
 		if err := p.AS.Write(cpu.R[vm.RegArg1], buf[:]); err != nil {
 			return err
 		}
@@ -530,16 +531,4 @@ func (p *Process) openPath(pathStr string, create bool) int {
 		p.fds[fd] = &fdesc{kind: fdFile, path: pathStr, data: append([]byte(nil), data...)}
 	}
 	return fd
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

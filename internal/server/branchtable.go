@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -165,7 +166,7 @@ func (s *Server) patchBranchTables(p *osim.Process, root *Instance) error {
 				return fmt.Errorf("server: %s: upward reference %q not supplied by the client", in.Name, name)
 			}
 			var b [8]byte
-			putU64(b[:], addr)
+			binary.LittleEndian.PutUint64(b[:], addr)
 			if err := p.AS.Poke(slot, b[:]); err != nil {
 				return err
 			}

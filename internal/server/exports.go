@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -99,7 +100,7 @@ func (s *Server) ExportTable(inst *Instance) (*osim.FrameSeg, error) {
 		nslots *= 2
 	}
 	buf := make([]byte, 8+16*nslots)
-	putU64(buf, nslots)
+	binary.LittleEndian.PutUint64(buf, nslots)
 	for _, name := range funcs {
 		h := HashName(name)
 		if h == 0 {
@@ -108,9 +109,9 @@ func (s *Server) ExportTable(inst *Instance) (*osim.FrameSeg, error) {
 		idx := h & (nslots - 1)
 		for {
 			off := 8 + 16*idx
-			if getU64(buf[off:]) == 0 {
-				putU64(buf[off:], h)
-				putU64(buf[off+8:], inst.Res.Image.Syms[name])
+			if binary.LittleEndian.Uint64(buf[off:]) == 0 {
+				binary.LittleEndian.PutUint64(buf[off:], h)
+				binary.LittleEndian.PutUint64(buf[off+8:], inst.Res.Image.Syms[name])
 				break
 			}
 			idx = (idx + 1) & (nslots - 1)
@@ -140,23 +141,4 @@ func (s *Server) ExportTable(inst *Instance) (*osim.FrameSeg, error) {
 	inst.TableAddr = pl.TextBase
 	s.cacheMu.Unlock()
 	return seg, nil
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
-		uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40 |
-		uint64(b[6])<<48 | uint64(b[7])<<56
 }

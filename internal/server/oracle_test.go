@@ -2,8 +2,9 @@ package server_test
 
 // The fast-path oracle.  Every way an image can come into being other
 // than a full link with a fresh symbol search — replaying a recorded
-// binding table, sliding a cached variant from other bases, warm
-// restart from the store, installing a mesh peer's blob — is an
+// binding table, sliding a cached variant from other bases (one built
+// this session, or one a restart decoded from the store), warm restart
+// from the store, installing a mesh peer's blob — is an
 // alternative implementation of "link it fresh", and this test holds
 // each to that specification: for every program and library of
 // internal/workload, the image each path produces is compared byte for
@@ -290,7 +291,8 @@ func TestFastPathOracle(t *testing.T) {
 
 	// Rebase: each image is first built at other bases, then asked for
 	// at its own placement.  The other-bases blobs feed the mesh world.
-	reb := newWorld(t, t.TempDir(), nil)
+	rebDir := t.TempDir()
+	reb := newWorld(t, rebDir, nil)
 	hook := &blobHook{blobs: map[string][]byte{}}
 	for i, sub := range subs {
 		t.Run("rebase"+sub.path, func(t *testing.T) {
@@ -311,6 +313,46 @@ func TestFastPathOracle(t *testing.T) {
 			}
 			same(t, "rebased", sub.path, want[sub.path], reb.snap(inst), true)
 		})
+	}
+
+	// Rebase from a warm-restarted variant: the rebase world's store
+	// holds every other-bases build.  A session restarted on it without
+	// the subjects' own images slides each from a record that came back
+	// through store.Decode — the one path where a decoding mistake would
+	// surface as wrong code rather than as a rejected blob.  A program's
+	// variant links against the libraries at their own placement, so the
+	// two kinds take a restart each: first without the programs' own
+	// blobs, then without the libraries' (which takes everything linked
+	// against them out as stale, and leaves their variants).
+	for _, libs := range []bool{false, true} {
+		if err := reb.Srv.CloseStore(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(rebDir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range subs {
+			if sub.isLib == libs {
+				st.Delete(want[sub.path].rec.Key)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reb = newWorld(t, rebDir, nil)
+		for _, sub := range subs {
+			if sub.isLib != libs {
+				continue
+			}
+			t.Run("warm-rebase"+sub.path, func(t *testing.T) {
+				inst, d := reb.produce(sub.path)
+				if d != (did{rebased: 1}) {
+					t.Fatalf("%+v; want one slide from the restored variant and no link", d)
+				}
+				same(t, "rebased from a warm-restarted variant", sub.path, want[sub.path], reb.snap(inst), true)
+			})
+		}
 	}
 
 	// Warm restart: a second session on the first one's store.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -243,7 +244,7 @@ int gval = 5;
 	for i, f := range seg.Frames {
 		copy(raw[i*4096:], f.Data[:])
 	}
-	nslots := getU64(raw)
+	nslots := binary.LittleEndian.Uint64(raw)
 	if nslots&(nslots-1) != 0 || nslots < 4 {
 		t.Fatalf("nslots = %d", nslots)
 	}
@@ -255,12 +256,12 @@ int gval = 5;
 		idx := h & (nslots - 1)
 		for {
 			off := 8 + 16*idx
-			stored := getU64(raw[off:])
+			stored := binary.LittleEndian.Uint64(raw[off:])
 			if stored == 0 {
 				return 0, false
 			}
 			if stored == h {
-				return getU64(raw[off+8:]), true
+				return binary.LittleEndian.Uint64(raw[off+8:]), true
 			}
 			idx = (idx + 1) & (nslots - 1)
 		}

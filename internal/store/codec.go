@@ -15,9 +15,9 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
+
+	"omos/internal/lebin"
 )
 
 // Codec layout (all integers little-endian):
@@ -81,9 +81,19 @@ type EpochRecord struct {
 
 const headerSize = 4 + 4 + 8 + 32
 
-// maxCount bounds decoded element counts against the blob size so a
-// hostile length prefix cannot drive huge allocations.
-const maxCount = 1 << 20
+// Smallest encodings of one element of each list (empty strings and
+// data), the bound lebin.Reader.Count holds a claimed count to.
+const (
+	minSymBytes      = 4 + 8 + 8 + 1 + 1
+	minSegBytes      = 4 + 8 + 8 + 1 + 4
+	minBTSlotBytes   = 4 + 8
+	minLibKeyBytes   = 4
+	minPatchBytes    = 8 + 8 + 1
+	minBindingBytes  = 4 + 4 + 4 + 4 + 8
+	minPinBytes      = 4 + 4 + 4
+	minEpochLibBytes = 4 + 4 + 4 + 1
+	minIndexBytes    = 4 + 8
+)
 
 // Seg is a serialized image segment (shared read-only frames or a
 // per-client writable template).
@@ -219,15 +229,14 @@ func Encode(rec *Record) ([]byte, error) {
 
 // seal wraps a payload in the versioned, checksummed envelope.
 func seal(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(headerSize + len(payload))
-	buf.Write(Magic[:])
-	writeU32(&buf, Version)
-	writeU64(&buf, uint64(len(payload)))
+	w := make(lebin.Writer, 0, headerSize+len(payload))
+	w.Raw(Magic[:])
+	w.U32(Version)
+	w.U64(uint64(len(payload)))
 	sum := sha256.Sum256(payload)
-	buf.Write(sum[:])
-	buf.Write(payload)
-	return buf.Bytes()
+	w.Raw(sum[:])
+	w.Raw(payload)
+	return w
 }
 
 // EncodeEpoch serializes a live-upgrade epoch record.
@@ -235,17 +244,17 @@ func EncodeEpoch(rec *EpochRecord) ([]byte, error) {
 	if rec.ID == "" {
 		return nil, fmt.Errorf("store: encode epoch: empty id")
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(recEpoch)
-	writeStr(&buf, rec.ID)
-	buf.WriteByte(rec.State)
-	writeU32(&buf, rec.CanaryPct)
-	writeStr(&buf, rec.Verdict)
-	writeU32(&buf, uint32(len(rec.Libs)))
+	var w lebin.Writer
+	w.U8(recEpoch)
+	w.Str(rec.ID)
+	w.U8(rec.State)
+	w.U32(rec.CanaryPct)
+	w.Str(rec.Verdict)
+	w.U32(uint32(len(rec.Libs)))
 	for _, l := range rec.Libs {
-		writeStr(&buf, l.Path)
-		writeStr(&buf, l.OldSrc)
-		writeStr(&buf, l.NewSrc)
+		w.Str(l.Path)
+		w.Str(l.OldSrc)
+		w.Str(l.NewSrc)
 		flags := uint8(0)
 		if l.IsLib {
 			flags |= 1
@@ -253,88 +262,88 @@ func EncodeEpoch(rec *EpochRecord) ([]byte, error) {
 		if l.HadPrior {
 			flags |= 2
 		}
-		buf.WriteByte(flags)
+		w.U8(flags)
 	}
-	return seal(buf.Bytes()), nil
+	return seal(w), nil
 }
 
 func encodePayload(rec *Record) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(recImage)
-	writeStr(&buf, rec.Key)
-	writeStr(&buf, rec.Name)
-	writeStr(&buf, rec.SolverKey)
-	writeU64(&buf, rec.TextBase)
-	writeU64(&buf, rec.TextSize)
-	writeU64(&buf, rec.DataBase)
-	writeU64(&buf, rec.DataSize)
-	writeU64(&buf, rec.Entry)
-	writeU32(&buf, uint32(len(rec.Syms)))
+	var w lebin.Writer
+	w.U8(recImage)
+	w.Str(rec.Key)
+	w.Str(rec.Name)
+	w.Str(rec.SolverKey)
+	w.U64(rec.TextBase)
+	w.U64(rec.TextSize)
+	w.U64(rec.DataBase)
+	w.U64(rec.DataSize)
+	w.U64(rec.Entry)
+	w.U32(uint32(len(rec.Syms)))
 	for _, s := range rec.Syms {
-		writeStr(&buf, s.Name)
-		writeU64(&buf, s.Addr)
-		writeU64(&buf, s.Size)
-		buf.WriteByte(s.Kind)
-		buf.WriteByte(s.Seg)
+		w.Str(s.Name)
+		w.U64(s.Addr)
+		w.U64(s.Size)
+		w.U8(s.Kind)
+		w.U8(s.Seg)
 	}
-	writeU64(&buf, rec.NumRelocs)
-	writeU64(&buf, rec.ExternBinds)
-	writeU64(&buf, rec.ResTextSize)
-	writeU64(&buf, rec.ResDataSize)
-	writeU64(&buf, rec.ResBSSSize)
-	writeSegs(&buf, rec.ROSegs)
-	writeSegs(&buf, rec.RWSegs)
-	writeU32(&buf, uint32(len(rec.BTSlots)))
+	w.U64(rec.NumRelocs)
+	w.U64(rec.ExternBinds)
+	w.U64(rec.ResTextSize)
+	w.U64(rec.ResDataSize)
+	w.U64(rec.ResBSSSize)
+	writeSegs(&w, rec.ROSegs)
+	writeSegs(&w, rec.RWSegs)
+	w.U32(uint32(len(rec.BTSlots)))
 	for _, s := range rec.BTSlots {
-		writeStr(&buf, s.Name)
-		writeU64(&buf, s.Addr)
+		w.Str(s.Name)
+		w.U64(s.Addr)
 	}
-	writeU32(&buf, uint32(len(rec.LibKeys)))
+	w.U32(uint32(len(rec.LibKeys)))
 	for _, k := range rec.LibKeys {
-		writeStr(&buf, k)
+		w.Str(k)
 	}
-	writeStr(&buf, rec.ContentKey)
-	writeU64(&buf, rec.ResTextBase)
-	writeU64(&buf, rec.ResDataBase)
-	buf.WriteByte(rec.EntrySeg)
-	writePatches(&buf, rec.AbsPatches)
-	writePatches(&buf, rec.RelPatches)
-	writeStr(&buf, rec.BindKey)
-	writeU64(&buf, rec.Gen)
-	writeU32(&buf, uint32(len(rec.Bindings)))
+	w.Str(rec.ContentKey)
+	w.U64(rec.ResTextBase)
+	w.U64(rec.ResDataBase)
+	w.U8(rec.EntrySeg)
+	writePatches(&w, rec.AbsPatches)
+	writePatches(&w, rec.RelPatches)
+	w.Str(rec.BindKey)
+	w.U64(rec.Gen)
+	w.U32(uint32(len(rec.Bindings)))
 	for _, b := range rec.Bindings {
-		writeStr(&buf, b.Symbol)
-		writeStr(&buf, b.Definer)
-		writeStr(&buf, b.DefKey)
-		writeU32(&buf, b.LibIdx)
-		writeU64(&buf, b.Addr)
+		w.Str(b.Symbol)
+		w.Str(b.Definer)
+		w.Str(b.DefKey)
+		w.U32(b.LibIdx)
+		w.U64(b.Addr)
 	}
-	writeU32(&buf, uint32(len(rec.Pins)))
+	w.U32(uint32(len(rec.Pins)))
 	for _, p := range rec.Pins {
-		writeStr(&buf, p.LibKey)
-		writeStr(&buf, p.ContentKey)
-		writeStr(&buf, p.Checksum)
+		w.Str(p.LibKey)
+		w.Str(p.ContentKey)
+		w.Str(p.Checksum)
 	}
-	return buf.Bytes()
+	return w
 }
 
-func writePatches(buf *bytes.Buffer, ps []Patch) {
-	writeU32(buf, uint32(len(ps)))
+func writePatches(w *lebin.Writer, ps []Patch) {
+	w.U32(uint32(len(ps)))
 	for _, p := range ps {
-		writeU64(buf, p.Site)
-		writeU64(buf, p.Value)
-		buf.WriteByte(p.Seg)
+		w.U64(p.Site)
+		w.U64(p.Value)
+		w.U8(p.Seg)
 	}
 }
 
-func writeSegs(buf *bytes.Buffer, segs []Seg) {
-	writeU32(buf, uint32(len(segs)))
+func writeSegs(w *lebin.Writer, segs []Seg) {
+	w.U32(uint32(len(segs)))
 	for _, s := range segs {
-		writeStr(buf, s.Name)
-		writeU64(buf, s.Addr)
-		writeU64(buf, s.MemSize)
-		buf.WriteByte(s.Perm)
-		writeBytes(buf, s.Data)
+		w.Str(s.Name)
+		w.U64(s.Addr)
+		w.U64(s.MemSize)
+		w.U8(s.Perm)
+		w.Bytes(s.Data)
 	}
 }
 
@@ -348,62 +357,59 @@ func Verify(b []byte) error {
 	return err
 }
 
-// open verifies the envelope and returns the payload.
-func open(b []byte) ([]byte, error) {
+// open verifies the envelope and returns a reader over the payload.
+func open(b []byte) (*lebin.Reader, error) {
 	if len(b) < headerSize {
 		return nil, fmt.Errorf("store: blob too short (%d bytes)", len(b))
 	}
-	if !bytes.Equal(b[:4], Magic[:]) {
-		return nil, fmt.Errorf("store: bad magic %q", b[:4])
+	r := lebin.NewReader(b)
+	if magic := r.Raw(4); !bytes.Equal(magic, Magic[:]) {
+		return nil, fmt.Errorf("store: bad magic %q", magic)
 	}
-	if ver := binary.LittleEndian.Uint32(b[4:8]); ver != Version {
+	if ver := r.U32(); ver != Version {
 		return nil, fmt.Errorf("store: unsupported version %d", ver)
 	}
-	paylen := binary.LittleEndian.Uint64(b[8:16])
-	payload := b[headerSize:]
-	if paylen != uint64(len(payload)) {
-		return nil, fmt.Errorf("store: payload length %d, have %d bytes", paylen, len(payload))
+	paylen, want := r.U64(), r.Raw(sha256.Size)
+	if paylen != uint64(r.Rest()) {
+		return nil, fmt.Errorf("store: payload length %d, have %d bytes", paylen, r.Rest())
 	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], b[16:48]) {
+	if sum := sha256.Sum256(b[headerSize:]); !bytes.Equal(sum[:], want) {
 		return nil, fmt.Errorf("store: checksum mismatch")
 	}
-	return payload, nil
+	return r, nil
 }
 
 // DecodeEpoch parses a live-upgrade epoch record.  Anything else —
 // including an image record under the epoch key — is an error the
 // caller treats as corrupt.
 func DecodeEpoch(b []byte) (*EpochRecord, error) {
-	payload, err := open(b)
+	r, err := open(b)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload}
-	if t := r.u8(); r.err == nil && t != recEpoch {
+	if t := r.U8(); r.Err() == nil && t != recEpoch {
 		return nil, fmt.Errorf("store: record type %d is not an epoch", t)
 	}
 	rec := &EpochRecord{}
-	rec.ID = r.str()
-	rec.State = r.u8()
-	rec.CanaryPct = r.u32()
-	rec.Verdict = r.str()
-	n := r.count(len(payload))
-	for i := 0; i < n && r.err == nil; i++ {
+	rec.ID = r.Str()
+	rec.State = r.U8()
+	rec.CanaryPct = r.U32()
+	rec.Verdict = r.Str()
+	for n := r.Count(minEpochLibBytes); n > 0 && r.Err() == nil; n-- {
 		var l EpochLib
-		l.Path = r.str()
-		l.OldSrc = r.str()
-		l.NewSrc = r.str()
-		flags := r.u8()
+		l.Path = r.Str()
+		l.OldSrc = r.Str()
+		l.NewSrc = r.Str()
+		flags := r.U8()
 		l.IsLib = flags&1 != 0
 		l.HadPrior = flags&2 != 0
 		rec.Libs = append(rec.Libs, l)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("store: decode epoch: %w", r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("store: decode epoch: %w", err)
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("store: %d trailing payload bytes", len(payload)-r.off)
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("store: %d trailing payload bytes", r.Rest())
 	}
 	if rec.ID == "" {
 		return nil, fmt.Errorf("store: decode epoch: empty id")
@@ -419,98 +425,97 @@ func DecodeEpoch(b []byte) (*EpochRecord, error) {
 // mismatch, implausible counts, trailing bytes — is an error; the
 // caller treats the entry as corrupt and rebuilds.
 func Decode(b []byte) (*Record, error) {
-	payload, err := open(b)
+	r, err := open(b)
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{b: payload}
-	if t := r.u8(); r.err == nil && t != recImage {
+	if t := r.U8(); r.Err() == nil && t != recImage {
 		return nil, fmt.Errorf("store: record type %d is not an image", t)
 	}
 	rec := &Record{}
-	rec.Key = r.str()
-	rec.Name = r.str()
-	rec.SolverKey = r.str()
-	rec.TextBase = r.u64()
-	rec.TextSize = r.u64()
-	rec.DataBase = r.u64()
-	rec.DataSize = r.u64()
-	rec.Entry = r.u64()
-	nsyms := r.count(len(payload))
+	rec.Key = r.Str()
+	rec.Name = r.Str()
+	rec.SolverKey = r.Str()
+	rec.TextBase = r.U64()
+	rec.TextSize = r.U64()
+	rec.DataBase = r.U64()
+	rec.DataSize = r.U64()
+	rec.Entry = r.U64()
+	nsyms := r.Count(minSymBytes)
 	rec.Syms = make([]Sym, 0, nsyms)
-	for i := 0; i < nsyms && r.err == nil; i++ {
+	for i := 0; i < nsyms && r.Err() == nil; i++ {
 		var s Sym
-		s.Name = r.str()
-		s.Addr = r.u64()
-		s.Size = r.u64()
-		s.Kind = r.u8()
-		s.Seg = r.u8()
+		s.Name = r.Str()
+		s.Addr = r.U64()
+		s.Size = r.U64()
+		s.Kind = r.U8()
+		s.Seg = r.U8()
 		rec.Syms = append(rec.Syms, s)
 	}
-	rec.NumRelocs = r.u64()
-	rec.ExternBinds = r.u64()
-	rec.ResTextSize = r.u64()
-	rec.ResDataSize = r.u64()
-	rec.ResBSSSize = r.u64()
-	rec.ROSegs = r.segs(len(payload))
-	rec.RWSegs = r.segs(len(payload))
-	nbt := r.count(len(payload))
+	rec.NumRelocs = r.U64()
+	rec.ExternBinds = r.U64()
+	rec.ResTextSize = r.U64()
+	rec.ResDataSize = r.U64()
+	rec.ResBSSSize = r.U64()
+	rec.ROSegs = readSegs(r)
+	rec.RWSegs = readSegs(r)
+	nbt := r.Count(minBTSlotBytes)
 	rec.BTSlots = make([]Sym, 0, nbt)
-	for i := 0; i < nbt && r.err == nil; i++ {
+	for i := 0; i < nbt && r.Err() == nil; i++ {
 		var s Sym
-		s.Name = r.str()
-		s.Addr = r.u64()
+		s.Name = r.Str()
+		s.Addr = r.U64()
 		rec.BTSlots = append(rec.BTSlots, s)
 	}
-	nlibs := r.count(len(payload))
+	nlibs := r.Count(minLibKeyBytes)
 	rec.LibKeys = make([]string, 0, nlibs)
-	for i := 0; i < nlibs && r.err == nil; i++ {
-		rec.LibKeys = append(rec.LibKeys, r.str())
+	for i := 0; i < nlibs && r.Err() == nil; i++ {
+		rec.LibKeys = append(rec.LibKeys, r.Str())
 	}
-	rec.ContentKey = r.str()
-	rec.ResTextBase = r.u64()
-	rec.ResDataBase = r.u64()
-	rec.EntrySeg = r.u8()
-	rec.AbsPatches = r.patches(len(payload))
-	rec.RelPatches = r.patches(len(payload))
-	rec.BindKey = r.str()
-	rec.Gen = r.u64()
-	nbind := r.count(len(payload))
+	rec.ContentKey = r.Str()
+	rec.ResTextBase = r.U64()
+	rec.ResDataBase = r.U64()
+	rec.EntrySeg = r.U8()
+	rec.AbsPatches = readPatches(r)
+	rec.RelPatches = readPatches(r)
+	rec.BindKey = r.Str()
+	rec.Gen = r.U64()
+	nbind := r.Count(minBindingBytes)
 	if nbind > 0 {
 		rec.Bindings = make([]Binding, 0, nbind)
 	}
-	for i := 0; i < nbind && r.err == nil; i++ {
+	for i := 0; i < nbind && r.Err() == nil; i++ {
 		var bd Binding
-		bd.Symbol = r.str()
-		bd.Definer = r.str()
-		bd.DefKey = r.str()
-		bd.LibIdx = r.u32()
-		bd.Addr = r.u64()
+		bd.Symbol = r.Str()
+		bd.Definer = r.Str()
+		bd.DefKey = r.Str()
+		bd.LibIdx = r.U32()
+		bd.Addr = r.U64()
 		// A binding pointing outside the library list is a corrupt
 		// record: reject it here so the server quarantines the blob
 		// instead of replaying a nonsense resolution.
-		if r.err == nil && int(bd.LibIdx) >= len(rec.LibKeys) {
-			r.err = fmt.Errorf("binding %q: library index %d out of range (have %d libraries)",
-				bd.Symbol, bd.LibIdx, len(rec.LibKeys))
+		if int(bd.LibIdx) >= len(rec.LibKeys) {
+			r.Fail(fmt.Errorf("binding %q: library index %d out of range (have %d libraries)",
+				bd.Symbol, bd.LibIdx, len(rec.LibKeys)))
 		}
 		rec.Bindings = append(rec.Bindings, bd)
 	}
-	npins := r.count(len(payload))
+	npins := r.Count(minPinBytes)
 	if npins > 0 {
 		rec.Pins = make([]LibPin, 0, npins)
 	}
-	for i := 0; i < npins && r.err == nil; i++ {
+	for i := 0; i < npins && r.Err() == nil; i++ {
 		var p LibPin
-		p.LibKey = r.str()
-		p.ContentKey = r.str()
-		p.Checksum = r.str()
+		p.LibKey = r.Str()
+		p.ContentKey = r.Str()
+		p.Checksum = r.Str()
 		rec.Pins = append(rec.Pins, p)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("store: decode: %w", r.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("store: decode: %w", err)
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("store: %d trailing payload bytes", len(payload)-r.off)
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("store: %d trailing payload bytes", r.Rest())
 	}
 	if rec.Key == "" {
 		return nil, fmt.Errorf("store: decode: empty key")
@@ -518,120 +523,32 @@ func Decode(b []byte) (*Record, error) {
 	return rec, nil
 }
 
-func writeU32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-func writeU64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func writeStr(w *bytes.Buffer, s string) {
-	writeU32(w, uint32(len(s)))
-	w.WriteString(s)
-}
-
-func writeBytes(w *bytes.Buffer, p []byte) {
-	writeU32(w, uint32(len(p)))
-	w.Write(p)
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) bytes(p []byte) {
-	if r.err != nil {
-		return
-	}
-	if r.off+len(p) > len(r.b) {
-		r.err = io.ErrUnexpectedEOF
-		return
-	}
-	copy(p, r.b[r.off:])
-	r.off += len(p)
-}
-
-func (r *reader) u8() uint8 {
-	var b [1]byte
-	r.bytes(b[:])
-	return b[0]
-}
-
-func (r *reader) u32() uint32 {
-	var b [4]byte
-	r.bytes(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-func (r *reader) u64() uint64 {
-	var b [8]byte
-	r.bytes(b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// count reads a u32 element count and sanity-bounds it against the
-// remaining payload so corrupt prefixes cannot force huge allocations.
-func (r *reader) count(total int) int {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if n > maxCount || int(n) > total-r.off {
-		r.err = fmt.Errorf("implausible element count %d", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) blob() []byte {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if int(n) > len(r.b)-r.off {
-		r.err = fmt.Errorf("implausible length %d", n)
-		return nil
-	}
-	p := make([]byte, n)
-	r.bytes(p)
-	return p
-}
-
-func (r *reader) str() string { return string(r.blob()) }
-
-func (r *reader) patches(total int) []Patch {
-	n := r.count(total)
+func readPatches(r *lebin.Reader) []Patch {
+	n := r.Count(minPatchBytes)
 	if n == 0 {
 		return nil
 	}
 	ps := make([]Patch, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var p Patch
-		p.Site = r.u64()
-		p.Value = r.u64()
-		p.Seg = r.u8()
+		p.Site = r.U64()
+		p.Value = r.U64()
+		p.Seg = r.U8()
 		ps = append(ps, p)
 	}
 	return ps
 }
 
-func (r *reader) segs(total int) []Seg {
-	n := r.count(total)
+func readSegs(r *lebin.Reader) []Seg {
+	n := r.Count(minSegBytes)
 	segs := make([]Seg, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var s Seg
-		s.Name = r.str()
-		s.Addr = r.u64()
-		s.MemSize = r.u64()
-		s.Perm = r.u8()
-		s.Data = r.blob()
+		s.Name = r.Str()
+		s.Addr = r.U64()
+		s.MemSize = r.U64()
+		s.Perm = r.U8()
+		s.Data = r.Blob()
 		segs = append(segs, s)
 	}
 	return segs

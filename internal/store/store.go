@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +10,7 @@ import (
 	"sync"
 
 	"omos/internal/fault"
+	"omos/internal/lebin"
 )
 
 // On-disk layout under the root directory:
@@ -160,9 +160,6 @@ func (s *Store) scan() error {
 	s.stats.Quarantined = uint64(len(s.QuarantinedKeys()))
 	return nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // MaxBytes returns the configured capacity (0 = unbounded).
 func (s *Store) MaxBytes() uint64 { return s.maxBytes }
@@ -409,18 +406,18 @@ func (s *Store) KeysLRU() []string {
 // evicts in the right order.
 func (s *Store) Flush() error {
 	s.mu.Lock()
-	var buf bytes.Buffer
-	buf.Write(indexMagic[:])
-	writeU32(&buf, Version)
-	writeU32(&buf, uint32(len(s.index)))
+	var w lebin.Writer
+	w.Raw(indexMagic[:])
+	w.U32(Version)
+	w.U32(uint32(len(s.index)))
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		writeStr(&buf, k)
-		writeU64(&buf, s.index[k].lastUse)
+		w.Str(k)
+		w.U64(s.index[k].lastUse)
 	}
 	s.mu.Unlock()
 
@@ -428,7 +425,7 @@ func (s *Store) Flush() error {
 	if err != nil {
 		return fmt.Errorf("store: flush: %w", err)
 	}
-	_, werr := tmp.Write(buf.Bytes())
+	_, werr := tmp.Write(w)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -444,34 +441,38 @@ func (s *Store) Flush() error {
 	return nil
 }
 
-// readIndexFile parses the index file into key -> lastUse; a missing
-// or malformed index yields an empty map (LRU order is lost, nothing
-// else).
+// readIndexFile reads the index file into key -> lastUse.  The index
+// is advisory, so a missing one yields nothing and a malformed one what
+// parsed before the damage, its error dropped: LRU order is lost,
+// nothing else.
 func (s *Store) readIndexFile() map[string]uint64 {
 	b, err := os.ReadFile(filepath.Join(s.dir, "index"))
 	if err != nil {
 		return nil
 	}
-	if len(b) < 12 || !bytes.Equal(b[:4], indexMagic[:]) {
-		return nil
+	lru, _ := parseIndex(b)
+	return lru
+}
+
+// parseIndex decodes the bytes Flush wrote.
+func parseIndex(b []byte) (map[string]uint64, error) {
+	r := lebin.NewReader(b)
+	if magic := r.Raw(4); !bytes.Equal(magic, indexMagic[:]) {
+		return nil, fmt.Errorf("store: bad index magic %q", magic)
 	}
-	if binary.LittleEndian.Uint32(b[4:8]) != Version {
-		return nil
+	if ver := r.U32(); r.Err() == nil && ver != Version {
+		return nil, fmt.Errorf("store: unsupported index version %d", ver)
 	}
-	n := binary.LittleEndian.Uint32(b[8:12])
-	r := &reader{b: b, off: 12}
-	if uint64(n) > uint64(len(b)) {
-		return nil
-	}
+	n := r.Count(minIndexBytes)
 	out := make(map[string]uint64, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		k := r.str()
-		seq := r.u64()
-		if r.err == nil {
-			out[k] = seq
+	for ; n > 0; n-- {
+		k, seq := r.Str(), r.U64()
+		if r.Err() != nil {
+			break
 		}
+		out[k] = seq
 	}
-	return out
+	return out, r.Err()
 }
 
 // Close stops any background scrubber, flushes the index, and marks

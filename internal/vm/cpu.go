@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -291,21 +292,14 @@ func (c *CPU) load64(addr uint64) (uint64, error) {
 	if err := c.Mem.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return getU64(b[:]), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 func (c *CPU) store64(addr, v uint64) error {
 	var b [8]byte
-	putU64(b[:], v)
+	binary.LittleEndian.PutUint64(b[:], v)
 	return c.Mem.Write(addr, b[:])
 }
-
-// ReadU64 is a helper for syscall handlers that need to read a word
-// from the executing process's memory.
-func (c *CPU) ReadU64(addr uint64) (uint64, error) { return c.load64(addr) }
-
-// WriteU64 is a helper for syscall handlers.
-func (c *CPU) WriteU64(addr, v uint64) error { return c.store64(addr, v) }
 
 // ReadCString reads a NUL-terminated string of at most max bytes.
 func (c *CPU) ReadCString(addr uint64, max int) (string, error) {

@@ -20,7 +20,10 @@
 // symbol always lands at instruction offset+4.
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // InstSize is the size in bytes of every instruction.
 const InstSize = 12
@@ -148,7 +151,7 @@ func (in Inst) Encode(dst []byte) []byte {
 	b[1] = in.Ra
 	b[2] = in.Rb
 	b[3] = in.Rc
-	putU64(b[4:], in.Imm)
+	binary.LittleEndian.PutUint64(b[4:], in.Imm)
 	return append(dst, b[:]...)
 }
 
@@ -163,7 +166,7 @@ func Decode(b []byte) (Inst, error) {
 		Ra:  b[1],
 		Rb:  b[2],
 		Rc:  b[3],
-		Imm: getU64(b[4:]),
+		Imm: binary.LittleEndian.Uint64(b[4:]),
 	}
 	if !in.Op.Valid() {
 		return in, fmt.Errorf("vm: invalid opcode %d", b[0])
@@ -203,23 +206,4 @@ func (in Inst) String() string {
 		return fmt.Sprintf("sys %d", in.Imm)
 	}
 	return fmt.Sprintf("%s r%d, r%d, r%d, %d", in.Op, in.Ra, in.Rb, in.Rc, in.Imm)
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 |
-		uint64(b[3])<<24 | uint64(b[4])<<32 | uint64(b[5])<<40 |
-		uint64(b[6])<<48 | uint64(b[7])<<56
 }
