@@ -21,7 +21,7 @@
 //
 // With -store the image cache is persistent: every image built is
 // written to DIR, and a daemon restarted on the same directory
-// warm-loads them — client instantiations hit the cache without a
+// attaches them — client instantiations are served from them without a
 // single relink.  -store-max-bytes bounds the store (LRU eviction);
 // 0 means unlimited.
 //
@@ -142,7 +142,7 @@ func main() {
 		log.Fatalf("omosd: %v", err)
 	}
 	if *storeDir != "" {
-		log.Printf("omosd: image store at %s (%d images warm-loaded)", *storeDir, sys.WarmLoaded)
+		log.Printf("omosd: image store at %s (%d images attached)", *storeDir, sys.WarmLoaded)
 	}
 	if *faults != "" {
 		log.Printf("omosd: fault injection armed: %s (seed %d)", *faults, *faultSeed)

@@ -12,7 +12,7 @@ import (
 // WarmRestart measures what the persistent image store buys across
 // daemon restarts: the server-side cost of instantiating codegen on a
 // cold boot (full link + write-through), on the same boot again
-// (in-memory cache hit), and on a *rebooted* system warm-loading the
+// (in-memory cache hit), and on a *rebooted* system attaching the
 // same store directory (no link at all — the paper's "cached images
 // persist across server invocations" claim made concrete).
 func WarmRestart(cfg Config) (*Table, error) {
@@ -65,9 +65,9 @@ func WarmRestart(cfg Config) (*Table, error) {
 		return nil, err
 	}
 
-	// Session 2: a fresh machine, same store directory.  The warm load
-	// at attach time reconstructs every image, so instantiation is a
-	// pure cache hit with zero links.
+	// Session 2: a fresh machine, same store directory.  Attach reads
+	// every record's head; instantiation wakes each image from its body,
+	// a cache hit with zero links.
 	ow2, err := workload.SetupOMOS(cfg.CG)
 	if err != nil {
 		return nil, err

@@ -68,8 +68,8 @@ const (
 	// concurrent leader's build) without running this node's closure.
 	OutcomeCached
 	// OutcomeResumed: served by an instance reconstructed from the
-	// persistent store at warm boot — a previous session's checkpoint.
-	// Each warm-loaded instance counts as resumed exactly once.
+	// persistent store after a warm boot — a previous session's
+	// checkpoint.  Each such instance counts as resumed exactly once.
 	OutcomeResumed
 	// OutcomeFailed: the node's build returned an error.
 	OutcomeFailed

@@ -319,18 +319,20 @@ func TestFaultCorruptBlobQuarantineRebuild(t *testing.T) {
 		t.Fatal("no blobs persisted; nothing to corrupt")
 	}
 
-	// Warm restart: decoding fails, blobs are quarantined, nothing
-	// warm-loads — and the workload still runs correctly via rebuild.
+	// Warm restart: every blob is damaged where its head or its body
+	// lies, so decoding fails at attach or at first use; either way the
+	// blobs are quarantined, nothing is served from them — and the
+	// workload still runs correctly via rebuild.
 	sys2, err := omos.NewSystemWith(omos.Options{StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys2.WarmLoaded != 0 {
-		t.Fatalf("warm-loaded %d corrupted images", sys2.WarmLoaded)
-	}
 	c2, _ := startFaultDaemon(t, sys2)
 	defineWorkload(t, c2)
 	runUntilCorrect(t, c2, 1)
+	if st := sys2.Srv.Stats(); st.ImagesBuilt != uint64(corrupted) {
+		t.Fatalf("rebuilt %d of %d corrupted images", st.ImagesBuilt, corrupted)
+	}
 
 	hresp, err := c2.Call(&ipc.Request{Op: ipc.OpHealth})
 	if err != nil || hresp.Health == nil {

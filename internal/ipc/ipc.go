@@ -254,7 +254,8 @@ type HealthInfo struct {
 	// Quarantined counts store blobs moved aside after failing
 	// verification.
 	Quarantined uint64
-	// WarmLoaded counts instances reconstructed from the store at boot.
+	// WarmLoaded counts store records attached at boot, each served on
+	// first use without a relink.
 	WarmLoaded uint64
 	// Draining is true once shutdown has begun: the daemon answers
 	// in-flight work but accepts nothing new.

@@ -86,27 +86,32 @@ func forgedExec(f *forger) {
 	f.list("syms", func(e *forger) { e.str("name") })
 }
 
-func forgedRecord(f *forger) {
-	seg := func(e *forger) { e.str("name"); e.U64(0); e.U64(0); e.U8(0); e.str("data") }
+// forgedHead and forgedBody are the two halves of a store image record.
+func forgedHead(f *forger) {
 	f.U8(0) // image record
 	f.str("key")
 	f.str("name")
 	f.str("solverkey")
-	f.Raw(make([]byte, 5*8))
+	f.Raw(make([]byte, 4*8))
+	f.str("contentkey")
+	f.list("libkeys", func(e *forger) { e.str("key") })
+	f.str("bindkey")
+	f.U64(0)
+	f.list("bindings", func(e *forger) { e.str("symbol"); e.str("definer"); e.str("defkey") })
+	f.list("pins", func(e *forger) { e.str("libkey"); e.str("contentkey"); e.str("checksum") })
+}
+
+func forgedBody(f *forger) {
+	seg := func(e *forger) { e.str("name"); e.U64(0); e.U64(0); e.U8(0); e.str("data") }
+	f.U64(0)
 	f.list("syms", func(e *forger) { e.str("name") })
 	f.Raw(make([]byte, 5*8))
 	f.list("rosegs", seg)
 	f.list("rwsegs", seg)
 	f.list("btslots", func(e *forger) { e.str("name") })
-	f.list("libkeys", func(e *forger) { e.str("key") })
-	f.str("contentkey")
 	f.Raw(make([]byte, 8+8+1))
 	f.list("abspatches", func(e *forger) {})
 	f.list("relpatches", func(e *forger) {})
-	f.str("bindkey")
-	f.U64(0)
-	f.list("bindings", func(e *forger) { e.str("symbol"); e.str("definer"); e.str("defkey") })
-	f.list("pins", func(e *forger) { e.str("libkey"); e.str("contentkey"); e.str("checksum") })
 }
 
 func forgedEpoch(f *forger) {
@@ -118,17 +123,38 @@ func forgedEpoch(f *forger) {
 	f.list("libs", func(e *forger) { e.str("path"); e.str("oldsrc"); e.str("newsrc") })
 }
 
-// sealed wraps a payload in a valid store envelope, so the forgery is
-// one a peer or a disk could present: the checksum matches.
-func sealed(payload []byte) []byte {
+// sealed wraps a head's fields and a body in a valid store envelope,
+// so the forgery is one a peer or a disk could present: both checksums
+// match.
+func sealed(head, body []byte) []byte {
+	bodySum := sha256.Sum256(body)
+	h := append(lebin.Writer(nil), head...)
+	h.U64(uint64(len(body)))
+	h.Raw(bodySum[:])
+	return enveloped(h, body)
+}
+
+// enveloped puts a whole head (fields and trailer) and a body behind a
+// store envelope whose head checksum matches.
+func enveloped(head, body []byte) []byte {
+	headSum := sha256.Sum256(head)
 	var w lebin.Writer
 	w.Raw(store.Magic[:])
 	w.U32(store.Version)
-	w.U64(uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	w.Raw(sum[:])
-	w.Raw(payload)
+	w.U32(uint32(len(head)))
+	w.Raw(headSum[:])
+	w.Raw(head)
+	w.Raw(body)
 	return w
+}
+
+// validHead is the fields of a small valid image head, the one the body
+// rows are sealed behind.
+func validHead() []byte {
+	var rows []forgedRow
+	f := &forger{rows: &rows}
+	forgedHead(f)
+	return f.Writer
 }
 
 // allocated returns the bytes f allocated (process-wide, so a little
@@ -142,6 +168,17 @@ func allocated(f func()) uint64 {
 }
 
 func TestForgedInputs(t *testing.T) {
+	check := func(name, want string, input []byte, decode func([]byte) error) {
+		t.Helper()
+		var err error
+		got := allocated(func() { err = decode(input) })
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want %q", name, err, want)
+		}
+		if got >= 64<<10 {
+			t.Errorf("%s: a %d-byte input allocated %d bytes", name, len(input), got)
+		}
+	}
 	for _, c := range []struct {
 		name   string
 		build  func(*forger)
@@ -150,8 +187,9 @@ func TestForgedInputs(t *testing.T) {
 	}{
 		{"obj.Decode", forgedObj, 7, func(b []byte) error { _, err := obj.Decode(b); return err }},
 		{"image.DecodeExec", forgedExec, 14, func(b []byte) error { _, err := image.DecodeExec(b); return err }},
-		{"store.Decode", forgedRecord, 27, func(b []byte) error { _, err := store.Decode(sealed(b)); return err }},
-		{"store.DecodeEpoch", forgedEpoch, 6, func(b []byte) error { _, err := store.DecodeEpoch(sealed(b)); return err }},
+		{"store.DecodeHead", forgedHead, 15, func(b []byte) error { _, err := store.DecodeHead(sealed(b, nil)); return err }},
+		{"store.Decode", forgedBody, 12, func(b []byte) error { _, err := store.Decode(sealed(validHead(), b)); return err }},
+		{"store.DecodeEpoch", forgedEpoch, 6, func(b []byte) error { _, err := store.DecodeEpoch(sealed(b, nil)); return err }},
 	} {
 		var rows []forgedRow
 		f := &forger{rows: &rows}
@@ -165,14 +203,35 @@ func TestForgedInputs(t *testing.T) {
 			t.Errorf("%s: %d forged positions, want %d", c.name, len(rows), c.rows)
 		}
 		for _, row := range rows {
-			var err error
-			got := allocated(func() { err = c.decode(row.input) })
-			if err == nil || !strings.Contains(err.Error(), row.want) {
-				t.Errorf("%s %s: err %v, want %q", c.name, row.name, err, row.want)
-			}
-			if got >= 64<<10 {
-				t.Errorf("%s %s: a %d-byte input allocated %d bytes", c.name, row.name, len(row.input), got)
-			}
+			check(c.name+" "+row.name, row.want, row.input, c.decode)
 		}
+	}
+
+	// The store envelope's own lengths: a head, or a body, that claims
+	// 1 GiB with 32 bytes behind the claim.  The head's length is held to
+	// the blob before the head is hashed; the body's to the bytes after
+	// the head (DecodeHead never looks at it).
+	const claimGiB = 1 << 30
+	var bigHead lebin.Writer
+	bigHead.Raw(store.Magic[:])
+	bigHead.U32(store.Version)
+	bigHead.U32(claimGiB)
+	bigHead.Raw(make([]byte, 32+tailBytes))
+	bigBody := append(lebin.Writer(nil), validHead()...)
+	bigBody.U64(claimGiB)
+	bigBody.Raw(make([]byte, 32)) // the body checksum, never reached
+	bigBody = enveloped(bigBody, make([]byte, tailBytes))
+	for _, c := range []struct {
+		name, want string
+		input      []byte
+		decode     func([]byte) error
+	}{
+		{"store.DecodeHead headLen", "implausible head length 1073741824", bigHead, func(b []byte) error { _, err := store.DecodeHead(b); return err }},
+		{"store.Decode headLen", "implausible head length 1073741824", bigHead, func(b []byte) error { _, err := store.Decode(b); return err }},
+		{"store.Verify headLen", "implausible head length 1073741824", bigHead, store.Verify},
+		{"store.Decode bodyLen", "body length 1073741824", bigBody, func(b []byte) error { _, err := store.Decode(b); return err }},
+		{"store.Verify bodyLen", "body length 1073741824", bigBody, store.Verify},
+	} {
+		check(c.name, c.want, c.input, c.decode)
 	}
 }

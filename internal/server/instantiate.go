@@ -346,9 +346,10 @@ func (s *Server) programImage(ctx context.Context, name string, meta *mgraph.Met
 
 // build resolves a plan to its instance: through the cache or a build
 // already in flight (buildShared), else — for exactly one caller — by
-// the cheapest way the image can come into being: fetched from the
-// mesh peer that owns its content (meshhook.go), slid from a cached
-// variant at other bases (rebase.go), or linked.  This is the only
+// the cheapest way the image can come into being: woken from the
+// record a previous session stored under the same key (persist.go),
+// fetched from the mesh peer that owns its content (meshhook.go), slid
+// from a cached variant at other bases (rebase.go), or linked.  This is the only
 // place cached images are linked.  Whichever way produced it, the
 // instance is complete before publish makes it visible; it is then
 // checkpointed to the store, and a fresh link of content another
@@ -357,6 +358,13 @@ func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, err
 	node := buildgraph.NodeFrom(ctx)
 	node.SetKeys(pl.key, pl.ckey)
 	return s.buildShared(ctx, pl.key, func() (*Instance, error) {
+		// A prior session's record of this very image, attached at boot
+		// and read now: it counts as the cache hit it stands for — the
+		// node resumes (finishNode), nothing is checkpointed or offered.
+		if inst := s.wake(pl.key); inst != nil {
+			s.stats.cacheHits.Add(1)
+			return inst, nil
+		}
 		inst, ok := s.tryMeshFetch(node, pl, c)
 		if !ok {
 			inst, ok = s.tryRebase(node, pl, c)
@@ -486,7 +494,9 @@ func (s *Server) materialize(pl *plan, res *link.Result, src *Instance) (inst *I
 // publish makes a complete instance visible to cache hits, rebases and
 // mesh exports.  It is the only writer of the cache and the variants
 // index, and nothing about the instance but its LRU stamp and lazily
-// built export table changes afterwards.  If another build published
+// built export table changes afterwards.  A dormant record of the same
+// key is retired: the instance is its wake, or a rebuild that
+// supersedes it.  If another build published
 // the key first (a watchdog-abandoned build finishing late) the prior
 // instance wins and this one's frames are released.
 func (s *Server) publish(inst *Instance) *Instance {
@@ -500,6 +510,7 @@ func (s *Server) publish(inst *Instance) *Instance {
 		return prior
 	}
 	s.cache[inst.Key] = inst
+	s.dropDormantLocked(inst.Key)
 	if inst.ContentKey != "" {
 		s.variants[inst.ContentKey] = append(s.variants[inst.ContentKey], inst)
 	}
@@ -519,11 +530,17 @@ func (s *Server) publish(inst *Instance) *Instance {
 // through the frame refcounts.
 func (s *Server) Evict(name string) int {
 	name = cleanPath(name)
+	named := func(n string) bool { return n == name || n == "lib:"+name }
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	victims := map[string]bool{}
 	for key, inst := range s.cache {
-		if inst.Name == name || inst.Name == "lib:"+name {
+		if named(inst.Name) {
+			victims[key] = true
+		}
+	}
+	for key, h := range s.dormant {
+		if named(h.Name) {
 			victims[key] = true
 		}
 	}
@@ -531,25 +548,31 @@ func (s *Server) Evict(name string) int {
 	// would keep mapping the released frames (the capacity evictor
 	// refuses such victims for exactly this reason) — explicit
 	// eviction instead takes the dependents along, so they rebuild
-	// against whatever the namespace says next.
+	// against whatever the namespace says next.  A dormant record's
+	// libraries are its head's LibKeys.
 	for changed := true; changed; {
 		changed = false
 		for key, inst := range s.cache {
-			if victims[key] {
-				continue
-			}
 			for _, li := range inst.Libs {
-				if victims[li.Key] {
-					victims[key] = true
-					changed = true
-					break
+				if !victims[key] && victims[li.Key] {
+					victims[key], changed = true, true
+				}
+			}
+		}
+		for key, h := range s.dormant {
+			for _, lk := range h.LibKeys {
+				if !victims[key] && victims[lk] {
+					victims[key], changed = true, true
 				}
 			}
 		}
 	}
 	evicted := 0
 	for key := range victims {
-		s.evictEntryLocked(s.cache[key])
+		if inst := s.cache[key]; inst != nil {
+			s.evictEntryLocked(inst)
+		}
+		s.dropDormantLocked(key)
 		if s.store != nil {
 			s.store.Delete(key)
 			s.dropBlobSum(key)

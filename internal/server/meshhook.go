@@ -75,9 +75,13 @@ func (s *Server) SetMesh(h MeshHook) { s.mesh = h }
 func (s *Server) NamespaceGen() uint64 { return s.hashGen.Load() }
 
 // mruVariant returns the most recently used rebase-capable variant of
-// ckey, or nil.
+// ckey, or nil.  Without a cached one it wakes the most recent dormant
+// one — through that record's flight, and never one whose flight is
+// already running (it may be the caller's own: the build of that very
+// key, whose wake failed).
 func (s *Server) mruVariant(ckey string) *Instance {
 	var src *Instance
+	var sleeper string
 	s.cacheMu.RLock()
 	for _, v := range s.variants[ckey] {
 		if !rebaseSource(v) {
@@ -87,26 +91,52 @@ func (s *Server) mruVariant(ckey string) *Instance {
 			src = v
 		}
 	}
+	if hs := s.dormantCK[ckey]; src == nil && len(hs) > 0 && s.inflight[hs[len(hs)-1].Key] == nil {
+		sleeper = hs[len(hs)-1].Key
+	}
 	s.cacheMu.RUnlock()
+	if sleeper != "" {
+		if inst := s.awake(sleeper); inst != nil && rebaseSource(inst) {
+			return inst
+		}
+	}
 	return src
 }
 
 // HasVariant reports whether the server holds a rebase-capable variant
-// of ckey.
-func (s *Server) HasVariant(ckey string) bool { return s.mruVariant(ckey) != nil }
+// of ckey, cached or dormant (without waking it).
+func (s *Server) HasVariant(ckey string) bool {
+	s.cacheMu.RLock()
+	defer s.cacheMu.RUnlock()
+	return s.hasVariantLocked(ckey)
+}
+
+func (s *Server) hasVariantLocked(ckey string) bool {
+	if len(s.dormantCK[ckey]) > 0 {
+		return true
+	}
+	for _, v := range s.variants[ckey] {
+		if rebaseSource(v) {
+			return true
+		}
+	}
+	return false
+}
 
 // ContentKeys lists every content key with at least one rebase-capable
-// cached variant — the digest summary gossip exchanges.
+// variant, cached or dormant — the digest summary gossip exchanges.
 func (s *Server) ContentKeys() []string {
 	s.cacheMu.RLock()
 	defer s.cacheMu.RUnlock()
-	out := make([]string, 0, len(s.variants))
-	for ck, vs := range s.variants {
-		for _, v := range vs {
-			if rebaseSource(v) {
-				out = append(out, ck)
-				break
-			}
+	out := make([]string, 0, len(s.variants)+len(s.dormantCK))
+	for ck := range s.variants {
+		if s.hasVariantLocked(ck) {
+			out = append(out, ck)
+		}
+	}
+	for ck := range s.dormantCK {
+		if len(s.variants[ck]) == 0 {
+			out = append(out, ck)
 		}
 	}
 	return out
@@ -124,11 +154,11 @@ func metaOf(src *Instance) MeshMeta {
 	}
 }
 
-// ExportContent encodes the MRU variant of ckey for a mesh peer.
-// With metaOnly the blob is omitted — the invariants are the payload.
-// ok is false when no rebase-capable variant is cached.  The encode
-// runs without any server lock (instances are immutable once
-// published).
+// ExportContent encodes the MRU variant of ckey for a mesh peer,
+// waking a dormant one when nothing is cached.  With metaOnly the blob
+// is omitted — the invariants are the payload.  ok is false when no
+// rebase-capable variant can be had.  The encode runs without any
+// server lock (instances are immutable once published).
 func (s *Server) ExportContent(ckey string, metaOnly bool) (blob []byte, meta MeshMeta, ok bool) {
 	src := s.mruVariant(ckey)
 	if src == nil {

@@ -383,6 +383,38 @@ func TestFastPathOracle(t *testing.T) {
 		same(t, "warm-restarted", "/lib/cb", wantBT, warm.snap(inst.Libs[0]), false)
 	})
 
+	// Mesh from a dormant variant: a peer restarted on that store, which
+	// never requests an image, serves each subject's blob fetch by waking
+	// the record it attached at boot — and a daemon installing that blob
+	// gets the fresh link.
+	if err := warm.Srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	peer := newWorld(t, dir, nil)
+	dormant := &blobHook{blobs: map[string][]byte{}}
+	for _, sub := range subs {
+		ckey := want[sub.path].rec.ContentKey
+		blob, _, ok := peer.Srv.ExportContent(ckey, false)
+		if !ok {
+			t.Fatalf("peer cannot export the dormant variant of %s", sub.path)
+		}
+		dormant.blobs[ckey] = blob
+	}
+	if st := peer.Srv.Stats(); st.ImagesBuilt != 0 || st.CacheHits != 0 || st.StoreLoads != uint64(len(subs)) {
+		t.Fatalf("peer built %d, hit %d, read %d bodies; want each subject's record woken and nothing else",
+			st.ImagesBuilt, st.CacheHits, st.StoreLoads)
+	}
+	fromDormant := newWorld(t, t.TempDir(), dormant)
+	for _, sub := range subs {
+		t.Run("mesh-dormant"+sub.path, func(t *testing.T) {
+			inst, d := fromDormant.produce(sub.path)
+			if d != (did{meshed: 1}) {
+				t.Fatalf("%+v; want one blob install and nothing else", d)
+			}
+			same(t, "mesh-installed from a dormant variant", sub.path, want[sub.path], fromDormant.snap(inst), true)
+		})
+	}
+
 	// Mesh: every content key is a peer's, and the peer holds the
 	// other-bases build.
 	mesh := newWorld(t, t.TempDir(), hook)

@@ -2,11 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"sort"
 	"strings"
-
-	"fmt"
 
 	"omos/internal/buildgraph"
 	"omos/internal/constraint"
@@ -19,39 +20,39 @@ import (
 
 // This file is the bridge between the in-memory image cache and the
 // persistent store tier: cached instances are serialized through
-// store.Record on build (write-through), reconstructed as shared
-// frames at daemon boot (warm load), and evicted LRU-first when the
-// store exceeds its byte budget.
+// store.Record on build (write-through), attached by their heads at
+// daemon boot and reconstructed as shared frames on first use (wake),
+// and evicted LRU-first when the store exceeds its byte budget.
 
 // AttachStore attaches a persistent store as the backing tier of the
-// image cache and warm-loads every decodable entry: shared frames are
-// re-materialized in the kernel and the constraint-solver placements
-// re-reserved, so subsequent instantiations of unchanged meta-objects
-// hit the cache without a single relink.  Corrupt or stale entries
-// are rejected (and removed) rather than loaded.  Returns the number
-// of instances reconstructed.
+// image cache and attaches every record in it by its head alone: the
+// head is checked, its blob identity registered for pins, its solver
+// placement re-reserved and its binding table reinstalled, and the
+// record is left dormant — no segment read, no frame made — until a
+// request, a rebase or a mesh peer first needs the image (wake).
+// Instantiations of unchanged meta-objects therefore resolve to the
+// same cache keys and are served without a single relink.  A head that
+// fails its own checks is quarantined.  Returns the number of records
+// attached.
 func (s *Server) AttachStore(st *store.Store) int {
 	s.cacheMu.Lock()
 	s.store = st
 	s.cacheMu.Unlock()
 	before := s.stats.warmLoaded.Load()
-	// Oldest-first so reconstruction preserves the persisted LRU
-	// order in the in-memory recency tracking.  Warm loading is
-	// best-effort: a panic reconstructing one entry (a decoder bug, an
-	// injected fault) skips that entry — the image rebuilds from
-	// source on demand — and must never prevent boot.
+	// Transaction state, not an image; resolved below.
+	seen := map[string]bool{epochStoreKey: true}
+	// Oldest-first, each record's libraries before it: where two records
+	// claim one placement, the older keeps it.  Attaching is best-effort: a panic attaching one record (a decoder
+	// bug, an injected fault) skips it — the image rebuilds from source
+	// on demand — and must never prevent boot.
 	for _, key := range st.KeysLRU() {
-		if key == epochStoreKey {
-			// Transaction state, not an image; resolved below.
-			continue
-		}
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
 					s.stats.recovered.Add(1)
 				}
 			}()
-			s.loadFromStore(key, map[string]bool{})
+			s.attach(st, key, seen)
 		}()
 	}
 	n := int(s.stats.warmLoaded.Load() - before)
@@ -62,6 +63,191 @@ func (s *Server) AttachStore(st *store.Store) int {
 	// The byte budget may have shrunk since the blobs were written.
 	s.evictForCapacity("")
 	return n
+}
+
+// attach attaches the record under key by its head, its libraries'
+// records first.  A head that cannot be read (gone, an I/O error) is
+// skipped and its blob left alone; one that fails its own checks —
+// either checksum, the format, the key, the placement — is quarantined.
+// A library that is absent or unreadable costs its dependents nothing
+// here: they attach all the same, and wake finds out.
+func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
+	s.cacheMu.RLock()
+	_, cached := s.cache[key]
+	s.cacheMu.RUnlock()
+	if seen[key] || cached {
+		return
+	}
+	seen[key] = true
+	b, ok, err := st.GetHead(key)
+	if err != nil || !ok {
+		return
+	}
+	s.kern.ChargeTotalServer(uint64(len(b)) * s.kern.Cost.StoreLoadPerByte)
+	h, err := store.DecodeHead(b)
+	if err != nil || h.Key != key {
+		s.reject(st, key)
+		return
+	}
+	for _, lk := range h.LibKeys {
+		s.attach(st, lk, seen)
+	}
+	s.solverMu.Lock()
+	err = s.solver.Restore(h.SolverKey,
+		constraint.Placement{TextBase: h.TextBase, DataBase: h.DataBase},
+		h.TextSize, h.DataSize)
+	s.solverMu.Unlock()
+	if err != nil {
+		s.reject(st, key)
+		return
+	}
+	// The blob's on-disk identity: images woken or linked after this
+	// verify their library pins against it.
+	s.setBlobSum(key, hex.EncodeToString(h.Sum[:]))
+	s.cacheMu.Lock()
+	if s.cache[key] == nil {
+		s.dormant[key] = h
+		if h.ContentKey != "" {
+			s.dormantCK[h.ContentKey] = append(s.dormantCK[h.ContentKey], h)
+		}
+	}
+	libCKs, libsKnown := s.contentKeysLocked(h.LibKeys)
+	s.cacheMu.Unlock()
+	// Reinstall the persisted binding table, so this session resolves
+	// the image with zero symbol searches and the rebind guard and
+	// Explain see it from boot.  It needs every library's content key,
+	// from the library's head; a table this session already recomputed
+	// wins over the stored one.
+	if h.BindKey != "" && len(h.Bindings) > 0 && libsKnown {
+		tbl := &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load", LibKeys: libCKs}
+		for _, b := range h.Bindings {
+			tbl.Bindings = append(tbl.Bindings, Binding{
+				Symbol: b.Symbol, Definer: b.Definer, DefKey: b.DefKey,
+				LibIdx: int(b.LibIdx), Addr: b.Addr,
+			})
+		}
+		s.installBindings(h.BindKey, tbl, false)
+	}
+	s.stats.warmLoaded.Add(1)
+}
+
+// contentKeysLocked returns the content keys of the images under keys,
+// cached or dormant, and whether every one is present.  Caller holds
+// cacheMu.
+func (s *Server) contentKeysLocked(keys []string) ([]string, bool) {
+	cks := make([]string, len(keys))
+	for i, k := range keys {
+		if inst := s.cache[k]; inst != nil {
+			cks[i] = inst.ContentKey
+		} else if h := s.dormant[k]; h != nil {
+			cks[i] = h.ContentKey
+		} else {
+			return nil, false
+		}
+	}
+	return cks, true
+}
+
+// reject quarantines the record under key, whose own bytes failed:
+// dormant no longer, its blob moved aside, its identity forgotten.
+func (s *Server) reject(st *store.Store, key string) {
+	s.cacheMu.Lock()
+	s.dropDormantLocked(key)
+	s.cacheMu.Unlock()
+	st.Quarantine(key)
+	s.dropBlobSum(key)
+}
+
+// dropDormantLocked forgets the dormant record under key, if any.
+// Caller holds cacheMu.
+func (s *Server) dropDormantLocked(key string) {
+	h := s.dormant[key]
+	if h == nil {
+		return
+	}
+	delete(s.dormant, key)
+	if h.ContentKey != "" {
+		unindex(s.dormantCK, h.ContentKey, h)
+	}
+}
+
+// errNotDormant fails a flight that found nothing to wake.
+var errNotDormant = errors.New("server: no dormant record to wake")
+
+// wake turns the dormant record under key into a published instance.
+// It reads the body and decodes the record — both checksums verified,
+// and the blob must still be the one attached — wakes the record's
+// libraries, rebuilds the instance from the record's own segment
+// format and verifies its pins.  It returns nil, and the caller builds
+// instead, when key is not dormant or cannot be woken: a record whose
+// own body, key or pins fail is quarantined; one that could not be
+// read, or whose libraries are absent or unreadable, stays dormant.
+func (s *Server) wake(key string) *Instance {
+	s.cacheMu.RLock()
+	h, st := s.dormant[key], s.store
+	s.cacheMu.RUnlock()
+	if h == nil || st == nil {
+		return nil
+	}
+	blob, ok, err := st.Get(key)
+	if err != nil || !ok {
+		return nil
+	}
+	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreLoadPerByte)
+	rec, err := store.Decode(blob)
+	if err != nil || rec.Key != key || !bytes.Equal(blob[blobCheckSumLo:blobCheckSumHi], h.Sum[:]) {
+		s.reject(st, key)
+		return nil
+	}
+	libs := make([]*Instance, len(rec.LibKeys))
+	for i, lk := range rec.LibKeys {
+		if libs[i] = s.awake(lk); libs[i] == nil {
+			return nil
+		}
+	}
+	inst, err := s.instanceFromRecord(rec, libs)
+	if err != nil {
+		s.reject(st, key)
+		return nil
+	}
+	// Hijack defense on first use: a pinned image whose library
+	// identities no longer match (or an injected definer swap at the
+	// namespace.hijack site) is quarantined, never served — the caller
+	// rebuilds and re-pins from source.
+	if err := s.verifyPins(inst); err != nil {
+		s.ReleaseInstance(inst)
+		s.reject(st, key)
+		return nil
+	}
+	// A prior session's checkpoint: the first build-graph node that
+	// resolves to it counts as a resume (finishNode in graph.go).
+	inst.warm = true
+	return s.publish(inst)
+}
+
+// awake returns the instance under key, cached or woken.  A wake runs
+// in the key's flight (buildShared), so concurrent wakers of one record
+// read its body once and share one instance; a cached instance is
+// returned before that, because buildShared would count it as a cache
+// hit and a library or rebase source being looked up is not one.  nil
+// when the key is neither cached nor wakeable.
+func (s *Server) awake(key string) *Instance {
+	s.cacheMu.RLock()
+	inst := s.cache[key]
+	s.cacheMu.RUnlock()
+	if inst != nil {
+		return inst
+	}
+	inst, err := s.buildShared(context.Background(), key, func() (*Instance, error) {
+		if inst := s.wake(key); inst != nil {
+			return inst, nil
+		}
+		return nil, errNotDormant
+	})
+	if err != nil {
+		return nil
+	}
+	return inst
 }
 
 // CloseStore flushes and detaches the persistent store.  Safe to call
@@ -147,11 +333,12 @@ func (s *Server) persistInstance(st *store.Store, inst *Instance) (int, error) {
 	return len(blob), nil
 }
 
-// blobCheckSumLo/Hi delimit the SHA-256 payload checksum inside a
-// store blob's envelope (magic + version + paylen precede it).
+// blobCheckSumLo/Hi delimit the head checksum inside a store blob's
+// envelope (magic + version + headLen precede it).  It covers the
+// body's checksum, so it identifies the whole blob.
 const (
-	blobCheckSumLo = 16
-	blobCheckSumHi = 48
+	blobCheckSumLo = 12
+	blobCheckSumHi = 44
 )
 
 // blobChecksum extracts the envelope checksum of an encoded blob as
@@ -168,7 +355,7 @@ func blobChecksum(blob []byte) string {
 // recordOf serializes an instance's reconstruction state: segment
 // bytes, bound symbols, branch-table slots, placement, library keys,
 // and the resolution state — the binding table recorded for the
-// image and the library pins to re-verify at warm load.
+// image and the library pins to re-verify when it is woken.
 func (s *Server) recordOf(inst *Instance) *store.Record {
 	rec := &store.Record{
 		Key:         inst.Key,
@@ -265,102 +452,6 @@ func (s *Server) recordOf(inst *Instance) *store.Record {
 		}
 	}
 	return rec
-}
-
-// loadFromStore reconstructs the instance stored under key (loading
-// its library dependencies first) and installs it in the cache.
-// Returns nil when the entry is absent, corrupt, stale, or its
-// placement can no longer be honored — in every such case the entry
-// is discarded and the next instantiation simply rebuilds.
-func (s *Server) loadFromStore(key string, visiting map[string]bool) *Instance {
-	s.cacheMu.RLock()
-	inst := s.cache[key]
-	st := s.store
-	s.cacheMu.RUnlock()
-	if inst != nil {
-		return inst
-	}
-	if st == nil || visiting[key] {
-		return nil
-	}
-	visiting[key] = true
-
-	blob, ok, err := st.Get(key)
-	if err != nil || !ok {
-		return nil
-	}
-	reject := func() *Instance {
-		st.Quarantine(key)
-		s.dropBlobSum(key)
-		return nil
-	}
-	rec, err := store.Decode(blob)
-	if err != nil || rec.Key != key {
-		return reject()
-	}
-	// Register the blob's on-disk identity first: images loaded after
-	// this one verify their library pins against it.
-	s.setBlobSum(key, blobChecksum(blob))
-	var libs []*Instance
-	for _, lk := range rec.LibKeys {
-		li := s.loadFromStore(lk, visiting)
-		if li == nil {
-			// Unusable without its libraries: stale, rebuild instead.
-			return reject()
-		}
-		libs = append(libs, li)
-	}
-	s.solverMu.Lock()
-	err = s.solver.Restore(rec.SolverKey,
-		constraint.Placement{TextBase: rec.TextBase, DataBase: rec.DataBase},
-		rec.TextSize, rec.DataSize)
-	s.solverMu.Unlock()
-	if err != nil {
-		return reject()
-	}
-	inst, err = s.instanceFromRecord(rec, libs)
-	if err != nil {
-		return reject()
-	}
-	// Hijack defense at warm-restart time: a pinned image whose
-	// library identities no longer match (or an injected definer swap
-	// at the namespace.hijack site) is quarantined, never loaded — the
-	// next instantiation rebuilds and re-pins from source.
-	if err := s.verifyPins(inst); err != nil {
-		s.ReleaseInstance(inst)
-		return reject()
-	}
-	// Reinstall the persisted binding table so this session resolves
-	// the image with zero symbol searches.  A table this session
-	// already recomputed wins over the stored one.
-	if rec.BindKey != "" && len(rec.Bindings) > 0 {
-		tbl := &BindingTable{
-			Image:    rec.Name,
-			Gen:      rec.Gen,
-			Resolved: "warm-load",
-			LibKeys:  make([]string, len(libs)),
-		}
-		for i, li := range libs {
-			tbl.LibKeys[i] = li.ContentKey
-		}
-		for _, b := range rec.Bindings {
-			tbl.Bindings = append(tbl.Bindings, Binding{
-				Symbol: b.Symbol, Definer: b.Definer, DefKey: b.DefKey,
-				LibIdx: int(b.LibIdx), Addr: b.Addr,
-			})
-		}
-		s.installBindings(rec.BindKey, tbl, false)
-	}
-	// Mark the instance as a prior session's checkpoint: the first
-	// build-graph node that resolves to it counts as a resume
-	// (finishNode in graph.go).
-	inst.warm = true
-	if got := s.publish(inst); got != inst {
-		return got
-	}
-	s.stats.warmLoaded.Add(1)
-	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreLoadPerByte)
-	return inst
 }
 
 // instanceFromRecord rebuilds the in-memory instance: shared frames
@@ -471,9 +562,10 @@ func resultFromRecord(rec *store.Record) *link.Result {
 }
 
 // evictForCapacity brings the store back under its byte budget by
-// evicting least-recently-used entries from both tiers.  Victims are
-// skipped while live: instances whose frames are still mapped by a
-// process, and libraries other cached images link against — the
+// evicting least-recently-used entries from both tiers, dormant records
+// included.  Victims are skipped while live: instances whose frames are
+// still mapped by a process, and libraries other cached or dormant
+// images link against — the
 // refcounts, not the policy, decide when memory is truly reclaimable
 // (frames a running process maps stay alive through its own refs
 // regardless).  exclude names a key that must survive this sweep: the
@@ -492,25 +584,33 @@ func (s *Server) evictForCapacity(exclude string) {
 		// the next persist retries.
 		return
 	}
+	// A library is not a victim while an image links against it, cached
+	// or dormant (a dormant record's libraries are its head's LibKeys).
 	deps := map[string]int{}
 	for _, inst := range s.cache {
 		for _, li := range inst.Libs {
 			deps[li.Key]++
 		}
 	}
+	for _, h := range s.dormant {
+		for _, lk := range h.LibKeys {
+			deps[lk]++
+		}
+	}
 	for _, key := range st.KeysLRU() {
 		if st.OverCapacity() == 0 {
 			break
 		}
-		if key == exclude || key == epochStoreKey {
+		if key == exclude || key == epochStoreKey || deps[key] > 0 {
 			continue
 		}
 		if inst := s.cache[key]; inst != nil {
-			if deps[key] > 0 || s.mappedLive(inst) {
+			if s.mappedLive(inst) {
 				continue
 			}
 			s.evictEntryLocked(inst)
 		}
+		s.dropDormantLocked(key)
 		st.Delete(key)
 		s.dropBlobSum(key)
 	}

@@ -232,23 +232,22 @@ func TestCorruptBlobRejectedAndRebuilt(t *testing.T) {
 		t.Fatal("no blobs to corrupt")
 	}
 
-	// Warm boot: every entry must be rejected, nothing loaded, and
-	// instantiation must transparently rebuild.
+	// Warm boot attaches every entry by its head, which is intact; the
+	// first request reads the damaged bodies: every entry must be
+	// rejected, none served, and instantiation must transparently
+	// rebuild.
 	s2 := newTestServer(t)
-	n := s2.AttachStore(openStore(t, dir, 0))
-	if n != 0 {
-		t.Fatalf("loaded %d corrupt entries", n)
-	}
-	if s2.Stats().StoreCorrupt == 0 {
-		t.Fatalf("corrupt rejects not counted: %+v", s2.Stats())
-	}
+	s2.AttachStore(openStore(t, dir, 0))
 	definePersistWorld(t, s2)
 	inst, err := s2.Instantiate("/bin/app", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Stats().ImagesBuilt == 0 {
-		t.Fatal("rebuild did not happen")
+	if got := s2.Stats().StoreCorrupt; got != uint64(corrupted) {
+		t.Fatalf("%d corrupt rejects counted, want %d: %+v", got, corrupted, s2.Stats())
+	}
+	if got := s2.Stats().ImagesBuilt; got != uint64(corrupted) {
+		t.Fatalf("rebuilt %d images, want all %d (a corrupt entry was served)", got, corrupted)
 	}
 	if _, code := runInstance(t, s2, inst, nil); code != 42 {
 		t.Fatal("rebuilt image does not run")

@@ -97,19 +97,24 @@ func (s *Server) slide(node *buildgraph.Node, pl *plan, from *link.Result, src *
 // dropVariantLocked removes an evicted instance from the variants
 // index.  Caller holds cacheMu.
 func (s *Server) dropVariantLocked(inst *Instance) {
-	if inst.ContentKey == "" {
-		return
+	if inst.ContentKey != "" {
+		unindex(s.variants, inst.ContentKey, inst)
 	}
-	vs := s.variants[inst.ContentKey]
-	for i, v := range vs {
-		if v == inst {
+}
+
+// unindex removes v from the list m keeps under k, and the list once it
+// is empty.
+func unindex[T comparable](m map[string][]T, k string, v T) {
+	vs := m[k]
+	for i, x := range vs {
+		if x == v {
 			vs = append(vs[:i], vs[i+1:]...)
 			break
 		}
 	}
 	if len(vs) == 0 {
-		delete(s.variants, inst.ContentKey)
+		delete(m, k)
 	} else {
-		s.variants[inst.ContentKey] = vs
+		m[k] = vs
 	}
 }

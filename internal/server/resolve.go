@@ -29,7 +29,7 @@ import (
 //
 //   - At link time each image with libraries pins their identities
 //     (cache key, content key, store checksum) in Instance.Pins; the
-//     pins are verified whenever the image is mapped or warm-loaded,
+//     pins are verified whenever the image is mapped or woken from the store,
 //     and a mismatch — a swapped definer, a tampered blob — rejects
 //     and quarantines the image instead of running it (a loader-level
 //     defense against shared-object hijacking).

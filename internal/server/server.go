@@ -94,8 +94,9 @@ type Stats struct {
 	StoreEvictions uint64
 	StoreCorrupt   uint64
 	StoreBytes     uint64
-	// WarmLoaded counts instances reconstructed from the store at
-	// attach time (images served without ever rebuilding).
+	// WarmLoaded counts store records attached at boot (AttachStore):
+	// images a request, rebase or mesh peer is served on first use
+	// without a rebuild, unless the record's body turns out corrupt then.
 	WarmLoaded uint64
 	// StoreQuarantined counts blobs moved to the store's quarantine
 	// directory after failing validation (including those found there
@@ -123,7 +124,7 @@ type Stats struct {
 	// The Nodes* fields mirror the build graph (buildgraph.Log): how
 	// each per-library node of every recorded instantiation resolved.
 	// NodesResumed counts nodes served by a previous session's
-	// checkpoint (each warm-loaded instance counts once);
+	// checkpoint (each record woken from the store counts once);
 	// NodesCheckpointed and CheckpointBytes account the per-node
 	// write-through that makes resuming possible, CheckpointsFailed
 	// the best-effort writes that were lost (the build still
@@ -344,8 +345,8 @@ type Instance struct {
 
 	// Pins are the pinned identities of the libraries this image was
 	// linked against (content keys + store checksums), recorded at
-	// first link and verified whenever the image is mapped or
-	// warm-loaded (resolve.go).  Empty for images without libraries.
+	// first link and verified whenever the image is mapped or woken
+	// from the store (resolve.go).  Empty for images without libraries.
 	Pins []Pin
 	// bindKey is the image's resolution identity: the key its binding
 	// table is recorded under (empty when resolution is not cached,
@@ -362,7 +363,7 @@ type Instance struct {
 	lastUse atomic.Uint64
 
 	// warm marks an instance reconstructed from the persistent store
-	// (loadFromStore) — a previous session's checkpoint.  resumed
+	// (wake) — a previous session's checkpoint.  resumed
 	// flips once, the first time a build-graph node resolves to the
 	// instance, so Stats.NodesResumed counts each surviving checkpoint
 	// exactly once per daemon lifetime.
@@ -410,6 +411,12 @@ type Server struct {
 	// variants of one content identity, i.e. the candidate sources for
 	// the rebase fast path (rebase.go).
 	variants map[string][]*Instance
+	// dormant holds the store records attached by their heads and not
+	// yet woken, by cache key, and dormantCK the same heads by content
+	// key, oldest first: the variants a wake can still produce
+	// (persist.go).
+	dormant   map[string]*store.Head
+	dormantCK map[string][]*store.Head
 
 	// useSeq is the monotone LRU clock; each Instance stamps itself on
 	// use.
@@ -505,18 +512,20 @@ type Server struct {
 // table backs the image cache).
 func New(kern *osim.Kernel) *Server {
 	s := &Server{
-		kern:     kern,
-		ns:       map[string]nsEntry{},
-		solver:   constraint.NewSolver(),
-		cache:    map[string]*Instance{},
-		variants: map[string][]*Instance{},
-		specs:    map[string]SpecFunc{},
-		inflight: map[string]*flight{},
-		hashMemo: map[string]memoHash{},
-		bindings: map[string]*BindingTable{},
-		blobSums: map[string]string{},
-		exec:     buildgraph.NewExecutor(DefaultBuildWorkers),
-		graph:    buildgraph.NewLog(),
+		kern:      kern,
+		ns:        map[string]nsEntry{},
+		solver:    constraint.NewSolver(),
+		cache:     map[string]*Instance{},
+		variants:  map[string][]*Instance{},
+		dormant:   map[string]*store.Head{},
+		dormantCK: map[string][]*store.Head{},
+		specs:     map[string]SpecFunc{},
+		inflight:  map[string]*flight{},
+		hashMemo:  map[string]memoHash{},
+		bindings:  map[string]*BindingTable{},
+		blobSums:  map[string]string{},
+		exec:      buildgraph.NewExecutor(DefaultBuildWorkers),
+		graph:     buildgraph.NewLog(),
 	}
 	return s
 }

@@ -46,7 +46,7 @@ const (
 )
 
 // epochStoreKey is the reserved store key the epoch record persists
-// under.  It is skipped by warm load and capacity eviction: it is
+// under.  It is skipped by attach and capacity eviction: it is
 // transaction state, not an image.
 const epochStoreKey = "upgrade.epoch"
 

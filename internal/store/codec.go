@@ -9,12 +9,13 @@
 // branch-table slots, placement) under its m-graph content key, so a
 // restarted daemon reconstructs its shared frames from disk instead
 // of relinking.  Corrupt or stale entries are detected by a versioned
-// header and checksum and rejected, never loaded.
+// header and checksums and rejected, never loaded.
 package store
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"omos/internal/lebin"
@@ -22,11 +23,22 @@ import (
 
 // Codec layout (all integers little-endian):
 //
-//	magic     [4]byte "OMS1"
-//	version   u32
-//	paylen    u64
-//	checksum  [32]byte  sha256 of the payload
-//	payload   (see Record field order in encodePayload)
+//	magic    [4]byte "OMS1"
+//	version  u32
+//	headLen  u32
+//	headSum  [32]byte  sha256 of the head
+//	head     headLen bytes: the record type, the head's fields (see
+//	         writeHead), then bodyLen u64 and bodySum [32]byte, the
+//	         sha256 of the body
+//	body     bodyLen bytes: every other field (see writeBody)
+//
+// The head is what a restarted server reads of every record at attach
+// — identity, placement, library keys, the resolution state — and the
+// body, which holds the segment bytes, what it reads when the image is
+// first used.  headSum covers bodySum, so the 32 bytes at offset 12
+// still identify the whole blob (pins carry them), and a reader that
+// holds only the head already knows what the body must hash to.  Epoch
+// records are head-only: their body is empty.
 //
 // A decoder that sees a wrong magic, an unknown version, a length
 // that disagrees with the blob, or a checksum mismatch rejects the
@@ -39,13 +51,13 @@ var Magic = [4]byte{'O', 'M', 'S', '1'}
 // Version is the one codec version this package reads and writes; bump
 // on layout change so blobs in any other layout are rejected as stale
 // (quarantined, then rebuilt from the m-graph) rather than misparsed.
-// The payload leads with a record-type byte so the store can hold more
+// The head leads with a record-type byte so the store can hold more
 // than one kind of record: type 0 is a cached image, type 1 is a
 // live-upgrade epoch record (the write-ahead transaction state of an
 // in-flight library upgrade).
-const Version = 4
+const Version = 5
 
-// Record-type bytes leading every payload.
+// Record-type bytes leading every head.
 const (
 	recImage = uint8(0)
 	recEpoch = uint8(1)
@@ -79,7 +91,13 @@ type EpochRecord struct {
 	Libs      []EpochLib
 }
 
-const headerSize = 4 + 4 + 8 + 32
+const (
+	// headerSize is the envelope ahead of the head.
+	headerSize = 4 + 4 + 4 + sha256.Size
+	// trailerSize is the body's length and checksum that close every
+	// head.
+	trailerSize = 8 + sha256.Size
+)
 
 // Smallest encodings of one element of each list (empty strings and
 // data), the bound lebin.Reader.Count holds a claimed count to.
@@ -219,27 +237,46 @@ type Record struct {
 	Pins     []LibPin
 }
 
-// Encode serializes a record with the versioned header and checksum.
+// Head is an image record's head, what a restarted server reads of
+// every record at attach.  Record holds only the head's fields — Key,
+// Name, SolverKey, the four placement fields, ContentKey, LibKeys,
+// BindKey, Gen, Bindings, Pins — and leaves the body's zero.  Sum is
+// the head's checksum, which covers the body's: the whole blob's
+// identity, the value pins carry.
+type Head struct {
+	*Record
+	Sum [sha256.Size]byte
+}
+
+// Encode serializes a record with the versioned header and checksums.
 func Encode(rec *Record) ([]byte, error) {
 	if rec.Key == "" {
 		return nil, fmt.Errorf("store: encode: empty key")
 	}
-	return seal(encodePayload(rec)), nil
+	var head, body lebin.Writer
+	writeHead(&head, rec)
+	writeBody(&body, rec)
+	return seal(head, body), nil
 }
 
-// seal wraps a payload in the versioned, checksummed envelope.
-func seal(payload []byte) []byte {
-	w := make(lebin.Writer, 0, headerSize+len(payload))
+// seal closes a head with the body's length and checksum and wraps
+// both in the versioned envelope, which checksums the head.
+func seal(head, body lebin.Writer) []byte {
+	bodySum := sha256.Sum256(body)
+	head.U64(uint64(len(body)))
+	head.Raw(bodySum[:])
+	headSum := sha256.Sum256(head)
+	w := make(lebin.Writer, 0, headerSize+len(head)+len(body))
 	w.Raw(Magic[:])
 	w.U32(Version)
-	w.U64(uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	w.Raw(sum[:])
-	w.Raw(payload)
+	w.U32(uint32(len(head)))
+	w.Raw(headSum[:])
+	w.Raw(head)
+	w.Raw(body)
 	return w
 }
 
-// EncodeEpoch serializes a live-upgrade epoch record.
+// EncodeEpoch serializes a live-upgrade epoch record (head only).
 func EncodeEpoch(rec *EpochRecord) ([]byte, error) {
 	if rec.ID == "" {
 		return nil, fmt.Errorf("store: encode epoch: empty id")
@@ -264,11 +301,10 @@ func EncodeEpoch(rec *EpochRecord) ([]byte, error) {
 		}
 		w.U8(flags)
 	}
-	return seal(w), nil
+	return seal(w, nil), nil
 }
 
-func encodePayload(rec *Record) []byte {
-	var w lebin.Writer
+func writeHead(w *lebin.Writer, rec *Record) {
 	w.U8(recImage)
 	w.Str(rec.Key)
 	w.Str(rec.Name)
@@ -277,37 +313,11 @@ func encodePayload(rec *Record) []byte {
 	w.U64(rec.TextSize)
 	w.U64(rec.DataBase)
 	w.U64(rec.DataSize)
-	w.U64(rec.Entry)
-	w.U32(uint32(len(rec.Syms)))
-	for _, s := range rec.Syms {
-		w.Str(s.Name)
-		w.U64(s.Addr)
-		w.U64(s.Size)
-		w.U8(s.Kind)
-		w.U8(s.Seg)
-	}
-	w.U64(rec.NumRelocs)
-	w.U64(rec.ExternBinds)
-	w.U64(rec.ResTextSize)
-	w.U64(rec.ResDataSize)
-	w.U64(rec.ResBSSSize)
-	writeSegs(&w, rec.ROSegs)
-	writeSegs(&w, rec.RWSegs)
-	w.U32(uint32(len(rec.BTSlots)))
-	for _, s := range rec.BTSlots {
-		w.Str(s.Name)
-		w.U64(s.Addr)
-	}
+	w.Str(rec.ContentKey)
 	w.U32(uint32(len(rec.LibKeys)))
 	for _, k := range rec.LibKeys {
 		w.Str(k)
 	}
-	w.Str(rec.ContentKey)
-	w.U64(rec.ResTextBase)
-	w.U64(rec.ResDataBase)
-	w.U8(rec.EntrySeg)
-	writePatches(&w, rec.AbsPatches)
-	writePatches(&w, rec.RelPatches)
 	w.Str(rec.BindKey)
 	w.U64(rec.Gen)
 	w.U32(uint32(len(rec.Bindings)))
@@ -324,7 +334,35 @@ func encodePayload(rec *Record) []byte {
 		w.Str(p.ContentKey)
 		w.Str(p.Checksum)
 	}
-	return w
+}
+
+func writeBody(w *lebin.Writer, rec *Record) {
+	w.U64(rec.Entry)
+	w.U32(uint32(len(rec.Syms)))
+	for _, s := range rec.Syms {
+		w.Str(s.Name)
+		w.U64(s.Addr)
+		w.U64(s.Size)
+		w.U8(s.Kind)
+		w.U8(s.Seg)
+	}
+	w.U64(rec.NumRelocs)
+	w.U64(rec.ExternBinds)
+	w.U64(rec.ResTextSize)
+	w.U64(rec.ResDataSize)
+	w.U64(rec.ResBSSSize)
+	writeSegs(w, rec.ROSegs)
+	writeSegs(w, rec.RWSegs)
+	w.U32(uint32(len(rec.BTSlots)))
+	for _, s := range rec.BTSlots {
+		w.Str(s.Name)
+		w.U64(s.Addr)
+	}
+	w.U64(rec.ResTextBase)
+	w.U64(rec.ResDataBase)
+	w.U8(rec.EntrySeg)
+	writePatches(w, rec.AbsPatches)
+	writePatches(w, rec.RelPatches)
 }
 
 func writePatches(w *lebin.Writer, ps []Patch) {
@@ -347,48 +385,99 @@ func writeSegs(w *lebin.Writer, segs []Seg) {
 	}
 }
 
-// Verify checks a blob's envelope — magic, version, payload length,
-// and SHA-256 checksum — without decoding the payload.  This is the
+// headSpan is how many leading bytes of a blob hold its envelope and
+// head, judged from the first bytes (headerSize while those are fewer
+// than the envelope).
+func headSpan(b []byte) int {
+	if len(b) < headerSize {
+		return headerSize
+	}
+	return headerSize + int(binary.LittleEndian.Uint32(b[8:12]))
+}
+
+// envelope checks the envelope and the head's checksum and returns the
+// head (trailer included), the bytes after it, and the head checksum.
+// b may end anywhere after the head; whether a body must follow is the
+// caller's to check.
+func envelope(b []byte) (head, rest []byte, sum [sha256.Size]byte, err error) {
+	if len(b) < headerSize {
+		return nil, nil, sum, fmt.Errorf("store: blob too short (%d bytes)", len(b))
+	}
+	r := lebin.NewReader(b)
+	if magic := r.Raw(4); !bytes.Equal(magic, Magic[:]) {
+		return nil, nil, sum, fmt.Errorf("store: bad magic %q", magic)
+	}
+	if ver := r.U32(); ver != Version {
+		return nil, nil, sum, fmt.Errorf("store: unsupported version %d", ver)
+	}
+	headLen := r.U32()
+	copy(sum[:], r.Raw(sha256.Size))
+	if uint64(headLen) > uint64(r.Rest()) {
+		return nil, nil, sum, fmt.Errorf("store: implausible head length %d (%d bytes follow)", headLen, r.Rest())
+	}
+	if headLen < trailerSize {
+		return nil, nil, sum, fmt.Errorf("store: head length %d is shorter than its trailer", headLen)
+	}
+	head = r.Raw(int(headLen))
+	if sha256.Sum256(head) != sum {
+		return nil, nil, sum, fmt.Errorf("store: head checksum mismatch")
+	}
+	return head, b[headerSize+len(head):], sum, nil
+}
+
+// open checks a whole blob — envelope, head checksum, body length and
+// body checksum — and returns the head's fields (trailer stripped) and
+// the body.
+func open(b []byte) (fields, body []byte, sum [sha256.Size]byte, err error) {
+	head, body, sum, err := envelope(b)
+	if err != nil {
+		return nil, nil, sum, err
+	}
+	fields, trailer := head[:len(head)-trailerSize], lebin.NewReader(head[len(head)-trailerSize:])
+	if n := trailer.U64(); n != uint64(len(body)) {
+		return nil, nil, sum, fmt.Errorf("store: body length %d, have %d bytes", n, len(body))
+	}
+	if got := sha256.Sum256(body); !bytes.Equal(got[:], trailer.Raw(sha256.Size)) {
+		return nil, nil, sum, fmt.Errorf("store: body checksum mismatch")
+	}
+	return fields, body, sum, nil
+}
+
+// Verify checks a blob's envelope — magic, version, lengths, and both
+// SHA-256 checksums — without decoding any field.  This is the
 // scrubber's fast integrity pass: any blob Verify accepts has exactly
 // the bytes its writer checksummed (a later Decode can still reject
 // it as structurally stale, which is a rebuild, not corruption).
 func Verify(b []byte) error {
-	_, err := open(b)
+	_, _, _, err := open(b)
 	return err
 }
 
-// open verifies the envelope and returns a reader over the payload.
-func open(b []byte) (*lebin.Reader, error) {
-	if len(b) < headerSize {
-		return nil, fmt.Errorf("store: blob too short (%d bytes)", len(b))
+// finish reports a reader's first failure, or the bytes it left over.
+func finish(r *lebin.Reader, part string) error {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("store: decode %s: %w", part, err)
 	}
-	r := lebin.NewReader(b)
-	if magic := r.Raw(4); !bytes.Equal(magic, Magic[:]) {
-		return nil, fmt.Errorf("store: bad magic %q", magic)
+	if r.Rest() != 0 {
+		return fmt.Errorf("store: %d trailing %s bytes", r.Rest(), part)
 	}
-	if ver := r.U32(); ver != Version {
-		return nil, fmt.Errorf("store: unsupported version %d", ver)
-	}
-	paylen, want := r.U64(), r.Raw(sha256.Size)
-	if paylen != uint64(r.Rest()) {
-		return nil, fmt.Errorf("store: payload length %d, have %d bytes", paylen, r.Rest())
-	}
-	if sum := sha256.Sum256(b[headerSize:]); !bytes.Equal(sum[:], want) {
-		return nil, fmt.Errorf("store: checksum mismatch")
-	}
-	return r, nil
+	return nil
 }
 
 // DecodeEpoch parses a live-upgrade epoch record.  Anything else —
 // including an image record under the epoch key — is an error the
 // caller treats as corrupt.
 func DecodeEpoch(b []byte) (*EpochRecord, error) {
-	r, err := open(b)
+	fields, body, _, err := open(b)
 	if err != nil {
 		return nil, err
 	}
+	r := lebin.NewReader(fields)
 	if t := r.U8(); r.Err() == nil && t != recEpoch {
 		return nil, fmt.Errorf("store: record type %d is not an epoch", t)
+	}
+	if len(body) != 0 {
+		return nil, fmt.Errorf("store: epoch record with a %d-byte body", len(body))
 	}
 	rec := &EpochRecord{}
 	rec.ID = r.Str()
@@ -405,11 +494,8 @@ func DecodeEpoch(b []byte) (*EpochRecord, error) {
 		l.HadPrior = flags&2 != 0
 		rec.Libs = append(rec.Libs, l)
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: decode epoch: %w", err)
-	}
-	if r.Rest() != 0 {
-		return nil, fmt.Errorf("store: %d trailing payload bytes", r.Rest())
+	if err := finish(r, "epoch"); err != nil {
+		return nil, err
 	}
 	if rec.ID == "" {
 		return nil, fmt.Errorf("store: decode epoch: empty id")
@@ -420,26 +506,35 @@ func DecodeEpoch(b []byte) (*EpochRecord, error) {
 	return rec, nil
 }
 
-// Decode parses and verifies a serialized record.  Any structural
-// problem — bad magic, unknown version, truncation, checksum
-// mismatch, implausible counts, trailing bytes — is an error; the
-// caller treats the entry as corrupt and rebuilds.
-func Decode(b []byte) (*Record, error) {
-	r, err := open(b)
+// DecodeHead parses an image record's head from the leading bytes of
+// its blob (Store.GetHead's; the whole blob does too): the envelope and
+// head checksum are verified, the body is neither read nor checked.
+func DecodeHead(b []byte) (*Head, error) {
+	head, _, sum, err := envelope(b)
 	if err != nil {
 		return nil, err
 	}
-	if t := r.U8(); r.Err() == nil && t != recImage {
-		return nil, fmt.Errorf("store: record type %d is not an image", t)
+	rec, err := readHead(head[:len(head)-trailerSize])
+	if err != nil {
+		return nil, err
 	}
-	rec := &Record{}
-	rec.Key = r.Str()
-	rec.Name = r.Str()
-	rec.SolverKey = r.Str()
-	rec.TextBase = r.U64()
-	rec.TextSize = r.U64()
-	rec.DataBase = r.U64()
-	rec.DataSize = r.U64()
+	return &Head{Record: rec, Sum: sum}, nil
+}
+
+// Decode parses and verifies a serialized record, head and body.  Any
+// structural problem — bad magic, unknown version, truncation, either
+// checksum mismatching, implausible counts, trailing bytes — is an
+// error; the caller treats the entry as corrupt and rebuilds.
+func Decode(b []byte) (*Record, error) {
+	fields, body, _, err := open(b)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := readHead(fields)
+	if err != nil {
+		return nil, err
+	}
+	r := lebin.NewReader(body)
 	rec.Entry = r.U64()
 	nsyms := r.Count(minSymBytes)
 	rec.Syms = make([]Sym, 0, nsyms)
@@ -467,17 +562,38 @@ func Decode(b []byte) (*Record, error) {
 		s.Addr = r.U64()
 		rec.BTSlots = append(rec.BTSlots, s)
 	}
-	nlibs := r.Count(minLibKeyBytes)
-	rec.LibKeys = make([]string, 0, nlibs)
-	for i := 0; i < nlibs && r.Err() == nil; i++ {
-		rec.LibKeys = append(rec.LibKeys, r.Str())
-	}
-	rec.ContentKey = r.Str()
 	rec.ResTextBase = r.U64()
 	rec.ResDataBase = r.U64()
 	rec.EntrySeg = r.U8()
 	rec.AbsPatches = readPatches(r)
 	rec.RelPatches = readPatches(r)
+	if err := finish(r, "body"); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// readHead parses an image head's fields into a record whose body
+// fields stay zero.
+func readHead(fields []byte) (*Record, error) {
+	r := lebin.NewReader(fields)
+	if t := r.U8(); r.Err() == nil && t != recImage {
+		return nil, fmt.Errorf("store: record type %d is not an image", t)
+	}
+	rec := &Record{}
+	rec.Key = r.Str()
+	rec.Name = r.Str()
+	rec.SolverKey = r.Str()
+	rec.TextBase = r.U64()
+	rec.TextSize = r.U64()
+	rec.DataBase = r.U64()
+	rec.DataSize = r.U64()
+	rec.ContentKey = r.Str()
+	nlibs := r.Count(minLibKeyBytes)
+	rec.LibKeys = make([]string, 0, nlibs)
+	for i := 0; i < nlibs && r.Err() == nil; i++ {
+		rec.LibKeys = append(rec.LibKeys, r.Str())
+	}
 	rec.BindKey = r.Str()
 	rec.Gen = r.U64()
 	nbind := r.Count(minBindingBytes)
@@ -511,11 +627,8 @@ func Decode(b []byte) (*Record, error) {
 		p.Checksum = r.Str()
 		rec.Pins = append(rec.Pins, p)
 	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("store: decode: %w", err)
-	}
-	if r.Rest() != 0 {
-		return nil, fmt.Errorf("store: %d trailing payload bytes", r.Rest())
+	if err := finish(r, "head"); err != nil {
+		return nil, err
 	}
 	if rec.Key == "" {
 		return nil, fmt.Errorf("store: decode: empty key")

@@ -89,9 +89,9 @@ func TestGoldenDigest(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"Encode", image, "d8181be883e1a62df625704f062950daa9a7c927d661c528ae345ccacb4df06e"},
-		{"EncodeEpoch", epoch, "c021ccde929da71388ec48313d10ac2e080f48b1412a1b9545c6935b35283440"},
-		{"Flush index", goldenIndex(t), "2b31214dee6590926b9ac642a68d85f360b375f4683cf31c69458a6271564629"},
+		{"Encode", image, "7b2a8671dbffe15e5cae8c357395aed601dc6576dc7d5d7bad5a0b833d4f61d0"},
+		{"EncodeEpoch", epoch, "0f16e55016bc2e1659c9484b5920cf133eadb5c1adec870b37738867fa8105f7"},
+		{"Flush index", goldenIndex(t), "2c9d4a105c6a332c61336efeea1b0b447cefee172e77ffeb3e8182b0be23fdc6"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); got != c.want {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -262,6 +263,62 @@ func (s *Store) Get(key string) (blob []byte, ok bool, err error) {
 	return b, true, nil
 }
 
+// headRead is GetHead's first read: room for the head of a library or
+// of a program with a few dozen bindings, so attaching most records is
+// one read.  A longer head costs a second.
+const headRead = 4 << 10
+
+// GetHead reads the envelope and head of the blob stored under key —
+// what DecodeHead needs — with one ReadAt of at most headRead bytes,
+// and a second only when the head is longer than the first read held.
+// It passes through the store.read fault site like Get, but it is not
+// a Load and leaves LRU order alone: attaching a record is not using
+// it.  ok is false when the key is absent; err reports I/O trouble.
+func (s *Store) GetHead(key string) (b []byte, ok bool, err error) {
+	path, err := s.blobPath(key)
+	if err != nil {
+		return nil, false, err
+	}
+	if !s.Has(key) {
+		return nil, false, nil
+	}
+	if err := s.faults.Fire(fault.SiteStoreRead); err != nil {
+		return nil, false, fmt.Errorf("store: get head %s: %w", key, err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			s.drop(key, false)
+			return nil, false, nil
+		}
+		return nil, false, fmt.Errorf("store: get head %s: %w", key, err)
+	}
+	defer f.Close()
+	// The first read lands on the stack; only the head is kept.
+	var first [headRead]byte
+	n, err := f.ReadAt(first[:], 0)
+	if err != nil && err != io.EOF {
+		return nil, false, fmt.Errorf("store: get head %s: %w", key, err)
+	}
+	need := headSpan(first[:n])
+	if need > n {
+		// A head longer than the first read.  The length it claims is
+		// held to the file's size before anything is allocated for it;
+		// a claim past the end is left for DecodeHead to refuse.
+		if info, err := f.Stat(); err != nil || int64(need) > info.Size() {
+			need = n
+		}
+	}
+	b = make([]byte, need)
+	copy(b, first[:n])
+	if need > n {
+		if _, err := f.ReadAt(b[n:], int64(n)); err != nil {
+			return nil, false, fmt.Errorf("store: get head %s: %w", key, err)
+		}
+	}
+	return s.faults.Corrupt(fault.SiteStoreRead, b), true, nil
+}
+
 // Touch marks key as most recently used (an in-memory cache hit keeps
 // the persisted copy warm in LRU order).
 func (s *Store) Touch(key string) {
@@ -382,8 +439,8 @@ func (s *Store) OverCapacity() uint64 {
 }
 
 // KeysLRU returns all keys ordered least-recently-used first — the
-// order eviction should consider victims, and the order the warm-load
-// path uses so reconstruction touches match recency.
+// order eviction should consider victims, and the order a restarted
+// server attaches records in.
 func (s *Store) KeysLRU() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -44,9 +44,9 @@ type System struct {
 	// RT is the loader runtime (bootstrap, integrated, and
 	// partial-image exec paths).
 	RT *loader.Runtime
-	// WarmLoaded is the number of cached images reconstructed from the
-	// persistent store at boot (zero without a store or on a cold
-	// directory).
+	// WarmLoaded is the number of cached images attached from the
+	// persistent store at boot, each served on first use without a
+	// relink (zero without a store or on a cold directory).
 	WarmLoaded int
 	// Faults is the deterministic fault-injection set armed at boot
 	// (nil when Options.FaultSpec was empty).  Shared by the server,
@@ -62,7 +62,7 @@ type System struct {
 type Options struct {
 	// StoreDir, when non-empty, names a directory backing the image
 	// cache persistently: every image built is written through, and
-	// the next boot on the same directory warm-loads it — cached
+	// the next boot on the same directory attaches it — cached
 	// instantiations across daemon restarts without a single relink.
 	StoreDir string
 	// StoreMaxBytes bounds the store's payload bytes; 0 means

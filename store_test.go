@@ -88,8 +88,8 @@ func TestWarmRestartEndToEnd(t *testing.T) {
 }
 
 // TestCorruptStoreEntryEndToEnd corrupts one persisted blob on disk;
-// the next boot must reject it (counting the reject) and transparently
-// rebuild instead of failing.
+// the next session must reject it (counting the reject) and
+// transparently rebuild instead of failing.
 func TestCorruptStoreEntryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 
@@ -124,11 +124,13 @@ func TestCorruptStoreEntryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The damage is found at boot if it hit the record's head, and when
+	// the first request reads the record if it hit the body.
 	sys2 := newStoreSys(t, dir)
+	instantiateCodegen(t, sys2)
 	if sys2.Srv.Stats().StoreCorrupt == 0 {
 		t.Fatalf("corrupt blob not rejected: %+v", sys2.Srv.Stats())
 	}
-	instantiateCodegen(t, sys2)
 	res, err := sys2.Run("/bin/codegen", nil)
 	if err != nil {
 		t.Fatalf("instantiation after corruption failed: %v", err)
