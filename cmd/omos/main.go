@@ -36,7 +36,8 @@
 //	                            (exits 1 when draining, degraded, or a
 //	                            live-upgrade rollback is in progress)
 //	graph                       build-graph report: node counters,
-//	                            recent instantiation runs, event tail
+//	                            active and recent instantiation runs,
+//	                            each node's outcome and duration
 //	upgrade [--canary=N%] [--prog] <path> <file> ...
 //	                            open a live-upgrade epoch (N% canary)
 //	                            and stage new definitions; running

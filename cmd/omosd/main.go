@@ -12,8 +12,6 @@
 //	      [-scrub-interval D] [-scrub-per-tick N] [-supervise-interval D]
 //	      [-handlers-per-conn N]
 //	      [-peers addr,addr...] [-mesh-secret S] [-mesh-gossip-interval D]
-//	omosd -health [-listen addr]
-//	omosd -graph [-listen addr]
 //	omosd -list-faults
 //
 // With -workloads the daemon boots with the evaluation workloads
@@ -25,15 +23,8 @@
 // single relink.  -store-max-bytes bounds the store (LRU eviction);
 // 0 means unlimited.
 //
-// -health queries a running daemon at the -listen address and prints
-// its liveness counters (uptime, in-flight builds, recovered panics,
-// quarantined blobs, shed requests, degraded verdict) instead of
-// serving; it exits non-zero when the daemon is draining or degraded.
-//
-// -graph queries a running daemon and prints its build-graph report:
-// lifetime node counters, active and recent instantiation runs with
-// per-node outcomes (built/rebased/cached/resumed/failed), and the
-// tail of the node event stream.
+// A running daemon is queried with the client: `omos health` prints
+// its liveness counters, `omos graph` its build-graph report.
 //
 // -max-inflight/-queue-depth size the admission gate (overload
 // protection: excess requests are shed with a retry-after hint rather
@@ -87,12 +78,10 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7070", "TCP address to listen on (or query with -health)")
+	listen := flag.String("listen", ":7070", "TCP address to listen on")
 	workloads := flag.Bool("workloads", false, "preinstall the evaluation workloads")
 	storeDir := flag.String("store", "", "directory for the persistent image store (empty: in-memory only)")
 	storeMax := flag.Int64("store-max-bytes", 0, "image store capacity in bytes (0: unlimited)")
-	health := flag.Bool("health", false, "query a running daemon's health and exit")
-	graph := flag.Bool("graph", false, "query a running daemon's build-graph report and exit")
 	listFaults := flag.Bool("list-faults", false, "print every injectable fault site and kind, then exit")
 	faults := flag.String("faults", os.Getenv("OMOS_FAULTS"),
 		"fault-injection spec, e.g. \"store.read:error:p=0.01;build.link:panic:n=100\" (default $OMOS_FAULTS)")
@@ -112,12 +101,6 @@ func main() {
 		"anti-entropy gossip period for the mesh (0: manual gossip only)")
 	flag.Parse()
 
-	if *health {
-		os.Exit(queryHealth(*listen))
-	}
-	if *graph {
-		os.Exit(queryGraph(*listen))
-	}
 	if *listFaults {
 		// The registry dump needs no daemon: it is the build's own
 		// fault surface, the ground truth the fault-matrix test pins.
@@ -215,55 +198,4 @@ func main() {
 		log.Printf("omosd: closing store: %v", err)
 	}
 	log.Printf("omosd: shut down cleanly")
-}
-
-// query dials a running daemon at the -listen address and performs
-// one call; what names the query in the error it prints on failure.
-func query(addr, what string, req *ipc.Request) (*ipc.Response, bool) {
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
-	}
-	c, err := ipc.DialWith(addr, ipc.Options{
-		ConnectTimeout: 3 * time.Second,
-		CallTimeout:    5 * time.Second,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: %s: %v\n", what, err)
-		return nil, false
-	}
-	defer c.Close()
-	resp, err := c.Call(req)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: %s: %v\n", what, err)
-		return nil, false
-	}
-	return resp, true
-}
-
-// queryGraph prints a running daemon's build-graph report.
-func queryGraph(addr string) int {
-	resp, ok := query(addr, "graph", &ipc.Request{Op: ipc.OpGraph})
-	if !ok {
-		return 1
-	}
-	fmt.Print(resp.Text)
-	return 0
-}
-
-// queryHealth prints a running daemon's health counters.  Exit status
-// 0 means alive and healthy (see ipc.HealthInfo.Unhealthy).
-func queryHealth(addr string) int {
-	resp, ok := query(addr, "health", &ipc.Request{Op: ipc.OpHealth})
-	if !ok {
-		return 1
-	}
-	if resp.Health == nil {
-		fmt.Fprintln(os.Stderr, "omosd: health: daemon did not report health")
-		return 1
-	}
-	fmt.Print(resp.Health.Format())
-	if resp.Health.Unhealthy() {
-		return 1
-	}
-	return 0
 }

@@ -11,34 +11,30 @@ import (
 
 func TestRunLifecycleAndCounters(t *testing.T) {
 	l := NewLog()
-	r := l.Begin("/bin/app")
-	root := r.Node("/bin/app", KindProgram, nil)
+	root := l.Begin("/bin/app", KindProgram)
 	lib := root.Child("/lib/libc", KindLibrary)
 
-	lib.Start()
 	lib.SetKeys("k1", "ck1")
-	lib.MarkLink()
+	lib.Produced(OutcomeBuilt)
 	lib.AddCost(100)
-	l.Checkpointed(lib, 4096, nil)
-	lib.Finish(OutcomeBuilt, nil)
-
-	root.Start()
-	root.SetKeys("k0", "ck0")
-	root.Finish(OutcomeCached, nil)
-	r.End(nil)
-
-	c := l.Counters()
-	if c.Runs != 1 || c.NodesBuilt != 1 || c.NodesCached != 1 {
-		t.Fatalf("counters = %+v", c)
+	lib.Checkpointed(4096, nil)
+	if o := lib.Finish(nil); o != OutcomeBuilt {
+		t.Fatalf("lib outcome = %s, want built", o)
 	}
-	if c.NodesCheckpointed != 1 || c.CheckpointBytes != 4096 {
-		t.Fatalf("checkpoint counters = %+v", c)
+	if out := l.Render(""); !strings.Contains(out, "runs=1 active=1") || !strings.Contains(out, " active\n") {
+		t.Fatalf("run not active before its root finished:\n%s", out)
+	}
+
+	root.SetKeys("k0", "ck0")
+	if o := root.Finish(nil); o != OutcomeCached {
+		t.Fatalf("root outcome = %s, want cached (no stage produced it)", o)
 	}
 	if lib.Parent != root.ID {
 		t.Fatalf("lib parent = %d, want %d", lib.Parent, root.ID)
 	}
-	out := l.Render()
-	for _, want := range []string{"/bin/app", "/lib/libc", "built", "ckpt=4096B", "checkpointed"} {
+	out := l.Render("nodes: x\n")
+	for _, want := range []string{"runs=1 active=0\nnodes: x\n", "/bin/app", "/lib/libc", "built", "cached",
+		"ckpt=4096B", "dur=", "recent runs:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}
@@ -47,80 +43,68 @@ func TestRunLifecycleAndCounters(t *testing.T) {
 
 func TestCheckpointFailureCounts(t *testing.T) {
 	l := NewLog()
-	r := l.Begin("x")
-	n := r.Node("x", KindLibrary, nil)
-	n.Start()
-	l.Checkpointed(n, 0, errors.New("injected"))
-	n.Finish(OutcomeBuilt, nil)
-	r.End(nil)
-
-	c := l.Counters()
-	if c.CheckpointsFailed != 1 || c.NodesCheckpointed != 0 || c.CheckpointBytes != 0 {
-		t.Fatalf("counters = %+v", c)
+	n := l.Begin("x", KindLibrary)
+	n.Checkpointed(0, errors.New("injected"))
+	n.Produced(OutcomeBuilt)
+	if o := n.Finish(nil); o != OutcomeBuilt {
+		t.Fatalf("outcome = %s, want built: a failed checkpoint never fails the node", o)
 	}
-	if !strings.Contains(l.Render(), "checkpoint-failed") {
-		t.Fatal("Render missing checkpoint-failed event")
+	out := l.Render("")
+	if !strings.Contains(out, `ckpt-err="injected"`) || strings.Contains(out, "ckpt=") {
+		t.Fatalf("Render does not show the checkpoint failure:\n%s", out)
 	}
 }
 
 func TestNilNodeSafe(t *testing.T) {
 	var n *Node
-	n.Start()
 	n.SetKeys("a", "b")
-	n.MarkLink()
-	n.MarkRebase()
+	n.Produced(OutcomeBuilt)
 	n.AddCost(1)
-	n.Finish(OutcomeBuilt, nil)
+	n.Checkpointed(10, nil)
+	if o := n.Finish(nil); o != OutcomePending {
+		t.Fatalf("nil node finished %s", o)
+	}
 	if n.Child("x", KindLibrary) != nil {
 		t.Fatal("nil parent produced a child")
 	}
-	if n.Linked() || n.Rebased() {
-		t.Fatal("nil node reports marks")
-	}
-	var r *Run
-	r.End(nil)
-	if r.Node("x", KindLibrary, nil) != nil {
-		t.Fatal("nil run produced a node")
-	}
-	// Counters still move for checkpoints outside any recorded run.
-	l := NewLog()
-	l.Checkpointed(nil, 10, nil)
-	if c := l.Counters(); c.NodesCheckpointed != 1 || c.CheckpointBytes != 10 {
-		t.Fatalf("nil-node checkpoint counters = %+v", c)
-	}
 }
 
-func TestEventRingBounded(t *testing.T) {
+// TestOutcomeSetByProducer: failure overrides the producing stage, and
+// a stage finishing after its node changes nothing.
+func TestOutcomeSetByProducer(t *testing.T) {
 	l := NewLog()
-	r := l.Begin("x")
-	for i := 0; i < 2*maxEvents; i++ {
-		n := r.Node("n", KindLibrary, nil)
-		n.Finish(OutcomeCached, nil)
+	root := l.Begin("r", KindProgram)
+	failed := root.Child("f", KindLibrary)
+	failed.Produced(OutcomeRebased)
+	if o := failed.Finish(errors.New("boom")); o != OutcomeFailed {
+		t.Fatalf("outcome = %s, want failed", o)
 	}
-	evs := l.Events(0)
-	if len(evs) != maxEvents {
-		t.Fatalf("event ring holds %d, want %d", len(evs), maxEvents)
+	late := root.Child("late", KindLibrary)
+	if o := late.Finish(nil); o != OutcomeCached {
+		t.Fatalf("outcome = %s, want cached", o)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("event seq gap at %d: %d -> %d", i, evs[i-1].Seq, evs[i].Seq)
-		}
+	late.Produced(OutcomeBuilt)
+	if late.Outcome != OutcomeCached {
+		t.Fatalf("late stage moved a finished node to %s", late.Outcome)
 	}
-	if got := l.Events(5); len(got) != 5 {
-		t.Fatalf("Events(5) = %d entries", len(got))
+	root.Produced(OutcomeResumed)
+	root.Finish(nil)
+	if out := l.Render(""); !strings.Contains(out, "active=0") ||
+		!strings.Contains(out, `err="boom"`) || !strings.Contains(out, "resumed") {
+		t.Fatalf("Render:\n%s", out)
 	}
 }
 
 func TestRecentRunsBounded(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 3*maxRecentRuns; i++ {
-		l.Begin("r").End(nil)
+		l.Begin("r", KindProgram).Finish(nil)
 	}
 	l.mu.Lock()
-	n := len(l.recent)
+	n, active := len(l.recent), len(l.active)
 	l.mu.Unlock()
-	if n != maxRecentRuns {
-		t.Fatalf("recent runs = %d, want %d", n, maxRecentRuns)
+	if n != maxRecentRuns || active != 0 {
+		t.Fatalf("recent runs = %d, active = %d; want %d and 0", n, active, maxRecentRuns)
 	}
 }
 
@@ -216,9 +200,7 @@ func TestContextPlumbing(t *testing.T) {
 	if NodeFrom(context.Background()) != nil {
 		t.Fatal("empty context carries a node")
 	}
-	l := NewLog()
-	r := l.Begin("x")
-	n := r.Node("x", KindProgram, nil)
+	n := NewLog().Begin("x", KindProgram)
 	ctx := WithNode(context.Background(), n)
 	if NodeFrom(ctx) != n {
 		t.Fatal("node not recovered from context")
@@ -227,27 +209,30 @@ func TestContextPlumbing(t *testing.T) {
 
 func TestConcurrentNodeRecording(t *testing.T) {
 	l := NewLog()
-	r := l.Begin("root")
-	root := r.Node("root", KindProgram, nil)
+	root := l.Begin("root", KindProgram)
 	var wg sync.WaitGroup
+	var built atomic.Int64
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			n := root.Child("lib", KindLibrary)
-			n.Start()
 			n.SetKeys("k", "ck")
 			n.AddCost(7)
-			l.Checkpointed(n, 3, nil)
-			n.Finish(OutcomeBuilt, nil)
+			n.Checkpointed(3, nil)
+			n.Produced(OutcomeBuilt)
+			if n.Finish(nil) == OutcomeBuilt {
+				built.Add(1)
+			}
+			_ = l.Render("")
 		}()
 	}
 	wg.Wait()
-	r.End(nil)
-	c := l.Counters()
-	if c.NodesBuilt != 16 || c.NodesCheckpointed != 16 || c.CheckpointBytes != 48 {
-		t.Fatalf("counters = %+v", c)
+	root.Finish(nil)
+	if built.Load() != 16 {
+		t.Fatalf("built = %d, want 16", built.Load())
 	}
+	r := root.run
 	if len(r.Nodes) != 17 {
 		t.Fatalf("nodes = %d, want 17", len(r.Nodes))
 	}

@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,12 @@ import (
 // driving the protocol.
 func startBatchDaemon(t *testing.T, opts ipc.Options) (*ipc.Client, *omos.System) {
 	t.Helper()
-	sys, err := omos.NewSystem()
+	return startBatchDaemonWith(t, opts, omos.Options{})
+}
+
+func startBatchDaemonWith(t *testing.T, opts ipc.Options, sysOpts omos.Options) (*ipc.Client, *omos.System) {
+	t.Helper()
+	sys, err := omos.NewSystemWith(sysOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +137,40 @@ func TestDaemonBatchConcurrentWithCalls(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestFaultRootEvalPanicBatchDaemon: a panic in one batch item's root
+// evaluation, which runs on an executor goroutine inside the daemon,
+// fails that item alone; the other item succeeds and the daemon keeps
+// answering.
+func TestFaultRootEvalPanicBatchDaemon(t *testing.T) {
+	c, sys := startBatchDaemonWith(t, ipc.Options{
+		ConnectTimeout: 2 * time.Second,
+		CallTimeout:    30 * time.Second,
+	}, omos.Options{FaultSpec: "build.eval:panic:n=1:count=1"})
+	defineBatchWorkload(t, c)
+
+	res, err := c.InstantiateBatch([]string{"/bin/t", "/bin/t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for i, r := range res {
+		if r.Err != nil {
+			if !strings.Contains(r.Err.Error(), "recovered panic") {
+				t.Fatalf("item %d: err = %v, want recovered panic", i, r.Err)
+			}
+			failed++
+		}
+	}
+	if len(res) != 2 || failed != 1 {
+		t.Fatalf("results %+v; want one of two items failed", res)
+	}
+	if sys.Srv.Stats().Recovered == 0 {
+		t.Fatal("Stats.Recovered = 0 after a contained panic")
+	}
+	if _, err := c.Call(&ipc.Request{Op: ipc.OpPing}); err != nil {
+		t.Fatalf("daemon stopped answering after the panic: %v", err)
 	}
 }

@@ -229,7 +229,7 @@ func (b *Backend) MeshRebalance(req *ipc.MeshReq) (*ipc.MeshInfo, error) {
 }
 
 // Health implements ipc.HealthBackend: the liveness and robustness
-// counters behind omosd -health.  The transport adds its own
+// counters behind `omos health`.  The transport adds its own
 // recovered-panic count and the draining flag.
 func (b *Backend) Health() ipc.HealthInfo {
 	st := b.Sys.Srv.Stats()
@@ -269,7 +269,7 @@ func (b *Backend) Health() ipc.HealthInfo {
 }
 
 // Graph implements ipc.GraphBackend: the build-graph report behind
-// `omos graph` and omosd -graph.
+// `omos graph`.
 func (b *Backend) Graph() string { return b.Sys.Srv.GraphReport() }
 
 // Stats implements ipc.Backend.

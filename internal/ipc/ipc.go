@@ -66,7 +66,7 @@ const (
 	OpGetMeta   Op = "get-meta"   // Path; returns blueprint source + library flag
 	OpGetObject Op = "get-object" // Path; returns encoded ROF bytes
 	OpHealth    Op = "health"     // liveness + robustness counters
-	OpGraph     Op = "graph"      // build-graph report (runs, nodes, events)
+	OpGraph     Op = "graph"      // build-graph report (runs, nodes, checkpoints)
 	OpExplain   Op = "explain"    // Path (symbol name); binding audit trail
 	// OpUpgrade drives a live-upgrade epoch; Unit selects the phase:
 	// "start" (Text: canary percentage, returns the epoch id in Text),
@@ -308,14 +308,13 @@ type HealthInfo struct {
 
 // Unhealthy reports whether the daemon is draining, degraded or rolling
 // an upgrade back: alive, but not a daemon to send work to.  `omos
-// health` and `omosd -health` exit nonzero on it so scripts and
-// orchestrators notice.
+// health` exits nonzero on it so scripts and orchestrators notice.
 func (h *HealthInfo) Unhealthy() bool {
 	return h.Draining || h.Degraded || h.UpgradeRollingBack
 }
 
 // Format renders the report one "name: value" line per counter, the
-// text both `omos health` and `omosd -health` print.  The upgrade and
+// text `omos health` prints.  The upgrade and
 // mesh lines appear only on a daemon that has something to say there.
 func (h *HealthInfo) Format() string {
 	var b strings.Builder

@@ -220,7 +220,8 @@ func TestCheckpointPanicRecovered(t *testing.T) {
 }
 
 // TestGraphCountersAndReport: the graph counters classify outcomes
-// (built vs cached) and the introspection report names the runs.
+// (built vs cached) and the introspection report names the runs, with
+// each node's duration.
 func TestGraphCountersAndReport(t *testing.T) {
 	s := newTestServer(t)
 	defineResumeWorld(t, s)
@@ -242,23 +243,14 @@ func TestGraphCountersAndReport(t *testing.T) {
 		t.Fatalf("second instantiation recorded no cached nodes: %+v", st)
 	}
 	report := s.GraphReport()
-	for _, want := range []string{"/bin/resume", "/lib/rlib1", "built", "cached", "nodes:"} {
+	for _, want := range []string{
+		"build graph: runs=2 active=0\n",
+		fmt.Sprintf("nodes: built=%d rebased=0 cached=%d resumed=0 failed=0\n", resumeLibs+1, st.NodesCached),
+		"checkpoints: ok=0 failed=0 bytes=0\n",
+		"/bin/resume", "/lib/rlib1", "built", "cached", "dur=",
+	} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("graph report missing %q:\n%s", want, report)
-		}
-	}
-	// The event stream records the node lifecycle.
-	evs := s.GraphLog().Events(0)
-	if len(evs) == 0 {
-		t.Fatal("no graph events recorded")
-	}
-	kinds := map[string]bool{}
-	for _, ev := range evs {
-		kinds[ev.Type] = true
-	}
-	for _, want := range []string{"queued", "started", "done"} {
-		if !kinds[want] {
-			t.Fatalf("event stream missing %q events (have %v)", want, kinds)
 		}
 	}
 }

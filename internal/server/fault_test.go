@@ -289,3 +289,68 @@ func TestFaultDelayWithDeadline(t *testing.T) {
 		t.Fatalf("exit = %d, want 42", code)
 	}
 }
+
+// TestFaultRootEvalPanicRecovered: a panic in the root's own
+// evaluation (hit 1, which TestFaultEvalPanicRecovered skips) is
+// recovered by the root's node like any dependency's: the request
+// fails with the panic, the run is retired, and a retry builds.
+func TestFaultRootEvalPanicRecovered(t *testing.T) {
+	s := newTestServer(t)
+	defineFaultProg(t, s)
+	f := fault.New(1)
+	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindPanic, EveryN: 1, Count: 1})
+	s.SetFaults(f)
+
+	_, err := s.Instantiate("/bin/prog", nil)
+	if err == nil || !strings.Contains(err.Error(), "recovered panic") {
+		t.Fatalf("err = %v, want recovered panic", err)
+	}
+	if got := s.Stats().Recovered; got == 0 {
+		t.Fatalf("Stats.Recovered = %d, want > 0", got)
+	}
+	if st := s.Stats(); st.NodesFailed != 1 {
+		t.Fatalf("NodesFailed = %d, want the root alone", st.NodesFailed)
+	}
+	if report := s.GraphReport(); !strings.Contains(report, "build graph: runs=1 active=0\n") {
+		t.Fatalf("panicked run still active:\n%s", report)
+	}
+	if inst, err := s.Instantiate("/bin/prog", nil); err != nil {
+		t.Fatalf("post-panic instantiate: %v", err)
+	} else if _, code := runInstance(t, s, inst, nil); code != 42 {
+		t.Fatalf("exit = %d, want 42", code)
+	}
+}
+
+// TestFaultRootEvalPanicBatch: the same panic inside a two-item batch,
+// whose items run on the executor's goroutines, fails one item and
+// leaves the other — and the process — alone.
+func TestFaultRootEvalPanicBatch(t *testing.T) {
+	s := newTestServer(t)
+	defineFaultProg(t, s)
+	f := fault.New(1)
+	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindPanic, EveryN: 1, Count: 1})
+	s.SetFaults(f)
+
+	var mu sync.Mutex
+	errs := map[int]error{}
+	s.InstantiateBatch(context.Background(), []string{"/bin/prog", "/bin/prog"}, nil, func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		errs[i] = err
+	})
+	failed := 0
+	for i := 0; i < 2; i++ {
+		if err := errs[i]; err != nil {
+			if !strings.Contains(err.Error(), "recovered panic") {
+				t.Fatalf("item %d: err = %v, want recovered panic", i, err)
+			}
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("errors %v; want exactly one item failed", errs)
+	}
+	if report := s.GraphReport(); !strings.Contains(report, "build graph: runs=2 active=0\n") {
+		t.Fatalf("batch runs not retired:\n%s", report)
+	}
+}

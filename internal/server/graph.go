@@ -1,53 +1,61 @@
 package server
 
 import (
+	"context"
+	"fmt"
+
 	"omos/internal/buildgraph"
 )
 
 // This file is the server side of the build-graph recording
-// (internal/buildgraph): every public instantiation opens a Run, each
-// library dependency branch becomes a Node (parallel.go), and node
+// (internal/buildgraph): every public instantiation opens a run, each
+// library dependency branch becomes a node (parallel.go), and node
 // results are checkpointed into the persistent store the moment they
 // complete (persist.go), so a daemon killed mid-build resumes at the
 // surviving nodes after a warm restart.
 
-// GraphLog exposes the server's build-graph log (for tests and the
-// bench tables).
-func (s *Server) GraphLog() *buildgraph.Log { return s.graph }
-
-// GraphReport renders the build graph for the `omos graph` /
-// `omosd -graph` introspection views.
-func (s *Server) GraphReport() string { return s.graph.Render() }
-
-// beginRun opens a build-graph run for one top-level instantiation
-// and returns the run plus its root node.
-func (s *Server) beginRun(name string, kind buildgraph.Kind) (*buildgraph.Run, *buildgraph.Node) {
-	run := s.graph.Begin(name)
-	return run, run.Node(name, kind, nil)
+// GraphReport renders the build graph for `omos graph`: run counts,
+// node outcomes and checkpoints, then the runs themselves.
+func (s *Server) GraphReport() string {
+	n, c := &s.stats.nodes, &s.stats
+	return s.graph.Render(fmt.Sprintf(
+		"nodes: built=%d rebased=%d cached=%d resumed=%d failed=%d\ncheckpoints: ok=%d failed=%d bytes=%d\n",
+		n[buildgraph.OutcomeBuilt].Load(), n[buildgraph.OutcomeRebased].Load(), n[buildgraph.OutcomeCached].Load(),
+		n[buildgraph.OutcomeResumed].Load(), n[buildgraph.OutcomeFailed].Load(),
+		c.nodesCheckpointed.Load(), c.checkpointsFailed.Load(), c.checkpointBytes.Load()))
 }
 
-// finishNode classifies how a node's instance was obtained and
-// resolves the node.  The closure marks (MarkLink / MarkRebase) say
-// whether this branch did the work; otherwise the instance came from
-// the cache — and if the cached instance was reconstructed from the
-// persistent store, this node resumed a previous session's
-// checkpoint.  The resumed flag flips exactly once per instance, so
-// NodesResumed equals the number of surviving checkpoints actually
-// reused, not the number of cache hits on them.
-func (s *Server) finishNode(node *buildgraph.Node, inst *Instance, err error) {
-	if node == nil {
-		return
+// inNode is the one node lifecycle: it runs produce as one build-graph
+// node — the root of a new run when root is set, else a child of the
+// context's current node (nothing is recorded outside a run) — with
+// the node in produce's context and charger, so deeper stages hang
+// children under it and tee their cycles into it.  A panic anywhere in
+// produce (evaluation, specialization, injected faults) fails this
+// node — and therefore the request — but never the goroutine it runs
+// on; it is counted in Recovered and returned as the node's error.
+// The node then finishes with the outcome the producing stage set
+// (build), and the outcome is counted.
+func (s *Server) inNode(ctx context.Context, name string, kind buildgraph.Kind, root bool, c charger,
+	produce func(context.Context, charger) (*Instance, error)) (inst *Instance, err error) {
+	var node *buildgraph.Node
+	if root {
+		node = s.graph.Begin(name, kind)
+	} else {
+		node = buildgraph.NodeFrom(ctx).Child(name, kind)
 	}
-	switch {
-	case err != nil:
-		node.Finish(buildgraph.OutcomeFailed, err)
-	case node.Linked():
-		node.Finish(buildgraph.OutcomeBuilt, nil)
-	case node.Rebased():
-		node.Finish(buildgraph.OutcomeRebased, nil)
-	case inst != nil && inst.warm && inst.resumed.CompareAndSwap(false, true):
-		node.Finish(buildgraph.OutcomeResumed, nil)
-	default:
-		node.Finish(buildgraph.OutcomeCached, nil)
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.recovered.Add(1)
+			inst = nil
+			err = fmt.Errorf("server: building %s: recovered panic: %v", name, r)
+		}
+		if node != nil {
+			s.stats.nodes[node.Finish(err)].Add(1)
+		}
+	}()
+	if node != nil {
+		ctx = buildgraph.WithNode(ctx, node)
+		c = withNode(c, node)
 	}
+	return produce(ctx, c)
 }

@@ -80,18 +80,12 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 	if meta.IsLibrary {
 		kind = buildgraph.KindLibrary
 	}
-	run, root := s.beginRun(name, kind)
-	root.Start()
-	ctx = buildgraph.WithNode(ctx, root)
-	ch := withNode(asCharger(p), root)
-	var inst *Instance
-	if meta.IsLibrary {
-		inst, err = s.libraryImage(ctx, mgraph.LibDep{Path: name, Spec: meta.DefaultSpec}, ch)
-	} else {
-		inst, err = s.programImage(ctx, name, meta, ch)
-	}
-	s.finishNode(root, inst, err)
-	run.End(err)
+	inst, err := s.inNode(ctx, name, kind, true, asCharger(p), func(ctx context.Context, c charger) (*Instance, error) {
+		if meta.IsLibrary {
+			return s.libraryImage(ctx, mgraph.LibDep{Path: name, Spec: meta.DefaultSpec}, c)
+		}
+		return s.programImage(ctx, name, meta, c)
+	})
 	// Feed the health gate: the server-wide failure baseline always,
 	// the canary cohort's verdict during an epoch.  A regression here
 	// triggers the automatic rollback (synchronously, so the caller
@@ -120,13 +114,8 @@ func (s *Server) InstantiateBlueprint(src string, p *osim.Process) (*Instance, e
 	}
 	meta := &mgraph.Meta{Path: "(anonymous)", Root: root, SrcHash: digestStr(src)}
 	name := "(anonymous:" + meta.SrcHash + ")"
-	run, rootNode := s.beginRun(name, buildgraph.KindProgram)
-	rootNode.Start()
-	ctx := buildgraph.WithNode(context.Background(), rootNode)
-	inst, err := s.programImage(ctx, name, meta, withNode(asCharger(p), rootNode))
-	s.finishNode(rootNode, inst, err)
-	run.End(err)
-	return inst, err
+	return s.inNode(context.Background(), name, buildgraph.KindProgram, true, asCharger(p),
+		func(ctx context.Context, c charger) (*Instance, error) { return s.programImage(ctx, name, meta, c) })
 }
 
 func (s *Server) chargeLookup(c charger) {
@@ -353,28 +342,34 @@ func (s *Server) programImage(ctx context.Context, name string, meta *mgraph.Met
 // place cached images are linked.  Whichever way produced it, the
 // instance is complete before publish makes it visible; it is then
 // checkpointed to the store, and a fresh link of content another
-// daemon owns is offered to that owner.
+// daemon owns is offered to that owner.  The stage that produced the
+// image sets the node's outcome; a node whose flight another node led
+// sets none and finishes cached.
 func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, error) {
 	node := buildgraph.NodeFrom(ctx)
 	node.SetKeys(pl.key, pl.ckey)
 	return s.buildShared(ctx, pl.key, func() (*Instance, error) {
 		// A prior session's record of this very image, attached at boot
 		// and read now: it counts as the cache hit it stands for — the
-		// node resumes (finishNode), nothing is checkpointed or offered.
+		// node resumes, nothing is checkpointed or offered.
 		if inst := s.wake(pl.key); inst != nil {
 			s.stats.cacheHits.Add(1)
+			node.Produced(buildgraph.OutcomeResumed)
 			return inst, nil
 		}
-		inst, ok := s.tryMeshFetch(node, pl, c)
+		inst, ok := s.tryMeshFetch(pl, c)
 		if !ok {
-			inst, ok = s.tryRebase(node, pl, c)
+			inst, ok = s.tryRebase(pl, c)
 		}
+		outcome := buildgraph.OutcomeRebased // a mesh install slides the peer's bytes
 		if !ok {
 			var err error
-			if inst, err = s.linkImage(ctx, node, pl, c); err != nil {
+			if inst, err = s.linkImage(ctx, pl, c); err != nil {
 				return nil, err
 			}
+			outcome = buildgraph.OutcomeBuilt
 		}
+		node.Produced(outcome)
 		inst = s.publish(inst)
 		s.checkpointInstance(node, inst)
 		if !ok { // linked here, not fetched or slid
@@ -386,7 +381,7 @@ func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, err
 
 // linkImage is the full-link stage of build.  Build cost is charged to
 // the requesting process (the only one that ever pays it).
-func (s *Server) linkImage(ctx context.Context, node *buildgraph.Node, pl *plan, c charger) (*Instance, error) {
+func (s *Server) linkImage(ctx context.Context, pl *plan, c charger) (*Instance, error) {
 	if pl.ckey != "" {
 		s.stats.rebaseMiss.Add(1)
 	}
@@ -398,7 +393,6 @@ func (s *Server) linkImage(ctx context.Context, node *buildgraph.Node, pl *plan,
 	if err := s.faults.Fire(fault.SiteBuildLink); err != nil {
 		return nil, fmt.Errorf("server: linking %s: %w", pl.label, err)
 	}
-	node.MarkLink()
 	externs := pl.bound
 	if externs == nil {
 		externs = s.resolveExterns(pl, c)

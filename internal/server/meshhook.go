@@ -17,7 +17,6 @@ package server
 import (
 	"fmt"
 
-	"omos/internal/buildgraph"
 	"omos/internal/link"
 	"omos/internal/store"
 )
@@ -193,7 +192,7 @@ func (s *Server) variantMatches(ckey string, m MeshMeta) bool {
 // unknown, validation or decode trouble — returns (nil, false) and the
 // caller proceeds down the ordinary local path, so the mesh can only
 // ever remove work, never availability.
-func (s *Server) tryMeshFetch(node *buildgraph.Node, pl *plan, c charger) (*Instance, bool) {
+func (s *Server) tryMeshFetch(pl *plan, c charger) (*Instance, bool) {
 	h := s.mesh
 	ckey, textBase, dataBase := pl.ckey, pl.place.TextBase, pl.place.DataBase
 	if h == nil || s.DisableCache || ckey == "" || h.Owned(ckey) {
@@ -211,7 +210,7 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, pl *plan, c charger) (*Inst
 		// invariants: validate the local variant against them, then
 		// slide it locally via the rebase fast path.
 		if s.variantMatches(ckey, reply.Meta) {
-			if inst, ok := s.tryRebase(node, pl, c); ok {
+			if inst, ok := s.tryRebase(pl, c); ok {
 				s.stats.meshMetaRebases.Add(1)
 				return inst, true
 			}
@@ -227,7 +226,7 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, pl *plan, c charger) (*Inst
 	var inst *Instance
 	res, err := fetchedResult(pl, reply.Blob)
 	if err == nil {
-		inst, _, err = s.slide(node, pl, res, nil, c)
+		inst, _, err = s.slide(pl, res, nil, c)
 	}
 	if err != nil {
 		s.stats.meshFallbacks.Add(1)

@@ -144,8 +144,18 @@ func (w *world) subjects() []subject {
 	return subs
 }
 
-// did is what one instantiation did, as counter deltas.
-type did struct{ built, rebased, meshed uint64 }
+// did is what one instantiation did, as counter deltas: images built,
+// slid and installed from a peer, and what the call's build-graph nodes
+// recorded.
+type did struct {
+	built, rebased, meshed uint64
+	nodes                  nodes
+}
+
+// nodes is the NodesBuilt, NodesResumed and NodesCached deltas.  A root
+// that was slid or installed records rebased, which Stats does not
+// export: it shows here as no count at all.
+type nodes struct{ built, resumed, cached uint64 }
 
 // produce instantiates path and reports what the call did.
 func (w *world) produce(path string) (*server.Instance, did) {
@@ -157,8 +167,14 @@ func (w *world) produce(path string) (*server.Instance, did) {
 	}
 	after := w.Srv.Stats()
 	return inst, did{after.ImagesBuilt - before.ImagesBuilt, after.Rebases - before.Rebases,
-		after.MeshBlobInstalls - before.MeshBlobInstalls}
+		after.MeshBlobInstalls - before.MeshBlobInstalls,
+		nodes{after.NodesBuilt - before.NodesBuilt, after.NodesResumed - before.NodesResumed,
+			after.NodesCached - before.NodesCached}}
 }
+
+// libs is the number of library nodes an instantiation of inst records:
+// one per library (the workload's libraries import nothing).
+func libs(inst *server.Instance) uint64 { return uint64(len(inst.Libs)) }
 
 // snapshot is what the oracle compares: the encoded reconstruction
 // record (segments as materialized in frames with their addresses and
@@ -256,8 +272,8 @@ func TestFastPathOracle(t *testing.T) {
 	want := map[string]snapshot{}
 	for _, sub := range subs {
 		inst, d := fresh.produce(sub.path)
-		if d != (did{built: 1}) {
-			t.Fatalf("fresh %s: %+v; want one full link", sub.path, d)
+		if d != (did{built: 1, nodes: nodes{built: 1, cached: libs(inst)}}) {
+			t.Fatalf("fresh %s: %+v; want one full link, its libraries cached", sub.path, d)
 		}
 		want[sub.path] = fresh.snap(inst)
 	}
@@ -281,7 +297,7 @@ func TestFastPathOracle(t *testing.T) {
 			before := fresh.Srv.Stats()
 			inst, d := fresh.produce(sub.path)
 			after := fresh.Srv.Stats()
-			if d != (did{built: 1}) || after.BindingHits != before.BindingHits+1 || after.SymbolSearches != before.SymbolSearches {
+			if d != (did{built: 1, nodes: nodes{built: 1, cached: libs(inst)}}) || after.BindingHits != before.BindingHits+1 || after.SymbolSearches != before.SymbolSearches {
 				t.Fatalf("%+v, binding hits +%d, symbol searches +%d; want one link bound by replay", d,
 					after.BindingHits-before.BindingHits, after.SymbolSearches-before.SymbolSearches)
 			}
@@ -308,7 +324,7 @@ func TestFastPathOracle(t *testing.T) {
 			}
 			hook.blobs[variant.ContentKey] = blob
 			inst, d := reb.produce(sub.path)
-			if d != (did{rebased: 1}) {
+			if d != (did{rebased: 1, nodes: nodes{cached: libs(inst)}}) {
 				t.Fatalf("%+v; want one slide and no link", d)
 			}
 			same(t, "rebased", sub.path, want[sub.path], reb.snap(inst), true)
@@ -324,7 +340,7 @@ func TestFastPathOracle(t *testing.T) {
 	// two kinds take a restart each: first without the programs' own
 	// blobs, then without the libraries' (which takes everything linked
 	// against them out as stale, and leaves their variants).
-	for _, libs := range []bool{false, true} {
+	for _, isLib := range []bool{false, true} {
 		if err := reb.Srv.CloseStore(); err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +349,7 @@ func TestFastPathOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sub := range subs {
-			if sub.isLib == libs {
+			if sub.isLib == isLib {
 				st.Delete(want[sub.path].rec.Key)
 			}
 		}
@@ -341,14 +357,23 @@ func TestFastPathOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		reb = newWorld(t, rebDir, nil)
+		// A library's record resumes in the first node that asks for it.
+		asked := map[string]bool{}
 		for _, sub := range subs {
-			if sub.isLib != libs {
+			if sub.isLib != isLib {
 				continue
 			}
 			t.Run("warm-rebase"+sub.path, func(t *testing.T) {
 				inst, d := reb.produce(sub.path)
-				if d != (did{rebased: 1}) {
-					t.Fatalf("%+v; want one slide from the restored variant and no link", d)
+				var first uint64
+				for _, li := range inst.Libs {
+					if !asked[li.Key] {
+						asked[li.Key] = true
+						first++
+					}
+				}
+				if d != (did{rebased: 1, nodes: nodes{resumed: first, cached: libs(inst) - first}}) {
+					t.Fatalf("%+v; want one slide from the restored variant and no link, %d libraries resumed", d, first)
 				}
 				same(t, "rebased from a warm-restarted variant", sub.path, want[sub.path], reb.snap(inst), true)
 			})
@@ -369,16 +394,16 @@ func TestFastPathOracle(t *testing.T) {
 	for _, sub := range subs {
 		t.Run("warm"+sub.path, func(t *testing.T) {
 			inst, d := warm.produce(sub.path)
-			if d != (did{}) {
-				t.Fatalf("%+v; want the restored image", d)
+			if d != (did{nodes: nodes{resumed: 1, cached: libs(inst)}}) {
+				t.Fatalf("%+v; want the restored image, resumed once, its libraries cached", d)
 			}
 			same(t, "warm-restarted", sub.path, want[sub.path], warm.snap(inst), false)
 		})
 	}
 	t.Run("warm/lib/cb", func(t *testing.T) {
 		inst, d := warm.produce("/bin/btapp")
-		if d != (did{}) {
-			t.Fatalf("%+v; want the restored branch-table library and its client", d)
+		if d != (did{nodes: nodes{resumed: 2}}) {
+			t.Fatalf("%+v; want the restored branch-table library and its client, each resumed", d)
 		}
 		same(t, "warm-restarted", "/lib/cb", wantBT, warm.snap(inst.Libs[0]), false)
 	})
@@ -408,7 +433,7 @@ func TestFastPathOracle(t *testing.T) {
 	for _, sub := range subs {
 		t.Run("mesh-dormant"+sub.path, func(t *testing.T) {
 			inst, d := fromDormant.produce(sub.path)
-			if d != (did{meshed: 1}) {
+			if d != (did{meshed: 1, nodes: nodes{cached: libs(inst)}}) {
 				t.Fatalf("%+v; want one blob install and nothing else", d)
 			}
 			same(t, "mesh-installed from a dormant variant", sub.path, want[sub.path], fromDormant.snap(inst), true)
@@ -421,7 +446,7 @@ func TestFastPathOracle(t *testing.T) {
 	for _, sub := range subs {
 		t.Run("mesh"+sub.path, func(t *testing.T) {
 			inst, d := mesh.produce(sub.path)
-			if d != (did{meshed: 1}) {
+			if d != (did{meshed: 1, nodes: nodes{cached: libs(inst)}}) {
 				t.Fatalf("%+v; want one blob install and nothing else", d)
 			}
 			same(t, "mesh-installed", sub.path, want[sub.path], mesh.snap(inst), true)
@@ -441,7 +466,7 @@ func TestFastPathOracle(t *testing.T) {
 		hook.fetched = nil
 		a, da := mesh.produce("/bin/btapp")
 		b, db := mesh.produce("/bin/btapp2")
-		if da != (did{built: 2}) || db != (did{built: 2}) {
+		if linked := (did{built: 2, nodes: nodes{built: 2}}); da != linked || db != linked {
 			t.Fatalf("%+v then %+v; want client and library linked each time, no slide, no install", da, db)
 		}
 		la, lb := a.Libs[0], b.Libs[0]

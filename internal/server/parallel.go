@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"omos/internal/buildgraph"
@@ -61,8 +60,8 @@ type clockTally struct {
 func (t *clockTally) ChargeServer(n uint64) { t.cycles.Add(n) }
 
 // nodeCharger tees a branch's cycles into its build-graph node, so
-// the per-node event stream carries cost units without disturbing the
-// requester accounting.
+// each node carries its cost units without disturbing the requester
+// accounting.
 type nodeCharger struct {
 	c    charger
 	node *buildgraph.Node
@@ -161,38 +160,23 @@ func (s *Server) instantiateDeps(ctx context.Context, deps []mgraph.LibDep, c ch
 	return insts, nil
 }
 
-// buildDep builds one library dependency as one build-graph node,
-// with panic isolation: a panic anywhere in the branch (evaluation,
-// specialization, injected faults) fails this dependency — and
-// therefore this request — but never the worker goroutine it happens
-// to be running on.  The singleflight leader has its own recovery;
-// this guards the stages that run before a flight exists.
-func (s *Server) buildDep(ctx context.Context, dep mgraph.LibDep, c charger) (inst *Instance, err error) {
+// buildDep builds one library dependency as one build-graph node
+// (inNode), so a panic in the branch fails this dependency, never the
+// worker goroutine it happens to be running on.
+func (s *Server) buildDep(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
 	kind := buildgraph.KindLibrary
 	if dep.Spec.Kind == "lib-branch-table" {
 		kind = buildgraph.KindBranchTable
 	}
-	node := buildgraph.NodeFrom(ctx).Child(dep.Path, kind)
-	defer func() {
-		if r := recover(); r != nil {
-			s.stats.recovered.Add(1)
-			inst = nil
-			err = fmt.Errorf("server: building %s: recovered panic: %v", dep.Path, r)
+	return s.inNode(ctx, dep.Path, kind, false, c, func(ctx context.Context, c charger) (*Instance, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		s.finishNode(node, inst, err)
-	}()
-	node.Start()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if node != nil {
-		ctx = buildgraph.WithNode(ctx, node)
-		c = withNode(c, node)
-	}
-	// Scheduling a node has a small fixed cost (queue + join
-	// bookkeeping), charged to the requester like the lookup is.
-	if c != nil {
-		c.ChargeServer(s.kern.Cost.ServerNodeSchedule)
-	}
-	return s.libraryImage(ctx, dep, c)
+		// Scheduling a node has a small fixed cost (queue + join
+		// bookkeeping), charged to the requester like the lookup is.
+		if c != nil {
+			c.ChargeServer(s.kern.Cost.ServerNodeSchedule)
+		}
+		return s.libraryImage(ctx, dep, c)
+	})
 }

@@ -219,9 +219,6 @@ func (s *Server) wake(key string) *Instance {
 		s.reject(st, key)
 		return nil
 	}
-	// A prior session's checkpoint: the first build-graph node that
-	// resolves to it counts as a resume (finishNode in graph.go).
-	inst.warm = true
 	return s.publish(inst)
 }
 
@@ -302,15 +299,27 @@ func (s *Server) checkpointInstance(node *buildgraph.Node, inst *Instance) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.recovered.Add(1)
-			s.graph.Checkpointed(node, 0, fmt.Errorf("recovered panic: %v", r))
+			s.checkpointed(node, 0, fmt.Errorf("recovered panic: %v", r))
 		}
 	}()
-	if err := s.faults.Fire(fault.SiteCheckpoint); err != nil {
-		s.graph.Checkpointed(node, 0, err)
-		return
+	var n int
+	err := s.faults.Fire(fault.SiteCheckpoint)
+	if err == nil {
+		n, err = s.persistInstance(st, inst)
 	}
-	n, err := s.persistInstance(st, inst)
-	s.graph.Checkpointed(node, n, err)
+	s.checkpointed(node, n, err)
+}
+
+// checkpointed counts one checkpoint and records it on its node (a
+// checkpoint outside any recorded run still counts).
+func (s *Server) checkpointed(node *buildgraph.Node, bytes int, err error) {
+	if err != nil {
+		s.stats.checkpointsFailed.Add(1)
+	} else {
+		s.stats.nodesCheckpointed.Add(1)
+		s.stats.checkpointBytes.Add(uint64(bytes))
+	}
+	node.Checkpointed(bytes, err)
 }
 
 // persistInstance writes a built instance through to the store,

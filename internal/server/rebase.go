@@ -1,7 +1,6 @@
 package server
 
 import (
-	"omos/internal/buildgraph"
 	"omos/internal/link"
 )
 
@@ -48,7 +47,7 @@ func rebaseSource(src *Instance) bool {
 // the plan's bases, sharing clean pages with it.  Returns (nil, false)
 // when no variant is usable — the caller falls back to the full
 // relink.
-func (s *Server) tryRebase(node *buildgraph.Node, pl *plan, c charger) (*Instance, bool) {
+func (s *Server) tryRebase(pl *plan, c charger) (*Instance, bool) {
 	if s.DisableCache || pl.ckey == "" {
 		return nil, false
 	}
@@ -56,7 +55,7 @@ func (s *Server) tryRebase(node *buildgraph.Node, pl *plan, c charger) (*Instanc
 	if src == nil {
 		return nil, false
 	}
-	inst, shared, err := s.slide(node, pl, src.Res, src, c)
+	inst, shared, err := s.slide(pl, src.Res, src, c)
 	if err != nil {
 		return nil, false
 	}
@@ -74,12 +73,11 @@ func (s *Server) tryRebase(node *buildgraph.Node, pl *plan, c charger) (*Instanc
 // mesh blob install (src is nil, the bytes came from a peer).  The
 // cost charged is proportional to the patch count, not the relocation
 // count.
-func (s *Server) slide(node *buildgraph.Node, pl *plan, from *link.Result, src *Instance, c charger) (*Instance, int, error) {
+func (s *Server) slide(pl *plan, from *link.Result, src *Instance, c charger) (*Instance, int, error) {
 	slid, err := link.Rebase(from, pl.place.TextBase, pl.place.DataBase)
 	if err != nil {
 		return nil, 0, err
 	}
-	node.MarkRebase()
 	slid.Image.Name = pl.name
 	inst, shared, err := s.materialize(pl, slid, src)
 	if err != nil {

@@ -121,10 +121,10 @@ type Stats struct {
 	ScrubQuarantined uint64
 	ScrubOrphans     uint64
 
-	// The Nodes* fields mirror the build graph (buildgraph.Log): how
-	// each per-library node of every recorded instantiation resolved.
-	// NodesResumed counts nodes served by a previous session's
-	// checkpoint (each record woken from the store counts once);
+	// The Nodes* fields count how the build-graph nodes of every
+	// recorded instantiation resolved (graph.go).  NodesResumed counts
+	// nodes woken from a previous session's checkpoint inside their
+	// own build flight (each record wakes once);
 	// NodesCheckpointed and CheckpointBytes account the per-node
 	// write-through that makes resuming possible, CheckpointsFailed
 	// the best-effort writes that were lost (the build still
@@ -227,6 +227,13 @@ type statsCounters struct {
 	meshMetaRebases  atomic.Uint64
 	meshBlobInstalls atomic.Uint64
 	meshFallbacks    atomic.Uint64
+
+	// nodes counts finished build-graph nodes, one counter per outcome
+	// (indexed by buildgraph.Outcome).
+	nodes             [buildgraph.OutcomeFailed + 1]atomic.Uint64
+	nodesCheckpointed atomic.Uint64
+	checkpointsFailed atomic.Uint64
+	checkpointBytes   atomic.Uint64
 }
 
 // Stats returns a consistent-enough snapshot of the activity counters.
@@ -269,15 +276,15 @@ func (s *Server) Stats() Stats {
 		MeshMetaRebases:  s.stats.meshMetaRebases.Load(),
 		MeshBlobInstalls: s.stats.meshBlobInstalls.Load(),
 		MeshFallbacks:    s.stats.meshFallbacks.Load(),
+
+		NodesBuilt:        s.stats.nodes[buildgraph.OutcomeBuilt].Load(),
+		NodesCached:       s.stats.nodes[buildgraph.OutcomeCached].Load(),
+		NodesResumed:      s.stats.nodes[buildgraph.OutcomeResumed].Load(),
+		NodesFailed:       s.stats.nodes[buildgraph.OutcomeFailed].Load(),
+		NodesCheckpointed: s.stats.nodesCheckpointed.Load(),
+		CheckpointsFailed: s.stats.checkpointsFailed.Load(),
+		CheckpointBytes:   s.stats.checkpointBytes.Load(),
 	}
-	gc := s.graph.Counters()
-	st.NodesBuilt = gc.NodesBuilt
-	st.NodesCached = gc.NodesCached
-	st.NodesResumed = gc.NodesResumed
-	st.NodesFailed = gc.NodesFailed
-	st.NodesCheckpointed = gc.NodesCheckpointed
-	st.CheckpointsFailed = gc.CheckpointsFailed
-	st.CheckpointBytes = gc.CheckpointBytes
 	s.cacheMu.RLock()
 	stor := s.store
 	s.cacheMu.RUnlock()
@@ -361,14 +368,6 @@ type Instance struct {
 	// lastUse is the LRU stamp (Server.useSeq at last touch), updated
 	// atomically so cache hits need no write lock.
 	lastUse atomic.Uint64
-
-	// warm marks an instance reconstructed from the persistent store
-	// (wake) — a previous session's checkpoint.  resumed
-	// flips once, the first time a build-graph node resolves to the
-	// instance, so Stats.NodesResumed counts each surviving checkpoint
-	// exactly once per daemon lifetime.
-	warm    bool
-	resumed atomic.Bool
 }
 
 // placeRec is the solver placement an instance occupies.
@@ -471,7 +470,7 @@ type Server struct {
 	// fan-out submits one task per node (see parallel.go).
 	exec *buildgraph.Executor
 	// graph records every instantiation as an explicit build DAG with
-	// per-node outcomes, checkpoints, and trace events (graph.go).
+	// per-node outcomes, costs and checkpoints (graph.go).
 	graph *buildgraph.Log
 
 	// faults, when non-nil, arms the build.eval / build.link injection

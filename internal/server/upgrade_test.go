@@ -531,3 +531,37 @@ func TestUpgradeRollbackEvictsDependents(t *testing.T) {
 		t.Fatalf("post-rollback exit = %d, want 42", code)
 	}
 }
+
+// TestFaultCanaryRootPanicCountsCohortFailure: a panic contained in a
+// canary instantiation's root is the cohort failure the health gate
+// sees.  Three baseline failures first raise the baseline, so one
+// cohort failure stays under the gate and the epoch stays open to be
+// read.
+func TestFaultCanaryRootPanicCountsCohortFailure(t *testing.T) {
+	s := newTestServer(t)
+	defineUpgradeWorld(t, s)
+	f := fault.New(1)
+	s.SetFaults(f)
+	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindError, EveryN: 1, Count: 3})
+	for i := 0; i < 3; i++ {
+		if _, err := s.Instantiate("/bin/t", nil); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("baseline failure %d: err = %v", i, err)
+		}
+	}
+	if _, err := s.UpgradeStart(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpgradeStage("/lib/up", upLibV2, true); err != nil {
+		t.Fatal(err)
+	}
+	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindPanic, EveryN: 1, Count: 1})
+	if _, err := s.Instantiate("/bin/t", nil); err == nil || !strings.Contains(err.Error(), "recovered panic") {
+		t.Fatalf("err = %v, want recovered panic", err)
+	}
+	if st := s.UpgradeStatus(); !st.Active || st.CohortRuns != 1 || st.CohortFails != 1 {
+		t.Fatalf("status = %+v; want one cohort run, failed, epoch open", st)
+	}
+	if code := runExit(t, s); code != 43 {
+		t.Fatalf("canary exit after the panic = %d, want 43 (v2)", code)
+	}
+}
