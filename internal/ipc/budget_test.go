@@ -1,14 +1,13 @@
 package ipc
 
 // The wire path's syscall and goroutine budget, counted at the
-// net.Conn boundary: what one v2 round trip may cost each side, that
+// net.Conn boundary: what one round trip may cost each side, that
 // frames arriving together share a read, that a connection's workers
 // are reused rather than respawned, that Shutdown leaves none behind,
 // and that a full handler pool still pauses the reader.
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
 	"runtime"
 	"strings"
@@ -117,8 +116,8 @@ func TestWireBudgetOneWriteOneReadPerRoundTrip(t *testing.T) {
 	cc := &countingConn{Conn: raw}
 	c := NewClient(cc)
 	defer c.Close()
-	// The first call carries the hello and both gob type preambles;
-	// everything after it is steady state.
+	// The first call carries the hello and starts the connection's
+	// worker; everything after it is steady state.
 	if _, err := c.Call(&Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +178,11 @@ func TestWireBudgetBackToBackFramesShareOneRead(t *testing.T) {
 	before := sc.reads.Load()
 
 	// Two request frames in one segment.
-	both := v2Stream(t, &Request{Op: OpDisasm, Path: "/o/1"}, &Request{Op: OpDisasm, Path: "/o/2"})
+	both := taggedStream(&Request{Op: OpDisasm, Path: "/o/1"}, &Request{Op: OpDisasm, Path: "/o/2"})
 	if _, err := conn.Write(both); err != nil {
 		t.Fatal(err)
 	}
 
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
 	var hdr [hdrSize]byte
 	var buf []byte
 	answered := map[uint64]string{}
@@ -194,9 +191,8 @@ func TestWireBudgetBackToBackFramesShareOneRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		feeder.set(payload)
 		var resp Response
-		if err := dec.Decode(&resp); err != nil {
+		if err := decodeResponse(payload, &resp); err != nil {
 			t.Fatal(err)
 		}
 		answered[tag] = resp.Text
@@ -249,5 +245,29 @@ func TestMuxFullPoolPausesReader(t *testing.T) {
 	calls.Wait()
 	if got := b.entered.Load(); got != 3 {
 		t.Errorf("%d runs reached the backend, want 3", got)
+	}
+}
+
+func TestWireBudgetAllocsPerCall(t *testing.T) {
+	// A steady-state call, client and server together, allocates what
+	// it hands over — the completion channel and its buffer, the reply
+	// and its values on the client, the reply (and the health report)
+	// on the server — and nothing for the codec or the framing.  The
+	// caller's request stays on its stack: the encoder keeps no
+	// reference to it.
+	c, _ := startServer(t)
+	for _, tc := range []struct {
+		op   Op
+		want float64
+	}{{OpPing, 5}, {OpHealth, 6}} {
+		call := func() {
+			if _, err := c.Call(&Request{Op: tc.op}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // the hello, and the connection's one worker
+		if got := testing.AllocsPerRun(200, call); got > tc.want {
+			t.Errorf("%s: %.0f allocations per call, want at most %.0f", tc.op, got, tc.want)
+		}
 	}
 }

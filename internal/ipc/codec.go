@@ -1,0 +1,372 @@
+package ipc
+
+// The message codec of the tagged wire: every frame after the hello
+// carries one Request (client to server) or one Response (server to
+// client), laid out on internal/lebin's field convention — integers
+// little-endian and fixed-width, a string or blob as a u32 length and
+// the bytes, a list as a u32 count and the elements:
+//
+//	Request:  Op, Path, Unit, Text, Args, Blob, AllowRebind,
+//	          presence, [Mesh]
+//	Response: Err, Text, Paths, Blob, Flag, ExitCode, Output,
+//	          User, Sys, Server, Wait, RetryAfterMS, Index, Final,
+//	          presence, [Health] [Rebind] [Pin] [Upgrade] [Mesh]
+//
+// Fields go in declaration order (nested payloads last), an int
+// travels as its 64-bit two's complement and a bool as one byte, 0 or
+// 1.  The presence byte has one bit per optional nested payload; a set
+// bit means the payload follows, in bit order, its own fields in
+// declaration order.  Nothing is self-describing: the layout is the
+// protocol version's, so a change to it is a new protoVersionText.
+//
+// Decoding is strict, because the bytes come from outside the
+// process: every length and count is bounded by lebin.Reader, a bool
+// other than 0 or 1, an unknown presence bit or a trailing byte is
+// refused, and so an accepted payload re-encodes to itself.  Zero-length
+// lists and blobs decode as nil, and no decoded value aliases the
+// payload, which is the caller's reused receive buffer.
+
+import (
+	"errors"
+	"fmt"
+
+	"omos/internal/lebin"
+)
+
+// Presence bits, in the order their payloads follow.
+const (
+	hasHealth = 1 << iota
+	hasRebind
+	hasPin
+	hasUpgrade
+	hasMesh
+
+	requestPresence  = hasMesh
+	responsePresence = hasHealth | hasRebind | hasPin | hasUpgrade | hasMesh
+)
+
+// minStrBytes is the smallest encoding of a list element: an empty
+// string's length prefix.
+const minStrBytes = 4
+
+var errBadBool = errors.New("bool byte not 0 or 1")
+
+// opByName interns a decoded Op, so a request for a known operation
+// allocates no string for it.  An op missing here still decodes; it
+// only costs that allocation.
+var opByName = func() map[string]Op {
+	m := map[string]Op{}
+	for _, op := range []Op{OpPing, OpDefine, OpDefineLib, OpPutObject, OpAssemble,
+		OpCompile, OpList, OpRemove, OpRun, OpRunBoot, OpDisasm, OpStats, OpGetMeta,
+		OpGetObject, OpHealth, OpGraph, OpExplain, OpUpgrade, OpUpgradeStatus,
+		OpRollback, OpHello, OpInstantiateBatch, OpMeshFetch, OpMeshPut,
+		OpMeshGossip, OpMeshRebalance} {
+		m[string(op)] = op
+	}
+	return m
+}()
+
+// encodeRequest appends req's encoding to w.
+func encodeRequest(w *lebin.Writer, req *Request) {
+	w.Str(string(req.Op))
+	w.Str(req.Path)
+	w.Str(req.Unit)
+	w.Str(req.Text)
+	putStrs(w, req.Args)
+	w.Bytes(req.Blob)
+	putBool(w, req.AllowRebind)
+	var has uint8
+	if req.Mesh != nil {
+		has |= hasMesh
+	}
+	w.U8(has)
+	if m := req.Mesh; m != nil {
+		w.Str(m.From)
+		w.Str(m.CKey)
+		w.U64(m.TextBase)
+		w.U64(m.DataBase)
+		putBool(w, m.HaveBytes)
+		w.Bytes(m.Blob)
+		w.U64(m.Gen)
+		putStrs(w, m.Keys)
+	}
+}
+
+// decodeRequest overwrites every field of *req with the request
+// encoded in p.
+func decodeRequest(p []byte, req *Request) error {
+	r := lebin.NewReader(p)
+	*req = Request{
+		Op:          getOp(r),
+		Path:        r.Str(),
+		Unit:        r.Str(),
+		Text:        r.Str(),
+		Args:        getStrs(r),
+		Blob:        getBlob(r),
+		AllowRebind: getBool(r),
+	}
+	if getPresence(r, requestPresence)&hasMesh != 0 {
+		req.Mesh = &MeshReq{
+			From:      r.Str(),
+			CKey:      r.Str(),
+			TextBase:  r.U64(),
+			DataBase:  r.U64(),
+			HaveBytes: getBool(r),
+			Blob:      getBlob(r),
+			Gen:       r.U64(),
+			Keys:      getStrs(r),
+		}
+	}
+	return finish(r)
+}
+
+// encodeResponse appends resp's encoding to w.
+func encodeResponse(w *lebin.Writer, resp *Response) {
+	w.Str(resp.Err)
+	w.Str(resp.Text)
+	putStrs(w, resp.Paths)
+	w.Bytes(resp.Blob)
+	putBool(w, resp.Flag)
+	w.U64(resp.ExitCode)
+	w.Str(resp.Output)
+	w.U64(resp.User)
+	w.U64(resp.Sys)
+	w.U64(resp.Server)
+	w.U64(resp.Wait)
+	w.U64(uint64(resp.RetryAfterMS))
+	w.U64(uint64(resp.Index))
+	putBool(w, resp.Final)
+	var has uint8
+	if resp.Health != nil {
+		has |= hasHealth
+	}
+	if resp.Rebind != nil {
+		has |= hasRebind
+	}
+	if resp.Pin != nil {
+		has |= hasPin
+	}
+	if resp.Upgrade != nil {
+		has |= hasUpgrade
+	}
+	if resp.Mesh != nil {
+		has |= hasMesh
+	}
+	w.U8(has)
+	if h := resp.Health; h != nil {
+		w.U64(h.UptimeMS)
+		w.U64(uint64(h.InflightBuilds))
+		w.U64(h.Recovered)
+		w.U64(h.Quarantined)
+		w.U64(h.WarmLoaded)
+		putBool(w, h.Draining)
+		putBool(w, h.Degraded)
+		w.Str(h.DegradedReason)
+		w.U64(uint64(h.QueueDepth))
+		w.U64(h.Shed)
+		w.U64(h.BuildTimeouts)
+		w.U64(h.ScrubChecked)
+		w.U64(h.ScrubQuarantined)
+		w.U64(h.NodesBuilt)
+		w.U64(h.NodesResumed)
+		w.U64(h.NodesCheckpointed)
+		w.U64(h.CheckpointBytes)
+		putBool(w, h.UpgradeActive)
+		w.Str(h.UpgradeEpoch)
+		w.U64(uint64(h.UpgradeCanaryPct))
+		putBool(w, h.UpgradeRollingBack)
+		w.Str(h.UpgradeVerdict)
+		w.U64(uint64(h.MeshPeers))
+		w.U64(uint64(h.MeshPeersUp))
+		w.U64(uint64(h.MeshShards))
+		w.U64(h.MeshPeerFetches)
+		w.U64(h.MeshMetaRebases)
+		w.U64(h.MeshBlobFetches)
+		w.U64(h.MeshGossipRounds)
+	}
+	if rb := resp.Rebind; rb != nil {
+		w.Str(rb.Mutation)
+		w.Str(rb.Path)
+		w.Str(rb.Program)
+		w.Str(rb.Symbol)
+		w.Str(rb.Definer)
+	}
+	if p := resp.Pin; p != nil {
+		w.Str(p.Image)
+		w.Str(p.Lib)
+		w.Str(p.Field)
+		w.Str(p.Want)
+		w.Str(p.Got)
+	}
+	if u := resp.Upgrade; u != nil {
+		w.Str(u.Epoch)
+		w.Str(u.Verdict)
+		putBool(w, u.Auto)
+	}
+	if m := resp.Mesh; m != nil {
+		putBool(w, m.Found)
+		putBool(w, m.MetaOnly)
+		w.U64(uint64(m.AbsPatches))
+		w.U64(uint64(m.RelPatches))
+		w.U64(uint64(m.Syms))
+		w.U64(m.TextSize)
+		w.U64(m.DataSize)
+		w.U64(m.Size)
+		w.U64(m.Gen)
+		putStrs(w, m.Want)
+	}
+}
+
+// decodeResponse overwrites every field of *resp with the response
+// encoded in p.
+func decodeResponse(p []byte, resp *Response) error {
+	r := lebin.NewReader(p)
+	*resp = Response{
+		Err:          r.Str(),
+		Text:         r.Str(),
+		Paths:        getStrs(r),
+		Blob:         getBlob(r),
+		Flag:         getBool(r),
+		ExitCode:     r.U64(),
+		Output:       r.Str(),
+		User:         r.U64(),
+		Sys:          r.U64(),
+		Server:       r.U64(),
+		Wait:         r.U64(),
+		RetryAfterMS: int64(r.U64()),
+		Index:        int(r.U64()),
+		Final:        getBool(r),
+	}
+	has := getPresence(r, responsePresence)
+	if has&hasHealth != 0 {
+		resp.Health = &HealthInfo{
+			UptimeMS:           r.U64(),
+			InflightBuilds:     int(r.U64()),
+			Recovered:          r.U64(),
+			Quarantined:        r.U64(),
+			WarmLoaded:         r.U64(),
+			Draining:           getBool(r),
+			Degraded:           getBool(r),
+			DegradedReason:     r.Str(),
+			QueueDepth:         int(r.U64()),
+			Shed:               r.U64(),
+			BuildTimeouts:      r.U64(),
+			ScrubChecked:       r.U64(),
+			ScrubQuarantined:   r.U64(),
+			NodesBuilt:         r.U64(),
+			NodesResumed:       r.U64(),
+			NodesCheckpointed:  r.U64(),
+			CheckpointBytes:    r.U64(),
+			UpgradeActive:      getBool(r),
+			UpgradeEpoch:       r.Str(),
+			UpgradeCanaryPct:   int(r.U64()),
+			UpgradeRollingBack: getBool(r),
+			UpgradeVerdict:     r.Str(),
+			MeshPeers:          int(r.U64()),
+			MeshPeersUp:        int(r.U64()),
+			MeshShards:         int(r.U64()),
+			MeshPeerFetches:    r.U64(),
+			MeshMetaRebases:    r.U64(),
+			MeshBlobFetches:    r.U64(),
+			MeshGossipRounds:   r.U64(),
+		}
+	}
+	if has&hasRebind != 0 {
+		resp.Rebind = &RebindInfo{Mutation: r.Str(), Path: r.Str(), Program: r.Str(), Symbol: r.Str(), Definer: r.Str()}
+	}
+	if has&hasPin != 0 {
+		resp.Pin = &PinInfo{Image: r.Str(), Lib: r.Str(), Field: r.Str(), Want: r.Str(), Got: r.Str()}
+	}
+	if has&hasUpgrade != 0 {
+		resp.Upgrade = &UpgradeAbortedInfo{Epoch: r.Str(), Verdict: r.Str(), Auto: getBool(r)}
+	}
+	if has&hasMesh != 0 {
+		resp.Mesh = &MeshInfo{
+			Found:      getBool(r),
+			MetaOnly:   getBool(r),
+			AbsPatches: int(r.U64()),
+			RelPatches: int(r.U64()),
+			Syms:       int(r.U64()),
+			TextSize:   r.U64(),
+			DataSize:   r.U64(),
+			Size:       r.U64(),
+			Gen:        r.U64(),
+			Want:       getStrs(r),
+		}
+	}
+	return finish(r)
+}
+
+func putBool(w *lebin.Writer, b bool) {
+	if b {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+}
+
+func getBool(r *lebin.Reader) bool {
+	switch r.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.Fail(errBadBool)
+	return false
+}
+
+func putStrs(w *lebin.Writer, ss []string) {
+	w.U32(uint32(len(ss)))
+	for _, s := range ss {
+		w.Str(s)
+	}
+}
+
+// getStrs reads a string list; an empty one is nil.
+func getStrs(r *lebin.Reader) []string {
+	n := r.Count(minStrBytes)
+	if n == 0 {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.Str()
+	}
+	return ss
+}
+
+// getBlob reads a blob into a fresh slice; an empty one is nil.
+func getBlob(r *lebin.Reader) []byte {
+	if p := r.Blob(); len(p) > 0 {
+		return p
+	}
+	return nil
+}
+
+// getOp reads an op name, interned when it is a known one.
+func getOp(r *lebin.Reader) Op {
+	raw := r.Raw(int(r.U32()))
+	if op, ok := opByName[string(raw)]; ok {
+		return op
+	}
+	return Op(raw)
+}
+
+// getPresence reads a presence byte, refusing bits outside allowed.
+func getPresence(r *lebin.Reader, allowed uint8) uint8 {
+	has := r.U8()
+	if has&^allowed != 0 {
+		r.Fail(fmt.Errorf("unknown presence bits %#x", has&^allowed))
+		return 0
+	}
+	return has
+}
+
+// finish refuses trailing bytes and returns the first failure.
+func finish(r *lebin.Reader) error {
+	if r.Err() == nil && r.Rest() != 0 {
+		r.Fail(fmt.Errorf("%d trailing bytes", r.Rest()))
+	}
+	return r.Err()
+}

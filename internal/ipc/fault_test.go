@@ -51,6 +51,38 @@ func TestFaultFrameErrorTyped(t *testing.T) {
 	}
 }
 
+// TestFaultForgedHelloLength: a hello frame is read before the peer has
+// proved anything, so the length it claims must not become an
+// allocation — four forged header bytes once cost the server 16 MiB.
+func TestFaultForgedHelloLength(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame-16)
+	const limit = 64 << 10
+	var fe *FrameError
+	var err error
+	if got := allocatedBy(func() { err = ReadFrame(bytes.NewReader(hdr[:]), new(Request)) }); got >= limit {
+		t.Errorf("ReadFrame of a forged header allocated %d bytes", got)
+	}
+	if !errors.As(err, &fe) || fe.Reason != "oversized" {
+		t.Errorf("ReadFrame of a forged header: %v, want an oversized FrameError", err)
+	}
+
+	// The same four bytes as a connection's first, through the server.
+	srv := NewServer(newFakeBackend())
+	cli, sv := net.Pipe()
+	srv.connWG.Add(1) // what Serve does before serveConn
+	served := make(chan struct{})
+	got := allocatedBy(func() {
+		go func() { srv.serveConn(sv); close(served) }()
+		cli.Write(hdr[:])
+		cli.Close()
+		<-served
+	})
+	if got >= limit {
+		t.Errorf("serveConn given a forged hello header allocated %d bytes", got)
+	}
+}
+
 // TestFaultBadFrame: a client that sends garbage costs only its own
 // connection; the daemon answers the next client normally.
 func TestFaultBadFrame(t *testing.T) {

@@ -4,24 +4,21 @@ package ipc
 // everything after the hello exchange.
 //
 // A frame is a 12-byte header — 4-byte big-endian payload length,
-// 8-byte big-endian tag — followed by the gob payload.  The tag is
-// assigned by the client (monotonically increasing per connection) and
-// echoed by the server on the completion, so one connection carries
-// any number of in-flight calls and responses return in whatever order
-// the server finishes them.
+// 8-byte big-endian tag — followed by the payload: one message in the
+// codec of codec.go.  The tag is assigned by the client (monotonically
+// increasing per connection) and echoed by the server on the
+// completion, so one connection carries any number of in-flight calls
+// and responses return in whatever order the server finishes them.
 //
-// Unlike the hello's self-contained frames (WriteFrame/ReadFrame,
-// which spin up a fresh gob codec per frame and so resend type
-// descriptors every time), a connection runs one persistent gob
-// encoder and one persistent
-// decoder per direction: type descriptors cross the wire once at
-// stream start, and every later frame is just the value bytes.  The
-// framing itself is allocation-free in steady state — the send buffer
-// is reused with a 12-byte header hole reserved at the front (one
-// conn.Write per frame, no copy), the receive buffer is reused and
-// grown to the high-water mark, and header scratch lives in the
-// caller's frame — pinned by TestFramedHotPathAllocFree.  (A whole
-// call is not allocation-free: gob and the decoded values allocate.)
+// Every frame stands alone: the codec keeps no state between frames,
+// so a frame decodes without the ones before it.  The framing itself
+// is allocation-free in steady state — the send buffer is reused with
+// a 12-byte header hole reserved at the front (one conn.Write per
+// frame, no copy), the receive buffer is reused and grown to the
+// high-water mark, and header scratch lives in the caller's frame —
+// pinned by TestFramedHotPathAllocFree.  A whole call allocates only
+// its decoded values and its completion channel
+// (TestWireBudgetAllocsPerCall).
 //
 // Each side reads tagged frames through one readBufSize bufio.Reader
 // created after the hello, never earlier: the hello exchange is
@@ -32,6 +29,8 @@ package ipc
 import (
 	"encoding/binary"
 	"io"
+
+	"omos/internal/lebin"
 )
 
 // hdrSize is the frame header: 4-byte payload length + 8-byte tag.
@@ -42,25 +41,18 @@ const hdrSize = 12
 // once the buffer is drained is read straight into the frame buffer.
 const readBufSize = 4096
 
-// sendBuf assembles one outgoing frame: the gob encoder appends
-// payload bytes after a reserved header hole, seal stamps the header
-// in place, and the whole frame goes out in a single Write.  The
-// backing array is reused across frames (capacity is retained).
-type sendBuf struct{ b []byte }
+// sendBuf assembles one outgoing frame: the codec appends the payload
+// after a reserved header hole, seal stamps the header in place, and
+// the whole frame goes out in a single Write.  The backing array is
+// reused across frames (capacity is retained).
+type sendBuf struct{ b lebin.Writer }
 
 // reset prepares the buffer for a new frame, keeping capacity.
 func (s *sendBuf) reset() {
 	if cap(s.b) < hdrSize {
-		s.b = make([]byte, hdrSize, 512)
+		s.b = make(lebin.Writer, hdrSize, 512)
 	}
 	s.b = s.b[:hdrSize]
-}
-
-// Write implements io.Writer for the gob encoder: payload bytes land
-// directly after the header hole.
-func (s *sendBuf) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }
 
 // payloadLen reports the bytes accumulated past the header.
@@ -76,7 +68,8 @@ func (s *sendBuf) seal(tag uint64) {
 // tagBytes exposes the sealed header's tag field — the deterministic
 // corruption point for the fault framework's ipc.write corrupt rules
 // (flipping tag bits exercises the receiver's tag-mismatch defense
-// without desynchronizing the gob payload stream).
+// without desynchronizing the framing, which damaged length bytes
+// would).
 func (s *sendBuf) tagBytes() []byte { return s.b[4:12] }
 
 // readTagged reads one frame: header into hdr, payload into *buf
@@ -104,21 +97,4 @@ func readTagged(r io.Reader, hdr *[hdrSize]byte, buf *[]byte) (tag uint64, paylo
 		return tag, nil, &FrameError{Reason: "truncated", Size: n, Err: err}
 	}
 	return tag, *buf, nil
-}
-
-// payloadFeeder hands one frame's payload to a persistent gob decoder.
-// The decoder consumes exactly the bytes one Encode produced (gob
-// messages are self-delimiting), so refilling before each Decode keeps
-// the stream aligned frame by frame.
-type payloadFeeder struct{ b []byte }
-
-func (f *payloadFeeder) set(b []byte) { f.b = b }
-
-func (f *payloadFeeder) Read(p []byte) (int, error) {
-	if len(f.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b)
-	f.b = f.b[n:]
-	return n, nil
 }

@@ -1,47 +1,59 @@
 package ipc
 
-// Fuzz targets for the v2 decoder: the framing layer alone through the
-// buffered reader it runs behind, and the whole server side of an
-// upgraded connection fed arbitrary bytes.  Seeds are the damage the
-// unit tests inject by hand (mux_test.go, fault_test.go): truncation,
-// an oversized length, a payload gob cannot parse, a value of the wrong
-// type, a damaged tag.
+// Fuzz targets for the tagged wire: the framing layer alone through the
+// buffered reader it runs behind, the message decoders alone, and the
+// whole server side of an upgraded connection fed arbitrary bytes.
+// Seeds are the damage the unit tests inject by hand (mux_test.go,
+// fault_test.go, codec_test.go): truncation, an oversized length, a
+// payload that does not decode, a message of the wrong kind, a damaged
+// tag.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
+
+	"omos/internal/lebin"
 )
 
-// v2Stream encodes values as consecutive tagged frames (tags 1, 2, …)
-// on one gob stream, as a v2 peer would send them.
-func v2Stream(t testing.TB, values ...interface{}) []byte {
-	t.Helper()
+// encodeFrame seals one message (a *Request or a *Response) as a
+// tagged frame, as a peer sends it.
+func encodeFrame(tag uint64, msg interface{}) []byte {
 	var sbuf sendBuf
-	enc := gob.NewEncoder(&sbuf)
+	sbuf.reset()
+	switch m := msg.(type) {
+	case *Request:
+		encodeRequest(&sbuf.b, m)
+	case *Response:
+		encodeResponse(&sbuf.b, m)
+	default:
+		panic("encodeFrame: not a message")
+	}
+	sbuf.seal(tag)
+	return sbuf.b
+}
+
+// taggedStream encodes messages as consecutive tagged frames (tags 1,
+// 2, …).
+func taggedStream(msgs ...interface{}) []byte {
 	var out []byte
-	for i, v := range values {
-		sbuf.reset()
-		if err := enc.Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		sbuf.seal(uint64(i + 1))
-		out = append(out, sbuf.b...)
+	for i, m := range msgs {
+		out = append(out, encodeFrame(uint64(i+1), m)...)
 	}
 	return out
 }
 
-// addStreamSeeds seeds f with well-formed v2 streams and each kind of
-// damage the decoder must survive.
+// addStreamSeeds seeds f with well-formed tagged streams and each kind
+// of damage the decoder must survive.
 func addStreamSeeds(f *testing.F) {
-	ping := v2Stream(f, &Request{Op: OpPing})
-	several := v2Stream(f,
+	ping := taggedStream(&Request{Op: OpPing})
+	several := taggedStream(
 		&Request{Op: OpList, Path: "/"},
 		&Request{Op: OpRun, Path: "/bin/x", Args: []string{"a", "b"}},
 		&Request{Op: OpPutObject, Path: "/o", Blob: bytes.Repeat([]byte{0xAB}, 2*readBufSize)},
@@ -57,8 +69,8 @@ func addStreamSeeds(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 1, 0xDE, 0xAD})
 	garbage := make([]byte, hdrSize, hdrSize+8)
 	binary.BigEndian.PutUint32(garbage, 8)
-	f.Add(append(garbage, "notagob!"...))
-	f.Add(v2Stream(f, &Response{Text: "a response where a request belongs", Final: true}))
+	f.Add(append(garbage, "garbage!"...))
+	f.Add(taggedStream(&Response{Text: "a response where a request belongs", Final: true}))
 	badTag := append([]byte{}, ping...)
 	badTag[5] ^= 0x40
 	f.Add(badTag)
@@ -136,4 +148,59 @@ func FuzzMuxStream(f *testing.F) {
 			t.Fatalf("%d panics recovered while decoding", n)
 		}
 	})
+}
+
+// FuzzDecodeMessage feeds both message decoders arbitrary payloads.
+// Neither may panic or allocate out of proportion to its input (the
+// bound FuzzStoreDecodeHead holds the store to), and a payload either
+// decoder accepts must re-encode to itself: the encoding is canonical,
+// so an encoder and decoder that disagree on a field are caught here.
+func FuzzDecodeMessage(f *testing.F) {
+	fullReq, fullResp := fullMessages(f)
+	for _, p := range [][]byte{
+		nil,
+		encodeMessage(&Request{Op: OpPing}),
+		encodeMessage(&Request{Op: OpList, Path: "/lib"}),
+		encodeMessage(fullReq),
+		encodeMessage(&Response{Paths: []string{"/lib/libc"}, Final: true}),
+		encodeMessage(fullResp),
+	} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		limit := 4*uint64(len(data)) + 64<<10
+		var req Request
+		var reqErr error
+		if got := allocatedBy(func() { reqErr = decodeRequest(data, &req) }); got > limit {
+			t.Fatalf("%d input bytes made decodeRequest allocate %d", len(data), got)
+		}
+		if reqErr == nil {
+			var w lebin.Writer
+			encodeRequest(&w, &req)
+			if !bytes.Equal(w, data) {
+				t.Fatalf("request %+v re-encodes to %x, decoded from %x", req, []byte(w), data)
+			}
+		}
+		var resp Response
+		var respErr error
+		if got := allocatedBy(func() { respErr = decodeResponse(data, &resp) }); got > limit {
+			t.Fatalf("%d input bytes made decodeResponse allocate %d", len(data), got)
+		}
+		if respErr == nil {
+			var w lebin.Writer
+			encodeResponse(&w, &resp)
+			if !bytes.Equal(w, data) {
+				t.Fatalf("response %+v re-encodes to %x, decoded from %x", resp, []byte(w), data)
+			}
+		}
+	})
+}
+
+// allocatedBy returns the bytes f allocated (process-wide).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -4,14 +4,15 @@
 // outlives program invocations, and clients reach it over a message
 // channel.
 //
-// The protocol is length-prefixed gob over any net.Conn.  Operations
+// The protocol is length-prefixed frames over any net.Conn.  Operations
 // cover namespace management (define, put-object, list, remove) and
 // program execution inside the daemon's simulated machine.
 //
 // There is one protocol version.  A connection opens with a hello
-// exchange in self-contained frames (WriteFrame/ReadFrame) — the
+// exchange in self-contained gob frames (WriteFrame/ReadFrame) — the
 // version gate, readable by any version of either peer — and then
-// carries tagged frames (frame.go): every frame bears a client-assigned
+// carries tagged frames (frame.go) whose payload is one message in a
+// fixed binary layout (codec.go): every frame bears a client-assigned
 // request ID, so one connection carries any number of in-flight calls,
 // completions return out of order, and OpInstantiateBatch streams
 // per-item results.  A server answers a first frame that is not a
@@ -78,9 +79,9 @@ const (
 	OpUpgradeStatus Op = "upgrade-status"
 	OpRollback      Op = "rollback"
 	// OpHello opens every connection: Text carries the protocol
-	// version the client speaks ("2"); the server acknowledges with
-	// Flag set and the same version, and the connection switches to
-	// tagged framing.  Anything else is a refusal, which the client
+	// version the client speaks (protoVersionText); the server
+	// acknowledges with Flag set and the same version, and the
+	// connection switches to tagged framing.  Anything else is a refusal, which the client
 	// reports as an error.  Always sent in self-contained frames
 	// (WriteFrame), so the gate stays readable whatever follows it.
 	//
@@ -118,9 +119,10 @@ const (
 	OpMeshRebalance Op = "mesh-rebalance"
 )
 
-// protoVersionText is the version string OpHello carries ("2"): the
-// protocol this package speaks.
-const protoVersionText = "2"
+// protoVersionText is the version string OpHello carries: the protocol
+// this package speaks.  The layout of the tagged messages (codec.go)
+// is part of it: changing that layout means a new version.
+const protoVersionText = "3"
 
 // errHelloRefused marks a hello the server answered with anything but
 // an acknowledgement of protoVersionText.  The peer speaks another
@@ -185,11 +187,9 @@ type Request struct {
 	// AllowRebind makes a namespace mutation (define/define-lib/remove)
 	// explicit about re-binding: without it the daemon rejects any
 	// mutation that would silently re-bind a live program's symbol to a
-	// different definer (see ErrRebindBlocked).  (gob tolerates the
-	// field's absence, so old peers interoperate.)
+	// different definer (see ErrRebindBlocked).
 	AllowRebind bool
-	// Mesh carries the payload of the mesh operations.  (gob tolerates
-	// the field's absence, so old peers interoperate.)
+	// Mesh carries the payload of the mesh operations.
 	Mesh *MeshReq
 }
 
@@ -276,8 +276,7 @@ type HealthInfo struct {
 	ScrubQuarantined uint64
 	// Build-graph counters: nodes fully linked this session, nodes
 	// served from a prior session's checkpoint, checkpoints written and
-	// their total encoded size.  (gob tolerates absent fields, so old
-	// daemons interoperate.)
+	// their total encoded size.
 	NodesBuilt        uint64
 	NodesResumed      uint64
 	NodesCheckpointed uint64
@@ -286,8 +285,7 @@ type HealthInfo struct {
 	// its canary is, and whether a rollback is in progress (a rollback
 	// in progress makes `omos health` exit nonzero).  UpgradeVerdict
 	// carries the health gate's verdict while rolling back, or the last
-	// aborted epoch's verdict when idle.  (gob tolerates absent fields,
-	// so old daemons interoperate.)
+	// aborted epoch's verdict when idle.
 	UpgradeActive      bool
 	UpgradeEpoch       string
 	UpgradeCanaryPct   int
@@ -295,8 +293,7 @@ type HealthInfo struct {
 	UpgradeVerdict     string
 	// Mesh state: ring size and peer liveness, peer-fetch traffic split
 	// by how misses were served (metadata rebase vs streamed blob), and
-	// anti-entropy progress.  All zero on an unmeshed daemon.  (gob
-	// tolerates absent fields, so old daemons interoperate.)
+	// anti-entropy progress.  All zero on an unmeshed daemon.
 	MeshPeers        int
 	MeshPeersUp      int
 	MeshShards       int
@@ -363,8 +360,7 @@ type Response struct {
 	// Clock components (user, sys, server, wait cycles).
 	User, Sys, Server, Wait uint64
 	// RetryAfterMS accompanies an overloaded error: the server's hint,
-	// in milliseconds, of when capacity should free up.  (gob tolerates
-	// the field's absence, so old clients interoperate.)
+	// in milliseconds, of when capacity should free up.
 	RetryAfterMS int64
 	// Index and Final frame streamed completions (OpInstantiateBatch,
 	// OpMeshFetch): each item or chunk answers with its Index and Final
@@ -374,21 +370,26 @@ type Response struct {
 	Final bool
 	// Rebind and Pin carry the structured detail of a typed rebind /
 	// pin-violation rejection (Err is rebindMsg / pinViolationMsg).
-	// (gob tolerates absent fields, so old peers interoperate.)
 	Rebind *RebindInfo
 	Pin    *PinInfo
 	// Upgrade carries the structured detail of an aborted live upgrade
-	// (Err is upgradeAbortedMsg).  (gob tolerates absent fields, so old
-	// peers interoperate.)
+	// (Err is upgradeAbortedMsg).
 	Upgrade *UpgradeAbortedInfo
-	// Mesh carries the payload of the mesh operations.  (gob tolerates
-	// absent fields, so old peers interoperate.)
+	// Mesh carries the payload of the mesh operations.
 	Mesh *MeshInfo
 }
 
-// maxFrame bounds a single message (largest realistic payload is a
-// workload blueprint of a few hundred KB).
+// maxFrame bounds a single tagged message (largest realistic payload is
+// a workload blueprint of a few hundred KB).
 const maxFrame = 16 << 20
+
+// maxHelloFrame bounds a hello-exchange frame (WriteFrame/ReadFrame).
+// The server reads the first one before any auth and with no deadline,
+// so a forged length must not become an allocation.  A hello carries a
+// version, a 32-character nonce and a 32-byte proof; the largest frame
+// of the exchange is an ack or refusal at ~1.2 KB, nearly all of it
+// gob's type descriptors for Response.
+const maxHelloFrame = 4 << 10
 
 // drainingMsg is the wire form of ErrDraining (Response.Err is a
 // string; the client maps it back to the sentinel).
@@ -534,7 +535,7 @@ func (e *UpgradeAbortedError) Error() string {
 func (e *UpgradeAbortedError) Is(target error) bool { return target == ErrUpgradeAborted }
 
 // FrameError reports a damaged protocol frame: truncated mid-message,
-// an oversized length prefix, or a payload gob cannot decode.  The
+// an oversized length prefix, or a payload that does not decode.  The
 // serve loop treats it as fatal to the one connection it arrived on —
 // never to the accept loop.
 type FrameError struct {
@@ -557,14 +558,15 @@ func (e *FrameError) Unwrap() error { return e.Err }
 
 // WriteFrame sends one gob-encoded value with a length prefix, using a
 // fresh gob codec so the frame is self-contained: the framing of the
-// hello exchange, which must decode without any stream state.
+// hello exchange, which must decode without any stream state and stay
+// readable by every version of either peer.
 func WriteFrame(w io.Writer, v interface{}) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("ipc: encode: %w", err)
 	}
 	var hdr [4]byte
-	if payload.Len() > maxFrame {
+	if payload.Len() > maxHelloFrame {
 		return fmt.Errorf("ipc: frame too large (%d bytes)", payload.Len())
 	}
 	binary.BigEndian.PutUint32(hdr[:], uint32(payload.Len()))
@@ -575,9 +577,9 @@ func WriteFrame(w io.Writer, v interface{}) error {
 	return err
 }
 
-// ReadFrame receives one gob-encoded value.  A cleanly closed peer
-// returns io.EOF; anything else wrong with the frame itself returns a
-// *FrameError.
+// ReadFrame receives one gob-encoded value of at most maxHelloFrame
+// bytes.  A cleanly closed peer returns io.EOF; anything else wrong
+// with the frame itself returns a *FrameError.
 func ReadFrame(r io.Reader, v interface{}) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -587,7 +589,7 @@ func ReadFrame(r io.Reader, v interface{}) error {
 		return err // io.EOF (clean close) or transport error
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > maxHelloFrame {
 		return &FrameError{Reason: "oversized", Size: n}
 	}
 	buf := make([]byte, n)

@@ -9,7 +9,6 @@ package ipc
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math/rand"
@@ -35,19 +34,15 @@ type lifecyclePeer struct {
 	conns []net.Conn
 }
 
-// peerConn is one accepted connection, with the peer's half of the
-// tagged-frame codec.
+// peerConn is one accepted connection, with the peer's receive
+// scratch.
 type peerConn struct {
 	p    *lifecyclePeer
 	conn net.Conn
 	n    int // which connection of this peer, from 1
 
-	feeder payloadFeeder
-	dec    *gob.Decoder
-	hdr    [hdrSize]byte
-	buf    []byte
-	sbuf   sendBuf
-	enc    *gob.Encoder
+	hdr [hdrSize]byte
+	buf []byte
 }
 
 func startLifecyclePeer(t *testing.T, script func(*peerConn)) *lifecyclePeer {
@@ -70,8 +65,6 @@ func startLifecyclePeer(t *testing.T, script func(*peerConn)) *lifecyclePeer {
 			p.conns = append(p.conns, conn)
 			p.mu.Unlock()
 			pc := &peerConn{p: p, conn: conn, n: n}
-			pc.dec = gob.NewDecoder(&pc.feeder)
-			pc.enc = gob.NewEncoder(&pc.sbuf)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -109,9 +102,8 @@ func (pc *peerConn) request() (uint64, *Request, bool) {
 	if err != nil {
 		return 0, nil, false
 	}
-	pc.feeder.set(payload)
 	req := new(Request)
-	if err := pc.dec.Decode(req); err != nil {
+	if err := decodeRequest(payload, req); err != nil {
 		return 0, nil, false
 	}
 	pc.p.attempts.Add(1)
@@ -120,12 +112,7 @@ func (pc *peerConn) request() (uint64, *Request, bool) {
 }
 
 func (pc *peerConn) send(tag uint64, resp *Response) {
-	pc.sbuf.reset()
-	if err := pc.enc.Encode(resp); err != nil {
-		panic(err)
-	}
-	pc.sbuf.seal(tag)
-	pc.conn.Write(pc.sbuf.b)
+	pc.conn.Write(encodeFrame(tag, resp))
 }
 
 // failHello reads the hello and hangs up: a transport failure before

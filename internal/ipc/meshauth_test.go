@@ -6,7 +6,6 @@ package ipc
 
 import (
 	"context"
-	"encoding/gob"
 	"net"
 	"testing"
 )
@@ -22,24 +21,15 @@ func (meshFakeBackend) MeshPut(req *MeshReq) error                    { return n
 func (meshFakeBackend) MeshGossip(req *MeshReq) (*MeshInfo, error)    { return &MeshInfo{}, nil }
 func (meshFakeBackend) MeshRebalance(req *MeshReq) (*MeshInfo, error) { return &MeshInfo{}, nil }
 
-// meshCallRaw sends one tagged OpMeshFetch over an upgraded (v2)
+// meshCallRaw sends one tagged OpMeshFetch over an upgraded
 // connection and returns the Final response — the raw-wire equivalent
 // of Client.MeshFetch, for connections whose handshake the test spoke
 // by hand.
 func meshCallRaw(t *testing.T, conn net.Conn, tag uint64) *Response {
 	t.Helper()
-	var sb sendBuf
-	enc := gob.NewEncoder(&sb)
-	sb.reset()
-	if err := enc.Encode(&Request{Op: OpMeshFetch, Mesh: &MeshReq{From: "raw", CKey: "k"}}); err != nil {
+	if _, err := conn.Write(encodeFrame(tag, &Request{Op: OpMeshFetch, Mesh: &MeshReq{From: "raw", CKey: "k"}})); err != nil {
 		t.Fatal(err)
 	}
-	sb.seal(tag)
-	if _, err := conn.Write(sb.b); err != nil {
-		t.Fatal(err)
-	}
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
 	var hdr [hdrSize]byte
 	var buf []byte
 	for {
@@ -50,9 +40,8 @@ func meshCallRaw(t *testing.T, conn net.Conn, tag uint64) *Response {
 		if gotTag != tag {
 			t.Fatalf("completion for tag %d, sent %d", gotTag, tag)
 		}
-		feeder.set(payload)
 		resp := new(Response)
-		if err := dec.Decode(resp); err != nil {
+		if err := decodeResponse(payload, resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Final {

@@ -8,7 +8,6 @@ package ipc
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -36,11 +35,9 @@ type session struct {
 	// dead flips once the session is unusable; the client redials.
 	dead atomic.Bool
 
-	// Send side (guarded by sendMu): a persistent gob encoder into
-	// the reused frame buffer — type descriptors cross once, frames
+	// Send side (guarded by sendMu): the reused frame buffer — frames
 	// go out in a single write each, no allocation in steady state.
 	sendMu sync.Mutex
-	enc    *gob.Encoder
 	sbuf   sendBuf
 
 	// Receive side: the tag table shared between callers and the
@@ -130,7 +127,6 @@ func (s *session) handshake(deadline time.Time) error {
 		return fmt.Errorf("%w: %q", errHelloRefused, resp.Err)
 	}
 	s.conn.SetDeadline(time.Time{})
-	s.enc = gob.NewEncoder(&s.sbuf)
 	s.calls = make(map[uint64]chan *Response)
 	// The hello ack above was read with exact-length reads off the
 	// connection; only from here on is the stream buffered.
@@ -140,12 +136,11 @@ func (s *session) handshake(deadline time.Time) error {
 
 // readLoop is the reader goroutine of a session: it demultiplexes
 // tagged completions to parked callers.  Frame buffers and header
-// scratch are reused across iterations; the persistent decoder is fed
-// one payload per frame.  Any failure fails the whole session — every
-// parked call errors out and the client redials.
+// scratch are reused across iterations; each completion is decoded
+// into a fresh Response that owns all its values.  Any failure fails
+// the whole session — every parked call errors out and the client
+// redials.
 func (s *session) readLoop(br *bufio.Reader) {
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
 	var hdr [hdrSize]byte
 	var buf []byte
 	for {
@@ -154,9 +149,8 @@ func (s *session) readLoop(br *bufio.Reader) {
 			s.fail(err)
 			return
 		}
-		feeder.set(payload)
 		resp := new(Response)
-		if err := dec.Decode(resp); err != nil {
+		if err := decodeResponse(payload, resp); err != nil {
 			s.fail(&FrameError{Reason: "malformed", Err: err})
 			return
 		}
@@ -236,21 +230,16 @@ func (s *session) deregister(tag uint64) {
 
 // send writes one tagged request frame under the send lock: encode
 // into the reused buffer after the reserved header hole, seal, one
-// write.  A send failure fails the session — a partial frame may be
-// on the wire and the encoder's stream state is unrecoverable.
+// write.  A frame too large to send is refused before any byte of it
+// is written, so the session lives on; a write failure fails the
+// session — a partial frame may be on the wire.
 func (s *session) send(tag uint64, req *Request, deadline time.Time) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	s.sbuf.reset()
-	if err := s.enc.Encode(req); err != nil {
-		err = fmt.Errorf("ipc: encode: %w", err)
-		s.fail(err)
-		return err
-	}
+	encodeRequest(&s.sbuf.b, req)
 	if s.sbuf.payloadLen() > maxFrame {
-		err := fmt.Errorf("ipc: frame too large (%d bytes)", s.sbuf.payloadLen())
-		s.fail(err)
-		return err
+		return fmt.Errorf("ipc: frame too large (%d bytes)", s.sbuf.payloadLen())
 	}
 	s.sbuf.seal(tag)
 	s.conn.SetWriteDeadline(deadline)

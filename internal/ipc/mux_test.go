@@ -10,7 +10,6 @@ package ipc
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -83,6 +82,33 @@ func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
 	}
 	if n := srv.Recovered(); n != 0 {
 		t.Fatalf("Recovered = %d, want 0", n)
+	}
+}
+
+// TestHelloGateRefusesOldVersion: a version-2 peer's hello arrives in
+// the same gob framing, so it is read — and answered with the refusal
+// naming the version required, then EOF.  The connection never
+// switches to tagged frames the peer would misread.
+func TestHelloGateRefusesOldVersion(t *testing.T) {
+	_, addr := startMuxServer(t, newFakeBackend(), nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteFrame(conn, &Request{Op: OpHello, Text: "2"}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := ReadFrame(conn, &resp); err != nil {
+		t.Fatalf("no refusal frame: %v", err)
+	}
+	if resp.Flag || !strings.Contains(resp.Err, "protocol version "+protoVersionText+" required") {
+		t.Fatalf("answer to a version-2 hello = %+v, want the refusal naming version %s", resp, protoVersionText)
+	}
+	if err := ReadFrame(conn, &resp); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want EOF", err)
 	}
 }
 
@@ -344,9 +370,30 @@ func TestMuxTagCorruption(t *testing.T) {
 	}
 }
 
-// muxHarness hand-rolls a v2 server speaking raw tagged frames, for
+// TestMuxOversizedRequestKeepsSession: a request too large for one
+// frame is refused before any byte of it is written, so the session
+// lives on for the calls after it — no redial.
+func TestMuxOversizedRequestKeepsSession(t *testing.T) {
+	_, cl := startCountingServer(t, newFakeBackend(), nil)
+	c := dialMux(t, cl.Addr().String(), Options{CallTimeout: 5 * time.Second})
+	if _, err := c.Call(&Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	huge := &Request{Op: OpPutObject, Path: "/o", Blob: make([]byte, maxFrame)}
+	if _, err := c.Call(huge); err == nil || !strings.Contains(err.Error(), "frame too large") {
+		t.Fatalf("oversized request: %v, want a frame-too-large error", err)
+	}
+	if _, err := c.Call(&Request{Op: OpPing}); err != nil {
+		t.Fatalf("call after the oversized one: %v", err)
+	}
+	if n := len(cl.conns); n != 1 {
+		t.Fatalf("%d connections accepted, want 1 (the session survives)", n)
+	}
+}
+
+// muxHarness hand-rolls a server speaking raw tagged frames, for
 // protocol-abuse tests the real server cannot be coaxed into.
-func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send func(tag uint64, resp *Response))) string {
+func muxHarness(t *testing.T, serve func(conn net.Conn, send func(tag uint64, resp *Response))) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -367,18 +414,7 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send f
 		if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true}); err != nil {
 			return
 		}
-		var sbuf sendBuf
-		enc := gob.NewEncoder(&sbuf)
-		send := func(tag uint64, resp *Response) {
-			sbuf.reset()
-			if err := enc.Encode(resp); err != nil {
-				t.Errorf("harness encode: %v", err)
-				return
-			}
-			sbuf.seal(tag)
-			conn.Write(sbuf.b)
-		}
-		serve(conn, enc, send)
+		serve(conn, func(tag uint64, resp *Response) { conn.Write(encodeFrame(tag, resp)) })
 	}()
 	return l.Addr().String()
 }
@@ -387,8 +423,6 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send f
 // connection and calls handle with each one's tag, until the stream
 // ends or is damaged.
 func eachRequest(conn net.Conn, handle func(tag uint64)) {
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
 	var hdr [hdrSize]byte
 	var buf []byte
 	for {
@@ -396,9 +430,8 @@ func eachRequest(conn net.Conn, handle func(tag uint64)) {
 		if err != nil {
 			return
 		}
-		feeder.set(payload)
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeRequest(payload, &req); err != nil {
 			return
 		}
 		handle(tag)
@@ -408,7 +441,7 @@ func eachRequest(conn net.Conn, handle func(tag uint64)) {
 func TestMuxDuplicateTagDelivery(t *testing.T) {
 	// The server completes tag 1 twice, then answers tag 2 normally:
 	// the duplicate must be discarded and the connection survive.
-	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
+	addr := muxHarness(t, func(conn net.Conn, send func(uint64, *Response)) {
 		eachRequest(conn, func(tag uint64) {
 			send(tag, &Response{Text: "first", Final: true})
 			if tag == 1 {
@@ -431,7 +464,7 @@ func TestMuxNeverIssuedTagPoisonsSession(t *testing.T) {
 	// A completion for a tag far beyond anything issued is stream
 	// corruption: every parked call must fail with a tag-mismatch
 	// FrameError.
-	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
+	addr := muxHarness(t, func(conn net.Conn, send func(uint64, *Response)) {
 		var hdr [hdrSize]byte
 		var buf []byte
 		if _, _, err := readTagged(conn, &hdr, &buf); err != nil {
@@ -452,7 +485,7 @@ func TestMuxLateCompletionNeverAnswersAnotherCall(t *testing.T) {
 	// tag 2 has been issued, ahead of tag 2's own.  Tag 2's caller must
 	// get tag 2's answer — an abandoned tag's channel is never handed
 	// to a later call.
-	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
+	addr := muxHarness(t, func(conn net.Conn, send func(uint64, *Response)) {
 		eachRequest(conn, func(tag uint64) {
 			switch tag {
 			case 1: // never answered in time
@@ -486,7 +519,7 @@ func TestMuxLateCompletionNeverAnswersAnotherCall(t *testing.T) {
 // short blob unchecked.
 func TestMeshFetchShortBlobIsASizeError(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
+		addr := muxHarness(t, func(conn net.Conn, send func(uint64, *Response)) {
 			var hdr [hdrSize]byte
 			var buf []byte
 			tag, _, err := readTagged(conn, &hdr, &buf)
@@ -546,9 +579,9 @@ func (b *recordingBackend) MeshPut(req *MeshReq) error {
 
 func TestMuxRequestStateDoesNotLeak(t *testing.T) {
 	// The read loop decodes every request into one reused scratch
-	// Request, and gob leaves fields absent from the stream untouched:
-	// a request with every field set, followed by bare ones, must reach
-	// the backend with zero values in everything the later ones omit.
+	// Request: a request with every field set, followed by bare ones,
+	// must reach the backend with zero values in everything the later
+	// ones omit.
 	b := &recordingBackend{fakeBackend: newFakeBackend()}
 	_, addr := startMuxServer(t, b, nil)
 	c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
@@ -634,12 +667,12 @@ func TestFramedHotPathAllocFree(t *testing.T) {
 	rbuf := make([]byte, 0, 4096)
 	// Warm the buffers to their high-water marks.
 	sb.reset()
-	sb.Write(payload)
+	sb.b.Raw(payload)
 	sb.seal(1)
 	allocs := testing.AllocsPerRun(500, func() {
 		sink.Reset()
 		sb.reset()
-		sb.Write(payload)
+		sb.b.Raw(payload)
 		sb.seal(42)
 		sink.Write(sb.b)
 		rd.Reset(sink.Bytes())

@@ -275,10 +275,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		// (*FrameError): all fatal to this connection only.
 		return
 	}
-	if req.Op != OpHello {
-		// Not a peer of this protocol (the hello has opened every
-		// connection since version 2): one refusal it can read, then
-		// close.  Nothing was dispatched.
+	if req.Op != OpHello || req.Text != protoVersionText {
+		// Not a peer of this protocol version (the hello has opened
+		// every connection since version 2, and the gate's framing has
+		// not changed since): one refusal it can read, then close.
+		// Nothing was dispatched.
 		WriteFrame(conn, &Response{Err: helloRequiredMsg})
 		return
 	}
@@ -295,7 +296,7 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // helloRequiredMsg refuses a connection whose first frame is not a
-// hello.
+// hello of this protocol version.
 const helloRequiredMsg = "protocol version " + protoVersionText + " required: a connection opens with a hello"
 
 // helloUpgrade acknowledges a hello in its own framing and, when this

@@ -12,7 +12,6 @@ package ipc
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -29,10 +28,10 @@ type tagWork struct {
 	req Request
 }
 
-// muxConn is one connection's shared state: the send half (a
-// persistent gob encoder into a reused frame buffer, serialized by
-// sendMu so concurrent handlers interleave whole frames, never bytes)
-// and the hand-off between the read loop and its workers.
+// muxConn is one connection's shared state: the send half (a reused
+// frame buffer, serialized by sendMu so concurrent handlers interleave
+// whole frames, never bytes) and the hand-off between the read loop
+// and its workers.
 type muxConn struct {
 	conn   net.Conn
 	faults *fault.Set
@@ -41,7 +40,6 @@ type muxConn struct {
 	authed bool
 
 	sendMu sync.Mutex
-	enc    *gob.Encoder
 	sbuf   sendBuf
 
 	// pool holds one slot per admitted tag from hand-off until its
@@ -69,16 +67,14 @@ func (m *muxConn) write(tag uint64, resp *Response) error {
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
 	m.sbuf.reset()
-	if err := m.enc.Encode(resp); err != nil {
-		return fmt.Errorf("ipc: encode: %w", err)
-	}
+	encodeResponse(&m.sbuf.b, resp)
 	if m.sbuf.payloadLen() > maxFrame {
 		return fmt.Errorf("ipc: frame too large (%d bytes)", m.sbuf.payloadLen())
 	}
 	m.sbuf.seal(tag)
 	// Corrupt-kind rules at ipc.write damage the tag field in place:
 	// a deterministic tag-mismatch at the receiver without desyncing
-	// the gob payload stream (which damaged length bytes would).
+	// the framing (which damaged length bytes would).
 	copy(m.sbuf.tagBytes(), m.faults.Corrupt(fault.SiteIPCWrite, m.sbuf.tagBytes()))
 	_, err := m.conn.Write(m.sbuf.b)
 	return err
@@ -99,8 +95,8 @@ func (s *Server) handlerPool() int {
 // goes to a free worker, or to a new one while fewer than the pool
 // size exist, so a slow request never delays the tags behind it.
 // Workers live as long as the connection: a warm goroutine keeps the
-// stack it grew through gob and the backend instead of regrowing it on
-// every tag.
+// stack it grew through the backend instead of regrowing it on every
+// tag.
 //
 // The buffered reader is created here, after the hello exchange was
 // read with exact-length reads straight off conn, so no hello byte can
@@ -109,10 +105,7 @@ func (s *Server) handlerPool() int {
 func (s *Server) serveMux(conn net.Conn, authed bool) {
 	m := &muxConn{conn: conn, faults: s.faults, authed: authed,
 		pool: make(chan struct{}, s.handlerPool()), queue: make(chan tagWork)}
-	m.enc = gob.NewEncoder(&m.sbuf)
 	br := bufio.NewReaderSize(conn, readBufSize)
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
 	defer func() {
 		// Close first so a handler blocked writing cannot stall the
 		// teardown, then wait so the connection is not unregistered
@@ -134,12 +127,8 @@ func (s *Server) serveMux(conn net.Conn, authed bool) {
 			// fatal to this connection only.
 			return
 		}
-		feeder.set(payload)
-		// gob leaves fields absent from the stream untouched, so the
-		// reused scratch must be cleared or one request's AllowRebind,
-		// Args or Blob would ride into the next.
-		w = tagWork{tag: tag}
-		if err := dec.Decode(&w.req); err != nil {
+		w.tag = tag
+		if err := decodeRequest(payload, &w.req); err != nil {
 			return
 		}
 		// Admit under the lock: a tag is either in the inflight
