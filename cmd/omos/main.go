@@ -31,8 +31,8 @@
 //	explain <symbol>            binding provenance: which definer each
 //	                            cached image binds the symbol to, how
 //	                            it was resolved, at which generation
-//	stats                       server and memory statistics
-//	health                      daemon liveness + robustness counters
+//	stats                       every counter: server, memory, transport
+//	health                      daemon liveness, state and verdicts
 //	                            (exits 1 when draining, degraded, or a
 //	                            live-upgrade rollback is in progress)
 //	graph                       build-graph report: node counters,

@@ -24,7 +24,8 @@
 // 0 means unlimited.
 //
 // A running daemon is queried with the client: `omos health` prints
-// its liveness counters, `omos graph` its build-graph report.
+// its state and verdicts, `omos stats` its counters, `omos graph` its
+// build-graph report.
 //
 // -max-inflight/-queue-depth size the admission gate (overload
 // protection: excess requests are shed with a retry-after hint rather

@@ -265,15 +265,14 @@ func (l *Log) retireLocked(r *Run) {
 }
 
 // Render formats the log for the `omos graph` view: the run counts,
-// then the caller's counter lines, then any active runs and the recent
-// finished runs with their per-node tables.
-func (l *Log) Render(counters string) string {
+// then any active runs and the recent finished runs with their
+// per-node tables.
+func (l *Log) Render() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "build graph: runs=%d active=%d\n", l.nextID, len(l.active))
-	sb.WriteString(counters)
 
 	actives := make([]*Run, 0, len(l.active))
 	for _, r := range l.active {

@@ -21,7 +21,7 @@ func TestRunLifecycleAndCounters(t *testing.T) {
 	if o := lib.Finish(nil); o != OutcomeBuilt {
 		t.Fatalf("lib outcome = %s, want built", o)
 	}
-	if out := l.Render(""); !strings.Contains(out, "runs=1 active=1") || !strings.Contains(out, " active\n") {
+	if out := l.Render(); !strings.Contains(out, "runs=1 active=1") || !strings.Contains(out, " active\n") {
 		t.Fatalf("run not active before its root finished:\n%s", out)
 	}
 
@@ -32,8 +32,8 @@ func TestRunLifecycleAndCounters(t *testing.T) {
 	if lib.Parent != root.ID {
 		t.Fatalf("lib parent = %d, want %d", lib.Parent, root.ID)
 	}
-	out := l.Render("nodes: x\n")
-	for _, want := range []string{"runs=1 active=0\nnodes: x\n", "/bin/app", "/lib/libc", "built", "cached",
+	out := l.Render()
+	for _, want := range []string{"runs=1 active=0\n", "/bin/app", "/lib/libc", "built", "cached",
 		"ckpt=4096B", "dur=", "recent runs:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
@@ -49,7 +49,7 @@ func TestCheckpointFailureCounts(t *testing.T) {
 	if o := n.Finish(nil); o != OutcomeBuilt {
 		t.Fatalf("outcome = %s, want built: a failed checkpoint never fails the node", o)
 	}
-	out := l.Render("")
+	out := l.Render()
 	if !strings.Contains(out, `ckpt-err="injected"`) || strings.Contains(out, "ckpt=") {
 		t.Fatalf("Render does not show the checkpoint failure:\n%s", out)
 	}
@@ -89,7 +89,7 @@ func TestOutcomeSetByProducer(t *testing.T) {
 	}
 	root.Produced(OutcomeResumed)
 	root.Finish(nil)
-	if out := l.Render(""); !strings.Contains(out, "active=0") ||
+	if out := l.Render(); !strings.Contains(out, "active=0") ||
 		!strings.Contains(out, `err="boom"`) || !strings.Contains(out, "resumed") {
 		t.Fatalf("Render:\n%s", out)
 	}
@@ -224,7 +224,7 @@ func TestConcurrentNodeRecording(t *testing.T) {
 			if n.Finish(nil) == OutcomeBuilt {
 				built.Add(1)
 			}
-			_ = l.Render("")
+			_ = l.Render()
 		}()
 	}
 	wg.Wait()

@@ -26,16 +26,7 @@ type Backend struct {
 	start time.Time
 }
 
-var (
-	_ ipc.Backend        = (*Backend)(nil)
-	_ ipc.HealthBackend  = (*Backend)(nil)
-	_ ipc.GraphBackend   = (*Backend)(nil)
-	_ ipc.BatchBackend   = (*Backend)(nil)
-	_ ipc.ExplainBackend = (*Backend)(nil)
-	_ ipc.RebindBackend  = (*Backend)(nil)
-	_ ipc.UpgradeBackend = (*Backend)(nil)
-	_ ipc.MeshBackend    = (*Backend)(nil)
-)
+var _ ipc.Backend = (*Backend)(nil)
 
 // New wraps a system.
 func New(sys *omos.System) *Backend { return &Backend{Sys: sys, start: time.Now()} }
@@ -65,12 +56,6 @@ func InstallWorkloads(sys *omos.System, cg workload.CodegenParams) error {
 	return sys.Define("/bin/codegen", workload.CodegenBlueprint(cg))
 }
 
-// Define implements ipc.Backend.
-func (b *Backend) Define(path, bp string) error { return b.Sys.Define(path, bp) }
-
-// DefineLibrary implements ipc.Backend.
-func (b *Backend) DefineLibrary(path, bp string) error { return b.Sys.DefineLibrary(path, bp) }
-
 // PutObjectBytes implements ipc.Backend.
 func (b *Backend) PutObjectBytes(path string, rof []byte) error {
 	o, err := obj.Decode(rof)
@@ -91,10 +76,7 @@ func (b *Backend) CompileTo(dir, unit, src string) ([]string, error) {
 // List implements ipc.Backend.
 func (b *Backend) List(prefix string) []string { return b.Sys.List(prefix) }
 
-// Remove implements ipc.Backend.
-func (b *Backend) Remove(path string) { b.Sys.Srv.Remove(path) }
-
-// DefineAllow implements ipc.RebindBackend: Define carrying the
+// DefineAllow implements ipc.RebindBackend: a define carrying the
 // request's explicit-rebind flag through to the server's guard.
 func (b *Backend) DefineAllow(path, bp string, allow bool) error {
 	return b.Sys.Srv.DefineAllow(path, bp, allow)
@@ -228,11 +210,9 @@ func (b *Backend) MeshRebalance(req *ipc.MeshReq) (*ipc.MeshInfo, error) {
 	return b.Mesh.AcceptRebalance(req)
 }
 
-// Health implements ipc.HealthBackend: the liveness and robustness
-// counters behind `omos health`.  The transport adds its own
-// recovered-panic count and the draining flag.
+// Health implements ipc.HealthBackend: the state and verdicts behind
+// `omos health`.  The transport adds the draining flag.
 func (b *Backend) Health() ipc.HealthInfo {
-	st := b.Sys.Srv.Stats()
 	degraded, reason := b.Sys.Srv.Degraded()
 	up := b.Sys.Srv.UpgradeStatus()
 	verdict := up.Verdict
@@ -242,20 +222,10 @@ func (b *Backend) Health() ipc.HealthInfo {
 	hi := ipc.HealthInfo{
 		UptimeMS:           uint64(time.Since(b.start).Milliseconds()),
 		InflightBuilds:     b.Sys.Srv.InflightBuilds(),
-		Recovered:          st.Recovered,
-		Quarantined:        st.StoreQuarantined,
-		WarmLoaded:         st.WarmLoaded,
+		WarmLoaded:         uint64(b.Sys.WarmLoaded),
 		Degraded:           degraded,
 		DegradedReason:     reason,
 		QueueDepth:         b.Sys.Srv.Admission().Queued(),
-		Shed:               st.Shed,
-		BuildTimeouts:      st.BuildTimeouts,
-		ScrubChecked:       st.ScrubChecked,
-		ScrubQuarantined:   st.ScrubQuarantined,
-		NodesBuilt:         st.NodesBuilt,
-		NodesResumed:       st.NodesResumed,
-		NodesCheckpointed:  st.NodesCheckpointed,
-		CheckpointBytes:    st.CheckpointBytes,
 		UpgradeActive:      up.Active,
 		UpgradeEpoch:       up.Epoch,
 		UpgradeCanaryPct:   up.CanaryPct,
@@ -272,32 +242,16 @@ func (b *Backend) Health() ipc.HealthInfo {
 // `omos graph`.
 func (b *Backend) Graph() string { return b.Sys.Srv.GraphReport() }
 
-// Stats implements ipc.Backend.
+// Stats implements ipc.Backend: the memory line, every server counter
+// (server.Stats.Format), then the upgrade and mesh state lines.
 func (b *Backend) Stats() string {
-	st := b.Sys.MemStats()
+	mem := b.Sys.MemStats()
 	srv := b.Sys.Srv.Stats()
-	return fmt.Sprintf(
-		"cache: hits=%d misses=%d images=%d relocs=%d buildcycles=%d\n"+
-			"rebase: slides=%d misses=%d patches=%d dirty-pages=%d shared-pages=%d\n"+
-			"memory: frames=%d resident=%dKB shared-frames=%d saved=%dKB\n"+
-			"store: warm-loaded=%d loads=%d stores=%d evictions=%d corrupt=%d bytes=%d\n"+
-			"graph: built=%d cached=%d resumed=%d failed=%d checkpoints=%d ckpt-failed=%d ckpt-bytes=%d\n"+
-			"resolve: searches=%d hits=%d misses=%d invalidations=%d pin-violations=%d rebinds-blocked=%d rebinds-allowed=%d\n",
-		srv.CacheHits, srv.CacheMisses, srv.ImagesBuilt, srv.RelocsApplied, srv.BuildCycles,
-		srv.Rebases, srv.RebaseMiss, srv.RebasePatches, srv.RebaseDirtyPages, srv.RebaseSharedPages,
-		st.Frames, st.Bytes()/1024, st.SharedFrames, st.SavedBytes()/1024,
-		srv.WarmLoaded, srv.StoreLoads, srv.StoreStores, srv.StoreEvictions, srv.StoreCorrupt, srv.StoreBytes,
-		srv.NodesBuilt, srv.NodesCached, srv.NodesResumed, srv.NodesFailed,
-		srv.NodesCheckpointed, srv.CheckpointsFailed, srv.CheckpointBytes,
-		srv.SymbolSearches, srv.BindingHits, srv.BindingMisses, srv.BindingInvalidations,
-		srv.PinViolations, srv.RebindsBlocked, srv.RebindsAllowed) +
-		b.Sys.Srv.UpgradeStatsLine() + "\n" + b.meshLine()
-}
-
-// meshLine renders the mesh stats line (empty outside a mesh).
-func (b *Backend) meshLine() string {
-	if b.Mesh == nil {
-		return ""
+	text := fmt.Sprintf("memory: frames=%d resident=%dKB shared-frames=%d saved=%dKB\n",
+		mem.Frames, mem.Bytes()/1024, mem.SharedFrames, mem.SavedBytes()/1024) +
+		srv.Format() + b.Sys.Srv.UpgradeStatsLine() + "\n"
+	if b.Mesh != nil {
+		text += b.Mesh.StatsLine() + "\n"
 	}
-	return b.Mesh.StatsLine() + "\n"
+	return text
 }

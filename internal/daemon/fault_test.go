@@ -334,12 +334,8 @@ func TestFaultCorruptBlobQuarantineRebuild(t *testing.T) {
 		t.Fatalf("rebuilt %d of %d corrupted images", st.ImagesBuilt, corrupted)
 	}
 
-	hresp, err := c2.Call(&ipc.Request{Op: ipc.OpHealth})
-	if err != nil || hresp.Health == nil {
-		t.Fatalf("health: %v", err)
-	}
-	if hresp.Health.Quarantined == 0 {
-		t.Fatalf("health reports no quarantined blobs after corruption; health = %+v", hresp.Health)
+	if st := sys2.Srv.Stats(); st.StoreQuarantined == 0 {
+		t.Fatalf("stats report no quarantined blobs after corruption; stats = %+v", st)
 	}
 	// The corrupt bytes survive for autopsy.
 	qents, err := os.ReadDir(filepath.Join(dir, "quarantine"))
@@ -351,8 +347,9 @@ func TestFaultCorruptBlobQuarantineRebuild(t *testing.T) {
 	}
 }
 
-// TestFaultHealthEndToEnd: the health op over the wire reports uptime
-// and warm-load state from a real backend.
+// TestFaultHealthEndToEnd: the health op over the wire reports the
+// state of a real backend, and the stats op its counters, the
+// transport's included.
 func TestFaultHealthEndToEnd(t *testing.T) {
 	sys, err := omos.NewSystem()
 	if err != nil {
@@ -364,7 +361,11 @@ func TestFaultHealthEndToEnd(t *testing.T) {
 		t.Fatalf("health: %v", err)
 	}
 	h := resp.Health
-	if h.Draining || h.InflightBuilds != 0 || h.Recovered != 0 {
-		t.Fatalf("fresh daemon health = %+v", h)
+	if h.Draining || h.InflightBuilds != 0 || sys.Srv.Stats().Recovered != 0 {
+		t.Fatalf("fresh daemon health = %+v, stats = %+v", h, sys.Srv.Stats())
+	}
+	sresp, err := c.Call(&ipc.Request{Op: ipc.OpStats})
+	if err != nil || !strings.Contains(sresp.Text, "\ntransport: recovered=0\n") {
+		t.Fatalf("stats missing the transport line (err=%v):\n%s", err, sresp.Text)
 	}
 }

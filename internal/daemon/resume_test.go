@@ -42,7 +42,7 @@ func defineResumeWorkload(t *testing.T, c *ipc.Client) {
 // TestDaemonCrashResume is the end-to-end resume scenario: a daemon
 // dies mid-build after K node checkpoints; its warm-restarted
 // replacement serves the same request by relinking only the missing
-// nodes, and reports the resume in health, stats, and the graph op.
+// nodes, and reports the resume in its stats and the graph op.
 func TestDaemonCrashResume(t *testing.T) {
 	const k = 2
 	dir := t.TempDir()
@@ -64,12 +64,8 @@ func TestDaemonCrashResume(t *testing.T) {
 	if err == nil && resp.Err == "" {
 		t.Fatal("interrupted run succeeded; fault not armed")
 	}
-	hresp, err := c.Call(&ipc.Request{Op: ipc.OpHealth})
-	if err != nil || hresp.Health == nil {
-		t.Fatalf("health: %v", err)
-	}
-	if hresp.Health.NodesCheckpointed != k {
-		t.Fatalf("interrupted daemon checkpointed %d nodes, want %d", hresp.Health.NodesCheckpointed, k)
+	if st := sys.Srv.Stats(); st.NodesCheckpointed != k {
+		t.Fatalf("interrupted daemon checkpointed %d nodes, want %d", st.NodesCheckpointed, k)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -93,16 +89,12 @@ func TestDaemonCrashResume(t *testing.T) {
 	if resp2.ExitCode != wantExit {
 		t.Fatalf("resumed exit = %d, want %d", resp2.ExitCode, wantExit)
 	}
-	h2resp, err := c2.Call(&ipc.Request{Op: ipc.OpHealth})
-	if err != nil || h2resp.Health == nil {
-		t.Fatalf("health: %v", err)
+	st2 := sys2.Srv.Stats()
+	if st2.NodesResumed != k {
+		t.Fatalf("resumed daemon NodesResumed = %d, want %d", st2.NodesResumed, k)
 	}
-	h2 := h2resp.Health
-	if h2.NodesResumed != k {
-		t.Fatalf("resumed daemon NodesResumed = %d, want %d", h2.NodesResumed, k)
-	}
-	if want := uint64(resumeLibCount + 1 - k); h2.NodesBuilt != want {
-		t.Fatalf("resumed daemon NodesBuilt = %d, want %d", h2.NodesBuilt, want)
+	if want := uint64(resumeLibCount + 1 - k); st2.NodesBuilt != want {
+		t.Fatalf("resumed daemon NodesBuilt = %d, want %d", st2.NodesBuilt, want)
 	}
 
 	// The graph op renders the resumed run.
@@ -110,7 +102,7 @@ func TestDaemonCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("graph: %v", err)
 	}
-	for _, want := range []string{"/bin/dresume", "resumed", "nodes:"} {
+	for _, want := range []string{"/bin/dresume", "resumed", "build graph: runs=1 "} {
 		if !strings.Contains(gresp.Text, want) {
 			t.Fatalf("graph report missing %q:\n%s", want, gresp.Text)
 		}

@@ -109,8 +109,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("soak: ok=%d shed=%d injected=%d", ok.Load(), shed.Load(), injected.Load())
 
-	// Health after the storm: alive, gate did its job, scrubber ran
-	// and never quarantined a healthy blob.
+	// Health after the storm: a fresh client still gets an answer and
+	// the daemon is not draining.
 	hc, err := ipc.DialWith(l.Addr().String(), ipc.Options{ConnectTimeout: 2 * time.Second, CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +119,23 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil || hresp.Health == nil {
 		t.Fatalf("health after soak: %v", err)
 	}
-	h := hresp.Health
-	if shed.Load() > 0 && h.Shed == 0 {
-		t.Fatalf("clients saw %d sheds but health reports none", shed.Load())
-	}
-	if h.ScrubChecked == 0 {
-		t.Fatal("scrubber never ran during the soak")
-	}
-	if h.ScrubQuarantined != 0 {
-		t.Fatalf("scrubber quarantined %d healthy blobs", h.ScrubQuarantined)
+	if hresp.Health.Draining {
+		t.Fatal("daemon draining after soak (no shutdown was requested)")
 	}
 	hc.Close()
+
+	// Counters after the storm: the gate did its job, the scrubber ran
+	// and never quarantined a healthy blob.
+	st := sys.Srv.Stats()
+	if shed.Load() > 0 && st.Shed == 0 {
+		t.Fatalf("clients saw %d sheds but stats report none", shed.Load())
+	}
+	if st.ScrubChecked == 0 {
+		t.Fatal("scrubber never ran during the soak")
+	}
+	if st.ScrubQuarantined != 0 {
+		t.Fatalf("scrubber quarantined %d healthy blobs", st.ScrubQuarantined)
+	}
 
 	// Graceful shutdown with the listener hot: must return, and the
 	// store must close clean.

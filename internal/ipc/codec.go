@@ -156,21 +156,11 @@ func encodeResponse(w *lebin.Writer, resp *Response) {
 	if h := resp.Health; h != nil {
 		w.U64(h.UptimeMS)
 		w.U64(uint64(h.InflightBuilds))
-		w.U64(h.Recovered)
-		w.U64(h.Quarantined)
 		w.U64(h.WarmLoaded)
 		putBool(w, h.Draining)
 		putBool(w, h.Degraded)
 		w.Str(h.DegradedReason)
 		w.U64(uint64(h.QueueDepth))
-		w.U64(h.Shed)
-		w.U64(h.BuildTimeouts)
-		w.U64(h.ScrubChecked)
-		w.U64(h.ScrubQuarantined)
-		w.U64(h.NodesBuilt)
-		w.U64(h.NodesResumed)
-		w.U64(h.NodesCheckpointed)
-		w.U64(h.CheckpointBytes)
 		putBool(w, h.UpgradeActive)
 		w.Str(h.UpgradeEpoch)
 		w.U64(uint64(h.UpgradeCanaryPct))
@@ -179,10 +169,6 @@ func encodeResponse(w *lebin.Writer, resp *Response) {
 		w.U64(uint64(h.MeshPeers))
 		w.U64(uint64(h.MeshPeersUp))
 		w.U64(uint64(h.MeshShards))
-		w.U64(h.MeshPeerFetches)
-		w.U64(h.MeshMetaRebases)
-		w.U64(h.MeshBlobFetches)
-		w.U64(h.MeshGossipRounds)
 	}
 	if rb := resp.Rebind; rb != nil {
 		w.Str(rb.Mutation)
@@ -242,21 +228,11 @@ func decodeResponse(p []byte, resp *Response) error {
 		resp.Health = &HealthInfo{
 			UptimeMS:           r.U64(),
 			InflightBuilds:     int(r.U64()),
-			Recovered:          r.U64(),
-			Quarantined:        r.U64(),
 			WarmLoaded:         r.U64(),
 			Draining:           getBool(r),
 			Degraded:           getBool(r),
 			DegradedReason:     r.Str(),
 			QueueDepth:         int(r.U64()),
-			Shed:               r.U64(),
-			BuildTimeouts:      r.U64(),
-			ScrubChecked:       r.U64(),
-			ScrubQuarantined:   r.U64(),
-			NodesBuilt:         r.U64(),
-			NodesResumed:       r.U64(),
-			NodesCheckpointed:  r.U64(),
-			CheckpointBytes:    r.U64(),
 			UpgradeActive:      getBool(r),
 			UpgradeEpoch:       r.Str(),
 			UpgradeCanaryPct:   int(r.U64()),
@@ -265,10 +241,6 @@ func decodeResponse(p []byte, resp *Response) error {
 			MeshPeers:          int(r.U64()),
 			MeshPeersUp:        int(r.U64()),
 			MeshShards:         int(r.U64()),
-			MeshPeerFetches:    r.U64(),
-			MeshMetaRebases:    r.U64(),
-			MeshBlobFetches:    r.U64(),
-			MeshGossipRounds:   r.U64(),
 		}
 	}
 	if has&hasRebind != 0 {

@@ -183,7 +183,7 @@ func TestGoldenDigest(t *testing.T) {
 		want string
 	}{
 		{"encodeRequest", encodeMessage(req), "84f95227f2627fa3dc69d3ed3495336108be7295683ce286b9c4fa36d0fb6418"},
-		{"encodeResponse", encodeMessage(resp), "36c76b574baa5de870839b0b2a558f6df02c3171207e34eb1fda7b18fba77bac"},
+		{"encodeResponse", encodeMessage(resp), "1324f97d4e14b2a9651c5d2dce5542062715a470c18c95695f79abfc17ef07b3"},
 		{"tagged frame", encodeFrame(0x0102030405060708, &Request{Op: OpList, Path: "/lib"}), "c6652557abe518436781d00fc6589abb26e1c1a72371c40e2b58d905ae317bbe"},
 	} {
 		sum := sha256.Sum256(c.enc)

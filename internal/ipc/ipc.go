@@ -63,10 +63,10 @@ const (
 	OpRun       Op = "run"        // Path, Args; integrated exec
 	OpRunBoot   Op = "run-boot"   // Path, Args; bootstrap exec
 	OpDisasm    Op = "disasm"     // Path (object); returns listing
-	OpStats     Op = "stats"      // server + memory statistics
+	OpStats     Op = "stats"      // every counter: server, memory, transport
 	OpGetMeta   Op = "get-meta"   // Path; returns blueprint source + library flag
 	OpGetObject Op = "get-object" // Path; returns encoded ROF bytes
-	OpHealth    Op = "health"     // liveness + robustness counters
+	OpHealth    Op = "health"     // liveness, state and verdicts
 	OpGraph     Op = "graph"      // build-graph report (runs, nodes, checkpoints)
 	OpExplain   Op = "explain"    // Path (symbol name); binding audit trail
 	// OpUpgrade drives a live-upgrade epoch; Unit selects the phase:
@@ -122,7 +122,7 @@ const (
 // protoVersionText is the version string OpHello carries: the protocol
 // this package speaks.  The layout of the tagged messages (codec.go)
 // is part of it: changing that layout means a new version.
-const protoVersionText = "3"
+const protoVersionText = "4"
 
 // errHelloRefused marks a hello the server answered with anything but
 // an acknowledgement of protoVersionText.  The peer speaks another
@@ -242,20 +242,15 @@ type MeshInfo struct {
 }
 
 // HealthInfo is the payload of OpHealth: enough to tell a live,
-// healthy daemon from one that is limping or going away.
+// healthy daemon from one that is limping or going away.  It carries
+// state and verdicts, not counters: those are `omos stats`.
 type HealthInfo struct {
 	// UptimeMS is milliseconds since the daemon's backend started.
 	UptimeMS uint64
 	// InflightBuilds is the number of image builds currently running.
 	InflightBuilds int
-	// Recovered counts panics recovered (build workers + connection
-	// handlers) instead of killing the daemon.
-	Recovered uint64
-	// Quarantined counts store blobs moved aside after failing
-	// verification.
-	Quarantined uint64
-	// WarmLoaded counts store records attached at boot, each served on
-	// first use without a relink.
+	// WarmLoaded is how many store records the daemon attached at boot,
+	// each served on first use without a relink.
 	WarmLoaded uint64
 	// Draining is true once shutdown has begun: the daemon answers
 	// in-flight work but accepts nothing new.
@@ -265,22 +260,8 @@ type HealthInfo struct {
 	Degraded       bool
 	DegradedReason string
 	// QueueDepth is how many requests are waiting at the admission
-	// gate; Shed counts requests the gate rejected; BuildTimeouts
-	// counts builds cancelled by the watchdog.
-	QueueDepth    int
-	Shed          uint64
-	BuildTimeouts uint64
-	// ScrubChecked/ScrubQuarantined mirror the store's background
-	// scrubber (blobs re-verified / quarantined proactively).
-	ScrubChecked     uint64
-	ScrubQuarantined uint64
-	// Build-graph counters: nodes fully linked this session, nodes
-	// served from a prior session's checkpoint, checkpoints written and
-	// their total encoded size.
-	NodesBuilt        uint64
-	NodesResumed      uint64
-	NodesCheckpointed uint64
-	CheckpointBytes   uint64
+	// gate.
+	QueueDepth int
 	// Live-upgrade state: whether an epoch is open, which one, how wide
 	// its canary is, and whether a rollback is in progress (a rollback
 	// in progress makes `omos health` exit nonzero).  UpgradeVerdict
@@ -291,16 +272,11 @@ type HealthInfo struct {
 	UpgradeCanaryPct   int
 	UpgradeRollingBack bool
 	UpgradeVerdict     string
-	// Mesh state: ring size and peer liveness, peer-fetch traffic split
-	// by how misses were served (metadata rebase vs streamed blob), and
-	// anti-entropy progress.  All zero on an unmeshed daemon.
-	MeshPeers        int
-	MeshPeersUp      int
-	MeshShards       int
-	MeshPeerFetches  uint64
-	MeshMetaRebases  uint64
-	MeshBlobFetches  uint64
-	MeshGossipRounds uint64
+	// Mesh state: ring size and peer liveness.  All zero on an unmeshed
+	// daemon.
+	MeshPeers   int
+	MeshPeersUp int
+	MeshShards  int
 }
 
 // Unhealthy reports whether the daemon is draining, degraded or rolling
@@ -310,7 +286,7 @@ func (h *HealthInfo) Unhealthy() bool {
 	return h.Draining || h.Degraded || h.UpgradeRollingBack
 }
 
-// Format renders the report one "name: value" line per counter, the
+// Format renders the report one "name: value" line per field, the
 // text `omos health` prints.  The upgrade and
 // mesh lines appear only on a daemon that has something to say there.
 func (h *HealthInfo) Format() string {
@@ -318,18 +294,8 @@ func (h *HealthInfo) Format() string {
 	row := func(name string, v interface{}) { fmt.Fprintf(&b, "%-16s %v\n", name+":", v) }
 	row("uptime", (time.Duration(h.UptimeMS) * time.Millisecond).Round(time.Millisecond))
 	row("inflight-builds", h.InflightBuilds)
-	row("recovered", h.Recovered)
-	row("quarantined", h.Quarantined)
 	row("warm-loaded", h.WarmLoaded)
 	row("queue-depth", h.QueueDepth)
-	row("shed", h.Shed)
-	row("build-timeouts", h.BuildTimeouts)
-	row("scrub-checked", h.ScrubChecked)
-	row("scrub-quarantined", h.ScrubQuarantined)
-	row("nodes-built", h.NodesBuilt)
-	row("nodes-resumed", h.NodesResumed)
-	row("checkpoints", h.NodesCheckpointed)
-	row("checkpoint-bytes", h.CheckpointBytes)
 	row("degraded", h.Degraded)
 	if h.Degraded {
 		row("degraded-reason", h.DegradedReason)
@@ -339,9 +305,7 @@ func (h *HealthInfo) Format() string {
 			h.UpgradeActive, h.UpgradeEpoch, h.UpgradeCanaryPct, h.UpgradeRollingBack, h.UpgradeVerdict))
 	}
 	if h.MeshShards > 0 {
-		row("mesh", fmt.Sprintf("peers-up=%d/%d shards=%d peer-fetches=%d meta-rebases=%d blob-fetches=%d gossip-rounds=%d",
-			h.MeshPeersUp, h.MeshPeers, h.MeshShards,
-			h.MeshPeerFetches, h.MeshMetaRebases, h.MeshBlobFetches, h.MeshGossipRounds))
+		row("mesh", fmt.Sprintf("peers-up=%d/%d shards=%d", h.MeshPeersUp, h.MeshPeers, h.MeshShards))
 	}
 	row("draining", h.Draining)
 	return b.String()
@@ -387,7 +351,7 @@ const maxFrame = 16 << 20
 // The server reads the first one before any auth and with no deadline,
 // so a forged length must not become an allocation.  A hello carries a
 // version, a 32-character nonce and a 32-byte proof; the largest frame
-// of the exchange is an ack or refusal at ~1.2 KB, nearly all of it
+// of the exchange is an ack or refusal at ~0.9 KB, nearly all of it
 // gob's type descriptors for Response.
 const maxHelloFrame = 4 << 10
 

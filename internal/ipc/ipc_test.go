@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -70,7 +71,9 @@ func TestFrameTruncation(t *testing.T) {
 	}
 }
 
-// fakeBackend records calls and returns canned data.
+// fakeBackend records calls and returns canned data.  It serves every
+// operation, so any request the fuzzer forms reaches a method; a test
+// backend embeds it and overrides the operations it observes.
 type fakeBackend struct {
 	defined map[string]string
 	objects map[string][]byte
@@ -80,8 +83,16 @@ func newFakeBackend() *fakeBackend {
 	return &fakeBackend{defined: map[string]string{}, objects: map[string][]byte{}}
 }
 
-func (f *fakeBackend) Define(p, bp string) error        { f.defined[p] = bp; return nil }
-func (f *fakeBackend) DefineLibrary(p, bp string) error { f.defined[p] = "lib:" + bp; return nil }
+func (f *fakeBackend) DefineAllow(p, bp string, allow bool) error { f.defined[p] = bp; return nil }
+func (f *fakeBackend) DefineLibraryAllow(p, bp string, allow bool) error {
+	f.defined[p] = "lib:" + bp
+	return nil
+}
+func (f *fakeBackend) RemoveAllow(p string, allow bool) error {
+	delete(f.defined, p)
+	delete(f.objects, p)
+	return nil
+}
 func (f *fakeBackend) PutObjectBytes(p string, b []byte) error {
 	if len(b) == 0 {
 		return fmt.Errorf("empty object")
@@ -103,7 +114,6 @@ func (f *fakeBackend) List(prefix string) []string {
 	}
 	return out
 }
-func (f *fakeBackend) Remove(p string) { delete(f.defined, p); delete(f.objects, p) }
 func (f *fakeBackend) Run(name string, args []string, boot bool) (RunOutcome, error) {
 	if name == "/bin/missing" {
 		return RunOutcome{}, fmt.Errorf("no such meta-object")
@@ -115,7 +125,7 @@ func (f *fakeBackend) Run(name string, args []string, boot bool) (RunOutcome, er
 	return out, nil
 }
 func (f *fakeBackend) Disasm(p string) (string, error) { return "disasm of " + p, nil }
-func (f *fakeBackend) Stats() string                   { return "stats" }
+func (f *fakeBackend) Stats() string                   { return "stats\n" }
 func (f *fakeBackend) ExportMeta(p string) (string, bool, error) {
 	if bp, ok := f.defined[p]; ok {
 		return bp, false, nil
@@ -127,6 +137,25 @@ func (f *fakeBackend) ExportObject(p string) ([]byte, error) {
 		return b, nil
 	}
 	return nil, fmt.Errorf("no object at %s", p)
+}
+func (f *fakeBackend) Health() HealthInfo                   { return HealthInfo{UptimeMS: 1} }
+func (f *fakeBackend) Graph() string                        { return "graph" }
+func (f *fakeBackend) Explain(sym string) (string, error)   { return "explain " + sym, nil }
+func (f *fakeBackend) UpgradeStart(pct int) (string, error) { return "", errors.New("no upgrades") }
+func (f *fakeBackend) UpgradeStage(p, bp string, isLib bool) error {
+	return errors.New("no upgrades")
+}
+func (f *fakeBackend) UpgradeCommit() error                          { return errors.New("no upgrades") }
+func (f *fakeBackend) UpgradeRollback(reason string) error           { return errors.New("no upgrades") }
+func (f *fakeBackend) UpgradeStatus() (string, bool)                 { return "upgrade: idle", false }
+func (f *fakeBackend) MeshFetch(*MeshReq) (*MeshInfo, []byte, error) { return &MeshInfo{}, nil, nil }
+func (f *fakeBackend) MeshPut(*MeshReq) error                        { return nil }
+func (f *fakeBackend) MeshGossip(*MeshReq) (*MeshInfo, error)        { return &MeshInfo{}, nil }
+func (f *fakeBackend) MeshRebalance(*MeshReq) (*MeshInfo, error)     { return &MeshInfo{}, nil }
+func (f *fakeBackend) InstantiateBatch(paths []string, done func(i int, err error)) {
+	for i := range paths {
+		done(i, nil)
+	}
 }
 
 func startServer(t *testing.T) (*Client, *fakeBackend) {
@@ -224,8 +253,8 @@ func TestFederationOps(t *testing.T) {
 	if resp, err := c.Call(&Request{Op: OpDisasm, Path: "/o"}); err != nil || resp.Text == "" {
 		t.Fatalf("disasm: %v", err)
 	}
-	if resp, err := c.Call(&Request{Op: OpStats}); err != nil || resp.Text != "stats" {
-		t.Fatalf("stats: %v", err)
+	if resp, err := c.Call(&Request{Op: OpStats}); err != nil || resp.Text != "stats\ntransport: recovered=0\n" {
+		t.Fatalf("stats: %v %+v", err, resp)
 	}
 	_ = b
 }

@@ -10,17 +10,6 @@ import (
 	"testing"
 )
 
-// meshFakeBackend makes the fake backend a MeshBackend so the auth
-// gate — not a capability error — decides mesh requests.
-type meshFakeBackend struct{ *fakeBackend }
-
-func (meshFakeBackend) MeshFetch(req *MeshReq) (*MeshInfo, []byte, error) {
-	return &MeshInfo{Found: false}, nil, nil
-}
-func (meshFakeBackend) MeshPut(req *MeshReq) error                    { return nil }
-func (meshFakeBackend) MeshGossip(req *MeshReq) (*MeshInfo, error)    { return &MeshInfo{}, nil }
-func (meshFakeBackend) MeshRebalance(req *MeshReq) (*MeshInfo, error) { return &MeshInfo{}, nil }
-
 // meshCallRaw sends one tagged OpMeshFetch over an upgraded
 // connection and returns the Final response — the raw-wire equivalent
 // of Client.MeshFetch, for connections whose handshake the test spoke
@@ -60,7 +49,7 @@ func TestMeshHelloReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(meshFakeBackend{newFakeBackend()})
+	srv := NewServer(newFakeBackend())
 	srv.MeshSecret = secret
 	go srv.Serve(l)
 	t.Cleanup(srv.Shutdown)

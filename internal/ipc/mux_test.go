@@ -85,30 +85,32 @@ func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
 	}
 }
 
-// TestHelloGateRefusesOldVersion: a version-2 peer's hello arrives in
-// the same gob framing, so it is read — and answered with the refusal
-// naming the version required, then EOF.  The connection never
-// switches to tagged frames the peer would misread.
+// TestHelloGateRefusesOldVersion: a version-2 or version-3 peer's hello
+// arrives in the same gob framing, so it is read — and answered with
+// the refusal naming the version required, then EOF.  The connection
+// never switches to tagged frames the peer would misread.
 func TestHelloGateRefusesOldVersion(t *testing.T) {
 	_, addr := startMuxServer(t, newFakeBackend(), nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteFrame(conn, &Request{Op: OpHello, Text: "2"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatalf("no refusal frame: %v", err)
-	}
-	if resp.Flag || !strings.Contains(resp.Err, "protocol version "+protoVersionText+" required") {
-		t.Fatalf("answer to a version-2 hello = %+v, want the refusal naming version %s", resp, protoVersionText)
-	}
-	if err := ReadFrame(conn, &resp); err != io.EOF {
-		t.Fatalf("after the refusal: %v, want EOF", err)
+	for _, old := range []string{"2", "3"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := WriteFrame(conn, &Request{Op: OpHello, Text: old}); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := ReadFrame(conn, &resp); err != nil {
+			t.Fatalf("no refusal frame: %v", err)
+		}
+		if resp.Flag || !strings.Contains(resp.Err, "protocol version "+protoVersionText+" required") {
+			t.Fatalf("answer to a version-%s hello = %+v, want the refusal naming version %s", old, resp, protoVersionText)
+		}
+		if err := ReadFrame(conn, &resp); err != io.EOF {
+			t.Fatalf("after the refusal: %v, want EOF", err)
+		}
 	}
 }
 
@@ -555,8 +557,6 @@ func (b *recordingBackend) DefineAllow(path, bp string, allow bool) error {
 	b.record("define path=%q text=%q allow=%v", path, bp, allow)
 	return nil
 }
-func (b *recordingBackend) DefineLibraryAllow(path, bp string, allow bool) error { return nil }
-func (b *recordingBackend) RemoveAllow(path string, allow bool) error            { return nil }
 func (b *recordingBackend) CompileTo(dir, unit, src string) ([]string, error) {
 	b.record("compile dir=%q unit=%q text=%q", dir, unit, src)
 	return nil, nil
@@ -569,9 +569,6 @@ func (b *recordingBackend) PutObjectBytes(path string, blob []byte) error {
 	b.record("put path=%q blob=%q", path, blob)
 	return nil
 }
-func (b *recordingBackend) MeshFetch(*MeshReq) (*MeshInfo, []byte, error) { return nil, nil, nil }
-func (b *recordingBackend) MeshGossip(*MeshReq) (*MeshInfo, error)        { return nil, nil }
-func (b *recordingBackend) MeshRebalance(*MeshReq) (*MeshInfo, error)     { return nil, nil }
 func (b *recordingBackend) MeshPut(req *MeshReq) error {
 	b.record("mesh-put key=%q", req.CKey)
 	return nil

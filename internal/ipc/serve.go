@@ -21,62 +21,66 @@ type RunOutcome struct {
 }
 
 // Backend is the set of daemon operations the protocol exposes; the
-// omosd command implements it over an omos.System.
+// omosd command implements it over an omos.System.  Every operation is
+// required: the transport serves each op by calling its method, never
+// by probing for a capability.
 type Backend interface {
-	Define(path, blueprint string) error
-	DefineLibrary(path, blueprint string) error
 	PutObjectBytes(path string, rof []byte) error
 	AssembleTo(path, src string) error
 	CompileTo(dir, unit, src string) ([]string, error)
 	List(prefix string) []string
-	Remove(path string)
 	Run(name string, args []string, bootstrap bool) (RunOutcome, error)
 	Disasm(path string) (string, error)
+	// Stats renders every counter the backend keeps, one
+	// "group: name=value …" line per group (OpStats; the transport
+	// appends its own line).
 	Stats() string
 	// ExportMeta and ExportObject serve namespace federation (another
 	// OMOS server mounting this one, §10).
 	ExportMeta(path string) (src string, isLibrary bool, err error)
 	ExportObject(path string) ([]byte, error)
+	HealthBackend
+	GraphBackend
+	ExplainBackend
+	RebindBackend
+	UpgradeBackend
+	MeshBackend
+	BatchBackend
 }
 
-// HealthBackend is optionally implemented by backends that can report
-// robustness counters; OpHealth works (with transport-level fields
-// only) even when the backend cannot.
+// HealthBackend reports the daemon's state and verdicts (OpHealth);
+// the transport adds its draining flag.
 type HealthBackend interface {
 	Health() HealthInfo
 }
 
-// GraphBackend is optionally implemented by backends that can render
-// the server's build graph; OpGraph answers an error when the backend
-// cannot.
+// GraphBackend renders the server's build graph (OpGraph).
 type GraphBackend interface {
 	Graph() string
 }
 
-// ExplainBackend is optionally implemented by backends that can
-// report the binding audit trail for a symbol (OpExplain); OpExplain
-// answers an error when the backend cannot.
+// ExplainBackend reports the binding audit trail for a symbol
+// (OpExplain).
 type ExplainBackend interface {
 	Explain(sym string) (string, error)
 }
 
-// RebindBackend is optionally implemented by backends that enforce
-// the rebind guard: namespace mutations carry the request's
-// AllowRebind flag so a mutation that would silently re-bind a live
-// program's symbol is refused unless the caller made it explicit.
-// Without it, OpDefine/OpDefineLib/OpRemove fall back to the plain
-// Backend methods (no guard at the wire level).
+// RebindBackend serves the namespace mutations
+// (OpDefine/OpDefineLib/OpRemove) under the rebind guard: each carries
+// the request's AllowRebind flag, so a mutation that would silently
+// re-bind a live program's symbol is refused unless the caller made it
+// explicit.
 type RebindBackend interface {
 	DefineAllow(path, blueprint string, allow bool) error
 	DefineLibraryAllow(path, blueprint string, allow bool) error
 	RemoveAllow(path string, allow bool) error
 }
 
-// UpgradeBackend is optionally implemented by backends that support
-// live library upgrades (OpUpgrade/OpUpgradeStatus/OpRollback): epoch
-// open, staging, write-ahead commit, and rollback.  The epoch itself
-// carries the rebind allow, so staged definitions apply atomically at
-// commit without per-call AllowRebind flags.
+// UpgradeBackend drives live library upgrades
+// (OpUpgrade/OpUpgradeStatus/OpRollback): epoch open, staging,
+// write-ahead commit, and rollback.  The epoch itself carries the
+// rebind allow, so staged definitions apply atomically at commit
+// without per-call AllowRebind flags.
 type UpgradeBackend interface {
 	UpgradeStart(canaryPct int) (string, error)
 	UpgradeStage(path, blueprint string, isLib bool) error
@@ -87,11 +91,12 @@ type UpgradeBackend interface {
 	UpgradeStatus() (line string, active bool)
 }
 
-// MeshBackend is optionally implemented by backends federated into a
-// daemon mesh (internal/mesh): content-key fetch/offer between shard
-// owners, anti-entropy gossip, and membership rebalance.  When the
-// server has a MeshSecret these operations additionally require the
-// connection to have authenticated via the hello challenge-response.
+// MeshBackend serves the operations of a daemon mesh (internal/mesh):
+// content-key fetch/offer between shard owners, anti-entropy gossip,
+// and membership rebalance; a daemon outside a mesh refuses them.
+// When the server has a MeshSecret these operations additionally
+// require the connection to have authenticated via the hello
+// challenge-response.
 type MeshBackend interface {
 	MeshFetch(req *MeshReq) (*MeshInfo, []byte, error)
 	MeshPut(req *MeshReq) error
@@ -103,8 +108,7 @@ type MeshBackend interface {
 // connection never proved the shared secret.
 const meshAuthMsg = "mesh peer not authenticated"
 
-// BatchBackend is optionally implemented by backends that can
-// instantiate a vector of meta-objects in one request
+// BatchBackend instantiates a vector of meta-objects in one request
 // (OpInstantiateBatch).  done is called exactly once per index — from
 // any goroutine, in any order — as each item completes; err is nil on
 // success.  InstantiateBatch returns when every item has completed.
@@ -420,19 +424,11 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 	case OpPing:
 		resp.Text = "omos server: alive"
 	case OpDefine:
-		if rb, ok := b.(RebindBackend); ok {
-			if err := rb.DefineAllow(req.Path, req.Text, req.AllowRebind); err != nil {
-				return fail(err)
-			}
-		} else if err := b.Define(req.Path, req.Text); err != nil {
+		if err := b.DefineAllow(req.Path, req.Text, req.AllowRebind); err != nil {
 			return fail(err)
 		}
 	case OpDefineLib:
-		if rb, ok := b.(RebindBackend); ok {
-			if err := rb.DefineLibraryAllow(req.Path, req.Text, req.AllowRebind); err != nil {
-				return fail(err)
-			}
-		} else if err := b.DefineLibrary(req.Path, req.Text); err != nil {
+		if err := b.DefineLibraryAllow(req.Path, req.Text, req.AllowRebind); err != nil {
 			return fail(err)
 		}
 	case OpPutObject:
@@ -452,12 +448,8 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 	case OpList:
 		resp.Paths = b.List(req.Path)
 	case OpRemove:
-		if rb, ok := b.(RebindBackend); ok {
-			if err := rb.RemoveAllow(req.Path, req.AllowRebind); err != nil {
-				return fail(err)
-			}
-		} else {
-			b.Remove(req.Path)
+		if err := b.RemoveAllow(req.Path, req.AllowRebind); err != nil {
+			return fail(err)
 		}
 	case OpRun, OpRunBoot:
 		out, err := b.Run(req.Path, req.Args, req.Op == OpRunBoot)
@@ -474,7 +466,7 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 		}
 		resp.Text = text
 	case OpStats:
-		resp.Text = b.Stats()
+		resp.Text = b.Stats() + "transport: recovered=" + strconv.FormatUint(s.recovered.Load(), 10) + "\n"
 	case OpGetMeta:
 		src, isLib, err := b.ExportMeta(req.Path)
 		if err != nil {
@@ -489,34 +481,18 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 		}
 		resp.Blob = blob
 	case OpHealth:
-		var hi HealthInfo
-		if hb, ok := b.(HealthBackend); ok {
-			hi = hb.Health()
-		}
-		hi.Recovered += s.recovered.Load()
+		hi := b.Health()
 		hi.Draining = s.Draining()
 		resp.Health = &hi
 	case OpGraph:
-		gb, ok := b.(GraphBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not expose a build graph"))
-		}
-		resp.Text = gb.Graph()
+		resp.Text = b.Graph()
 	case OpExplain:
-		eb, ok := b.(ExplainBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not expose binding provenance"))
-		}
-		text, err := eb.Explain(req.Path)
+		text, err := b.Explain(req.Path)
 		if err != nil {
 			return fail(err)
 		}
 		resp.Text = text
 	case OpUpgrade:
-		ub, ok := b.(UpgradeBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not support live upgrades"))
-		}
 		switch req.Unit {
 		case "start":
 			pct := 100
@@ -527,44 +503,30 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 				}
 				pct = n
 			}
-			id, err := ub.UpgradeStart(pct)
+			id, err := b.UpgradeStart(pct)
 			if err != nil {
 				return fail(err)
 			}
 			resp.Text = id
 		case "stage":
 			isLib := len(req.Args) > 0 && req.Args[0] == "lib"
-			if err := ub.UpgradeStage(req.Path, req.Text, isLib); err != nil {
+			if err := b.UpgradeStage(req.Path, req.Text, isLib); err != nil {
 				return fail(err)
 			}
 		case "commit":
-			if err := ub.UpgradeCommit(); err != nil {
+			if err := b.UpgradeCommit(); err != nil {
 				return fail(err)
 			}
 		default:
 			return fail(fmt.Errorf("unknown upgrade phase %q", req.Unit))
 		}
 	case OpUpgradeStatus:
-		ub, ok := b.(UpgradeBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not support live upgrades"))
-		}
-		line, active := ub.UpgradeStatus()
-		resp.Text = line
-		resp.Flag = active
+		resp.Text, resp.Flag = b.UpgradeStatus()
 	case OpRollback:
-		ub, ok := b.(UpgradeBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not support live upgrades"))
-		}
-		if err := ub.UpgradeRollback(req.Text); err != nil {
+		if err := b.UpgradeRollback(req.Text); err != nil {
 			return fail(err)
 		}
 	case OpMeshFetch, OpMeshPut, OpMeshGossip, OpMeshRebalance:
-		mb, ok := b.(MeshBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend is not part of a mesh"))
-		}
 		if s.MeshSecret != "" && !authed {
 			return fail(errors.New(meshAuthMsg))
 		}
@@ -573,24 +535,24 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 		}
 		switch req.Op {
 		case OpMeshFetch:
-			info, blob, err := mb.MeshFetch(req.Mesh)
+			info, blob, err := b.MeshFetch(req.Mesh)
 			if err != nil {
 				return fail(err)
 			}
 			resp.Mesh = info
 			resp.Blob = blob
 		case OpMeshPut:
-			if err := mb.MeshPut(req.Mesh); err != nil {
+			if err := b.MeshPut(req.Mesh); err != nil {
 				return fail(err)
 			}
 		case OpMeshGossip:
-			info, err := mb.MeshGossip(req.Mesh)
+			info, err := b.MeshGossip(req.Mesh)
 			if err != nil {
 				return fail(err)
 			}
 			resp.Mesh = info
 		case OpMeshRebalance:
-			info, err := mb.MeshRebalance(req.Mesh)
+			info, err := b.MeshRebalance(req.Mesh)
 			if err != nil {
 				return fail(err)
 			}

@@ -227,11 +227,7 @@ func (s *Server) runTag(m *muxConn, tag uint64, req *Request) *Response {
 // item.  Per-item failures (including admission sheds, which carry the
 // retry-after hint) stay per item and never abort siblings.
 func (s *Server) handleBatchMux(m *muxConn, tag uint64, req *Request) *Response {
-	bb, ok := s.b.(BatchBackend)
-	if !ok {
-		return &Response{Err: "backend does not support batch instantiation"}
-	}
-	bb.InstantiateBatch(req.Args, func(i int, err error) {
+	s.b.InstantiateBatch(req.Args, func(i int, err error) {
 		resp := &Response{Index: i}
 		if err != nil {
 			applyError(resp, err)

@@ -37,8 +37,6 @@ type Config struct {
 	// carry the HMAC hello proof and peers must be configured with the
 	// same secret.
 	Secret string
-	// Replicas is the virtual-node count per ring member (default 64).
-	Replicas int
 	// PeerMaxInflight/PeerQueueDepth size the per-peer inbound
 	// admission gate (defaults 8/16) — one slow or greedy peer sheds at
 	// its own gate instead of starving the rest.
@@ -53,20 +51,19 @@ type Config struct {
 	// GossipInterval enables the background anti-entropy loop; zero
 	// means gossip only runs on explicit GossipTick calls.
 	GossipInterval time.Duration
-	// HoldMax bounds how many peer-pushed records the node holds
-	// (default 256; oldest evicted first).  HoldMaxBytes bounds their
-	// total encoded size (default 64 MB) — records carry full image
-	// segments, so a count bound alone could pin hundreds of MB.
-	HoldMax      int
+	// HoldMaxBytes bounds the total encoded size of the peer-pushed
+	// records the node holds (default 64 MB), beside the holdMax count;
+	// oldest are evicted first.  Records carry full image segments, so
+	// a count bound alone could pin hundreds of MB.
 	HoldMaxBytes int
 	// Faults arms deterministic fault injection on the mesh sites.
 	Faults *fault.Set
 }
 
+// holdMax bounds how many peer-pushed records a node holds.
+const holdMax = 256
+
 func (c *Config) defaults() {
-	if c.Replicas <= 0 {
-		c.Replicas = defaultReplicas
-	}
 	if c.PeerMaxInflight <= 0 {
 		c.PeerMaxInflight = 8
 	}
@@ -78,9 +75,6 @@ func (c *Config) defaults() {
 	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 30 * time.Second
-	}
-	if c.HoldMax <= 0 {
-		c.HoldMax = 256
 	}
 	if c.HoldMaxBytes <= 0 {
 		c.HoldMaxBytes = 64 << 20
@@ -177,7 +171,7 @@ func New(srv *server.Server, cfg Config) (*Node, error) {
 		srv:     srv,
 		cfg:     cfg,
 		faults:  cfg.Faults,
-		ring:    NewRing(cfg.Replicas),
+		ring:    NewRing(defaultReplicas),
 		peers:   map[string]*peer{},
 		admits:  map[string]*server.Admission{},
 		holds:   map[string][]byte{},
@@ -415,7 +409,7 @@ func (n *Node) admitPeer(from string) (func(), error) {
 // key becomes acceptable again once pressure has likely passed.
 const holdEvictTTL = time.Minute
 
-// hold parks a peer-pushed record, bounded by HoldMax records and
+// hold parks a peer-pushed record, bounded by holdMax records and
 // HoldMaxBytes total encoded size (oldest out first).  Held records
 // never enter the server's persistent store — their placements belong
 // to another daemon's solver — but they are served to fetching peers
@@ -438,7 +432,7 @@ func (n *Node) hold(ckey string, blob []byte) {
 	n.holdBytes += len(blob)
 	// An explicit push overrides a standing decline.
 	delete(n.evicted, ckey)
-	for len(n.holdSeq) > n.cfg.HoldMax || n.holdBytes > n.cfg.HoldMaxBytes {
+	for len(n.holdSeq) > holdMax || n.holdBytes > n.cfg.HoldMaxBytes {
 		old := n.holdSeq[0]
 		n.holdSeq = n.holdSeq[1:]
 		n.holdBytes -= len(n.holds[old])
@@ -1023,26 +1017,18 @@ func (n *Node) PeersUp() (up, total int) {
 	return up, len(peers)
 }
 
-// Health fills the mesh fields of a health report.
+// Health fills the mesh state of a health report.
 func (n *Node) Health(hi *ipc.HealthInfo) {
-	up, total := n.PeersUp()
-	hi.MeshPeers = total
-	hi.MeshPeersUp = up
+	hi.MeshPeersUp, hi.MeshPeers = n.PeersUp()
 	hi.MeshShards = len(n.Members())
-	st := n.srv.Stats()
-	hi.MeshPeerFetches = st.MeshFetches
-	hi.MeshMetaRebases = st.MeshMetaRebases
-	hi.MeshBlobFetches = st.MeshBlobInstalls
-	hi.MeshGossipRounds = n.gossipRounds.Load()
 }
 
-// StatsLine renders the mesh line of `omos stats`.
+// StatsLine renders the mesh line of `omos stats`: the node's state and
+// its own counters.  The placement-miss counters of the server's mesh
+// hook are server.Stats' `mesh-hook:` line.
 func (n *Node) StatsLine() string {
-	st := n.srv.Stats()
 	up, total := n.PeersUp()
-	return fmt.Sprintf(
-		"mesh: self=%s shards=%d peers-up=%d/%d fetches=%d meta-rebases=%d blob-installs=%d fallbacks=%d served=%d gossip-rounds=%d pushed=%d",
+	return fmt.Sprintf("mesh: self=%s shards=%d peers-up=%d/%d served=%d gossip-rounds=%d pushed=%d",
 		n.cfg.Self, len(n.Members()), up, total,
-		st.MeshFetches, st.MeshMetaRebases, st.MeshBlobInstalls, st.MeshFallbacks,
 		n.served.Load(), n.gossipRounds.Load(), n.gossipPushed.Load()+n.rebalPushed.Load())
 }

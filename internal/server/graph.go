@@ -15,15 +15,9 @@ import (
 // surviving nodes after a warm restart.
 
 // GraphReport renders the build graph for `omos graph`: run counts,
-// node outcomes and checkpoints, then the runs themselves.
-func (s *Server) GraphReport() string {
-	n, c := &s.stats.nodes, &s.stats
-	return s.graph.Render(fmt.Sprintf(
-		"nodes: built=%d rebased=%d cached=%d resumed=%d failed=%d\ncheckpoints: ok=%d failed=%d bytes=%d\n",
-		n[buildgraph.OutcomeBuilt].Load(), n[buildgraph.OutcomeRebased].Load(), n[buildgraph.OutcomeCached].Load(),
-		n[buildgraph.OutcomeResumed].Load(), n[buildgraph.OutcomeFailed].Load(),
-		c.nodesCheckpointed.Load(), c.checkpointsFailed.Load(), c.checkpointBytes.Load()))
-}
+// then the runs themselves.  The node and checkpoint counters are the
+// `graph:` line of `omos stats` (Stats.Format).
+func (s *Server) GraphReport() string { return s.graph.Render() }
 
 // inNode is the one node lifecycle: it runs produce as one build-graph
 // node — the root of a new run when root is set, else a child of the

@@ -35,7 +35,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"path"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,66 +62,72 @@ type SpecFunc func(args []string, v *mgraph.Value) (*mgraph.Value, error)
 
 // Stats is a point-in-time snapshot of server activity (see the
 // Server.Stats method).  It is safe to take while builds are in
-// flight: the counters behind it are atomics.
+// flight: the counters behind it are atomics.  It is the daemon's one
+// counter record: each field's `stat:"group name"` tag places it in
+// the stats text, and Format prints every field exactly once.
 type Stats struct {
-	CacheHits     uint64
-	CacheMisses   uint64
-	ImagesBuilt   uint64
-	RelocsApplied uint64
-	ExternBinds   uint64
+	CacheHits     uint64 `stat:"cache hits"`
+	CacheMisses   uint64 `stat:"cache misses"`
+	ImagesBuilt   uint64 `stat:"cache images"`
+	RelocsApplied uint64 `stat:"cache relocs"`
+	ExternBinds   uint64 `stat:"cache extern-binds"`
 	// BuildCycles is the simulated server time spent constructing
 	// images (charged to the first requester).
-	BuildCycles uint64
+	BuildCycles uint64 `stat:"cache buildcycles"`
+	// BuiltBytes totals the image bytes produced by full links
+	// (text + data + bss extents at materialize time).  Rebases and
+	// mesh-fetched installs deliberately do not count: avoiding those
+	// bytes is what both fast paths buy.
+	BuiltBytes uint64 `stat:"cache built-bytes"`
 
 	// Rebases counts placement misses served by sliding a cached
 	// variant of the same content to the new bases (the rebase fast
 	// path); RebaseMiss counts placement misses that had no usable
 	// variant and fell back to a full relink.
-	Rebases    uint64
-	RebaseMiss uint64
+	Rebases    uint64 `stat:"rebase slides"`
+	RebaseMiss uint64 `stat:"rebase misses"`
 	// RebasePatches counts 8-byte sites rewritten by rebases, and
 	// RebaseDirtyPages the pages those rewrites dirtied; pages not
 	// counted stay physically shared with the source variant
 	// (RebaseSharedPages counts those avoided allocations).
-	RebasePatches     uint64
-	RebaseDirtyPages  uint64
-	RebaseSharedPages uint64
+	RebasePatches     uint64 `stat:"rebase patches"`
+	RebaseDirtyPages  uint64 `stat:"rebase dirty-pages"`
+	RebaseSharedPages uint64 `stat:"rebase shared-pages"`
 
+	// WarmLoaded counts store records attached at boot (AttachStore):
+	// images a request, rebase or mesh peer is served on first use
+	// without a rebuild, unless the record's body turns out corrupt then.
+	WarmLoaded uint64 `stat:"store warm-loaded"`
 	// The Store* fields mirror the persistent image store's counters
 	// (zero when the server runs without a store): blobs read back,
 	// blobs written, capacity/namespace evictions, corrupt or stale
 	// entries rejected, and current on-disk bytes.
-	StoreLoads     uint64
-	StoreStores    uint64
-	StoreEvictions uint64
-	StoreCorrupt   uint64
-	StoreBytes     uint64
-	// WarmLoaded counts store records attached at boot (AttachStore):
-	// images a request, rebase or mesh peer is served on first use
-	// without a rebuild, unless the record's body turns out corrupt then.
-	WarmLoaded uint64
+	StoreLoads     uint64 `stat:"store loads"`
+	StoreStores    uint64 `stat:"store stores"`
+	StoreEvictions uint64 `stat:"store evictions"`
+	StoreCorrupt   uint64 `stat:"store corrupt"`
+	StoreBytes     uint64 `stat:"store bytes"`
 	// StoreQuarantined counts blobs moved to the store's quarantine
 	// directory after failing validation (including those found there
 	// at boot).
-	StoreQuarantined uint64
-
-	// Recovered counts panics recovered inside build workers and the
-	// singleflight leader — failures that were converted into one
-	// failed request instead of a dead daemon.
-	Recovered uint64
-
-	// Shed counts requests rejected at the admission gate (zero when
-	// the server runs ungated); BuildTimeouts counts builds cancelled
-	// by the per-build watchdog.
-	Shed          uint64
-	BuildTimeouts uint64
+	StoreQuarantined uint64 `stat:"store quarantined"`
 
 	// The Scrub* fields mirror the store's background scrubber: blobs
 	// re-verified, blobs quarantined by the scrubber, and orphaned
 	// .tmp files swept.
-	ScrubChecked     uint64
-	ScrubQuarantined uint64
-	ScrubOrphans     uint64
+	ScrubChecked     uint64 `stat:"scrub checked"`
+	ScrubQuarantined uint64 `stat:"scrub quarantined"`
+	ScrubOrphans     uint64 `stat:"scrub orphans"`
+
+	// Recovered counts panics recovered inside build workers and the
+	// singleflight leader — failures that were converted into one
+	// failed request instead of a dead daemon.
+	Recovered uint64 `stat:"robustness recovered"`
+	// Shed counts requests rejected at the admission gate (zero when
+	// the server runs ungated); BuildTimeouts counts builds cancelled
+	// by the per-build watchdog.
+	Shed          uint64 `stat:"robustness shed"`
+	BuildTimeouts uint64 `stat:"robustness build-timeouts"`
 
 	// The Nodes* fields count how the build-graph nodes of every
 	// recorded instantiation resolved (graph.go).  NodesResumed counts
@@ -129,13 +137,14 @@ type Stats struct {
 	// write-through that makes resuming possible, CheckpointsFailed
 	// the best-effort writes that were lost (the build still
 	// succeeded).
-	NodesBuilt        uint64
-	NodesCached       uint64
-	NodesResumed      uint64
-	NodesFailed       uint64
-	NodesCheckpointed uint64
-	CheckpointsFailed uint64
-	CheckpointBytes   uint64
+	NodesBuilt        uint64 `stat:"graph built"`
+	NodesRebased      uint64 `stat:"graph rebased"`
+	NodesCached       uint64 `stat:"graph cached"`
+	NodesResumed      uint64 `stat:"graph resumed"`
+	NodesFailed       uint64 `stat:"graph failed"`
+	NodesCheckpointed uint64 `stat:"graph checkpoints"`
+	CheckpointsFailed uint64 `stat:"graph ckpt-failed"`
+	CheckpointBytes   uint64 `stat:"graph ckpt-bytes"`
 
 	// The resolution-cache counters (resolve.go).  SymbolSearches
 	// counts symbols resolved by searching the library list (the cold
@@ -144,18 +153,18 @@ type Stats struct {
 	// lookups: an invalidation is a table found but no longer matching
 	// the live library identities (a definer changed), which forces a
 	// re-search.
-	SymbolSearches       uint64
-	BindingHits          uint64
-	BindingMisses        uint64
-	BindingInvalidations uint64
+	SymbolSearches       uint64 `stat:"resolve searches"`
+	BindingHits          uint64 `stat:"resolve hits"`
+	BindingMisses        uint64 `stat:"resolve misses"`
+	BindingInvalidations uint64 `stat:"resolve invalidations"`
 	// PinViolations counts pinned images rejected (and quarantined)
 	// because a library identity no longer matched its pin — the
 	// hijack defense firing.  RebindsBlocked/RebindsAllowed count
 	// namespace mutations that would have re-bound a live program's
 	// symbol: blocked without the allow flag, permitted with it.
-	PinViolations  uint64
-	RebindsBlocked uint64
-	RebindsAllowed uint64
+	PinViolations  uint64 `stat:"resolve pin-violations"`
+	RebindsBlocked uint64 `stat:"resolve rebinds-blocked"`
+	RebindsAllowed uint64 `stat:"resolve rebinds-allowed"`
 
 	// The live-upgrade counters (upgrade.go).  UpgradesStarted counts
 	// epochs opened; every epoch ends in exactly one of
@@ -165,17 +174,11 @@ type Stats struct {
 	// OptionalStubsServed counts optional imports that resolved to
 	// their fallback stub because the definer was absent or
 	// mid-rollback.
-	UpgradesStarted      uint64
-	UpgradesCommitted    uint64
-	UpgradesRolledBack   uint64
-	CanaryInstantiations uint64
-	OptionalStubsServed  uint64
-
-	// BuiltBytes totals the image bytes produced by full links
-	// (text + data + bss extents at materialize time).  Rebases and
-	// mesh-fetched installs deliberately do not count: avoiding those
-	// bytes is what both fast paths buy.
-	BuiltBytes uint64
+	UpgradesStarted      uint64 `stat:"upgrades started"`
+	UpgradesCommitted    uint64 `stat:"upgrades committed"`
+	UpgradesRolledBack   uint64 `stat:"upgrades rolled-back"`
+	CanaryInstantiations uint64 `stat:"upgrades canary-instantiations"`
+	OptionalStubsServed  uint64 `stat:"upgrades optional-stubs"`
 
 	// The Mesh* counters account the federated-mesh hook (meshhook.go;
 	// all zero on an unmeshed server): placement misses that consulted
@@ -184,10 +187,67 @@ type Stats struct {
 	// blob installed — and consults that fell back to the local build
 	// path (owner down or shedding, content unknown, validation
 	// failed).
-	MeshFetches      uint64
-	MeshMetaRebases  uint64
-	MeshBlobInstalls uint64
-	MeshFallbacks    uint64
+	MeshFetches      uint64 `stat:"mesh-hook fetches"`
+	MeshMetaRebases  uint64 `stat:"mesh-hook meta-rebases"`
+	MeshBlobInstalls uint64 `stat:"mesh-hook blob-installs"`
+	MeshFallbacks    uint64 `stat:"mesh-hook fallbacks"`
+}
+
+// statField is one value of the stats text: the Stats field index and
+// the label printed before it.
+type statField struct {
+	label string
+	index int
+}
+
+// statPlan is Stats' tags read once, in the order Format prints them:
+// groups in the order they first appear, each group's fields in
+// declaration order.  A label is " name=", led by "group:" on a
+// group's first field and by a newline on every group but the first.
+// statTextMax bounds the rendered text, so Format allocates once.  An
+// untagged field is left out (TestStatsFormatCoversEveryField refuses
+// one).
+var statPlan, statTextMax = func() (plan []statField, size int) {
+	var groups []string
+	fields := map[string][]statField{}
+	t := reflect.TypeOf(Stats{})
+	for i := 0; i < t.NumField(); i++ {
+		group, name, ok := strings.Cut(t.Field(i).Tag.Get("stat"), " ")
+		if !ok {
+			continue
+		}
+		if fields[group] == nil {
+			groups = append(groups, group)
+		}
+		fields[group] = append(fields[group], statField{label: " " + name + "=", index: i})
+	}
+	for i, group := range groups {
+		fs := fields[group]
+		fs[0].label = group + ":" + fs[0].label
+		if i > 0 {
+			fs[0].label = "\n" + fs[0].label
+		}
+		for _, f := range fs {
+			plan = append(plan, f)
+			size += len(f.label) + 20 // the longest uint64
+		}
+	}
+	return plan, size + 1
+}()
+
+// Format renders the snapshot as the counter lines of `omos stats`,
+// one "group: name=value …" line per group.
+func (st *Stats) Format() string {
+	v := reflect.ValueOf(st).Elem()
+	var b strings.Builder
+	b.Grow(statTextMax)
+	var num [20]byte
+	for _, f := range statPlan {
+		b.WriteString(f.label)
+		b.Write(strconv.AppendUint(num[:0], v.Field(f.index).Uint(), 10))
+	}
+	b.WriteByte('\n')
+	return b.String()
 }
 
 // statsCounters are the live counters behind the Stats snapshot.
@@ -278,6 +338,7 @@ func (s *Server) Stats() Stats {
 		MeshFallbacks:    s.stats.meshFallbacks.Load(),
 
 		NodesBuilt:        s.stats.nodes[buildgraph.OutcomeBuilt].Load(),
+		NodesRebased:      s.stats.nodes[buildgraph.OutcomeRebased].Load(),
 		NodesCached:       s.stats.nodes[buildgraph.OutcomeCached].Load(),
 		NodesResumed:      s.stats.nodes[buildgraph.OutcomeResumed].Load(),
 		NodesFailed:       s.stats.nodes[buildgraph.OutcomeFailed].Load(),

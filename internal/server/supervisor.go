@@ -31,14 +31,16 @@ type SupervisorConfig struct {
 	// StuckBuildAfter marks the server degraded when the oldest
 	// in-flight build is older than this (default 30s).
 	StuckBuildAfter time.Duration
-	// QueueHighWater marks the server degraded when the admission
-	// queue is fuller than this fraction of its bound (default 0.8).
-	QueueHighWater float64
-	// StoreHighWater marks the server degraded when the persistent
-	// store is fuller than this fraction of its capacity (default
-	// 0.9).  Ignored when the store has no byte cap.
-	StoreHighWater float64
 }
+
+// The supervisor's fill thresholds: the server is degraded when the
+// admission queue is fuller than queueHighWater of its bound, or the
+// persistent store fuller than storeHighWater of its byte cap (a store
+// without one is never full).
+const (
+	queueHighWater = 0.8
+	storeHighWater = 0.9
+)
 
 func (c *SupervisorConfig) defaults() {
 	if c.Interval <= 0 {
@@ -46,12 +48,6 @@ func (c *SupervisorConfig) defaults() {
 	}
 	if c.StuckBuildAfter <= 0 {
 		c.StuckBuildAfter = 30 * time.Second
-	}
-	if c.QueueHighWater <= 0 {
-		c.QueueHighWater = 0.8
-	}
-	if c.StoreHighWater <= 0 {
-		c.StoreHighWater = 0.9
 	}
 }
 
@@ -118,7 +114,7 @@ func (s *Server) superviseOnce(cfg SupervisorConfig) {
 	}
 	if a := s.admit; a != nil {
 		if q, depth := a.Queued(), a.QueueDepth(); depth > 0 &&
-			float64(q) >= cfg.QueueHighWater*float64(depth) {
+			float64(q) >= queueHighWater*float64(depth) {
 			reasons = append(reasons, fmt.Sprintf("admission queue %d/%d", q, depth))
 		}
 	}
@@ -127,7 +123,7 @@ func (s *Server) superviseOnce(cfg SupervisorConfig) {
 	s.cacheMu.RUnlock()
 	if stor != nil {
 		if maxB := stor.MaxBytes(); maxB > 0 {
-			if b := stor.Stats().Bytes; float64(b) >= cfg.StoreHighWater*float64(maxB) {
+			if b := stor.Stats().Bytes; float64(b) >= storeHighWater*float64(maxB) {
 				reasons = append(reasons, fmt.Sprintf("store %d/%d bytes", b, maxB))
 			}
 		}

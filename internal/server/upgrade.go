@@ -732,31 +732,20 @@ func (s *Server) UpgradeAudit() []string {
 	return out
 }
 
-// upgradeLine renders the one-line status omosd stats and OpHealth
-// carry.
-func upgradeLine(st UpgradeStatusInfo, started, committed, rolledBack, canary, stubs uint64) string {
-	state := "idle"
+// UpgradeStatsLine is the `upgrade:` state line of the daemon's stats
+// report and of `omos upgrade --status`; the upgrade counters are
+// Stats' `upgrades:` line.
+func (s *Server) UpgradeStatsLine() string {
+	st := s.UpgradeStatus()
 	switch {
 	case st.Active && st.RollingBack:
-		state = fmt.Sprintf("epoch=%s rolling-back verdict=%q", st.Epoch, st.Verdict)
+		return fmt.Sprintf("upgrade: epoch=%s rolling-back verdict=%q", st.Epoch, st.Verdict)
 	case st.Active:
-		state = fmt.Sprintf("epoch=%s canary=%d%% cohort=%d/%d ewma=%.2f baseline=%.2f libs=%s",
+		return fmt.Sprintf("upgrade: epoch=%s canary=%d%% cohort=%d/%d ewma=%.2f baseline=%.2f libs=%s",
 			st.Epoch, st.CanaryPct, st.CohortFails, st.CohortRuns,
 			st.CohortEWMA, st.Baseline, strings.Join(st.Libs, ","))
 	case st.LastAborted != "":
-		state = fmt.Sprintf("idle last-aborted=%q", st.LastAborted)
+		return fmt.Sprintf("upgrade: idle last-aborted=%q", st.LastAborted)
 	}
-	return fmt.Sprintf("upgrade: %s started=%d committed=%d rolled-back=%d canary-instantiations=%d optional-stubs=%d",
-		state, started, committed, rolledBack, canary, stubs)
-}
-
-// UpgradeStatsLine is the `upgrade:` line of the daemon's stats
-// report.
-func (s *Server) UpgradeStatsLine() string {
-	return upgradeLine(s.UpgradeStatus(),
-		s.stats.upgradesStarted.Load(),
-		s.stats.upgradesCommitted.Load(),
-		s.stats.upgradesRolledBack.Load(),
-		s.stats.canaryInstantiations.Load(),
-		s.stats.optionalStubsServed.Load())
+	return "upgrade: idle"
 }
