@@ -8,9 +8,11 @@
 //	omos [-server addr] [-timeout D] [-connect-timeout D] [-retries N] <command> [args]
 //
 // -timeout bounds each call (a deadline overrun is reported, never a
-// hang); -retries sets how many times idempotent operations retry on
-// transport failure (with exponential backoff and one transparent
-// reconnect).  run/run-boot are never retried automatically.
+// hang); -retries sizes each retry budget: a call that failed before
+// it was sent, or was shed by an overloaded daemon, retries whatever
+// the command; a transport failure mid-call retries only idempotent
+// operations, redialing as needed, with jittered exponential backoff.
+// run/run-boot are never retried once sent.
 //
 // Commands:
 //
@@ -35,9 +37,10 @@
 //	health                      daemon liveness, state and verdicts
 //	                            (exits 1 when draining, degraded, or a
 //	                            live-upgrade rollback is in progress)
-//	graph                       build-graph report: node counters,
+//	graph                       build-graph report: run counts, then
 //	                            active and recent instantiation runs,
-//	                            each node's outcome and duration
+//	                            each node's outcome and duration (the
+//	                            node counters are stats' graph: line)
 //	upgrade [--canary=N%] [--prog] <path> <file> ...
 //	                            open a live-upgrade epoch (N% canary)
 //	                            and stage new definitions; running

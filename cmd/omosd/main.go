@@ -9,8 +9,7 @@
 //	omosd [-listen :7070] [-workloads] [-store DIR] [-store-max-bytes N]
 //	      [-faults SPEC] [-fault-seed N]
 //	      [-max-inflight N] [-queue-depth N] [-build-timeout D]
-//	      [-scrub-interval D] [-scrub-per-tick N] [-supervise-interval D]
-//	      [-handlers-per-conn N]
+//	      [-scrub-interval D] [-scrub-per-tick N] [-handlers-per-conn N]
 //	      [-peers addr,addr...] [-mesh-secret S] [-mesh-gossip-interval D]
 //	omosd -list-faults
 //
@@ -25,7 +24,10 @@
 //
 // A running daemon is queried with the client: `omos health` prints
 // its state and verdicts, `omos stats` its counters, `omos graph` its
-// build-graph report.
+// build-graph report.  The degraded verdict is computed when health
+// is asked for: admission queue past 80% of -queue-depth, store past
+// 90% of -store-max-bytes, or a build in flight longer than half
+// -build-timeout (30s without one).
 //
 // -max-inflight/-queue-depth size the admission gate (overload
 // protection: excess requests are shed with a retry-after hint rather
@@ -33,8 +35,8 @@
 // tagged requests one connection may have executing at once — the
 // per-connection backpressure knob of the pipelined protocol (the
 // reader stops consuming frames when the pool is full).
-// -build-timeout arms the per-build watchdog.  -scrub-interval enables the background store scrubber.
-// -supervise-interval enables the degraded-health supervisor.
+// -build-timeout arms the per-build watchdog.  -scrub-interval enables
+// the background store scrubber.
 //
 // -peers joins the daemon to a federated mesh: the named daemons and
 // this one consistent-hash shard the content-addressed store, and a
@@ -92,7 +94,6 @@ func main() {
 	buildTimeout := flag.Duration("build-timeout", time.Minute, "watchdog bound per image build (0: none)")
 	scrubInterval := flag.Duration("scrub-interval", 30*time.Second, "store scrub tick (0: no scrubbing; needs -store)")
 	scrubPerTick := flag.Int("scrub-per-tick", 4, "blobs re-verified per scrub tick")
-	superviseInterval := flag.Duration("supervise-interval", 250*time.Millisecond, "supervisor sampling period (0: no supervisor)")
 	handlersPerConn := flag.Int("handlers-per-conn", ipc.DefaultHandlerPool,
 		"concurrent tagged requests per connection (backpressure: the reader pauses when full)")
 	peers := flag.String("peers", "", "comma-separated peer daemon addresses: join the federated mesh")
@@ -111,16 +112,15 @@ func main() {
 	}
 
 	sys, err := omos.NewSystemWith(omos.Options{
-		StoreDir:          *storeDir,
-		StoreMaxBytes:     *storeMax,
-		FaultSpec:         *faults,
-		FaultSeed:         *faultSeed,
-		MaxInflight:       *maxInflight,
-		QueueDepth:        *queueDepth,
-		BuildTimeout:      *buildTimeout,
-		ScrubInterval:     *scrubInterval,
-		ScrubPerTick:      *scrubPerTick,
-		SuperviseInterval: *superviseInterval,
+		StoreDir:      *storeDir,
+		StoreMaxBytes: *storeMax,
+		FaultSpec:     *faults,
+		FaultSeed:     *faultSeed,
+		MaxInflight:   *maxInflight,
+		QueueDepth:    *queueDepth,
+		BuildTimeout:  *buildTimeout,
+		ScrubInterval: *scrubInterval,
+		ScrubPerTick:  *scrubPerTick,
 	})
 	if err != nil {
 		log.Fatalf("omosd: %v", err)

@@ -15,6 +15,7 @@ import (
 	"omos/internal/fault"
 	"omos/internal/ipc"
 	"omos/internal/mesh"
+	"omos/internal/refusal"
 )
 
 // startFaultDaemon serves a system over the real protocol with the
@@ -166,7 +167,8 @@ func upgradeCycle(t *testing.T, c *ipc.Client) {
 	cohortTraffic()
 	for i := 0; i < 5; i++ {
 		_, err := c.Call(&ipc.Request{Op: ipc.OpUpgrade, Unit: "commit"})
-		if err == nil || errors.Is(err, ipc.ErrUpgradeAborted) ||
+		var ua *refusal.UpgradeAbortedError
+		if err == nil || errors.As(err, &ua) ||
 			strings.Contains(err.Error(), "no active upgrade epoch") {
 			break
 		}

@@ -18,6 +18,7 @@ import (
 	"omos"
 	"omos/internal/ipc"
 	"omos/internal/mesh"
+	"omos/internal/refusal"
 )
 
 // defineMeshWorkload installs `progs` shared libraries at fixed fleet
@@ -289,7 +290,8 @@ func TestMeshSlowPeerBreaker(t *testing.T) {
 	sawOpen := false
 	for k := 0; k < 6; k++ {
 		_, _, err := c.MeshFetch(ctx, &ipc.MeshReq{From: "jam", CKey: "probe"})
-		if !errors.Is(err, ipc.ErrOverloaded) {
+		var oe *refusal.OverloadError
+		if !errors.As(err, &oe) {
 			t.Fatalf("fetch during jam: err = %v, want overload", err)
 		}
 		if c.BreakerOpen() {

@@ -13,13 +13,14 @@ import (
 	"omos"
 	"omos/internal/fault"
 	"omos/internal/ipc"
+	"omos/internal/refusal"
 )
 
 // TestChaosSoak is the robustness acceptance drill: eight churning
 // clients hammer a live daemon whose admission gate is deliberately
 // tiny (2 in flight + 2 queued), whose build pipeline is slowed and
 // occasionally broken by randomized-but-seeded faults, and whose
-// background scrubber and supervisor run hot.  The invariants:
+// background scrubber runs hot.  The invariants:
 //
 //   - Every request terminates in a known outcome — success with the
 //     right answer, a typed overload shed, a clean draining refusal,
@@ -39,13 +40,12 @@ func TestChaosSoak(t *testing.T) {
 	)
 	dir := t.TempDir()
 	sys, err := omos.NewSystemWith(omos.Options{
-		StoreDir:          dir,
-		MaxInflight:       2,
-		QueueDepth:        2,
-		BuildTimeout:      5 * time.Second,
-		ScrubInterval:     time.Millisecond,
-		ScrubPerTick:      8,
-		SuperviseInterval: 5 * time.Millisecond,
+		StoreDir:      dir,
+		MaxInflight:   2,
+		QueueDepth:    2,
+		BuildTimeout:  5 * time.Second,
+		ScrubInterval: time.Millisecond,
+		ScrubPerTick:  8,
 		// Every eval pays 1ms (saturates the tiny gate under 8
 		// clients); 5% of links die of an injected error.
 		FaultSpec: "build.eval:delay:n=1:delay=1ms;build.link:error:p=0.05",
@@ -159,7 +159,7 @@ func soakRequest(c *ipc.Client, ok, shed, injected *atomic.Uint64, maxRetries in
 	var lastErr error
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		resp, err := c.Call(&ipc.Request{Op: ipc.OpRun, Path: "/bin/t"})
-		var oe *ipc.OverloadedError
+		var oe *refusal.OverloadError
 		switch {
 		case err == nil:
 			if resp.ExitCode != 42 {

@@ -9,47 +9,46 @@ package ipc
 //	Request:  Op, Path, Unit, Text, Args, Blob, AllowRebind,
 //	          presence, [Mesh]
 //	Response: Err, Text, Paths, Blob, Flag, ExitCode, Output,
-//	          User, Sys, Server, Wait, RetryAfterMS, Index, Final,
-//	          presence, [Health] [Rebind] [Pin] [Upgrade] [Mesh]
+//	          User, Sys, Server, Wait, Index, Final,
+//	          presence, [Health] [Refusal] [Mesh]
 //
 // Fields go in declaration order (nested payloads last), an int
 // travels as its 64-bit two's complement and a bool as one byte, 0 or
 // 1.  The presence byte has one bit per optional nested payload; a set
 // bit means the payload follows, in bit order, its own fields in
-// declaration order.  Nothing is self-describing: the layout is the
-// protocol version's, so a change to it is a new protoVersionText.
+// declaration order.  A refusal is the one payload that names its own
+// type: a kind byte, then that refusal type's fields (refusal.Append).
+// Nothing else is self-describing: the layout is the protocol
+// version's, so a change to it is a new protoVersionText.
 //
 // Decoding is strict, because the bytes come from outside the
 // process: every length and count is bounded by lebin.Reader, a bool
-// other than 0 or 1, an unknown presence bit or a trailing byte is
-// refused, and so an accepted payload re-encodes to itself.  Zero-length
-// lists and blobs decode as nil, and no decoded value aliases the
-// payload, which is the caller's reused receive buffer.
+// other than 0 or 1, an unknown presence bit, an unknown refusal kind
+// or a trailing byte is refused, and so an accepted payload re-encodes
+// to itself.  Zero-length lists and blobs decode as nil, and no
+// decoded value aliases the payload, which is the caller's reused
+// receive buffer.
 
 import (
-	"errors"
 	"fmt"
 
 	"omos/internal/lebin"
+	"omos/internal/refusal"
 )
 
 // Presence bits, in the order their payloads follow.
 const (
 	hasHealth = 1 << iota
-	hasRebind
-	hasPin
-	hasUpgrade
+	hasRefusal
 	hasMesh
 
 	requestPresence  = hasMesh
-	responsePresence = hasHealth | hasRebind | hasPin | hasUpgrade | hasMesh
+	responsePresence = hasHealth | hasRefusal | hasMesh
 )
 
 // minStrBytes is the smallest encoding of a list element: an empty
 // string's length prefix.
 const minStrBytes = 4
-
-var errBadBool = errors.New("bool byte not 0 or 1")
 
 // opByName interns a decoded Op, so a request for a known operation
 // allocates no string for it.  An op missing here still decodes; it
@@ -74,7 +73,7 @@ func encodeRequest(w *lebin.Writer, req *Request) {
 	w.Str(req.Text)
 	putStrs(w, req.Args)
 	w.Bytes(req.Blob)
-	putBool(w, req.AllowRebind)
+	w.Bool(req.AllowRebind)
 	var has uint8
 	if req.Mesh != nil {
 		has |= hasMesh
@@ -85,7 +84,7 @@ func encodeRequest(w *lebin.Writer, req *Request) {
 		w.Str(m.CKey)
 		w.U64(m.TextBase)
 		w.U64(m.DataBase)
-		putBool(w, m.HaveBytes)
+		w.Bool(m.HaveBytes)
 		w.Bytes(m.Blob)
 		w.U64(m.Gen)
 		putStrs(w, m.Keys)
@@ -103,7 +102,7 @@ func decodeRequest(p []byte, req *Request) error {
 		Text:        r.Str(),
 		Args:        getStrs(r),
 		Blob:        getBlob(r),
-		AllowRebind: getBool(r),
+		AllowRebind: r.Bool(),
 	}
 	if getPresence(r, requestPresence)&hasMesh != 0 {
 		req.Mesh = &MeshReq{
@@ -111,7 +110,7 @@ func decodeRequest(p []byte, req *Request) error {
 			CKey:      r.Str(),
 			TextBase:  r.U64(),
 			DataBase:  r.U64(),
-			HaveBytes: getBool(r),
+			HaveBytes: r.Bool(),
 			Blob:      getBlob(r),
 			Gen:       r.U64(),
 			Keys:      getStrs(r),
@@ -126,28 +125,21 @@ func encodeResponse(w *lebin.Writer, resp *Response) {
 	w.Str(resp.Text)
 	putStrs(w, resp.Paths)
 	w.Bytes(resp.Blob)
-	putBool(w, resp.Flag)
+	w.Bool(resp.Flag)
 	w.U64(resp.ExitCode)
 	w.Str(resp.Output)
 	w.U64(resp.User)
 	w.U64(resp.Sys)
 	w.U64(resp.Server)
 	w.U64(resp.Wait)
-	w.U64(uint64(resp.RetryAfterMS))
 	w.U64(uint64(resp.Index))
-	putBool(w, resp.Final)
+	w.Bool(resp.Final)
 	var has uint8
 	if resp.Health != nil {
 		has |= hasHealth
 	}
-	if resp.Rebind != nil {
-		has |= hasRebind
-	}
-	if resp.Pin != nil {
-		has |= hasPin
-	}
-	if resp.Upgrade != nil {
-		has |= hasUpgrade
+	if resp.Refusal != nil {
+		has |= hasRefusal
 	}
 	if resp.Mesh != nil {
 		has |= hasMesh
@@ -157,41 +149,25 @@ func encodeResponse(w *lebin.Writer, resp *Response) {
 		w.U64(h.UptimeMS)
 		w.U64(uint64(h.InflightBuilds))
 		w.U64(h.WarmLoaded)
-		putBool(w, h.Draining)
-		putBool(w, h.Degraded)
+		w.Bool(h.Draining)
+		w.Bool(h.Degraded)
 		w.Str(h.DegradedReason)
 		w.U64(uint64(h.QueueDepth))
-		putBool(w, h.UpgradeActive)
+		w.Bool(h.UpgradeActive)
 		w.Str(h.UpgradeEpoch)
 		w.U64(uint64(h.UpgradeCanaryPct))
-		putBool(w, h.UpgradeRollingBack)
+		w.Bool(h.UpgradeRollingBack)
 		w.Str(h.UpgradeVerdict)
 		w.U64(uint64(h.MeshPeers))
 		w.U64(uint64(h.MeshPeersUp))
 		w.U64(uint64(h.MeshShards))
 	}
-	if rb := resp.Rebind; rb != nil {
-		w.Str(rb.Mutation)
-		w.Str(rb.Path)
-		w.Str(rb.Program)
-		w.Str(rb.Symbol)
-		w.Str(rb.Definer)
-	}
-	if p := resp.Pin; p != nil {
-		w.Str(p.Image)
-		w.Str(p.Lib)
-		w.Str(p.Field)
-		w.Str(p.Want)
-		w.Str(p.Got)
-	}
-	if u := resp.Upgrade; u != nil {
-		w.Str(u.Epoch)
-		w.Str(u.Verdict)
-		putBool(w, u.Auto)
+	if resp.Refusal != nil {
+		refusal.Append(w, resp.Refusal)
 	}
 	if m := resp.Mesh; m != nil {
-		putBool(w, m.Found)
-		putBool(w, m.MetaOnly)
+		w.Bool(m.Found)
+		w.Bool(m.MetaOnly)
 		w.U64(uint64(m.AbsPatches))
 		w.U64(uint64(m.RelPatches))
 		w.U64(uint64(m.Syms))
@@ -208,20 +184,19 @@ func encodeResponse(w *lebin.Writer, resp *Response) {
 func decodeResponse(p []byte, resp *Response) error {
 	r := lebin.NewReader(p)
 	*resp = Response{
-		Err:          r.Str(),
-		Text:         r.Str(),
-		Paths:        getStrs(r),
-		Blob:         getBlob(r),
-		Flag:         getBool(r),
-		ExitCode:     r.U64(),
-		Output:       r.Str(),
-		User:         r.U64(),
-		Sys:          r.U64(),
-		Server:       r.U64(),
-		Wait:         r.U64(),
-		RetryAfterMS: int64(r.U64()),
-		Index:        int(r.U64()),
-		Final:        getBool(r),
+		Err:      r.Str(),
+		Text:     r.Str(),
+		Paths:    getStrs(r),
+		Blob:     getBlob(r),
+		Flag:     r.Bool(),
+		ExitCode: r.U64(),
+		Output:   r.Str(),
+		User:     r.U64(),
+		Sys:      r.U64(),
+		Server:   r.U64(),
+		Wait:     r.U64(),
+		Index:    int(r.U64()),
+		Final:    r.Bool(),
 	}
 	has := getPresence(r, responsePresence)
 	if has&hasHealth != 0 {
@@ -229,33 +204,27 @@ func decodeResponse(p []byte, resp *Response) error {
 			UptimeMS:           r.U64(),
 			InflightBuilds:     int(r.U64()),
 			WarmLoaded:         r.U64(),
-			Draining:           getBool(r),
-			Degraded:           getBool(r),
+			Draining:           r.Bool(),
+			Degraded:           r.Bool(),
 			DegradedReason:     r.Str(),
 			QueueDepth:         int(r.U64()),
-			UpgradeActive:      getBool(r),
+			UpgradeActive:      r.Bool(),
 			UpgradeEpoch:       r.Str(),
 			UpgradeCanaryPct:   int(r.U64()),
-			UpgradeRollingBack: getBool(r),
+			UpgradeRollingBack: r.Bool(),
 			UpgradeVerdict:     r.Str(),
 			MeshPeers:          int(r.U64()),
 			MeshPeersUp:        int(r.U64()),
 			MeshShards:         int(r.U64()),
 		}
 	}
-	if has&hasRebind != 0 {
-		resp.Rebind = &RebindInfo{Mutation: r.Str(), Path: r.Str(), Program: r.Str(), Symbol: r.Str(), Definer: r.Str()}
-	}
-	if has&hasPin != 0 {
-		resp.Pin = &PinInfo{Image: r.Str(), Lib: r.Str(), Field: r.Str(), Want: r.Str(), Got: r.Str()}
-	}
-	if has&hasUpgrade != 0 {
-		resp.Upgrade = &UpgradeAbortedInfo{Epoch: r.Str(), Verdict: r.Str(), Auto: getBool(r)}
+	if has&hasRefusal != 0 {
+		resp.Refusal = refusal.Read(r)
 	}
 	if has&hasMesh != 0 {
 		resp.Mesh = &MeshInfo{
-			Found:      getBool(r),
-			MetaOnly:   getBool(r),
+			Found:      r.Bool(),
+			MetaOnly:   r.Bool(),
 			AbsPatches: int(r.U64()),
 			RelPatches: int(r.U64()),
 			Syms:       int(r.U64()),
@@ -267,25 +236,6 @@ func decodeResponse(p []byte, resp *Response) error {
 		}
 	}
 	return finish(r)
-}
-
-func putBool(w *lebin.Writer, b bool) {
-	if b {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-func getBool(r *lebin.Reader) bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	r.Fail(errBadBool)
-	return false
 }
 
 func putStrs(w *lebin.Writer, ss []string) {

@@ -9,12 +9,15 @@ package ipc
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 	"unsafe"
 
 	"omos/internal/lebin"
+	"omos/internal/refusal"
 )
 
 // fill sets every exported field reachable from v to a distinct
@@ -25,6 +28,15 @@ func fill(t testing.TB, v reflect.Value, n *int) {
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
 		fill(t, v.Elem(), n)
+	case reflect.Interface:
+		if v.Type() != reflect.TypeOf((*refusal.Error)(nil)).Elem() {
+			t.Fatalf("fill: no rule for %s", v.Type())
+		}
+		// One refusal stands for all four: TestRefusalRoundTrip
+		// covers each.
+		r := &refusal.UpgradeAbortedError{}
+		fill(t, reflect.ValueOf(r).Elem(), n)
+		v.Set(reflect.ValueOf(r))
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).IsExported() {
@@ -182,13 +194,56 @@ func TestGoldenDigest(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"encodeRequest", encodeMessage(req), "84f95227f2627fa3dc69d3ed3495336108be7295683ce286b9c4fa36d0fb6418"},
-		{"encodeResponse", encodeMessage(resp), "1324f97d4e14b2a9651c5d2dce5542062715a470c18c95695f79abfc17ef07b3"},
+		{"encodeRequest", encodeMessage(req), "14a9d9c78746ffbf179d0ffa0c1aa8805bc86126d742ca8cd3dc144f0f8107ee"},
+		{"encodeResponse", encodeMessage(resp), "0d649964dce6a56b41816364ad77bec9a86d8498ed938a9e49e21ab4aa1bb99c"},
 		{"tagged frame", encodeFrame(0x0102030405060708, &Request{Op: OpList, Path: "/lib"}), "c6652557abe518436781d00fc6589abb26e1c1a72371c40e2b58d905ae317bbe"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s digest changed (%d bytes):\n got %s\nwant %s", c.name, len(c.enc), got, c.want)
+		}
+	}
+}
+
+// refusals returns one of each refusal type, every field set.
+func refusals() []refusal.Error {
+	return []refusal.Error{
+		&refusal.OverloadError{Reason: "queue full", RetryAfter: 250 * time.Millisecond},
+		&refusal.RebindError{Mutation: "define", Path: "/lib/l", Program: "/bin/t", Symbol: "triple", Definer: "/lib/l"},
+		&refusal.PinViolationError{Image: "/bin/t", Lib: "/lib/l", Field: "checksum", Want: "ab12", Got: "cd34"},
+		&refusal.UpgradeAbortedError{Epoch: "up1.7", Verdict: "cohort failure rate rose", Auto: true},
+	}
+}
+
+// TestRefusalRoundTrip: a refusal a handler wrapped crosses applyError,
+// the codec and wireError and arrives as an equal value of its own
+// type; a kind byte no refusal has is refused.
+func TestRefusalRoundTrip(t *testing.T) {
+	for _, want := range refusals() {
+		var resp Response
+		applyError(&resp, fmt.Errorf("run /bin/t: %w", want))
+		b := encodeMessage(&resp)
+		var got Response
+		if err := decodeResponse(b, &got); err != nil {
+			t.Fatalf("%T: %v", want, err)
+		}
+		err := wireError(&got)
+		target := reflect.New(reflect.TypeOf(want))
+		if !errors.As(err, target.Interface()) || !reflect.DeepEqual(target.Elem().Interface(), want) {
+			t.Fatalf("%#v arrived as %v (%T)", want, err, err)
+		}
+
+		// The refusal is the message's last payload: its kind byte opens
+		// the tail.
+		var w lebin.Writer
+		refusal.Append(&w, want)
+		kind := len(b) - len(w)
+		for _, k := range []byte{0, 5, 0xFF} {
+			bad := append([]byte{}, b...)
+			bad[kind] = k
+			if err := decodeResponse(bad, new(Response)); err == nil {
+				t.Fatalf("%T: refusal kind %d accepted", want, k)
+			}
 		}
 	}
 }

@@ -167,6 +167,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	} {
 		f.Add(p)
 	}
+	for _, r := range refusals() {
+		f.Add(encodeMessage(&Response{Err: r.Error(), Refusal: r}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := 4*uint64(len(data)) + 64<<10
 		var req Request

@@ -45,6 +45,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"omos/internal/refusal"
 )
 
 // Op identifies a request operation.
@@ -122,7 +124,7 @@ const (
 // protoVersionText is the version string OpHello carries: the protocol
 // this package speaks.  The layout of the tagged messages (codec.go)
 // is part of it: changing that layout means a new version.
-const protoVersionText = "4"
+const protoVersionText = "5"
 
 // errHelloRefused marks a hello the server answered with anything but
 // an acknowledgement of protoVersionText.  The peer speaks another
@@ -187,7 +189,7 @@ type Request struct {
 	// AllowRebind makes a namespace mutation (define/define-lib/remove)
 	// explicit about re-binding: without it the daemon rejects any
 	// mutation that would silently re-bind a live program's symbol to a
-	// different definer (see ErrRebindBlocked).
+	// different definer (see refusal.RebindError).
 	AllowRebind bool
 	// Mesh carries the payload of the mesh operations.
 	Mesh *MeshReq
@@ -323,22 +325,15 @@ type Response struct {
 	Health   *HealthInfo
 	// Clock components (user, sys, server, wait cycles).
 	User, Sys, Server, Wait uint64
-	// RetryAfterMS accompanies an overloaded error: the server's hint,
-	// in milliseconds, of when capacity should free up.
-	RetryAfterMS int64
 	// Index and Final frame streamed completions (OpInstantiateBatch,
 	// OpMeshFetch): each item or chunk answers with its Index and Final
 	// false, and the stream closes with a Final summary carrying any
 	// request-level error.
 	Index int
 	Final bool
-	// Rebind and Pin carry the structured detail of a typed rebind /
-	// pin-violation rejection (Err is rebindMsg / pinViolationMsg).
-	Rebind *RebindInfo
-	Pin    *PinInfo
-	// Upgrade carries the structured detail of an aborted live upgrade
-	// (Err is upgradeAbortedMsg).
-	Upgrade *UpgradeAbortedInfo
+	// Refusal, when the error in Err is one of the daemon's typed
+	// refusals, is that refusal itself; the client returns it.
+	Refusal refusal.Error
 	// Mesh carries the payload of the mesh operations.
 	Mesh *MeshInfo
 }
@@ -363,140 +358,6 @@ const drainingMsg = "server draining"
 // graceful shutdown: the request was refused cleanly, not reset
 // mid-exchange.  Point the client at another server or give up.
 var ErrDraining = errors.New("ipc: server draining")
-
-// overloadedMsg is the wire form of an admission-gate rejection (like
-// drainingMsg, the client maps it back to a typed error).
-const overloadedMsg = "server overloaded"
-
-// ErrOverloaded is the sentinel for admission-gate rejections: match
-// with errors.Is.  The concrete error is an *OverloadedError carrying
-// the backoff to honor.
-var ErrOverloaded = errors.New("ipc: server overloaded")
-
-// OverloadedError reports a request shed by the daemon's admission
-// gate before any work was done — always safe to retry after
-// RetryAfter.  It is also what a tripped client circuit breaker
-// returns, with RetryAfter the time left until the next probe.
-type OverloadedError struct {
-	RetryAfter time.Duration
-}
-
-func (e *OverloadedError) Error() string {
-	return fmt.Sprintf("ipc: server overloaded, retry after %v", e.RetryAfter)
-}
-
-// Is lets errors.Is(err, ErrOverloaded) match.
-func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
-
-// rebindMsg is the wire form of a rebind rejection: a namespace
-// mutation that would silently re-bind a live program's symbol to a
-// different definer, refused because the request did not set
-// AllowRebind.
-const rebindMsg = "rebind blocked"
-
-// ErrRebindBlocked is the sentinel for rebind rejections: match with
-// errors.Is.  The concrete error is a *RebindError carrying the
-// mutation, the program, and the symbol at stake.
-var ErrRebindBlocked = errors.New("ipc: rebind blocked")
-
-// RebindInfo is the structured detail of a rebind rejection.
-type RebindInfo struct {
-	Mutation string // "define", "remove", "mount", "unmount"
-	Path     string // the path or prefix being mutated
-	Program  string // an image whose resolution would change
-	Symbol   string // one symbol bound through the mutated path
-	Definer  string // its current definer
-}
-
-// RebindError is the typed client-side form of a rebind rejection.
-// Repeat the mutation with AllowRebind set to make it explicit.
-type RebindError struct {
-	RebindInfo
-}
-
-func (e *RebindError) Error() string {
-	if e.Program == "" {
-		return "ipc: rebind blocked (set AllowRebind to proceed)"
-	}
-	return fmt.Sprintf("ipc: %s %s blocked: would re-bind %q of %s away from %s (set AllowRebind to proceed)",
-		e.Mutation, e.Path, e.Symbol, e.Program, e.Definer)
-}
-
-// Is lets errors.Is(err, ErrRebindBlocked) match.
-func (e *RebindError) Is(target error) bool { return target == ErrRebindBlocked }
-
-// pinViolationMsg is the wire form of a pin violation: a pinned image
-// whose library identities no longer match what it was linked
-// against, rejected and quarantined by the loader instead of run.
-const pinViolationMsg = "pin violation"
-
-// ErrPinViolation is the sentinel for pin violations: match with
-// errors.Is.  The concrete error is a *PinViolationError.
-var ErrPinViolation = errors.New("ipc: pin violation")
-
-// PinInfo is the structured detail of a pin violation.
-type PinInfo struct {
-	Image string // the pinned image that was rejected
-	Lib   string // the library whose identity mismatched
-	Field string // which identity: "content-key", "checksum", "lib-key", "libs", "injected"
-	Want  string
-	Got   string
-}
-
-// PinViolationError is the typed client-side form of a pin violation.
-// The offending image was quarantined; retrying rebuilds and re-pins
-// it from source.
-type PinViolationError struct {
-	PinInfo
-}
-
-func (e *PinViolationError) Error() string {
-	if e.Image == "" {
-		return "ipc: pin violation (image quarantined; retry rebuilds)"
-	}
-	return fmt.Sprintf("ipc: pin violation: %s library %s %s mismatch (pinned %s, found %s); image quarantined, retry rebuilds",
-		e.Image, e.Lib, e.Field, e.Want, e.Got)
-}
-
-// Is lets errors.Is(err, ErrPinViolation) match.
-func (e *PinViolationError) Is(target error) bool { return target == ErrPinViolation }
-
-// upgradeAbortedMsg is the wire form of an aborted live upgrade: the
-// epoch was rolled back (by the health gate or an operator) and the
-// attempted upgrade operation cannot proceed.
-const upgradeAbortedMsg = "upgrade aborted"
-
-// ErrUpgradeAborted is the sentinel for aborted live upgrades: match
-// with errors.Is.  The concrete error is an *UpgradeAbortedError.
-var ErrUpgradeAborted = errors.New("ipc: upgrade aborted")
-
-// UpgradeAbortedInfo is the structured detail of an aborted upgrade.
-type UpgradeAbortedInfo struct {
-	Epoch   string // the epoch that was rolled back
-	Verdict string // the triggering health-gate or operator verdict
-	Auto    bool   // true when the health gate pulled the trigger
-}
-
-// UpgradeAbortedError is the typed client-side form of an aborted
-// upgrade.  The namespace is back on the pre-upgrade version; starting
-// a fresh epoch is the way forward.
-type UpgradeAbortedError struct {
-	UpgradeAbortedInfo
-}
-
-func (e *UpgradeAbortedError) Error() string {
-	if e.Epoch == "" {
-		return "ipc: upgrade aborted (epoch rolled back)"
-	}
-	how := "rolled back"
-	if e.Auto {
-		how = "automatically rolled back by the health gate"
-	}
-	return fmt.Sprintf("ipc: upgrade %s %s: %s", e.Epoch, how, e.Verdict)
-}
-
-// Is lets errors.Is(err, ErrUpgradeAborted) match.
-func (e *UpgradeAbortedError) Is(target error) bool { return target == ErrUpgradeAborted }
 
 // FrameError reports a damaged protocol frame: truncated mid-message,
 // an oversized length prefix, or a payload that does not decode.  The
@@ -628,10 +489,10 @@ type Client struct {
 	// Circuit breaker against a shedding server (guarded by brMu).
 	// An overloaded response trips it open for max(server hint,
 	// doubled prior hold) plus jitter; while open, calls fail fast
-	// with an *OverloadedError instead of piling onto the overloaded
-	// server.  When the hold expires the breaker is half-open: the
-	// next call through is a probe, and its success closes the
-	// breaker.
+	// with a *refusal.OverloadError (Reason "breaker open") instead of
+	// piling onto the overloaded server.  When the hold expires the
+	// breaker is half-open: the next call through is a probe, and its
+	// success closes the breaker.
 	brMu        sync.Mutex
 	brOpenUntil time.Time
 	brHold      time.Duration
@@ -747,7 +608,7 @@ const defaultBackoff = 10 * time.Millisecond
 // the class of failure (the same table is in DESIGN.md "Wire
 // protocol"):
 //
-//   - Breaker open: fail fast with an *OverloadedError, no round trip.
+//   - Breaker open: fail fast with a *refusal.OverloadError, no round trip.
 //   - Deadline, cancellation: the caller's answer, never retried.  A
 //     timed-out call just abandons its tag and the connection lives on.
 //   - Hello refused: the peer speaks another protocol; never retried.
@@ -772,7 +633,7 @@ const defaultBackoff = 10 * time.Millisecond
 func (c *Client) do(ctx context.Context, req *Request, want int, onFrame func(*Response)) (*Response, error) {
 	opts := c.options()
 	if rem := c.breakerRemaining(); rem > 0 {
-		return nil, fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: rem})
+		return nil, fmt.Errorf("omosd: %w", &refusal.OverloadError{Reason: "breaker open", RetryAfter: rem})
 	}
 	preSendLeft, transportLeft, overloadLeft := opts.Retries, 0, opts.Retries
 	if idempotent(req.Op) {
@@ -792,7 +653,7 @@ func (c *Client) do(ctx context.Context, req *Request, want int, onFrame func(*R
 				c.resetBreaker()
 				return resp, nil
 			}
-			var shed *OverloadedError
+			var shed *refusal.OverloadError
 			if errors.As(err, &shed) {
 				shed.RetryAfter = c.tripBreaker(shed.RetryAfter)
 				if overloadLeft > 0 {
@@ -847,47 +708,24 @@ func (c *Client) attempt(ctx context.Context, req *Request, opts Options, want i
 	return resp, true, err
 }
 
-// wireError decodes the Err field of a completion — a call's reply, a
+// wireError decodes the error of a completion — a call's reply, a
 // batch item, a batch or fetch Final — into its typed error: nil for
-// success, a sentinel-matching error for the refusals the protocol
-// names, the server's text for anything else.
+// success, the decoded refusal when the reply carries one, ErrDraining
+// for a draining server, the server's text for anything else.
 func wireError(resp *Response) error {
-	switch {
-	case resp.Err == "":
+	if r := resp.Refusal; r != nil {
+		// A shed hint is a peer's input: floor it so a caller honoring
+		// it never spins.
+		if oe, ok := r.(*refusal.OverloadError); ok && oe.RetryAfter < minBreakerHold {
+			oe.RetryAfter = minBreakerHold
+		}
+		return fmt.Errorf("omosd: %w", r)
+	}
+	switch resp.Err {
+	case "":
 		return nil
-	case resp.Err == drainingMsg:
+	case drainingMsg:
 		return fmt.Errorf("omosd: %w", ErrDraining)
-	case resp.Err == overloadedMsg:
-		// Shed at an admission gate before any work was done.  The hint
-		// is floored so a caller honoring it never spins.
-		hint := time.Duration(resp.RetryAfterMS) * time.Millisecond
-		if hint < minBreakerHold {
-			hint = minBreakerHold
-		}
-		return fmt.Errorf("omosd: %w", &OverloadedError{RetryAfter: hint})
-	case resp.Err == rebindMsg:
-		// The mutation needs an explicit AllowRebind.
-		re := &RebindError{}
-		if resp.Rebind != nil {
-			re.RebindInfo = *resp.Rebind
-		}
-		return fmt.Errorf("omosd: %w", re)
-	case resp.Err == pinViolationMsg:
-		// The hijack defense rejected a pinned image.  Retrying is the
-		// caller's choice (it rebuilds).
-		pe := &PinViolationError{}
-		if resp.Pin != nil {
-			pe.PinInfo = *resp.Pin
-		}
-		return fmt.Errorf("omosd: %w", pe)
-	case resp.Err == upgradeAbortedMsg:
-		// The epoch was rolled back; the server is serving the
-		// pre-upgrade version.
-		ue := &UpgradeAbortedError{}
-		if resp.Upgrade != nil {
-			ue.UpgradeAbortedInfo = *resp.Upgrade
-		}
-		return fmt.Errorf("omosd: %w", ue)
 	}
 	return fmt.Errorf("omosd: %s", resp.Err)
 }
@@ -937,7 +775,7 @@ func (c *Client) breakerRemaining() time.Duration {
 }
 
 // BreakerOpen reports whether the client's circuit breaker is open:
-// calls fail fast with *OverloadedError, without a round trip, until
+// calls fail fast with *refusal.OverloadError, without a round trip, until
 // the hold expires.  Mesh nodes keep one client per peer, so this is
 // the per-peer breaker state.
 func (c *Client) BreakerOpen() bool { return c.breakerRemaining() > 0 }

@@ -17,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"omos/internal/refusal"
 )
 
 // lifecyclePeer accepts any number of connections and runs script on
@@ -212,8 +214,8 @@ func TestRequestLifecycle(t *testing.T) {
 		return func(err error) bool { return errors.Is(err, target) }
 	}
 	overloaded := func(err error) bool {
-		var oe *OverloadedError
-		return errors.Is(err, ErrOverloaded) && errors.As(err, &oe) && oe.RetryAfter > 0
+		var oe *refusal.OverloadError
+		return errors.As(err, &oe) && oe.RetryAfter > 0
 	}
 	all := func(n int) [4]int { return [4]int{n, n, n, n} }
 
@@ -259,7 +261,7 @@ func TestRequestLifecycle(t *testing.T) {
 		// A shed is retried through the hold by everyone but a fetch,
 		// whose caller builds locally instead; the breaker trips
 		// either way.
-		{name: "overload-shed", script: closing(Response{Err: overloadedMsg, RetryAfterMS: 1}),
+		{name: "overload-shed", script: closing(Response{Err: "shed", Refusal: &refusal.OverloadError{RetryAfter: time.Millisecond}}),
 			attempts: [4]int{3, 3, 3, 1}, want: overloaded, breakerOpen: true},
 		{name: "draining", script: closing(Response{Err: drainingMsg}),
 			attempts: all(1), want: is(ErrDraining)},
@@ -267,20 +269,20 @@ func TestRequestLifecycle(t *testing.T) {
 			attempts: all(1), want: func(err error) bool {
 				return err != nil && err.Error() == "omosd: backend does not support this"
 			}},
-		{name: "rebind-refused", script: closing(Response{Err: rebindMsg, Rebind: &RebindInfo{Program: "/bin/p"}}),
+		{name: "rebind-refused", script: closing(Response{Err: "refused", Refusal: &refusal.RebindError{Program: "/bin/p"}}),
 			attempts: all(1), want: func(err error) bool {
-				var re *RebindError
-				return errors.Is(err, ErrRebindBlocked) && errors.As(err, &re) && re.Program == "/bin/p"
+				var re *refusal.RebindError
+				return errors.As(err, &re) && re.Program == "/bin/p"
 			}},
-		{name: "pin-violation", script: closing(Response{Err: pinViolationMsg, Pin: &PinInfo{Image: "/bin/p"}}),
+		{name: "pin-violation", script: closing(Response{Err: "refused", Refusal: &refusal.PinViolationError{Image: "/bin/p"}}),
 			attempts: all(1), want: func(err error) bool {
-				var pe *PinViolationError
-				return errors.Is(err, ErrPinViolation) && errors.As(err, &pe) && pe.Image == "/bin/p"
+				var pe *refusal.PinViolationError
+				return errors.As(err, &pe) && pe.Image == "/bin/p"
 			}},
-		{name: "upgrade-aborted", script: closing(Response{Err: upgradeAbortedMsg, Upgrade: &UpgradeAbortedInfo{Epoch: "e1"}}),
+		{name: "upgrade-aborted", script: closing(Response{Err: "refused", Refusal: &refusal.UpgradeAbortedError{Epoch: "e1"}}),
 			attempts: all(1), want: func(err error) bool {
-				var ue *UpgradeAbortedError
-				return errors.Is(err, ErrUpgradeAborted) && errors.As(err, &ue) && ue.Epoch == "e1"
+				var ue *refusal.UpgradeAbortedError
+				return errors.As(err, &ue) && ue.Epoch == "e1"
 			}},
 		// The peer takes the request and never answers.
 		{name: "deadline", script: answering(func(*peerConn, uint64, *Request) {}),
@@ -366,7 +368,7 @@ func TestRequestLifecycle(t *testing.T) {
 	// the batch succeeds on its first attempt and the breaker stays shut.
 	t.Run("batch-item-shed", func(t *testing.T) {
 		peer := startLifecyclePeer(t, answering(func(pc *peerConn, tag uint64, _ *Request) {
-			pc.send(tag, &Response{Index: 0, Err: overloadedMsg, RetryAfterMS: 7})
+			pc.send(tag, &Response{Index: 0, Err: "shed", Refusal: &refusal.OverloadError{RetryAfter: 7 * time.Millisecond}})
 			pc.send(tag, &Response{Index: 1})
 			pc.send(tag, &Response{Final: true})
 		}))
@@ -375,7 +377,7 @@ func TestRequestLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var oe *OverloadedError
+		var oe *refusal.OverloadError
 		if !errors.As(res[0].Err, &oe) || oe.RetryAfter != 7*time.Millisecond || res[1].Err != nil {
 			t.Fatalf("results %+v, want item 0 shed with the 7ms hint and item 1 clean", res)
 		}

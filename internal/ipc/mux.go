@@ -315,9 +315,9 @@ func (c *Client) InstantiateBatch(paths []string) ([]BatchResult, error) {
 // InstantiateBatchCtx is InstantiateBatch bounded by ctx and the
 // configured CallTimeout.  The per-item completions stream back as
 // the server's executor finishes them.  An item's error is decoded
-// like any reply's (a shed item is a typed *OverloadedError, safe to
-// retry) but stays that item's: only the Final summary speaks for the
-// request.
+// like any reply's (a shed item is a typed *refusal.OverloadError,
+// safe to retry) but stays that item's: only the Final summary speaks
+// for the request.
 func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]BatchResult, error) {
 	if len(paths) == 0 {
 		return nil, nil
@@ -353,9 +353,9 @@ const maxMeshChunks = maxFrame/meshChunk + 1
 // MeshFetch asks a mesh peer for a content key's image (OpMeshFetch):
 // a metadata-only MeshInfo when the request set HaveBytes and the
 // owner confirms a rebase suffices, otherwise the encoded record blob,
-// streamed in chunks.  An overload shed trips the
-// per-peer breaker and surfaces as *OverloadedError so the caller can
-// fall back to a local build immediately.
+// streamed in chunks.  An overload shed trips the per-peer breaker and
+// surfaces as *refusal.OverloadError so the caller can fall back to a
+// local build immediately.
 func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byte, error) {
 	var blob []byte
 	// Chunked blob responses (Index set) close with a Final frame

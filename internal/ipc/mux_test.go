@@ -85,13 +85,13 @@ func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
 	}
 }
 
-// TestHelloGateRefusesOldVersion: a version-2 or version-3 peer's hello
+// TestHelloGateRefusesOldVersion: a version-2, -3 or -4 peer's hello
 // arrives in the same gob framing, so it is read — and answered with
 // the refusal naming the version required, then EOF.  The connection
 // never switches to tagged frames the peer would misread.
 func TestHelloGateRefusesOldVersion(t *testing.T) {
 	_, addr := startMuxServer(t, newFakeBackend(), nil)
-	for _, old := range []string{"2", "3"} {
+	for _, old := range []string{"2", "3", "4"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

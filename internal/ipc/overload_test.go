@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"omos/internal/refusal"
 )
 
 // overloadBackend sheds the first N Run calls with a retry-after
@@ -17,14 +19,9 @@ type overloadBackend struct {
 	runs     atomic.Int64
 }
 
-type hintErr struct{ d time.Duration }
-
-func (e *hintErr) Error() string                 { return "overloaded" }
-func (e *hintErr) RetryAfterHint() time.Duration { return e.d }
-
 func (b *overloadBackend) Run(name string, args []string, boot bool) (RunOutcome, error) {
 	if b.shedLeft.Add(-1) >= 0 {
-		return RunOutcome{}, &hintErr{d: b.hint}
+		return RunOutcome{}, &refusal.OverloadError{Reason: "queue full", RetryAfter: b.hint}
 	}
 	b.runs.Add(1)
 	return b.fakeBackend.Run(name, args, boot)
@@ -72,16 +69,13 @@ func TestOverloadRetriesWithHint(t *testing.T) {
 }
 
 // TestOverloadExhaustedIsTyped: when the retry budget runs out the
-// caller gets an error matching ErrOverloaded that carries a backoff.
+// caller gets a *refusal.OverloadError that carries a backoff.
 func TestOverloadExhaustedIsTyped(t *testing.T) {
 	c, _ := startOverloadServer(t, 1_000_000, time.Millisecond)
 	_, err := c.Call(&Request{Op: OpRun, Path: "/bin/x"})
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	var oe *OverloadedError
+	var oe *refusal.OverloadError
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
-		t.Fatalf("err = %v, want *OverloadedError with positive RetryAfter", err)
+		t.Fatalf("err = %v, want *refusal.OverloadError with positive RetryAfter", err)
 	}
 }
 
@@ -90,8 +84,9 @@ func TestOverloadExhaustedIsTyped(t *testing.T) {
 // and once the hold expires a probe closes it on success.
 func TestBreakerFailsFastThenRecovers(t *testing.T) {
 	c, b := startOverloadServer(t, 5, time.Millisecond)
-	if _, err := c.Call(&Request{Op: OpRun, Path: "/bin/x"}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+	var oe *refusal.OverloadError
+	if _, err := c.Call(&Request{Op: OpRun, Path: "/bin/x"}); !errors.As(err, &oe) {
+		t.Fatalf("err = %v, want *refusal.OverloadError", err)
 	}
 	// Breaker open: the next call fails fast without wire traffic — a
 	// Ping that reached the server would have succeeded.
@@ -99,9 +94,8 @@ func TestBreakerFailsFastThenRecovers(t *testing.T) {
 		t.Fatalf("breaker not open after exhausted retries (rem %v)", rem)
 	}
 	_, err := c.Call(&Request{Op: OpPing})
-	var oe *OverloadedError
-	if !errors.As(err, &oe) {
-		t.Fatalf("fail-fast err = %v, want *OverloadedError", err)
+	if !errors.As(err, &oe) || oe.Reason != "breaker open" {
+		t.Fatalf("fail-fast err = %v, want the breaker's *refusal.OverloadError", err)
 	}
 
 	// Let the hold expire and the server recover; the probe succeeds

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"omos/internal/fault"
+	"omos/internal/refusal"
 )
 
 // RunOutcome reports a program execution performed by the daemon.
@@ -367,50 +368,15 @@ func Serve(l net.Listener, b Backend) error {
 	return NewServer(b).Serve(l)
 }
 
-// applyError records err on resp.  An admission-gate shed travels as
-// the overloaded sentinel plus the server's retry-after hint; a
-// rebind rejection or pin violation travels as its sentinel plus the
-// structured detail (all matched structurally so this package need
-// not import the server's error types); anything else travels as its
-// text.
+// applyError records err on resp: its text in Err, and, when a typed
+// refusal is anywhere in its chain, that refusal itself, which the
+// client hands back to its caller.
 func applyError(resp *Response, err error) {
-	var ra interface{ RetryAfterHint() time.Duration }
-	if errors.As(err, &ra) {
-		resp.Err = overloadedMsg
-		resp.RetryAfterMS = int64(ra.RetryAfterHint() / time.Millisecond)
-		if resp.RetryAfterMS < 1 {
-			resp.RetryAfterMS = 1
-		}
-		return
-	}
-	var rb interface {
-		RebindDetail() (mutation, path, program, symbol, definer string)
-	}
-	if errors.As(err, &rb) {
-		m, p, prog, sym, def := rb.RebindDetail()
-		resp.Err = rebindMsg
-		resp.Rebind = &RebindInfo{Mutation: m, Path: p, Program: prog, Symbol: sym, Definer: def}
-		return
-	}
-	var pv interface {
-		PinDetail() (image, lib, field, want, got string)
-	}
-	if errors.As(err, &pv) {
-		img, lib, field, want, got := pv.PinDetail()
-		resp.Err = pinViolationMsg
-		resp.Pin = &PinInfo{Image: img, Lib: lib, Field: field, Want: want, Got: got}
-		return
-	}
-	var ua interface {
-		UpgradeDetail() (epoch, verdict string, auto bool)
-	}
-	if errors.As(err, &ua) {
-		epoch, verdict, auto := ua.UpgradeDetail()
-		resp.Err = upgradeAbortedMsg
-		resp.Upgrade = &UpgradeAbortedInfo{Epoch: epoch, Verdict: verdict, Auto: auto}
-		return
-	}
 	resp.Err = err.Error()
+	var r refusal.Error
+	if errors.As(err, &r) {
+		resp.Refusal = r
+	}
 }
 
 func (s *Server) handle(req *Request, authed bool) *Response {

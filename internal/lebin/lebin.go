@@ -14,6 +14,7 @@ package lebin
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -25,6 +26,15 @@ type Writer []byte
 func (w *Writer) U8(v uint8)   { *w = append(*w, v) }
 func (w *Writer) U32(v uint32) { *w = binary.LittleEndian.AppendUint32(*w, v) }
 func (w *Writer) U64(v uint64) { *w = binary.LittleEndian.AppendUint64(*w, v) }
+
+// Bool appends one byte, 1 for true and 0 for false.
+func (w *Writer) Bool(b bool) {
+	if b {
+		w.U8(1)
+	} else {
+		w.U8(0)
+	}
+}
 
 // Raw appends p with no length prefix (magics, checksums, payloads).
 func (w *Writer) Raw(p []byte) { *w = append(*w, p...) }
@@ -86,6 +96,21 @@ func (r *Reader) U8() uint8 {
 	}
 	return 0
 }
+
+// Bool reads one byte that must be 0 or 1; any other value fails the
+// reader, so an accepted bool re-encodes to the byte it came from.
+func (r *Reader) Bool() bool {
+	switch r.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	r.Fail(errBadBool)
+	return false
+}
+
+var errBadBool = errors.New("bool byte not 0 or 1")
 
 func (r *Reader) U32() uint32 {
 	if p := r.Raw(4); p != nil {

@@ -23,6 +23,8 @@ func TestRoundTrip(t *testing.T) {
 	w.U32(2) // a list of two u64
 	w.U64(7)
 	w.U64(8)
+	w.Bool(true)
+	w.Bool(false)
 
 	// The layout is fixed: little-endian integers, u32 length prefixes.
 	wantHead := []byte{'M', 'A', 'G', 'C', 0xab, 0xef, 0xbe, 0xad, 0xde,
@@ -63,6 +65,12 @@ func TestRoundTrip(t *testing.T) {
 	if a, b := r.U64(), r.U64(); a != 7 || b != 8 {
 		t.Errorf("list = %d, %d", a, b)
 	}
+	if w[len(w)-2] != 1 || w[len(w)-1] != 0 {
+		t.Errorf("bools encode as % x, want 01 00", []byte(w[len(w)-2:]))
+	}
+	if a, b := r.Bool(), r.Bool(); !a || b {
+		t.Errorf("Bool = %v, %v", a, b)
+	}
 	if r.Err() != nil || r.Rest() != 0 {
 		t.Fatalf("after the last field: err %v, rest %d", r.Err(), r.Rest())
 	}
@@ -88,12 +96,19 @@ func TestStickyError(t *testing.T) {
 	if r.Rest() != 3 {
 		t.Errorf("Rest after failure = %d", r.Rest())
 	}
-	if r.U8() != 0 || r.U64() != 0 || r.Str() != "" || r.Blob() != nil || r.Raw(1) != nil || r.Count(1) != 0 {
+	if r.U8() != 0 || r.U64() != 0 || r.Str() != "" || r.Blob() != nil || r.Raw(1) != nil || r.Count(1) != 0 || r.Bool() {
 		t.Error("read after failure returned a value")
 	}
 	r.Fail(errors.New("later"))
 	if !errors.Is(r.Err(), io.ErrUnexpectedEOF) {
 		t.Errorf("Fail replaced the first error: %v", r.Err())
+	}
+
+	// A bool byte other than 0 or 1 fails the reader, and the failure
+	// sticks like any other.
+	r = lebin.NewReader([]byte{2, 1})
+	if r.Bool() || r.Err() == nil || r.Bool() {
+		t.Errorf("bool byte 2: err %v", r.Err())
 	}
 
 	r = lebin.NewReader([]byte{5})

@@ -383,9 +383,9 @@ func (n *Node) pushRecord(p *peer, ckey string, blob []byte) bool {
 }
 
 // admitPeer passes one inbound mesh operation through the sender's
-// admission gate; the returned *server.OverloadError (when shed)
-// carries the retry-after hint the wire maps to an overload response,
-// which trips the requester's per-peer breaker.
+// admission gate; the returned *refusal.OverloadError (when shed)
+// crosses the wire as itself, hint included, and trips the
+// requester's per-peer breaker.
 func (n *Node) admitPeer(from string) (func(), error) {
 	if from == "" {
 		from = "(unknown)"

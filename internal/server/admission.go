@@ -2,10 +2,11 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"omos/internal/refusal"
 )
 
 // Admission control (overload protection).  The server is sized for a
@@ -14,33 +15,16 @@ import (
 // latency until everything times out at once.  Instead, requests pass
 // an admission gate at the public entry points: up to MaxInflight run
 // at once, up to QueueDepth more wait their turn, and everything past
-// that is shed *immediately* with an OverloadError carrying a
-// retry-after hint derived from observed hold times.  Shedding happens
-// before any work is done, so a shed request is always safe to retry —
-// even a non-idempotent one.
+// that is shed *immediately* with a *refusal.OverloadError carrying a
+// retry-after hint derived from observed hold times (the server's
+// estimate of when capacity frees up).  Shedding happens before any
+// work is done, so a shed request is always safe to retry — even a
+// non-idempotent one.
 //
 // Only the top-level entry points (InstantiateCtx,
 // InstantiateBlueprint) pass the gate.  Nested library instantiations
 // run inside an already-admitted request; gating them would deadlock
 // the admitted builds against their own dependencies.
-
-// OverloadError reports a request shed at the admission gate before
-// any work was done.  RetryAfter is the server's estimate of when
-// capacity will free up; clients should back off at least that long.
-type OverloadError struct {
-	// Reason is which bound was hit ("inflight budget" or "queue full").
-	Reason string
-	// RetryAfter is the suggested backoff before retrying.
-	RetryAfter time.Duration
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("server: overloaded (%s), retry after %v", e.Reason, e.RetryAfter)
-}
-
-// RetryAfterHint lets transports (which must not import this package's
-// internals) discover the backoff hint via an interface assertion.
-func (e *OverloadError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // AdmissionConfig sizes the gate.  Zero values select defaults.
 type AdmissionConfig struct {
@@ -90,8 +74,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 
 // Acquire admits the caller or sheds it.  On admission the returned
 // release must be called exactly once when the request finishes.  On
-// shed the error is an *OverloadError; on context cancellation while
-// queued it is ctx.Err().  Nil-safe: a nil gate admits unconditionally.
+// shed the error is a *refusal.OverloadError; on context cancellation
+// while queued it is ctx.Err().  Nil-safe: a nil gate admits
+// unconditionally.
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	if a == nil {
 		return func() {}, nil
@@ -107,7 +92,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	if a.queued >= a.queueDepth {
 		a.mu.Unlock()
 		a.shed.Add(1)
-		return nil, &OverloadError{Reason: "queue full", RetryAfter: a.retryAfter()}
+		return nil, &refusal.OverloadError{Reason: "queue full", RetryAfter: a.retryAfter()}
 	}
 	a.queued++
 	a.mu.Unlock()

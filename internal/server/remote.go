@@ -34,8 +34,8 @@ type mount struct {
 //
 // Mounting over a live definer path that has no local namespace entry
 // would let the remote capture an existing program's next resolution;
-// that is rejected with a typed *RebindError unless made explicit via
-// MountAllow.
+// that is rejected with a typed *refusal.RebindError unless made
+// explicit via MountAllow.
 func (s *Server) Mount(prefix string, f RemoteFetcher) error {
 	return s.MountAllow(prefix, f, false)
 }

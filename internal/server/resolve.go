@@ -7,6 +7,7 @@ import (
 
 	"omos/internal/fault"
 	"omos/internal/mgraph"
+	"omos/internal/refusal"
 )
 
 // This file is the stable resolution cache and its enforcement layer.
@@ -35,8 +36,8 @@ import (
 //     defense against shared-object hijacking).
 //   - Namespace mutations (Define/Remove/Mount/Unmount) that would
 //     re-bind a live program's symbol to a different definer are
-//     rejected with a typed *RebindError unless the caller passes an
-//     explicit allow flag.
+//     rejected with a typed *refusal.RebindError unless the caller
+//     passes an explicit allow flag.
 //
 // `omos explain <sym>` walks the tables and answers "who binds this
 // symbol, from which view, at which generation, and why".
@@ -65,52 +66,6 @@ type Pin struct {
 	LibKey     string // cache key of the library instance linked against
 	ContentKey string // placement-independent content identity
 	Checksum   string // store blob checksum (hex); empty if never persisted
-}
-
-// RebindError is the typed rejection of a namespace mutation that
-// would silently re-bind a live program's symbol to a different
-// definer.  The caller must repeat the mutation with the allow flag
-// to proceed.
-type RebindError struct {
-	Mutation string // "define", "remove", "mount", "unmount"
-	Path     string // the path or prefix being mutated
-	Program  string // an image whose resolution the mutation would change
-	Symbol   string // one symbol bound through the mutated path
-	Definer  string // its current definer
-}
-
-// Error implements error.
-func (e *RebindError) Error() string {
-	return fmt.Sprintf("server: %s %s would re-bind %q of %s (currently defined by %s); pass allow-rebind to proceed",
-		e.Mutation, e.Path, e.Symbol, e.Program, e.Definer)
-}
-
-// RebindDetail exposes the fields structurally, so the ipc layer can
-// transport the rejection without importing this package.
-func (e *RebindError) RebindDetail() (mutation, path, program, symbol, definer string) {
-	return e.Mutation, e.Path, e.Program, e.Symbol, e.Definer
-}
-
-// PinViolationError is the typed rejection of a pinned image whose
-// library identities no longer match what it was linked against — a
-// definer swap or a tampered store blob caught by the pin check.
-type PinViolationError struct {
-	Image string // the pinned image
-	Lib   string // the library whose identity mismatched
-	Field string // which identity mismatched: "content-key", "checksum", "lib-key", "libs", "injected"
-	Want  string
-	Got   string
-}
-
-// Error implements error.
-func (e *PinViolationError) Error() string {
-	return fmt.Sprintf("server: pin violation mapping %s: library %s %s mismatch (pinned %s, found %s); image quarantined",
-		e.Image, e.Lib, e.Field, e.Want, e.Got)
-}
-
-// PinDetail exposes the fields structurally for the ipc layer.
-func (e *PinViolationError) PinDetail() (img, lib, field, want, got string) {
-	return e.Image, e.Lib, e.Field, e.Want, e.Got
 }
 
 // bindKeyProg is a program's resolution identity: path + blueprint
@@ -367,7 +322,7 @@ func (s *Server) verifyPins(inst *Instance) error {
 	}
 	violation := func(lib, field, want, got string) error {
 		s.stats.pinViolations.Add(1)
-		return &PinViolationError{Image: inst.Name, Lib: lib, Field: field, Want: want, Got: got}
+		return &refusal.PinViolationError{Image: inst.Name, Lib: lib, Field: field, Want: want, Got: got}
 	}
 	if err := s.faults.Fire(fault.SiteNamespaceHijack); err != nil {
 		return violation("(injected)", "injected", "pinned definer", "swapped definer")
@@ -419,7 +374,7 @@ func (s *Server) verifyPinned(inst *Instance) error {
 // prefix mutations (mount/unmount) conflict only for definer paths
 // the mutation could actually capture: those under the prefix with no
 // local namespace entry (local entries always win the lookup).
-func (s *Server) rebindConflict(mutation, p string) *RebindError {
+func (s *Server) rebindConflict(mutation, p string) *refusal.RebindError {
 	p = cleanPath(p)
 	prefixOp := mutation == "mount" || mutation == "unmount"
 	s.bindMu.RLock()
@@ -440,7 +395,7 @@ func (s *Server) rebindConflict(mutation, p string) *RebindError {
 			} else if b.Definer != p {
 				continue
 			}
-			return &RebindError{
+			return &refusal.RebindError{
 				Mutation: mutation,
 				Path:     p,
 				Program:  tbl.Image,

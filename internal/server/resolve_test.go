@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"omos/internal/fault"
+	"omos/internal/refusal"
 	"omos/internal/store"
 )
 
@@ -129,9 +130,9 @@ func TestRebindGuardCountersAndInvalidation(t *testing.T) {
 
 	changed := strings.Replace(persistLibSrc, "lib_val = 30", "lib_val = 18", 1)
 	err := s.DefineLibrary("/lib/tiny", changed)
-	var re *RebindError
+	var re *refusal.RebindError
 	if !errors.As(err, &re) {
-		t.Fatalf("content change: err = %v, want *RebindError", err)
+		t.Fatalf("content change: err = %v, want *refusal.RebindError", err)
 	}
 	if re.Mutation != "define" || re.Path != "/lib/tiny" || re.Program != "/bin/app" || re.Definer != "/lib/tiny" {
 		t.Fatalf("rebind detail = %+v", re)
@@ -188,9 +189,9 @@ func TestMountGuard(t *testing.T) {
 	if err := s.RemoveAllow("/lib/tiny", true); err != nil {
 		t.Fatal(err)
 	}
-	var re *RebindError
+	var re *refusal.RebindError
 	if err := s.Mount("/lib", failFetcher{}); !errors.As(err, &re) {
-		t.Fatalf("mount capturing a live definer: err = %v, want *RebindError", err)
+		t.Fatalf("mount capturing a live definer: err = %v, want *refusal.RebindError", err)
 	}
 	if re.Mutation != "mount" || re.Definer != "/lib/tiny" {
 		t.Fatalf("mount rebind detail = %+v", re)
@@ -225,9 +226,9 @@ func TestPinViolationQuarantinesOnMap(t *testing.T) {
 
 	p := s.Kernel().Spawn()
 	mapErr := s.MapInstance(p, inst)
-	var pv *PinViolationError
+	var pv *refusal.PinViolationError
 	if !errors.As(mapErr, &pv) {
-		t.Fatalf("hijacked map: err = %v, want *PinViolationError", mapErr)
+		t.Fatalf("hijacked map: err = %v, want *refusal.PinViolationError", mapErr)
 	}
 	if st := s.Stats(); st.PinViolations != 1 {
 		t.Fatalf("violation not counted: %+v", st)

@@ -53,6 +53,7 @@ import (
 	"omos/internal/minic"
 	"omos/internal/obj"
 	"omos/internal/osim"
+	"omos/internal/refusal"
 	"omos/internal/store"
 )
 
@@ -515,8 +516,8 @@ type Server struct {
 	epochSeq atomic.Uint64
 	// lastAborted retains the terminal verdict of the most recent
 	// automatic rollback so the status/commit path can surface a typed
-	// UpgradeAbortedError after the epoch itself is gone.
-	lastAborted atomic.Pointer[UpgradeAbortedError]
+	// *refusal.UpgradeAbortedError after the epoch itself is gone.
+	lastAborted atomic.Pointer[refusal.UpgradeAbortedError]
 	// baseFailEWMA is the server-wide instantiation-failure EWMA: the
 	// pre-upgrade baseline a canary cohort is judged against.  Guarded
 	// by upMu.
@@ -552,10 +553,6 @@ type Server struct {
 	// buildTimeout, when positive, bounds each singleflight build
 	// (watchdog.go).  Set with SetBuildTimeout before serving traffic.
 	buildTimeout time.Duration
-
-	// degraded is the supervisor's verdict (supervisor.go): a
-	// *degradedState or nil.
-	degraded atomic.Pointer[degradedState]
 
 	// PICSource selects PIC code generation for the source operator
 	// (the OMOS path does not need PIC; see §4.1).
@@ -636,9 +633,10 @@ func (s *Server) PutObject(p string, o *obj.Object) error {
 }
 
 // Define stores a program meta-object from blueprint source.  It is
-// rejected with a typed *RebindError when the path currently defines
-// a symbol some live program's resolution binds through it and the
-// new source differs — use DefineAllow to make the re-bind explicit.
+// rejected with a typed *refusal.RebindError when the path currently
+// defines a symbol some live program's resolution binds through it and
+// the new source differs — use DefineAllow to make the re-bind
+// explicit.
 func (s *Server) Define(p, src string) error { return s.define(p, src, false, false) }
 
 // DefineAllow is Define with an explicit rebind-allow flag.
@@ -737,7 +735,7 @@ func (s *Server) GetObject(p string) (*obj.Object, error) {
 // so a later redefine at the same path yields new cache keys rather
 // than serving a stale image.  Removing a path some live program's
 // resolution binds a symbol through is rejected with a typed
-// *RebindError — use RemoveAllow to make it explicit.
+// *refusal.RebindError — use RemoveAllow to make it explicit.
 func (s *Server) Remove(p string) error { return s.RemoveAllow(p, false) }
 
 // RemoveAllow is Remove with an explicit rebind-allow flag.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"omos/internal/refusal"
 )
 
 // TestLibraryUpdateInvalidatesCache: §2.1 "a library fix is instantly
@@ -41,9 +43,9 @@ func TestLibraryUpdateInvalidatesCache(t *testing.T) {
 	// Fixing the library re-binds /bin/ask's "answer": without the
 	// allow flag the rebind guard refuses, with it the fix lands.
 	err = s.DefineLibrary("/lib/ans", lib(7))
-	var re *RebindError
+	var re *refusal.RebindError
 	if !errors.As(err, &re) {
-		t.Fatalf("unallowed library update: err = %v, want *RebindError", err)
+		t.Fatalf("unallowed library update: err = %v, want *refusal.RebindError", err)
 	}
 	if err := s.DefineLibraryAllow("/lib/ans", lib(7), true); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // the same image twice; every waiter shares the builder's result.
 type flight struct {
 	done chan struct{}
-	// started lets the supervisor measure in-flight build age (a
+	// started lets the degraded verdict measure in-flight build age (a
 	// wedged leader shows up as an old flight).
 	started time.Time
 	inst    *Instance

@@ -8,6 +8,7 @@ import (
 
 	"omos/internal/fault"
 	"omos/internal/mgraph"
+	"omos/internal/refusal"
 	"omos/internal/store"
 )
 
@@ -23,12 +24,12 @@ import (
 // pre-upgrade EWMA baseline, pin violations, quarantine events) and on
 // regression rolls the epoch back automatically: staged definitions
 // are discarded, the pre-epoch binding tables are restored, the
-// cohort's images are released, and a typed *UpgradeAbortedError
-// carries the verdict.  Commit is write-ahead: the intent is made
-// durable in the store (codec v4) before the staged definitions are
-// applied, so a daemon killed mid-commit warm-restarts into either the
-// fully-committed or the fully-rolled-back namespace — never a torn
-// one.
+// cohort's images are released, and a typed
+// *refusal.UpgradeAbortedError carries the verdict.  Commit is
+// write-ahead: the intent is made durable in the store (codec v4)
+// before the staged definitions are applied, so a daemon killed
+// mid-commit warm-restarts into either the fully-committed or the
+// fully-rolled-back namespace — never a torn one.
 //
 // The epoch itself is the explicit rebind allow: every definition it
 // applies at commit flows through the PR 8 rebind guard with the
@@ -49,30 +50,6 @@ const (
 // under.  It is skipped by attach and capacity eviction: it is
 // transaction state, not an image.
 const epochStoreKey = "upgrade.epoch"
-
-// UpgradeAbortedError is the typed verdict of a rolled-back epoch:
-// what aborted, why, and whether the health gate (rather than an
-// operator) pulled the trigger.
-type UpgradeAbortedError struct {
-	Epoch   string
-	Verdict string
-	Auto    bool
-}
-
-// Error implements error.
-func (e *UpgradeAbortedError) Error() string {
-	how := "rolled back"
-	if e.Auto {
-		how = "automatically rolled back by the health gate"
-	}
-	return fmt.Sprintf("server: upgrade %s %s: %s", e.Epoch, how, e.Verdict)
-}
-
-// UpgradeDetail exposes the fields structurally, so the ipc layer can
-// transport the abort without importing this package.
-func (e *UpgradeAbortedError) UpgradeDetail() (epoch, verdict string, auto bool) {
-	return e.Epoch, e.Verdict, e.Auto
-}
 
 // epochLib is one staged definition: the parsed v2 entry plus what is
 // needed to persist and audit the transition.
@@ -458,7 +435,7 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 	s.deleteEpochRecord()
 	s.invalidateHashes()
 	s.stats.upgradesRolledBack.Add(1)
-	s.lastAborted.Store(&UpgradeAbortedError{Epoch: ep.id, Verdict: verdict, Auto: auto})
+	s.lastAborted.Store(&refusal.UpgradeAbortedError{Epoch: ep.id, Verdict: verdict, Auto: auto})
 	return nil
 }
 
@@ -489,7 +466,7 @@ func (s *Server) UpgradeStatus() UpgradeStatusInfo {
 
 // LastUpgradeAborted returns the typed verdict of the most recent
 // rollback (nil if none since the last epoch opened).
-func (s *Server) LastUpgradeAborted() *UpgradeAbortedError {
+func (s *Server) LastUpgradeAborted() *refusal.UpgradeAbortedError {
 	return s.lastAborted.Load()
 }
 
@@ -663,7 +640,7 @@ func (s *Server) recoverEpoch(st *store.Store) {
 	}
 	st.Delete(epochStoreKey)
 	s.stats.upgradesRolledBack.Add(1)
-	s.lastAborted.Store(&UpgradeAbortedError{
+	s.lastAborted.Store(&refusal.UpgradeAbortedError{
 		Epoch:   rec.ID,
 		Verdict: "epoch interrupted by restart; rolled back at warm boot",
 		Auto:    true,

@@ -10,6 +10,7 @@ import (
 
 	"omos/internal/fault"
 	"omos/internal/mgraph"
+	"omos/internal/refusal"
 )
 
 const (
@@ -199,9 +200,9 @@ func TestUpgradeAutoRollbackOnCanaryRegression(t *testing.T) {
 	}
 	// A stage into the dead epoch surfaces the typed abort.
 	err := s.UpgradeStage("/lib/up", upLibV2, true)
-	var ua *UpgradeAbortedError
+	var ua *refusal.UpgradeAbortedError
 	if !errors.As(err, &ua) {
-		t.Fatalf("stage after abort = %v, want *UpgradeAbortedError", err)
+		t.Fatalf("stage after abort = %v, want *refusal.UpgradeAbortedError", err)
 	}
 }
 

@@ -32,7 +32,8 @@ func (e *BuildTimeoutError) Error() string {
 }
 
 // SetBuildTimeout bounds each singleflight build; zero or negative
-// disables the watchdog.  Set before serving traffic.
+// disables the watchdog.  Half of d is also the in-flight age at which
+// Degraded reports a stuck build.  Set before serving traffic.
 func (s *Server) SetBuildTimeout(d time.Duration) { s.buildTimeout = d }
 
 // BuildTimeout reports the configured per-build bound.

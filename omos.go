@@ -53,8 +53,7 @@ type System struct {
 	// the store, and the frame table.
 	Faults *fault.Set
 
-	// stops are the background loops (scrubber, supervisor) Close
-	// shuts down.
+	// stops are the background loops (the scrubber) Close shuts down.
 	stops []func()
 }
 
@@ -88,7 +87,8 @@ type Options struct {
 	QueueDepth  int
 	// BuildTimeout bounds each image build; past it the watchdog
 	// cancels the build and singleflight followers re-elect.  Zero
-	// disables the watchdog.
+	// disables the watchdog.  Half of it (30s when zero) is the build
+	// age past which health reports the server degraded.
 	BuildTimeout time.Duration
 	// ScrubInterval enables the store's background scrubber (requires
 	// StoreDir): every interval it re-verifies ScrubPerTick blob
@@ -98,11 +98,6 @@ type Options struct {
 	// ScrubPerTick is how many blobs each scrub tick verifies
 	// (default 4).
 	ScrubPerTick int
-	// SuperviseInterval enables the daemon supervisor: every interval
-	// it samples queue depth, in-flight build age, and store fill, and
-	// flips the degraded health flag when any crosses its high-water
-	// mark.  Zero disables supervision.
-	SuperviseInterval time.Duration
 }
 
 // NewSystem boots a fresh machine, attaches an OMOS server, installs
@@ -167,17 +162,12 @@ func NewSystemWith(opts Options) (*System, error) {
 	if opts.BuildTimeout > 0 {
 		srv.SetBuildTimeout(opts.BuildTimeout)
 	}
-	if opts.SuperviseInterval > 0 {
-		sys.stops = append(sys.stops, srv.StartSupervisor(server.SupervisorConfig{
-			Interval: opts.SuperviseInterval,
-		}))
-	}
 	return sys, nil
 }
 
-// Close stops the background loops (scrubber, supervisor), then
-// flushes and detaches the persistent image store, if any.  The
-// system remains usable afterwards but stops persisting.
+// Close stops the background loops (the scrubber), then flushes and
+// detaches the persistent image store, if any.  The system remains
+// usable afterwards but stops persisting.
 func (s *System) Close() error {
 	for _, stop := range s.stops {
 		stop()
