@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"omos/internal/image"
@@ -141,12 +142,13 @@ type RelPatch struct {
 	Seg byte
 }
 
-// Placement records where one fragment landed.
-type Placement struct {
-	Obj      *obj.Object
-	TextAddr uint64
-	DataAddr uint64
-	BSSAddr  uint64
+// placement records where one fragment landed.  It lives only for the
+// link: a Result keeps no compiled object alive.
+type placement struct {
+	obj      *obj.Object
+	textAddr uint64
+	dataAddr uint64
+	bssAddr  uint64
 }
 
 // Result is the output of Link.
@@ -187,7 +189,9 @@ type Result struct {
 	NumRelocs int
 	// ExternBinds counts references satisfied from Options.Externs.
 	ExternBinds int
-	Placements  []Placement
+	// Records counts the object records linked (obj.Object.RecordCount
+	// summed over the fragments), the other half of the build's size.
+	Records int
 	// TextBase and DataBase record the segment bases this result was
 	// linked at (Rebase derives its slide deltas from them).
 	TextBase uint64
@@ -224,7 +228,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 			ext := lv.RefExt[r.Symbol]
 			if !gotSeen[ext] {
 				gotSeen[ext] = true
-				gotOrder = append(gotOrder, ext)
+				gotOrder = append(gotOrder, strings.Clone(ext))
 			}
 		}
 	}
@@ -255,6 +259,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	}
 	textCur := opts.TextBase
 	dataCur := opts.DataBase + gotSize
+	placements := make([]placement, 0, len(views))
 	var textBuf, dataBuf []byte
 	emitText := func(b []byte) {
 		textBuf = append(textBuf, b...)
@@ -268,21 +273,21 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 		if pad := dataCur - opts.DataBase - gotSize - uint64(len(dataBuf)); pad > 0 {
 			dataBuf = append(dataBuf, make([]byte, pad)...)
 		}
-		pl := Placement{Obj: lv.Obj, TextAddr: textCur, DataAddr: dataCur}
+		placements = append(placements, placement{obj: lv.Obj, textAddr: textCur, dataAddr: dataCur})
+		res.Records += lv.Obj.RecordCount()
 		emitText(lv.Obj.Text)
 		dataBuf = append(dataBuf, lv.Obj.Data...)
 		textCur += uint64(len(lv.Obj.Text))
 		dataCur += uint64(len(lv.Obj.Data))
-		res.Placements = append(res.Placements, pl)
 	}
 	// BSS: after all initialized data, 8-aligned runs per fragment.
 	bssCur := alignUp(dataCur, 8)
 	bssStart := bssCur
-	for i := range res.Placements {
-		pl := &res.Placements[i]
+	for i := range placements {
+		pl := &placements[i]
 		bssCur = alignUp(bssCur, 8)
-		pl.BSSAddr = bssCur
-		bssCur += pl.Obj.BSSSize
+		pl.bssAddr = bssCur
+		bssCur += pl.obj.BSSSize
 	}
 
 	// Pass 3: bind symbol addresses.  Each fragment's raw symbol
@@ -292,16 +297,21 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	// shared tables — happens in a serial merge in view order, so the
 	// outcome (including which duplicate is reported) is exactly the
 	// serial pass's.
-	symAddr := func(pl *Placement, s *obj.Symbol) uint64 {
+	symAddr := func(pl *placement, s *obj.Symbol) uint64 {
 		switch s.Section {
 		case obj.SecText:
-			return pl.TextAddr + s.Offset
+			return pl.textAddr + s.Offset
 		case obj.SecData:
-			return pl.DataAddr + s.Offset
+			return pl.dataAddr + s.Offset
 		default:
-			return pl.BSSAddr + s.Offset
+			return pl.bssAddr + s.Offset
 		}
 	}
+	// A bound name is cloned once here, as a GOT slot's name is in pass
+	// 1: the names a module carries are substrings of its objects' source
+	// (a compiled function's assembly text), and the Result's tables
+	// outlive the link in every cached image, so sharing them would keep
+	// all of that text alive.
 	type symBind struct {
 		ext   string
 		addr  uint64
@@ -323,7 +333,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	frags := make([]fragSyms, len(views))
 	forEachFragment(len(views), func(vi int) {
 		lv := views[vi]
-		pl := &res.Placements[vi]
+		pl := &placements[vi]
 		f := &frags[vi]
 		nsyms := len(lv.Obj.Syms)
 		rawAddr := make(map[string]uint64, nsyms)
@@ -345,7 +355,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 				continue
 			}
 			f.binds = append(f.binds, symBind{
-				ext: d.Ext, addr: rawAddr[d.Raw],
+				ext: strings.Clone(d.Ext), addr: rawAddr[d.Raw],
 				size: rawSize[d.Raw], kind: rawKind[d.Raw],
 				sec: rawSec[d.Raw], local: d.Local,
 			})
@@ -357,7 +367,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 				return
 			}
 			f.binds = append(f.binds, symBind{
-				ext: a.Ext, addr: addr,
+				ext: strings.Clone(a.Ext), addr: addr,
 				size: rawSize[a.TargetRaw], kind: rawKind[a.TargetRaw],
 				sec: rawSec[a.TargetRaw], local: a.Local,
 			})
@@ -404,7 +414,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	rfrags := make([]fragRelocs, len(views))
 	forEachFragment(len(views), func(vi int) {
 		lv := views[vi]
-		pl := &res.Placements[vi]
+		pl := &placements[vi]
 		f := &rfrags[vi]
 		patch64 := func(site uint64, val uint64, valSeg byte) error {
 			var seg []byte
@@ -444,9 +454,9 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 			var site uint64
 			switch r.Section {
 			case obj.SecText:
-				site = pl.TextAddr + r.Offset
+				site = pl.textAddr + r.Offset
 			case obj.SecData:
-				site = pl.DataAddr + r.Offset
+				site = pl.dataAddr + r.Offset
 			default:
 				f.err = fmt.Errorf("link %s: relocation in bss", opts.Name)
 				return

@@ -90,6 +90,7 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 		GotSize:     res.GotSize,
 		NumRelocs:   res.NumRelocs,
 		ExternBinds: res.ExternBinds,
+		Records:     res.Records,
 		TextBase:    newText,
 		DataBase:    newData,
 		TextSize:    res.TextSize,
@@ -110,15 +111,6 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 		}
 	} else {
 		out.GotSlots = map[string]uint64{}
-	}
-	out.Placements = make([]Placement, len(res.Placements))
-	for i, pl := range res.Placements {
-		out.Placements[i] = Placement{
-			Obj:      pl.Obj,
-			TextAddr: pl.TextAddr + deltaT,
-			DataAddr: pl.DataAddr + deltaD,
-			BSSAddr:  pl.BSSAddr + deltaD,
-		}
 	}
 	if len(res.Unresolved) > 0 {
 		out.Unresolved = make([]Unresolved, len(res.Unresolved))

@@ -58,6 +58,10 @@ func (ft *FrameTable) Ref(f *Frame) {
 func (ft *FrameTable) Unref(f *Frame) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
+	ft.unrefLocked(f)
+}
+
+func (ft *FrameTable) unrefLocked(f *Frame) {
 	f.refs--
 	if f.refs < 0 {
 		panic(fmt.Sprintf("osim: frame %d refcount underflow", f.ID))
@@ -192,10 +196,14 @@ func (ft *FrameTable) MakeFrameSegDelta(name string, addr uint64, data []byte, m
 	return seg, shared, nil
 }
 
-// Release drops the table's references to the segment's frames.
+// Release drops the table's references to the segment's frames.  The
+// segment is emptied under the table lock, so a concurrent SegBytes
+// sees either every frame or none.
 func (ft *FrameTable) Release(seg *FrameSeg) {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
 	for _, f := range seg.Frames {
-		ft.Unref(f)
+		ft.unrefLocked(f)
 	}
 	seg.Frames = nil
 }
@@ -218,14 +226,20 @@ func (ft *FrameTable) SegInUse(seg *FrameSeg) bool {
 // End returns the first address past the segment.
 func (s *FrameSeg) End() uint64 { return s.Addr + uint64(len(s.Frames))*PageSize }
 
-// Bytes returns the segment's contents (including zero fill), the
-// serializable form for the persistent image store.
-func (s *FrameSeg) Bytes() []byte {
-	out := make([]byte, len(s.Frames)*PageSize)
-	for i, f := range s.Frames {
-		if f != nil {
-			copy(out[i*PageSize:], f.Data[:])
-		}
+// SegBytes returns a copy of the segment's contents (including zero
+// fill): the serializable form for the persistent image store, and the
+// bytes a rebase slides.  The frames are a cached image's only copy of
+// them.  ok is false once the segment was released (an eviction raced
+// the reader).
+func (ft *FrameTable) SegBytes(seg *FrameSeg) (data []byte, ok bool) {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if seg.Frames == nil {
+		return nil, false
 	}
-	return out
+	data = make([]byte, len(seg.Frames)*PageSize)
+	for i, f := range seg.Frames {
+		copy(data[i*PageSize:], f.Data[:])
+	}
+	return data, true
 }

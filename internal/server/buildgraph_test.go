@@ -49,10 +49,15 @@ func defineResumeWorld(t *testing.T, s *Server) {
 // imageBytes snapshots an instance's read-only segments (the program
 // image a client would map) for byte-identity comparison across
 // sessions.
-func imageBytes(inst *Instance) map[string][]byte {
+func imageBytes(t *testing.T, s *Server, inst *Instance) map[string][]byte {
+	t.Helper()
 	out := map[string][]byte{}
 	for _, seg := range inst.ROSegs {
-		out[seg.Name] = append([]byte(nil), seg.Bytes()...)
+		data, ok := s.kern.FT.SegBytes(seg)
+		if !ok {
+			t.Fatalf("%s: segment %s released", inst.Name, seg.Name)
+		}
+		out[seg.Name] = data
 	}
 	return out
 }
@@ -142,7 +147,7 @@ func TestCrashResumeWarmRestart(t *testing.T) {
 		t.Fatalf("identity drift: key %s vs %s, entry %#x vs %#x",
 			inst.Key, ctlInst.Key, inst.Entry(), ctlInst.Entry())
 	}
-	got, want := imageBytes(inst), imageBytes(ctlInst)
+	got, want := imageBytes(t, s2, inst), imageBytes(t, ctl, ctlInst)
 	if len(got) != len(want) {
 		t.Fatalf("segment count drift: %d vs %d", len(got), len(want))
 	}

@@ -10,6 +10,7 @@ import (
 	"omos/internal/image"
 	"omos/internal/link"
 	"omos/internal/osim"
+	"omos/internal/store"
 )
 
 // defineConcurrentWorld installs three shared libraries and nprogs
@@ -374,6 +375,101 @@ int main() { return drive(3); }
 		if t.Failed() {
 			return
 		}
+	}
+}
+
+// TestEvictDuringExport races the two readers of a cached image's
+// frames, mesh export and the rebase fast path, against Evict, which
+// releases them.  The frames are the image's one copy of its read-only
+// bytes, so a reader that loses the race must notice: an export answers
+// not-found, a rebase links in full.  Neither may read the frames
+// unsynchronized (run it under -race) or export a record whose
+// read-only segments came back empty.
+func TestEvictDuringExport(t *testing.T) {
+	s := newTestServer(t)
+	if err := s.DefineLibrary("/lib/pad", padLibSrc); err != nil {
+		t.Fatal(err)
+	}
+	// Two programs place the library at two bases: after an eviction the
+	// first of the pair to build links it and the second slides it.
+	progs := []string{"/bin/p1", "/bin/p2"}
+	for i, p := range progs {
+		if err := s.Define(p, fmt.Sprintf(`(merge /lib/crt0.o (source "c" "
+extern int libpad_get();
+int main() { return libpad_get() + 7; }
+") (constrain "T" %#x "D" %#x /lib/pad))`, 0x2000000+i*0x1000000, 0x42000000+i*0x1000000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var insts []*Instance
+	for _, p := range progs {
+		inst, err := s.Instantiate(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	if n := s.Stats().Rebases; n != 1 {
+		t.Fatalf("rebases = %d, want the second library slid from the first", n)
+	}
+	ckey := insts[0].Libs[0].ContentKey
+
+	const rounds = 40
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			blob, _, ok := s.ExportContent(ckey, false)
+			if !ok {
+				continue
+			}
+			rec, err := store.Decode(blob)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, seg := range rec.ROSegs {
+				if len(seg.Data) == 0 {
+					t.Errorf("exported %s with read-only segment %s empty", rec.Name, seg.Name)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			for _, p := range progs {
+				if _, err := s.Instantiate(p, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			s.Evict("/lib/pad")
+		}
+	}()
+	wg.Wait()
+
+	// Whatever the race left cached, a fresh pair still slides and runs.
+	s.Evict("/lib/pad")
+	before := s.Stats().Rebases
+	for _, p := range progs {
+		inst, err := s.Instantiate(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, code := runInstance(t, s, inst, nil); code != 42 {
+			t.Fatalf("%s exit = %d, want 42", p, code)
+		}
+	}
+	if n := s.Stats().Rebases - before; n != 1 {
+		t.Fatalf("rebases = %d after the race, want 1", n)
 	}
 }
 

@@ -126,11 +126,8 @@ func (s *Server) chargeLookup(c charger) {
 
 // buildCost estimates the server cycles spent constructing an image.
 func (s *Server) buildCost(res *link.Result) uint64 {
-	cost := uint64(res.NumRelocs) * s.kern.Cost.ServerBuildReloc
-	for _, pl := range res.Placements {
-		cost += uint64(pl.Obj.RecordCount()) * s.kern.Cost.ServerBuildRecord
-	}
-	return cost
+	return uint64(res.NumRelocs)*s.kern.Cost.ServerBuildReloc +
+		uint64(res.Records)*s.kern.Cost.ServerBuildRecord
 }
 
 // evalValue evaluates a meta-object root and resolves its library
@@ -452,7 +449,9 @@ func (s *Server) ReleaseInstance(inst *Instance) {
 // materialize turns an image into an instance that is complete but not
 // yet visible: read-only segments become shared frames, writable
 // segments stay as pristine bytes for per-client copying, and the
-// plan's identities, placement and library pins are attached.  When the
+// plan's identities, placement and library pins are attached.  The
+// frames are the image's one copy of its read-only bytes: the result
+// keeps those segments' metadata and lets their bytes go.  When the
 // image was slid from src, every page the slide left clean shares
 // src's physical frame; shared counts them.  Frames already made are
 // released if a later segment fails.
@@ -467,22 +466,29 @@ func (s *Server) materialize(pl *plan, res *link.Result, src *Instance) (inst *I
 		}
 		var from *osim.FrameSeg
 		if src != nil {
-			for _, fs := range src.ROSegs {
-				if segBaseName(fs.Name) == seg.Name {
-					from = fs
-					break
-				}
-			}
+			from = src.roSeg(seg.Name)
 		}
 		fs, n, err := s.kern.FT.MakeFrameSegDelta(pl.name+"/"+seg.Name, seg.Addr, seg.Data, seg.MemSize, uint8(seg.Perm), from)
 		if err != nil {
 			s.ReleaseInstance(inst)
 			return nil, 0, err
 		}
+		seg.Data = nil
 		shared += n
 		inst.ROSegs = append(inst.ROSegs, fs)
 	}
 	return inst, shared, nil
+}
+
+// roSeg returns the frames of the instance's read-only image segment
+// name ("text"), or nil.
+func (inst *Instance) roSeg(name string) *osim.FrameSeg {
+	for _, fs := range inst.ROSegs {
+		if segBaseName(fs.Name) == name {
+			return fs
+		}
+	}
+	return nil
 }
 
 // publish makes a complete instance visible to cache hits, rebases and

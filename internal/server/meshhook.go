@@ -156,8 +156,10 @@ func metaOf(src *Instance) MeshMeta {
 // ExportContent encodes the MRU variant of ckey for a mesh peer,
 // waking a dormant one when nothing is cached.  With metaOnly the blob
 // is omitted — the invariants are the payload.  ok is false when no
-// rebase-capable variant can be had.  The encode runs without any
-// server lock (instances are immutable once published).
+// rebase-capable variant can be had, or an eviction released the
+// variant's frames before they were read.  The encode runs without any
+// server lock (instances are immutable once published; their frames
+// are read under the frame table's).
 func (s *Server) ExportContent(ckey string, metaOnly bool) (blob []byte, meta MeshMeta, ok bool) {
 	src := s.mruVariant(ckey)
 	if src == nil {
@@ -167,7 +169,11 @@ func (s *Server) ExportContent(ckey string, metaOnly bool) (blob []byte, meta Me
 	if metaOnly {
 		return nil, meta, true
 	}
-	blob, err := store.Encode(s.recordOf(src))
+	rec, err := s.recordOf(src)
+	if err != nil {
+		return nil, MeshMeta{}, false
+	}
+	blob, err = store.Encode(rec)
 	if err != nil {
 		return nil, MeshMeta{}, false
 	}
@@ -254,6 +260,15 @@ func fetchedResult(pl *plan, blob []byte) (*link.Result, error) {
 	if len(res.Image.Segments) == 0 {
 		return nil, fmt.Errorf("server: mesh blob for %s carries no rebase metadata", pl.name)
 	}
+	// No frames hold the peer's read-only bytes here yet: the slide reads
+	// them from the record (resultFromRecord puts those segments first),
+	// with the zero fill the store trims restored, because Rebase patches
+	// sites anywhere in a segment.
+	for i, sr := range rec.ROSegs {
+		data := make([]byte, sr.MemSize)
+		copy(data, sr.Data)
+		res.Image.Segments[i].Data = data
+	}
 	return res, nil
 }
 
@@ -266,7 +281,11 @@ func (s *Server) offerMesh(ckey string, inst *Instance) {
 	if h == nil || ckey == "" || h.Owned(ckey) || !rebaseSource(inst) {
 		return
 	}
-	blob, err := store.Encode(s.recordOf(inst))
+	rec, err := s.recordOf(inst)
+	if err != nil {
+		return
+	}
+	blob, err := store.Encode(rec)
 	if err != nil {
 		return
 	}

@@ -179,14 +179,18 @@ func libs(inst *server.Instance) uint64 { return uint64(len(inst.Libs)) }
 // snapshot is what the oracle compares: the encoded reconstruction
 // record (segments as materialized in frames with their addresses and
 // permissions, exported symbols, entry, placement, patch sites, pins,
-// binding table, branch-table slots) and the in-memory image a later
-// rebase would slide from.
+// binding table, branch-table slots) and the in-memory segment list.
+// A later rebase slides from the frames, which the record's ROSegs
+// already cover; the list adds the writable templates and the
+// read-only segments' metadata.
 type snapshot struct {
 	rec   *store.Record
 	entry uint64
 	segs  []image.Segment
 }
 
+// snap also holds every producer to one copy of the image: an
+// instance's read-only segments carry no bytes outside its frames.
 func (w *world) snap(inst *server.Instance) snapshot {
 	w.t.Helper()
 	rec := w.Srv.RecordOf(inst)
@@ -194,11 +198,11 @@ func (w *world) snap(inst *server.Instance) snapshot {
 	// is a timestamp, not part of the resolution: worlds that defined
 	// extra variants are further along.
 	rec.Gen = 0
-	sn := snapshot{rec: rec, entry: inst.Entry()}
-	for _, seg := range inst.Res.Image.Segments {
-		// A restored read-only segment carries its zero fill explicitly.
-		seg.Data = bytes.TrimRight(seg.Data, "\x00")
-		sn.segs = append(sn.segs, seg)
+	sn := snapshot{rec: rec, entry: inst.Entry(), segs: inst.Res.Image.Segments}
+	for _, seg := range sn.segs {
+		if seg.Perm&image.PermW == 0 && seg.Data != nil {
+			w.t.Errorf("%s keeps %d bytes of read-only segment %s outside its frames", inst.Name, len(seg.Data), seg.Name)
+		}
 	}
 	return sn
 }

@@ -325,7 +325,11 @@ func (s *Server) checkpointed(node *buildgraph.Node, bytes int, err error) {
 // persistInstance writes a built instance through to the store,
 // returning the encoded size.
 func (s *Server) persistInstance(st *store.Store, inst *Instance) (int, error) {
-	blob, err := store.Encode(s.recordOf(inst))
+	rec, err := s.recordOf(inst)
+	if err != nil {
+		return 0, err
+	}
+	blob, err := store.Encode(rec)
 	if err != nil {
 		return 0, err
 	}
@@ -361,11 +365,17 @@ func blobChecksum(blob []byte) string {
 	return hex.EncodeToString(blob[blobCheckSumLo:blobCheckSumHi])
 }
 
+// errReleased fails the serialization of an instance whose frames an
+// eviction released while it was being read.
+var errReleased = errors.New("server: image frames released by an eviction")
+
 // recordOf serializes an instance's reconstruction state: segment
-// bytes, bound symbols, branch-table slots, placement, library keys,
-// and the resolution state — the binding table recorded for the
-// image and the library pins to re-verify when it is woken.
-func (s *Server) recordOf(inst *Instance) *store.Record {
+// bytes (read-only ones from the frames, their one copy), bound
+// symbols, branch-table slots, placement, library keys, and the
+// resolution state — the binding table recorded for the image and the
+// library pins to re-verify when it is woken.  It fails with
+// errReleased when a concurrent eviction released the frames.
+func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 	rec := &store.Record{
 		Key:         inst.Key,
 		Name:        inst.Name,
@@ -405,14 +415,15 @@ func (s *Server) recordOf(inst *Instance) *store.Record {
 		rec.Syms = append(rec.Syms, sym)
 	}
 	for _, seg := range inst.ROSegs {
-		data := seg.Bytes()
-		memSize := uint64(len(data))
-		// Trailing zero fill (bss, page padding) reconstructs from
-		// MemSize; don't store it.
-		data = bytes.TrimRight(data, "\x00")
+		data, ok := s.kern.FT.SegBytes(seg)
+		if !ok {
+			return nil, errReleased
+		}
 		rec.ROSegs = append(rec.ROSegs, store.Seg{
-			Name: seg.Name, Addr: seg.Addr, MemSize: memSize, Perm: seg.Perm,
-			Data: append([]byte(nil), data...),
+			Name: seg.Name, Addr: seg.Addr, MemSize: uint64(len(data)), Perm: seg.Perm,
+			// Trailing zero fill (bss, page padding) reconstructs from
+			// MemSize; don't store it.
+			Data: bytes.TrimRight(data, "\x00"),
 		})
 	}
 	for i := range inst.RWSegs {
@@ -460,12 +471,13 @@ func (s *Server) recordOf(inst *Instance) *store.Record {
 			}
 		}
 	}
-	return rec
+	return rec, nil
 }
 
 // instanceFromRecord rebuilds the in-memory instance: shared frames
-// for read-only segments, pristine byte templates for writable ones,
-// and a link.Result carrying the bound symbol table and accounting.
+// for read-only segments (their one copy), pristine byte templates for
+// writable ones, and a link.Result carrying the bound symbol table,
+// accounting and segment metadata.
 func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Instance, error) {
 	res := resultFromRecord(rec)
 	inst := &Instance{
@@ -509,9 +521,10 @@ func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Insta
 
 // resultFromRecord rebuilds the link.Result a record was persisted
 // from: the bound symbol table, the accounting, and the full rebase
-// metadata, so the result can serve as a link.Rebase source.  Shared
-// between warm restore and the mesh blob-install path, which decodes a
-// peer's record instead of a store entry.
+// metadata, so the result can serve as a link.Rebase source.  Read-only
+// segments carry no bytes: a woken instance's frames hold them, and the
+// mesh blob-install path, which decodes a peer's record instead of a
+// store entry, adds them from the record (fetchedResult).
 func resultFromRecord(rec *store.Record) *link.Result {
 	im := &image.Image{Name: rec.Name, Entry: rec.Entry, Syms: map[string]uint64{}}
 	res := &link.Result{
@@ -543,8 +556,8 @@ func resultFromRecord(rec *store.Record) *link.Result {
 			res.SymSegs[sym.Name] = sym.Seg
 		}
 	}
-	// Everything link.Rebase needs beyond the symbols: patch sites and
-	// segment bytes.
+	// Everything link.Rebase needs beyond the symbols and the read-only
+	// bytes: patch sites and segments.
 	for _, p := range rec.AbsPatches {
 		res.AbsPatches = append(res.AbsPatches, link.AbsPatch{Site: p.Site, Value: p.Value, Seg: p.Seg})
 	}
@@ -552,12 +565,8 @@ func resultFromRecord(rec *store.Record) *link.Result {
 		res.RelPatches = append(res.RelPatches, link.RelPatch{Site: p.Site, Seg: p.Seg})
 	}
 	for _, sr := range rec.ROSegs {
-		// Stored data is zero-trimmed; Rebase patches sites anywhere
-		// in the segment, so restore the full extent.
-		data := make([]byte, sr.MemSize)
-		copy(data, sr.Data)
 		im.Segments = append(im.Segments, image.Segment{
-			Name: segBaseName(sr.Name), Addr: sr.Addr, Data: data,
+			Name: segBaseName(sr.Name), Addr: sr.Addr,
 			MemSize: sr.MemSize, Perm: image.Perm(sr.Perm),
 		})
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"omos/internal/image"
 	"omos/internal/link"
 )
 
@@ -34,9 +35,9 @@ func contentKeyProg(subHash string, libs []*Instance) string {
 }
 
 // rebaseSource reports whether a cached instance carries everything
-// link.Rebase needs: segment bytes and the per-symbol segment classes
-// recorded at link time.  Branch-table libraries carry no content key
-// and never reach the variants index.
+// link.Rebase needs besides its frames: segment metadata and the
+// per-symbol segment classes recorded at link time.  Branch-table
+// libraries carry no content key and never reach the variants index.
 func rebaseSource(src *Instance) bool {
 	r := src.Res
 	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.SymSegs != nil
@@ -55,7 +56,11 @@ func (s *Server) tryRebase(pl *plan, c charger) (*Instance, bool) {
 	if src == nil {
 		return nil, false
 	}
-	inst, shared, err := s.slide(pl, src.Res, src, c)
+	from, ok := s.slideSource(src)
+	if !ok {
+		return nil, false
+	}
+	inst, shared, err := s.slide(pl, from, src, c)
 	if err != nil {
 		return nil, false
 	}
@@ -65,6 +70,31 @@ func (s *Server) tryRebase(pl *plan, c charger) (*Instance, bool) {
 	s.stats.rebaseDirtyPages.Add(uint64(info.TextDirtyPages + info.DataDirtyPages))
 	s.stats.rebaseSharedPages.Add(uint64(shared))
 	return inst, true
+}
+
+// slideSource returns src's link result with its read-only segments'
+// bytes read back from src's frames, the one copy a published instance
+// keeps of them.  false when an eviction released the frames first: the
+// caller links in full instead.
+func (s *Server) slideSource(src *Instance) (*link.Result, bool) {
+	res, img := *src.Res, *src.Res.Image
+	img.Segments = make([]image.Segment, len(src.Res.Image.Segments))
+	for i, seg := range src.Res.Image.Segments {
+		if seg.Perm&image.PermW == 0 {
+			fs := src.roSeg(seg.Name)
+			if fs == nil {
+				return nil, false
+			}
+			data, ok := s.kern.FT.SegBytes(fs)
+			if !ok {
+				return nil, false
+			}
+			seg.Data = data
+		}
+		img.Segments[i] = seg
+	}
+	res.Image = &img
+	return &res, true
 }
 
 // slide derives the plan's image from a result linked at other bases

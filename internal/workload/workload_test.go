@@ -9,6 +9,7 @@ import (
 
 	"omos/internal/dynlink"
 	"omos/internal/osim"
+	"omos/internal/server"
 )
 
 func smallCG() CodegenParams {
@@ -194,12 +195,17 @@ func TestDeterministicImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The frames hold the read-only bytes, the templates the rest.
 		var out []byte
-		for _, seg := range inst.Res.Image.Segments {
-			out = append(out, seg.Data...)
-		}
-		for _, li := range inst.Libs {
-			for _, seg := range li.Res.Image.Segments {
+		for _, in := range append([]*server.Instance{inst}, inst.Libs...) {
+			for _, seg := range in.ROSegs {
+				data, ok := w.Kern.FT.SegBytes(seg)
+				if !ok {
+					t.Fatalf("%s: segment %s released", in.Name, seg.Name)
+				}
+				out = append(out, data...)
+			}
+			for _, seg := range in.RWSegs {
 				out = append(out, seg.Data...)
 			}
 		}

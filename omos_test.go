@@ -1,10 +1,15 @@
 package omos_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"omos"
+	"omos/internal/daemon"
+	"omos/internal/osim"
+	"omos/internal/server"
+	"omos/internal/workload"
 )
 
 func newSys(t *testing.T) *omos.System {
@@ -141,6 +146,48 @@ int main() { syscall(2, 1, msg, 4); return 0; }
 	if len(paths) != 1 || !strings.HasPrefix(paths[0], "/bin/") {
 		t.Fatalf("list = %v", paths)
 	}
+}
+
+// TestCachedImageFootprint pins what a cached image costs in Go heap:
+// building /bin/codegen on a fresh system may grow the live heap by
+// less than three times the bytes the image has to hold, its frames and
+// its writable templates.  It was six times while each cached image
+// also kept its compiled objects, a second copy of its read-only bytes
+// and, through its symbol names, the assembly text it was compiled
+// from.
+func TestCachedImageFootprint(t *testing.T) {
+	sys := newSys(t)
+	if err := daemon.InstallWorkloads(sys, workload.DefaultCodegen()); err != nil {
+		t.Fatal(err)
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	inst, err := sys.Srv.Instantiate("/bin/codegen", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growth := live() - before
+	var held int64
+	for _, in := range append([]*server.Instance{inst}, inst.Libs...) {
+		for _, seg := range in.ROSegs {
+			held += int64(len(seg.Frames)) * osim.PageSize
+		}
+		for _, seg := range in.RWSegs {
+			held += int64(len(seg.Data))
+		}
+	}
+	ratio := float64(growth) / float64(held)
+	t.Logf("live heap +%d KB for %d KB of frames and templates: %.2fx", growth>>10, held>>10, ratio)
+	if ratio >= 3 {
+		t.Fatalf("a cached /bin/codegen keeps %.2fx its frame and template bytes alive, want < 3x", ratio)
+	}
+	runtime.KeepAlive(sys)
 }
 
 func TestFaultSymbolization(t *testing.T) {
