@@ -3,10 +3,12 @@ package buildgraph
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunLifecycleAndCounters(t *testing.T) {
@@ -242,5 +244,127 @@ func TestConcurrentNodeRecording(t *testing.T) {
 			t.Fatalf("duplicate node ID %d", n.ID)
 		}
 		ids[n.ID] = true
+	}
+}
+
+// TestExecutorPanicReraised: a helper's panic reaches the caller of
+// Run, after every helper has exited and no task claimed after the
+// panic has started.
+func TestExecutorPanicReraised(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	e := NewExecutor(4)
+	var live atomic.Int64
+	release := make(chan struct{})
+	caller := make(chan struct{})
+	tasks := make([]func(), 64)
+	for i := range tasks {
+		i := i
+		tasks[i] = func() {
+			live.Add(1)
+			defer live.Add(-1)
+			switch i {
+			case 0:
+				close(caller) // the caller holds task 0 until a helper has panicked
+				<-release
+			case 1:
+				<-caller
+				defer close(release)
+				panic("task 1 failed")
+			}
+		}
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run(tasks)
+	}()
+	if got != "task 1 failed" {
+		t.Fatalf("Run re-raised %v, want the helper's panic", got)
+	}
+	if n := live.Load(); n != 0 {
+		t.Fatalf("%d tasks still running after Run returned", n)
+	}
+	if n := e.busy.Load(); n != 0 {
+		t.Fatalf("busy count %d after Run returned: a helper outlived it", n)
+	}
+}
+
+// gauge records the most tasks running at once.
+type gauge struct {
+	mu        sync.Mutex
+	cur, peak int64
+}
+
+// task occupies the gauge for d.
+func (g *gauge) task(d time.Duration) {
+	g.mu.Lock()
+	g.cur++
+	g.peak = max(g.peak, g.cur)
+	g.mu.Unlock()
+	time.Sleep(d)
+	g.mu.Lock()
+	g.cur--
+	g.mu.Unlock()
+}
+
+// peakConcurrency runs n sleeping tasks and reports the most that were
+// running at once.
+func peakConcurrency(e *Executor, n int) int64 {
+	var g gauge
+	tasks := make([]func(), n)
+	for i := range tasks {
+		// Long enough for every idle processor's helper to start and
+		// claim a task of its own.
+		tasks[i] = func() { g.task(5 * time.Millisecond) }
+	}
+	e.Run(tasks)
+	return g.peak
+}
+
+// TestExecutorGate pins the processor gate at GOMAXPROCS(2): with two
+// roots entered Run spawns no helper, with one it spawns one.
+func TestExecutorGate(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := NewExecutor(4)
+
+	e.Enter()
+	e.Enter()
+	if p := peakConcurrency(e, 8); p != 1 {
+		t.Fatalf("two roots entered: peak concurrency %d, want 1 (no helper)", p)
+	}
+	e.Leave()
+	if p := peakConcurrency(e, 8); p > 2 {
+		t.Fatalf("one root entered: peak concurrency %d, want at most 2", p)
+	}
+	e.Leave()
+	if n := e.busy.Load(); n != 0 {
+		t.Fatalf("busy count %d after every root left", n)
+	}
+}
+
+// TestExecutorHelperYields: a helper that took an idle processor gives
+// it back after its task once a root enters and wants it, so the rest
+// of the Run is the caller's alone.
+func TestExecutorHelperYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := NewExecutor(4)
+	e.Enter()
+	entered := make(chan struct{})
+	var g gauge
+	tasks := make([]func(), 8)
+	tasks[0] = func() { <-entered } // the caller's first claim
+	tasks[1] = func() {             // the helper's first claim
+		e.Enter() // a second root arrives while the helper runs
+		close(entered)
+	}
+	for i := 2; i < len(tasks); i++ {
+		tasks[i] = func() { g.task(time.Millisecond) }
+	}
+	e.Run(tasks)
+	if p := g.peak; p != 1 {
+		t.Fatalf("peak concurrency %d after the second root entered, want 1", p)
+	}
+	if n := e.busy.Load(); n != 2 {
+		t.Fatalf("busy count %d after Run, want the two roots", n)
 	}
 }

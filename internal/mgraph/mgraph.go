@@ -116,6 +116,14 @@ type StubRecorder interface {
 	RecordOptionalStub(path string)
 }
 
+// Fanout is implemented by evaluation contexts that can evaluate a
+// node's operands concurrently.  RunAll runs every task and returns
+// when all have completed; a panic in a task is re-raised on the
+// caller.  Contexts without it evaluate operands serially.
+type Fanout interface {
+	RunAll(tasks []func())
+}
+
 // Node is one m-graph operation.
 type Node interface {
 	// Eval executes the subgraph.
@@ -713,14 +721,33 @@ func (n *InitializersNode) String() string { return opString("initializers", nil
 
 // ---- helpers ----
 
+// evalAll evaluates children in operand order, or concurrently through
+// the context's Fanout.  Either way results are joined by operand
+// index and the first error by operand order wins.
 func evalAll(ctx Context, children []Node) ([]*Value, error) {
-	out := make([]*Value, 0, len(children))
-	for _, c := range children {
-		v, err := c.Eval(ctx)
+	out := make([]*Value, len(children))
+	f, ok := ctx.(Fanout)
+	if !ok || len(children) < 2 {
+		for i, c := range children {
+			v, err := c.Eval(ctx)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	errs := make([]error, len(children))
+	tasks := make([]func(), len(children))
+	for i, c := range children {
+		i, c := i, c
+		tasks[i] = func() { out[i], errs[i] = c.Eval(ctx) }
+	}
+	f.RunAll(tasks)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v)
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package osim
 
 import (
+	"errors"
 	"fmt"
 
 	"omos/internal/image"
@@ -43,37 +44,49 @@ func (e *PageError) Error() string {
 	return fmt.Sprintf("osim: %s fault at %#x", e.Op, e.Addr)
 }
 
+// ErrReleased refuses to map a frame segment an eviction already
+// released.
+var ErrReleased = errors.New("segment released")
+
 // MapShared inserts the segment's frames into the page table, adding
-// references.  Pages must not already be mapped.
-func (as *AddressSpace) MapShared(seg *FrameSeg) error {
-	for i, f := range seg.Frames {
-		va := seg.Addr + uint64(i)*PageSize
-		if _, dup := as.pages[va]; dup {
-			return fmt.Errorf("osim: MapShared %s: page %#x already mapped", seg.Name, va)
-		}
-		as.ft.Ref(f)
-		as.pages[va] = pte{frame: f, perm: image.Perm(seg.Perm)}
-	}
-	return nil
+// references, and returns the number of pages mapped.  Pages must not
+// already be mapped.
+func (as *AddressSpace) MapShared(seg *FrameSeg) (int, error) {
+	return as.mapFrames("MapShared", seg, seg.Addr)
 }
 
 // MapSharedAt maps the segment's frames at a base other than the one
 // they were materialized for.  Used to rebase position-independent
 // libraries: the frames are byte-identical at any base, so they stay
 // shared across processes that map them at different addresses.
-func (as *AddressSpace) MapSharedAt(seg *FrameSeg, addr uint64) error {
+func (as *AddressSpace) MapSharedAt(seg *FrameSeg, addr uint64) (int, error) {
 	if addr%PageSize != 0 {
-		return fmt.Errorf("osim: MapSharedAt %s: unaligned address %#x", seg.Name, addr)
+		return 0, fmt.Errorf("osim: MapSharedAt %s: unaligned address %#x", seg.Name, addr)
+	}
+	return as.mapFrames("MapSharedAt", seg, addr)
+}
+
+// mapFrames maps seg's frames at base under the frame table lock, so a
+// concurrent Release either happens first (the segment is refused) or
+// waits until every frame carries the new mapping's reference.
+func (as *AddressSpace) mapFrames(op string, seg *FrameSeg, base uint64) (int, error) {
+	ft := as.ft
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if seg.Frames == nil {
+		return 0, fmt.Errorf("osim: %s %s: %w", op, seg.Name, ErrReleased)
+	}
+	for i := range seg.Frames {
+		va := base + uint64(i)*PageSize
+		if _, dup := as.pages[va]; dup {
+			return 0, fmt.Errorf("osim: %s %s: page %#x already mapped", op, seg.Name, va)
+		}
 	}
 	for i, f := range seg.Frames {
-		va := addr + uint64(i)*PageSize
-		if _, dup := as.pages[va]; dup {
-			return fmt.Errorf("osim: MapSharedAt %s: page %#x already mapped", seg.Name, va)
-		}
-		as.ft.Ref(f)
-		as.pages[va] = pte{frame: f, perm: image.Perm(seg.Perm)}
+		f.refs++
+		as.pages[base+uint64(i)*PageSize] = pte{frame: f, perm: image.Perm(seg.Perm)}
 	}
-	return nil
+	return len(seg.Frames), nil
 }
 
 // MapPrivate allocates fresh frames at [addr, addr+memSize), copying

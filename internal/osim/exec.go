@@ -72,10 +72,11 @@ func (k *Kernel) MapExecFile(p *Process, path string, f *image.ExecFile, delta u
 		if s.Perm&image.PermW == 0 {
 			fs := roSegs[ro]
 			ro++
-			if err := p.AS.MapSharedAt(fs, s.Addr+delta); err != nil {
+			pages, err := p.AS.MapSharedAt(fs, s.Addr+delta)
+			if err != nil {
 				return err
 			}
-			n := uint64(len(fs.Frames)) * k.Cost.MapPageShared
+			n := uint64(pages) * k.Cost.MapPageShared
 			if sys {
 				p.ChargeSys(n)
 			} else {

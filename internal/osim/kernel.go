@@ -201,10 +201,11 @@ func (p *Process) ChargeWait(n uint64) { atomic.AddUint64(&p.Clock.Wait, n) }
 // OMOS mappings).
 func (p *Process) MapSharedSegs(segs []*FrameSeg, server bool) error {
 	for _, s := range segs {
-		if err := p.AS.MapShared(s); err != nil {
+		pages, err := p.AS.MapShared(s)
+		if err != nil {
 			return err
 		}
-		n := uint64(len(s.Frames)) * p.Kern.Cost.MapPageShared
+		n := uint64(pages) * p.Kern.Cost.MapPageShared
 		if server {
 			p.ChargeServer(n + p.Kern.Cost.ServerMapSegment)
 		} else {

@@ -85,10 +85,10 @@ func TestFrameSharingAccounting(t *testing.T) {
 	}
 	as1 := NewAddressSpace(ft)
 	as2 := NewAddressSpace(ft)
-	if err := as1.MapShared(seg); err != nil {
+	if _, err := as1.MapShared(seg); err != nil {
 		t.Fatal(err)
 	}
-	if err := as2.MapShared(seg); err != nil {
+	if _, err := as2.MapShared(seg); err != nil {
 		t.Fatal(err)
 	}
 	st := ft.Stats()
@@ -96,7 +96,7 @@ func TestFrameSharingAccounting(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Double-mapping the same page must fail, not corrupt.
-	if err := as1.MapShared(seg); err == nil {
+	if _, err := as1.MapShared(seg); err == nil {
 		t.Fatal("double map succeeded")
 	}
 	as1.Destroy()
@@ -119,14 +119,14 @@ func TestMapSharedAtRebased(t *testing.T) {
 		t.Fatal(err)
 	}
 	as := NewAddressSpace(ft)
-	if err := as.MapSharedAt(seg, 0x40000); err != nil {
+	if _, err := as.MapSharedAt(seg, 0x40000); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 2)
 	if err := as.Read(0x40000, buf); err != nil || buf[0] != 0xAA {
 		t.Fatalf("rebased read: %v %v", buf, err)
 	}
-	if err := as.MapSharedAt(seg, 0x40001); err == nil {
+	if _, err := as.MapSharedAt(seg, 0x40001); err == nil {
 		t.Fatal("unaligned rebase accepted")
 	}
 }

@@ -8,13 +8,13 @@ import (
 
 // InstantiateBatch instantiates a vector of meta-objects in one
 // request, fanning the items across the build executor's worker pool
-// (inline fallback when saturated, so nested fan-outs cannot
-// deadlock).  Each item is an independent top-level instantiation —
-// admission-gated individually, recorded as its own build-graph run —
-// and done is invoked exactly once per index, from whichever
-// goroutine finishes the item, in completion order.  A per-item
-// failure (including an admission shed) lands only in that item's
-// done call and never aborts its siblings.
+// (the calling goroutine always claims items itself, so nested
+// fan-outs cannot deadlock).  Each item is an independent top-level
+// instantiation — admission-gated individually, recorded as its own
+// build-graph run — and done is invoked exactly once per index, from
+// whichever goroutine finishes the item, in completion order.  A
+// per-item failure (including an admission shed) lands only in that
+// item's done call and never aborts its siblings.
 //
 // When p is non-nil, the requester is charged Cost.IPCBatchItem per
 // item up front: the amortized dispatch share of one exchange, in

@@ -495,3 +495,42 @@ func TestMaterializeReleasesFramesOnFailure(t *testing.T) {
 		t.Fatalf("%d frames live after the failed materialize, want the baseline %d", got, base)
 	}
 }
+
+// TestEvictDuringMap races MapInstance against Evict: a mapping either
+// takes every frame of a segment before the eviction releases it, and
+// the process runs, or is refused with osim.ErrReleased — never an
+// empty segment mapped.
+func TestEvictDuringMap(t *testing.T) {
+	s := newTestServer(t)
+	name := defineConcurrentWorld(t, s, 1)[0]
+	for round := 0; round < 20; round++ {
+		inst, err := s.Instantiate(name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evicted := make(chan struct{})
+		go func() {
+			defer close(evicted)
+			s.Evict("/lib/ca")
+		}()
+		refused := false
+		for i := 0; i < 50 && !refused; i++ {
+			p := s.Kernel().Spawn()
+			if err := s.MapInstance(p, inst); err != nil {
+				if !errors.Is(err, osim.ErrReleased) {
+					t.Fatalf("map: %v, want osim.ErrReleased", err)
+				}
+				refused = true
+			} else if err := p.SetupStack(nil); err != nil {
+				t.Fatal(err)
+			} else {
+				p.CPU.PC = inst.Entry()
+				if code, err := s.Kernel().RunToExit(p); err != nil || code != 60 {
+					t.Fatalf("round %d: exit = %d, %v; want 60", round, code, err)
+				}
+			}
+			p.Release()
+		}
+		<-evicted
+	}
+}

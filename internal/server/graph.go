@@ -24,7 +24,8 @@ func (s *Server) GraphReport() string { return s.graph.Render() }
 // context's current node (nothing is recorded outside a run) — with
 // the node in produce's context and charger, so deeper stages hang
 // children under it and tee their cycles into it.  A panic anywhere in
-// produce (evaluation, specialization, injected faults) fails this
+// produce (evaluation, specialization, injected faults), including one
+// the build executor re-raised from a helper goroutine, fails this
 // node — and therefore the request — but never the goroutine it runs
 // on; it is counted in Recovered and returned as the node's error.
 // The node then finishes with the outcome the producing stage set
@@ -33,6 +34,10 @@ func (s *Server) inNode(ctx context.Context, name string, kind buildgraph.Kind, 
 	produce func(context.Context, charger) (*Instance, error)) (inst *Instance, err error) {
 	var node *buildgraph.Node
 	if root {
+		// A root holds one processor of the build executor for its
+		// lifetime, so other requests' fan-outs do not take it.
+		s.exec.Enter()
+		defer s.exec.Leave()
 		node = s.graph.Begin(name, kind)
 	} else {
 		node = buildgraph.NodeFrom(ctx).Child(name, kind)

@@ -11,7 +11,7 @@ import (
 
 // This file implements the concurrent instantiation pipeline: one
 // instantiation fans its distinct library dependencies out across the
-// build graph's bounded worker pool (buildgraph.Executor), joining
+// build graph's worker pool (buildgraph.Executor), joining
 // the results in dependency order so cache keys, externsOf's
 // first-definition-wins semantics, and symbol tables come out exactly
 // as a serial build would produce them.  Each dependency branch is
@@ -19,19 +19,20 @@ import (
 // still guarantees overlapping subtrees across concurrent requests
 // are each built exactly once.
 
-// DefaultBuildWorkers is the default bound on concurrent library
-// builds per server.  It is a fixed constant rather than GOMAXPROCS so
-// the simulated cost accounting (and thus the benchmark tables) is
-// identical on every machine.
+// DefaultBuildWorkers is the default width of one fan-out: the
+// makespan the dependency join charges divides by it.  It is a fixed
+// constant rather than GOMAXPROCS so the simulated cost accounting
+// (and thus the benchmark tables) is identical on every machine; how
+// many helpers actually run is the executor's processor gate.
 const DefaultBuildWorkers = 4
 
-// SetBuildWorkers bounds the dependency fan-out to n concurrent
-// builds; n <= 1 restores the fully serial pipeline (used by the
+// SetBuildWorkers sets the fan-out width to n; n <= 1 restores the
+// fully serial pipeline, operand evaluation included (used by the
 // contention-ablation benchmark and the deterministic crash-resume
 // tests).  Not safe to call while instantiations are in flight.
 func (s *Server) SetBuildWorkers(n int) { s.exec.SetWorkers(n) }
 
-// BuildWorkers returns the current fan-out bound.
+// BuildWorkers returns the current fan-out width.
 func (s *Server) BuildWorkers() int { return s.exec.Workers() }
 
 // charger receives simulated server cycles.  *osim.Process implements
@@ -86,7 +87,7 @@ func withNode(c charger, node *buildgraph.Node) charger {
 
 // instantiateDeps resolves library dependencies (deduplicated by
 // path+spec, order preserved) into instances, building distinct
-// dependencies concurrently when the worker pool allows.
+// dependencies concurrently on processors no other request holds.
 //
 // Cost model: a branch's cycles are accumulated on a private tally and
 // the requester is charged the makespan of running the branches on

@@ -14,7 +14,8 @@
 //
 // The server is safe for concurrent use and built to scale with it:
 // many clients instantiate at once, and one instantiation fans its
-// library dependencies out across a bounded worker pool (parallel.go).
+// library dependencies (parallel.go) and its operands' evaluation out
+// onto the processors no other request holds (buildgraph.Executor).
 // Instead of a single global mutex, state is split into independent
 // locks so cache hits never contend with builds:
 //
@@ -528,8 +529,10 @@ type Server struct {
 
 	stats statsCounters
 
-	// exec is the build graph's bounded worker pool: the dependency
-	// fan-out submits one task per node (see parallel.go).
+	// exec is the build graph's worker pool: the dependency fan-out
+	// submits one task per node (see parallel.go), evaluation one per
+	// operand (evalCtx.RunAll); its processor gate counts the roots
+	// in flight (inNode).
 	exec *buildgraph.Executor
 	// graph records every instantiation as an explicit build DAG with
 	// per-node outcomes, costs and checkpoints (graph.go).
@@ -805,6 +808,7 @@ var _ mgraph.Context = evalCtx{}
 var _ mgraph.HashGenerator = evalCtx{}
 var _ mgraph.OptionalResolver = evalCtx{}
 var _ mgraph.StubRecorder = evalCtx{}
+var _ mgraph.Fanout = evalCtx{}
 
 // canaryGenBit segregates canary-cohort hash generations from
 // baseline ones.  hashGen is a mutation counter that will never reach
@@ -853,6 +857,11 @@ func (c evalCtx) OptionalAvailable(p string) bool {
 func (c evalCtx) RecordOptionalStub(p string) {
 	c.s.stats.optionalStubsServed.Add(1)
 }
+
+// RunAll implements mgraph.Fanout: a node's operands evaluate on the
+// build executor, so they spread onto processors no other request
+// holds (SetBuildWorkers(1) keeps them serial).
+func (c evalCtx) RunAll(tasks []func()) { c.s.exec.Run(tasks) }
 
 // LookupObject implements mgraph.Context.
 func (c evalCtx) LookupObject(p string) (*obj.Object, error) {
