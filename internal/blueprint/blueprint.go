@@ -85,10 +85,8 @@ func (n *Node) write(sb *strings.Builder) {
 	}
 }
 
-// quoteString renders a string literal using only the escapes this
-// package's lexer understands (\\ \" \n \t \0); all other bytes are
-// emitted raw, which the lexer accepts.  strconv.Quote would emit \xNN
-// forms the lexer does not parse.
+// quoteString renders a string literal with five escapes (\\ \" \n
+// \t \0) and every other byte raw, which the lexer accepts.
 func quoteString(s string) string {
 	var sb strings.Builder
 	sb.WriteByte('"')
@@ -217,42 +215,52 @@ func (p *parser) sexp() (*Node, error) {
 	}
 }
 
+// stringLit reads a string literal.  Escapes are Go's (\a \b \f \n \r
+// \t \v \\ \" \xNN \uNNNN \UNNNNNNNN), the forms strconv.Quote and %q
+// write, plus \0 for a NUL byte; Go's octal \NNN is not accepted, so
+// \0 never absorbs the digits after it.  Raw bytes, newlines included
+// (source operator bodies commonly span lines), stand for themselves.
 func (p *parser) stringLit(line int) (*Node, error) {
 	p.pos++ // opening quote
 	var sb strings.Builder
 	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		switch c {
+		if n := strings.IndexAny(p.src[p.pos:], "\"\\\n"); n != 0 {
+			if n < 0 {
+				break
+			}
+			sb.WriteString(p.src[p.pos : p.pos+n])
+			p.pos += n
+		}
+		switch c := p.src[p.pos]; c {
 		case '"':
 			p.pos++
 			return &Node{Kind: KindString, Text: sb.String(), Line: line}, nil
-		case '\\':
-			p.pos++
-			if p.pos >= len(p.src) {
-				return nil, p.errf("unterminated escape")
-			}
-			switch p.src[p.pos] {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '"', '\\':
-				sb.WriteByte(p.src[p.pos])
-			case '0':
-				sb.WriteByte(0)
-			default:
-				return nil, p.errf("bad escape \\%c", p.src[p.pos])
-			}
-			p.pos++
 		case '\n':
-			// Multi-line strings are allowed (source operator bodies
-			// commonly span lines).
 			p.line++
 			sb.WriteByte(c)
 			p.pos++
-		default:
-			sb.WriteByte(c)
-			p.pos++
+		default: // '\\'
+			if p.pos+1 >= len(p.src) {
+				return nil, p.errf("unterminated escape")
+			}
+			switch e := p.src[p.pos+1]; {
+			case e == '0':
+				sb.WriteByte(0)
+				p.pos += 2
+				continue
+			case e == '\'' || e >= '1' && e <= '7':
+				return nil, p.errf("bad escape \\%c", e)
+			}
+			v, multibyte, tail, err := strconv.UnquoteChar(p.src[p.pos:], '"')
+			if err != nil {
+				return nil, p.errf("bad escape \\%c", p.src[p.pos+1])
+			}
+			if multibyte {
+				sb.WriteRune(v)
+			} else {
+				sb.WriteByte(byte(v))
+			}
+			p.pos = len(p.src) - len(tail)
 		}
 	}
 	return nil, p.errf("unterminated string literal")

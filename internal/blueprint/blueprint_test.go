@@ -1,6 +1,8 @@
 package blueprint
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -154,5 +156,38 @@ func TestStringControlCharRoundtrip(t *testing.T) {
 	}
 	if re.Args()[1].Text != n.List[2].Text {
 		t.Fatalf("roundtrip mangled: %q vs %q", re.Args()[1].Text, n.List[2].Text)
+	}
+}
+
+// Every blueprint writer quotes source text with strconv.Quote or %q;
+// the lexer must read back exactly what was quoted.
+func TestStringLiteralQuoteRoundTrip(t *testing.T) {
+	for _, s := range []string{
+		"\r\n",
+		"int main() {\r\n\treturn 0;\r\n}\r\n",
+		"nul:\x00 del:\x7f bell:\a bs:\b ff:\f vt:\v",
+		"invalid utf-8: \xff\xfe",
+		"h\u00e9llo \u2028 \U0001f600 \ufeff",
+		`quote:" slash:\ tick:'`,
+	} {
+		for _, quoted := range []string{strconv.Quote(s), fmt.Sprintf("%q", s)} {
+			n, err := Parse(`(source "c" ` + quoted + `)`)
+			if err != nil {
+				t.Fatalf("%s: %v", quoted, err)
+			}
+			if got := n.Args()[1].Text; got != s {
+				t.Fatalf("%s read back as %q, want %q", quoted, got, s)
+			}
+		}
+	}
+	// \0 is a NUL byte and never the start of an octal escape.
+	n, err := Parse(`(source "c" "\012")`)
+	if err != nil || n.Args()[1].Text != "\x0012" {
+		t.Fatalf("\\012: %v, %v; want NUL then 12", n, err)
+	}
+	for _, bad := range []string{`"\1"`, `"\'"`, `"\x4"`, `"\ud800"`, `"\q"`} {
+		if _, err := Parse(`(source "c" ` + bad + `)`); err == nil {
+			t.Errorf("Parse accepted %s", bad)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package blueprint
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // FuzzParse: the blueprint parser must never panic, and anything it
 // accepts must round-trip through String.
@@ -25,6 +28,24 @@ func FuzzParse(f *testing.F) {
 			if re.String() != n.String() {
 				t.Fatalf("print/parse unstable: %q vs %q", re.String(), n.String())
 			}
+		}
+	})
+}
+
+// FuzzBlueprintString: a source literal quoted the way every blueprint
+// writer quotes it reads back as the string that was quoted.
+func FuzzBlueprintString(f *testing.F) {
+	f.Add("int x = 0;\n")
+	f.Add("\r\n")
+	f.Add("\x00\x7f\xff")
+	f.Add("\u00e9\U0001f600")
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := Parse(`(source "c" ` + strconv.Quote(s) + `)`)
+		if err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		if got := n.Args()[1].Text; got != s {
+			t.Fatalf("read back %q, want %q", got, s)
 		}
 	})
 }

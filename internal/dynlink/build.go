@@ -159,7 +159,7 @@ func buildLinked(m *jigsaw.Module, name string, bases func(textSize uint64) (uin
 	// Exported dynamic symbols: everything except PLT machinery and
 	// the PLT stubs themselves (a module does not export the functions
 	// it merely imports).
-	for sym, addr := range res.Syms {
+	for sym, addr := range res.Image.Syms {
 		if strings.HasPrefix(sym, "$plt$") || funcSet[sym] {
 			continue
 		}
@@ -181,7 +181,7 @@ func buildLinked(m *jigsaw.Module, name string, bases func(textSize uint64) (uin
 	}
 	// Lazy slots: one per PLT stub, in index order.
 	var lazyFuncs []string
-	for sym := range res.Syms {
+	for sym := range res.Image.Syms {
 		if strings.HasPrefix(sym, pltSlotPrefix) {
 			lazyFuncs = append(lazyFuncs, strings.TrimPrefix(sym, pltSlotPrefix))
 		}
@@ -189,7 +189,7 @@ func buildLinked(m *jigsaw.Module, name string, bases func(textSize uint64) (uin
 	sort.Strings(lazyFuncs) // matches genPLT's index assignment
 	for i, fn := range lazyFuncs {
 		f.LazySlots = append(f.LazySlots, image.LazySlot{
-			Addr:   res.Syms[pltSlotPrefix+fn],
+			Addr:   res.Image.Syms[pltSlotPrefix+fn],
 			Symbol: fn,
 			Index:  uint32(i),
 		})

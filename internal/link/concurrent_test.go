@@ -67,11 +67,11 @@ func TestConcurrentLinkDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(serial.Syms, parallel.Syms) {
+	if !reflect.DeepEqual(serial.Image.Syms, parallel.Image.Syms) {
 		t.Fatal("exported symbol tables diverge")
 	}
-	if !reflect.DeepEqual(serial.AllSyms, parallel.AllSyms) {
-		t.Fatal("full symbol tables diverge")
+	if !reflect.DeepEqual(serial.Exports, parallel.Exports) {
+		t.Fatal("export side tables diverge")
 	}
 	if !reflect.DeepEqual(serial.AbsPatches, parallel.AbsPatches) {
 		t.Fatal("AbsPatches diverge (merge order not view order?)")

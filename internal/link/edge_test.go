@@ -92,7 +92,7 @@ here:
 		t.Fatalf("extern binds = %d, want 1", res.ExternBinds)
 	}
 	// The call to here must target the local definition.
-	hereAddr := res.Syms["here"]
+	hereAddr := res.Image.Syms["here"]
 	found := false
 	for _, p := range res.AbsPatches {
 		if p.Value == hereAddr {

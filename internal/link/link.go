@@ -151,23 +151,25 @@ type placement struct {
 	bssAddr  uint64
 }
 
-// Result is the output of Link.
+// Export describes one exported definition beyond its address: what
+// a client binding to it by name, a symbolizer, or Rebase needs.
+type Export struct {
+	Size uint64
+	Kind obj.SymKind
+	// Seg is SegText or SegData: the segment the definition lives in,
+	// hence which slide delta its address follows under Rebase.
+	Seg byte
+}
+
+// Result is the output of Link.  Its one symbol table is Image.Syms,
+// the exported names' addresses; Exports holds the rest of what is
+// known about exactly those names.  Module-local names live only for
+// the link that binds them.
 type Result struct {
-	Image *image.Image
-	// Syms maps exported symbol names to addresses (also stored in
-	// Image.Syms).  AllSyms additionally includes module-local names.
-	Syms    map[string]uint64
-	AllSyms map[string]uint64
-	// SymSegs classifies every name in AllSyms as SegText or SegData —
-	// the segment its definition lives in, hence which slide delta its
-	// address follows under Rebase.
-	SymSegs map[string]byte
+	Image   *image.Image
+	Exports map[string]Export
 	// EntrySeg is the entry symbol's segment class (0 when no entry).
 	EntrySeg byte
-	// SymSizes maps exported function/data names to their sizes.
-	SymSizes map[string]uint64
-	// SymKinds maps exported names to func/data kinds.
-	SymKinds map[string]obj.SymKind
 	// Unresolved lists deferred references (empty unless
 	// Options.AllowUndefined).
 	Unresolved []Unresolved
@@ -233,18 +235,8 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 		}
 	}
 
-	// Pass 2: place fragments.  Map capacities are hinted from the
-	// total definition count across views so the binding pass does not
-	// rehash while inserting.
-	totalDefs := 0
-	for _, lv := range views {
-		totalDefs += len(lv.Defs) + len(lv.Aliases)
-	}
+	// Pass 2: place fragments.
 	res := &Result{
-		Syms:     make(map[string]uint64, totalDefs),
-		AllSyms:  make(map[string]uint64, totalDefs),
-		SymSizes: make(map[string]uint64, totalDefs),
-		SymKinds: make(map[string]obj.SymKind, totalDefs),
 		GotSlots: make(map[string]uint64, len(gotOrder)),
 		TextBase: opts.TextBase,
 		DataBase: opts.DataBase,
@@ -307,11 +299,6 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 			return pl.bssAddr + s.Offset
 		}
 	}
-	// A bound name is cloned once here, as a GOT slot's name is in pass
-	// 1: the names a module carries are substrings of its objects' source
-	// (a compiled function's assembly text), and the Result's tables
-	// outlive the link in every cached image, so sharing them would keep
-	// all of that text alive.
 	type symBind struct {
 		ext   string
 		addr  uint64
@@ -355,7 +342,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 				continue
 			}
 			f.binds = append(f.binds, symBind{
-				ext: strings.Clone(d.Ext), addr: rawAddr[d.Raw],
+				ext: d.Ext, addr: rawAddr[d.Raw],
 				size: rawSize[d.Raw], kind: rawKind[d.Raw],
 				sec: rawSec[d.Raw], local: d.Local,
 			})
@@ -367,32 +354,51 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 				return
 			}
 			f.binds = append(f.binds, symBind{
-				ext: strings.Clone(a.Ext), addr: addr,
+				ext: a.Ext, addr: addr,
 				size: rawSize[a.TargetRaw], kind: rawKind[a.TargetRaw],
 				sec: rawSec[a.TargetRaw], local: a.Local,
 			})
 		}
 	})
-	// SymSegs records which segment each bound name lives in; pass 4
-	// classifies absolute patch values with it, and Rebase slides each
-	// symbol by its own segment's delta.
-	res.SymSegs = make(map[string]byte, totalDefs)
-	symSeg := res.SymSegs
+	// all binds every name, module-local ones included, to its address
+	// and segment: pass 4 resolves references and classifies absolute
+	// patch values with it, and it dies with the link.  The exported
+	// names go to the Result's tables, sized to them.  Each is cloned
+	// once, as a GOT slot's name is in pass 1: the names a module
+	// carries are substrings of its objects' source (a compiled
+	// function's assembly text), and the Result's tables outlive the
+	// link in every cached image, so sharing them would keep all of
+	// that text alive.
+	totalDefs, exported := 0, 0
+	for vi := range frags {
+		for _, b := range frags[vi].binds {
+			totalDefs++
+			if !b.local {
+				exported++
+			}
+		}
+	}
+	type boundSym struct {
+		addr uint64
+		seg  byte
+	}
+	all := make(map[string]boundSym, totalDefs)
+	syms := make(map[string]uint64, exported)
+	res.Exports = make(map[string]Export, exported)
 	for vi := range frags {
 		f := &frags[vi]
 		if f.err != nil {
 			return nil, f.err
 		}
 		for _, b := range f.binds {
-			if prev, dup := res.AllSyms[b.ext]; dup && prev != b.addr {
+			if prev, dup := all[b.ext]; dup && prev.addr != b.addr {
 				return nil, fmt.Errorf("link %s: multiple definitions of %s", opts.Name, b.ext)
 			}
-			res.AllSyms[b.ext] = b.addr
-			symSeg[b.ext] = b.sec
+			all[b.ext] = boundSym{b.addr, b.sec}
 			if !b.local {
-				res.Syms[b.ext] = b.addr
-				res.SymSizes[b.ext] = b.size
-				res.SymKinds[b.ext] = b.kind
+				ext := strings.Clone(b.ext)
+				syms[ext] = b.addr
+				res.Exports[ext] = Export{Size: b.size, Kind: b.kind, Seg: b.sec}
 			}
 		}
 	}
@@ -435,7 +441,8 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 		for _, r := range lv.Obj.Relocs {
 			f.numRelocs++
 			ext := lv.RefExt[r.Symbol]
-			target, bound := res.AllSyms[ext]
+			sym, bound := all[ext]
+			target := sym.addr
 			extern := false
 			if !bound && opts.Externs != nil {
 				if v, ok := opts.Externs[ext]; ok {
@@ -449,7 +456,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 			// moves when the image is rebased.
 			targetSeg := SegExtern
 			if bound && !extern {
-				targetSeg = symSeg[ext]
+				targetSeg = sym.seg
 			}
 			var site uint64
 			switch r.Section {
@@ -560,7 +567,7 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 
 	img := &image.Image{
 		Name: opts.Name,
-		Syms: res.Syms,
+		Syms: syms,
 	}
 	if len(textBuf) > 0 {
 		img.Segments = append(img.Segments, image.Segment{
@@ -577,12 +584,12 @@ func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 		})
 	}
 	if opts.Entry != "" {
-		e, ok := res.AllSyms[opts.Entry]
+		e, ok := all[opts.Entry]
 		if !ok {
 			return nil, fmt.Errorf("link %s: entry symbol %q undefined", opts.Name, opts.Entry)
 		}
-		img.Entry = e
-		res.EntrySeg = symSeg[opts.Entry]
+		img.Entry = e.addr
+		res.EntrySeg = e.seg
 	}
 	if err := img.Validate(); err != nil {
 		return nil, err

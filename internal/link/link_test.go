@@ -1,12 +1,15 @@
 package link
 
 import (
+	"reflect"
 	"regexp"
+	"sort"
 	"testing"
 
 	"omos/internal/asm"
 	"omos/internal/image"
 	"omos/internal/jigsaw"
+	"omos/internal/obj"
 	"omos/internal/osim"
 )
 
@@ -217,7 +220,7 @@ malloc:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, exported := res.Syms["_REAL_malloc"]; exported {
+	if _, exported := res.Image.Syms["_REAL_malloc"]; exported {
 		t.Fatal("_REAL_malloc should be hidden")
 	}
 	_, code := runImage(t, res.Image)
@@ -279,5 +282,58 @@ shared_var:
 	_, code := runImage(t, res.Image)
 	if code != 55 {
 		t.Fatalf("exit code = %d, want 55", code)
+	}
+}
+
+// A Result keeps exported names only: module-local definitions (an
+// object's .local labels, names a module operation hid) bind inside
+// the link and leave no trace in its tables.
+func TestResultHoldsNoLocalName(t *testing.T) {
+	prog := mustAsm(t, "prog.s", `
+.text
+.local helper
+_start:
+    call helper
+    call shown
+    call hidden
+    mov r1, r0
+    sys 1
+helper:
+    lea r2, =counter
+    ld r0, [r2+0]
+    ret
+shown:
+    movi r0, 1
+    ret
+hidden:
+    movi r0, 2
+    ret
+.data
+.local counter
+counter:
+    .quad 5
+`).Hide(regexp.MustCompile(`^hidden$`))
+	res, err := Link(prog, defaultOpts("locals"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"_start", "shown"}
+	var got, gotExports []string
+	for name := range res.Image.Syms {
+		got = append(got, name)
+	}
+	for name := range res.Exports {
+		gotExports = append(gotExports, name)
+	}
+	sort.Strings(got)
+	sort.Strings(gotExports)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotExports, want) {
+		t.Fatalf("symbols %v, exports %v; want exactly %v", got, gotExports, want)
+	}
+	if e := res.Exports["shown"]; e.Kind != obj.SymFunc || e.Seg != SegText {
+		t.Fatalf("shown: %+v, want a text function", e)
+	}
+	if _, code := runImage(t, res.Image); code != 2 {
+		t.Fatalf("exit code = %d, want 2 (the hidden definition, bound inside the link)", code)
 	}
 }

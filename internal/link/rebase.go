@@ -29,9 +29,10 @@ type RebaseInfo struct {
 
 // Rebase derives the image the module would produce if freshly linked
 // at (newText, newData), by sliding the cached result instead of
-// re-running the four link passes.  Segment bytes are copied, symbol
-// tables and GOT slots shift by their segment's delta, and only the
-// recorded patch sites are rewritten:
+// re-running the four link passes.  Segment bytes are copied, exported
+// addresses and GOT slots shift by their segment's delta (Exports, which
+// holds no address, is shared with the source), and only the recorded
+// patch sites are rewritten:
 //
 //   - AbsPatches: the site slides with its containing segment; the
 //     stored value slides with the segment its target lives in
@@ -70,7 +71,7 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 	// Patch and reloc sites are strictly interior to their segment
 	// (obj.Validate bounds site+8 by the section length), so the range
 	// test is exact for sites even though zero-size symbols may sit on
-	// a segment boundary — symbols are classified by SymSegs instead.
+	// a segment boundary — symbols are classified by Exports instead.
 	textEnd := res.TextBase + res.TextSize
 	siteSeg := func(a uint64) byte {
 		if res.TextSize > 0 && a >= res.TextBase && a < textEnd {
@@ -81,12 +82,8 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 	shiftSite := func(a uint64) uint64 { return a + deltaOf(siteSeg(a)) }
 
 	out := &Result{
-		Syms:        make(map[string]uint64, len(res.Syms)),
-		AllSyms:     make(map[string]uint64, len(res.AllSyms)),
-		SymSegs:     res.SymSegs,
+		Exports:     res.Exports,
 		EntrySeg:    res.EntrySeg,
-		SymSizes:    res.SymSizes,
-		SymKinds:    res.SymKinds,
 		GotSize:     res.GotSize,
 		NumRelocs:   res.NumRelocs,
 		ExternBinds: res.ExternBinds,
@@ -97,11 +94,9 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 		DataSize:    res.DataSize,
 		BSSSize:     res.BSSSize,
 	}
-	for name, a := range res.AllSyms {
-		out.AllSyms[name] = a + deltaOf(res.SymSegs[name])
-	}
-	for name := range res.Syms {
-		out.Syms[name] = out.AllSyms[name]
+	syms := make(map[string]uint64, len(res.Image.Syms))
+	for name, a := range res.Image.Syms {
+		syms[name] = a + deltaOf(res.Exports[name].Seg)
 	}
 	if res.GotSize > 0 {
 		out.GotBase = res.GotBase + deltaD
@@ -127,7 +122,7 @@ func Rebase(res *Result, newText, newData uint64) (*Result, error) {
 	}
 
 	// Copy segment bytes and apply the patch deltas.
-	img := &image.Image{Name: res.Image.Name, Syms: out.Syms}
+	img := &image.Image{Name: res.Image.Name, Syms: syms}
 	var textBuf, dataBuf []byte
 	for i := range res.Image.Segments {
 		seg := res.Image.Segments[i]

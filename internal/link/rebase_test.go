@@ -38,11 +38,11 @@ func sameResult(t *testing.T, got, want *Result) {
 	if got.Image.Entry != want.Image.Entry {
 		t.Fatalf("entry %#x, want %#x", got.Image.Entry, want.Image.Entry)
 	}
-	if !reflect.DeepEqual(got.Syms, want.Syms) {
-		t.Fatalf("Syms differ:\n got %v\nwant %v", got.Syms, want.Syms)
+	if !reflect.DeepEqual(got.Image.Syms, want.Image.Syms) {
+		t.Fatalf("Syms differ:\n got %v\nwant %v", got.Image.Syms, want.Image.Syms)
 	}
-	if !reflect.DeepEqual(got.AllSyms, want.AllSyms) {
-		t.Fatalf("AllSyms differ:\n got %v\nwant %v", got.AllSyms, want.AllSyms)
+	if !reflect.DeepEqual(got.Exports, want.Exports) {
+		t.Fatalf("Exports differ:\n got %v\nwant %v", got.Exports, want.Exports)
 	}
 	if got.GotBase != want.GotBase || got.GotSize != want.GotSize {
 		t.Fatalf("got region %#x+%d, want %#x+%d", got.GotBase, got.GotSize, want.GotBase, want.GotSize)

@@ -50,11 +50,11 @@ func (rt *Runtime) BuildPartialExec(metaName, execPath string) error {
 			if claimed[u] {
 				continue
 			}
-			kind, exported := inst.Res.SymKinds[u]
+			e, exported := inst.Res.Exports[u]
 			if !exported {
 				continue
 			}
-			if kind != obj.SymFunc {
+			if e.Kind != obj.SymFunc {
 				return fmt.Errorf("loader: %s: %s references shared variable %q in %s; "+
 					"partial-image libraries cannot export data — access it through a procedure (§4.2)",
 					metaName, execPath, u, dep.Path)

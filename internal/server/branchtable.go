@@ -61,7 +61,7 @@ func (pl *plan) slotsIn(res *link.Result) (map[string]uint64, error) {
 	}
 	slots := make(map[string]uint64, len(pl.upward))
 	for _, f := range pl.upward {
-		slot, ok := res.Syms[btSlotPrefix+f]
+		slot, ok := res.Image.Syms[btSlotPrefix+f]
 		if !ok {
 			return nil, fmt.Errorf("server: %s: branch-table slot for %s missing", definerPath(pl.name), f)
 		}

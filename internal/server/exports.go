@@ -89,8 +89,8 @@ func (s *Server) ExportTable(inst *Instance) (*osim.FrameSeg, error) {
 	s.cacheMu.RUnlock()
 
 	var funcs []string
-	for name, kind := range inst.Res.SymKinds {
-		if kind == obj.SymFunc {
+	for name, e := range inst.Res.Exports {
+		if e.Kind == obj.SymFunc {
 			funcs = append(funcs, name)
 		}
 	}

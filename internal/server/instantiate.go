@@ -670,11 +670,10 @@ func (inst *Instance) Entry() uint64 { return inst.Res.Image.Entry }
 func (inst *Instance) SymbolAt(addr uint64) (name string, off uint64, owner string, ok bool) {
 	best := uint64(0)
 	for sym, a := range inst.Res.Image.Syms {
-		size := inst.Res.SymSizes[sym]
-		if size == 0 {
-			size = 1
-		}
-		if addr >= a && addr < a+size && (name == "" || a > best) {
+		size := max(inst.Res.Exports[sym].Size, 1)
+		// The innermost symbol wins; among aliases at one address, the
+		// smallest name, so the answer does not depend on map order.
+		if addr >= a && addr < a+size && (name == "" || a > best || a == best && sym < name) {
 			name, off, owner, ok = sym, addr-a, inst.Name, true
 			best = a
 		}

@@ -8,9 +8,9 @@ package server_test
 // alternative implementation of "link it fresh", and this test holds
 // each to that specification: for every program and library of
 // internal/workload, the image each path produces is compared byte for
-// byte with the one a fresh link produces at the same placement.  The
-// test lives outside package server because internal/workload imports
-// it.
+// byte with the one a fresh link produces at the same placement, and
+// its symbol table entry for entry.  The test lives outside package
+// server because internal/workload imports it.
 
 import (
 	"bytes"
@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"omos/internal/image"
+	"omos/internal/link"
 	"omos/internal/server"
 	"omos/internal/store"
 	"omos/internal/workload"
@@ -182,11 +183,15 @@ func libs(inst *server.Instance) uint64 { return uint64(len(inst.Libs)) }
 // binding table, branch-table slots) and the in-memory segment list.
 // A later rebase slides from the frames, which the record's ROSegs
 // already cover; the list adds the writable templates and the
-// read-only segments' metadata.
+// read-only segments' metadata.  The symbol table and its export side
+// table are the in-memory ones every lookup, symbolization and slide
+// reads: each producer must build the fresh link's, exports only.
 type snapshot struct {
-	rec   *store.Record
-	entry uint64
-	segs  []image.Segment
+	rec     *store.Record
+	entry   uint64
+	segs    []image.Segment
+	syms    map[string]uint64
+	exports map[string]link.Export
 }
 
 // snap also holds every producer to one copy of the image: an
@@ -198,7 +203,8 @@ func (w *world) snap(inst *server.Instance) snapshot {
 	// is a timestamp, not part of the resolution: worlds that defined
 	// extra variants are further along.
 	rec.Gen = 0
-	sn := snapshot{rec: rec, entry: inst.Entry(), segs: inst.Res.Image.Segments}
+	sn := snapshot{rec: rec, entry: inst.Entry(), segs: inst.Res.Image.Segments,
+		syms: inst.Res.Image.Syms, exports: inst.Res.Exports}
 	for _, seg := range sn.segs {
 		if seg.Perm&image.PermW == 0 && seg.Data != nil {
 			w.t.Errorf("%s keeps %d bytes of read-only segment %s outside its frames", inst.Name, len(seg.Data), seg.Name)
@@ -226,6 +232,8 @@ func same(t *testing.T, how, path string, want, got snapshot, slid bool) {
 	if !reflect.DeepEqual(got.segs, want.segs) {
 		t.Errorf("%s %s: in-memory image segments differ from the fresh link's", how, path)
 	}
+	sameTable(t, how+" "+path+": symbol", want.syms, got.syms)
+	sameTable(t, how+" "+path+": export", want.exports, got.exports)
 	wrec, grec := *want.rec, *got.rec
 	if slid {
 		if grec.Bindings != nil {
@@ -249,6 +257,22 @@ func same(t *testing.T, how, path string, want, got snapshot, slid bool) {
 		if !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
 			t.Errorf("%s %s: %s differs from the fresh link:\n got  %.300s\n want %.300s", how, path,
 				w.Type().Field(i).Name, fmt.Sprint(g.Field(i).Interface()), fmt.Sprint(w.Field(i).Interface()))
+		}
+	}
+}
+
+// sameTable fails the test, naming each differing entry, unless got
+// holds exactly want's names with want's values.
+func sameTable[V comparable](t *testing.T, what string, want, got map[string]V) {
+	t.Helper()
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s %s: got %v (present %v), fresh link has %v", what, name, g, ok, w)
+		}
+	}
+	for name, g := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s %s: %v, absent from the fresh link's table", what, name, g)
 		}
 	}
 }

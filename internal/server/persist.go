@@ -407,12 +407,10 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		sym := store.Sym{Name: n, Addr: inst.Res.Image.Syms[n], Size: inst.Res.SymSizes[n], Kind: store.KindNone}
-		if k, ok := inst.Res.SymKinds[n]; ok {
-			sym.Kind = uint8(k)
-		}
-		sym.Seg = inst.Res.SymSegs[n]
-		rec.Syms = append(rec.Syms, sym)
+		e := inst.Res.Exports[n]
+		rec.Syms = append(rec.Syms, store.Sym{
+			Name: n, Addr: inst.Res.Image.Syms[n], Size: e.Size, Kind: uint8(e.Kind), Seg: e.Seg,
+		})
 	}
 	for _, seg := range inst.ROSegs {
 		data, ok := s.kern.FT.SegBytes(seg)
@@ -526,14 +524,10 @@ func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Insta
 // mesh blob-install path, which decodes a peer's record instead of a
 // store entry, adds them from the record (fetchedResult).
 func resultFromRecord(rec *store.Record) *link.Result {
-	im := &image.Image{Name: rec.Name, Entry: rec.Entry, Syms: map[string]uint64{}}
+	im := &image.Image{Name: rec.Name, Entry: rec.Entry, Syms: make(map[string]uint64, len(rec.Syms))}
 	res := &link.Result{
 		Image:       im,
-		Syms:        im.Syms,
-		AllSyms:     map[string]uint64{},
-		SymSizes:    map[string]uint64{},
-		SymKinds:    map[string]obj.SymKind{},
-		SymSegs:     make(map[string]byte, len(rec.Syms)),
+		Exports:     make(map[string]link.Export, len(rec.Syms)),
 		NumRelocs:   int(rec.NumRelocs),
 		ExternBinds: int(rec.ExternBinds),
 		TextBase:    rec.ResTextBase,
@@ -545,16 +539,7 @@ func resultFromRecord(rec *store.Record) *link.Result {
 	}
 	for _, sym := range rec.Syms {
 		im.Syms[sym.Name] = sym.Addr
-		res.AllSyms[sym.Name] = sym.Addr
-		if sym.Size > 0 {
-			res.SymSizes[sym.Name] = sym.Size
-		}
-		if sym.Kind != store.KindNone {
-			res.SymKinds[sym.Name] = obj.SymKind(sym.Kind)
-		}
-		if sym.Seg != 0 {
-			res.SymSegs[sym.Name] = sym.Seg
-		}
+		res.Exports[sym.Name] = link.Export{Size: sym.Size, Kind: obj.SymKind(sym.Kind), Seg: sym.Seg}
 	}
 	// Everything link.Rebase needs beyond the symbols and the read-only
 	// bytes: patch sites and segments.

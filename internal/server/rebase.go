@@ -36,11 +36,11 @@ func contentKeyProg(subHash string, libs []*Instance) string {
 
 // rebaseSource reports whether a cached instance carries everything
 // link.Rebase needs besides its frames: segment metadata and the
-// per-symbol segment classes recorded at link time.  Branch-table
+// exports' segment classes recorded at link time.  Branch-table
 // libraries carry no content key and never reach the variants index.
 func rebaseSource(src *Instance) bool {
 	r := src.Res
-	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.SymSegs != nil
+	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.Exports != nil
 }
 
 // tryRebase attempts to serve a placement miss from a content hit:

@@ -543,6 +543,33 @@ int main() { return alpha(); }
 	}
 }
 
+// Aliases share an address; SymbolAt names the smallest of them every
+// time, not whichever a map iteration meets first.
+func TestSymbolAtAliasDeterministic(t *testing.T) {
+	s := newTestServer(t)
+	if err := s.Define("/bin/alias", `
+(merge /lib/crt0.o (copy-as "^f$" "g" (source "c" "
+int f() { return 1; }
+int main() { return f(); }
+")))
+`); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Instantiate("/bin/alias", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, ok := inst.Res.Image.Syms["f"]
+	if !ok || inst.Res.Image.Syms["g"] != addr {
+		t.Fatalf("f at %#x (%v), g at %#x; want one address", addr, ok, inst.Res.Image.Syms["g"])
+	}
+	for i := 0; i < 200; i++ {
+		if name, off, _, ok := inst.SymbolAt(addr + 4); !ok || name != "f" || off != 4 {
+			t.Fatalf("call %d: SymbolAt = %s+%d ok=%v, want f+4", i, name, off, ok)
+		}
+	}
+}
+
 func TestExportMetaAndObject(t *testing.T) {
 	s := newTestServer(t)
 	if err := s.Define("/bin/m", "(merge /lib/crt0.o)"); err != nil {
