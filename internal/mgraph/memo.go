@@ -3,13 +3,12 @@ package mgraph
 import "sync"
 
 // HashGenerator is optionally implemented by a Context whose namespace
-// contents are versioned.  HashGeneration returns a counter that the
-// context bumps on every namespace mutation (define, put-object,
-// remove, mount change).  While the generation is unchanged the
-// namespace is immutable, so subtree hashes — which depend only on the
-// graph structure and the content of the entries it references — can
-// be memoized per node and the warm instantiation path does zero
-// re-hashing.
+// contents are versioned.  HashGeneration returns the number of the
+// immutable namespace version the context reads; distinct versions
+// have distinct numbers.  Within one version subtree hashes — which
+// depend only on the graph structure and the content of the entries it
+// references — cannot change, so they are memoized per node and the
+// warm instantiation path does zero re-hashing.
 //
 // A Context that does not implement HashGenerator gets the old
 // behavior: every Hash call recomputes the full subtree digest.
@@ -18,7 +17,7 @@ type HashGenerator interface {
 }
 
 // hashMemo caches one node's subtree hash for a single namespace
-// generation.  Nodes are shared between concurrent evaluations (the
+// version.  Nodes are shared between concurrent evaluations (the
 // server stores one graph per meta-object and many clients instantiate
 // it at once), so the memo is internally locked.  The lock is held
 // across the compute function: concurrent hashers of the same subtree
@@ -32,8 +31,8 @@ type hashMemo struct {
 	val string
 }
 
-// resolve returns the cached hash if it is valid for the context's
-// current generation, computing and caching it otherwise.
+// resolve returns the cached hash if it was computed for the context's
+// version, computing and caching it otherwise.
 func (m *hashMemo) resolve(ctx Context, compute func() (string, error)) (string, error) {
 	g, versioned := ctx.(HashGenerator)
 	if !versioned {

@@ -265,18 +265,19 @@ func TestConcurrentRemoveRedefineRebuilds(t *testing.T) {
 }
 
 // TestConcurrentMountInvalidatesHashes: attaching or detaching a
-// remote mount changes what paths can resolve to, so it must bump the
-// hash generation like any namespace write.
+// remote mount changes what paths can resolve to, so it must publish a
+// new namespace version, with a fresh hash memo, like any namespace
+// write.
 func TestConcurrentMountInvalidatesHashes(t *testing.T) {
 	s := newTestServer(t)
-	g0 := s.hashGen.Load()
+	g0 := s.ns.Load().num
 	s.Mount("/remote", failFetcher{})
-	if s.hashGen.Load() == g0 {
+	if s.ns.Load().num <= g0 {
 		t.Fatal("Mount did not invalidate memoized hashes")
 	}
-	g1 := s.hashGen.Load()
+	g1 := s.ns.Load().num
 	s.Unmount("/remote")
-	if s.hashGen.Load() == g1 {
+	if s.ns.Load().num <= g1 {
 		t.Fatal("Unmount did not invalidate memoized hashes")
 	}
 }

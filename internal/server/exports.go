@@ -34,14 +34,14 @@ func HashName(name string) uint64 {
 // covering its transitive references (the version identity used by
 // partial-image stub validation).
 func (s *Server) ContentHashOf(path string) (string, error) {
-	return evalCtx{s: s}.ContentHash(path)
+	return s.current().ContentHash(path)
 }
 
 // EvalProgram evaluates a program meta-object without linking it,
 // returning its value (module + library deps).  The loader package
 // uses this to build partial-image executables (§4.2).
 func (s *Server) EvalProgram(name string) (*mgraph.Value, *mgraph.Meta, error) {
-	c := evalCtx{s: s}
+	c := s.current()
 	meta, err := c.LookupMeta(name)
 	if err != nil {
 		return nil, nil, err
@@ -65,7 +65,7 @@ func (s *Server) InstantiateLib(dep mgraph.LibDep, p *osim.Process) (*Instance, 
 	// differs.
 	impl := dep
 	impl.Spec.Kind = "lib-static"
-	return s.libraryImage(context.Background(), impl, asCharger(p))
+	return s.libraryImage(withVersion(context.Background(), s.ns.Load()), impl, asCharger(p))
 }
 
 // ExportTable returns (building and caching on first use) the

@@ -55,7 +55,8 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 		return nil, err
 	}
 	defer release()
-	c := evalCtx{s: s}
+	// The request reads this one namespace version until it replies.
+	c := s.current()
 	meta, err := c.LookupMeta(name)
 	if err != nil {
 		return nil, err
@@ -65,17 +66,17 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 	}
 	// Canary placement (upgrade.go): during an upgrade epoch a
 	// deterministic fraction of top-level instantiations joins the v2
-	// cohort — their evaluations see the staged definitions, and their
-	// outcomes feed the health gate.
-	cohort := s.canaryPick(name, meta)
+	// cohort — they read the epoch's staged version, and their outcomes
+	// feed the health gate.
+	cohort := s.canaryPick(c.v, name, meta)
 	if cohort {
-		ctx = withCanary(ctx)
-		c = evalCtx{s: s, v2: true}
+		c.v = c.v.staged
 		s.stats.canaryInstantiations.Add(1)
 		if m2, err2 := c.LookupMeta(name); err2 == nil && m2 != nil {
 			meta = m2
 		}
 	}
+	ctx = withVersion(ctx, c.v)
 	kind := buildgraph.KindProgram
 	if meta.IsLibrary {
 		kind = buildgraph.KindLibrary
@@ -114,7 +115,7 @@ func (s *Server) InstantiateBlueprint(src string, p *osim.Process) (*Instance, e
 	}
 	meta := &mgraph.Meta{Path: "(anonymous)", Root: root, SrcHash: digestStr(src)}
 	name := "(anonymous:" + meta.SrcHash + ")"
-	return s.inNode(context.Background(), name, buildgraph.KindProgram, true, asCharger(p),
+	return s.inNode(withVersion(context.Background(), s.ns.Load()), name, buildgraph.KindProgram, true, asCharger(p),
 		func(ctx context.Context, c charger) (*Instance, error) { return s.programImage(ctx, name, meta, c) })
 }
 
@@ -382,7 +383,7 @@ func (s *Server) linkImage(ctx context.Context, pl *plan, c charger) (*Instance,
 	if pl.ckey != "" {
 		s.stats.rebaseMiss.Add(1)
 	}
-	if canaryFrom(ctx) {
+	if s.ectx(ctx).v.epoch != nil { // a canary build: it reads a staged version
 		if err := s.faults.Fire(fault.SiteUpgradeCanary); err != nil {
 			return nil, fmt.Errorf("server: canary build of %s: %w", pl.label, err)
 		}

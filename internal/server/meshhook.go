@@ -68,10 +68,10 @@ type MeshHook interface {
 // before the server sees traffic.
 func (s *Server) SetMesh(h MeshHook) { s.mesh = h }
 
-// NamespaceGen returns the namespace generation counter (bumped by
-// every mutation); gossip exchanges it so fleet-wide namespace skew is
-// observable.
-func (s *Server) NamespaceGen() uint64 { return s.hashGen.Load() }
+// NamespaceGen returns the published namespace version's number
+// (advanced by every mutation); gossip exchanges it so fleet-wide
+// namespace skew is observable.
+func (s *Server) NamespaceGen() uint64 { return s.ns.Load().num }
 
 // mruVariant returns the most recently used rebase-capable variant of
 // ckey, or nil.  Without a cached one it wakes the most recent dormant

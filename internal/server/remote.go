@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,16 +47,13 @@ func (s *Server) MountAllow(prefix string, f RemoteFetcher, allow bool) error {
 	if err := s.guardRebind("mount", prefix, allow); err != nil {
 		return err
 	}
-	s.nsMu.Lock()
-	s.mounts = append(s.mounts, mount{prefix: prefix, fetcher: f})
-	// Longest prefix first.
-	sort.Slice(s.mounts, func(i, j int) bool {
-		return len(s.mounts[i].prefix) > len(s.mounts[j].prefix)
+	s.writeNS(func(v *nsVersion) {
+		v.mounts = append(slices.Clip(v.mounts), mount{prefix: prefix, fetcher: f})
+		// Longest prefix first.
+		sort.Slice(v.mounts, func(i, j int) bool {
+			return len(v.mounts[i].prefix) > len(v.mounts[j].prefix)
+		})
 	})
-	s.nsMu.Unlock()
-	// A new mount changes what paths resolve to; memoized content
-	// hashes may no longer describe what a lookup would now find.
-	s.invalidateHashes()
 	return nil
 }
 
@@ -72,38 +70,35 @@ func (s *Server) UnmountAllow(prefix string, allow bool) error {
 	if err := s.guardRebind("unmount", prefix, allow); err != nil {
 		return err
 	}
-	s.nsMu.Lock()
-	keep := s.mounts[:0]
-	for _, m := range s.mounts {
-		if m.prefix != prefix {
-			keep = append(keep, m)
+	s.writeNS(func(v *nsVersion) {
+		var keep []mount
+		for _, m := range v.mounts {
+			if m.prefix != prefix {
+				keep = append(keep, m)
+			}
 		}
-	}
-	s.mounts = keep
-	s.nsMu.Unlock()
-	s.invalidateHashes()
+		v.mounts = keep
+	})
 	return nil
 }
 
-func (s *Server) mountFor(p string) *mount {
-	s.nsMu.RLock()
-	defer s.nsMu.RUnlock()
-	for i := range s.mounts {
-		m := &s.mounts[i]
-		if p == m.prefix || strings.HasPrefix(p, m.prefix+"/") {
-			return m
+// fetchRemote resolves a clean path v has no entry for through v's
+// mounts: the remote entry is fetched once and installed in the
+// namespace, where every later miss of the path finds it.  Returns
+// false when no mount covers the path.
+func (s *Server) fetchRemote(v *nsVersion, p string) (nsEntry, bool, error) {
+	var m *mount
+	for i := range v.mounts {
+		if p == v.mounts[i].prefix || strings.HasPrefix(p, v.mounts[i].prefix+"/") {
+			m = &v.mounts[i]
+			break
 		}
 	}
-	return nil
-}
-
-// fetchRemote pulls a missing namespace entry through its mount and
-// installs it locally.  Returns false when no mount covers the path.
-func (s *Server) fetchRemote(p string) (bool, error) {
-	p = cleanPath(p)
-	m := s.mountFor(p)
 	if m == nil {
-		return false, nil
+		return nsEntry{}, false, nil
+	}
+	if e, ok := s.ns.Load().entries[p]; ok {
+		return e, true, nil
 	}
 	// Try a meta-object first; fall back to a raw object.
 	src, isLib, metaErr := m.fetcher.FetchMeta(p)
@@ -112,52 +107,29 @@ func (s *Server) fetchRemote(p string) (bool, error) {
 		// allowed); installing the fetched entry locally is its sanctioned
 		// consequence, not a second mutation to re-approve.
 		if err := s.define(p, src, isLib, true); err != nil {
-			return false, fmt.Errorf("server: importing remote meta %s: %w", p, err)
+			return nsEntry{}, false, fmt.Errorf("server: importing remote meta %s: %w", p, err)
 		}
-		return true, nil
+	} else {
+		blob, objErr := m.fetcher.FetchObject(p)
+		if objErr != nil {
+			return nsEntry{}, false, fmt.Errorf("server: remote %s: %v / %v", p, metaErr, objErr)
+		}
+		o, err := obj.Decode(blob)
+		if err != nil {
+			return nsEntry{}, false, fmt.Errorf("server: decoding remote object %s: %w", p, err)
+		}
+		if err := s.PutObject(p, o); err != nil {
+			return nsEntry{}, false, err
+		}
 	}
-	blob, objErr := m.fetcher.FetchObject(p)
-	if objErr != nil {
-		return false, fmt.Errorf("server: remote %s: %v / %v", p, metaErr, objErr)
-	}
-	o, err := obj.Decode(blob)
-	if err != nil {
-		return false, fmt.Errorf("server: decoding remote object %s: %w", p, err)
-	}
-	if err := s.PutObject(p, o); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// lookupEntry finds a namespace entry, consulting mounts on a miss.
-func (s *Server) lookupEntry(p string) (nsEntry, bool, error) {
-	p = cleanPath(p)
-	s.nsMu.RLock()
-	e, ok := s.ns[p]
-	s.nsMu.RUnlock()
-	if ok {
-		return e, true, nil
-	}
-	fetched, err := s.fetchRemote(p)
-	if err != nil {
-		return nsEntry{}, false, err
-	}
-	if !fetched {
-		return nsEntry{}, false, nil
-	}
-	s.nsMu.RLock()
-	e, ok = s.ns[p]
-	s.nsMu.RUnlock()
+	e, ok := s.ns.Load().entries[p]
 	return e, ok, nil
 }
 
 // ExportMeta returns the blueprint source of a local meta-object (the
 // server side of FetchMeta).
 func (s *Server) ExportMeta(p string) (src string, isLibrary bool, err error) {
-	s.nsMu.RLock()
-	e, ok := s.ns[cleanPath(p)]
-	s.nsMu.RUnlock()
+	e, ok := s.ns.Load().entries[cleanPath(p)]
 	if !ok || e.meta == nil {
 		return "", false, fmt.Errorf("server: no meta-object at %s", p)
 	}
@@ -167,9 +139,7 @@ func (s *Server) ExportMeta(p string) (src string, isLibrary bool, err error) {
 // ExportObject returns the encoded bytes of a local object (the
 // server side of FetchObject).
 func (s *Server) ExportObject(p string) ([]byte, error) {
-	s.nsMu.RLock()
-	e, ok := s.ns[cleanPath(p)]
-	s.nsMu.RUnlock()
+	e, ok := s.ns.Load().entries[cleanPath(p)]
 	if !ok || e.object == nil {
 		return nil, fmt.Errorf("server: no object at %s", p)
 	}

@@ -54,7 +54,7 @@ type Binding struct {
 // BindingTable is one image's recorded resolution.
 type BindingTable struct {
 	Image    string   // image name the resolution was performed for
-	Gen      uint64   // namespace generation at resolution
+	Gen      uint64   // namespace version number at resolution
 	Resolved string   // "search" (computed here) or "warm-load" (prior session)
 	LibKeys  []string // content keys of the libraries, positional
 	Bindings []Binding
@@ -146,7 +146,7 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 	}
 	// Revalidated against the live library identities: re-stamp the
 	// generation so the audit trail reports when it was last confirmed.
-	gen := s.hashGen.Load()
+	gen := s.ns.Load().num
 	s.bindMu.Lock()
 	tbl.Gen = gen
 	s.bindMu.Unlock()
@@ -221,7 +221,7 @@ func (s *Server) searchExterns(name, bindKey string, und []string, libs []*Insta
 	if bindKey != "" && !s.DisableCache && len(binds) > 0 {
 		tbl := &BindingTable{
 			Image:    name,
-			Gen:      s.hashGen.Load(),
+			Gen:      s.ns.Load().num,
 			Resolved: "search",
 			LibKeys:  make([]string, len(libs)),
 			Bindings: binds,
@@ -259,8 +259,7 @@ func (s *Server) bindingTable(bindKey string) *BindingTable {
 // kept, it would grow by one per program ever defined, and the rebind
 // guard and Explain would go on answering for a program that no longer
 // exists.  p is a clean path, as image names are (Evict matches them
-// the same way).  Takes bindMu alone, after the caller has let go of
-// nsMu.
+// the same way).
 func (s *Server) dropBindingsOf(p string) {
 	s.bindMu.Lock()
 	for k, tbl := range s.bindings {
@@ -377,6 +376,7 @@ func (s *Server) verifyPinned(inst *Instance) error {
 func (s *Server) rebindConflict(mutation, p string) *refusal.RebindError {
 	p = cleanPath(p)
 	prefixOp := mutation == "mount" || mutation == "unmount"
+	entries := s.ns.Load().entries
 	s.bindMu.RLock()
 	defer s.bindMu.RUnlock()
 	for _, tbl := range s.bindings {
@@ -386,10 +386,7 @@ func (s *Server) rebindConflict(mutation, p string) *refusal.RebindError {
 				if b.Definer != p && !strings.HasPrefix(b.Definer, p+"/") {
 					continue
 				}
-				s.nsMu.RLock()
-				_, local := s.ns[b.Definer]
-				s.nsMu.RUnlock()
-				if local {
+				if _, local := entries[b.Definer]; local {
 					continue
 				}
 			} else if b.Definer != p {

@@ -19,22 +19,28 @@
 // Instead of a single global mutex, state is split into independent
 // locks so cache hits never contend with builds:
 //
-//   - nsMu (RWMutex): namespace bindings, mounts, specializers.
+//   - The namespace is an immutable version (nsVersion) behind an
+//     atomic pointer.  A request reads one version from its root to its
+//     reply without a lock; writers publish a changed copy (writeNS).
 //   - solverMu: the constraint solver's address-space bookkeeping.
 //   - cacheMu (RWMutex): the image cache, in-flight build table, and
 //     persistent store attachment.
-//   - hashMu (RWMutex): the per-path content-hash memo.
+//   - bindMu (RWMutex): binding tables and store-blob checksums.
+//   - upMu: the upgrade epoch; it also serializes namespace writers.
 //   - Stats counters are atomics; read them via the Stats method.
 //
 // Lock order: cacheMu may be taken before solverMu (eviction releases
-// placements); no other pair nests.  None of these locks is ever held
+// placements) and before bindMu (a checksum is dropped beside its
+// store delete); upMu is a leaf.  None of these locks is ever held
 // across an m-graph evaluation, a link, or store I/O.
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"path"
 	"reflect"
 	"sort"
@@ -442,22 +448,47 @@ type placeRec struct {
 	DataSize  uint64
 }
 
-// memoHash is one cached per-path content hash, valid while the
-// namespace generation is unchanged.
-type memoHash struct {
-	gen uint64
-	val string
+// nsVersion is one immutable version of the namespace: the entries,
+// remote mounts and specializers one request reads from its root to its
+// reply.  A published version never changes; a writer publishes a
+// changed copy (writeNS).  num numbers it in one monotone sequence
+// shared by every version the server publishes, committed or staged:
+// it is the m-graph memo generation, the binding tables' Gen and the
+// epoch-id salt.
+type nsVersion struct {
+	num     uint64
+	entries map[string]nsEntry
+	mounts  []mount
+	specs   map[string]SpecFunc
+	// staged is the open upgrade epoch's version, the one the canary
+	// cohort reads: these entries with the staged definitions layered
+	// over them (nil when no epoch is open or while it rolls back).
+	// epoch is set on a staged version only.
+	staged *nsVersion
+	epoch  *upgradeEpoch
+	// unwinding holds the staged paths of an epoch rolling back: an
+	// optional import of one degrades to its stub, since a version about
+	// to disappear must not earn new bindings.
+	unwinding map[string]bool
+	// memo caches content hashes by path.  It stays valid for the
+	// version's lifetime: the entries it hashes never change.
+	memoMu sync.RWMutex
+	memo   map[string]string
+}
+
+// copy returns an unpublished copy of v's entries, mounts and
+// specializers for a writer to change.  Mounts and specializers are
+// shared: a writer replaces them, never changes them in place.
+func (v *nsVersion) copy() *nsVersion {
+	return &nsVersion{entries: maps.Clone(v.entries), mounts: v.mounts, specs: v.specs, memo: map[string]string{}}
 }
 
 // Server is an OMOS instance.  It is safe for concurrent use.
 type Server struct {
 	kern *osim.Kernel
 
-	// nsMu guards the namespace: ns, mounts, specs.
-	nsMu   sync.RWMutex
-	ns     map[string]nsEntry
-	mounts []mount
-	specs  map[string]SpecFunc
+	// ns is the published committed namespace version.
+	ns atomic.Pointer[nsVersion]
 
 	// solverMu guards the constraint solver.
 	solverMu sync.Mutex
@@ -484,36 +515,26 @@ type Server struct {
 	// use.
 	useSeq atomic.Uint64
 
-	// hashGen versions the namespace contents for hash memoization:
-	// every mutation (define, put-object, remove, mount change) bumps
-	// it, invalidating all memoized content and subtree hashes at once.
-	// While it is unchanged the warm path does zero re-hashing.
-	hashGen atomic.Uint64
-	// hashMu guards hashMemo, the per-path content-hash memo.
-	hashMu   sync.RWMutex
-	hashMemo map[string]memoHash
-
 	// bindMu guards the stable-resolution state (resolve.go): the
 	// binding tables keyed by resolution identity and the store-blob
 	// checksums pins verify against.  Lock order: bindMu may be taken
-	// before nsMu (the rebind guard consults the namespace), never the
-	// reverse; and under cacheMu (a checksum is dropped beside the store
-	// delete it belongs to), never the reverse.
+	// under cacheMu (a checksum is dropped beside the store delete it
+	// belongs to), never the reverse.
 	bindMu   sync.RWMutex
 	bindings map[string]*BindingTable
 	blobSums map[string]string
 
 	// upMu guards the live-upgrade epoch (upgrade.go): the staged v2
 	// definitions, the canary cohort's health accounting, and the
-	// pre-upgrade baseline.  Lock order: upMu is a leaf for namespace
-	// purposes — it is never held across a define, an evaluation, or
-	// store I/O (the commit/rollback paths copy what they need out
-	// first).
+	// pre-upgrade baseline.  It also serializes namespace writers
+	// (writeNS), so a published version and the epoch it layers always
+	// agree.  upMu is a leaf: it is never held across another lock, an
+	// evaluation, or store I/O.
 	upMu sync.Mutex
 	// epoch is the active upgrade epoch, nil when none is open.
 	epoch *upgradeEpoch
 	// epochSeq numbers epochs within this process (epoch IDs also fold
-	// in the namespace generation so restarts do not collide).
+	// in the namespace version number so restarts do not collide).
 	epochSeq atomic.Uint64
 	// lastAborted retains the terminal verdict of the most recent
 	// automatic rollback so the status/commit path can surface a typed
@@ -573,20 +594,18 @@ type Server struct {
 func New(kern *osim.Kernel) *Server {
 	s := &Server{
 		kern:      kern,
-		ns:        map[string]nsEntry{},
 		solver:    constraint.NewSolver(),
 		cache:     map[string]*Instance{},
 		variants:  map[string][]*Instance{},
 		dormant:   map[string]*store.Head{},
 		dormantCK: map[string][]*store.Head{},
-		specs:     map[string]SpecFunc{},
 		inflight:  map[string]*flight{},
-		hashMemo:  map[string]memoHash{},
 		bindings:  map[string]*BindingTable{},
 		blobSums:  map[string]string{},
 		exec:      buildgraph.NewExecutor(DefaultBuildWorkers),
 		graph:     buildgraph.NewLog(),
 	}
+	s.ns.Store(&nsVersion{entries: map[string]nsEntry{}, specs: map[string]SpecFunc{}, memo: map[string]string{}})
 	return s
 }
 
@@ -604,18 +623,50 @@ func (s *Server) Solver() *constraint.Solver { return s.solver }
 
 // RegisterSpecializer installs a custom specialization kind.
 func (s *Server) RegisterSpecializer(kind string, fn SpecFunc) {
-	s.nsMu.Lock()
-	defer s.nsMu.Unlock()
-	s.specs[kind] = fn
+	s.writeNS(func(v *nsVersion) {
+		v.specs = maps.Clone(v.specs)
+		v.specs[kind] = fn
+	})
 }
 
 func cleanPath(p string) string { return path.Clean("/" + p) }
 
-// invalidateHashes bumps the namespace generation, invalidating every
-// memoized content hash and m-graph subtree hash.  Called on any
-// mutation that can change what a path resolves to.
-func (s *Server) invalidateHashes() {
-	s.hashGen.Add(1)
+// writeNS is the namespace's one write path: it copies the committed
+// version, lets edit change the copy, layers the open epoch over it and
+// publishes both with one pointer swap.  A request already holding an
+// older version keeps reading it whole.
+func (s *Server) writeNS(edit func(v *nsVersion)) {
+	s.upMu.Lock()
+	defer s.upMu.Unlock()
+	s.writeNSLocked(edit)
+}
+
+// writeNSLocked is writeNS for a caller holding upMu; edit may be nil
+// when only the epoch changed.  The committed version and its staged
+// view each take the next number of the sequence.
+func (s *Server) writeNSLocked(edit func(v *nsVersion)) {
+	old := s.ns.Load()
+	v := old.copy()
+	if edit != nil {
+		edit(v)
+	}
+	v.num = old.num + 1
+	if old.staged != nil {
+		v.num = old.staged.num + 1
+	}
+	if ep := s.epoch; ep != nil && ep.rollingBack {
+		v.unwinding = make(map[string]bool, len(ep.libs))
+		for p := range ep.libs {
+			v.unwinding[p] = true
+		}
+	} else if ep != nil {
+		v.staged = v.copy()
+		v.staged.num, v.staged.epoch = v.num+1, ep
+		for p, el := range ep.libs {
+			v.staged.entries[p] = el.entry
+		}
+	}
+	s.ns.Store(v)
 }
 
 // PutObject stores a relocatable object at a namespace path.
@@ -628,10 +679,7 @@ func (s *Server) PutObject(p string, o *obj.Object) error {
 		return err
 	}
 	h := sha256.Sum256(enc)
-	s.nsMu.Lock()
-	s.ns[cleanPath(p)] = nsEntry{object: o, objHash: hex.EncodeToString(h[:8])}
-	s.nsMu.Unlock()
-	s.invalidateHashes()
+	s.writeNS(func(v *nsVersion) { v.entries[cleanPath(p)] = nsEntry{object: o, objHash: hex.EncodeToString(h[:8])} })
 	return nil
 }
 
@@ -661,34 +709,32 @@ func (s *Server) DefineLibraryAllow(p, src string, allow bool) error {
 }
 
 func (s *Server) define(p, src string, isLib, allow bool) error {
-	// The rebind guard fires only on a content-changing redefine of an
-	// existing entry.  A redefine with identical source is idempotent —
-	// no resolution can change.  A define with no prior entry is
-	// namespace population, not mutation: after a warm restart the
-	// namespace is empty while binding tables are warm-loaded, and the
-	// bootstrap re-defines must not need allow flags.  (A bootstrap
-	// define that does change content is still caught: its programs'
-	// warm bindings fail replay and are counted as invalidations —
-	// audited, never silent.)
-	newHash := digestStr(src, fmt.Sprintf("lib=%v", isLib))
-	s.nsMu.RLock()
-	prior, hadPrior := s.ns[cleanPath(p)]
-	s.nsMu.RUnlock()
-	identical := prior.meta != nil && prior.meta.SrcHash == newHash
-	if hadPrior && !identical {
-		if err := s.guardRebind("define", p, allow); err != nil {
-			return err
-		}
+	if err := s.guardDefine(p, digestStr(src, fmt.Sprintf("lib=%v", isLib)), allow); err != nil {
+		return err
 	}
 	meta, err := parseMeta(p, src, isLib)
 	if err != nil {
 		return err
 	}
-	s.nsMu.Lock()
-	s.ns[meta.Path] = nsEntry{meta: meta}
-	s.nsMu.Unlock()
-	s.invalidateHashes()
+	s.writeNS(func(v *nsVersion) { v.entries[meta.Path] = nsEntry{meta: meta} })
 	return nil
+}
+
+// guardDefine runs the rebind guard for defining p with the given
+// source hash.  It fires only on a content-changing redefine of an
+// existing entry.  A redefine with identical source is idempotent — no
+// resolution can change.  A define with no prior entry is namespace
+// population, not mutation: after a warm restart the namespace is empty
+// while binding tables are warm-loaded, and the bootstrap re-defines
+// must not need allow flags.  (A bootstrap define that does change
+// content is still caught: its programs' warm bindings fail replay and
+// are counted as invalidations — audited, never silent.)
+func (s *Server) guardDefine(p, srcHash string, allow bool) error {
+	prior, hadPrior := s.ns.Load().entries[cleanPath(p)]
+	if !hadPrior || (prior.meta != nil && prior.meta.SrcHash == srcHash) {
+		return nil
+	}
+	return s.guardRebind("define", p, allow)
 }
 
 // parseMeta parses a blueprint into a meta-object without installing
@@ -731,7 +777,7 @@ func parseMeta(p, src string, isLib bool) (*mgraph.Meta, error) {
 
 // GetObject returns the relocatable object stored at a namespace path.
 func (s *Server) GetObject(p string) (*obj.Object, error) {
-	return evalCtx{s: s}.LookupObject(p)
+	return s.current().LookupObject(p)
 }
 
 // Remove deletes a namespace entry.  Memoized hashes are invalidated,
@@ -745,30 +791,23 @@ func (s *Server) Remove(p string) error { return s.RemoveAllow(p, false) }
 func (s *Server) RemoveAllow(p string, allow bool) error {
 	// Removing a path with no entry is a no-op; only a real removal
 	// can re-bind anything.
-	s.nsMu.RLock()
-	_, present := s.ns[cleanPath(p)]
-	s.nsMu.RUnlock()
-	if !present {
+	p = cleanPath(p)
+	if _, present := s.ns.Load().entries[p]; !present {
 		return nil
 	}
 	if err := s.guardRebind("remove", p, allow); err != nil {
 		return err
 	}
-	s.nsMu.Lock()
-	delete(s.ns, cleanPath(p))
-	s.nsMu.Unlock()
-	s.dropBindingsOf(cleanPath(p))
-	s.invalidateHashes()
+	s.writeNS(func(v *nsVersion) { delete(v.entries, p) })
+	s.dropBindingsOf(p)
 	return nil
 }
 
 // List returns namespace paths under a prefix, sorted.
 func (s *Server) List(prefix string) []string {
 	prefix = cleanPath(prefix)
-	s.nsMu.RLock()
-	defer s.nsMu.RUnlock()
 	var out []string
-	for p := range s.ns {
+	for p := range s.ns.Load().entries {
 		if prefix == "/" || p == prefix || strings.HasPrefix(p, prefix+"/") {
 			out = append(out, p)
 		}
@@ -788,20 +827,13 @@ func digestStr(parts ...string) string {
 
 // ---- mgraph.Context implementation ----
 
-// evalCtx wraps the server for an evaluation; evaluation runs without
-// any server lock held (the context methods take the fine-grained
-// locks they need), which is what lets many evaluations proceed in
-// parallel.
-//
-// v2 marks a canary-cohort evaluation during a live upgrade epoch:
-// namespace lookups see the epoch's staged definitions layered over
-// the committed namespace, and every hash generation carries the
-// canaryGenBit so v1 and v2 evaluations never share a memo slot (the
-// single-slot per-node memos in mgraph would otherwise alternate
-// between cohorts and, worse, serve one cohort the other's hash).
+// evalCtx is one evaluation's view of the server: the namespace
+// version v it reads, whole, from its root to its reply.  Evaluation
+// takes no server lock (the cache and solver paths take their own),
+// which is what lets many evaluations proceed in parallel.
 type evalCtx struct {
-	s  *Server
-	v2 bool
+	s *Server
+	v *nsVersion
 }
 
 var _ mgraph.Context = evalCtx{}
@@ -810,43 +842,43 @@ var _ mgraph.OptionalResolver = evalCtx{}
 var _ mgraph.StubRecorder = evalCtx{}
 var _ mgraph.Fanout = evalCtx{}
 
-// canaryGenBit segregates canary-cohort hash generations from
-// baseline ones.  hashGen is a mutation counter that will never reach
-// 2^63 in practice, so the top bit is free to carry the cohort.
-const canaryGenBit = uint64(1) << 63
+// current returns an evaluation context on the published committed
+// version.
+func (s *Server) current() evalCtx { return evalCtx{s: s, v: s.ns.Load()} }
 
-// gen returns the namespace generation for this evaluation's cohort.
-func (c evalCtx) gen() uint64 {
-	g := c.s.hashGen.Load()
-	if c.v2 {
-		g |= canaryGenBit
-	}
-	return g
+type versionCtxKey struct{}
+
+// withVersion carries the version a request took at its root through
+// its library fan-out.
+func withVersion(ctx context.Context, v *nsVersion) context.Context {
+	return context.WithValue(ctx, versionCtxKey{}, v)
+}
+
+// ectx derives the evaluation context for a request from the version
+// its root put in ctx.
+func (s *Server) ectx(ctx context.Context) evalCtx {
+	return evalCtx{s: s, v: ctx.Value(versionCtxKey{}).(*nsVersion)}
 }
 
 // HashGeneration implements mgraph.HashGenerator: m-graph subtree
-// hashes memoized under this generation stay valid until the next
-// namespace mutation (and are cohort-segregated during an upgrade).
-func (c evalCtx) HashGeneration() uint64 { return c.gen() }
+// hashes memoized under one version number stay valid for that version.
+func (c evalCtx) HashGeneration() uint64 { return c.v.num }
 
-// entry resolves a namespace path for this evaluation's cohort: a
-// canary evaluation sees the upgrade epoch's staged definitions
-// layered over the committed namespace.
+// entry resolves a namespace path in this evaluation's version,
+// consulting its mounts on a miss.
 func (c evalCtx) entry(p string) (nsEntry, bool, error) {
-	if c.v2 {
-		if e, ok := c.s.stagedEntry(p); ok {
-			return e, true, nil
-		}
+	p = cleanPath(p)
+	if e, ok := c.v.entries[p]; ok {
+		return e, true, nil
 	}
-	return c.s.lookupEntry(p)
+	return c.s.fetchRemote(c.v, p)
 }
 
 // OptionalAvailable implements mgraph.OptionalResolver: an optional
 // import resolves to its definer only while the definer exists and is
-// not mid-rollback (a path whose staged upgrade is being unwound must
-// degrade, not bind to a version about to disappear).
+// not mid-rollback.
 func (c evalCtx) OptionalAvailable(p string) bool {
-	if c.s.optionalUnavailable(p, c.v2) {
+	if c.v.unwinding[cleanPath(p)] {
 		return false
 	}
 	e, ok, err := c.entry(p)
@@ -888,16 +920,15 @@ func (c evalCtx) LookupMeta(p string) (*mgraph.Meta, error) {
 }
 
 // ContentHash implements mgraph.Context.  Results are memoized per
-// path for the current namespace generation: the warm path costs one
-// read-locked map lookup instead of a transitive re-hash.
+// path in the version: the warm path costs one read-locked map lookup
+// instead of a transitive re-hash.
 func (c evalCtx) ContentHash(p string) (string, error) {
 	p = cleanPath(p)
-	gen := c.gen()
-	c.s.hashMu.RLock()
-	m, ok := c.s.hashMemo[p]
-	c.s.hashMu.RUnlock()
-	if ok && m.gen == gen {
-		return m.val, nil
+	c.v.memoMu.RLock()
+	h, ok := c.v.memo[p]
+	c.v.memoMu.RUnlock()
+	if ok {
+		return h, nil
 	}
 	e, ok, err := c.entry(p)
 	if err != nil {
@@ -906,7 +937,6 @@ func (c evalCtx) ContentHash(p string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("server: nothing at %s", p)
 	}
-	var h string
 	if e.object != nil {
 		h = e.objHash
 	} else {
@@ -918,12 +948,9 @@ func (c evalCtx) ContentHash(p string) (string, error) {
 		}
 		h = digestStr(e.meta.SrcHash, sub)
 	}
-	// Store under the generation read before the lookup: if a mutation
-	// raced with the computation the entry is already stale and will
-	// be recomputed on the next call.
-	c.s.hashMu.Lock()
-	c.s.hashMemo[p] = memoHash{gen: gen, val: h}
-	c.s.hashMu.Unlock()
+	c.v.memoMu.Lock()
+	c.v.memo[p] = h
+	c.v.memoMu.Unlock()
 	return h, nil
 }
 
@@ -945,9 +972,7 @@ func (c evalCtx) Compile(lang, text string) ([]*obj.Object, error) {
 
 // Specialize implements mgraph.Context.
 func (c evalCtx) Specialize(kind string, args []string, v *mgraph.Value) (*mgraph.Value, error) {
-	c.s.nsMu.RLock()
-	fn, ok := c.s.specs[kind]
-	c.s.nsMu.RUnlock()
+	fn, ok := c.v.specs[kind]
 	if !ok {
 		return nil, fmt.Errorf("server: unknown specialization %q", kind)
 	}

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -15,26 +15,27 @@ import (
 // This file is the live-upgrade engine: the transactional path for
 // redefining libraries while the daemon serves traffic.
 //
-// An upgrade opens an *epoch*.  New definitions are staged beside the
-// namespace, not in it: a deterministic fraction of instantiations
-// (the canary cohort) evaluates against the staged view and builds v2
-// images through the ordinary cache/rebase pipeline, while everything
-// else — and every process already running — keeps resolving v1.  A
-// health gate watches the cohort (build failures against the
-// pre-upgrade EWMA baseline, pin violations, quarantine events) and on
-// regression rolls the epoch back automatically: staged definitions
-// are discarded, the pre-epoch binding tables are restored, the
-// cohort's images are released, and a typed
+// An upgrade opens an *epoch*: a second namespace version that layers
+// the staged definitions over the committed one.  A deterministic
+// fraction of instantiations (the canary cohort) reads that version and
+// builds v2 images through the ordinary cache/rebase pipeline, while
+// everything else — and every process already running — keeps
+// resolving v1.  A health gate watches the cohort (build failures
+// against the pre-upgrade EWMA baseline, pin violations, quarantine
+// events) and on regression rolls the epoch back automatically: staged
+// definitions are discarded, the pre-epoch binding tables are restored,
+// the cohort's images are released, and a typed
 // *refusal.UpgradeAbortedError carries the verdict.  Commit is
 // write-ahead: the intent is made durable in the store (codec v4)
-// before the staged definitions are applied, so a daemon killed
-// mid-commit warm-restarts into either the fully-committed or the
-// fully-rolled-back namespace — never a torn one.
+// before the staged definitions replace their paths in one version
+// swap, so a daemon killed mid-commit warm-restarts into either the
+// fully-committed or the fully-rolled-back namespace — never a torn
+// one, and no request ever reads a torn one either.
 //
 // The epoch itself is the explicit rebind allow: every definition it
-// applies at commit flows through the PR 8 rebind guard with the
-// allow flag carried by the epoch, so a multi-library upgrade can
-// never be half-guarded by one call omitting the flag.
+// applies at commit passes the rebind guard with the allow flag
+// carried by the epoch, so a multi-library upgrade can never be
+// half-guarded by one call omitting the flag.
 
 // Health-gate tuning.  The baseline EWMA moves slowly (it is the
 // long-run failure rate of the serving namespace); the cohort EWMA
@@ -111,46 +112,25 @@ type UpgradeStatusInfo struct {
 	LastAborted string
 }
 
-// ---- cohort threading ----
-
-type canaryCtxKey struct{}
-
-// withCanary marks a context as belonging to the canary (v2) cohort.
-func withCanary(ctx context.Context) context.Context {
-	return context.WithValue(ctx, canaryCtxKey{}, true)
-}
-
-// canaryFrom reports whether the context carries cohort membership.
-func canaryFrom(ctx context.Context) bool {
-	v, _ := ctx.Value(canaryCtxKey{}).(bool)
-	return v
-}
-
-// ectx derives the evaluation context for a request: cohort membership
-// travels in the context.Context through the library fan-out.
-func (s *Server) ectx(ctx context.Context) evalCtx {
-	return evalCtx{s: s, v2: canaryFrom(ctx)}
-}
+// ---- canary placement ----
 
 // canaryPick decides, deterministically, whether a top-level
-// instantiation joins the canary cohort: the same program under the
-// same epoch always lands on the same side, so a client's retries
-// converge instead of flapping between versions.
-func (s *Server) canaryPick(name string, meta *mgraph.Meta) bool {
-	s.upMu.Lock()
-	ep := s.epoch
-	if ep == nil || ep.rollingBack || ep.canaryPct <= 0 {
-		s.upMu.Unlock()
+// instantiation that took version v joins the canary cohort and reads
+// v.staged instead: the same program under the same epoch always lands
+// on the same side, so a client's retries converge instead of flapping
+// between versions.  With no epoch open, or a 0% canary, it reads only
+// v; recording a cohort member takes upMu.
+func (s *Server) canaryPick(v *nsVersion, name string, meta *mgraph.Meta) bool {
+	if v.staged == nil || v.staged.epoch.canaryPct <= 0 {
 		return false
 	}
-	pct, id := ep.canaryPct, ep.id
-	s.upMu.Unlock()
-	if pct < 100 {
+	ep := v.staged.epoch
+	if ep.canaryPct < 100 {
 		// 32 hash bits: the residues of 2^32 mod 100 are uneven by
 		// less than one part in 4·10^7 (one byte made a 10% canary 11.7%).
-		h := digestStr("canary", id, meta.SrcHash)
-		v, _ := strconv.ParseUint(h[:8], 16, 64)
-		if int(v%100) >= pct {
+		h := digestStr("canary", ep.id, meta.SrcHash)
+		n, _ := strconv.ParseUint(h[:8], 16, 64)
+		if int(n%100) >= ep.canaryPct {
 			return false
 		}
 	}
@@ -161,37 +141,6 @@ func (s *Server) canaryPick(name string, meta *mgraph.Meta) bool {
 	}
 	ep.cohortProgs[cleanPath(name)] = true
 	return true
-}
-
-// stagedEntry resolves a path against the active epoch's staged
-// definitions (the view canary-cohort evaluations see).
-func (s *Server) stagedEntry(p string) (nsEntry, bool) {
-	p = cleanPath(p)
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
-	if s.epoch == nil || s.epoch.rollingBack {
-		return nsEntry{}, false
-	}
-	el, ok := s.epoch.libs[p]
-	if !ok {
-		return nsEntry{}, false
-	}
-	return el.entry, true
-}
-
-// optionalUnavailable reports whether an optional import of p must
-// degrade to its stub because p is mid-rollback: a version about to
-// disappear must not earn new bindings.
-func (s *Server) optionalUnavailable(p string, v2 bool) bool {
-	p = cleanPath(p)
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
-	ep := s.epoch
-	if ep == nil || !ep.rollingBack {
-		return false
-	}
-	_, staged := ep.libs[p]
-	return staged
 }
 
 // storeQuarantined snapshots the store's quarantine counter (0 when no
@@ -234,7 +183,7 @@ func (s *Server) UpgradeStart(canaryPct int) (string, error) {
 		return "", fmt.Errorf("server: upgrade %s already in progress", id)
 	}
 	ep := &upgradeEpoch{
-		id:            fmt.Sprintf("up%d.%d", s.epochSeq.Add(1), s.hashGen.Load()),
+		id:            fmt.Sprintf("up%d.%d", s.epochSeq.Add(1), s.ns.Load().num),
 		canaryPct:     canaryPct,
 		libs:          map[string]epochLib{},
 		cohortProgs:   map[string]bool{},
@@ -246,9 +195,9 @@ func (s *Server) UpgradeStart(canaryPct int) (string, error) {
 	s.epoch = ep
 	s.lastAborted.Store(nil)
 	s.auditLocked(ep, fmt.Sprintf("epoch %s opened (canary %d%%)", ep.id, canaryPct))
+	s.writeNSLocked(nil)
 	s.upMu.Unlock()
 	s.stats.upgradesStarted.Add(1)
-	s.invalidateHashes()
 	if err := s.persistEpoch(store.EpochActive); err != nil {
 		return ep.id, fmt.Errorf("server: upgrade %s: persisting epoch: %w", ep.id, err)
 	}
@@ -265,9 +214,7 @@ func (s *Server) UpgradeStage(p, src string, isLib bool) error {
 		return err
 	}
 	pc := cleanPath(p)
-	s.nsMu.RLock()
-	prior, hadPrior := s.ns[pc]
-	s.nsMu.RUnlock()
+	prior, hadPrior := s.ns.Load().entries[pc]
 	el := epochLib{entry: nsEntry{meta: meta}, newSrc: src, isLib: isLib, hadPrior: hadPrior}
 	if hadPrior && prior.meta != nil {
 		el.oldSrc = prior.meta.Src
@@ -290,10 +237,8 @@ func (s *Server) UpgradeStage(p, src string, isLib bool) error {
 	}
 	ep.libs[pc] = el
 	s.auditLocked(ep, fmt.Sprintf("epoch %s staged %s", ep.id, pc))
+	s.writeNSLocked(nil)
 	s.upMu.Unlock()
-	// Flush cohort-side memos: staged content changed under the canary
-	// generation.
-	s.invalidateHashes()
 	if err := s.persistEpoch(store.EpochActive); err != nil {
 		return fmt.Errorf("server: stage %s: persisting epoch: %w", pc, err)
 	}
@@ -301,11 +246,12 @@ func (s *Server) UpgradeStage(p, src string, isLib bool) error {
 }
 
 // UpgradeCommit applies the epoch: the commit intent is made durable
-// first (write-ahead), then every staged definition is installed
-// through the rebind guard with the epoch's allow — so a crash in
-// between is redone at the next warm boot, never left torn.  The
-// canary cohort's v2 images become cache hits for everyone: their
-// content hashes are exactly the committed namespace's.
+// first (write-ahead), then the definitions parsed at stage time
+// replace their paths' entries in one version swap, so a request sees
+// all of them or none — and a crash in between is redone at the next
+// warm boot, never left torn.  The canary cohort's v2 images become
+// cache hits for everyone: their content hashes are exactly the
+// committed namespace's.
 func (s *Server) UpgradeCommit() (err error) {
 	s.upMu.Lock()
 	ep := s.epoch
@@ -320,11 +266,7 @@ func (s *Server) UpgradeCommit() (err error) {
 		s.upMu.Unlock()
 		return fmt.Errorf("server: commit: upgrade %s is rolling back: %s", ep.id, ep.verdict)
 	}
-	order := append([]string(nil), ep.order...)
-	libs := make(map[string]epochLib, len(ep.libs))
-	for k, v := range ep.libs {
-		libs[k] = v
-	}
+	libs := maps.Clone(ep.libs)
 	runs, fails := ep.cohortRuns, ep.cohortFails
 	s.upMu.Unlock()
 	// A panic anywhere below (an injected fault, a decoder bug) leaves
@@ -342,23 +284,26 @@ func (s *Server) UpgradeCommit() (err error) {
 	if err := s.faults.Fire(fault.SiteUpgradeCommit); err != nil {
 		return fmt.Errorf("server: upgrade commit %s: %w", ep.id, err)
 	}
-	for _, p := range order {
-		el := libs[p]
-		// The epoch carries the allow: every conflicting rebind is
-		// counted as allowed, none can slip through half-guarded.
-		if err := s.define(p, el.newSrc, el.isLib, true); err != nil {
-			return fmt.Errorf("server: upgrade commit %s: applying %s: %w", ep.id, p, err)
-		}
+	// The epoch carries the allow: every conflicting rebind is counted
+	// as allowed, none can slip through half-guarded.
+	for p, el := range libs {
+		_ = s.guardDefine(p, el.entry.meta.SrcHash, true)
 	}
 	s.upMu.Lock()
-	if s.epoch == ep {
-		s.epoch = nil
+	if s.epoch != ep || ep.rollingBack {
+		s.upMu.Unlock()
+		return fmt.Errorf("server: upgrade commit %s: the epoch ended before the swap", ep.id)
 	}
+	s.epoch = nil
+	s.writeNSLocked(func(v *nsVersion) {
+		for p, el := range libs {
+			v.entries[p] = el.entry
+		}
+	})
 	s.auditLocked(ep, fmt.Sprintf("epoch %s committed %d path(s) (canary %d%%, %d cohort builds, %d failed)",
-		ep.id, len(order), ep.canaryPct, runs, fails))
+		ep.id, len(libs), ep.canaryPct, runs, fails))
 	s.upMu.Unlock()
 	s.deleteEpochRecord()
-	s.invalidateHashes()
 	s.stats.upgradesCommitted.Add(1)
 	return nil
 }
@@ -380,6 +325,7 @@ func (s *Server) UpgradeRollback(reason string) error {
 	if !ep.rollingBack {
 		ep.rollingBack = true
 		ep.verdict = reason
+		s.writeNSLocked(nil)
 	} else {
 		reason = ep.verdict
 	}
@@ -399,16 +345,15 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 	// overwrote goes back to naming the v1 definers.  A path removed
 	// while the epoch was open stays forgotten (see dropBindingsOf) —
 	// its snapshot table would be a ghost Explain row and a ghost rebind
-	// conflict.  Lock order bindMu → nsMu, as in rebindConflict.
+	// conflict.
+	entries := s.ns.Load().entries
 	s.bindMu.Lock()
 	s.bindings = make(map[string]*BindingTable, len(ep.savedBindings))
-	s.nsMu.RLock()
 	for k, v := range ep.savedBindings {
-		if _, live := s.ns[v.Image]; live {
+		if _, live := entries[v.Image]; live {
 			s.bindings[k] = v
 		}
 	}
-	s.nsMu.RUnlock()
 	s.bindMu.Unlock()
 	// Release every image the epoch built or could have built against
 	// staged content: the staged paths' instances and the cohort's
@@ -429,11 +374,11 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 	s.upMu.Lock()
 	if s.epoch == ep {
 		s.epoch = nil
+		s.writeNSLocked(nil)
 	}
 	s.auditLocked(ep, fmt.Sprintf("epoch %s rolled back: %s", ep.id, verdict))
 	s.upMu.Unlock()
 	s.deleteEpochRecord()
-	s.invalidateHashes()
 	s.stats.upgradesRolledBack.Add(1)
 	s.lastAborted.Store(&refusal.UpgradeAbortedError{Epoch: ep.id, Verdict: verdict, Auto: auto})
 	return nil
@@ -524,6 +469,7 @@ func (s *Server) observeInstantiation(cohort bool, err error) {
 	}
 	ep.rollingBack = true
 	ep.verdict = verdict
+	s.writeNSLocked(nil)
 	s.upMu.Unlock()
 	safeRollback(ep, verdict)
 }
@@ -623,12 +569,11 @@ func (s *Server) recoverEpoch(st *store.Store) {
 			metas = append(metas, m)
 		}
 		if valid {
-			s.nsMu.Lock()
-			for _, m := range metas {
-				s.ns[m.Path] = nsEntry{meta: m}
-			}
-			s.nsMu.Unlock()
-			s.invalidateHashes()
+			s.writeNS(func(v *nsVersion) {
+				for _, m := range metas {
+					v.entries[m.Path] = nsEntry{meta: m}
+				}
+			})
 			st.Delete(epochStoreKey)
 			s.stats.upgradesCommitted.Add(1)
 			s.upMu.Lock()

@@ -118,13 +118,13 @@ func TestUpgradeCanaryDeterministic(t *testing.T) {
 	if _, err := s.UpgradeStart(50); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := evalCtx{s: s}.LookupMeta("/bin/t")
+	meta, err := s.current().LookupMeta("/bin/t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := s.canaryPick("/bin/t", meta)
+	first := s.canaryPick(s.ns.Load(), "/bin/t", meta)
 	for i := 0; i < 16; i++ {
-		if got := s.canaryPick("/bin/t", meta); got != first {
+		if got := s.canaryPick(s.ns.Load(), "/bin/t", meta); got != first {
 			t.Fatalf("pick flapped: %v then %v", first, got)
 		}
 	}
@@ -134,7 +134,7 @@ func TestUpgradeCanaryDeterministic(t *testing.T) {
 	if _, err := s.UpgradeStart(0); err != nil {
 		t.Fatal(err)
 	}
-	if s.canaryPick("/bin/t", meta) {
+	if s.canaryPick(s.ns.Load(), "/bin/t", meta) {
 		t.Fatal("0%% canary routed a program to the cohort")
 	}
 }
@@ -155,7 +155,7 @@ func TestUpgradeCanaryShareMatchesPercentage(t *testing.T) {
 		picked := 0
 		for i := 0; i < progs; i++ {
 			meta := &mgraph.Meta{SrcHash: digestStr("synthetic", fmt.Sprint(i))}
-			if s.canaryPick(fmt.Sprintf("/bin/p%d", i), meta) {
+			if s.canaryPick(s.ns.Load(), fmt.Sprintf("/bin/p%d", i), meta) {
 				picked++
 			}
 		}
@@ -286,12 +286,12 @@ func TestUpgradeMidCommitCrashWarmRestart(t *testing.T) {
 	if err := sA.UpgradeCommit(); err != nil {
 		t.Fatal(err)
 	}
-	// Pin the namespace-generation clock before the v2 build: the
-	// binding provenance records the generation, and the two worlds
-	// reach this point through different mutation histories.  With the
-	// clock pinned, the blob comparison below is exact — any byte that
+	// Pin the namespace version number before the v2 build: the
+	// binding provenance records it, and the two worlds reach this
+	// point through different mutation histories.  With the clock
+	// pinned, the blob comparison below is exact — any byte that
 	// differs is real content, not the logical clock.
-	sA.hashGen.Store(1 << 20)
+	sA.ns.Load().num = 1 << 20
 	instA, err := sA.Instantiate("/bin/app", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -332,17 +332,15 @@ func TestUpgradeMidCommitCrashWarmRestart(t *testing.T) {
 	if got := sB2.Stats().UpgradesCommitted; got != 1 {
 		t.Fatalf("recovery did not complete the commit: UpgradesCommitted = %d", got)
 	}
-	sB2.nsMu.RLock()
-	srcUp := sB2.ns["/lib/up"].meta.Src
-	srcUp2 := sB2.ns["/lib/up2"].meta.Src
-	sB2.nsMu.RUnlock()
+	srcUp := sB2.ns.Load().entries["/lib/up"].meta.Src
+	srcUp2 := sB2.ns.Load().entries["/lib/up2"].meta.Src
 	if srcUp != upLibV2 || srcUp2 != lib2V2 {
 		t.Fatalf("torn namespace after recovery:\n/lib/up = %q\n/lib/up2 = %q", srcUp, srcUp2)
 	}
 	if err := sB2.Define("/bin/app", prog); err != nil {
 		t.Fatal(err)
 	}
-	sB2.hashGen.Store(1 << 20)
+	sB2.ns.Load().num = 1 << 20
 	instB, err := sB2.Instantiate("/bin/app", nil)
 	if err != nil {
 		t.Fatal(err)
