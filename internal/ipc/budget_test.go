@@ -167,13 +167,7 @@ func TestWireBudgetBackToBackFramesShareOneRead(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteFrame(conn, &Request{Op: OpHello, Text: protoVersionText}); err != nil {
-		t.Fatal(err)
-	}
-	var ack Response
-	if err := ReadFrame(conn, &ack); err != nil || !ack.Flag {
-		t.Fatalf("hello: %v %+v", err, ack)
-	}
+	greetRaw(t, conn)
 	sc := <-cl.conns
 	before := sc.reads.Load()
 
@@ -256,18 +250,63 @@ func TestWireBudgetAllocsPerCall(t *testing.T) {
 	// caller's request stays on its stack: the encoder keeps no
 	// reference to it.
 	c, _ := startServer(t)
-	for _, tc := range []struct {
-		op   Op
-		want float64
-	}{{OpPing, 5}, {OpHealth, 6}} {
-		call := func() {
-			if _, err := c.Call(&Request{Op: tc.op}); err != nil {
+	call := func(op Op) func() {
+		return func() {
+			if _, err := c.Call(&Request{Op: op}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		call() // the hello, and the connection's one worker
-		if got := testing.AllocsPerRun(200, call); got > tc.want {
-			t.Errorf("%s: %.0f allocations per call, want at most %.0f", tc.op, got, tc.want)
+	}
+	call(OpPing)() // the hello, and the connection's one worker
+	// A connection's whole life — dial, hello, one ping, close — is
+	// what every omos command and every mesh redial pays.  With a gob
+	// hello it cost 693 allocations; the bound is a fifth of that.
+	_, addr := startMuxServer(t, newFakeBackend(), nil)
+	dialPing := func() {
+		d, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := d.Call(&Request{Op: OpPing}); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"ping", call(OpPing), 5},
+		{"health", call(OpHealth), 6},
+		{"dial+hello+ping+close", dialPing, 138},
+	} {
+		if got := testing.AllocsPerRun(200, tc.run); got > tc.want {
+			t.Errorf("%s: %.0f allocations per call, want at most %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkDialHelloPing measures a connection's whole life: dial,
+// hello, one ping and close, client and server together.
+func BenchmarkDialHelloPing(b *testing.B) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(newFakeBackend())
+	go srv.Serve(l)
+	defer srv.Shutdown()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := Dial(l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Call(&Request{Op: OpPing}); err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
 	}
 }

@@ -1,11 +1,13 @@
 package ipc
 
-// The message codec of the tagged wire: every frame after the hello
-// carries one Request (client to server) or one Response (server to
-// client), laid out on internal/lebin's field convention — integers
+// The message codecs of the wire: every frame of the hello exchange
+// carries one hello, and every frame after it one Request (client to
+// server) or one Response (server to client), all laid out on
+// internal/lebin's field convention — integers
 // little-endian and fixed-width, a string or blob as a u32 length and
 // the bytes, a list as a u32 count and the elements:
 //
+//	hello:    magic "OMOS", Version (u32), Ack, Text, Proof
 //	Request:  Op, Path, Unit, Text, Args, Blob, AllowRebind,
 //	          presence, [Mesh]
 //	Response: Err, Text, Paths, Blob, Flag, ExitCode, Output,
@@ -19,17 +21,21 @@ package ipc
 // declaration order.  A refusal is the one payload that names its own
 // type: a kind byte, then that refusal type's fields (refusal.Append).
 // Nothing else is self-describing: the layout is the protocol
-// version's, so a change to it is a new protoVersionText.
+// version's, so a change to it is a new protoVersion.  Only the hello's
+// first eight bytes, the magic and the version, are every version's:
+// they stay where they are, so any peer reads that far and refuses a
+// version it does not speak.
 //
 // Decoding is strict, because the bytes come from outside the
 // process: every length and count is bounded by lebin.Reader, a bool
-// other than 0 or 1, an unknown presence bit, an unknown refusal kind
-// or a trailing byte is refused, and so an accepted payload re-encodes
-// to itself.  Zero-length lists and blobs decode as nil, and no
-// decoded value aliases the payload, which is the caller's reused
-// receive buffer.
+// other than 0 or 1, an unknown presence bit, an unknown refusal kind,
+// a hello of another version or a trailing byte is refused, and so an
+// accepted payload re-encodes to itself.  Zero-length lists and blobs
+// decode as nil, and no decoded value aliases the payload, which is
+// the caller's reused receive buffer.
 
 import (
+	"errors"
 	"fmt"
 
 	"omos/internal/lebin"
@@ -58,12 +64,58 @@ var opByName = func() map[string]Op {
 	for _, op := range []Op{OpPing, OpDefine, OpDefineLib, OpPutObject, OpAssemble,
 		OpCompile, OpList, OpRemove, OpRun, OpRunBoot, OpDisasm, OpStats, OpGetMeta,
 		OpGetObject, OpHealth, OpGraph, OpExplain, OpUpgrade, OpUpgradeStatus,
-		OpRollback, OpHello, OpInstantiateBatch, OpMeshFetch, OpMeshPut,
+		OpRollback, OpInstantiateBatch, OpMeshFetch, OpMeshPut,
 		OpMeshGossip, OpMeshRebalance} {
 		m[string(op)] = op
 	}
 	return m
 }()
+
+// hello is the one message of the hello exchange, which opens every
+// connection: the client's hello, the server's ack (Ack set) and its
+// refusal (Ack clear), and the client's answer to a mesh challenge.
+// Text is the client's mesh nonce in a hello, the server's challenge
+// in an ack, and the reason in a refusal; Proof is the answer,
+// meshProof(secret, challenge, nonce, version).  A secretless client
+// sends no nonce, and a secretless server issues no challenge.
+type hello struct {
+	Version uint32
+	Ack     bool
+	Text    string
+	Proof   []byte
+}
+
+// helloMagic opens every hello payload, at offset 0 in every version.
+const helloMagic = "OMOS"
+
+// encodeHello appends h's encoding to w.
+func encodeHello(w *lebin.Writer, h *hello) {
+	*w = append(*w, helloMagic...)
+	w.U32(h.Version)
+	w.Bool(h.Ack)
+	w.Str(h.Text)
+	w.Bytes(h.Proof)
+}
+
+// decodeHello overwrites every field of *h with the hello encoded in
+// p.  It reads a hello of another version only as far as its Version,
+// which names the version the peer speaks, and refuses it: the rest is
+// that version's layout.
+func decodeHello(p []byte, h *hello) error {
+	r := lebin.NewReader(p)
+	*h = hello{}
+	if string(r.Raw(len(helloMagic))) != helloMagic {
+		return errors.New("not a hello")
+	}
+	h.Version = r.U32()
+	if r.Err() == nil && h.Version != protoVersion {
+		return fmt.Errorf("peer speaks protocol version %d", h.Version)
+	}
+	h.Ack = r.Bool()
+	h.Text = r.Str()
+	h.Proof = getBlob(r)
+	return finish(r)
+}
 
 // encodeRequest appends req's encoding to w.
 func encodeRequest(w *lebin.Writer, req *Request) {

@@ -7,7 +7,9 @@ package ipc
 // the bytes themselves are pinned.
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -151,6 +153,7 @@ func TestCodecOps(t *testing.T) {
 
 func TestCodecRejectsDamage(t *testing.T) {
 	req, resp := fullMessages(t)
+	hi, _ := goldenHellos()
 	for _, c := range []struct {
 		name   string
 		b      []byte
@@ -158,6 +161,7 @@ func TestCodecRejectsDamage(t *testing.T) {
 	}{
 		{"request", encodeMessage(req), func(b []byte) error { return decodeRequest(b, new(Request)) }},
 		{"response", encodeMessage(resp), func(b []byte) error { return decodeResponse(b, new(Response)) }},
+		{"hello", helloFrame(hi)[4:], func(b []byte) error { return decodeHello(b, new(hello)) }},
 	} {
 		for i := 0; i < len(c.b); i++ {
 			if c.decode(c.b[:i]) == nil {
@@ -183,12 +187,27 @@ func TestCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// goldenHellos are a client's hello with its mesh nonce and proof, and
+// a server's ack with its challenge, every field set.
+func goldenHellos() (hi, ack *hello) {
+	return &hello{Version: protoVersion, Text: "0123456789abcdef0123456789abcdef", Proof: []byte("a 32-byte HMAC-SHA256 mesh proof")},
+		&hello{Version: protoVersion, Ack: true, Text: "fedcba9876543210fedcba9876543210"}
+}
+
+// helloFrame seals h in the gate's framing, as a peer sends it.
+func helloFrame(h *hello) []byte {
+	var b bytes.Buffer
+	writeHello(&b, h)
+	return b.Bytes()
+}
+
 // TestGoldenDigest pins the wire bytes: the SHA-256 of a fully set
-// Request and Response and of one sealed tagged frame.  A digest change
-// is a wire change — bump protoVersionText, do not just paste the new
-// digest.
+// Request and Response, of one sealed tagged frame, and of a hello and
+// an ack in their framing.  A digest change is a wire change — bump
+// protoVersion, do not just paste the new digest.
 func TestGoldenDigest(t *testing.T) {
 	req, resp := fullMessages(t)
+	hi, ack := goldenHellos()
 	for _, c := range []struct {
 		name string
 		enc  []byte
@@ -197,10 +216,26 @@ func TestGoldenDigest(t *testing.T) {
 		{"encodeRequest", encodeMessage(req), "14a9d9c78746ffbf179d0ffa0c1aa8805bc86126d742ca8cd3dc144f0f8107ee"},
 		{"encodeResponse", encodeMessage(resp), "0d649964dce6a56b41816364ad77bec9a86d8498ed938a9e49e21ab4aa1bb99c"},
 		{"tagged frame", encodeFrame(0x0102030405060708, &Request{Op: OpList, Path: "/lib"}), "c6652557abe518436781d00fc6589abb26e1c1a72371c40e2b58d905ae317bbe"},
+		{"hello", helloFrame(hi), "ed7d7cd0d9ce9fd90ffdee2b90b271914fc39ae8f3bffc4c718dd3ddafefdb2b"},
+		{"ack", helloFrame(ack), "d80d6cd04faa4be199d56b7ef31b14408f146144ad3d7f57eb47a8a690c10573"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s digest changed (%d bytes):\n got %s\nwant %s", c.name, len(c.enc), got, c.want)
+		}
+	}
+}
+
+// TestHelloFixedOffsets: a hello, an ack and a refusal all open with
+// the magic at offset 0 and the version at offset 4 — the two fields
+// every version reads, whatever follows them.
+func TestHelloFixedOffsets(t *testing.T) {
+	hi, ack := goldenHellos()
+	refused := &hello{Version: protoVersion, Text: helloRequiredMsg}
+	for name, h := range map[string]*hello{"hello": hi, "ack": ack, "refusal": refused} {
+		p := helloFrame(h)[4:]
+		if string(p[:4]) != helloMagic || binary.LittleEndian.Uint32(p[4:8]) != protoVersion {
+			t.Errorf("%s opens with %x, want the magic %q and then version %d", name, p[:8], helloMagic, protoVersion)
 		}
 	}
 }

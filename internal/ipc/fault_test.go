@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -14,41 +16,62 @@ import (
 )
 
 // TestFaultFrameErrorTyped: every flavor of frame damage surfaces as
-// *FrameError with the right reason; a clean close stays io.EOF.
+// *FrameError with the right reason; a clean close stays io.EOF.  A
+// damaged hello's error names both the frame's size and the cause.
 func TestFaultFrameErrorTyped(t *testing.T) {
 	var fe *FrameError
+	var out hello
+
+	// Clean close before any frame.
+	if err := readHello(bytes.NewReader(nil), &out); err != io.EOF {
+		t.Fatalf("clean close: err = %v, want io.EOF", err)
+	}
 
 	// Oversized length prefix.
-	var out Request
-	err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), &out)
+	err := readHello(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), &out)
 	if !errors.As(err, &fe) || fe.Reason != "oversized" {
 		t.Fatalf("oversized: err = %v", err)
 	}
 
 	// Truncated payload.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{Op: OpPing}); err != nil {
+	if err := writeHello(&buf, &hello{Version: protoVersion, Text: "nonce"}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	err = ReadFrame(bytes.NewReader(full[:len(full)-2]), &out)
+	err = readHello(bytes.NewReader(full[:len(full)-2]), &out)
 	if !errors.As(err, &fe) || fe.Reason != "truncated" {
 		t.Fatalf("truncated payload: err = %v", err)
 	}
 
 	// Truncated header.
-	err = ReadFrame(bytes.NewReader(full[:2]), &out)
+	err = readHello(bytes.NewReader(full[:2]), &out)
 	if !errors.As(err, &fe) || fe.Reason != "truncated" {
 		t.Fatalf("truncated header: err = %v", err)
 	}
 
-	// Malformed payload (length prefix fine, garbage gob).
+	// Malformed payload (length prefix fine, not a hello): the message
+	// carries the size and the decoder's reason together.
 	garbage := make([]byte, 4+8)
 	binary.BigEndian.PutUint32(garbage, 8)
-	copy(garbage[4:], "notagob!")
-	err = ReadFrame(bytes.NewReader(garbage), &out)
+	copy(garbage[4:], "notahelo")
+	err = readHello(bytes.NewReader(garbage), &out)
 	if !errors.As(err, &fe) || fe.Reason != "malformed" {
 		t.Fatalf("malformed: err = %v", err)
+	}
+	if want := "ipc: malformed frame (8 bytes): not a hello"; err.Error() != want {
+		t.Fatalf("malformed: message %q, want %q", err, want)
+	}
+
+	// A hello damaged past its version: a bool byte that is not 0 or 1.
+	damaged := append([]byte{}, full...)
+	damaged[4+8] = 2
+	err = readHello(bytes.NewReader(damaged), &out)
+	if !errors.As(err, &fe) || fe.Reason != "malformed" || fe.Size != uint32(len(full)-4) || fe.Err == nil {
+		t.Fatalf("damaged hello: err = %v", err)
+	}
+	if want := fmt.Sprintf("ipc: malformed frame (%d bytes): %v", len(full)-4, fe.Err); err.Error() != want {
+		t.Fatalf("damaged hello: message %q, want %q", err, want)
 	}
 }
 
@@ -61,11 +84,11 @@ func TestFaultForgedHelloLength(t *testing.T) {
 	const limit = 64 << 10
 	var fe *FrameError
 	var err error
-	if got := allocatedBy(func() { err = ReadFrame(bytes.NewReader(hdr[:]), new(Request)) }); got >= limit {
-		t.Errorf("ReadFrame of a forged header allocated %d bytes", got)
+	if got := allocatedBy(func() { err = readHello(bytes.NewReader(hdr[:]), new(hello)) }); got >= limit {
+		t.Errorf("readHello of a forged header allocated %d bytes", got)
 	}
 	if !errors.As(err, &fe) || fe.Reason != "oversized" {
-		t.Errorf("ReadFrame of a forged header: %v, want an oversized FrameError", err)
+		t.Errorf("readHello of a forged header: %v, want an oversized FrameError", err)
 	}
 
 	// The same four bytes as a connection's first, through the server.
@@ -108,7 +131,9 @@ func TestFaultBadFrame(t *testing.T) {
 	}
 	raw.Close()
 
-	// Second garbage flavor: plausible length, unparseable payload.
+	// Second garbage flavor: plausible length, unparseable payload.  It
+	// arrived whole, so it earns the one refusal every first frame that
+	// is not a hello does — and then the hang-up.
 	raw2, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +143,7 @@ func TestFaultBadFrame(t *testing.T) {
 	raw2.Write(hdr[:])
 	raw2.Write(bytes.Repeat([]byte{0x5A}, 16))
 	raw2.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := raw2.Read(make([]byte, 1)); err == nil {
-		t.Fatal("server kept talking to a malformed-gob client")
-	}
+	expectRefusal(t, raw2, "malformed payload")
 	raw2.Close()
 
 	// The accept loop survived: a well-formed client gets served.
@@ -153,8 +176,7 @@ func TestFaultCallDeadline(t *testing.T) {
 			}
 			// Swallow the request, never answer.
 			go func(c net.Conn) {
-				var req Request
-				ReadFrame(c, &req)
+				readHello(c, new(hello))
 				// Hold the connection open, silent: an unreferenced
 				// conn is closed by its finalizer at the next GC, which
 				// the client would see as EOF before its deadline.

@@ -1,7 +1,13 @@
 package ipc
 
-// Tagged frames for multiplexed, pipelined connections: the framing of
-// everything after the hello exchange.
+// The wire's two framings.  The hello exchange has its own: a 4-byte
+// big-endian payload length, then one hello (codec.go) of at most
+// maxHelloFrame bytes.  It never changes, so a peer of any version is
+// read whole — a version-5 or older peer's gob-encoded hello too — and
+// refused rather than misread as a tagged header and waited on.
+//
+// Tagged frames carry everything after the hello exchange, on
+// multiplexed, pipelined connections.
 //
 // A frame is a 12-byte header — 4-byte big-endian payload length,
 // 8-byte big-endian tag — followed by the payload: one message in the
@@ -28,6 +34,7 @@ package ipc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 
 	"omos/internal/lebin"
@@ -55,14 +62,17 @@ func (s *sendBuf) reset() {
 	s.b = s.b[:hdrSize]
 }
 
-// payloadLen reports the bytes accumulated past the header.
-func (s *sendBuf) payloadLen() int { return len(s.b) - hdrSize }
-
 // seal stamps the header (payload length + tag) in place; the frame
-// is then s.b, ready for one Write to the connection.
-func (s *sendBuf) seal(tag uint64) {
-	binary.BigEndian.PutUint32(s.b[0:4], uint32(len(s.b)-hdrSize))
+// is then s.b, ready for one Write to the connection.  A payload past
+// maxFrame is refused before any byte of it is written.
+func (s *sendBuf) seal(tag uint64) error {
+	n := len(s.b) - hdrSize
+	if n > maxFrame {
+		return fmt.Errorf("ipc: frame too large (%d bytes)", n)
+	}
+	binary.BigEndian.PutUint32(s.b[0:4], uint32(n))
 	binary.BigEndian.PutUint64(s.b[4:12], tag)
+	return nil
 }
 
 // tagBytes exposes the sealed header's tag field — the deterministic
@@ -72,21 +82,53 @@ func (s *sendBuf) seal(tag uint64) {
 // would).
 func (s *sendBuf) tagBytes() []byte { return s.b[4:12] }
 
-// readTagged reads one frame: header into hdr, payload into *buf
-// (reused and grown as needed; the returned slice aliases it — valid
-// only until the next call).  Frame damage surfaces as *FrameError
-// exactly like ReadFrame; a clean close between frames is io.EOF.
-func readTagged(r io.Reader, hdr *[hdrSize]byte, buf *[]byte) (tag uint64, payload []byte, err error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, nil, &FrameError{Reason: "truncated", Err: err}
+// writeHello sends one hello in the gate's framing, in one Write.
+func writeHello(w io.Writer, h *hello) error {
+	b := make(lebin.Writer, 4, 64)
+	encodeHello(&b, h)
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	_, err := w.Write(b)
+	return err
+}
+
+// readHello reads one hello frame and decodes it into *h.  A frame
+// read whole whose payload is not a hello of this version is a
+// "malformed" *FrameError; h.Version then holds the version the peer
+// speaks, when its magic was right.
+func readHello(r io.Reader, h *hello) error {
+	var hdr [4]byte
+	var buf []byte
+	p, err := readFrame(r, hdr[:], maxHelloFrame, &buf)
+	if err == nil {
+		if err = decodeHello(p, h); err != nil {
+			err = &FrameError{Reason: "malformed", Size: uint32(len(p)), Err: err}
 		}
-		return 0, nil, err // io.EOF (clean close) or transport error
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	tag = binary.BigEndian.Uint64(hdr[4:12])
-	if n > maxFrame {
-		return tag, nil, &FrameError{Reason: "oversized", Size: n}
+	return err
+}
+
+// readTagged reads one tagged frame into hdr and *buf (see readFrame).
+func readTagged(r io.Reader, hdr *[hdrSize]byte, buf *[]byte) (tag uint64, payload []byte, err error) {
+	payload, err = readFrame(r, hdr[:], maxFrame, buf)
+	return binary.BigEndian.Uint64(hdr[4:]), payload, err
+}
+
+// readFrame reads one frame of either framing with exact-length reads:
+// the header into hdr, whose first four bytes are the big-endian
+// payload length, then at most limit payload bytes into *buf (reused
+// and grown as needed; the returned slice aliases it — valid only
+// until the next call).  A clean close before the frame is io.EOF;
+// frame damage is a *FrameError.
+func readFrame(r io.Reader, hdr []byte, limit uint32, buf *[]byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, &FrameError{Reason: "truncated", Err: err}
+		}
+		return nil, err // io.EOF (clean close) or transport error
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > limit {
+		return nil, &FrameError{Reason: "oversized", Size: n}
 	}
 	if cap(*buf) < int(n) {
 		*buf = make([]byte, n)
@@ -94,7 +136,7 @@ func readTagged(r io.Reader, hdr *[hdrSize]byte, buf *[]byte) (tag uint64, paylo
 		*buf = (*buf)[:n]
 	}
 	if _, err := io.ReadFull(r, *buf); err != nil {
-		return tag, nil, &FrameError{Reason: "truncated", Size: n, Err: err}
+		return nil, &FrameError{Reason: "truncated", Size: n, Err: err}
 	}
-	return tag, *buf, nil
+	return *buf, nil
 }

@@ -1,12 +1,12 @@
 package ipc
 
-// Fuzz targets for the tagged wire: the framing layer alone through the
-// buffered reader it runs behind, the message decoders alone, and the
-// whole server side of an upgraded connection fed arbitrary bytes.
-// Seeds are the damage the unit tests inject by hand (mux_test.go,
-// fault_test.go, codec_test.go): truncation, an oversized length, a
-// payload that does not decode, a message of the wrong kind, a damaged
-// tag.
+// Fuzz targets for the wire: the hello gate's frame reader and decoder,
+// the tagged framing layer alone through the buffered reader it runs
+// behind, the message decoders alone, and the whole server side of an
+// upgraded connection fed arbitrary bytes.  Seeds are the damage the
+// unit tests inject by hand (mux_test.go, fault_test.go,
+// codec_test.go): truncation, an oversized length, a payload that does
+// not decode, a message of the wrong kind or version, a damaged tag.
 
 import (
 	"bufio"
@@ -37,6 +37,28 @@ func encodeFrame(tag uint64, msg interface{}) []byte {
 	}
 	sbuf.seal(tag)
 	return sbuf.b
+}
+
+// exchangeHello sends one hello frame and returns the server's answer.
+func exchangeHello(t testing.TB, conn net.Conn, h *hello) hello {
+	t.Helper()
+	if err := writeHello(conn, h); err != nil {
+		t.Fatal(err)
+	}
+	var ack hello
+	if err := readHello(conn, &ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack
+}
+
+// greetRaw completes a secretless hello exchange on a raw connection,
+// as the client does before its first tagged frame.
+func greetRaw(t testing.TB, conn net.Conn) {
+	t.Helper()
+	if ack := exchangeHello(t, conn, &hello{Version: protoVersion}); !ack.Ack {
+		t.Fatalf("hello answered %+v", ack)
+	}
 }
 
 // taggedStream encodes messages as consecutive tagged frames (tags 1,
@@ -124,13 +146,7 @@ func FuzzMuxStream(f *testing.F) {
 		go func() { srv.serveConn(sv); close(served) }()
 
 		cli.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := WriteFrame(cli, &Request{Op: OpHello, Text: protoVersionText}); err != nil {
-			t.Fatal(err)
-		}
-		var ack Response
-		if err := ReadFrame(cli, &ack); err != nil || !ack.Flag {
-			t.Fatalf("hello: %v %+v", err, ack)
-		}
+		greetRaw(t, cli)
 		// Discard whatever the stream's well-formed requests are
 		// answered with, until the server hangs up.
 		go io.Copy(io.Discard, cli)
@@ -146,6 +162,45 @@ func FuzzMuxStream(f *testing.F) {
 		}
 		if n := srv.Recovered(); n != 0 {
 			t.Fatalf("%d panics recovered while decoding", n)
+		}
+	})
+}
+
+// FuzzHello feeds the gate's reader a connection's first bytes, as the
+// server reads them before the peer has proved anything.  It may not
+// panic, allocate past a small bound whatever length the bytes claim,
+// or fail untyped, and a frame it accepts is exactly the frame the
+// writer makes of the decoded hello.
+func FuzzHello(f *testing.F) {
+	hi, ack := goldenHellos()
+	for _, h := range []*hello{hi, ack, {Version: protoVersion, Text: helloRequiredMsg}} {
+		full := helloFrame(h)
+		f.Add(full)
+		f.Add(full[:len(full)-1])
+	}
+	for _, frame := range gateFixtures(f) {
+		f.Add(frame)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'O', 'M', 'O', 'S'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h hello
+		var err error
+		if got := allocatedBy(func() { err = readHello(bytes.NewReader(data), &h) }); got > 64<<10 {
+			t.Fatalf("%d input bytes made readHello allocate %d", len(data), got)
+		}
+		var fe *FrameError
+		if err != nil {
+			if err != io.EOF && !errors.As(err, &fe) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		if h.Version != protoVersion {
+			t.Fatalf("accepted a version %d hello", h.Version)
+		}
+		if frame := helloFrame(&h); !bytes.HasPrefix(data, frame) {
+			t.Fatalf("hello %+v re-encodes to %x, read from %x", h, frame, data)
 		}
 	})
 }

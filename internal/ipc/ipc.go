@@ -9,15 +9,17 @@
 // program execution inside the daemon's simulated machine.
 //
 // There is one protocol version.  A connection opens with a hello
-// exchange in self-contained gob frames (WriteFrame/ReadFrame) — the
-// version gate, readable by any version of either peer — and then
-// carries tagged frames (frame.go) whose payload is one message in a
-// fixed binary layout (codec.go): every frame bears a client-assigned
-// request ID, so one connection carries any number of in-flight calls,
-// completions return out of order, and OpInstantiateBatch streams
-// per-item results.  A server answers a first frame that is not a
-// hello with one refusal and closes; a client whose hello is refused
-// reports the refusal, it does not fall back.
+// exchange in the gate's own length-prefixed frames, each carrying one
+// hello whose magic and version sit at fixed offsets (codec.go) — the
+// version gate, readable far enough to refuse by any version from 6
+// on — and then carries tagged frames (frame.go) whose payload is one
+// message in a fixed binary layout (codec.go): every frame bears a
+// client-assigned request ID, so one connection carries any number of
+// in-flight calls, completions return out of order, and
+// OpInstantiateBatch streams per-item results.  A server answers a
+// first frame that is not a hello of its version with one refusal and
+// closes; a client whose hello is refused reports the refusal, it does
+// not fall back.
 //
 // Failure model: frame-level damage (truncated, oversized, or
 // malformed frames) surfaces as *FrameError and costs only the one
@@ -28,19 +30,17 @@
 package ipc
 
 import (
-	"bytes"
 	"context"
 	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,24 +80,6 @@ const (
 	OpUpgrade       Op = "upgrade"
 	OpUpgradeStatus Op = "upgrade-status"
 	OpRollback      Op = "rollback"
-	// OpHello opens every connection: Text carries the protocol
-	// version the client speaks (protoVersionText); the server
-	// acknowledges with Flag set and the same version, and the
-	// connection switches to tagged framing.  Anything else is a refusal, which the client
-	// reports as an error.  Always sent in self-contained frames
-	// (WriteFrame), so the gate stays readable whatever follows it.
-	//
-	// Mesh peer auth is a challenge-response inside the hello: a
-	// client configured with the mesh secret puts a fresh nonce in
-	// Unit; a server that also has the secret answers the ack with a
-	// challenge nonce in Output, the client sends one more
-	// OpHello frame whose Blob is meshProof(secret, server nonce, client
-	// nonce, version), and the server verifies it (hmac.Equal) before
-	// the final ack.  A wrong proof still opens the connection —
-	// only the mesh operations are gated on the authenticated mark.
-	// A secretless server ignores Unit (no challenge, no extra round
-	// trip) and a secretless client sends no nonce.
-	OpHello Op = "hello"
 	// OpInstantiateBatch instantiates a vector of meta-objects (Args)
 	// in one request: the server fans the items into its build
 	// executor and streams each completion back as its own tagged
@@ -107,7 +89,7 @@ const (
 	// image store (internal/mesh).  All carry Request.Mesh and answer
 	// with Response.Mesh; when the serving daemon has a mesh secret
 	// configured they require the connection to have authenticated via
-	// the HMAC proof on OpHello.  OpMeshFetch asks a content key's ring
+	// the HMAC proof of the hello.  OpMeshFetch asks a content key's ring
 	// owner for its image — metadata only when the requester holds a
 	// local variant to rebase, otherwise the encoded record blob,
 	// streamed in chunks.  OpMeshPut hands the owner a
@@ -121,13 +103,18 @@ const (
 	OpMeshRebalance Op = "mesh-rebalance"
 )
 
-// protoVersionText is the version string OpHello carries: the protocol
-// this package speaks.  The layout of the tagged messages (codec.go)
-// is part of it: changing that layout means a new version.
-const protoVersionText = "5"
+// protoVersion is the protocol this package speaks, carried at offset
+// 4 of every hello.  The layouts of the hello and of the tagged
+// messages (codec.go) are part of it: changing either means a new
+// version.
+const protoVersion = 6
+
+// protoVersionText is protoVersion as refusals and the mesh proof spell
+// it.
+var protoVersionText = strconv.Itoa(protoVersion)
 
 // errHelloRefused marks a hello the server answered with anything but
-// an acknowledgement of protoVersionText.  The peer speaks another
+// an acknowledgement of this version.  The peer speaks another
 // protocol; redialing cannot change that, so it is never retried.
 var errHelloRefused = errors.New("ipc: server refused the protocol " + protoVersionText + " hello")
 
@@ -342,12 +329,13 @@ type Response struct {
 // a workload blueprint of a few hundred KB).
 const maxFrame = 16 << 20
 
-// maxHelloFrame bounds a hello-exchange frame (WriteFrame/ReadFrame).
+// maxHelloFrame bounds a hello-exchange frame (writeHello/readHello).
 // The server reads the first one before any auth and with no deadline,
-// so a forged length must not become an allocation.  A hello carries a
-// version, a 32-character nonce and a 32-byte proof; the largest frame
-// of the exchange is an ack or refusal at ~0.9 KB, nearly all of it
-// gob's type descriptors for Response.
+// so a forged length must not become an allocation.  A hello of this
+// version is at most ~130 bytes (a refusal's reason, or a 32-character
+// nonce and a 32-byte proof); the bound stays at the size of the
+// gob-era hello exchange (frames of up to ~0.9 KB), so a frame from a
+// version-5 or older peer is still read whole and refused.
 const maxHelloFrame = 4 << 10
 
 // drainingMsg is the wire form of ErrDraining (Response.Err is a
@@ -370,62 +358,17 @@ type FrameError struct {
 }
 
 func (e *FrameError) Error() string {
+	msg := "ipc: " + e.Reason + " frame"
 	if e.Size > 0 {
-		return fmt.Sprintf("ipc: %s frame (%d bytes)", e.Reason, e.Size)
+		msg += fmt.Sprintf(" (%d bytes)", e.Size)
 	}
 	if e.Err != nil {
-		return fmt.Sprintf("ipc: %s frame: %v", e.Reason, e.Err)
+		msg += ": " + e.Err.Error()
 	}
-	return fmt.Sprintf("ipc: %s frame", e.Reason)
+	return msg
 }
 
 func (e *FrameError) Unwrap() error { return e.Err }
-
-// WriteFrame sends one gob-encoded value with a length prefix, using a
-// fresh gob codec so the frame is self-contained: the framing of the
-// hello exchange, which must decode without any stream state and stay
-// readable by every version of either peer.
-func WriteFrame(w io.Writer, v interface{}) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return fmt.Errorf("ipc: encode: %w", err)
-	}
-	var hdr [4]byte
-	if payload.Len() > maxHelloFrame {
-		return fmt.Errorf("ipc: frame too large (%d bytes)", payload.Len())
-	}
-	binary.BigEndian.PutUint32(hdr[:], uint32(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
-}
-
-// ReadFrame receives one gob-encoded value of at most maxHelloFrame
-// bytes.  A cleanly closed peer returns io.EOF; anything else wrong
-// with the frame itself returns a *FrameError.
-func ReadFrame(r io.Reader, v interface{}) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return &FrameError{Reason: "truncated", Err: err}
-		}
-		return err // io.EOF (clean close) or transport error
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxHelloFrame {
-		return &FrameError{Reason: "oversized", Size: n}
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return &FrameError{Reason: "truncated", Size: n, Err: err}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
-		return &FrameError{Reason: "malformed", Size: n, Err: err}
-	}
-	return nil
-}
 
 // Options tunes a Client's robustness behavior.  The zero value means
 // no timeouts and no retries (the pre-hardening behavior, still right

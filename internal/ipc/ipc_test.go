@@ -13,38 +13,30 @@ import (
 	"time"
 )
 
+// TestFrameRoundtrip: any hello of this version crosses the gate's
+// framing as itself.
 func TestFrameRoundtrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		req := Request{
-			Op:   Op(fmt.Sprintf("op%d", r.Intn(5))),
-			Path: fmt.Sprintf("/p/%d", r.Intn(100)),
-			Text: strings.Repeat("x", r.Intn(200)),
-			Args: []string{"a", "b"}[:r.Intn(3)],
-			Blob: make([]byte, r.Intn(64)),
+		h := hello{
+			Version: protoVersion,
+			Ack:     r.Intn(2) == 1,
+			Text:    strings.Repeat("x", r.Intn(200)),
+			Proof:   make([]byte, r.Intn(64)),
 		}
-		r.Read(req.Blob)
+		r.Read(h.Proof)
+		if len(h.Proof) == 0 {
+			h.Proof = nil // an empty blob decodes as nil
+		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &req); err != nil {
+		if err := writeHello(&buf, &h); err != nil {
 			return false
 		}
-		var out Request
-		if err := ReadFrame(&buf, &out); err != nil {
+		var out hello
+		if err := readHello(&buf, &out); err != nil {
 			return false
 		}
-		if len(out.Args) == 0 {
-			out.Args = nil
-		}
-		if len(req.Args) == 0 {
-			req.Args = nil
-		}
-		if len(out.Blob) == 0 {
-			out.Blob = nil
-		}
-		if len(req.Blob) == 0 {
-			req.Blob = nil
-		}
-		return reflect.DeepEqual(req, out)
+		return reflect.DeepEqual(h, out) && buf.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -53,20 +45,18 @@ func TestFrameRoundtrip(t *testing.T) {
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{Op: OpPing}); err != nil {
+	if err := writeHello(&buf, &hello{Version: protoVersion, Ack: true, Text: "challenge", Proof: []byte{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for i := 0; i < len(full); i++ {
-		var out Request
-		if err := ReadFrame(bytes.NewReader(full[:i]), &out); err == nil {
+		if err := readHello(bytes.NewReader(full[:i]), new(hello)); err == nil {
 			t.Fatalf("prefix %d accepted", i)
 		}
 	}
 	// Oversized frame header rejected.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	var out Request
-	if err := ReadFrame(bytes.NewReader(huge), &out); err == nil {
+	if err := readHello(bytes.NewReader(huge), new(hello)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

@@ -89,13 +89,12 @@ func startLifecyclePeer(t *testing.T, script func(*peerConn)) *lifecyclePeer {
 
 // readHello consumes the client's hello frame.
 func (pc *peerConn) readHello() bool {
-	var req Request
-	return ReadFrame(pc.conn, &req) == nil && req.Op == OpHello
+	return readHello(pc.conn, new(hello)) == nil
 }
 
 // greet completes the hello exchange.
 func (pc *peerConn) greet() bool {
-	return pc.readHello() && WriteFrame(pc.conn, &Response{Text: protoVersionText, Flag: true}) == nil
+	return pc.readHello() && writeHello(pc.conn, &hello{Version: protoVersion, Ack: true}) == nil
 }
 
 // request reads the next tagged request and counts it as an attempt.
@@ -243,7 +242,7 @@ func TestRequestLifecycle(t *testing.T) {
 		{name: "hello-refused", script: func(pc *peerConn) {
 			if pc.readHello() {
 				pc.p.attempts.Add(1)
-				WriteFrame(pc.conn, &Response{Err: `unknown operation "hello"`})
+				writeHello(pc.conn, &hello{Version: protoVersion, Text: "no"})
 			}
 		}, attempts: all(1), want: is(errHelloRefused)},
 		// Mid-exchange: only idempotent ops retry.

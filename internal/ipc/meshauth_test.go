@@ -77,24 +77,14 @@ func TestMeshHelloReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn1.Close()
-	hello := &Request{Op: OpHello, Text: protoVersionText, Unit: clientNonce}
-	if err := WriteFrame(conn1, hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack1 Response
-	if err := ReadFrame(conn1, &ack1); err != nil {
-		t.Fatal(err)
-	}
-	if !ack1.Flag || ack1.Output == "" {
+	hi := &hello{Version: protoVersion, Text: clientNonce}
+	ack1 := exchangeHello(t, conn1, hi)
+	if !ack1.Ack || ack1.Text == "" {
 		t.Fatalf("secretful server issued no challenge: %+v", ack1)
 	}
-	capturedProof := meshProof(secret, ack1.Output, clientNonce, protoVersionText)
-	if err := WriteFrame(conn1, &Request{Op: OpHello, Text: protoVersionText, Blob: capturedProof}); err != nil {
-		t.Fatal(err)
-	}
-	var fin1 Response
-	if err := ReadFrame(conn1, &fin1); err != nil || !fin1.Flag {
-		t.Fatalf("final ack: %v %+v", err, fin1)
+	captured := &hello{Version: protoVersion, Proof: meshProof(secret, ack1.Text, clientNonce, protoVersionText)}
+	if fin1 := exchangeHello(t, conn1, captured); !fin1.Ack {
+		t.Fatalf("final ack: %+v", fin1)
 	}
 	if resp := meshCallRaw(t, conn1, 1); resp.Err != "" {
 		t.Fatalf("legitimate handshake not authenticated: %q", resp.Err)
@@ -109,22 +99,12 @@ func TestMeshHelloReplayRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	if err := WriteFrame(conn2, hello); err != nil {
-		t.Fatal(err)
+	ack2 := exchangeHello(t, conn2, hi)
+	if ack2.Text == "" || ack2.Text == ack1.Text {
+		t.Fatalf("challenge not fresh per connection: %q then %q", ack1.Text, ack2.Text)
 	}
-	var ack2 Response
-	if err := ReadFrame(conn2, &ack2); err != nil {
-		t.Fatal(err)
-	}
-	if ack2.Output == "" || ack2.Output == ack1.Output {
-		t.Fatalf("challenge not fresh per connection: %q then %q", ack1.Output, ack2.Output)
-	}
-	if err := WriteFrame(conn2, &Request{Op: OpHello, Text: protoVersionText, Blob: capturedProof}); err != nil {
-		t.Fatal(err)
-	}
-	var fin2 Response
-	if err := ReadFrame(conn2, &fin2); err != nil || !fin2.Flag {
-		t.Fatalf("wrong proof must still upgrade the protocol: %v %+v", err, fin2)
+	if fin2 := exchangeHello(t, conn2, captured); !fin2.Ack {
+		t.Fatalf("wrong proof must still upgrade the protocol: %+v", fin2)
 	}
 	if resp := meshCallRaw(t, conn2, 1); resp.Err != meshAuthMsg {
 		t.Fatalf("replayed proof: mesh fetch answered %q, want %q", resp.Err, meshAuthMsg)

@@ -84,13 +84,12 @@ func (s *session) ensureHandshake(deadline time.Time) error {
 	return s.hsErr
 }
 
-// handshake is the hello exchange: an OpHello in a self-contained
-// frame, which the server must acknowledge with the same protocol
-// version before the connection switches to tagged framing and the
-// reader goroutine starts.
+// handshake is the hello exchange: a hello in the gate's own framing,
+// which the server must acknowledge before the connection switches to
+// tagged framing and the reader goroutine starts.
 func (s *session) handshake(deadline time.Time) error {
 	s.conn.SetDeadline(deadline)
-	hello := &Request{Op: OpHello, Text: protoVersionText}
+	h := hello{Version: protoVersion}
 	if s.secret != "" {
 		// Mesh-peer authentication rides the hello: the nonce asks a
 		// secretful server for a challenge (answered below).  A server
@@ -99,32 +98,24 @@ func (s *session) handshake(deadline time.Time) error {
 		if err != nil {
 			return err
 		}
-		hello.Unit = nonce
+		h.Text = nonce
 	}
-	if err := WriteFrame(s.conn, hello); err != nil {
+	ack, err := s.greet(&h)
+	if err != nil {
 		return err
 	}
-	var resp Response
-	if err := ReadFrame(s.conn, &resp); err != nil {
-		return err
-	}
-	if resp.Flag && resp.Text == protoVersionText && s.secret != "" && resp.Output != "" {
-		// The server issued a challenge (Output): answer it with the
-		// HMAC proof over both nonces before the final ack.  Failing
-		// the extra round trip poisons the session like any other
-		// handshake transport error.
-		proof := &Request{Op: OpHello, Text: protoVersionText,
-			Blob: meshProof(s.secret, resp.Output, hello.Unit, protoVersionText)}
-		if err := WriteFrame(s.conn, proof); err != nil {
-			return err
-		}
-		resp = Response{}
-		if err := ReadFrame(s.conn, &resp); err != nil {
+	if ack.Ack && s.secret != "" && ack.Text != "" {
+		// The server issued a challenge: answer it with the HMAC proof
+		// over both nonces before the final ack.  Failing the extra
+		// round trip poisons the session like any other handshake
+		// transport error.
+		if ack, err = s.greet(&hello{Version: protoVersion,
+			Proof: meshProof(s.secret, ack.Text, h.Text, protoVersionText)}); err != nil {
 			return err
 		}
 	}
-	if !resp.Flag || resp.Text != protoVersionText {
-		return fmt.Errorf("%w: %q", errHelloRefused, resp.Err)
+	if !ack.Ack {
+		return fmt.Errorf("%w: %q", errHelloRefused, ack.Text)
 	}
 	s.conn.SetDeadline(time.Time{})
 	s.calls = make(map[uint64]chan *Response)
@@ -132,6 +123,21 @@ func (s *session) handshake(deadline time.Time) error {
 	// connection; only from here on is the stream buffered.
 	go s.readLoop(bufio.NewReaderSize(s.conn, readBufSize))
 	return nil
+}
+
+// greet sends one hello and reads the server's answer.  An answer that
+// is not a hello of this version is a refusal: the server speaks
+// another protocol.
+func (s *session) greet(h *hello) (ack hello, err error) {
+	if err := writeHello(s.conn, h); err != nil {
+		return ack, err
+	}
+	err = readHello(s.conn, &ack)
+	var fe *FrameError
+	if errors.As(err, &fe) && fe.Reason == "malformed" && ack.Version != protoVersion {
+		return ack, fmt.Errorf("%w: %v", errHelloRefused, fe.Err)
+	}
+	return ack, err
 }
 
 // readLoop is the reader goroutine of a session: it demultiplexes
@@ -238,10 +244,9 @@ func (s *session) send(tag uint64, req *Request, deadline time.Time) error {
 	defer s.sendMu.Unlock()
 	s.sbuf.reset()
 	encodeRequest(&s.sbuf.b, req)
-	if s.sbuf.payloadLen() > maxFrame {
-		return fmt.Errorf("ipc: frame too large (%d bytes)", s.sbuf.payloadLen())
+	if err := s.sbuf.seal(tag); err != nil {
+		return err
 	}
-	s.sbuf.seal(tag)
 	s.conn.SetWriteDeadline(deadline)
 	if _, err := s.conn.Write(s.sbuf.b); err != nil {
 		s.fail(err)

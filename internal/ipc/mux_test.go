@@ -10,6 +10,8 @@ package ipc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +24,7 @@ import (
 	"time"
 
 	"omos/internal/fault"
+	"omos/internal/lebin"
 )
 
 // startMuxServer is startServer with access to the Server value (for
@@ -51,32 +54,101 @@ func dialMux(t *testing.T, addr string, opts Options) *Client {
 	return c
 }
 
-// TestHelloGateRefusesUngreetedFrame: a peer that opens with a request
-// instead of a hello (what a protocol-1 client sent) gets exactly one
-// refusal it can read, naming the version it needs, and then EOF.
-// Nothing is dispatched and nothing panics.
-func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
-	b := newFakeBackend()
-	srv, addr := startMuxServer(t, b, nil)
+// First frames of gob-era peers, as hex: the exact bytes the version-5
+// frame writer produced — a 4-byte big-endian length, then a
+// self-contained gob encoding of a Request — for a version-2 hello, a
+// version-5 hello, and the define a protocol-1 client opened with.
+const (
+	gobHelloV2 = "" +
+		"000000f4637f030101075265717565737401ff8000010801024f70010c000104" +
+		"50617468010c000104556e6974010c00010454657874010c0001044172677301" +
+		"ff82000104426c6f62010a00010b416c6c6f77526562696e6401020001044d65" +
+		"736801ff8400000016ff81020101085b5d737472696e6701ff8200010c00006a" +
+		"ff83030101074d65736852657101ff84000108010446726f6d010c000104434b" +
+		"6579010c00010854657874426173650106000108446174614261736501060001" +
+		"094861766542797465730102000104426c6f62010a00010347656e0106000104" +
+		"4b65797301ff820000000dff80010568656c6c6f03013200"
+	gobHelloV5 = "" +
+		"000000f4637f030101075265717565737401ff8000010801024f70010c000104" +
+		"50617468010c000104556e6974010c00010454657874010c0001044172677301" +
+		"ff82000104426c6f62010a00010b416c6c6f77526562696e6401020001044d65" +
+		"736801ff8400000016ff81020101085b5d737472696e6701ff8200010c00006a" +
+		"ff83030101074d65736852657101ff84000108010446726f6d010c000104434b" +
+		"6579010c00010854657874426173650106000108446174614261736501060001" +
+		"094861766542797465730102000104426c6f62010a00010347656e0106000104" +
+		"4b65797301ff820000000dff80010568656c6c6f03013500"
+	gobDefineV1 = "" +
+		"00000106637f030101075265717565737401ff8000010801024f70010c000104" +
+		"50617468010c000104556e6974010c00010454657874010c0001044172677301" +
+		"ff82000104426c6f62010a00010b416c6c6f77526562696e6401020001044d65" +
+		"736801ff8400000016ff81020101085b5d737472696e6701ff8200010c00006a" +
+		"ff83030101074d65736852657101ff84000108010446726f6d010c000104434b" +
+		"6579010c00010854657874426173650106000108446174614261736501060001" +
+		"094861766542797465730102000104426c6f62010a00010347656e0106000104" +
+		"4b65797301ff820000001fff800106646566696e6501062f62696e2f78020a28" +
+		"6d65726765202f612900"
+)
+
+// A gob-era hello, a protocol-1 define and a hello from a future
+// version whose layout past the version is longer.
+func gateFixtures(t testing.TB) map[string][]byte {
+	t.Helper()
+	frames := map[string][]byte{}
+	for name, h := range map[string]string{"v2 hello": gobHelloV2, "v5 hello": gobHelloV5, "v1 define": gobDefineV1} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[name] = b
+	}
+	var w lebin.Writer
+	encodeHello(&w, &hello{Version: protoVersion + 1, Text: "nonce"})
+	w.U64(0xFFFF) // a field version 6 does not have
+	frames["v7 hello"] = append(binary.BigEndian.AppendUint32(nil, uint32(len(w))), w...)
+	return frames
+}
+
+// expectRefusal asserts what a refused first frame earns within the
+// deadline: one hello frame, the refusal naming the version required,
+// and then EOF.
+func expectRefusal(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
+	var h hello
+	if err := readHello(conn, &h); err != nil {
+		t.Fatalf("%s: no refusal frame: %v", what, err)
+	}
+	if h.Ack || !strings.Contains(h.Text, "protocol version "+protoVersionText+" required") {
+		t.Fatalf("%s: answer = %+v, want the refusal naming version %s", what, h, protoVersionText)
+	}
+	if err := readHello(conn, &h); err != io.EOF {
+		t.Fatalf("%s: after the refusal: %v, want EOF", what, err)
+	}
+}
+
+// sendFirstFrame dials addr and sends frame as the connection's first
+// bytes.
+func sendFirstFrame(t *testing.T, addr string, frame []byte) net.Conn {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteFrame(conn, &Request{Op: OpDefine, Path: "/bin/x", Text: "(merge /a)"}); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatalf("no refusal frame: %v", err)
-	}
-	if !strings.Contains(resp.Err, "protocol version "+protoVersionText) || resp.Flag {
-		t.Fatalf("refusal = %+v, want an error naming protocol version %s", resp, protoVersionText)
-	}
-	if err := ReadFrame(conn, &resp); err != io.EOF {
-		t.Fatalf("after the refusal: %v, want EOF", err)
-	}
+	return conn
+}
+
+// TestHelloGateRefusesUngreetedFrame: a peer that opens with a request
+// instead of a hello (what a protocol-1 client sent) gets exactly one
+// refusal, naming the version it needs, and then EOF.  Nothing is
+// dispatched and nothing panics.
+func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
+	b := newFakeBackend()
+	srv, addr := startMuxServer(t, b, nil)
+	expectRefusal(t, sendFirstFrame(t, addr, gateFixtures(t)["v1 define"]), "v1 define")
 	if len(b.defined) != 0 {
 		t.Fatalf("the ungreeted request was dispatched: %v", b.defined)
 	}
@@ -85,32 +157,24 @@ func TestHelloGateRefusesUngreetedFrame(t *testing.T) {
 	}
 }
 
-// TestHelloGateRefusesOldVersion: a version-2, -3 or -4 peer's hello
-// arrives in the same gob framing, so it is read — and answered with
-// the refusal naming the version required, then EOF.  The connection
-// never switches to tagged frames the peer would misread.
+// TestHelloGateRefusesOldVersion: a gob-era peer's hello arrives in the
+// gate's unchanged framing, so it is read whole — and answered with one
+// refusal, then EOF, though that peer cannot decode it.  A later
+// version's hello is refused the same way by its version alone.  The
+// connection never switches to tagged frames the peer would misread.
 func TestHelloGateRefusesOldVersion(t *testing.T) {
-	_, addr := startMuxServer(t, newFakeBackend(), nil)
-	for _, old := range []string{"2", "3", "4"} {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	b := newFakeBackend()
+	srv, addr := startMuxServer(t, b, nil)
+	for name, frame := range gateFixtures(t) {
+		if name != "v1 define" {
+			expectRefusal(t, sendFirstFrame(t, addr, frame), name)
 		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := WriteFrame(conn, &Request{Op: OpHello, Text: old}); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
-			t.Fatalf("no refusal frame: %v", err)
-		}
-		if resp.Flag || !strings.Contains(resp.Err, "protocol version "+protoVersionText+" required") {
-			t.Fatalf("answer to a version-%s hello = %+v, want the refusal naming version %s", old, resp, protoVersionText)
-		}
-		if err := ReadFrame(conn, &resp); err != io.EOF {
-			t.Fatalf("after the refusal: %v, want EOF", err)
-		}
+	}
+	if len(b.defined) != 0 {
+		t.Fatalf("a refused peer's request was dispatched: %v", b.defined)
+	}
+	if n := srv.Recovered(); n != 0 {
+		t.Fatalf("Recovered = %d, want 0", n)
 	}
 }
 
@@ -135,12 +199,11 @@ func TestHelloRefusedIsAnError(t *testing.T) {
 			conns.Add(1)
 			go func() {
 				defer conn.Close()
-				var req Request
-				if err := ReadFrame(conn, &req); err != nil || req.Op != OpHello {
+				if err := readHello(conn, new(hello)); err != nil {
 					afterHello <- -1
 					return
 				}
-				WriteFrame(conn, &Response{Err: `unknown operation "hello"`})
+				writeHello(conn, &hello{Version: protoVersion, Text: "no"})
 				var hdr [4]byte
 				n, _ := io.ReadFull(conn, hdr[:])
 				afterHello <- n
@@ -408,12 +471,11 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, send func(tag uint64, re
 			return
 		}
 		defer conn.Close()
-		// Complete the hello in its self-contained framing.
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil || req.Op != OpHello {
+		// Complete the hello in its own framing.
+		if err := readHello(conn, new(hello)); err != nil {
 			return
 		}
-		if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true}); err != nil {
+		if err := writeHello(conn, &hello{Version: protoVersion, Ack: true}); err != nil {
 			return
 		}
 		serve(conn, func(tag uint64, resp *Response) { conn.Write(encodeFrame(tag, resp)) })

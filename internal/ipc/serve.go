@@ -236,7 +236,7 @@ func (s *Server) Shutdown() {
 		l.Close()
 	}
 	s.inflight.Wait()
-	// Nudge every idle reader: after the grace deadline its ReadFrame
+	// Nudge every idle reader: after the grace deadline its read
 	// fails and the handler closes the connection itself.  Until then
 	// a client that races its request against our SIGTERM gets a
 	// typed "draining" response, not a RST mid-frame.
@@ -274,18 +274,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := s.faults.Fire(fault.SiteIPCRead); err != nil {
 		return // simulated receive failure: drop the connection
 	}
-	var req Request
-	if err := ReadFrame(conn, &req); err != nil {
-		// EOF, a drain-deadline expiry, or a damaged frame
-		// (*FrameError): all fatal to this connection only.
-		return
-	}
-	if req.Op != OpHello || req.Text != protoVersionText {
-		// Not a peer of this protocol version (the hello has opened
-		// every connection since version 2, and the gate's framing has
-		// not changed since): one refusal it can read, then close.
-		// Nothing was dispatched.
-		WriteFrame(conn, &Response{Err: helloRequiredMsg})
+	var h hello
+	if err := readHello(conn, &h); err != nil || h.Ack {
+		// EOF, a drain-deadline expiry or damaged framing end the
+		// connection unanswered.  A frame that arrived whole but is not
+		// a hello of this version — an older or newer peer's, or a
+		// gob-era peer's, which cannot decode the answer — gets one
+		// refusal, then the close.  Nothing was dispatched.
+		var fe *FrameError
+		if h.Ack || errors.As(err, &fe) && fe.Reason == "malformed" {
+			writeHello(conn, &hello{Version: protoVersion, Text: helloRequiredMsg})
+		}
 		return
 	}
 	// Acknowledge in the hello's own framing, then the connection
@@ -293,7 +292,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// the hello also runs the challenge-response that marks the
 	// connection as an authenticated peer; a wrong proof still opens
 	// the connection — only the mesh operations are gated.
-	authed, ok := s.helloUpgrade(conn, &req)
+	authed, ok := s.helloUpgrade(conn, h.Text)
 	if !ok {
 		return
 	}
@@ -302,21 +301,21 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // helloRequiredMsg refuses a connection whose first frame is not a
 // hello of this protocol version.
-const helloRequiredMsg = "protocol version " + protoVersionText + " required: a connection opens with a hello"
+var helloRequiredMsg = "protocol version " + protoVersionText + " required: a connection opens with a hello"
 
 // helloUpgrade acknowledges a hello in its own framing and, when this
 // server has a mesh secret and the hello carried a client nonce, runs
 // the peer-auth challenge-response: the ack carries a fresh server
-// nonce (Output), the client answers with one more hello frame
-// whose Blob is meshProof(secret, server nonce, client nonce,
-// version), and a final ack closes the exchange.  The server nonce is
-// issued here, never chosen by the client, so a proof captured off one
-// connection never authenticates another.  ok=false means the
-// connection must be dropped (transport failure, a malformed
-// continuation, or no secure randomness for the challenge).
-func (s *Server) helloUpgrade(conn net.Conn, req *Request) (authed, ok bool) {
+// nonce (its Text), the client answers with one more hello whose Proof
+// is meshProof(secret, server nonce, client nonce, version), and a
+// final ack closes the exchange.  The server nonce is issued here,
+// never chosen by the client, so a proof captured off one connection
+// never authenticates another.  ok=false means the connection must be
+// dropped (transport failure, a malformed continuation, or no secure
+// randomness for the challenge).
+func (s *Server) helloUpgrade(conn net.Conn, clientNonce string) (authed, ok bool) {
 	challenge := ""
-	if s.MeshSecret != "" && req.Unit != "" {
+	if s.MeshSecret != "" && clientNonce != "" {
 		c, err := meshNonce()
 		if err != nil {
 			// No secure challenge possible: refuse the connection
@@ -328,21 +327,18 @@ func (s *Server) helloUpgrade(conn net.Conn, req *Request) (authed, ok bool) {
 	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
 		return false, false
 	}
-	if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true, Output: challenge}); err != nil {
+	if err := writeHello(conn, &hello{Version: protoVersion, Ack: true, Text: challenge}); err != nil {
 		return false, false
 	}
 	if challenge == "" {
 		return false, true
 	}
-	var proof Request
-	if err := ReadFrame(conn, &proof); err != nil {
+	var proof hello
+	if err := readHello(conn, &proof); err != nil || proof.Ack {
 		return false, false
 	}
-	if proof.Op != OpHello {
-		return false, false
-	}
-	authed = hmac.Equal(proof.Blob, meshProof(s.MeshSecret, challenge, req.Unit, protoVersionText))
-	if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true}); err != nil {
+	authed = hmac.Equal(proof.Proof, meshProof(s.MeshSecret, challenge, clientNonce, protoVersionText))
+	if err := writeHello(conn, &hello{Version: protoVersion, Ack: true}); err != nil {
 		return false, false
 	}
 	return authed, true
@@ -382,70 +378,38 @@ func applyError(resp *Response, err error) {
 func (s *Server) handle(req *Request, authed bool) *Response {
 	b := s.b
 	resp := &Response{}
-	fail := func(err error) *Response {
-		applyError(resp, err)
-		return resp
-	}
+	var err error
 	switch req.Op {
 	case OpPing:
 		resp.Text = "omos server: alive"
 	case OpDefine:
-		if err := b.DefineAllow(req.Path, req.Text, req.AllowRebind); err != nil {
-			return fail(err)
-		}
+		err = b.DefineAllow(req.Path, req.Text, req.AllowRebind)
 	case OpDefineLib:
-		if err := b.DefineLibraryAllow(req.Path, req.Text, req.AllowRebind); err != nil {
-			return fail(err)
-		}
+		err = b.DefineLibraryAllow(req.Path, req.Text, req.AllowRebind)
 	case OpPutObject:
-		if err := b.PutObjectBytes(req.Path, req.Blob); err != nil {
-			return fail(err)
-		}
+		err = b.PutObjectBytes(req.Path, req.Blob)
 	case OpAssemble:
-		if err := b.AssembleTo(req.Path, req.Text); err != nil {
-			return fail(err)
-		}
+		err = b.AssembleTo(req.Path, req.Text)
 	case OpCompile:
-		paths, err := b.CompileTo(req.Path, req.Unit, req.Text)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Paths = paths
+		resp.Paths, err = b.CompileTo(req.Path, req.Unit, req.Text)
 	case OpList:
 		resp.Paths = b.List(req.Path)
 	case OpRemove:
-		if err := b.RemoveAllow(req.Path, req.AllowRebind); err != nil {
-			return fail(err)
-		}
+		err = b.RemoveAllow(req.Path, req.AllowRebind)
 	case OpRun, OpRunBoot:
-		out, err := b.Run(req.Path, req.Args, req.Op == OpRunBoot)
-		if err != nil {
-			return fail(err)
-		}
+		var out RunOutcome
+		out, err = b.Run(req.Path, req.Args, req.Op == OpRunBoot)
 		resp.ExitCode = out.ExitCode
 		resp.Output = out.Output
 		resp.User, resp.Sys, resp.Server, resp.Wait = out.User, out.Sys, out.Server, out.Wait
 	case OpDisasm:
-		text, err := b.Disasm(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Text = text
+		resp.Text, err = b.Disasm(req.Path)
 	case OpStats:
 		resp.Text = b.Stats() + "transport: recovered=" + strconv.FormatUint(s.recovered.Load(), 10) + "\n"
 	case OpGetMeta:
-		src, isLib, err := b.ExportMeta(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Text = src
-		resp.Flag = isLib
+		resp.Text, resp.Flag, err = b.ExportMeta(req.Path)
 	case OpGetObject:
-		blob, err := b.ExportObject(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Blob = blob
+		resp.Blob, err = b.ExportObject(req.Path)
 	case OpHealth:
 		hi := b.Health()
 		hi.Draining = s.Draining()
@@ -453,79 +417,52 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 	case OpGraph:
 		resp.Text = b.Graph()
 	case OpExplain:
-		text, err := b.Explain(req.Path)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Text = text
+		resp.Text, err = b.Explain(req.Path)
 	case OpUpgrade:
 		switch req.Unit {
 		case "start":
 			pct := 100
 			if req.Text != "" {
-				n, err := strconv.Atoi(req.Text)
-				if err != nil {
-					return fail(fmt.Errorf("bad canary percentage %q", req.Text))
+				if pct, err = strconv.Atoi(req.Text); err != nil {
+					err = fmt.Errorf("bad canary percentage %q", req.Text)
+					break
 				}
-				pct = n
 			}
-			id, err := b.UpgradeStart(pct)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Text = id
+			resp.Text, err = b.UpgradeStart(pct)
 		case "stage":
 			isLib := len(req.Args) > 0 && req.Args[0] == "lib"
-			if err := b.UpgradeStage(req.Path, req.Text, isLib); err != nil {
-				return fail(err)
-			}
+			err = b.UpgradeStage(req.Path, req.Text, isLib)
 		case "commit":
-			if err := b.UpgradeCommit(); err != nil {
-				return fail(err)
-			}
+			err = b.UpgradeCommit()
 		default:
-			return fail(fmt.Errorf("unknown upgrade phase %q", req.Unit))
+			err = fmt.Errorf("unknown upgrade phase %q", req.Unit)
 		}
 	case OpUpgradeStatus:
 		resp.Text, resp.Flag = b.UpgradeStatus()
 	case OpRollback:
-		if err := b.UpgradeRollback(req.Text); err != nil {
-			return fail(err)
-		}
+		err = b.UpgradeRollback(req.Text)
 	case OpMeshFetch, OpMeshPut, OpMeshGossip, OpMeshRebalance:
-		if s.MeshSecret != "" && !authed {
-			return fail(errors.New(meshAuthMsg))
-		}
-		if req.Mesh == nil {
-			return fail(fmt.Errorf("mesh request without payload"))
-		}
-		switch req.Op {
-		case OpMeshFetch:
-			info, blob, err := b.MeshFetch(req.Mesh)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Mesh = info
-			resp.Blob = blob
-		case OpMeshPut:
-			if err := b.MeshPut(req.Mesh); err != nil {
-				return fail(err)
-			}
-		case OpMeshGossip:
-			info, err := b.MeshGossip(req.Mesh)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Mesh = info
-		case OpMeshRebalance:
-			info, err := b.MeshRebalance(req.Mesh)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Mesh = info
+		switch {
+		case s.MeshSecret != "" && !authed:
+			err = errors.New(meshAuthMsg)
+		case req.Mesh == nil:
+			err = fmt.Errorf("mesh request without payload")
+		case req.Op == OpMeshFetch:
+			resp.Mesh, resp.Blob, err = b.MeshFetch(req.Mesh)
+		case req.Op == OpMeshPut:
+			err = b.MeshPut(req.Mesh)
+		case req.Op == OpMeshGossip:
+			resp.Mesh, err = b.MeshGossip(req.Mesh)
+		default:
+			resp.Mesh, err = b.MeshRebalance(req.Mesh)
 		}
 	default:
-		return fail(fmt.Errorf("unknown operation %q", req.Op))
+		err = fmt.Errorf("unknown operation %q", req.Op)
+	}
+	if err != nil {
+		// A failed operation answers with its error alone.
+		*resp = Response{}
+		applyError(resp, err)
 	}
 	return resp
 }

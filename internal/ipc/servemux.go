@@ -1,7 +1,7 @@
 package ipc
 
 // Server side of the tagged-frame protocol.  serveConn hands a
-// connection here after acknowledging OpHello: a read loop decodes
+// connection here after acknowledging its hello: a read loop decodes
 // tagged requests through one buffered reader and hands each to a
 // bounded set of persistent per-connection workers, and completions
 // are written back as they land — out of order — under a send mutex.
@@ -12,7 +12,6 @@ package ipc
 
 import (
 	"bufio"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -68,10 +67,9 @@ func (m *muxConn) write(tag uint64, resp *Response) error {
 	defer m.sendMu.Unlock()
 	m.sbuf.reset()
 	encodeResponse(&m.sbuf.b, resp)
-	if m.sbuf.payloadLen() > maxFrame {
-		return fmt.Errorf("ipc: frame too large (%d bytes)", m.sbuf.payloadLen())
+	if err := m.sbuf.seal(tag); err != nil {
+		return err
 	}
-	m.sbuf.seal(tag)
 	// Corrupt-kind rules at ipc.write damage the tag field in place:
 	// a deterministic tag-mismatch at the receiver without desyncing
 	// the framing (which damaged length bytes would).

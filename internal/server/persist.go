@@ -119,14 +119,8 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 	// from the library's head; a table this session already recomputed
 	// wins over the stored one.
 	if h.BindKey != "" && len(h.Bindings) > 0 && libsKnown {
-		tbl := &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load", LibKeys: libCKs}
-		for _, b := range h.Bindings {
-			tbl.Bindings = append(tbl.Bindings, Binding{
-				Symbol: b.Symbol, Definer: b.Definer, DefKey: b.DefKey,
-				LibIdx: int(b.LibIdx), Addr: b.Addr,
-			})
-		}
-		s.installBindings(h.BindKey, tbl, false)
+		s.installBindings(h.BindKey, &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load",
+			LibKeys: libCKs, Bindings: h.Bindings}, false)
 	}
 	s.stats.warmLoaded.Add(1)
 }
@@ -443,31 +437,13 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 		rec.LibKeys = append(rec.LibKeys, li.Key)
 	}
 	rec.BindKey = inst.bindKey
-	for _, p := range inst.Pins {
-		rec.Pins = append(rec.Pins, store.LibPin{
-			LibKey: p.LibKey, ContentKey: p.ContentKey, Checksum: p.Checksum,
-		})
-	}
+	rec.Pins = inst.Pins
 	// Persist the binding table only while it still describes this
 	// instance's libraries — a concurrent re-resolution for different
 	// library content must not be attributed to this image.
-	if tbl := s.bindingTable(inst.bindKey); tbl != nil && len(tbl.LibKeys) == len(inst.Libs) {
-		match := true
-		for i, ck := range tbl.LibKeys {
-			if ck == "" || inst.Libs[i].ContentKey != ck {
-				match = false
-				break
-			}
-		}
-		if match {
-			rec.Gen = tbl.Gen
-			for _, b := range tbl.Bindings {
-				rec.Bindings = append(rec.Bindings, store.Binding{
-					Symbol: b.Symbol, Definer: b.Definer, DefKey: b.DefKey,
-					LibIdx: uint32(b.LibIdx), Addr: b.Addr,
-				})
-			}
-		}
+	if tbl := s.bindingTable(inst.bindKey); tbl != nil && tbl.describes(inst.Libs) {
+		rec.Gen = tbl.Gen
+		rec.Bindings = tbl.Bindings
 	}
 	return rec, nil
 }
@@ -509,11 +485,7 @@ func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Insta
 			inst.BTSlots[sym.Name] = sym.Addr
 		}
 	}
-	for _, p := range rec.Pins {
-		inst.Pins = append(inst.Pins, Pin{
-			LibKey: p.LibKey, ContentKey: p.ContentKey, Checksum: p.Checksum,
-		})
-	}
+	inst.Pins = rec.Pins
 	return inst, nil
 }
 

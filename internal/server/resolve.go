@@ -8,6 +8,7 @@ import (
 	"omos/internal/fault"
 	"omos/internal/mgraph"
 	"omos/internal/refusal"
+	"omos/internal/store"
 )
 
 // This file is the stable resolution cache and its enforcement layer.
@@ -42,30 +43,15 @@ import (
 // `omos explain <sym>` walks the tables and answers "who binds this
 // symbol, from which view, at which generation, and why".
 
-// Binding is one resolved symbol: the audit record of who defined it.
-type Binding struct {
-	Symbol  string
-	Definer string // namespace path of the defining library view
-	DefKey  string // definer's placement-independent content key
-	LibIdx  int    // position in the image's library list
-	Addr    uint64 // address bound at resolution time (audit; replay re-reads live)
-}
-
-// BindingTable is one image's recorded resolution.
+// BindingTable is one image's recorded resolution.  Each binding is
+// the audit record of who defined one symbol, in the store's own form
+// (store.Binding), so a table persists and warm-loads as it is.
 type BindingTable struct {
 	Image    string   // image name the resolution was performed for
 	Gen      uint64   // namespace version number at resolution
 	Resolved string   // "search" (computed here) or "warm-load" (prior session)
 	LibKeys  []string // content keys of the libraries, positional
-	Bindings []Binding
-}
-
-// Pin is one pinned library identity, recorded at first link and
-// verified at map / warm-restart time.
-type Pin struct {
-	LibKey     string // cache key of the library instance linked against
-	ContentKey string // placement-independent content identity
-	Checksum   string // store blob checksum (hex); empty if never persisted
+	Bindings []store.Binding
 }
 
 // bindKeyProg is a program's resolution identity: path + blueprint
@@ -163,22 +149,17 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 // matches the live instance, and every undefined symbol has a
 // recorded binding that the definer still exports.
 func (t *BindingTable) replay(und []string, libs []*Instance) (map[string]uint64, bool) {
-	if len(t.LibKeys) != len(libs) {
+	if !t.describes(libs) {
 		return nil, false
 	}
-	for i, ck := range t.LibKeys {
-		if ck == "" || libs[i].ContentKey != ck {
-			return nil, false
-		}
-	}
-	byName := make(map[string]*Binding, len(t.Bindings))
+	byName := make(map[string]*store.Binding, len(t.Bindings))
 	for i := range t.Bindings {
 		byName[t.Bindings[i].Symbol] = &t.Bindings[i]
 	}
 	ext := make(map[string]uint64, len(und))
 	for _, sym := range und {
 		b := byName[sym]
-		if b == nil || b.LibIdx < 0 || b.LibIdx >= len(libs) {
+		if b == nil || int(b.LibIdx) >= len(libs) {
 			return nil, false
 		}
 		a, found := libs[b.LibIdx].Res.Image.Syms[sym]
@@ -190,24 +171,39 @@ func (t *BindingTable) replay(und []string, libs []*Instance) (map[string]uint64
 	return ext, true
 }
 
+// describes reports whether the table was recorded against exactly
+// these libraries: the same count, and every recorded content key that
+// of the live library at its position.
+func (t *BindingTable) describes(libs []*Instance) bool {
+	if len(t.LibKeys) != len(libs) {
+		return false
+	}
+	for i, ck := range t.LibKeys {
+		if ck == "" || libs[i].ContentKey != ck {
+			return false
+		}
+	}
+	return true
+}
+
 // searchExterns is the cold path: the classic symbol search over the
 // library list in link order, first definition wins.  The resolution
 // is recorded as a binding table so the next build of this image
 // replays it instead.
 func (s *Server) searchExterns(name, bindKey string, und []string, libs []*Instance, c charger) map[string]uint64 {
 	ext := make(map[string]uint64, len(und))
-	var binds []Binding
+	var binds []store.Binding
 	probes := 0
 	for _, sym := range und {
 		for i, li := range libs {
 			probes++
 			if a, found := li.Res.Image.Syms[sym]; found {
 				ext[sym] = a
-				binds = append(binds, Binding{
+				binds = append(binds, store.Binding{
 					Symbol:  sym,
 					Definer: definerPath(li.Name),
 					DefKey:  li.ContentKey,
-					LibIdx:  i,
+					LibIdx:  uint32(i),
 					Addr:    a,
 				})
 				break
@@ -299,13 +295,13 @@ func (s *Server) blobSum(key string) string {
 // pinsOf pins the identities of the libraries an image is being
 // linked against: cache key, content key, and — when the library has
 // been persisted — its store blob checksum.
-func (s *Server) pinsOf(libs []*Instance) []Pin {
+func (s *Server) pinsOf(libs []*Instance) []store.LibPin {
 	if len(libs) == 0 {
 		return nil
 	}
-	pins := make([]Pin, len(libs))
+	pins := make([]store.LibPin, len(libs))
 	for i, li := range libs {
-		pins[i] = Pin{LibKey: li.Key, ContentKey: li.ContentKey, Checksum: s.blobSum(li.Key)}
+		pins[i] = store.LibPin{LibKey: li.Key, ContentKey: li.ContentKey, Checksum: s.blobSum(li.Key)}
 	}
 	return pins
 }
@@ -430,7 +426,7 @@ func (s *Server) guardRebind(mutation, p string, allow bool) error {
 func (s *Server) Explain(sym string) (string, error) {
 	type row struct {
 		image string
-		b     Binding
+		b     store.Binding
 		gen   uint64
 		how   string
 	}

@@ -423,7 +423,7 @@ type Instance struct {
 	// linked against (content keys + store checksums), recorded at
 	// first link and verified whenever the image is mapped or woken
 	// from the store (resolve.go).  Empty for images without libraries.
-	Pins []Pin
+	Pins []store.LibPin
 	// bindKey is the image's resolution identity: the key its binding
 	// table is recorded under (empty when resolution is not cached,
 	// e.g. branch-table libraries).

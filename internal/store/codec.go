@@ -150,7 +150,8 @@ const KindNone = uint8(0xff)
 // Binding is one persisted symbol resolution: the symbol, the
 // namespace path and content key of its definer, the definer's
 // position in the image's library list, and the address bound at
-// resolution time.
+// resolution time (an audit record: a replay reads the definer's live
+// address).
 type Binding struct {
 	Symbol  string
 	Definer string
