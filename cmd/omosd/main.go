@@ -40,9 +40,9 @@
 //
 // -peers joins the daemon to a federated mesh: the named daemons and
 // this one consistent-hash shard the content-addressed store, and a
-// placement miss on a non-owning daemon asks the shard owner before
-// relinking locally (metadata-only rebase when the bytes are already
-// local, streamed blob otherwise).  -mesh-secret (or $OMOS_MESH_SECRET)
+// placement miss on a non-owning daemon that holds no variant to
+// rebase asks the shard owner for its streamed blob before relinking
+// locally.  -mesh-secret (or $OMOS_MESH_SECRET)
 // authenticates peer traffic; client ops stay open.
 // -mesh-gossip-interval sets the anti-entropy period.
 //

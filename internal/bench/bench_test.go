@@ -295,13 +295,9 @@ func TestMeshShape(t *testing.T) {
 		t.Errorf("mesh built %.0f bytes, independent fleet %.0f — want strictly fewer",
 			meshed.Extra["built-bytes-total"], indep.Extra["built-bytes-total"])
 	}
-	// At least half of the remote misses must be served by the
-	// metadata-only peer rebase, not blob streaming.
-	if meshed.Extra["mesh-meta-rebases"] <= 0 || meshed.Extra["mesh-blob-installs"] <= 0 {
-		t.Errorf("mesh fleet did not exercise both serve paths: %v", meshed.Extra)
-	}
-	if pct := meshed.Extra["meta-share-pct"]; pct < 50 {
-		t.Errorf("metadata rebases served %.0f%% of remote misses, want >= 50%%", pct)
+	// Remote misses are served by installing the owner's bytes.
+	if meshed.Extra["mesh-blob-installs"] <= 0 {
+		t.Errorf("mesh fleet installed no owner's blob: %v", meshed.Extra)
 	}
 	// The warm path must stay an ordinary cache hit: once the fleet has
 	// converged, further runs consult no peer.

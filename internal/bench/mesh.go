@@ -23,10 +23,10 @@ const meshWarmRuns = 25
 // daemons on the shared workload.  Every daemon serves the same six
 // libraries and programs; independent daemons each relink the world
 // from scratch, while mesh daemons build each content key once
-// fleet-wide — later placement misses are served by a peer, first as
-// a streamed blob and from then on as metadata-only rebases of the
-// local variant.  Rows report total bytes linked across the fleet, how
-// the remote misses were served, and — the mesh must not tax the warm
+// fleet-wide — a daemon's first placement miss of a key is served by
+// the owner's streamed blob, and its later ones by rebasing that local
+// variant.  Rows report total bytes linked across the fleet, how the
+// peer consults were served, and — the mesh must not tax the warm
 // path — how many peer consults further cache-hot runs cost (none:
 // consults happen only on build misses).
 func Mesh(Config) (*Table, error) {
@@ -37,7 +37,6 @@ func Mesh(Config) (*Table, error) {
 		Notes: []string{
 			"built-bytes totals full links across the fleet; blob installs and rebases link nothing",
 			"each daemon runs every program plus 3 placement variants of it (distinct paths, distinct bases)",
-			"meta-share-pct = peer metadata rebases / all remote misses served; the wire carries patch sites, not images",
 			"warm-mesh-fetches = peer consults made by warm-runs further cache-hot runs after the fleet converges",
 		},
 	}
@@ -164,12 +163,11 @@ func meshFleetRow(meshed bool) (Row, error) {
 		warmFetches += syss[i].Srv.Stats().MeshFetches - before
 	}
 
-	var built, fetches, meta, blob uint64
+	var built, fetches, blob uint64
 	for i := range syss {
 		st := syss[i].Srv.Stats()
 		built += st.BuiltBytes
 		fetches += st.MeshFetches
-		meta += st.MeshMetaRebases
 		blob += st.MeshBlobInstalls
 	}
 	row := Row{Label: "4 independent daemons", Extra: map[string]float64{"built-bytes-total": float64(built)}}
@@ -178,11 +176,7 @@ func meshFleetRow(meshed bool) (Row, error) {
 		row.Extra["warm-runs"] = float64(nD * meshWarmRuns)
 		row.Extra["warm-mesh-fetches"] = float64(warmFetches)
 		row.Extra["mesh-fetches"] = float64(fetches)
-		row.Extra["mesh-meta-rebases"] = float64(meta)
 		row.Extra["mesh-blob-installs"] = float64(blob)
-		if served := meta + blob; served > 0 {
-			row.Extra["meta-share-pct"] = 100 * float64(meta) / float64(served)
-		}
 	}
 	return row, nil
 }

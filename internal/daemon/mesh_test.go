@@ -1,8 +1,8 @@
 package daemon
 
 // End-to-end tests of the federated daemon mesh: consistent-hash
-// sharded content, metadata-only peer rebase vs blob streaming,
-// anti-entropy gossip, shard rebalance (including a mid-rebalance
+// sharded content, local rebase before any peer consult, blob
+// streaming, anti-entropy gossip, shard rebalance (including a mid-rebalance
 // crash), per-peer overload/breaker isolation, and peer auth.
 
 import (
@@ -58,8 +58,9 @@ func runMeshProg(t *testing.T, sys *omos.System, path string, want int) {
 
 // TestMeshFourDaemons is the mesh smoke: four daemons share the ring,
 // daemon 0 builds the workload, and every other daemon's placement
-// misses are served over the wire — bytes streamed on first contact,
-// metadata-only rebases once a local variant exists.
+// misses are served over the wire — the owner's bytes streamed on first
+// contact — and once a daemon holds a variant, its placement misses
+// rebase that variant locally without consulting anyone.
 func TestMeshFourDaemons(t *testing.T) {
 	const nD, nP = 4, 3
 	secret := "mesh-smoke"
@@ -96,9 +97,10 @@ func TestMeshFourDaemons(t *testing.T) {
 		}
 	}
 	// Placement variants: the same program bodies at fresh namespace
-	// paths force new placements of content every daemon now holds —
-	// the metadata-only peer rebase path.
+	// paths force new placements of content every daemon now holds.
+	// Each is a local rebase: no peer consult, nothing linked.
 	for i := 0; i < nD; i++ {
+		before := syss[i].Srv.Stats()
 		for p := 0; p < nP; p++ {
 			path := fmt.Sprintf("/bin/mp%dv", p)
 			if err := syss[i].Define(path, meshProgBP(p)); err != nil {
@@ -106,13 +108,18 @@ func TestMeshFourDaemons(t *testing.T) {
 			}
 			runMeshProg(t, syss[i], path, 10*(p+2))
 		}
+		after := syss[i].Srv.Stats()
+		if after.MeshFetches != before.MeshFetches || after.BuiltBytes != before.BuiltBytes ||
+			after.Rebases != before.Rebases+nP {
+			t.Fatalf("daemon %d's %d placement variants: fetches %d -> %d, built bytes %d -> %d, rebases %d -> %d; want no consult, no link, one rebase each",
+				i, nP, before.MeshFetches, after.MeshFetches, before.BuiltBytes, after.BuiltBytes, before.Rebases, after.Rebases)
+		}
 	}
 
-	var fetches, meta, blob, fallbacks uint64
+	var fetches, blob, fallbacks uint64
 	for i := range syss {
 		st := syss[i].Srv.Stats()
 		fetches += st.MeshFetches
-		meta += st.MeshMetaRebases
 		blob += st.MeshBlobInstalls
 		fallbacks += st.MeshFallbacks
 	}
@@ -122,12 +129,8 @@ func TestMeshFourDaemons(t *testing.T) {
 	if blob == 0 {
 		t.Fatal("no remote miss streamed the owner's bytes")
 	}
-	if meta == 0 {
-		t.Fatal("no placement variant used the metadata-only peer rebase")
-	}
-	if fetches != meta+blob+fallbacks {
-		t.Fatalf("fetch accounting: %d fetches != %d meta + %d blob + %d fallbacks",
-			fetches, meta, blob, fallbacks)
+	if fetches != blob+fallbacks {
+		t.Fatalf("fetch accounting: %d fetches != %d blob + %d fallbacks", fetches, blob, fallbacks)
 	}
 
 	// Gossip runs clean on a converged fleet, and the mesh shows up in
@@ -488,7 +491,7 @@ func TestMeshHoldBytesBounded(t *testing.T) {
 	blobs := make([][]byte, 2)
 	maxLen := 0
 	for i := 0; i < 2; i++ {
-		blob, _, ok := sysA.Srv.ExportContent(keys[i], false)
+		blob, ok := sysA.Srv.ExportContent(keys[i])
 		if !ok {
 			t.Fatalf("content key %s not exportable", keys[i])
 		}

@@ -134,9 +134,6 @@ func encodeRequest(w *lebin.Writer, req *Request) {
 	if m := req.Mesh; m != nil {
 		w.Str(m.From)
 		w.Str(m.CKey)
-		w.U64(m.TextBase)
-		w.U64(m.DataBase)
-		w.Bool(m.HaveBytes)
 		w.Bytes(m.Blob)
 		w.U64(m.Gen)
 		putStrs(w, m.Keys)
@@ -158,14 +155,11 @@ func decodeRequest(p []byte, req *Request) error {
 	}
 	if getPresence(r, requestPresence)&hasMesh != 0 {
 		req.Mesh = &MeshReq{
-			From:      r.Str(),
-			CKey:      r.Str(),
-			TextBase:  r.U64(),
-			DataBase:  r.U64(),
-			HaveBytes: r.Bool(),
-			Blob:      getBlob(r),
-			Gen:       r.U64(),
-			Keys:      getStrs(r),
+			From: r.Str(),
+			CKey: r.Str(),
+			Blob: getBlob(r),
+			Gen:  r.U64(),
+			Keys: getStrs(r),
 		}
 	}
 	return finish(r)
@@ -219,12 +213,6 @@ func encodeResponse(w *lebin.Writer, resp *Response) {
 	}
 	if m := resp.Mesh; m != nil {
 		w.Bool(m.Found)
-		w.Bool(m.MetaOnly)
-		w.U64(uint64(m.AbsPatches))
-		w.U64(uint64(m.RelPatches))
-		w.U64(uint64(m.Syms))
-		w.U64(m.TextSize)
-		w.U64(m.DataSize)
 		w.U64(m.Size)
 		w.U64(m.Gen)
 		putStrs(w, m.Want)
@@ -275,16 +263,10 @@ func decodeResponse(p []byte, resp *Response) error {
 	}
 	if has&hasMesh != 0 {
 		resp.Mesh = &MeshInfo{
-			Found:      r.Bool(),
-			MetaOnly:   r.Bool(),
-			AbsPatches: int(r.U64()),
-			RelPatches: int(r.U64()),
-			Syms:       int(r.U64()),
-			TextSize:   r.U64(),
-			DataSize:   r.U64(),
-			Size:       r.U64(),
-			Gen:        r.U64(),
-			Want:       getStrs(r),
+			Found: r.Bool(),
+			Size:  r.U64(),
+			Gen:   r.U64(),
+			Want:  getStrs(r),
 		}
 	}
 	return finish(r)

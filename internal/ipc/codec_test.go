@@ -213,11 +213,11 @@ func TestGoldenDigest(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"encodeRequest", encodeMessage(req), "14a9d9c78746ffbf179d0ffa0c1aa8805bc86126d742ca8cd3dc144f0f8107ee"},
-		{"encodeResponse", encodeMessage(resp), "0d649964dce6a56b41816364ad77bec9a86d8498ed938a9e49e21ab4aa1bb99c"},
+		{"encodeRequest", encodeMessage(req), "cfaa87c62733ebec95735e931586616755d091c0a4afff20434792bbd9ffa3c3"},
+		{"encodeResponse", encodeMessage(resp), "f036ae222858232460eb2ce18449ab4a4c7b95f4e1d46f4dd20c1e7c08c66f7e"},
 		{"tagged frame", encodeFrame(0x0102030405060708, &Request{Op: OpList, Path: "/lib"}), "c6652557abe518436781d00fc6589abb26e1c1a72371c40e2b58d905ae317bbe"},
-		{"hello", helloFrame(hi), "ed7d7cd0d9ce9fd90ffdee2b90b271914fc39ae8f3bffc4c718dd3ddafefdb2b"},
-		{"ack", helloFrame(ack), "d80d6cd04faa4be199d56b7ef31b14408f146144ad3d7f57eb47a8a690c10573"},
+		{"hello", helloFrame(hi), "1910f178b3a39715b675e4642e76bc1b846a35526a639c0f5cad9207af429165"},
+		{"ack", helloFrame(ack), "c16c81f91dde0c815fe2da84fa37db84dcfee8058c14ae652f5dc8854bb3fcf3"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); got != c.want {

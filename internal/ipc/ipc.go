@@ -90,9 +90,8 @@ const (
 	// with Response.Mesh; when the serving daemon has a mesh secret
 	// configured they require the connection to have authenticated via
 	// the HMAC proof of the hello.  OpMeshFetch asks a content key's ring
-	// owner for its image — metadata only when the requester holds a
-	// local variant to rebase, otherwise the encoded record blob,
-	// streamed in chunks.  OpMeshPut hands the owner a
+	// owner for its image, the encoded record blob streamed in chunks.
+	// OpMeshPut hands the owner a
 	// record built elsewhere; OpMeshGossip exchanges anti-entropy
 	// digests; OpMeshRebalance announces ring membership for
 	// join/leave.  All four are idempotent (content-addressed records
@@ -107,7 +106,7 @@ const (
 // 4 of every hello.  The layouts of the hello and of the tagged
 // messages (codec.go) are part of it: changing either means a new
 // version.
-const protoVersion = 6
+const protoVersion = 7
 
 // protoVersionText is protoVersion as refusals and the mesh proof spell
 // it.
@@ -185,21 +184,15 @@ type Request struct {
 // MeshReq is the request payload of the mesh operations.
 type MeshReq struct {
 	// From is the sender's advertised mesh address (its ring member
-	// ID); the owner keys its per-peer admission gate on it.
+	// ID); a ring member's requests pass its own admission gate, every
+	// other sender's the one they share.
 	From string
 	// CKey is the content key being fetched or offered.
 	CKey string
-	// TextBase and DataBase are the requester's placement for a fetch,
-	// echoed so the owner can report what a rebase must slide to.
-	TextBase, DataBase uint64
-	// HaveBytes tells the owner the requester already holds a local
-	// variant of CKey: a metadata-only reply suffices and the requester
-	// rebases locally.
-	HaveBytes bool
 	// Blob is the encoded store record of a put.
 	Blob []byte
-	// Gen is the sender's namespace generation (gossip) or the
-	// announced membership epoch (rebalance; see mesh.Node).
+	// Gen is the announced membership epoch of a rebalance (see
+	// mesh.Node).
 	Gen uint64
 	// Keys lists content keys: digests the sender holds for the
 	// receiver (gossip), or the full ring membership (rebalance).
@@ -212,17 +205,10 @@ type MeshInfo struct {
 	// (fetch), or whether an announced membership was applied as sent
 	// (rebalance; false flags a stale or conflicting announce).
 	Found bool
-	// MetaOnly marks a metadata-only fetch reply: no bytes followed,
-	// the requester rebases its local variant instead.
-	MetaOnly bool
-	// Link-time invariants of the owner's build, for validating the
-	// requester's local variant before a metadata-only rebase.
-	AbsPatches, RelPatches, Syms int
-	TextSize, DataSize           uint64
 	// Size is the total blob length of a streamed fetch.
 	Size uint64
-	// Gen is the responder's namespace generation (gossip) or its
-	// membership epoch after processing an announce (rebalance).
+	// Gen is the responder's membership epoch after processing an
+	// announce (rebalance).
 	Gen uint64
 	// Want lists content keys the responder would like pushed
 	// (gossip), or the responder's ring membership after processing an

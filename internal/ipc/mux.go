@@ -356,9 +356,7 @@ const meshChunk = 256 << 10
 const maxMeshChunks = maxFrame/meshChunk + 1
 
 // MeshFetch asks a mesh peer for a content key's image (OpMeshFetch):
-// a metadata-only MeshInfo when the request set HaveBytes and the
-// owner confirms a rebase suffices, otherwise the encoded record blob,
-// streamed in chunks.  An overload shed trips the per-peer breaker and
+// the encoded record blob, streamed in chunks.  An overload shed trips the per-peer breaker and
 // surfaces as *refusal.OverloadError so the caller can fall back to a
 // local build immediately.
 func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byte, error) {
@@ -377,7 +375,7 @@ func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byt
 		return nil, nil, err
 	}
 	info := resp.Mesh
-	if info == nil || !info.Found || info.MetaOnly {
+	if info == nil || !info.Found {
 		return info, nil, nil // no bytes belong to such a reply
 	}
 	if uint64(len(blob)) != info.Size {

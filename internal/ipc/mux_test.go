@@ -103,8 +103,8 @@ func gateFixtures(t testing.TB) map[string][]byte {
 	}
 	var w lebin.Writer
 	encodeHello(&w, &hello{Version: protoVersion + 1, Text: "nonce"})
-	w.U64(0xFFFF) // a field version 6 does not have
-	frames["v7 hello"] = append(binary.BigEndian.AppendUint32(nil, uint32(len(w))), w...)
+	w.U64(0xFFFF) // a field version 7 does not have
+	frames["v8 hello"] = append(binary.BigEndian.AppendUint32(nil, uint32(len(w))), w...)
 	return frames
 }
 

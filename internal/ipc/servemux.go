@@ -238,8 +238,8 @@ func (s *Server) handleBatchMux(m *muxConn, tag uint64, req *Request) *Response 
 	return &Response{}
 }
 
-// streamBlob sends a mesh fetch's reply: a metadata-only or not-found
-// reply is the returned Final frame alone, while a blob reply travels
+// streamBlob sends a mesh fetch's reply: a not-found reply is the
+// returned Final frame alone, while a blob reply travels
 // first as meshChunk-sized chunk frames (Index set, Final false), the
 // Final frame carrying the MeshInfo.  The chunks are written
 // sequentially from this one goroutine, so they arrive in order.

@@ -2,8 +2,8 @@ package mesh
 
 // Node federates one daemon into the mesh: it owns the consistent-hash
 // ring, one ipc.Client per peer (so each peer gets its own circuit
-// breaker), a per-peer inbound admission gate, and the bounded hold
-// area for records pushed by other daemons.  It is both sides of the
+// breaker), an inbound admission gate per peer plus one every other
+// sender shares, and the bounded hold area for records pushed by other daemons.  It is both sides of the
 // traffic: the server.MeshHook the local server consults on placement
 // misses (FetchContent/OfferContent/Owned), and the Accept* handlers
 // the daemon backend dispatches inbound mesh operations to.
@@ -37,17 +37,12 @@ type Config struct {
 	// carry the HMAC hello proof and peers must be configured with the
 	// same secret.
 	Secret string
-	// PeerMaxInflight/PeerQueueDepth size the per-peer inbound
-	// admission gate (defaults 8/16) — one slow or greedy peer sheds at
-	// its own gate instead of starving the rest.
+	// PeerMaxInflight/PeerQueueDepth size each inbound admission gate
+	// (defaults 8/16): one per ring member, and one every other sender
+	// shares — one slow or greedy peer sheds at its own gate instead of
+	// starving the rest.
 	PeerMaxInflight int
 	PeerQueueDepth  int
-	// ConnectTimeout/CallTimeout/Retries tune the per-peer clients
-	// (defaults 2s / 30s / 0 — a miss must fail fast into the local
-	// build path, not hang a build slot).
-	ConnectTimeout time.Duration
-	CallTimeout    time.Duration
-	Retries        int
 	// GossipInterval enables the background anti-entropy loop; zero
 	// means gossip only runs on explicit GossipTick calls.
 	GossipInterval time.Duration
@@ -60,8 +55,17 @@ type Config struct {
 	Faults *fault.Set
 }
 
-// holdMax bounds how many peer-pushed records a node holds.
+// holdMax bounds how many peer-pushed records a node holds, and how
+// many capacity-evicted keys it remembers declining.
 const holdMax = 256
+
+// connectTimeout and callTimeout bound every outbound peer call, with
+// no retries: a miss must fail fast into the local build path, not
+// hang a build slot.
+const (
+	connectTimeout = 2 * time.Second
+	callTimeout    = 30 * time.Second
+)
 
 func (c *Config) defaults() {
 	if c.PeerMaxInflight <= 0 {
@@ -70,22 +74,19 @@ func (c *Config) defaults() {
 	if c.PeerQueueDepth <= 0 {
 		c.PeerQueueDepth = 16
 	}
-	if c.ConnectTimeout <= 0 {
-		c.ConnectTimeout = 2 * time.Second
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 30 * time.Second
-	}
 	if c.HoldMaxBytes <= 0 {
 		c.HoldMaxBytes = 64 << 20
 	}
 }
 
-// peer is one remote daemon: its address, a lazily dialed client
-// (whose circuit breaker is therefore per-peer), and the last observed
-// liveness.
+// peer is one remote ring member: its address, the mesh secret its
+// client proves, its own inbound admission gate, a lazily dialed
+// client (whose circuit breaker is therefore per-peer), and the last
+// observed liveness.
 type peer struct {
-	addr string
+	addr   string
+	secret string
+	gate   *server.Admission
 
 	mu sync.Mutex
 	c  *ipc.Client
@@ -95,18 +96,52 @@ type peer struct {
 
 // client returns the peer's client, dialing on first use and redialing
 // transparently after failures (the ipc client redials itself).
-func (p *peer) client(opts ipc.Options) (*ipc.Client, error) {
+func (p *peer) client() (*ipc.Client, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.c != nil {
 		return p.c, nil
 	}
-	c, err := ipc.DialWith(p.addr, opts)
+	c, err := ipc.DialWith(p.addr, ipc.Options{
+		ConnectTimeout: connectTimeout,
+		CallTimeout:    callTimeout,
+		MeshSecret:     p.secret,
+	})
 	if err != nil {
 		return nil, err
 	}
 	p.c = c
 	return c, nil
+}
+
+// call runs one outbound mesh operation: dial on first use, bound the
+// exchange by callTimeout, and record the peer's liveness from the
+// outcome.  A fetch also returns the streamed blob; on success the
+// reply's MeshInfo is never nil.
+func (p *peer) call(op ipc.Op, mreq *ipc.MeshReq) (*ipc.MeshInfo, []byte, error) {
+	var info *ipc.MeshInfo
+	var blob []byte
+	c, err := p.client()
+	if err == nil {
+		ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
+		defer cancel()
+		if op == ipc.OpMeshFetch {
+			info, blob, err = c.MeshFetch(ctx, mreq)
+		} else {
+			var resp *ipc.Response
+			if resp, err = c.CallCtx(ctx, &ipc.Request{Op: op, Mesh: mreq}); err == nil {
+				info = resp.Mesh
+			}
+		}
+	}
+	p.up.Store(err == nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if info == nil {
+		info = &ipc.MeshInfo{}
+	}
+	return info, blob, nil
 }
 
 func (p *peer) close() {
@@ -125,10 +160,12 @@ type Node struct {
 	cfg    Config
 	faults *fault.Set
 
-	mu        sync.Mutex
-	ring      *Ring
-	peers     map[string]*peer
-	admits    map[string]*server.Admission
+	mu    sync.Mutex
+	ring  *Ring
+	peers map[string]*peer
+	// others is the admission gate every sender that is not a ring
+	// member shares, so wire-supplied names cannot grow the gates.
+	others    *server.Admission
 	holds     map[string][]byte
 	holdSeq   []string
 	holdBytes int
@@ -136,7 +173,6 @@ type Node struct {
 	// capacity, so AcceptGossip declines their re-offer instead of the
 	// mesh churning the same blobs over the wire every round.
 	evicted map[string]time.Time
-	peerGen map[string]uint64
 	// memberEpoch/memberFrom version the applied ring membership: a
 	// rebalance announce carries a monotonic epoch, stale or
 	// conflicting announces are detected instead of silently replacing
@@ -159,9 +195,8 @@ type Node struct {
 }
 
 // New builds a node owning only its own shard and installs it as srv's
-// mesh hook.  Add peers (AddPeer / SetMembers) before traffic needs
-// them; Start launches the gossip loop when Config.GossipInterval is
-// set.
+// mesh hook.  Add peers (AddPeer) before traffic needs them; Start
+// launches the gossip loop when Config.GossipInterval is set.
 func New(srv *server.Server, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("mesh: config needs a Self address")
@@ -173,28 +208,27 @@ func New(srv *server.Server, cfg Config) (*Node, error) {
 		faults:  cfg.Faults,
 		ring:    NewRing(defaultReplicas),
 		peers:   map[string]*peer{},
-		admits:  map[string]*server.Admission{},
 		holds:   map[string][]byte{},
 		evicted: map[string]time.Time{},
-		peerGen: map[string]uint64{},
 		stop:    make(chan struct{}),
 	}
+	n.others = n.newGate()
 	n.ring.Add(cfg.Self)
 	srv.SetMesh(n)
 	return n, nil
 }
 
-// Self returns this node's mesh address.
-func (n *Node) Self() string { return n.cfg.Self }
+// newGate builds one inbound admission gate.
+func (n *Node) newGate() *server.Admission {
+	return server.NewAdmission(server.AdmissionConfig{
+		MaxInflight: n.cfg.PeerMaxInflight,
+		QueueDepth:  n.cfg.PeerQueueDepth,
+	})
+}
 
-// clientOpts is the tuning every per-peer client gets.
-func (n *Node) clientOpts() ipc.Options {
-	return ipc.Options{
-		ConnectTimeout: n.cfg.ConnectTimeout,
-		CallTimeout:    n.cfg.CallTimeout,
-		Retries:        n.cfg.Retries,
-		MeshSecret:     n.cfg.Secret,
-	}
+// newPeer builds the peer state of a ring member joining.
+func (n *Node) newPeer(addr string) *peer {
+	return &peer{addr: addr, secret: n.cfg.Secret, gate: n.newGate()}
 }
 
 // AddPeer adds a member to the ring (idempotent).  Ownership of every
@@ -208,7 +242,7 @@ func (n *Node) AddPeer(addr string) {
 	defer n.mu.Unlock()
 	n.ring.Add(addr)
 	if _, ok := n.peers[addr]; !ok {
-		n.peers[addr] = &peer{addr: addr}
+		n.peers[addr] = n.newPeer(addr)
 	}
 }
 
@@ -221,27 +255,15 @@ func (n *Node) RemovePeer(addr string) {
 	n.ring.Remove(addr)
 	p := n.peers[addr]
 	delete(n.peers, addr)
-	delete(n.admits, addr)
-	delete(n.peerGen, addr)
 	n.mu.Unlock()
 	if p != nil {
 		p.close()
 	}
 }
 
-// SetMembers replaces the ring membership wholesale (self is always a
-// member, listed or not).
-func (n *Node) SetMembers(members []string) {
-	n.mu.Lock()
-	closing := n.setMembersLocked(members)
-	n.mu.Unlock()
-	for _, p := range closing {
-		p.close()
-	}
-}
-
-// setMembersLocked is SetMembers under n.mu: it returns the peers to
-// close once the lock is released.
+// setMembersLocked replaces the ring membership wholesale (self is
+// always a member, listed or not).  The caller holds n.mu; it returns
+// the peers to close once the lock is released.
 func (n *Node) setMembersLocked(members []string) []*peer {
 	want := map[string]bool{n.cfg.Self: true}
 	for _, m := range members {
@@ -257,8 +279,6 @@ func (n *Node) setMembersLocked(members []string) []*peer {
 				closing = append(closing, p)
 			}
 			delete(n.peers, m)
-			delete(n.admits, m)
-			delete(n.peerGen, m)
 		}
 	}
 	for m := range want {
@@ -267,7 +287,7 @@ func (n *Node) setMembersLocked(members []string) []*peer {
 		}
 		n.ring.Add(m)
 		if m != n.cfg.Self {
-			n.peers[m] = &peer{addr: m}
+			n.peers[m] = n.newPeer(m)
 		}
 	}
 	return closing
@@ -308,11 +328,12 @@ func (n *Node) Owned(ckey string) bool {
 	return n.ring.Owner(ckey) == n.cfg.Self
 }
 
-// FetchContent implements server.MeshHook: consult the content key's
-// ring owner.  Every failure mode — owner down, shedding (the per-peer
-// breaker fails fast while open), faulted — surfaces as an error the
-// server answers with its local build path.
-func (n *Node) FetchContent(ckey string, textBase, dataBase uint64, haveBytes bool) (*server.MeshReply, error) {
+// FetchContent implements server.MeshHook: ask the content key's ring
+// owner for its encoded record.  Every failure mode — owner down,
+// shedding (the per-peer breaker fails fast while open), faulted, the
+// key unknown — surfaces as an error the server answers with its local
+// build path.
+func (n *Node) FetchContent(ckey string) ([]byte, error) {
 	if err := n.faults.Fire(fault.SiteMeshPeerFetch); err != nil {
 		return nil, err
 	}
@@ -320,35 +341,11 @@ func (n *Node) FetchContent(ckey string, textBase, dataBase uint64, haveBytes bo
 	if p == nil {
 		return nil, fmt.Errorf("mesh: owner %s of %s is not a known peer", owner, ckey)
 	}
-	c, err := p.client(n.clientOpts())
-	if err != nil {
-		p.up.Store(false)
-		return nil, err
+	info, blob, err := p.call(ipc.OpMeshFetch, &ipc.MeshReq{From: n.cfg.Self, CKey: ckey})
+	if err == nil && !info.Found {
+		err = fmt.Errorf("mesh: owner %s does not hold %s", owner, ckey)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
-	info, blob, err := c.MeshFetch(ctx, &ipc.MeshReq{
-		From: n.cfg.Self, CKey: ckey,
-		TextBase: textBase, DataBase: dataBase,
-		HaveBytes: haveBytes,
-	})
-	if err != nil {
-		p.up.Store(false)
-		return nil, err
-	}
-	p.up.Store(true)
-	if info == nil || !info.Found {
-		return &server.MeshReply{}, nil
-	}
-	return &server.MeshReply{
-		Found:    true,
-		MetaOnly: info.MetaOnly,
-		Meta: server.MeshMeta{
-			AbsPatches: info.AbsPatches, RelPatches: info.RelPatches, Syms: info.Syms,
-			TextSize: info.TextSize, DataSize: info.DataSize,
-		},
-		Blob: blob,
-	}, nil
+	return blob, err
 }
 
 // OfferContent implements server.MeshHook: push a locally built record
@@ -364,22 +361,19 @@ func (n *Node) OfferContent(ckey string, blob []byte) {
 
 // pushRecord delivers one encoded record to a peer via OpMeshPut.
 func (n *Node) pushRecord(p *peer, ckey string, blob []byte) bool {
-	c, err := p.client(n.clientOpts())
-	if err != nil {
-		p.up.Store(false)
-		return false
+	_, _, err := p.call(ipc.OpMeshPut, &ipc.MeshReq{From: n.cfg.Self, CKey: ckey, Blob: blob})
+	return err == nil
+}
+
+// gate returns the inbound admission gate of a sender: a ring member's
+// own, or the one every other sender shares.
+func (n *Node) gate(from string) *server.Admission {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if p := n.peers[from]; p != nil {
+		return p.gate
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
-	_, err = c.CallCtx(ctx, &ipc.Request{Op: ipc.OpMeshPut, Mesh: &ipc.MeshReq{
-		From: n.cfg.Self, CKey: ckey, Blob: blob,
-	}})
-	if err != nil {
-		p.up.Store(false)
-		return false
-	}
-	p.up.Store(true)
-	return true
+	return n.others
 }
 
 // admitPeer passes one inbound mesh operation through the sender's
@@ -387,20 +381,7 @@ func (n *Node) pushRecord(p *peer, ckey string, blob []byte) bool {
 // crosses the wire as itself, hint included, and trips the
 // requester's per-peer breaker.
 func (n *Node) admitPeer(from string) (func(), error) {
-	if from == "" {
-		from = "(unknown)"
-	}
-	n.mu.Lock()
-	a := n.admits[from]
-	if a == nil {
-		a = server.NewAdmission(server.AdmissionConfig{
-			MaxInflight: n.cfg.PeerMaxInflight,
-			QueueDepth:  n.cfg.PeerQueueDepth,
-		})
-		n.admits[from] = a
-	}
-	n.mu.Unlock()
-	return a.Acquire(context.Background())
+	return n.gate(from).Acquire(context.Background())
 }
 
 // holdEvictTTL is how long a capacity-evicted key stays declined in
@@ -420,7 +401,7 @@ func (n *Node) hold(ckey string, blob []byte) {
 	defer n.mu.Unlock()
 	if len(blob) > n.cfg.HoldMaxBytes {
 		// Larger than the whole budget: never fits, decline re-offers.
-		n.evicted[ckey] = time.Now()
+		n.declineLocked(ckey)
 		return
 	}
 	if old, ok := n.holds[ckey]; ok {
@@ -437,8 +418,21 @@ func (n *Node) hold(ckey string, blob []byte) {
 		n.holdSeq = n.holdSeq[1:]
 		n.holdBytes -= len(n.holds[old])
 		delete(n.holds, old)
-		n.evicted[old] = time.Now()
+		n.declineLocked(old)
 	}
+}
+
+// declineLocked remembers a key the hold area could not keep.  The
+// memory holds at most holdMax keys: past that an arbitrary one is
+// forgotten, which costs at most one re-offer of its blob.
+func (n *Node) declineLocked(ckey string) {
+	if _, ok := n.evicted[ckey]; !ok && len(n.evicted) >= holdMax {
+		for k := range n.evicted {
+			delete(n.evicted, k)
+			break
+		}
+	}
+	n.evicted[ckey] = time.Now()
 }
 
 func (n *Node) heldBlob(ckey string) []byte {
@@ -464,22 +458,6 @@ func (n *Node) dropHold(ckey string) {
 	}
 }
 
-// declineEvicted reports whether a gossip offer of ckey should be
-// declined because the hold area evicted it for capacity recently; it
-// also prunes expired decline entries in passing.
-func (n *Node) declineEvicted(ckey string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	now := time.Now()
-	for k, at := range n.evicted {
-		if now.Sub(at) > holdEvictTTL {
-			delete(n.evicted, k)
-		}
-	}
-	_, ok := n.evicted[ckey]
-	return ok
-}
-
 // HeldKeys lists the content keys parked in the hold area, oldest
 // first.
 func (n *Node) HeldKeys() []string {
@@ -488,29 +466,8 @@ func (n *Node) HeldKeys() []string {
 	return append([]string(nil), n.holdSeq...)
 }
 
-// metaFromRecord summarizes a held record's link-time invariants
-// without installing it.
-func metaFromRecord(rec *store.Record) server.MeshMeta {
-	return server.MeshMeta{
-		AbsPatches: len(rec.AbsPatches),
-		RelPatches: len(rec.RelPatches),
-		Syms:       len(rec.Syms),
-		TextSize:   rec.ResTextSize,
-		DataSize:   rec.ResDataSize,
-	}
-}
-
-func infoFromMeta(m server.MeshMeta) *ipc.MeshInfo {
-	return &ipc.MeshInfo{
-		Found:      true,
-		AbsPatches: m.AbsPatches, RelPatches: m.RelPatches, Syms: m.Syms,
-		TextSize: m.TextSize, DataSize: m.DataSize,
-	}
-}
-
-// AcceptFetch serves an inbound OpMeshFetch: a metadata-only reply when
-// the requester holds bytes to rebase, the encoded record otherwise —
-// from the live variants index first, the hold area second.  Never
+// AcceptFetch serves an inbound OpMeshFetch: the encoded record, from
+// the live variants index first, the hold area second.  Never
 // instantiates anything, so peer fetches cannot recurse across the
 // mesh.
 func (n *Node) AcceptFetch(req *ipc.MeshReq) (*ipc.MeshInfo, []byte, error) {
@@ -525,31 +482,12 @@ func (n *Node) AcceptFetch(req *ipc.MeshReq) (*ipc.MeshInfo, []byte, error) {
 	if err := n.faults.Fire(fault.SiteMeshPeerFetch); err != nil {
 		return nil, nil, err
 	}
-	if blob, meta, ok := n.srv.ExportContent(req.CKey, req.HaveBytes); ok {
-		n.served.Add(1)
-		info := infoFromMeta(meta)
-		if req.HaveBytes {
-			info.MetaOnly = true
-			return info, nil, nil
-		}
-		info.Size = uint64(len(blob))
-		return info, blob, nil
+	blob := n.exportOrHold(req.CKey)
+	if blob == nil {
+		return &ipc.MeshInfo{}, nil, nil
 	}
-	if blob := n.heldBlob(req.CKey); blob != nil {
-		if rec, err := store.Decode(blob); err == nil && rec.ContentKey == req.CKey {
-			n.served.Add(1)
-			info := infoFromMeta(metaFromRecord(rec))
-			if req.HaveBytes {
-				info.MetaOnly = true
-				return info, nil, nil
-			}
-			info.Size = uint64(len(blob))
-			return info, blob, nil
-		}
-		// Damaged or mislabeled hold: drop it and report a miss.
-		n.dropHold(req.CKey)
-	}
-	return &ipc.MeshInfo{Found: false}, nil, nil
+	n.served.Add(1)
+	return &ipc.MeshInfo{Found: true, Size: uint64(len(blob))}, blob, nil
 }
 
 // AcceptPut takes a record pushed by a peer (an offer, a gossip push,
@@ -576,18 +514,35 @@ func (n *Node) AcceptPut(req *ipc.MeshReq) error {
 	return nil
 }
 
-// AcceptGossip answers a peer's anti-entropy digest: the reply carries
-// this daemon's namespace generation and which of the offered content
-// keys it wants pushed.  Keys the hold area evicted for capacity
-// recently are declined — re-requesting them every round would churn
-// the same blobs over the wire forever.
+// AcceptGossip answers a peer's anti-entropy digest with the offered
+// content keys it wants pushed.  Keys the hold area evicted for
+// capacity recently are declined — re-requesting them every round
+// would churn the same blobs over the wire forever.
 func (n *Node) AcceptGossip(req *ipc.MeshReq) (*ipc.MeshInfo, error) {
+	release, err := n.admitPeer(req.From)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	var missing []string
 	n.mu.Lock()
-	n.peerGen[req.From] = req.Gen
-	n.mu.Unlock()
-	info := &ipc.MeshInfo{Gen: n.srv.NamespaceGen()}
+	now := time.Now()
+	for k, at := range n.evicted {
+		if now.Sub(at) > holdEvictTTL {
+			delete(n.evicted, k)
+		}
+	}
 	for _, k := range req.Keys {
-		if !n.srv.HasVariant(k) && n.heldBlob(k) == nil && !n.declineEvicted(k) {
+		_, held := n.holds[k]
+		_, declined := n.evicted[k]
+		if !held && !declined {
+			missing = append(missing, k)
+		}
+	}
+	n.mu.Unlock()
+	info := &ipc.MeshInfo{}
+	for _, k := range missing {
+		if !n.srv.HasVariant(k) {
 			info.Want = append(info.Want, k)
 		}
 	}
@@ -617,14 +572,14 @@ func sameMembers(a, b []string) bool {
 // an equal epoch from a different announcer is a concurrent announce —
 // identical lists are idempotent, divergent lists are merged (union)
 // so no live member is silently dropped, and applied=false tells the
-// announcer to pick the union up and re-announce it.  Epoch 0 (a
-// legacy announce) always applies.
+// announcer to pick the union up and re-announce it.  Epochs start at
+// 1: AcceptRebalance refuses epoch 0 before it gets here.
 func (n *Node) applyAnnounce(members []string, epoch uint64, from string) (applied, changed bool) {
 	n.mu.Lock()
 	cur := n.ring.Members()
 	apply := members
 	switch {
-	case epoch == 0 || epoch > n.memberEpoch:
+	case epoch > n.memberEpoch:
 		applied = true
 	case epoch < n.memberEpoch:
 		// Stale: an older announce lost the race; the reply carries
@@ -649,7 +604,7 @@ func (n *Node) applyAnnounce(members []string, epoch uint64, from string) (appli
 	}
 	var closing []*peer
 	if applied || epoch == n.memberEpoch {
-		if epoch != 0 && applied {
+		if applied {
 			n.memberEpoch = epoch
 			n.memberFrom = from
 		}
@@ -679,6 +634,9 @@ func (n *Node) AcceptRebalance(req *ipc.MeshReq) (*ipc.MeshInfo, error) {
 		return nil, err
 	}
 	defer release()
+	if req.Gen == 0 {
+		return nil, fmt.Errorf("mesh: announce from %s carries no epoch", req.From)
+	}
 	applied, changed := n.applyAnnounce(req.Keys, req.Gen, req.From)
 	if changed {
 		n.kickRebalance()
@@ -726,7 +684,7 @@ func (n *Node) kickRebalance() {
 // exportOrHold fetches the push payload for a content key: the encoded
 // live variant when one exists, the held record otherwise.
 func (n *Node) exportOrHold(ckey string) []byte {
-	if blob, _, ok := n.srv.ExportContent(ckey, false); ok {
+	if blob, ok := n.srv.ExportContent(ckey); ok {
 		return blob
 	}
 	return n.heldBlob(ckey)
@@ -809,33 +767,19 @@ func (n *Node) AnnounceMembership() error {
 		var divergentEpoch uint64
 		diverged := false
 		for _, p := range n.peerList() {
-			c, err := p.client(n.clientOpts())
+			info, _, err := p.call(ipc.OpMeshRebalance, &ipc.MeshReq{From: n.cfg.Self, Keys: members, Gen: epoch})
 			if err != nil {
-				p.up.Store(false)
 				if firstErr == nil {
 					firstErr = err
 				}
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-			resp, err := c.CallCtx(ctx, &ipc.Request{Op: ipc.OpMeshRebalance, Mesh: &ipc.MeshReq{
-				From: n.cfg.Self, Keys: members, Gen: epoch,
-			}})
-			cancel()
-			if err != nil {
-				p.up.Store(false)
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			p.up.Store(true)
-			if resp.Mesh != nil && !resp.Mesh.Found {
+			if !info.Found {
 				diverged = true
-				if resp.Mesh.Gen > divergentEpoch {
-					divergentEpoch = resp.Mesh.Gen
+				if info.Gen > divergentEpoch {
+					divergentEpoch = info.Gen
 				}
-				for _, m := range resp.Mesh.Want {
+				for _, m := range info.Want {
 					if m != "" {
 						divergent[m] = true
 					}
@@ -886,7 +830,6 @@ func (n *Node) GossipTick() (pushed int, err error) {
 		return 0, err
 	}
 	n.gossipRounds.Add(1)
-	gen := n.srv.NamespaceGen()
 	keys := append(n.srv.ContentKeys(), n.HeldKeys()...)
 	var firstErr error
 	for _, p := range n.peerList() {
@@ -896,34 +839,14 @@ func (n *Node) GossipTick() (pushed int, err error) {
 				digest = append(digest, k)
 			}
 		}
-		c, cerr := p.client(n.clientOpts())
+		info, _, cerr := p.call(ipc.OpMeshGossip, &ipc.MeshReq{From: n.cfg.Self, Keys: digest})
 		if cerr != nil {
-			p.up.Store(false)
 			if firstErr == nil {
 				firstErr = cerr
 			}
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-		resp, cerr := c.CallCtx(ctx, &ipc.Request{Op: ipc.OpMeshGossip, Mesh: &ipc.MeshReq{
-			From: n.cfg.Self, Gen: gen, Keys: digest,
-		}})
-		cancel()
-		if cerr != nil {
-			p.up.Store(false)
-			if firstErr == nil {
-				firstErr = cerr
-			}
-			continue
-		}
-		p.up.Store(true)
-		if resp.Mesh == nil {
-			continue
-		}
-		n.mu.Lock()
-		n.peerGen[p.addr] = resp.Mesh.Gen
-		n.mu.Unlock()
-		for _, want := range resp.Mesh.Want {
+		for _, want := range info.Want {
 			blob := n.exportOrHold(want)
 			if blob == nil {
 				continue
@@ -999,7 +922,7 @@ func (n *Node) MountPeer(prefix, addr string) error {
 	if p == nil {
 		return fmt.Errorf("mesh: %s is not a known peer", addr)
 	}
-	c, err := p.client(n.clientOpts())
+	c, err := p.client()
 	if err != nil {
 		return err
 	}

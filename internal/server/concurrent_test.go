@@ -342,7 +342,7 @@ int main() { return drive(3); }
 				default:
 				}
 				for _, ck := range s.ContentKeys() {
-					if _, _, ok := s.ExportContent(ck, false); !ok {
+					if _, ok := s.ExportContent(ck); !ok {
 						t.Errorf("content key %s listed but not exportable", ck)
 					}
 				}
@@ -421,7 +421,7 @@ int main() { return libpad_get() + 7; }
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			blob, _, ok := s.ExportContent(ckey, false)
+			blob, ok := s.ExportContent(ckey)
 			if !ok {
 				continue
 			}

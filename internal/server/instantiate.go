@@ -335,9 +335,9 @@ func (s *Server) programImage(ctx context.Context, name string, meta *mgraph.Met
 // already in flight (buildShared), else — for exactly one caller — by
 // the cheapest way the image can come into being: woken from the
 // record a previous session stored under the same key (persist.go),
-// fetched from the mesh peer that owns its content (meshhook.go), slid
-// from a cached variant at other bases (rebase.go), or linked.  This is the only
-// place cached images are linked.  Whichever way produced it, the
+// slid from a cached or dormant variant at other bases (rebase.go),
+// fetched from the mesh peer that owns its content (meshhook.go), or
+// linked.  This is the only place cached images are linked.  Whichever way produced it, the
 // instance is complete before publish makes it visible; it is then
 // checkpointed to the store, and a fresh link of content another
 // daemon owns is offered to that owner.  The stage that produced the
@@ -355,9 +355,9 @@ func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, err
 			node.Produced(buildgraph.OutcomeResumed)
 			return inst, nil
 		}
-		inst, ok := s.tryMeshFetch(pl, c)
+		inst, ok := s.tryRebase(pl, c)
 		if !ok {
-			inst, ok = s.tryRebase(pl, c)
+			inst, ok = s.tryMeshFetch(pl, c)
 		}
 		outcome := buildgraph.OutcomeRebased // a mesh install slides the peer's bytes
 		if !ok {

@@ -2,9 +2,10 @@ package server
 
 // This file is the server half of the federated daemon mesh
 // (internal/mesh): the hook a mesh node installs with SetMesh, the
-// consult-the-owner step the build paths run on a placement miss for
-// remotely owned content, and the export/install plumbing that moves
-// encoded store records between daemons.
+// ask-the-owner step the build paths run on a placement miss for
+// remotely owned content that no local variant can serve, and the
+// export/install plumbing that moves encoded store records between
+// daemons.
 //
 // Division of labor: the mesh package owns the ring, the peers, the
 // wire traffic, and the gossip/rebalance loops; this file owns
@@ -21,31 +22,6 @@ import (
 	"omos/internal/store"
 )
 
-// MeshMeta summarizes a build's link-time invariants: what a
-// metadata-only mesh reply carries, and what the requester checks its
-// local variant against before trusting a local rebase to converge
-// with the owner's build.
-type MeshMeta struct {
-	AbsPatches int
-	RelPatches int
-	Syms       int
-	TextSize   uint64
-	DataSize   uint64
-}
-
-// MeshReply is the owner's answer to a content-key fetch.
-type MeshReply struct {
-	// Found reports whether the owner holds the content key.
-	Found bool
-	// MetaOnly marks a metadata-only reply: Blob is empty and the
-	// requester rebases its own variant after validating Meta.
-	MetaOnly bool
-	Meta     MeshMeta
-	// Blob is the encoded store record of the owner's build (full
-	// replies only).
-	Blob []byte
-}
-
 // MeshHook is what a mesh node provides the server: ring ownership,
 // owner consults, and the offer path for locally built foreign
 // content.  Methods may perform network I/O; the server only calls
@@ -53,11 +29,11 @@ type MeshReply struct {
 type MeshHook interface {
 	// Owned reports whether this daemon is the ring owner of ckey.
 	Owned(ckey string) bool
-	// FetchContent consults ckey's ring owner.  haveBytes tells the
-	// owner a metadata-only reply suffices (the requester holds a
-	// variant to rebase).  Errors mean the owner is unreachable,
-	// shedding, or faulted — the caller falls back to a local build.
-	FetchContent(ckey string, textBase, dataBase uint64, haveBytes bool) (*MeshReply, error)
+	// FetchContent asks ckey's ring owner for the encoded store record
+	// of its build.  Errors mean the owner is unreachable, shedding,
+	// faulted, or does not hold ckey — the caller falls back to a local
+	// build.
+	FetchContent(ckey string) ([]byte, error)
 	// OfferContent hands the owner an encoded record this daemon just
 	// built for a content key it does not own.  Best-effort: delivery
 	// failures are retried by gossip.
@@ -67,11 +43,6 @@ type MeshHook interface {
 // SetMesh federates the server into a daemon mesh.  Must be called
 // before the server sees traffic.
 func (s *Server) SetMesh(h MeshHook) { s.mesh = h }
-
-// NamespaceGen returns the published namespace version's number
-// (advanced by every mutation); gossip exchanges it so fleet-wide
-// namespace skew is observable.
-func (s *Server) NamespaceGen() uint64 { return s.ns.Load().num }
 
 // mruVariant returns the most recently used rebase-capable variant of
 // ckey, or nil.  Without a cached one it wakes the most recent dormant
@@ -141,98 +112,45 @@ func (s *Server) ContentKeys() []string {
 	return out
 }
 
-// metaOf extracts the link-time invariants of a variant.
-func metaOf(src *Instance) MeshMeta {
-	r := src.Res
-	return MeshMeta{
-		AbsPatches: len(r.AbsPatches),
-		RelPatches: len(r.RelPatches),
-		Syms:       len(r.Image.Syms),
-		TextSize:   r.TextSize,
-		DataSize:   r.DataSize,
-	}
-}
-
 // ExportContent encodes the MRU variant of ckey for a mesh peer,
-// waking a dormant one when nothing is cached.  With metaOnly the blob
-// is omitted — the invariants are the payload.  ok is false when no
+// waking a dormant one when nothing is cached.  ok is false when no
 // rebase-capable variant can be had, or an eviction released the
 // variant's frames before they were read.  The encode runs without any
 // server lock (instances are immutable once published; their frames
 // are read under the frame table's).
-func (s *Server) ExportContent(ckey string, metaOnly bool) (blob []byte, meta MeshMeta, ok bool) {
+func (s *Server) ExportContent(ckey string) (blob []byte, ok bool) {
 	src := s.mruVariant(ckey)
 	if src == nil {
-		return nil, MeshMeta{}, false
-	}
-	meta = metaOf(src)
-	if metaOnly {
-		return nil, meta, true
+		return nil, false
 	}
 	rec, err := s.recordOf(src)
 	if err != nil {
-		return nil, MeshMeta{}, false
+		return nil, false
 	}
 	blob, err = store.Encode(rec)
-	if err != nil {
-		return nil, MeshMeta{}, false
-	}
-	return blob, meta, true
+	return blob, err == nil
 }
 
-// variantMatches checks the local MRU variant of ckey against the
-// owner's link-time invariants: equal patch counts, symbol count, and
-// extents mean the local bytes are the same build and a local rebase
-// converges with the fleet.
-func (s *Server) variantMatches(ckey string, m MeshMeta) bool {
-	src := s.mruVariant(ckey)
-	return src != nil && metaOf(src) == m
-}
-
-// tryMeshFetch is the consult-the-owner step of a placement miss: when
-// the content key's ring owner is another daemon, ask it before
-// building anything locally.  A metadata-only reply validates and
-// slides a local variant (the metadata-only peer rebase — the mesh's
-// cheap path); a blob reply installs the owner's bytes rebased to the
-// local placement.  Any failure — owner down or shedding, content
-// unknown, validation or decode trouble — returns (nil, false) and the
-// caller proceeds down the ordinary local path, so the mesh can only
-// ever remove work, never availability.
+// tryMeshFetch is the ask-the-owner step of a placement miss that no
+// local variant could serve: when the content key's ring owner is
+// another daemon, fetch the owner's build and install its bytes
+// rebased to the local placement.  Any failure — owner down or
+// shedding, content unknown, decode trouble — returns (nil, false) and
+// the caller links locally, so the mesh can only ever remove work,
+// never availability.
 func (s *Server) tryMeshFetch(pl *plan, c charger) (*Instance, bool) {
 	h := s.mesh
-	ckey, textBase, dataBase := pl.ckey, pl.place.TextBase, pl.place.DataBase
-	if h == nil || s.DisableCache || ckey == "" || h.Owned(ckey) {
+	if h == nil || s.DisableCache || pl.ckey == "" || h.Owned(pl.ckey) {
 		return nil, false
 	}
-	have := s.HasVariant(ckey)
 	s.stats.meshFetches.Add(1)
-	reply, err := h.FetchContent(ckey, textBase, dataBase, have)
-	if err != nil || reply == nil || !reply.Found {
-		s.stats.meshFallbacks.Add(1)
-		return nil, false
-	}
-	if reply.MetaOnly {
-		// The owner confirmed the content key and sent its build's
-		// invariants: validate the local variant against them, then
-		// slide it locally via the rebase fast path.
-		if s.variantMatches(ckey, reply.Meta) {
-			if inst, ok := s.tryRebase(pl, c); ok {
-				s.stats.meshMetaRebases.Add(1)
-				return inst, true
-			}
-		}
-		// Divergent or unusable local variant: converge on the owner's
-		// bytes instead.
-		reply, err = h.FetchContent(ckey, textBase, dataBase, false)
-		if err != nil || reply == nil || !reply.Found || reply.MetaOnly {
-			s.stats.meshFallbacks.Add(1)
-			return nil, false
-		}
-	}
+	blob, err := h.FetchContent(pl.ckey)
 	var inst *Instance
-	res, err := fetchedResult(pl, reply.Blob)
 	if err == nil {
-		inst, _, err = s.slide(pl, res, nil, c)
+		var res *link.Result
+		if res, err = fetchedResult(pl, blob); err == nil {
+			inst, _, err = s.slide(pl, res, nil, c)
+		}
 	}
 	if err != nil {
 		s.stats.meshFallbacks.Add(1)

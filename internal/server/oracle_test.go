@@ -286,10 +286,13 @@ type blobHook struct {
 
 func (h *blobHook) Owned(string) bool           { return false }
 func (h *blobHook) OfferContent(string, []byte) {}
-func (h *blobHook) FetchContent(ckey string, _, _ uint64, _ bool) (*server.MeshReply, error) {
+func (h *blobHook) FetchContent(ckey string) ([]byte, error) {
 	h.fetched = append(h.fetched, ckey)
 	blob, ok := h.blobs[ckey]
-	return &server.MeshReply{Found: ok, Blob: blob}, nil
+	if !ok {
+		return nil, fmt.Errorf("peer does not hold %s", ckey)
+	}
+	return blob, nil
 }
 
 func TestFastPathOracle(t *testing.T) {
@@ -346,7 +349,7 @@ func TestFastPathOracle(t *testing.T) {
 			if variant.Res.TextBase == want[sub.path].rec.ResTextBase {
 				t.Fatalf("variant landed on the subject's own text base %#x", variant.Res.TextBase)
 			}
-			blob, _, ok := reb.Srv.ExportContent(variant.ContentKey, false)
+			blob, ok := reb.Srv.ExportContent(variant.ContentKey)
 			if !ok {
 				t.Fatal("variant not exportable")
 			}
@@ -447,7 +450,7 @@ func TestFastPathOracle(t *testing.T) {
 	dormant := &blobHook{blobs: map[string][]byte{}}
 	for _, sub := range subs {
 		ckey := want[sub.path].rec.ContentKey
-		blob, _, ok := peer.Srv.ExportContent(ckey, false)
+		blob, ok := peer.Srv.ExportContent(ckey)
 		if !ok {
 			t.Fatalf("peer cannot export the dormant variant of %s", sub.path)
 		}

@@ -189,14 +189,12 @@ type Stats struct {
 	OptionalStubsServed  uint64 `stat:"upgrades optional-stubs"`
 
 	// The Mesh* counters account the federated-mesh hook (meshhook.go;
-	// all zero on an unmeshed server): placement misses that consulted
-	// a remote shard owner, split by how they were served — a
-	// metadata-only reply rebased against a local variant, a streamed
-	// blob installed — and consults that fell back to the local build
-	// path (owner down or shedding, content unknown, validation
+	// all zero on an unmeshed server): placement misses with no local
+	// variant that consulted a remote shard owner, split into the
+	// owner's blobs installed and consults that fell back to the local
+	// build path (owner down or shedding, content unknown, validation
 	// failed).
 	MeshFetches      uint64 `stat:"mesh-hook fetches"`
-	MeshMetaRebases  uint64 `stat:"mesh-hook meta-rebases"`
 	MeshBlobInstalls uint64 `stat:"mesh-hook blob-installs"`
 	MeshFallbacks    uint64 `stat:"mesh-hook fallbacks"`
 }
@@ -292,7 +290,6 @@ type statsCounters struct {
 
 	builtBytes       atomic.Uint64
 	meshFetches      atomic.Uint64
-	meshMetaRebases  atomic.Uint64
 	meshBlobInstalls atomic.Uint64
 	meshFallbacks    atomic.Uint64
 
@@ -341,7 +338,6 @@ func (s *Server) Stats() Stats {
 
 		BuiltBytes:       s.stats.builtBytes.Load(),
 		MeshFetches:      s.stats.meshFetches.Load(),
-		MeshMetaRebases:  s.stats.meshMetaRebases.Load(),
 		MeshBlobInstalls: s.stats.meshBlobInstalls.Load(),
 		MeshFallbacks:    s.stats.meshFallbacks.Load(),
 
@@ -569,8 +565,9 @@ type Server struct {
 	admit *Admission
 
 	// mesh, when non-nil, federates this server into a daemon mesh
-	// (meshhook.go): placement misses for remotely owned content
-	// consult the shard owner before building locally.  Install with
+	// (meshhook.go): placement misses for remotely owned content that
+	// no local variant can serve ask the shard owner for its bytes
+	// before linking locally.  Install with
 	// SetMesh before serving traffic.
 	mesh MeshHook
 
