@@ -137,14 +137,15 @@ func (rt *Runtime) dynload(p *osim.Process, name string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := rt.Srv.ExportTable(inst); err != nil {
+	table, err := rt.Srv.ExportTable(inst)
+	if err != nil {
 		return 0, err
 	}
 	if err := rt.Srv.MapInstance(p, inst); err != nil {
 		return 0, err
 	}
-	st.tables[name] = inst.TableAddr
-	return inst.TableAddr, nil
+	st.tables[name] = table.Addr
+	return table.Addr, nil
 }
 
 // bootSrc is the bootstrap loader: it reads argv[0] as the OMOS

@@ -347,8 +347,10 @@ int main() { return drive(3); }
 					}
 				}
 				s.cacheMu.RLock()
-				for _, inst := range s.cache {
-					check(inst)
+				for _, e := range s.entries {
+					if e.inst != nil {
+						check(e.inst)
+					}
 				}
 				s.cacheMu.RUnlock()
 			}
@@ -533,5 +535,44 @@ func TestEvictDuringMap(t *testing.T) {
 			p.Release()
 		}
 		<-evicted
+	}
+}
+
+// TestExportTableDuringMap: a library instance's export table is built
+// by one goroutine while another maps a program linked against that
+// library.  The table is published once, atomically: under -race a
+// table written after publication is a reported race, and every call
+// returns the one table.
+func TestExportTableDuringMap(t *testing.T) {
+	for round := 0; round < 24; round++ {
+		s := newTestServer(t)
+		definePersistWorld(t, s)
+		inst, err := s.Instantiate("/bin/app", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib := inst.Libs[0]
+		p := s.Kernel().Spawn()
+		var wg sync.WaitGroup
+		var table *osim.FrameSeg
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var err error
+			if table, err = s.ExportTable(lib); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := s.MapInstance(p, inst); err != nil {
+				t.Error(err)
+			}
+		}()
+		wg.Wait()
+		if again, err := s.ExportTable(lib); err != nil || again != table {
+			t.Fatalf("round %d: second ExportTable = %p, %v; want the first table %p", round, again, err, table)
+		}
+		p.Release()
 	}
 }

@@ -242,3 +242,25 @@ func TestDormantCapacityEvictionKeepsNeededLibrary(t *testing.T) {
 		t.Fatalf("rebuilt %d images, want the program alone", got.ImagesBuilt)
 	}
 }
+
+// TestCloseStoreRetiresDormant: a record attached but never woken
+// cannot be woken once its store is closed, so closing the store
+// retires it.  Every content key the server still lists must export,
+// and the program still runs, rebuilt from source.
+func TestCloseStoreRetiresDormant(t *testing.T) {
+	dir, _, _ := persistedWorld(t)
+	s := newTestServer(t)
+	if n := s.AttachStore(openStore(t, dir, 0)); n != 2 {
+		t.Fatalf("attached %d records, want 2", n)
+	}
+	if err := s.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range s.ContentKeys() {
+		if _, ok := s.ExportContent(ck); !ok {
+			t.Errorf("content key %s listed after CloseStore but not exportable", ck)
+		}
+	}
+	definePersistWorld(t, s)
+	runApp(t, s)
+}

@@ -81,12 +81,9 @@ func (s *Server) InstantiateLib(dep mgraph.LibDep, p *osim.Process) (*Instance, 
 // Only function exports are included: the paper notes shared variables
 // are the scheme's fundamental limitation, so data never appears here.
 func (s *Server) ExportTable(inst *Instance) (*osim.FrameSeg, error) {
-	s.cacheMu.RLock()
-	if inst.Table != nil {
-		s.cacheMu.RUnlock()
-		return inst.Table, nil
+	if t := inst.table.Load(); t != nil {
+		return t, nil
 	}
-	s.cacheMu.RUnlock()
 
 	var funcs []string
 	for name, e := range inst.Res.Exports {
@@ -129,16 +126,10 @@ func (s *Server) ExportTable(inst *Instance) (*osim.FrameSeg, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cacheMu.Lock()
-	if inst.Table != nil {
+	if !inst.table.CompareAndSwap(nil, seg) {
 		// Another builder won the race; keep its table and release ours.
-		won := inst.Table
-		s.cacheMu.Unlock()
 		s.kern.FT.Release(seg)
-		return won, nil
+		return inst.table.Load(), nil
 	}
-	inst.Table = seg
-	inst.TableAddr = pl.TextBase
-	s.cacheMu.Unlock()
 	return seg, nil
 }

@@ -170,7 +170,7 @@ func TestFaultWaiterDetach(t *testing.T) {
 	<-leaderDone
 	// Clean up the synthetic cache entry before the server is torn down.
 	s.cacheMu.Lock()
-	delete(s.cache, "k")
+	delete(s.entries, "k")
 	s.cacheMu.Unlock()
 }
 
@@ -231,7 +231,7 @@ func TestFaultDeadLeaderDoesNotWedge(t *testing.T) {
 		t.Fatal("follower wedged on dead leader")
 	}
 	s.cacheMu.Lock()
-	delete(s.cache, "k2")
+	delete(s.entries, "k2")
 	s.cacheMu.Unlock()
 }
 

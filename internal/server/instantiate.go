@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"omos/internal/asm"
@@ -436,14 +437,16 @@ func libKeys(libs []*Instance) string {
 }
 
 // ReleaseInstance drops the frames materialized for an instance (and
-// its table).  Only needed when the server runs with DisableCache;
-// cached instances are owned by the cache and released via Evict.
+// its export table).  The cache releases an instance it holds when it
+// retires the entry; any other instance is its holder's to release:
+// with DisableCache every instance a caller gets, and in the server one
+// that lost its key to an earlier one or failed its pins (publish, wake).
 func (s *Server) ReleaseInstance(inst *Instance) {
 	for _, seg := range inst.ROSegs {
 		s.kern.FT.Release(seg)
 	}
-	if inst.Table != nil {
-		s.kern.FT.Release(inst.Table)
+	if t := inst.table.Load(); t != nil {
+		s.kern.FT.Release(t)
 	}
 }
 
@@ -492,33 +495,93 @@ func (inst *Instance) roSeg(name string) *osim.FrameSeg {
 	return nil
 }
 
+// liveLocked returns the entry under key and its instance while the
+// entry is live, else nil, nil.  Caller holds cacheMu.
+func (s *Server) liveLocked(key string) (*entry, *Instance) {
+	if e := s.entries[key]; e != nil && e.inst != nil {
+		return e, e.inst
+	}
+	return nil, nil
+}
+
 // publish makes a complete instance visible to cache hits, rebases and
-// mesh exports.  It is the only writer of the cache and the variants
-// index, and nothing about the instance but its LRU stamp and lazily
-// built export table changes afterwards.  A dormant record of the same
-// key is retired: the instance is its wake, or a rebuild that
-// supersedes it.  If another build published
-// the key first (a watchdog-abandoned build finishing late) the prior
-// instance wins and this one's frames are released.
+// mesh exports.  It is the only way an entry becomes live, and nothing
+// about the instance but its lazily built export table changes
+// afterwards.  A dormant entry under the same key becomes live in
+// place and keeps its blob checksum: the instance is its wake, or a
+// rebuild that supersedes it until the checkpoint rewrites the blob.
+// If another build published the key first (a watchdog-abandoned build
+// finishing late) the prior instance wins and this one's frames are
+// released.
 func (s *Server) publish(inst *Instance) *Instance {
 	if s.DisableCache {
 		return inst
 	}
 	s.cacheMu.Lock()
-	if prior := s.cache[inst.Key]; prior != nil {
+	e := s.entries[inst.Key]
+	if e != nil && e.inst != nil {
+		prior := e.inst
 		s.cacheMu.Unlock()
 		s.ReleaseInstance(inst)
 		return prior
 	}
-	s.cache[inst.Key] = inst
-	s.dropDormantLocked(inst.Key)
-	if inst.ContentKey != "" {
-		s.variants[inst.ContentKey] = append(s.variants[inst.ContentKey], inst)
+	if e == nil {
+		e = &entry{}
+		s.entries[inst.Key] = e
+	} else {
+		s.unindexLocked(e)
 	}
+	e.inst, e.head = inst, nil
+	s.indexLocked(e)
 	st := s.store
 	s.cacheMu.Unlock()
-	s.touch(inst.Key, inst, st)
+	s.touch(inst.Key, e, st)
 	return inst
+}
+
+// indexLocked adds e to the content index under its content key, and
+// unindexLocked removes it.  Caller holds cacheMu.
+func (s *Server) indexLocked(e *entry) {
+	if ck := e.contentKey(); ck != "" {
+		s.byContent[ck] = append(s.byContent[ck], e)
+	}
+}
+
+func (s *Server) unindexLocked(e *entry) {
+	ck := e.contentKey()
+	if es := slices.DeleteFunc(s.byContent[ck], func(x *entry) bool { return x == e }); len(es) > 0 {
+		s.byContent[ck] = es
+	} else {
+		delete(s.byContent, ck)
+	}
+}
+
+// retireLocked removes the entry under key and, in the same step, the
+// key's blob: a live image's frames and export table are released
+// (frames a running process maps stay alive through the process's own
+// references), and the attached store deletes the blob — or
+// quarantines it, when the image's own bytes or pins failed.  With no
+// store attached the blob stays for the next session.  The main solver
+// placement is deliberately kept so a rebuild lands at the same
+// addresses.  Caller holds cacheMu.
+func (s *Server) retireLocked(key string, quarantine bool) {
+	if e := s.entries[key]; e != nil {
+		delete(s.entries, key)
+		s.unindexLocked(e)
+		if e.inst != nil {
+			s.ReleaseInstance(e.inst)
+			if e.inst.table.Load() != nil {
+				s.solverMu.Lock()
+				s.solver.Release("table:" + key)
+				s.solverMu.Unlock()
+			}
+		}
+	}
+	if s.store != nil && quarantine {
+		s.store.Quarantine(key)
+	} else if s.store != nil {
+		s.store.Delete(key)
+	}
 }
 
 // Evict removes every cached instance derived from the named
@@ -531,17 +594,11 @@ func (s *Server) publish(inst *Instance) *Instance {
 // through the frame refcounts.
 func (s *Server) Evict(name string) int {
 	name = cleanPath(name)
-	named := func(n string) bool { return n == name || n == "lib:"+name }
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	victims := map[string]bool{}
-	for key, inst := range s.cache {
-		if named(inst.Name) {
-			victims[key] = true
-		}
-	}
-	for key, h := range s.dormant {
-		if named(h.Name) {
+	for key, e := range s.entries {
+		if n := e.name(); n == name || n == "lib:"+name {
 			victims[key] = true
 		}
 	}
@@ -549,36 +606,19 @@ func (s *Server) Evict(name string) int {
 	// would keep mapping the released frames (the capacity evictor
 	// refuses such victims for exactly this reason) — explicit
 	// eviction instead takes the dependents along, so they rebuild
-	// against whatever the namespace says next.  A dormant record's
-	// libraries are its head's LibKeys.
+	// against whatever the namespace says next.
 	for changed := true; changed; {
 		changed = false
-		for key, inst := range s.cache {
-			for _, li := range inst.Libs {
-				if !victims[key] && victims[li.Key] {
-					victims[key], changed = true, true
-				}
-			}
-		}
-		for key, h := range s.dormant {
-			for _, lk := range h.LibKeys {
+		for key, e := range s.entries {
+			e.eachLib(func(lk string) {
 				if !victims[key] && victims[lk] {
 					victims[key], changed = true, true
 				}
-			}
+			})
 		}
 	}
-	evicted := 0
 	for key := range victims {
-		if inst := s.cache[key]; inst != nil {
-			s.evictEntryLocked(inst)
-		}
-		s.dropDormantLocked(key)
-		if s.store != nil {
-			s.store.Delete(key)
-			s.dropBlobSum(key)
-		}
-		evicted++
+		s.retireLocked(key, false)
 	}
 	s.solverMu.Lock()
 	s.solver.Release("prog:" + name)
@@ -588,27 +628,7 @@ func (s *Server) Evict(name string) int {
 		}
 	}
 	s.solverMu.Unlock()
-	return evicted
-}
-
-// evictEntryLocked drops one cached instance from the in-memory
-// tier: its shared frames (and export table) are released and the
-// cache entry removed.  Frames a running process maps stay alive
-// through the process's own references.  The main solver placement is
-// deliberately kept so a rebuild lands at the same addresses.  Caller
-// holds cacheMu.
-func (s *Server) evictEntryLocked(inst *Instance) {
-	for _, seg := range inst.ROSegs {
-		s.kern.FT.Release(seg)
-	}
-	if inst.Table != nil {
-		s.kern.FT.Release(inst.Table)
-		s.solverMu.Lock()
-		s.solver.Release("table:" + inst.Key)
-		s.solverMu.Unlock()
-	}
-	s.dropVariantLocked(inst)
-	delete(s.cache, inst.Key)
+	return len(victims)
 }
 
 // MapInstance maps the instance and all its libraries into a process,
@@ -639,8 +659,8 @@ func (s *Server) MapInstance(p *osim.Process, inst *Instance) error {
 		if err := p.MapSharedSegs(in.ROSegs, true); err != nil {
 			return err
 		}
-		if in.Table != nil {
-			if err := p.MapSharedSegs([]*osim.FrameSeg{in.Table}, true); err != nil {
+		if t := in.table.Load(); t != nil {
+			if err := p.MapSharedSegs([]*osim.FrameSeg{t}, true); err != nil {
 				return err
 			}
 		}

@@ -9,10 +9,10 @@ package server
 //
 // Division of labor: the mesh package owns the ring, the peers, the
 // wire traffic, and the gossip/rebalance loops; this file owns
-// everything that touches server state (the variants index, the frame
-// table, the image cache).  The hook's methods perform network I/O and
-// are therefore never called under cacheMu/solverMu — the call sites
-// live inside singleflight build functions, which hold no server
+// everything that touches server state (the image cache and its
+// content index, the frame table).  The hook's methods perform network
+// I/O and are therefore never called under cacheMu/solverMu — the call
+// sites live inside singleflight build functions, which hold no server
 // locks.
 
 import (
@@ -44,28 +44,26 @@ type MeshHook interface {
 // before the server sees traffic.
 func (s *Server) SetMesh(h MeshHook) { s.mesh = h }
 
-// mruVariant returns the most recently used rebase-capable variant of
-// ckey, or nil.  Without a cached one it wakes the most recent dormant
-// one — through that record's flight, and never one whose flight is
+// mruVariant returns the most recently used rebase-capable live
+// variant of ckey, or nil.  Without one it wakes the newest dormant one
+// — through that record's flight, and never one whose flight is
 // already running (it may be the caller's own: the build of that very
 // key, whose wake failed).
 func (s *Server) mruVariant(ckey string) *Instance {
 	var src *Instance
+	var srcUse uint64
 	var sleeper string
 	s.cacheMu.RLock()
-	for _, v := range s.variants[ckey] {
-		if !rebaseSource(v) {
-			continue
-		}
-		if src == nil || v.lastUse.Load() > src.lastUse.Load() {
-			src = v
+	for _, e := range s.byContent[ckey] {
+		if e.head != nil {
+			sleeper = e.head.Key // dormant entries keep attach order: the last is the newest
+		} else if use := e.lastUse.Load(); rebaseSource(e.inst) && (src == nil || use > srcUse) {
+			src, srcUse = e.inst, use
 		}
 	}
-	if hs := s.dormantCK[ckey]; src == nil && len(hs) > 0 && s.inflight[hs[len(hs)-1].Key] == nil {
-		sleeper = hs[len(hs)-1].Key
-	}
+	wake := src == nil && sleeper != "" && s.inflight[sleeper] == nil
 	s.cacheMu.RUnlock()
-	if sleeper != "" {
+	if wake {
 		if inst := s.awake(sleeper); inst != nil && rebaseSource(inst) {
 			return inst
 		}
@@ -74,7 +72,7 @@ func (s *Server) mruVariant(ckey string) *Instance {
 }
 
 // HasVariant reports whether the server holds a rebase-capable variant
-// of ckey, cached or dormant (without waking it).
+// of ckey, live or dormant (without waking it).
 func (s *Server) HasVariant(ckey string) bool {
 	s.cacheMu.RLock()
 	defer s.cacheMu.RUnlock()
@@ -82,11 +80,8 @@ func (s *Server) HasVariant(ckey string) bool {
 }
 
 func (s *Server) hasVariantLocked(ckey string) bool {
-	if len(s.dormantCK[ckey]) > 0 {
-		return true
-	}
-	for _, v := range s.variants[ckey] {
-		if rebaseSource(v) {
+	for _, e := range s.byContent[ckey] {
+		if e.head != nil || rebaseSource(e.inst) {
 			return true
 		}
 	}
@@ -94,18 +89,13 @@ func (s *Server) hasVariantLocked(ckey string) bool {
 }
 
 // ContentKeys lists every content key with at least one rebase-capable
-// variant, cached or dormant — the digest summary gossip exchanges.
+// variant, live or dormant — the digest summary gossip exchanges.
 func (s *Server) ContentKeys() []string {
 	s.cacheMu.RLock()
 	defer s.cacheMu.RUnlock()
-	out := make([]string, 0, len(s.variants)+len(s.dormantCK))
-	for ck := range s.variants {
+	out := make([]string, 0, len(s.byContent))
+	for ck := range s.byContent {
 		if s.hasVariantLocked(ck) {
-			out = append(out, ck)
-		}
-	}
-	for ck := range s.dormantCK {
-		if len(s.variants[ck]) == 0 {
 			out = append(out, ck)
 		}
 	}

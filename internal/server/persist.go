@@ -73,9 +73,9 @@ func (s *Server) AttachStore(st *store.Store) int {
 // here: they attach all the same, and wake finds out.
 func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 	s.cacheMu.RLock()
-	_, cached := s.cache[key]
+	held := s.entries[key] != nil
 	s.cacheMu.RUnlock()
-	if seen[key] || cached {
+	if seen[key] || held {
 		return
 	}
 	seen[key] = true
@@ -86,7 +86,7 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 	s.kern.ChargeTotalServer(uint64(len(b)) * s.kern.Cost.StoreLoadPerByte)
 	h, err := store.DecodeHead(b)
 	if err != nil || h.Key != key {
-		s.reject(st, key)
+		s.reject(key)
 		return
 	}
 	for _, lk := range h.LibKeys {
@@ -98,18 +98,16 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 		h.TextSize, h.DataSize)
 	s.solverMu.Unlock()
 	if err != nil {
-		s.reject(st, key)
+		s.reject(key)
 		return
 	}
-	// The blob's on-disk identity: images woken or linked after this
-	// verify their library pins against it.
-	s.setBlobSum(key, hex.EncodeToString(h.Sum[:]))
+	// The entry carries the blob's on-disk identity: images woken or
+	// linked after this verify their library pins against it.
 	s.cacheMu.Lock()
-	if s.cache[key] == nil {
-		s.dormant[key] = h
-		if h.ContentKey != "" {
-			s.dormantCK[h.ContentKey] = append(s.dormantCK[h.ContentKey], h)
-		}
+	if s.entries[key] == nil {
+		e := &entry{head: h, sum: hex.EncodeToString(h.Sum[:])}
+		s.entries[key] = e
+		s.indexLocked(e)
 	}
 	libCKs, libsKnown := s.contentKeysLocked(h.LibKeys)
 	s.cacheMu.Unlock()
@@ -126,43 +124,26 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 }
 
 // contentKeysLocked returns the content keys of the images under keys,
-// cached or dormant, and whether every one is present.  Caller holds
+// live or dormant, and whether every one is present.  Caller holds
 // cacheMu.
 func (s *Server) contentKeysLocked(keys []string) ([]string, bool) {
 	cks := make([]string, len(keys))
 	for i, k := range keys {
-		if inst := s.cache[k]; inst != nil {
-			cks[i] = inst.ContentKey
-		} else if h := s.dormant[k]; h != nil {
-			cks[i] = h.ContentKey
-		} else {
+		e := s.entries[k]
+		if e == nil {
 			return nil, false
 		}
+		cks[i] = e.contentKey()
 	}
 	return cks, true
 }
 
-// reject quarantines the record under key, whose own bytes failed:
-// dormant no longer, its blob moved aside, its identity forgotten.
-func (s *Server) reject(st *store.Store, key string) {
+// reject retires the entry under key, whose own bytes failed, and
+// quarantines its blob.
+func (s *Server) reject(key string) {
 	s.cacheMu.Lock()
-	s.dropDormantLocked(key)
+	s.retireLocked(key, true)
 	s.cacheMu.Unlock()
-	st.Quarantine(key)
-	s.dropBlobSum(key)
-}
-
-// dropDormantLocked forgets the dormant record under key, if any.
-// Caller holds cacheMu.
-func (s *Server) dropDormantLocked(key string) {
-	h := s.dormant[key]
-	if h == nil {
-		return
-	}
-	delete(s.dormant, key)
-	if h.ContentKey != "" {
-		unindex(s.dormantCK, h.ContentKey, h)
-	}
 }
 
 // errNotDormant fails a flight that found nothing to wake.
@@ -177,8 +158,12 @@ var errNotDormant = errors.New("server: no dormant record to wake")
 // own body, key or pins fail is quarantined; one that could not be
 // read, or whose libraries are absent or unreadable, stays dormant.
 func (s *Server) wake(key string) *Instance {
+	var h *store.Head
 	s.cacheMu.RLock()
-	h, st := s.dormant[key], s.store
+	if e := s.entries[key]; e != nil {
+		h = e.head
+	}
+	st := s.store
 	s.cacheMu.RUnlock()
 	if h == nil || st == nil {
 		return nil
@@ -190,7 +175,7 @@ func (s *Server) wake(key string) *Instance {
 	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreLoadPerByte)
 	rec, err := store.Decode(blob)
 	if err != nil || rec.Key != key || !bytes.Equal(blob[blobCheckSumLo:blobCheckSumHi], h.Sum[:]) {
-		s.reject(st, key)
+		s.reject(key)
 		return nil
 	}
 	libs := make([]*Instance, len(rec.LibKeys))
@@ -201,7 +186,7 @@ func (s *Server) wake(key string) *Instance {
 	}
 	inst, err := s.instanceFromRecord(rec, libs)
 	if err != nil {
-		s.reject(st, key)
+		s.reject(key)
 		return nil
 	}
 	// Hijack defense on first use: a pinned image whose library
@@ -210,21 +195,21 @@ func (s *Server) wake(key string) *Instance {
 	// rebuilds and re-pins from source.
 	if err := s.verifyPins(inst); err != nil {
 		s.ReleaseInstance(inst)
-		s.reject(st, key)
+		s.reject(key)
 		return nil
 	}
 	return s.publish(inst)
 }
 
-// awake returns the instance under key, cached or woken.  A wake runs
+// awake returns the instance under key, live or woken.  A wake runs
 // in the key's flight (buildShared), so concurrent wakers of one record
-// read its body once and share one instance; a cached instance is
+// read its body once and share one instance; a live instance is
 // returned before that, because buildShared would count it as a cache
 // hit and a library or rebase source being looked up is not one.  nil
-// when the key is neither cached nor wakeable.
+// when the key is neither live nor wakeable.
 func (s *Server) awake(key string) *Instance {
 	s.cacheMu.RLock()
-	inst := s.cache[key]
+	_, inst := s.liveLocked(key)
 	s.cacheMu.RUnlock()
 	if inst != nil {
 		return inst
@@ -241,12 +226,19 @@ func (s *Server) awake(key string) *Instance {
 	return inst
 }
 
-// CloseStore flushes and detaches the persistent store.  Safe to call
-// when no store is attached.
+// CloseStore flushes and detaches the persistent store.  Dormant
+// entries are retired, since nothing can wake them without a store;
+// their blobs stay for the next session to attach.  Safe to call when
+// no store is attached.
 func (s *Server) CloseStore() error {
 	s.cacheMu.Lock()
 	st := s.store
 	s.store = nil
+	for key, e := range s.entries {
+		if e.head != nil {
+			s.retireLocked(key, false)
+		}
+	}
 	s.cacheMu.Unlock()
 	if st == nil {
 		return nil
@@ -265,11 +257,11 @@ func (s *Server) FlushStore() error {
 	return st.Flush()
 }
 
-// touch marks a cache key as most recently used in both tiers.  The
-// in-memory stamp is a per-instance atomic, so cache hits need no
-// cache write lock; the store keeps its own lock.
-func (s *Server) touch(key string, inst *Instance, st *store.Store) {
-	inst.lastUse.Store(s.useSeq.Add(1))
+// touch marks a cache key as most recently used in memory and in the
+// store.  The in-memory stamp is an atomic on the entry, so cache hits
+// need no cache write lock; the store keeps its own lock.
+func (s *Server) touch(key string, e *entry, st *store.Store) {
+	e.lastUse.Store(s.useSeq.Add(1))
 	if st != nil {
 		st.Touch(key)
 	}
@@ -330,9 +322,14 @@ func (s *Server) persistInstance(st *store.Store, inst *Instance) (int, error) {
 	if err := st.Put(inst.Key, blob); err != nil {
 		return 0, err
 	}
-	// Record the blob's envelope checksum: images linked against this
-	// instance from here on pin the exact bytes now on disk.
-	s.setBlobSum(inst.Key, blobChecksum(blob))
+	// Record the blob's envelope checksum on the instance's entry:
+	// images linked against this instance from here on pin the exact
+	// bytes now on disk.
+	s.cacheMu.Lock()
+	if e := s.entries[inst.Key]; e != nil && e.inst == inst {
+		e.sum = blobChecksum(blob)
+	}
+	s.cacheMu.Unlock()
 	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreWritePerByte)
 	// Capacity enforcement happens in buildShared once this build's
 	// flight is deregistered; an in-flight build must not evict the
@@ -537,13 +534,12 @@ func resultFromRecord(rec *store.Record) *link.Result {
 }
 
 // evictForCapacity brings the store back under its byte budget by
-// evicting least-recently-used entries from both tiers, dormant records
-// included.  Victims are skipped while live: instances whose frames are
-// still mapped by a process, and libraries other cached or dormant
-// images link against — the
-// refcounts, not the policy, decide when memory is truly reclaimable
-// (frames a running process maps stay alive through its own refs
-// regardless).  exclude names a key that must survive this sweep: the
+// retiring least-recently-used entries, dormant ones included.  Victims
+// are skipped while live: instances whose frames are still mapped by a
+// process, and libraries other live or dormant images link against —
+// the refcounts, not the policy, decide when memory is truly
+// reclaimable (frames a running process maps stay alive through its
+// own refs regardless).  exclude names a key that must survive this sweep: the
 // instance a builder is about to hand to its caller, which holds no
 // process references yet.  Solver placements are kept so a later
 // rebuild lands at the same addresses and re-earns the same cache key.
@@ -559,18 +555,11 @@ func (s *Server) evictForCapacity(exclude string) {
 		// the next persist retries.
 		return
 	}
-	// A library is not a victim while an image links against it, cached
-	// or dormant (a dormant record's libraries are its head's LibKeys).
+	// A library is not a victim while an image links against it, live or
+	// dormant.
 	deps := map[string]int{}
-	for _, inst := range s.cache {
-		for _, li := range inst.Libs {
-			deps[li.Key]++
-		}
-	}
-	for _, h := range s.dormant {
-		for _, lk := range h.LibKeys {
-			deps[lk]++
-		}
+	for _, e := range s.entries {
+		e.eachLib(func(lk string) { deps[lk]++ })
 	}
 	for _, key := range st.KeysLRU() {
 		if st.OverCapacity() == 0 {
@@ -579,15 +568,10 @@ func (s *Server) evictForCapacity(exclude string) {
 		if key == exclude || key == epochStoreKey || deps[key] > 0 {
 			continue
 		}
-		if inst := s.cache[key]; inst != nil {
-			if s.mappedLive(inst) {
-				continue
-			}
-			s.evictEntryLocked(inst)
+		if _, inst := s.liveLocked(key); inst != nil && s.mappedLive(inst) {
+			continue
 		}
-		s.dropDormantLocked(key)
-		st.Delete(key)
-		s.dropBlobSum(key)
+		s.retireLocked(key, false)
 	}
 }
 
@@ -608,5 +592,6 @@ func (s *Server) mappedLive(inst *Instance) bool {
 			return true
 		}
 	}
-	return inst.Table != nil && s.kern.FT.SegInUse(inst.Table)
+	t := inst.table.Load()
+	return t != nil && s.kern.FT.SegInUse(t)
 }

@@ -299,13 +299,13 @@ func TestStoreCapacityEvictionRespectsDependents(t *testing.T) {
 		t.Fatalf("no evictions despite tiny capacity: %+v", s.Stats())
 	}
 	s.cacheMu.Lock()
-	_, appCached := s.cache[appInst.Key]
-	_, libCached := s.cache[libKey]
+	_, app := s.liveLocked(appInst.Key)
+	_, lib := s.liveLocked(libKey)
 	s.cacheMu.Unlock()
-	if !appCached {
+	if app == nil {
 		t.Fatal("live mapped program evicted from the cache")
 	}
-	if !libCached {
+	if lib == nil {
 		t.Fatal("depended-on library evicted from the cache")
 	}
 	// The oldest unprotected entry (solo1) must have been evicted from

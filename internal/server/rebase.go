@@ -11,11 +11,12 @@ import (
 // cache miss — but its *bytes* differ from a cached variant only at
 // the recorded patch sites.  Instances therefore carry a second,
 // placement-independent identity (Instance.ContentKey), and the
-// variants index maps each content key to its cached placement
-// variants.  A placement miss with a content hit slides the most
-// recently used variant with link.Rebase — O(patch sites) instead of
-// a full four-pass relink — and materializes the slid image so pages
-// without a patch site stay physically shared with the source.
+// content index (Server.byContent) maps each content key to its
+// placement variants, live or dormant.  A placement miss with a
+// content hit slides the most recently used variant with link.Rebase —
+// O(patch sites) instead of a full four-pass relink — and materializes
+// the slid image so pages without a patch site stay physically shared
+// with the source.
 
 // contentKeyLib is a library's placement-independent identity:
 // content hash, specialization kind (but not address preferences —
@@ -37,14 +38,14 @@ func contentKeyProg(subHash string, libs []*Instance) string {
 // rebaseSource reports whether a cached instance carries everything
 // link.Rebase needs besides its frames: segment metadata and the
 // exports' segment classes recorded at link time.  Branch-table
-// libraries carry no content key and never reach the variants index.
+// libraries carry no content key and never reach the content index.
 func rebaseSource(src *Instance) bool {
 	r := src.Res
 	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.Exports != nil
 }
 
 // tryRebase attempts to serve a placement miss from a content hit:
-// slide the most recently used cached variant of the plan's content to
+// slide the most recently used variant of the plan's content to
 // the plan's bases, sharing clean pages with it.  Returns (nil, false)
 // when no variant is usable — the caller falls back to the full
 // relink.
@@ -120,29 +121,4 @@ func (s *Server) slide(pl *plan, from *link.Result, src *Instance, c charger) (*
 	s.stats.cacheMisses.Add(1)
 	s.stats.buildCycles.Add(cost)
 	return inst, shared, nil
-}
-
-// dropVariantLocked removes an evicted instance from the variants
-// index.  Caller holds cacheMu.
-func (s *Server) dropVariantLocked(inst *Instance) {
-	if inst.ContentKey != "" {
-		unindex(s.variants, inst.ContentKey, inst)
-	}
-}
-
-// unindex removes v from the list m keeps under k, and the list once it
-// is empty.
-func unindex[T comparable](m map[string][]T, k string, v T) {
-	vs := m[k]
-	for i, x := range vs {
-		if x == v {
-			vs = append(vs[:i], vs[i+1:]...)
-			break
-		}
-	}
-	if len(vs) == 0 {
-		delete(m, k)
-	} else {
-		m[k] = vs
-	}
 }

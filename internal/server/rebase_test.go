@@ -247,10 +247,10 @@ func TestEvictDropsVariant(t *testing.T) {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	s.cacheMu.RLock()
-	nvar := len(s.variants)
+	nvar := len(s.byContent)
 	s.cacheMu.RUnlock()
 	if nvar != 0 {
-		t.Fatalf("variants index still holds %d entries after eviction", nvar)
+		t.Fatalf("content index still holds %d entries after eviction", nvar)
 	}
 	// A fresh placement of the same content must now fully relink.
 	if err := s.Define("/bin/a2", rebaseProgSrc); err != nil {

@@ -266,30 +266,17 @@ func (s *Server) dropBindingsOf(p string) {
 	s.bindMu.Unlock()
 }
 
-// setBlobSum records the store checksum of a persisted instance blob,
-// so pins can carry (and later verify) the on-disk identity of the
-// libraries an image was linked against.
-func (s *Server) setBlobSum(key, sum string) {
-	s.bindMu.Lock()
-	s.blobSums[key] = sum
-	s.bindMu.Unlock()
-}
-
-// dropBlobSum forgets the checksum of a blob the store no longer holds
-// (deleted or quarantined).  An in-memory-only eviction keeps it: the
-// blob is still on disk and pins may still verify against it.
-func (s *Server) dropBlobSum(key string) {
-	s.bindMu.Lock()
-	delete(s.blobSums, key)
-	s.bindMu.Unlock()
-}
-
-// blobSum returns the recorded store checksum for a cache key ("" if
-// the key was never persisted this session).
+// blobSum returns the store checksum the entry under key carries (""
+// when the key has no entry or its blob was neither written nor
+// attached this session).  The checksum leaves with the entry, in the
+// same step as the blob (retireLocked).
 func (s *Server) blobSum(key string) string {
-	s.bindMu.RLock()
-	defer s.bindMu.RUnlock()
-	return s.blobSums[key]
+	s.cacheMu.RLock()
+	defer s.cacheMu.RUnlock()
+	if e := s.entries[key]; e != nil {
+		return e.sum
+	}
+	return ""
 }
 
 // pinsOf pins the identities of the libraries an image is being
@@ -343,8 +330,8 @@ func (s *Server) verifyPins(inst *Instance) error {
 }
 
 // verifyPinned runs the pin check on a cached instance about to be
-// mapped, and on violation quarantines the image — the cache entry is
-// evicted and its store blob moved aside — so the next instantiation
+// mapped, and on violation quarantines the image — its entry is
+// retired and its store blob moved aside — so the next instantiation
 // rebuilds and re-pins from source instead of running a hijacked
 // image.
 func (s *Server) verifyPinned(inst *Instance) error {
@@ -353,12 +340,8 @@ func (s *Server) verifyPinned(inst *Instance) error {
 		return nil
 	}
 	s.cacheMu.Lock()
-	if cur := s.cache[inst.Key]; cur == inst {
-		s.evictEntryLocked(inst)
-		if s.store != nil {
-			s.store.Quarantine(inst.Key)
-			s.dropBlobSum(inst.Key)
-		}
+	if _, cur := s.liveLocked(inst.Key); cur == inst {
+		s.retireLocked(inst.Key, true)
 	}
 	s.cacheMu.Unlock()
 	return err

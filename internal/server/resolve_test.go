@@ -234,9 +234,9 @@ func TestPinViolationQuarantinesOnMap(t *testing.T) {
 		t.Fatalf("violation not counted: %+v", st)
 	}
 	s.cacheMu.Lock()
-	_, cached := s.cache[inst.Key]
+	_, cached := s.liveLocked(inst.Key)
 	s.cacheMu.Unlock()
-	if cached {
+	if cached != nil {
 		t.Fatal("hijacked image left in the cache")
 	}
 
@@ -422,8 +422,16 @@ func TestRemoveForgetsResolutionState(t *testing.T) {
 	}
 	sizes := func() (bindings, sums int) {
 		s.bindMu.RLock()
-		defer s.bindMu.RUnlock()
-		return len(s.bindings), len(s.blobSums)
+		bindings = len(s.bindings)
+		s.bindMu.RUnlock()
+		s.cacheMu.RLock()
+		defer s.cacheMu.RUnlock()
+		for _, e := range s.entries {
+			if e.sum != "" {
+				sums++
+			}
+		}
+		return bindings, sums
 	}
 	bind0, sums0 := sizes()
 

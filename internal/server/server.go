@@ -23,16 +23,21 @@
 //     atomic pointer.  A request reads one version from its root to its
 //     reply without a lock; writers publish a changed copy (writeNS).
 //   - solverMu: the constraint solver's address-space bookkeeping.
-//   - cacheMu (RWMutex): the image cache, in-flight build table, and
-//     persistent store attachment.
-//   - bindMu (RWMutex): binding tables and store-blob checksums.
+//   - cacheMu (RWMutex): the image cache — one entry per cache key,
+//     live or dormant, with its blob checksum, and the content index
+//     over them — the in-flight build table, and the persistent store
+//     attachment.  An entry's LRU stamp is an atomic on the entry.
+//   - bindMu (RWMutex): the binding tables, nothing else.
 //   - upMu: the upgrade epoch; it also serializes namespace writers.
 //   - Stats counters are atomics; read them via the Stats method.
 //
 // Lock order: cacheMu may be taken before solverMu (eviction releases
-// placements) and before bindMu (a checksum is dropped beside its
-// store delete); upMu is a leaf.  None of these locks is ever held
-// across an m-graph evaluation, a link, or store I/O.
+// placements); bindMu and upMu are leaves.  None of these locks is
+// ever held across an m-graph evaluation or a link.  The one store I/O
+// done under a lock is deliberate: cacheMu is held while an entry's
+// blob is deleted or quarantined (retireLocked), so an entry and its
+// blob always leave together.  An instance's export table is published
+// once, atomically, and needs no lock.
 package server
 
 import (
@@ -386,7 +391,9 @@ type nsEntry struct {
 
 // Instance is a cached, materialized executable image: the unit the
 // server hands to loaders.  Read-only segments are shared frames;
-// writable segments are pristine bytes copied per client.
+// writable segments are pristine bytes copied per client.  A published
+// instance never changes, apart from its export table, which is
+// published once.
 type Instance struct {
 	Key  string
 	Name string
@@ -403,11 +410,6 @@ type Instance struct {
 	// Libs are the library instances this image was linked against;
 	// they must be mapped alongside it.
 	Libs []*Instance
-	// Table is the partial-image function hash table segment (nil
-	// unless built via BuildExportTable).
-	Table *osim.FrameSeg
-	// TableAddr is the table's base address when present.
-	TableAddr uint64
 	// BTSlots maps upward-reference symbol names to branch-table slot
 	// addresses, for libraries built with the "lib-branch-table"
 	// specialization (§4.1): the slots live in the library's private
@@ -430,9 +432,55 @@ type Instance struct {
 	// addresses on warm boot.
 	place placeRec
 
-	// lastUse is the LRU stamp (Server.useSeq at last touch), updated
-	// atomically so cache hits need no write lock.
+	// table is the partial-image function hash table segment, nil until
+	// ExportTable builds it.
+	table atomic.Pointer[osim.FrameSeg]
+}
+
+// entry is everything the server holds under one cache key: the
+// published instance, or — until its first use — the head of the
+// record a previous session stored under the key (dormant: exactly one
+// of inst and head is set); the store checksum of the key's blob, ""
+// while none was written or attached; and the LRU stamp
+// (Server.useSeq at last touch), updated atomically so cache hits need
+// no write lock.  Waking a dormant entry sets inst and clears head in
+// place.  All fields but lastUse are guarded by cacheMu.
+type entry struct {
+	inst    *Instance
+	head    *store.Head
+	sum     string
 	lastUse atomic.Uint64
+}
+
+// contentKey is the entry's placement-independent identity ("" for
+// branch-table libraries, which no rebase or mesh peer may use).
+func (e *entry) contentKey() string {
+	if e.inst != nil {
+		return e.inst.ContentKey
+	}
+	return e.head.ContentKey
+}
+
+// name is the entry's instance name.
+func (e *entry) name() string {
+	if e.inst != nil {
+		return e.inst.Name
+	}
+	return e.head.Name
+}
+
+// eachLib calls fn with the cache key of every image the entry links
+// against: a live image's Libs, a dormant record's head LibKeys.
+func (e *entry) eachLib(fn func(key string)) {
+	if e.inst == nil {
+		for _, lk := range e.head.LibKeys {
+			fn(lk)
+		}
+		return
+	}
+	for _, li := range e.inst.Libs {
+		fn(li.Key)
+	}
 }
 
 // placeRec is the solver placement an instance occupies.
@@ -490,35 +538,30 @@ type Server struct {
 	solverMu sync.Mutex
 	solver   *constraint.Solver
 
-	// cacheMu guards the image cache tier: cache, the in-flight build
-	// table (singleflight), and the persistent store attachment.
+	// cacheMu guards the image cache tier: entries, byContent, the
+	// in-flight build table (singleflight), and the persistent store
+	// attachment.
 	cacheMu  sync.RWMutex
-	cache    map[string]*Instance
 	inflight map[string]*flight
 	store    *store.Store
-	// variants indexes cached instances by ContentKey: the placement
+	// entries holds one entry per cache key, live or dormant.  Only
+	// publish makes an entry live, only attach adds a dormant one, and
+	// only retireLocked removes one.
+	entries map[string]*entry
+	// byContent indexes the same entries by content key: the placement
 	// variants of one content identity, i.e. the candidate sources for
-	// the rebase fast path (rebase.go).
-	variants map[string][]*Instance
-	// dormant holds the store records attached by their heads and not
-	// yet woken, by cache key, and dormantCK the same heads by content
-	// key, oldest first: the variants a wake can still produce
-	// (persist.go).
-	dormant   map[string]*store.Head
-	dormantCK map[string][]*store.Head
+	// the rebase fast path (rebase.go).  Dormant entries keep the order
+	// they were attached in, oldest first.
+	byContent map[string][]*entry
 
-	// useSeq is the monotone LRU clock; each Instance stamps itself on
+	// useSeq is the monotone LRU clock; each entry stamps itself on
 	// use.
 	useSeq atomic.Uint64
 
-	// bindMu guards the stable-resolution state (resolve.go): the
-	// binding tables keyed by resolution identity and the store-blob
-	// checksums pins verify against.  Lock order: bindMu may be taken
-	// under cacheMu (a checksum is dropped beside the store delete it
-	// belongs to), never the reverse.
+	// bindMu guards the binding tables (resolve.go), keyed by resolution
+	// identity.  It is a leaf: no other lock is taken under it.
 	bindMu   sync.RWMutex
 	bindings map[string]*BindingTable
-	blobSums map[string]string
 
 	// upMu guards the live-upgrade epoch (upgrade.go): the staged v2
 	// definitions, the canary cohort's health accounting, and the
@@ -592,13 +635,10 @@ func New(kern *osim.Kernel) *Server {
 	s := &Server{
 		kern:      kern,
 		solver:    constraint.NewSolver(),
-		cache:     map[string]*Instance{},
-		variants:  map[string][]*Instance{},
-		dormant:   map[string]*store.Head{},
-		dormantCK: map[string][]*store.Head{},
+		entries:   map[string]*entry{},
+		byContent: map[string][]*entry{},
 		inflight:  map[string]*flight{},
 		bindings:  map[string]*BindingTable{},
-		blobSums:  map[string]string{},
 		exec:      buildgraph.NewExecutor(DefaultBuildWorkers),
 		graph:     buildgraph.NewLog(),
 	}

@@ -45,7 +45,7 @@ func errReElect(err error) bool {
 // already charged).
 //
 // The hit path takes only the cache read lock: recency is tracked by
-// a per-instance atomic stamp, so concurrent warm instantiations
+// an atomic stamp on the entry, so concurrent warm instantiations
 // never serialize on a write lock.
 //
 // Resilience contract:
@@ -68,12 +68,12 @@ func (s *Server) buildShared(ctx context.Context, key string, build func() (*Ins
 	}
 	for {
 		s.cacheMu.RLock()
-		inst := s.cache[key]
+		e, inst := s.liveLocked(key)
 		st := s.store
 		s.cacheMu.RUnlock()
 		if inst != nil {
 			s.stats.cacheHits.Add(1)
-			s.touch(key, inst, st)
+			s.touch(key, e, st)
 			return inst, nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -81,11 +81,11 @@ func (s *Server) buildShared(ctx context.Context, key string, build func() (*Ins
 		}
 
 		s.cacheMu.Lock()
-		if inst := s.cache[key]; inst != nil {
+		if e, inst := s.liveLocked(key); inst != nil {
 			st := s.store
 			s.cacheMu.Unlock()
 			s.stats.cacheHits.Add(1)
-			s.touch(key, inst, st)
+			s.touch(key, e, st)
 			return inst, nil
 		}
 		if f, ok := s.inflight[key]; ok {
