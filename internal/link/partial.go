@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"sort"
 
 	"omos/internal/jigsaw"
 	"omos/internal/obj"
@@ -96,8 +97,10 @@ func Partial(m *jigsaw.Module, name string) (*obj.Object, error) {
 	}
 
 	// Relocations, retargeted to external names; referenced names that
-	// lack a definition become undefined symbols.
+	// lack a definition become undefined symbols, in name order so the
+	// flattened object is a function of the module.
 	undef := map[string]bool{}
+	var undefNames []string
 	for i, lv := range views {
 		for _, r := range lv.Obj.Relocs {
 			ext := lv.RefExt[r.Symbol]
@@ -110,12 +113,14 @@ func Partial(m *jigsaw.Module, name string) (*obj.Object, error) {
 				nr.Offset = bases[i].data + r.Offset
 			}
 			out.Relocs = append(out.Relocs, nr)
-			if !defined[ext] {
+			if !defined[ext] && !undef[ext] {
 				undef[ext] = true
+				undefNames = append(undefNames, ext)
 			}
 		}
 	}
-	for name := range undef {
+	sort.Strings(undefNames)
+	for _, name := range undefNames {
 		out.Syms = append(out.Syms, obj.Symbol{Name: name})
 	}
 	if err := out.Validate(); err != nil {

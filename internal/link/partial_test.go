@@ -1,6 +1,7 @@
 package link
 
 import (
+	"bytes"
 	"regexp"
 	"testing"
 
@@ -151,6 +152,38 @@ missing:
 	_, code := runImage(t, res.Image)
 	if code != 4 {
 		t.Fatalf("exit = %d, want 4", code)
+	}
+}
+
+// TestPartialDeterministic: flattening is a function of the module.
+// The undefined names a flattened object lists follow name order, so
+// every flattening of one module encodes to the same bytes and the
+// OFE operators' output does not change from run to run.
+func TestPartialDeterministic(t *testing.T) {
+	app := mustAsm(t, "app.s", `
+.text
+main:
+    call zeta
+    call alpha
+    call mid
+    call beta
+    ret
+`)
+	var first []byte
+	for i := 0; i < 20; i++ {
+		flat, err := Partial(app, "d.o")
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := obj.Encode(flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("flattening %d encodes differently from the first", i)
+		}
 	}
 }
 
