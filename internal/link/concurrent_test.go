@@ -3,15 +3,13 @@ package link
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"omos/internal/jigsaw"
 )
 
 // buildWideModule merges many small fragments with cross-fragment
-// calls, absolute data references, and an undefined external, to give
-// the parallel passes real cross-fragment structure to preserve.
+// calls and absolute data references.
 func buildWideModule(t *testing.T, nfrags int) *jigsaw.Module {
 	t.Helper()
 	mods := []*jigsaw.Module{mustAsm(t, "crt0.s", crt0Src)}
@@ -44,63 +42,15 @@ val%[1]d:
 	return m
 }
 
-// TestConcurrentLinkDeterminism links the same module with the serial
-// passes (Workers=1) and the parallel passes and requires the results
-// to be identical in every observable field — segment bytes, symbol
-// tables, AbsPatches order, counters.  The parallel merge is in view
-// order precisely so this holds.
-func TestConcurrentLinkDeterminism(t *testing.T) {
-	const nfrags = 23 // not a multiple of the chunk size
-	opts := defaultOpts("wide")
+// WideModule and RunImage lend the wide module and the image runner to
+// the tests outside the package (shared_test.go).
+var (
+	WideModule = buildWideModule
+	RunImage   = runImage
+)
 
-	prev := Workers
-	defer func() { Workers = prev }()
-
-	Workers = 1
-	serial, err := Link(buildWideModule(t, nfrags), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Workers = 4
-	parallel, err := Link(buildWideModule(t, nfrags), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(serial.Image.Syms, parallel.Image.Syms) {
-		t.Fatal("exported symbol tables diverge")
-	}
-	if !reflect.DeepEqual(serial.Exports, parallel.Exports) {
-		t.Fatal("export side tables diverge")
-	}
-	if !reflect.DeepEqual(serial.AbsPatches, parallel.AbsPatches) {
-		t.Fatal("AbsPatches diverge (merge order not view order?)")
-	}
-	if serial.NumRelocs != parallel.NumRelocs || serial.ExternBinds != parallel.ExternBinds {
-		t.Fatalf("counters diverge: relocs %d/%d binds %d/%d",
-			serial.NumRelocs, parallel.NumRelocs, serial.ExternBinds, parallel.ExternBinds)
-	}
-	if len(serial.Image.Segments) != len(parallel.Image.Segments) {
-		t.Fatal("segment counts diverge")
-	}
-	for i := range serial.Image.Segments {
-		a, b := &serial.Image.Segments[i], &parallel.Image.Segments[i]
-		if !bytes.Equal(a.Data, b.Data) {
-			t.Fatalf("segment %s bytes diverge between serial and parallel link", a.Name)
-		}
-	}
-
-	// The image must also be correct, not merely self-consistent:
-	// sum of 0..nfrags-1.
-	_, code := runImage(t, parallel.Image)
-	if want := uint64(nfrags * (nfrags - 1) / 2); code != want {
-		t.Fatalf("exit = %d, want %d", code, want)
-	}
-}
-
-// TestConcurrentLinkErrors checks error reporting stays deterministic
-// under the parallel passes: the first failing fragment in view order
-// wins, whatever finishes first in wall-clock.
+// TestConcurrentLinkErrors checks that a link with an undefined
+// reference fails.
 func TestConcurrentLinkErrors(t *testing.T) {
 	crt0 := mustAsm(t, "crt0.s", crt0Src)
 	undef := mustAsm(t, "u.s", `

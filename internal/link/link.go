@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"omos/internal/image"
 	"omos/internal/jigsaw"
@@ -24,46 +23,6 @@ import (
 	"omos/internal/osim"
 	"omos/internal/vm"
 )
-
-// Workers bounds the per-fragment fan-out of the symbol-binding and
-// relocation passes.  It is a fixed default rather than GOMAXPROCS so
-// links behave identically on every machine; 1 restores the fully
-// serial passes.  Output is byte-identical at any setting: fragments
-// touch disjoint byte ranges and all per-fragment results are merged
-// in view order.
-var Workers = 4
-
-// forEachFragment applies fn to every fragment index, fanning
-// contiguous chunks across up to Workers goroutines.  fn must only
-// touch state owned by its index.
-func forEachFragment(n int, fn func(i int)) {
-	workers := Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // Options control a link.
 type Options struct {
@@ -142,15 +101,6 @@ type RelPatch struct {
 	Seg byte
 }
 
-// placement records where one fragment landed.  It lives only for the
-// link: a Result keeps no compiled object alive.
-type placement struct {
-	obj      *obj.Object
-	textAddr uint64
-	dataAddr uint64
-	bssAddr  uint64
-}
-
 // Export describes one exported definition beyond its address: what
 // a client binding to it by name, a symbolizer, or Rebase needs.
 type Export struct {
@@ -206,379 +156,206 @@ type Result struct {
 	Rebased *RebaseInfo
 }
 
-const fragAlign = 16
-
-func alignUp(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
-
-// Link lays out the module and applies relocations.
+// Link lays out the module and applies relocations, one fragment at a
+// time in view order.
 func Link(m *jigsaw.Module, opts Options) (*Result, error) {
 	if opts.TextBase%osim.PageSize != 0 || opts.DataBase%osim.PageSize != 0 {
 		return nil, fmt.Errorf("link %s: unaligned segment base (text=%#x data=%#x)",
 			opts.Name, opts.TextBase, opts.DataBase)
 	}
-	views := m.LinkViews()
-
-	// Pass 1: gather GOT-needing symbols (in deterministic order) so
-	// the GOT can sit at the front of the data segment.
-	gotOrder := []string{}
-	gotSeen := map[string]bool{}
-	for _, lv := range views {
-		for _, r := range lv.Obj.Relocs {
-			if r.Kind != obj.RelGotSlot {
-				continue
-			}
-			ext := lv.RefExt[r.Symbol]
-			if !gotSeen[ext] {
-				gotSeen[ext] = true
-				gotOrder = append(gotOrder, strings.Clone(ext))
-			}
-		}
-	}
-
-	// Pass 2: place fragments.
+	l := layoutOf(m)
+	gotSize := l.gotSize()
 	res := &Result{
-		GotSlots: make(map[string]uint64, len(gotOrder)),
+		GotSlots: make(map[string]uint64, len(l.got)),
 		TextBase: opts.TextBase,
 		DataBase: opts.DataBase,
+		TextSize: l.size.text,
+		DataSize: gotSize + l.size.data,
+		BSSSize:  l.size.bss,
 	}
-	gotSize := uint64(len(gotOrder)) * 8
 	if gotSize > 0 {
-		res.GotBase = opts.DataBase
-		res.GotSize = gotSize
-		for i, name := range gotOrder {
-			res.GotSlots[name] = opts.DataBase + uint64(i)*8
-		}
+		res.GotBase, res.GotSize = opts.DataBase, gotSize
 	}
-	textCur := opts.TextBase
-	dataCur := opts.DataBase + gotSize
-	placements := make([]placement, 0, len(views))
-	var textBuf, dataBuf []byte
-	emitText := func(b []byte) {
-		textBuf = append(textBuf, b...)
-	}
-	for _, lv := range views {
-		textCur = alignUp(textCur, fragAlign)
-		dataCur = alignUp(dataCur, 8)
-		if pad := textCur - opts.TextBase - uint64(len(textBuf)); pad > 0 {
-			textBuf = append(textBuf, make([]byte, pad)...)
-		}
-		if pad := dataCur - opts.DataBase - gotSize - uint64(len(dataBuf)); pad > 0 {
-			dataBuf = append(dataBuf, make([]byte, pad)...)
-		}
-		placements = append(placements, placement{obj: lv.Obj, textAddr: textCur, dataAddr: dataCur})
-		res.Records += lv.Obj.RecordCount()
-		emitText(lv.Obj.Text)
-		dataBuf = append(dataBuf, lv.Obj.Data...)
-		textCur += uint64(len(lv.Obj.Text))
-		dataCur += uint64(len(lv.Obj.Data))
-	}
-	// BSS: after all initialized data, 8-aligned runs per fragment.
-	bssCur := alignUp(dataCur, 8)
-	bssStart := bssCur
-	for i := range placements {
-		pl := &placements[i]
-		bssCur = alignUp(bssCur, 8)
-		pl.bssAddr = bssCur
-		bssCur += pl.obj.BSSSize
+	// Names are cloned before they enter the Result's tables: the names
+	// a module carries are substrings of its objects' source (a compiled
+	// function's assembly text), and the tables outlive the link in
+	// every cached image, so sharing them would keep all of that text
+	// alive.
+	for i, name := range l.got {
+		res.GotSlots[strings.Clone(name)] = opts.DataBase + uint64(i)*8
 	}
 
-	// Pass 3: bind symbol addresses.  Each fragment's raw symbol
-	// addresses and alias resolutions depend only on its own placement,
-	// so fragments bind concurrently; the cross-fragment work —
-	// duplicate detection and first-write-wins insertion into the
-	// shared tables — happens in a serial merge in view order, so the
-	// outcome (including which duplicate is reported) is exactly the
-	// serial pass's.
-	symAddr := func(pl *placement, s *obj.Symbol) uint64 {
-		switch s.Section {
-		case obj.SecText:
-			return pl.textAddr + s.Offset
-		case obj.SecData:
-			return pl.dataAddr + s.Offset
-		default:
-			return pl.bssAddr + s.Offset
-		}
+	// Place the fragments.  The GOT occupies the front of the data
+	// segment; frag is the data past it.
+	start := offsets{opts.TextBase, opts.DataBase + gotSize, opts.DataBase + l.bssStart()}
+	text := make([]byte, l.size.text)
+	data := make([]byte, gotSize+l.size.data)
+	frag := data[gotSize:]
+	for i := range l.views {
+		o := l.views[i].Obj
+		copy(text[l.at[i].text:], o.Text)
+		copy(frag[l.at[i].data:], o.Data)
+		res.Records += o.RecordCount()
 	}
-	type symBind struct {
-		ext   string
-		addr  uint64
-		size  uint64
-		kind  obj.SymKind
-		sec   byte // SegText or SegData: which segment the symbol lives in
-		local bool
-	}
-	secOf := func(s obj.SectionKind) byte {
-		if s == obj.SecText {
-			return SegText
-		}
-		return SegData
-	}
-	type fragSyms struct {
-		binds []symBind
-		err   error
-	}
-	frags := make([]fragSyms, len(views))
-	forEachFragment(len(views), func(vi int) {
-		lv := views[vi]
-		pl := &placements[vi]
-		f := &frags[vi]
-		nsyms := len(lv.Obj.Syms)
-		rawAddr := make(map[string]uint64, nsyms)
-		rawSize := make(map[string]uint64, nsyms)
-		rawKind := make(map[string]obj.SymKind, nsyms)
-		rawSec := make(map[string]byte, nsyms)
-		f.binds = make([]symBind, 0, len(lv.Defs)+len(lv.Aliases))
-		for i := range lv.Obj.Syms {
-			s := &lv.Obj.Syms[i]
-			if s.Defined {
-				rawAddr[s.Name] = symAddr(pl, s)
-				rawSize[s.Name] = s.Size
-				rawKind[s.Name] = s.Kind
-				rawSec[s.Name] = secOf(s.Section)
+
+	// Bind every name, module-local ones included, to its address and
+	// segment: all resolves references below and dies with the link.
+	// The exported names go to the Result's tables, sized to them, each
+	// cloned once.
+	nall, nexported := 0, 0
+	for i := range l.views {
+		for _, d := range l.views[i].Defs {
+			if !d.Deleted {
+				nall++
+				if !d.Local {
+					nexported++
+				}
 			}
 		}
-		for _, d := range lv.Defs {
-			if d.Deleted {
-				continue
-			}
-			f.binds = append(f.binds, symBind{
-				ext: d.Ext, addr: rawAddr[d.Raw],
-				size: rawSize[d.Raw], kind: rawKind[d.Raw],
-				sec: rawSec[d.Raw], local: d.Local,
-			})
-		}
-		for _, a := range lv.Aliases {
-			addr, ok := rawAddr[a.TargetRaw]
-			if !ok {
-				f.err = fmt.Errorf("link %s: alias %s targets undefined %s", opts.Name, a.Ext, a.TargetRaw)
-				return
-			}
-			f.binds = append(f.binds, symBind{
-				ext: a.Ext, addr: addr,
-				size: rawSize[a.TargetRaw], kind: rawKind[a.TargetRaw],
-				sec: rawSec[a.TargetRaw], local: a.Local,
-			})
-		}
-	})
-	// all binds every name, module-local ones included, to its address
-	// and segment: pass 4 resolves references and classifies absolute
-	// patch values with it, and it dies with the link.  The exported
-	// names go to the Result's tables, sized to them.  Each is cloned
-	// once, as a GOT slot's name is in pass 1: the names a module
-	// carries are substrings of its objects' source (a compiled
-	// function's assembly text), and the Result's tables outlive the
-	// link in every cached image, so sharing them would keep all of
-	// that text alive.
-	totalDefs, exported := 0, 0
-	for vi := range frags {
-		for _, b := range frags[vi].binds {
-			totalDefs++
-			if !b.local {
-				exported++
+		for _, a := range l.views[i].Aliases {
+			nall++
+			if !a.Local {
+				nexported++
 			}
 		}
 	}
 	type boundSym struct {
 		addr uint64
-		seg  byte
+		seg  byte // SegText or SegData
 	}
-	all := make(map[string]boundSym, totalDefs)
-	syms := make(map[string]uint64, exported)
-	res.Exports = make(map[string]Export, exported)
-	for vi := range frags {
-		f := &frags[vi]
-		if f.err != nil {
-			return nil, f.err
-		}
-		for _, b := range f.binds {
-			if prev, dup := all[b.ext]; dup && prev.addr != b.addr {
-				return nil, fmt.Errorf("link %s: multiple definitions of %s", opts.Name, b.ext)
+	all := make(map[string]boundSym, nall)
+	syms := make(map[string]uint64, nexported)
+	res.Exports = make(map[string]Export, nexported)
+	who := "link " + opts.Name
+	for i := range l.views {
+		err := walkDefs(&l.views[i], who, func(ext string, local bool, s *obj.Symbol) error {
+			b := boundSym{l.addr(start, i, s.Section, s.Offset), SegData}
+			if s.Section == obj.SecText {
+				b.seg = SegText
 			}
-			all[b.ext] = boundSym{b.addr, b.sec}
-			if !b.local {
-				ext := strings.Clone(b.ext)
-				syms[ext] = b.addr
-				res.Exports[ext] = Export{Size: b.size, Kind: b.kind, Seg: b.sec}
+			if prev, dup := all[ext]; dup && prev.addr != b.addr {
+				return fmt.Errorf("link %s: multiple definitions of %s", opts.Name, ext)
 			}
+			all[ext] = b
+			if !local {
+				name := strings.Clone(ext)
+				syms[name] = b.addr
+				res.Exports[name] = Export{Size: s.Size, Kind: s.Kind, Seg: b.seg}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 
-	// Pass 4: apply relocations.  Every relocation site lies inside its
-	// own fragment's text or data range, so fragments patch the shared
-	// buffers concurrently without overlap; the symbol tables they read
-	// are frozen after pass 3.  Per-fragment AbsPatches, Unresolved,
-	// and counters accumulate locally and are concatenated in view
-	// order, making the output byte-identical to the serial pass.
-	type fragRelocs struct {
-		absPatches  []AbsPatch
-		relPatches  []RelPatch
-		unresolved  []Unresolved
-		numRelocs   int
-		externBinds int
-		err         error
-	}
-	rfrags := make([]fragRelocs, len(views))
-	forEachFragment(len(views), func(vi int) {
-		lv := views[vi]
-		pl := &placements[vi]
-		f := &rfrags[vi]
-		patch64 := func(site uint64, val uint64, valSeg byte) error {
-			var seg []byte
-			var base uint64
-			if site >= opts.TextBase && site < opts.TextBase+uint64(len(textBuf)) {
-				seg, base = textBuf, opts.TextBase
-			} else {
-				seg, base = dataBuf, opts.DataBase+gotSize
-			}
-			off := site - base
-			if off+8 > uint64(len(seg)) {
-				return fmt.Errorf("link %s: patch site %#x out of range", opts.Name, site)
-			}
-			binary.LittleEndian.PutUint64(seg[off:], val)
-			f.absPatches = append(f.absPatches, AbsPatch{Site: site, Value: val, Seg: valSeg})
-			return nil
-		}
+	// Apply relocations.
+	for i := range l.views {
+		lv := &l.views[i]
 		for _, r := range lv.Obj.Relocs {
-			f.numRelocs++
+			res.NumRelocs++
 			ext := lv.RefExt[r.Symbol]
-			sym, bound := all[ext]
-			target := sym.addr
-			extern := false
-			if !bound && opts.Externs != nil {
-				if v, ok := opts.Externs[ext]; ok {
-					target, bound = v, true
-					extern = true
-					f.externBinds++
-				}
-			}
 			// targetSeg classifies where the bound target lives, which
 			// decides how a stored value or cross-segment displacement
 			// moves when the image is rebased.
-			targetSeg := SegExtern
-			if bound && !extern {
-				targetSeg = sym.seg
+			sym, bound := all[ext]
+			target, targetSeg := sym.addr, sym.seg
+			if !bound && opts.Externs != nil {
+				if v, ok := opts.Externs[ext]; ok {
+					target, targetSeg, bound = v, SegExtern, true
+					res.ExternBinds++
+				}
 			}
-			var site uint64
-			switch r.Section {
-			case obj.SecText:
-				site = pl.textAddr + r.Offset
-			case obj.SecData:
-				site = pl.dataAddr + r.Offset
-			default:
-				f.err = fmt.Errorf("link %s: relocation in bss", opts.Name)
-				return
+			if r.Section == obj.SecBSS {
+				return nil, fmt.Errorf("link %s: relocation in bss", opts.Name)
 			}
+			site := l.addr(start, i, r.Section, r.Offset)
 			instr := site - vm.ImmOffset
+			// unbound defers the reference to a dynamic linker, when
+			// the options allow one.
+			unbound := func(slot uint64) error {
+				if !opts.AllowUndefined {
+					return fmt.Errorf("link %s: undefined symbol %s (from %s)", opts.Name, ext, lv.Obj.Name)
+				}
+				res.Unresolved = append(res.Unresolved, Unresolved{
+					Site: site, InstrAddr: instr, Kind: r.Kind, Symbol: ext,
+					Addend: r.Addend, GotSlot: slot,
+				})
+				return nil
+			}
+			var err error
 			switch r.Kind {
 			case obj.RelAbs64:
 				if !bound {
-					if !opts.AllowUndefined {
-						f.err = fmt.Errorf("link %s: undefined symbol %s (from %s)", opts.Name, ext, lv.Obj.Name)
-						return
-					}
-					f.unresolved = append(f.unresolved, Unresolved{
-						Site: site, InstrAddr: instr, Kind: r.Kind, Symbol: ext, Addend: r.Addend,
-					})
-					continue
+					err = unbound(0)
+					break
 				}
-				if err := patch64(site, target+uint64(r.Addend), targetSeg); err != nil {
-					f.err = err
-					return
+				buf, base := frag, start.data
+				if site >= opts.TextBase && site < opts.TextBase+uint64(len(text)) {
+					buf, base = text, opts.TextBase
 				}
+				if site-base+8 > uint64(len(buf)) {
+					return nil, fmt.Errorf("link %s: patch site %#x out of range", opts.Name, site)
+				}
+				val := target + uint64(r.Addend)
+				binary.LittleEndian.PutUint64(buf[site-base:], val)
+				res.AbsPatches = append(res.AbsPatches, AbsPatch{Site: site, Value: val, Seg: targetSeg})
 			case obj.RelPC64:
 				if !bound {
-					if !opts.AllowUndefined {
-						f.err = fmt.Errorf("link %s: undefined symbol %s (from %s)", opts.Name, ext, lv.Obj.Name)
-						return
-					}
-					f.unresolved = append(f.unresolved, Unresolved{
-						Site: site, InstrAddr: instr, Kind: r.Kind, Symbol: ext, Addend: r.Addend,
-					})
-					continue
+					err = unbound(0)
+					break
 				}
 				// PC-relative: no AbsPatch (position independent under a
 				// uniform slide).  A target outside the text segment
 				// makes the displacement depend on the inter-segment
 				// distance, so record the site for Rebase to adjust.
-				off := site - (opts.TextBase)
 				if r.Section == obj.SecData {
-					f.err = fmt.Errorf("link %s: pc-relative relocation in data", opts.Name)
-					return
+					return nil, fmt.Errorf("link %s: pc-relative relocation in data", opts.Name)
 				}
-				binary.LittleEndian.PutUint64(textBuf[off:], target+uint64(r.Addend)-instr)
+				binary.LittleEndian.PutUint64(text[site-opts.TextBase:], target+uint64(r.Addend)-instr)
 				if targetSeg != SegText {
-					f.relPatches = append(f.relPatches, RelPatch{Site: site, Seg: targetSeg})
+					res.RelPatches = append(res.RelPatches, RelPatch{Site: site, Seg: targetSeg})
 				}
 			case obj.RelGotSlot:
-				slot := res.GotSlots[ext]
 				// The instruction addresses its slot pc-relatively,
 				// which is always resolvable.  The slot lives in the
 				// data segment, so the displacement shifts whenever
 				// text and data slide by different deltas.
-				off := site - opts.TextBase
 				if r.Section != obj.SecText {
-					f.err = fmt.Errorf("link %s: got relocation outside text", opts.Name)
-					return
+					return nil, fmt.Errorf("link %s: got relocation outside text", opts.Name)
 				}
-				binary.LittleEndian.PutUint64(textBuf[off:], slot-instr)
-				f.relPatches = append(f.relPatches, RelPatch{Site: site, Seg: SegData})
-				if bound {
-					// Slot contents resolved statically; the final
-					// GOT bytes are rebuilt from AbsPatches below.
-					f.absPatches = append(f.absPatches, AbsPatch{Site: slot, Value: target, Seg: targetSeg})
-				} else {
-					if !opts.AllowUndefined {
-						f.err = fmt.Errorf("link %s: undefined symbol %s (from %s)", opts.Name, ext, lv.Obj.Name)
-						return
-					}
-					f.unresolved = append(f.unresolved, Unresolved{
-						Site: site, InstrAddr: instr, Kind: r.Kind, Symbol: ext,
-						Addend: r.Addend, GotSlot: slot,
-					})
+				slot := res.GotSlots[ext]
+				binary.LittleEndian.PutUint64(text[site-opts.TextBase:], slot-instr)
+				res.RelPatches = append(res.RelPatches, RelPatch{Site: site, Seg: SegData})
+				if !bound {
+					err = unbound(slot)
+					break
 				}
+				// Slot contents resolved statically.
+				binary.LittleEndian.PutUint64(data[slot-opts.DataBase:], target)
+				res.AbsPatches = append(res.AbsPatches, AbsPatch{Site: slot, Value: target, Seg: targetSeg})
+			}
+			if err != nil {
+				return nil, err
 			}
 		}
-	})
-	for vi := range rfrags {
-		f := &rfrags[vi]
-		if f.err != nil {
-			return nil, f.err
-		}
-		res.AbsPatches = append(res.AbsPatches, f.absPatches...)
-		res.RelPatches = append(res.RelPatches, f.relPatches...)
-		res.Unresolved = append(res.Unresolved, f.unresolved...)
-		res.NumRelocs += f.numRelocs
-		res.ExternBinds += f.externBinds
 	}
 
-	// Assemble the image.  The GOT occupies the front of the data
-	// segment; splice it in now that slots are filled.
-	res.TextSize = uint64(len(textBuf))
-	res.DataSize = gotSize + uint64(len(dataBuf))
-	res.BSSSize = bssCur - bssStart
-	gotBytes := make([]byte, gotSize)
-	for _, p := range res.AbsPatches {
-		if p.Site >= opts.DataBase && p.Site < opts.DataBase+gotSize {
-			binary.LittleEndian.PutUint64(gotBytes[p.Site-opts.DataBase:], p.Value)
-		}
-	}
-	dataAll := append(gotBytes, dataBuf...)
-	dataMem := alignUp(bssCur-opts.DataBase, 8)
-
+	// Assemble the image.
 	img := &image.Image{
 		Name: opts.Name,
 		Syms: syms,
 	}
-	if len(textBuf) > 0 {
+	if len(text) > 0 {
 		img.Segments = append(img.Segments, image.Segment{
-			Name: "text", Addr: opts.TextBase, Data: textBuf,
-			MemSize: osim.PageAlign(uint64(len(textBuf))),
+			Name: "text", Addr: opts.TextBase, Data: text,
+			MemSize: osim.PageAlign(uint64(len(text))),
 			Perm:    image.PermR | image.PermX,
 		})
 	}
-	if len(dataAll) > 0 || dataMem > 0 {
+	if dataMem := l.dataMem(); len(data) > 0 || dataMem > 0 {
 		img.Segments = append(img.Segments, image.Segment{
-			Name: "data", Addr: opts.DataBase, Data: dataAll,
+			Name: "data", Addr: opts.DataBase, Data: data,
 			MemSize: osim.PageAlign(dataMem),
 			Perm:    image.PermR | image.PermW,
 		})

@@ -9,129 +9,74 @@ import (
 )
 
 // Partial flattens a module into a single relocatable object ("ld -r"
-// style): sections are concatenated, the symbol table reflects the
-// module's current namespace views, and unresolved relocations are
-// preserved for a later link.  This is what lets the OFE tool apply
-// module operations to object files in an ordinary filesystem (§8.1's
-// "non-server version of OMOS").
+// style): sections are laid out as Link lays them out, the symbol table
+// reflects the module's current namespace views, and unresolved
+// relocations are preserved for a later link.  This is what lets the
+// OFE tool apply module operations to object files in an ordinary
+// filesystem (§8.1's "non-server version of OMOS").
 func Partial(m *jigsaw.Module, name string) (*obj.Object, error) {
-	views := m.LinkViews()
-	out := &obj.Object{Name: name}
-
-	type base struct{ text, data, bss uint64 }
-	bases := make([]base, len(views))
-	for i, lv := range views {
-		out.Text = pad(out.Text, fragAlign)
-		out.Data = pad(out.Data, 8)
-		out.BSSSize = alignUp(out.BSSSize, 8)
-		bases[i] = base{uint64(len(out.Text)), uint64(len(out.Data)), out.BSSSize}
-		out.Text = append(out.Text, lv.Obj.Text...)
-		out.Data = append(out.Data, lv.Obj.Data...)
-		out.BSSSize += lv.Obj.BSSSize
+	l := layoutOf(m)
+	out := &obj.Object{Name: name, BSSSize: l.size.bss}
+	if l.size.text > 0 {
+		out.Text = make([]byte, l.size.text)
+	}
+	if l.size.data > 0 {
+		out.Data = make([]byte, l.size.data)
+	}
+	for i := range l.views {
+		copy(out.Text[l.at[i].text:], l.views[i].Obj.Text)
+		copy(out.Data[l.at[i].data:], l.views[i].Obj.Data)
 	}
 
 	// Symbol table: definitions and aliases under their external
 	// names.  Deleted definitions vanish; local (hidden/frozen) ones
-	// stay resolvable under their privatized names.
-	defined := map[string]bool{}
-	addSym := func(s obj.Symbol) error {
-		if s.Defined && defined[s.Name] {
-			return fmt.Errorf("link: partial %s: duplicate definition of %s", name, s.Name)
-		}
-		if s.Defined {
-			defined[s.Name] = true
-		}
-		out.Syms = append(out.Syms, s)
-		return nil
-	}
-	shift := func(i int, s *obj.Symbol) uint64 {
-		switch s.Section {
-		case obj.SecText:
-			return bases[i].text + s.Offset
-		case obj.SecData:
-			return bases[i].data + s.Offset
-		default:
-			return bases[i].bss + s.Offset
-		}
-	}
-	for i, lv := range views {
-		raw := map[string]*obj.Symbol{}
-		for j := range lv.Obj.Syms {
-			s := &lv.Obj.Syms[j]
-			if s.Defined {
-				raw[s.Name] = s
+	// stay resolvable under their privatized names.  listed holds every
+	// name the table has an entry for.
+	listed := map[string]bool{}
+	who := "link: partial " + name
+	for i := range l.views {
+		err := walkDefs(&l.views[i], who, func(ext string, local bool, s *obj.Symbol) error {
+			if listed[ext] {
+				return fmt.Errorf("%s: duplicate definition of %s", who, ext)
 			}
-		}
-		for _, d := range lv.Defs {
-			if d.Deleted {
-				continue
-			}
-			rs := raw[d.Raw]
+			listed[ext] = true
 			bind := obj.BindGlobal
-			if d.Local {
+			if local {
 				bind = obj.BindLocal
 			}
-			if err := addSym(obj.Symbol{
-				Name: d.Ext, Kind: rs.Kind, Bind: bind, Defined: true,
-				Section: rs.Section, Offset: shift(i, rs), Size: rs.Size,
-			}); err != nil {
-				return nil, err
-			}
-		}
-		for _, a := range lv.Aliases {
-			rs, ok := raw[a.TargetRaw]
-			if !ok {
-				return nil, fmt.Errorf("link: partial %s: alias %s targets undefined %s", name, a.Ext, a.TargetRaw)
-			}
-			bind := obj.BindGlobal
-			if a.Local {
-				bind = obj.BindLocal
-			}
-			if err := addSym(obj.Symbol{
-				Name: a.Ext, Kind: rs.Kind, Bind: bind, Defined: true,
-				Section: rs.Section, Offset: shift(i, rs), Size: rs.Size,
-			}); err != nil {
-				return nil, err
-			}
+			out.Syms = append(out.Syms, obj.Symbol{
+				Name: ext, Kind: s.Kind, Bind: bind, Defined: true,
+				Section: s.Section, Offset: l.addr(offsets{}, i, s.Section, s.Offset), Size: s.Size,
+			})
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 
 	// Relocations, retargeted to external names; referenced names that
 	// lack a definition become undefined symbols, in name order so the
 	// flattened object is a function of the module.
-	undef := map[string]bool{}
-	var undefNames []string
-	for i, lv := range views {
+	var undef []string
+	for i := range l.views {
+		lv := &l.views[i]
 		for _, r := range lv.Obj.Relocs {
-			ext := lv.RefExt[r.Symbol]
-			nr := r
-			nr.Symbol = ext
-			switch r.Section {
-			case obj.SecText:
-				nr.Offset = bases[i].text + r.Offset
-			case obj.SecData:
-				nr.Offset = bases[i].data + r.Offset
-			}
-			out.Relocs = append(out.Relocs, nr)
-			if !defined[ext] && !undef[ext] {
-				undef[ext] = true
-				undefNames = append(undefNames, ext)
+			r.Symbol = lv.RefExt[r.Symbol]
+			r.Offset = l.addr(offsets{}, i, r.Section, r.Offset)
+			out.Relocs = append(out.Relocs, r)
+			if !listed[r.Symbol] {
+				listed[r.Symbol] = true
+				undef = append(undef, r.Symbol)
 			}
 		}
 	}
-	sort.Strings(undefNames)
-	for _, name := range undefNames {
+	sort.Strings(undef)
+	for _, name := range undef {
 		out.Syms = append(out.Syms, obj.Symbol{Name: name})
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("link: partial: %w", err)
 	}
 	return out, nil
-}
-
-func pad(b []byte, align uint64) []byte {
-	for uint64(len(b))%align != 0 {
-		b = append(b, 0)
-	}
-	return b
 }
