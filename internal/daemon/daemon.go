@@ -35,25 +35,7 @@ func New(sys *omos.System) *Backend { return &Backend{Sys: sys, start: time.Now(
 // /bin/codegen, /lib/libc plus codegen's auxiliary libraries) and the
 // filesystem fixtures.
 func InstallWorkloads(sys *omos.System, cg workload.CodegenParams) error {
-	if err := workload.MakeFixtures(sys.Kern.FS); err != nil {
-		return err
-	}
-	if err := sys.DefineLibrary("/lib/libc", workload.LibcBlueprint()); err != nil {
-		return err
-	}
-	libBase := uint64(0x0200_0000)
-	for i, lib := range workload.ExtraLibs() {
-		bp := fmt.Sprintf("(constraint-list \"T\" %#x \"D\" %#x)\n(merge (source \"c\" %q))",
-			libBase+uint64(i)*0x40_0000, 0x4200_0000+uint64(i)*0x40_0000, lib.Source)
-		if err := sys.DefineLibrary("/lib/"+lib.Name, bp); err != nil {
-			return err
-		}
-	}
-	if err := sys.Define("/bin/ls",
-		fmt.Sprintf("(merge /lib/crt0.o (source \"c\" %q) /lib/libc)", workload.LsSource)); err != nil {
-		return err
-	}
-	return sys.Define("/bin/codegen", workload.CodegenBlueprint(cg))
+	return workload.Install(sys.Kern.FS, sys.Srv, cg)
 }
 
 // PutObjectBytes implements ipc.Backend.

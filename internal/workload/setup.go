@@ -117,9 +117,6 @@ func SetupOMOS(cg CodegenParams) (*OMOSWorld, error) {
 	if err := rt.InstallBoot(); err != nil {
 		return nil, err
 	}
-	if err := MakeFixtures(k.FS); err != nil {
-		return nil, err
-	}
 	crt0, err := asm.Assemble("crt0.s", Crt0)
 	if err != nil {
 		return nil, err
@@ -127,8 +124,22 @@ func SetupOMOS(cg CodegenParams) (*OMOSWorld, error) {
 	if err := srv.PutObject("/lib/crt0.o", crt0); err != nil {
 		return nil, err
 	}
-	if err := srv.DefineLibrary("/lib/libc", LibcBlueprint()); err != nil {
+	if err := Install(k.FS, srv, cg); err != nil {
 		return nil, err
+	}
+	return &OMOSWorld{Kern: k, Srv: srv, RT: rt, CG: cg}, nil
+}
+
+// Install creates the filesystem fixtures and defines the workloads in
+// srv's namespace: /lib/libc, codegen's five auxiliary libraries,
+// /bin/ls and /bin/codegen.  The programs merge /lib/crt0.o, which the
+// caller provides.
+func Install(fs *osim.FS, srv *server.Server, cg CodegenParams) error {
+	if err := MakeFixtures(fs); err != nil {
+		return err
+	}
+	if err := srv.DefineLibrary("/lib/libc", LibcBlueprint()); err != nil {
+		return err
 	}
 	libBase := uint64(0x0200_0000)
 	for i, lib := range ExtraLibs() {
@@ -136,17 +147,14 @@ func SetupOMOS(cg CodegenParams) (*OMOSWorld, error) {
 			libBase+uint64(i)*0x40_0000, 0x4200_0000+uint64(i)*0x40_0000,
 			quoteBlueprint(lib.Source))
 		if err := srv.DefineLibrary("/lib/"+lib.Name, bp); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	lsBP := fmt.Sprintf("(merge /lib/crt0.o (source \"c\" %s) /lib/libc)", quoteBlueprint(LsSource))
 	if err := srv.Define("/bin/ls", lsBP); err != nil {
-		return nil, err
+		return err
 	}
-	if err := srv.Define("/bin/codegen", CodegenBlueprint(cg)); err != nil {
-		return nil, err
-	}
-	return &OMOSWorld{Kern: k, Srv: srv, RT: rt, CG: cg}, nil
+	return srv.Define("/bin/codegen", CodegenBlueprint(cg))
 }
 
 // CodegenBlueprint renders the codegen program meta-object: crt0, the

@@ -33,6 +33,7 @@ import (
 	"omos/internal/server"
 	"omos/internal/store"
 	"omos/internal/vm"
+	"omos/internal/workload"
 )
 
 // System is a booted simulated machine with an OMOS server attached.
@@ -118,7 +119,7 @@ func NewSystemWith(opts Options) (*System, error) {
 	if err := rt.InstallBoot(); err != nil {
 		return nil, err
 	}
-	crt0, err := asm.Assemble("crt0.s", crt0Src)
+	crt0, err := asm.Assemble("crt0.s", workload.Crt0)
 	if err != nil {
 		return nil, err
 	}
@@ -178,16 +179,6 @@ func (s *System) Close() error {
 
 // FlushStore persists the image store's index without detaching it.
 func (s *System) FlushStore() error { return s.Srv.FlushStore() }
-
-// crt0Src is the default startup stub: argc/argv pass through to main
-// in R1/R2; main's return value becomes the exit status.
-const crt0Src = `
-.text
-_start:
-    call main
-    mov r1, r0
-    sys 1
-`
 
 // Define stores a program meta-object from blueprint source.
 func (s *System) Define(path, blueprint string) error {
