@@ -36,7 +36,10 @@ func layoutOf(m *jigsaw.Module) *layout {
 	for i := range views {
 		o := views[i].Obj
 		for _, r := range o.Relocs {
-			if ext := views[i].RefExt[r.Symbol]; r.Kind == obj.RelGotSlot && !seen[ext] {
+			if r.Kind != obj.RelGotSlot {
+				continue
+			}
+			if ext := views[i].RefExt[r.Symbol]; !seen[ext] {
 				seen[ext] = true
 				l.got = append(l.got, ext)
 			}
