@@ -19,6 +19,7 @@ package jigsaw
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -351,7 +352,7 @@ func (m *Module) CopyAs(re *regexp.Regexp, template string) (*Module, error) {
 // resolvable inside the module under a private name.
 func (m *Module) Hide(re *regexp.Regexp) *Module {
 	out := m.clone()
-	out.privatize(re, false)
+	out.privatize(re.MatchString, false)
 	return out
 }
 
@@ -359,7 +360,7 @@ func (m *Module) Hide(re *regexp.Regexp) *Module {
 // except those matching re.
 func (m *Module) Show(re *regexp.Regexp) *Module {
 	out := m.clone()
-	out.privatizeComplement(re)
+	out.privatize(func(ext string) bool { return !re.MatchString(ext) }, false)
 	return out
 }
 
@@ -368,26 +369,31 @@ func (m *Module) Show(re *regexp.Regexp) *Module {
 // the name remains exported.
 func (m *Module) Freeze(re *regexp.Regexp) *Module {
 	out := m.clone()
-	out.privatize(re, true)
+	out.privatize(re.MatchString, true)
 	return out
 }
 
-// privatize renames matching exported entries to private names,
-// rewrites internal references accordingly, and (for freeze) re-adds
-// an exported alias under the original name.
-func (m *Module) privatize(re *regexp.Regexp, keepExported bool) {
+// privatize renames the exported entries whose names match to private
+// names, rewrites internal references accordingly, and (for freeze)
+// re-adds an exported alias under the original name.  The private
+// names number the entries by fragment, then by exported name, so a
+// module hides to the same names on every run, whatever the map order.
+func (m *Module) privatize(match func(ext string) bool, keepExported bool) {
 	type job struct {
+		frag int
 		ext  string
 		set  func(defInfo)
 		f    *Fragment
 		raw  string
-		info defInfo
 	}
 	var jobs []job
 	m.forEachExportedEntry(func(ext string, set func(defInfo), f *Fragment, targetRaw string, _ bool) {
-		if re.MatchString(ext) {
-			jobs = append(jobs, job{ext, set, f, targetRaw, defInfo{ext: ext}})
+		if match(ext) {
+			jobs = append(jobs, job{slices.Index(m.frags, f), ext, set, f, targetRaw})
 		}
+	})
+	sort.Slice(jobs, func(i, j int) bool {
+		return jobs[i].frag < jobs[j].frag || jobs[i].frag == jobs[j].frag && jobs[i].ext < jobs[j].ext
 	})
 	for _, j := range jobs {
 		p := privName(j.ext)
@@ -397,25 +403,6 @@ func (m *Module) privatize(re *regexp.Regexp, keepExported bool) {
 			id := privName("alias$" + j.ext)
 			j.f.aliases[id] = aliasInfo{defInfo: defInfo{ext: j.ext}, targetRaw: j.raw}
 		}
-	}
-}
-
-func (m *Module) privatizeComplement(re *regexp.Regexp) {
-	neg := func(ext string) bool { return !re.MatchString(ext) }
-	type job struct {
-		ext string
-		set func(defInfo)
-	}
-	var jobs []job
-	m.forEachExportedEntry(func(ext string, set func(defInfo), _ *Fragment, _ string, _ bool) {
-		if neg(ext) {
-			jobs = append(jobs, job{ext, set})
-		}
-	})
-	for _, j := range jobs {
-		p := privName(j.ext)
-		j.set(defInfo{ext: p, local: true})
-		m.renameRefs(j.ext, p)
 	}
 }
 

@@ -288,3 +288,26 @@ func TestLocalSymbolsDoNotCollide(t *testing.T) {
 		t.Fatalf("defined = %v", m.Defined())
 	}
 }
+
+// TestHideNumbersPrivateNamesInNameOrder: hiding several names numbers
+// their private names by exported name, not in map order, so the same
+// module hides to the same names (and `ofe hide` writes the same bytes)
+// on every run.
+func TestHideNumbersPrivateNamesInNameOrder(t *testing.T) {
+	re := regexp.MustCompile(`^[abcd]$`)
+	for i := 0; i < 20; i++ {
+		m := mod(t, mkObj(t, "o", []string{"d", "b", "a", "c", "e"}, nil)).Hide(re)
+		var last uint64
+		for _, name := range []string{"a", "b", "c", "d"} {
+			ext := m.frags[0].defs[name].ext
+			var n uint64
+			if _, err := fmt.Sscanf(ext, name+"$p%d", &n); err != nil {
+				t.Fatalf("module %d: %s hid as %q: %v", i, name, ext, err)
+			}
+			if n <= last {
+				t.Fatalf("module %d: %s hid as %q, numbered before the name ahead of it ($p%d)", i, name, ext, last)
+			}
+			last = n
+		}
+	}
+}

@@ -49,7 +49,7 @@ func (s *Server) EvalProgram(name string) (*mgraph.Value, *mgraph.Meta, error) {
 	if meta == nil || meta.IsLibrary {
 		return nil, nil, fmt.Errorf("server: %s is not a program meta-object", name)
 	}
-	v, err := meta.Root.Eval(c)
+	v, err := c.eval(meta)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -89,7 +89,7 @@ func TestFaultEvalPanicRecovered(t *testing.T) {
 	defineFaultProg(t, s)
 
 	f := fault.New(1)
-	// Hit 2 only: the program's own evalValue survives; the library
+	// Hit 2 only: the program's own evaluation survives; the library
 	// branch (running under buildDep's recovery) panics.
 	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindPanic, EveryN: 2, Count: 1})
 	s.SetFaults(f)

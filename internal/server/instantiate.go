@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -132,24 +133,19 @@ func (s *Server) buildCost(res *link.Result) uint64 {
 		uint64(res.Records)*s.kern.Cost.ServerBuildRecord
 }
 
-// evalValue evaluates a meta-object root and resolves its library
-// dependencies into instances (deduplicated by path+spec).  Distinct
-// dependencies build concurrently on the worker pool; the join is in
-// dependency order, so downstream consumers (externsOf, libKeys) see
-// exactly the serial ordering.
-func (s *Server) evalValue(ctx context.Context, meta *mgraph.Meta, c charger) (*mgraph.Value, []*Instance, error) {
+// evaluate is the build pipeline's one m-graph evaluation: the
+// build.eval fault site, then the meta-object's root in the request's
+// namespace version.  A plan runs it at stage 2, except a library plan
+// made from a memoized shape, whose link runs it at stage 9.
+func (s *Server) evaluate(ctx context.Context, meta *mgraph.Meta) (*mgraph.Value, error) {
 	if err := s.faults.Fire(fault.SiteBuildEval); err != nil {
-		return nil, nil, fmt.Errorf("server: evaluating %s: %w", meta.Path, err)
+		return nil, fmt.Errorf("server: evaluating %s: %w", meta.Path, err)
 	}
-	v, err := meta.Root.Eval(s.ectx(ctx))
+	v, err := s.ectx(ctx).eval(meta)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: evaluating %s: %w", meta.Path, err)
+		return nil, fmt.Errorf("server: evaluating %s: %w", meta.Path, err)
 	}
-	insts, err := s.instantiateDeps(ctx, v.Libs, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, insts, nil
+	return v, nil
 }
 
 // externsOf unions the exported symbols of library instances (first
@@ -187,8 +183,13 @@ type plan struct {
 	// how errors refer to the build ("/bin/ls", "library /lib/libc").
 	name, image, label string
 	module             *jigsaw.Module
-	libs               []*Instance
-	place              placeRec
+	// meta and shape replace module in a library plan made from a
+	// memoized shape: the link evaluates meta and holds the result to
+	// shape (evalShaped).
+	meta  *mgraph.Meta
+	shape *libShape
+	libs  []*Instance
+	place placeRec
 	// key is the cache key (content + placement); ckey the
 	// placement-independent content identity shared by rebase variants
 	// and mesh peers; bkey the resolution identity the binding table
@@ -206,10 +207,145 @@ type plan struct {
 	bound  map[string]uint64
 }
 
-// settle measures the plan's module and places it with the constraint
-// solver, returning the placement rendered as cache-key material.
-func (s *Server) settle(pl *plan, solverKey string, prefs []constraint.Pref) (string, error) {
-	textSize, dataSize := link.Measure(pl.module)
+// libID names a library as a plan requests it: path and spec hash.
+type libID struct{ path, spec string }
+
+// shapeKey is everything a library's evaluation depends on: the
+// library, its content hash (which covers everything it references),
+// the code generation mode and the specializer generation.
+type shapeKey struct {
+	libID
+	content string
+	pic     bool
+	specGen uint64
+}
+
+// libShape is what planning a library needs from its evaluation: the
+// extents link.Measure gives its module and the libraries it imports.
+// The server memoizes one per shapeKey (Server.shapes), so a library
+// whose inputs did not change is planned without being evaluated —
+// and, above all, without its sources being compiled again.  It holds
+// keys, sizes and a dependency list, never a module.
+type libShape struct {
+	key                shapeKey
+	textSize, dataSize uint64
+	libs               []mgraph.LibDep
+}
+
+// shapeOf returns the memoized shape under k.
+func (s *Server) shapeOf(k shapeKey) (libShape, bool) {
+	s.shapeMu.Lock()
+	defer s.shapeMu.Unlock()
+	for _, sh := range s.shapes[k.libID] {
+		if sh.key == k {
+			return sh, true
+		}
+	}
+	return libShape{}, false
+}
+
+// dropShapes drops every shape memoized for path p: a Remove, or a
+// definition that changes p's source.
+func (s *Server) dropShapes(p string) {
+	s.shapeMu.Lock()
+	defer s.shapeMu.Unlock()
+	for id := range s.shapes {
+		if id.path == p {
+			delete(s.shapes, id)
+		}
+	}
+}
+
+func (s *Server) dropShapesLocked(id libID, drop func(libShape) bool) {
+	if shs := slices.DeleteFunc(s.shapes[id], drop); len(shs) > 0 {
+		s.shapes[id] = shs
+	} else {
+		delete(s.shapes, id)
+	}
+}
+
+// pruneShapes bounds the memo for library path p, adding sh (when
+// non-nil) in place of any shape of the same content: p keeps a shape
+// only for content that the committed namespace version or its staged
+// view still holds, measured under their specializers.  So an upgrade
+// epoch's v1 and v2 keep one shape each, and the shapes no request can
+// hit any more go.  The hashes are computed without the lock (never
+// under an m-graph hash: hashing can fetch from a mount, which
+// defines); a version published meanwhile starts the pass over.
+func (s *Server) pruneShapes(p string, sh *libShape) {
+	for {
+		v := s.ns.Load()
+		held := map[string]bool{}
+		for _, ver := range []*nsVersion{v, v.staged} {
+			if ver == nil {
+				continue
+			}
+			if _, ok := ver.entries[p]; !ok {
+				continue
+			}
+			if ch, err := (evalCtx{s: s, v: ver}).ContentHash(p); err == nil {
+				held[ch] = true
+			}
+		}
+		s.shapeMu.Lock()
+		if s.ns.Load() != v {
+			s.shapeMu.Unlock()
+			continue
+		}
+		for id := range s.shapes {
+			if id.path == p {
+				s.dropShapesLocked(id, func(o libShape) bool {
+					return !held[o.key.content] || o.key.specGen != v.specGen ||
+						sh != nil && o.key.libID == sh.key.libID && o.key.content == sh.key.content
+				})
+			}
+		}
+		if sh != nil && held[sh.key.content] && sh.key.specGen == v.specGen {
+			s.shapes[sh.key.libID] = append(s.shapes[sh.key.libID], *sh)
+		}
+		s.shapeMu.Unlock()
+		return
+	}
+}
+
+// staleShapeError is what the link of a library planned from its shape
+// returns when the evaluation it deferred no longer has that shape (a
+// specializer whose output changed while it stayed registered): the
+// memo entry is gone, and the library is planned again from v.
+type staleShapeError struct {
+	path string
+	v    *mgraph.Value
+}
+
+func (e *staleShapeError) Error() string {
+	return fmt.Sprintf("server: library %s changed shape since it was planned", e.path)
+}
+
+// evalShaped is the evaluation a library plan made from its shape
+// defers to the link: it returns the library's module if the module
+// still has the plan's shape, and a *staleShapeError otherwise, so an
+// image is never linked at a placement computed from stale sizes.
+func (s *Server) evalShaped(ctx context.Context, pl *plan) (*jigsaw.Module, error) {
+	v, err := s.evaluate(ctx, pl.meta)
+	if err != nil {
+		return nil, err
+	}
+	if v.Module != nil {
+		text, data := link.Measure(v.Module)
+		if text == pl.shape.textSize && data == pl.shape.dataSize && slices.EqualFunc(v.Libs, pl.shape.libs,
+			func(a, b mgraph.LibDep) bool { return a.Path == b.Path && a.Spec.Hash() == b.Spec.Hash() }) {
+			return v.Module, nil
+		}
+	}
+	s.shapeMu.Lock()
+	s.dropShapesLocked(pl.shape.key.libID, func(sh libShape) bool { return sh.key == pl.shape.key })
+	s.shapeMu.Unlock()
+	return nil, &staleShapeError{path: pl.meta.Path, v: v}
+}
+
+// settle places the plan's extents with the constraint solver,
+// returning the placement rendered as cache-key material.
+func (s *Server) settle(pl *plan, solverKey string, prefs []constraint.Pref, textSize, dataSize uint64) (string, error) {
 	at, err := s.place(constraint.Request{
 		Key:      solverKey,
 		TextSize: textSize,
@@ -227,7 +363,14 @@ func (s *Server) settle(pl *plan, solverKey string, prefs []constraint.Pref) (st
 	return fmt.Sprintf("%#x/%#x", at.TextBase, at.DataBase), nil
 }
 
-func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger) (*plan, error) {
+// planLibrary plans dep.  A library whose shape is memoized under its
+// current inputs is not evaluated: its plan carries the meta-object
+// and the shape instead of a module.  Every other step — the lookup
+// charge, the dependency nodes, the placement and the keys — runs
+// either way.  v, when non-nil, is an evaluation of the library made
+// already (a stale shape's), planned from instead of the memo.
+// Branch-table libraries bind while planning, so they always evaluate.
+func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, v *mgraph.Value) (*plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -245,35 +388,64 @@ func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger) 
 	}
 	s.chargeLookup(c)
 
-	v, libs, err := s.evalValue(ctx, meta, c)
+	bt := dep.Spec.Kind == "lib-branch-table"
+	key := shapeKey{libID: libID{dep.Path, dep.Spec.Hash()}, content: ch, pic: s.PICSource, specGen: cx.v.specGen}
+	var sh libShape
+	hit := false
+	if v == nil && !bt {
+		sh, hit = s.shapeOf(key)
+	}
+	if !hit {
+		sh.key = key
+		if v == nil {
+			if v, err = s.evaluate(ctx, meta); err != nil {
+				return nil, err
+			}
+		}
+		if v.Module == nil {
+			return nil, fmt.Errorf("server: library %s produced no fragments", dep.Path)
+		}
+		sh.libs = v.Libs
+		if !bt {
+			sh.textSize, sh.dataSize = link.Measure(v.Module)
+		}
+	} else {
+		s.stats.shapeHits.Add(1)
+	}
+	libs, err := s.instantiateDeps(ctx, sh.libs, c)
 	if err != nil {
 		return nil, err
-	}
-	if v.Module == nil {
-		return nil, fmt.Errorf("server: library %s produced no fragments", dep.Path)
 	}
 	prefs := dep.Spec.Prefs
 	if len(prefs) == 0 {
 		prefs = meta.DefaultSpec.Prefs
 	}
-	pl := &plan{name: dep.Path, image: "lib:" + dep.Path, label: "library " + dep.Path,
-		module: v.Module, libs: libs}
+	pl := &plan{name: dep.Path, image: "lib:" + dep.Path, label: "library " + dep.Path, libs: libs}
+	if hit {
+		pl.meta, pl.shape = meta, &sh
+	} else {
+		pl.module = v.Module
+	}
 	kind := "lib"
-	if dep.Spec.Kind == "lib-branch-table" {
+	if bt {
 		kind = "lib-bt"
 		pl.name, pl.label = pl.image, "branch-table "+pl.label
 		if err := pl.routeUpward(dep.Path); err != nil {
 			return nil, err
 		}
+		sh.textSize, sh.dataSize = link.Measure(pl.module)
 	} else {
 		pl.ckey = contentKeyLib(ch, dep.Spec.Kind, libs)
 		pl.bkey = bindKeyLib(dep, meta)
 	}
-	at, err := s.settle(pl, "lib:"+dep.Path+"|"+dep.Spec.Hash(), prefs)
+	at, err := s.settle(pl, "lib:"+dep.Path+"|"+sh.key.spec, prefs, sh.textSize, sh.dataSize)
 	if err != nil {
 		return nil, err
 	}
-	pl.key = digestStr(kind, ch, dep.Spec.Hash(), at, libKeys(libs))
+	pl.key = digestStr(kind, ch, sh.key.spec, at, libKeys(libs))
+	if !hit && !bt {
+		s.pruneShapes(dep.Path, &sh)
+	}
 	return pl, nil
 }
 
@@ -283,7 +455,11 @@ func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta
 	if err != nil {
 		return nil, err
 	}
-	v, libs, err := s.evalValue(ctx, meta, c)
+	v, err := s.evaluate(ctx, meta)
+	if err != nil {
+		return nil, err
+	}
+	libs, err := s.instantiateDeps(ctx, v.Libs, c)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +482,8 @@ func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta
 	}
 	pl := &plan{name: name, image: name, label: name, module: v.Module, libs: libs, entry: "_start",
 		ckey: contentKeyProg(subHash, libs), bkey: bindKeyProg(meta)}
-	at, err := s.settle(pl, "prog:"+name, prefs)
+	textSize, dataSize := link.Measure(v.Module)
+	at, err := s.settle(pl, "prog:"+name, prefs, textSize, dataSize)
 	if err != nil {
 		return nil, err
 	}
@@ -315,13 +492,23 @@ func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta
 }
 
 // libraryImage and programImage are the two ways into the pipeline:
-// fill the plan, then find or build its image.
+// fill the plan, then find or build its image.  A library whose link
+// found its memoized shape stale is planned and built once more, from
+// the evaluation that found it.
 func (s *Server) libraryImage(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
-	pl, err := s.planLibrary(ctx, dep, c)
+	pl, err := s.planLibrary(ctx, dep, c, nil)
 	if err != nil {
 		return nil, err
 	}
-	return s.build(ctx, pl, c)
+	inst, err := s.build(ctx, pl, c)
+	var stale *staleShapeError
+	if errors.As(err, &stale) {
+		if pl, err = s.planLibrary(ctx, dep, c, stale.v); err != nil {
+			return nil, err
+		}
+		return s.build(ctx, pl, c)
+	}
+	return inst, err
 }
 
 func (s *Server) programImage(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*Instance, error) {
@@ -379,8 +566,16 @@ func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, err
 }
 
 // linkImage is the full-link stage of build.  Build cost is charged to
-// the requesting process (the only one that ever pays it).
+// the requesting process (the only one that ever pays it).  A library
+// planned from its shape is evaluated here first.
 func (s *Server) linkImage(ctx context.Context, pl *plan, c charger) (*Instance, error) {
+	mod := pl.module
+	if mod == nil {
+		var err error
+		if mod, err = s.evalShaped(ctx, pl); err != nil {
+			return nil, err
+		}
+	}
 	if pl.ckey != "" {
 		s.stats.rebaseMiss.Add(1)
 	}
@@ -394,9 +589,9 @@ func (s *Server) linkImage(ctx context.Context, pl *plan, c charger) (*Instance,
 	}
 	externs := pl.bound
 	if externs == nil {
-		externs = s.resolveExterns(pl, c)
+		externs = s.resolveExterns(pl, mod.Undefined(), c)
 	}
-	res, err := link.Link(pl.module, link.Options{
+	res, err := link.Link(mod, link.Options{
 		Name:     pl.image,
 		TextBase: pl.place.TextBase,
 		DataBase: pl.place.DataBase,

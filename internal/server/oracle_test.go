@@ -2,15 +2,16 @@ package server_test
 
 // The fast-path oracle.  Every way an image can come into being other
 // than a full link with a fresh symbol search — replaying a recorded
-// binding table, sliding a cached variant from other bases (one built
-// this session, or one a restart decoded from the store), warm restart
-// from the store, installing a mesh peer's blob — is an
-// alternative implementation of "link it fresh", and this test holds
-// each to that specification: for every program and library of
-// internal/workload, the image each path produces is compared byte for
-// byte with the one a fresh link produces at the same placement, and
-// its symbol table entry for entry.  The test lives outside package
-// server because internal/workload imports it.
+// binding table, linking a library planned from its memoized shape,
+// sliding a cached variant from other bases (one built this session,
+// or one a restart decoded from the store), warm restart from the
+// store, installing a mesh peer's blob — is an alternative
+// implementation of "link it fresh", and this test holds each to that
+// specification: for every program and library of internal/workload,
+// the image each path produces is compared byte for byte with the one
+// a fresh link produces at the same placement, and its symbol table
+// entry for entry.  The test lives outside package server because
+// internal/workload imports it.
 
 import (
 	"bytes"
@@ -333,6 +334,27 @@ func TestFastPathOracle(t *testing.T) {
 					after.BindingHits-before.BindingHits, after.SymbolSearches-before.SymbolSearches)
 			}
 			same(t, "replay-bound", sub.path, want[sub.path], fresh.snap(inst), false)
+		})
+	}
+
+	// Shape: a library asked for again after its eviction (which takes
+	// its clients along) is planned from its memoized shape, without an
+	// evaluation, and linked from the evaluation its link defers.
+	for _, sub := range subs {
+		if !sub.isLib {
+			continue
+		}
+		t.Run("shape"+sub.path, func(t *testing.T) {
+			fresh.Srv.Evict(sub.path)
+			before := fresh.Srv.Stats()
+			inst, d := fresh.produce(sub.path)
+			after := fresh.Srv.Stats()
+			if d != (did{built: 1, nodes: nodes{built: 1}}) || after.ShapeHits != before.ShapeHits+1 ||
+				after.PlanEvaluations != before.PlanEvaluations+1 {
+				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link, planned from the shape, evaluated once", d,
+					after.ShapeHits-before.ShapeHits, after.PlanEvaluations-before.PlanEvaluations)
+			}
+			same(t, "shape-planned", sub.path, want[sub.path], fresh.snap(inst), false)
 		})
 	}
 

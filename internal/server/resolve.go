@@ -73,14 +73,13 @@ func bindKeyLib(dep mgraph.LibDep, meta *mgraph.Meta) string {
 // name ("lib:/lib/libc" or "/lib/libc").
 func definerPath(name string) string { return strings.TrimPrefix(name, "lib:") }
 
-// resolveExterns resolves an image's undefined symbols against its
+// resolveExterns resolves an image's undefined symbols und against its
 // library list: by replaying the recorded binding table when one is
 // valid (zero symbol searches — the warm path), by the classic
 // first-definition-wins search otherwise.  The returned extern map is
 // restricted to the undefined set either way, so the two paths bind
 // identically and an incomplete resolution fails loudly in the link.
-func (s *Server) resolveExterns(pl *plan, c charger) map[string]uint64 {
-	und := pl.module.Undefined()
+func (s *Server) resolveExterns(pl *plan, und []string, c charger) map[string]uint64 {
 	if len(und) == 0 {
 		return map[string]uint64{}
 	}

@@ -28,16 +28,17 @@
 //     over them — the in-flight build table, and the persistent store
 //     attachment.  An entry's LRU stamp is an atomic on the entry.
 //   - bindMu (RWMutex): the binding tables, nothing else.
+//   - shapeMu: the memoized library shapes, nothing else.
 //   - upMu: the upgrade epoch; it also serializes namespace writers.
 //   - Stats counters are atomics; read them via the Stats method.
 //
 // Lock order: cacheMu may be taken before solverMu (eviction releases
-// placements); bindMu and upMu are leaves.  None of these locks is
-// ever held across an m-graph evaluation or a link.  The one store I/O
-// done under a lock is deliberate: cacheMu is held while an entry's
-// blob is deleted or quarantined (retireLocked), so an entry and its
-// blob always leave together.  An instance's export table is published
-// once, atomically, and needs no lock.
+// placements); bindMu, shapeMu and upMu are leaves.  None of these
+// locks is ever held across an m-graph evaluation or a link.  The one
+// store I/O done under a lock is deliberate: cacheMu is held while an
+// entry's blob is deleted or quarantined (retireLocked), so an entry
+// and its blob always leave together.  An instance's export table is
+// published once, atomically, and needs no lock.
 package server
 
 import (
@@ -202,6 +203,14 @@ type Stats struct {
 	MeshFetches      uint64 `stat:"mesh-hook fetches"`
 	MeshBlobInstalls uint64 `stat:"mesh-hook blob-installs"`
 	MeshFallbacks    uint64 `stat:"mesh-hook fallbacks"`
+
+	// PlanEvaluations counts m-graph evaluations: a program's plan, a
+	// library plan with no memoized shape, the evaluation a library
+	// planned from its shape defers to its link, and EvalProgram.
+	// ShapeHits counts library plans made from a memoized shape
+	// (instantiate.go), which evaluate nothing unless they link.
+	PlanEvaluations uint64 `stat:"plan evaluations"`
+	ShapeHits       uint64 `stat:"plan shape-hits"`
 }
 
 // statField is one value of the stats text: the Stats field index and
@@ -298,6 +307,9 @@ type statsCounters struct {
 	meshBlobInstalls atomic.Uint64
 	meshFallbacks    atomic.Uint64
 
+	evaluations atomic.Uint64
+	shapeHits   atomic.Uint64
+
 	// nodes counts finished build-graph nodes, one counter per outcome
 	// (indexed by buildgraph.Outcome).
 	nodes             [buildgraph.OutcomeFailed + 1]atomic.Uint64
@@ -345,6 +357,9 @@ func (s *Server) Stats() Stats {
 		MeshFetches:      s.stats.meshFetches.Load(),
 		MeshBlobInstalls: s.stats.meshBlobInstalls.Load(),
 		MeshFallbacks:    s.stats.meshFallbacks.Load(),
+
+		PlanEvaluations: s.stats.evaluations.Load(),
+		ShapeHits:       s.stats.shapeHits.Load(),
 
 		NodesBuilt:        s.stats.nodes[buildgraph.OutcomeBuilt].Load(),
 		NodesRebased:      s.stats.nodes[buildgraph.OutcomeRebased].Load(),
@@ -504,6 +519,10 @@ type nsVersion struct {
 	entries map[string]nsEntry
 	mounts  []mount
 	specs   map[string]SpecFunc
+	// specGen counts the RegisterSpecializer calls specs has seen: a
+	// library's memoized shape holds only under the generation it was
+	// measured in.
+	specGen uint64
 	// staged is the open upgrade epoch's version, the one the canary
 	// cohort reads: these entries with the staged definitions layered
 	// over them (nil when no epoch is open or while it rolls back).
@@ -524,7 +543,8 @@ type nsVersion struct {
 // specializers for a writer to change.  Mounts and specializers are
 // shared: a writer replaces them, never changes them in place.
 func (v *nsVersion) copy() *nsVersion {
-	return &nsVersion{entries: maps.Clone(v.entries), mounts: v.mounts, specs: v.specs, memo: map[string]string{}}
+	return &nsVersion{entries: maps.Clone(v.entries), mounts: v.mounts, specs: v.specs, specGen: v.specGen,
+		memo: map[string]string{}}
 }
 
 // Server is an OMOS instance.  It is safe for concurrent use.
@@ -587,6 +607,11 @@ type Server struct {
 	// Explain and the upgrade status report.  Guarded by upMu.
 	upgradeLog []upgradeEvent
 
+	// shapeMu guards shapes, the memoized library shapes
+	// (instantiate.go), by library path and spec hash.  It is a leaf.
+	shapeMu sync.Mutex
+	shapes  map[libID][]libShape
+
 	stats statsCounters
 
 	// exec is the build graph's worker pool: the dependency fan-out
@@ -639,6 +664,7 @@ func New(kern *osim.Kernel) *Server {
 		byContent: map[string][]*entry{},
 		inflight:  map[string]*flight{},
 		bindings:  map[string]*BindingTable{},
+		shapes:    map[libID][]libShape{},
 		exec:      buildgraph.NewExecutor(DefaultBuildWorkers),
 		graph:     buildgraph.NewLog(),
 	}
@@ -663,6 +689,7 @@ func (s *Server) RegisterSpecializer(kind string, fn SpecFunc) {
 	s.writeNS(func(v *nsVersion) {
 		v.specs = maps.Clone(v.specs)
 		v.specs[kind] = fn
+		v.specGen++
 	})
 }
 
@@ -753,7 +780,11 @@ func (s *Server) define(p, src string, isLib, allow bool) error {
 	if err != nil {
 		return err
 	}
+	prior := s.ns.Load().entries[meta.Path]
 	s.writeNS(func(v *nsVersion) { v.entries[meta.Path] = nsEntry{meta: meta} })
+	if prior.meta == nil || prior.meta.SrcHash != meta.SrcHash {
+		s.dropShapes(meta.Path)
+	}
 	return nil
 }
 
@@ -837,6 +868,7 @@ func (s *Server) RemoveAllow(p string, allow bool) error {
 	}
 	s.writeNS(func(v *nsVersion) { delete(v.entries, p) })
 	s.dropBindingsOf(p)
+	s.dropShapes(p)
 	return nil
 }
 
@@ -878,6 +910,13 @@ var _ mgraph.HashGenerator = evalCtx{}
 var _ mgraph.OptionalResolver = evalCtx{}
 var _ mgraph.StubRecorder = evalCtx{}
 var _ mgraph.Fanout = evalCtx{}
+
+// eval evaluates a meta-object's root in this version: every m-graph
+// evaluation the server makes is this call, counted in PlanEvaluations.
+func (c evalCtx) eval(meta *mgraph.Meta) (*mgraph.Value, error) {
+	c.s.stats.evaluations.Add(1)
+	return meta.Root.Eval(c)
+}
 
 // current returns an evaluation context on the published committed
 // version.
