@@ -86,9 +86,23 @@ func forgedExec(f *forger) {
 	f.list("syms", func(e *forger) { e.str("name") })
 }
 
-// forgedHead and forgedBody are the two halves of a store image record.
-func forgedHead(f *forger) {
-	f.U8(0) // image record
+// forgedHead and forgedBody are the two halves of a store image record;
+// forgedShapedHead is the head of a library's record, which keeps the
+// library's shape.
+func forgedHead(f *forger) { imageHead(f, 0) }
+
+func forgedShapedHead(f *forger) {
+	imageHead(f, 2)
+	f.str("shape.content")
+	f.U8(0) // code generation mode
+	f.list("shape.libs", func(e *forger) { e.str("path"); e.str("kind") })
+	f.list("shape.prefs", func(e *forger) { e.U32(0); e.U8(0); e.U64(0) })
+}
+
+// imageHead writes the head fields every image record has, after its
+// record type.
+func imageHead(f *forger, recType uint8) {
+	f.U8(recType)
 	f.str("key")
 	f.str("name")
 	f.str("solverkey")
@@ -188,6 +202,7 @@ func TestForgedInputs(t *testing.T) {
 		{"obj.Decode", forgedObj, 7, func(b []byte) error { _, err := obj.Decode(b); return err }},
 		{"image.DecodeExec", forgedExec, 14, func(b []byte) error { _, err := image.DecodeExec(b); return err }},
 		{"store.DecodeHead", forgedHead, 15, func(b []byte) error { _, err := store.DecodeHead(sealed(b, nil)); return err }},
+		{"store.DecodeHead shaped", forgedShapedHead, 20, func(b []byte) error { _, err := store.DecodeHead(sealed(b, nil)); return err }},
 		{"store.Decode", forgedBody, 12, func(b []byte) error { _, err := store.Decode(sealed(validHead(), b)); return err }},
 		{"store.DecodeEpoch", forgedEpoch, 6, func(b []byte) error { _, err := store.DecodeEpoch(sealed(b, nil)); return err }},
 	} {

@@ -70,7 +70,7 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 	// deterministic fraction of top-level instantiations joins the v2
 	// cohort — they read the epoch's staged version, and their outcomes
 	// feed the health gate.
-	cohort := s.canaryPick(c.v, name, meta)
+	cohort := s.canaryPick(c.v, meta)
 	if cohort {
 		c.v = c.v.staged
 		s.stats.canaryInstantiations.Add(1)
@@ -183,9 +183,11 @@ type plan struct {
 	// how errors refer to the build ("/bin/ls", "library /lib/libc").
 	name, image, label string
 	module             *jigsaw.Module
-	// meta and shape replace module in a library plan made from a
-	// memoized shape: the link evaluates meta and holds the result to
-	// shape (evalShaped).
+	// shape is a library's shape (nil for programs and branch-table
+	// libraries): the instance carries it into its store record.  A
+	// library plan made from a memoized shape has meta instead of a
+	// module: the link evaluates meta and holds the result to shape
+	// (evalShaped).
 	meta  *mgraph.Meta
 	shape *libShape
 	libs  []*Instance
@@ -212,7 +214,10 @@ type libID struct{ path, spec string }
 
 // shapeKey is everything a library's evaluation depends on: the
 // library, its content hash (which covers everything it references),
-// the code generation mode and the specializer generation.
+// the code generation mode and the specializer generation.  A store
+// record keeps all but the generation, a count of this process's
+// RegisterSpecializer calls: a shape read from the store is keyed
+// under the generation current when the record is attached.
 type shapeKey struct {
 	libID
 	content string
@@ -225,7 +230,9 @@ type shapeKey struct {
 // The server memoizes one per shapeKey (Server.shapes), so a library
 // whose inputs did not change is planned without being evaluated —
 // and, above all, without its sources being compiled again.  It holds
-// keys, sizes and a dependency list, never a module.
+// keys, sizes and a dependency list, never a module.  Each library
+// image's store record keeps its shape, and a restarted server seeds
+// the memo from the records it attaches (seedShape).
 type libShape struct {
 	key                shapeKey
 	textSize, dataSize uint64
@@ -242,6 +249,21 @@ func (s *Server) shapeOf(k shapeKey) (libShape, bool) {
 		}
 	}
 	return libShape{}, false
+}
+
+// seedShape memoizes sh, read from a store record at attach, unless a
+// shape under its key is memoized already.  It is checked at its first
+// plan like any other: its key names the library's content, and a
+// stale one is found out by the link's evaluation (evalShaped).
+func (s *Server) seedShape(sh libShape) {
+	s.shapeMu.Lock()
+	defer s.shapeMu.Unlock()
+	for _, o := range s.shapes[sh.key.libID] {
+		if o.key == sh.key {
+			return
+		}
+	}
+	s.shapes[sh.key.libID] = append(s.shapes[sh.key.libID], sh)
 }
 
 // dropShapes drops every shape memoized for path p: a Remove, or a
@@ -421,8 +443,11 @@ func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, 
 		prefs = meta.DefaultSpec.Prefs
 	}
 	pl := &plan{name: dep.Path, image: "lib:" + dep.Path, label: "library " + dep.Path, libs: libs}
+	if !bt {
+		pl.shape = &sh
+	}
 	if hit {
-		pl.meta, pl.shape = meta, &sh
+		pl.meta = meta
 	} else {
 		pl.module = v.Module
 	}
@@ -434,26 +459,40 @@ func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, 
 			return nil, err
 		}
 		sh.textSize, sh.dataSize = link.Measure(pl.module)
-	} else {
-		pl.ckey = contentKeyLib(ch, dep.Spec.Kind, libs)
+	}
+	// The code generation mode changes every compiled byte, so it is
+	// part of the image's identity as much as the content is.
+	code := ch
+	if sh.key.pic {
+		code += picMark
+	}
+	if !bt {
+		pl.ckey = contentKeyLib(code, dep.Spec.Kind, libs)
 		pl.bkey = bindKeyLib(dep, meta)
 	}
 	at, err := s.settle(pl, "lib:"+dep.Path+"|"+sh.key.spec, prefs, sh.textSize, sh.dataSize)
 	if err != nil {
 		return nil, err
 	}
-	pl.key = digestStr(kind, ch, sh.key.spec, at, libKeys(libs))
+	pl.key = digestStr(kind, code, sh.key.spec, at, libKeys(libs))
 	if !hit && !bt {
 		s.pruneShapes(dep.Path, &sh)
 	}
 	return pl, nil
 }
 
+// picMark marks the content identity of an image compiled as
+// position-independent code (Server.PICSource).
+const picMark = "/pic"
+
 func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*plan, error) {
 	s.chargeLookup(c)
 	subHash, err := meta.Root.Hash(s.ectx(ctx))
 	if err != nil {
 		return nil, err
+	}
+	if s.PICSource {
+		subHash += picMark
 	}
 	v, err := s.evaluate(ctx, meta)
 	if err != nil {
@@ -614,8 +653,10 @@ func (s *Server) linkImage(ctx context.Context, pl *plan, c charger) (*Instance,
 	if c != nil {
 		c.ChargeServer(cost)
 	}
-	s.stats.cacheMisses.Add(1)
+	// Built before missed: Stats reads the misses first, so no snapshot
+	// shows this miss without its build.
 	s.stats.imagesBuilt.Add(1)
+	s.stats.cacheMisses.Add(1)
 	s.stats.builtBytes.Add(res.TextSize + res.DataSize + res.BSSSize)
 	s.stats.relocsApplied.Add(uint64(res.NumRelocs))
 	s.stats.externBinds.Add(uint64(res.ExternBinds))
@@ -656,7 +697,7 @@ func (s *Server) ReleaseInstance(inst *Instance) {
 // released if a later segment fails.
 func (s *Server) materialize(pl *plan, res *link.Result, src *Instance) (inst *Instance, shared int, err error) {
 	inst = &Instance{Key: pl.key, ContentKey: pl.ckey, Name: pl.name, Res: res, Libs: pl.libs,
-		Pins: s.pinsOf(pl.libs), bindKey: pl.bkey, place: pl.place}
+		Pins: s.pinsOf(pl.libs), bindKey: pl.bkey, place: pl.place, shape: pl.shape}
 	for i := range res.Image.Segments {
 		seg := &res.Image.Segments[i]
 		if seg.Perm&image.PermW != 0 {
@@ -802,16 +843,7 @@ func (s *Server) Evict(name string) int {
 	// refuses such victims for exactly this reason) — explicit
 	// eviction instead takes the dependents along, so they rebuild
 	// against whatever the namespace says next.
-	for changed := true; changed; {
-		changed = false
-		for key, e := range s.entries {
-			e.eachLib(func(lk string) {
-				if !victims[key] && victims[lk] {
-					victims[key], changed = true, true
-				}
-			})
-		}
-	}
+	s.addDependentsLocked(victims)
 	for key := range victims {
 		s.retireLocked(key, false)
 	}
@@ -824,6 +856,21 @@ func (s *Server) Evict(name string) int {
 	}
 	s.solverMu.Unlock()
 	return len(victims)
+}
+
+// addDependentsLocked adds to victims, transitively, every entry that
+// links against one.  Caller holds cacheMu.
+func (s *Server) addDependentsLocked(victims map[string]bool) {
+	for changed := true; changed; {
+		changed = false
+		for key, e := range s.entries {
+			e.eachLib(func(lk string) {
+				if !victims[key] && victims[lk] {
+					victims[key], changed = true, true
+				}
+			})
+		}
+	}
 }
 
 // MapInstance maps the instance and all its libraries into a process,

@@ -2,7 +2,8 @@ package server_test
 
 // The fast-path oracle.  Every way an image can come into being other
 // than a full link with a fresh symbol search — replaying a recorded
-// binding table, linking a library planned from its memoized shape,
+// binding table, linking a library planned from its memoized shape or
+// from the shape a restarted session read from its store record,
 // sliding a cached variant from other bases (one built this session,
 // or one a restart decoded from the store), warm restart from the
 // store, installing a mesh peer's blob — is an alternative
@@ -16,13 +17,20 @@ package server_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"omos/internal/asm"
 	"omos/internal/image"
+	"omos/internal/jigsaw"
 	"omos/internal/link"
+	"omos/internal/mgraph"
+	"omos/internal/osim"
 	"omos/internal/server"
 	"omos/internal/store"
 	"omos/internal/workload"
@@ -99,7 +107,9 @@ type world struct {
 	t *testing.T
 }
 
-func newWorld(t *testing.T, dir string, hook server.MeshHook) *world {
+// newWorld boots a world on the store in dir; each of setup runs on its
+// server before the store is attached.
+func newWorld(t *testing.T, dir string, hook server.MeshHook, setup ...func(*server.Server)) *world {
 	t.Helper()
 	w, err := workload.SetupOMOS(oracleCG)
 	if err != nil {
@@ -113,6 +123,9 @@ func newWorld(t *testing.T, dir string, hook server.MeshHook) *world {
 	}
 	if err := w.Srv.Define("/bin/btapp", fmt.Sprintf(btAppSrc, "/lib/cb")); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range setup {
+		f(w.Srv)
 	}
 	st, err := store.Open(dir, 0)
 	if err != nil {
@@ -278,6 +291,51 @@ func sameTable[V comparable](t *testing.T, what string, want, got map[string]V) 
 	}
 }
 
+// paddedLibSrc is a library built through the "pad" specializer, whose
+// output a test can grow while it stays registered.
+const paddedLibSrc = `
+(constraint-list "T" 0x7000000 "D" 0x47000000)
+(specialize "pad" (source "c" "int pad_val() { return 7; }"))`
+
+// padded registers a "pad" specializer that appends pages pages of text
+// and defines /lib/padded through it.
+func padded(t *testing.T, pages *atomic.Int32) func(*server.Server) {
+	return func(srv *server.Server) {
+		srv.RegisterSpecializer("pad", func(_ []string, v *mgraph.Value) (*mgraph.Value, error) {
+			n := pages.Load()
+			if n == 0 {
+				return v, nil
+			}
+			o, err := asm.Assemble("pad.s", fmt.Sprintf(".text\npad_fill:\n    .space %d\n    ret\n", n*osim.PageSize))
+			if err != nil {
+				return nil, err
+			}
+			m, err := jigsaw.NewModule(o)
+			if err != nil {
+				return nil, err
+			}
+			out := *v
+			if out.Module, err = jigsaw.Merge(v.Module, m); err != nil {
+				return nil, err
+			}
+			return &out, nil
+		})
+		if err := srv.DefineLibrary("/lib/padded", paddedLibSrc); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// planned instantiates path and reports what the call did, with the
+// evaluations it made and the plans it made from a memoized shape.
+func (w *world) planned(path string) (inst *server.Instance, d did, evals, hits uint64) {
+	w.t.Helper()
+	before := w.Srv.Stats()
+	inst, d = w.produce(path)
+	after := w.Srv.Stats()
+	return inst, d, after.PlanEvaluations - before.PlanEvaluations, after.ShapeHits - before.ShapeHits
+}
+
 // blobHook is a mesh in which every content key is owned by a peer
 // that holds exactly the blobs it was given.
 type blobHook struct {
@@ -357,6 +415,110 @@ func TestFastPathOracle(t *testing.T) {
 			same(t, "shape-planned", sub.path, want[sub.path], fresh.snap(inst), false)
 		})
 	}
+
+	// Shape from the store: every library record keeps its shape, and a
+	// session restarted on the store seeds its memo from the heads.  A
+	// library evicted there (record and all) is planned from the seeded
+	// shape and linked from the evaluation its link defers.
+	sdir := t.TempDir()
+	seeder := newWorld(t, sdir, nil)
+	for _, sub := range subs {
+		if sub.isLib {
+			seeder.produce(sub.path)
+		}
+	}
+	if err := seeder.Srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	seeded := newWorld(t, sdir, nil)
+	for _, sub := range subs {
+		if !sub.isLib {
+			continue
+		}
+		t.Run("shape/restart/seeded"+sub.path, func(t *testing.T) {
+			seeded.Srv.Evict(sub.path)
+			inst, d, evals, hits := seeded.planned(sub.path)
+			if d != (did{built: 1, nodes: nodes{built: 1}}) || hits != 1 || evals != 1 {
+				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link, planned from the seeded shape, evaluated once",
+					d, hits, evals)
+			}
+			same(t, "planned from a seeded shape", sub.path, want[sub.path], seeded.snap(inst), false)
+		})
+	}
+
+	// A library record whose shape fields were damaged on disk fails its
+	// head checksum: attach quarantines it, seeds nothing, and the
+	// library is evaluated and linked afresh.
+	if err := seeded.Srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	damaged := 0
+	for _, sub := range subs {
+		if !sub.isLib {
+			continue
+		}
+		rec := want[sub.path].rec
+		file := filepath.Join(sdir, rec.Key+".img")
+		blob, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Shape == nil {
+			t.Fatalf("%s: the record keeps no shape", sub.path)
+		}
+		at := bytes.Index(blob, []byte(rec.Shape.Content))
+		if at < 0 {
+			t.Fatalf("%s: no shape content hash in the record", sub.path)
+		}
+		blob[at] ^= 0x01
+		if err := os.WriteFile(file, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	corrupt := newWorld(t, sdir, nil)
+	if got := corrupt.Srv.Stats().StoreQuarantined; got != uint64(damaged) {
+		t.Fatalf("attach quarantined %d records, want the %d damaged library heads", got, damaged)
+	}
+	for _, sub := range subs {
+		if !sub.isLib {
+			continue
+		}
+		t.Run("shape/restart/corrupt-head"+sub.path, func(t *testing.T) {
+			inst, d, evals, hits := corrupt.planned(sub.path)
+			if d != (did{built: 1, nodes: nodes{built: 1}}) || hits != 0 || evals != 1 {
+				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link of one fresh evaluation", d, hits, evals)
+			}
+			same(t, "rebuilt after a damaged head", sub.path, want[sub.path], corrupt.snap(inst), false)
+		})
+	}
+
+	// A seeded shape made stale by a specializer whose output grew while
+	// it stayed registered: the plan from the shape finds no record under
+	// its key, the link's evaluation finds the shape stale, and the
+	// library is planned again from that evaluation — one evaluation in
+	// all, and the fresh link's bytes.
+	t.Run("shape/restart/stale/lib/padded", func(t *testing.T) {
+		grown := new(atomic.Int32)
+		grown.Store(2)
+		spec := newWorld(t, t.TempDir(), nil, padded(t, grown))
+		padInst, _ := spec.produce("/lib/padded")
+		wantPad := spec.snap(padInst)
+		pdir := t.TempDir()
+		first := newWorld(t, pdir, nil, padded(t, new(atomic.Int32)))
+		first.produce("/lib/padded")
+		if err := first.Srv.CloseStore(); err != nil {
+			t.Fatal(err)
+		}
+		stale := newWorld(t, pdir, nil, padded(t, grown))
+		stale.Srv.Evict("/lib/padded")
+		inst, d, evals, hits := stale.planned("/lib/padded")
+		if d.built != 1 || hits != 1 || evals != 1 {
+			t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link, planned from the stale shape, evaluated once",
+				d, hits, evals)
+		}
+		same(t, "re-planned from a stale seeded shape", "/lib/padded", wantPad, stale.snap(inst), false)
+	})
 
 	// Rebase: each image is first built at other bases, then asked for
 	// at its own placement.  The other-bases blobs feed the mesh world.

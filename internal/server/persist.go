@@ -14,6 +14,7 @@ import (
 	"omos/internal/fault"
 	"omos/internal/image"
 	"omos/internal/link"
+	"omos/internal/mgraph"
 	"omos/internal/obj"
 	"omos/internal/store"
 )
@@ -27,13 +28,15 @@ import (
 // AttachStore attaches a persistent store as the backing tier of the
 // image cache and attaches every record in it by its head alone: the
 // head is checked, its blob identity registered for pins, its solver
-// placement re-reserved and its binding table reinstalled, and the
-// record is left dormant — no segment read, no frame made — until a
-// request, a rebase or a mesh peer first needs the image (wake).
-// Instantiations of unchanged meta-objects therefore resolve to the
-// same cache keys and are served without a single relink.  A head that
-// fails its own checks is quarantined.  Returns the number of records
-// attached.
+// placement re-reserved, its binding table reinstalled and a library's
+// shape memoized, and the record is left dormant — no segment read, no
+// frame made — until a request, a rebase or a mesh peer first needs
+// the image (wake).  Instantiations of unchanged meta-objects therefore
+// resolve to the same cache keys and are served without a single
+// relink, and their libraries are planned without an evaluation.  A
+// head that fails its own checks, a library shape that names no
+// library of its record included, is quarantined.  Returns the number
+// of records attached.
 func (s *Server) AttachStore(st *store.Store) int {
 	s.cacheMu.Lock()
 	s.store = st
@@ -89,6 +92,11 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 		s.reject(key)
 		return
 	}
+	sh, shaped := shapeOfRecord(h.Record, s.ns.Load().specGen)
+	if h.Shape != nil && !shaped {
+		s.reject(key)
+		return
+	}
 	for _, lk := range h.LibKeys {
 		s.attach(st, lk, seen)
 	}
@@ -120,7 +128,53 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 		s.installBindings(h.BindKey, &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load",
 			LibKeys: libCKs, Bindings: h.Bindings}, false)
 	}
+	// A library's shape, so that its first plan this session is made
+	// without evaluating it.  The namespace may not be defined yet: the
+	// shape's key is checked when the library is planned.
+	if shaped {
+		s.seedShape(*sh)
+	}
 	s.stats.warmLoaded.Add(1)
+}
+
+// shapeOfRecord returns the library shape a record keeps, keyed under
+// specializer generation gen.  false when the record keeps none, or
+// when its solver key does not name the library the record is of.
+func shapeOfRecord(rec *store.Record, gen uint64) (*libShape, bool) {
+	if rec.Shape == nil {
+		return nil, false
+	}
+	spec, ok := strings.CutPrefix(rec.SolverKey, "lib:"+rec.Name+"|")
+	if !ok {
+		return nil, false
+	}
+	sh := &libShape{
+		key:      shapeKey{libID: libID{rec.Name, spec}, content: rec.Shape.Content, pic: rec.Shape.PIC, specGen: gen},
+		textSize: rec.TextSize, dataSize: rec.DataSize,
+	}
+	for _, d := range rec.Shape.Libs {
+		sh.libs = append(sh.libs, mgraph.LibDep{Path: d.Path, Spec: mgraph.Spec{Kind: d.Kind}})
+	}
+	for _, p := range rec.Shape.Prefs {
+		spec := &sh.libs[p.Lib].Spec
+		spec.Prefs = append(spec.Prefs, constraint.Pref{Seg: p.Seg, Addr: p.Addr})
+	}
+	return sh, true
+}
+
+// storedShape is sh as a store record keeps it; nil for nil.
+func storedShape(sh *libShape) *store.Shape {
+	if sh == nil {
+		return nil
+	}
+	st := &store.Shape{Content: sh.key.content, PIC: sh.key.pic}
+	for i, d := range sh.libs {
+		st.Libs = append(st.Libs, store.Dep{Path: d.Path, Kind: d.Spec.Kind})
+		for _, p := range d.Spec.Prefs {
+			st.Prefs = append(st.Prefs, store.DepPref{Lib: uint32(i), Seg: p.Seg, Addr: p.Addr})
+		}
+	}
+	return st
 }
 
 // contentKeysLocked returns the content keys of the images under keys,
@@ -362,10 +416,10 @@ var errReleased = errors.New("server: image frames released by an eviction")
 
 // recordOf serializes an instance's reconstruction state: segment
 // bytes (read-only ones from the frames, their one copy), bound
-// symbols, branch-table slots, placement, library keys, and the
-// resolution state — the binding table recorded for the image and the
-// library pins to re-verify when it is woken.  It fails with
-// errReleased when a concurrent eviction released the frames.
+// symbols, branch-table slots, placement, library keys, the resolution
+// state — the binding table recorded for the image and the library
+// pins to re-verify when it is woken — and a library's shape.  It fails
+// with errReleased when a concurrent eviction released the frames.
 func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 	rec := &store.Record{
 		Key:         inst.Key,
@@ -385,6 +439,7 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 		ResTextBase: inst.Res.TextBase,
 		ResDataBase: inst.Res.DataBase,
 		EntrySeg:    inst.Res.EntrySeg,
+		Shape:       storedShape(inst.shape),
 	}
 	for _, p := range inst.Res.AbsPatches {
 		rec.AbsPatches = append(rec.AbsPatches, store.Patch{Site: p.Site, Value: p.Value, Seg: p.Seg})
@@ -447,13 +502,16 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 
 // instanceFromRecord rebuilds the in-memory instance: shared frames
 // for read-only segments (their one copy), pristine byte templates for
-// writable ones, and a link.Result carrying the bound symbol table,
-// accounting and segment metadata.
+// writable ones, a link.Result carrying the bound symbol table,
+// accounting and segment metadata, and a library's shape, so that a
+// record made from the woken instance (a mesh export) keeps it too.
 func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Instance, error) {
 	res := resultFromRecord(rec)
+	shape, _ := shapeOfRecord(rec, s.ns.Load().specGen)
 	inst := &Instance{
 		Key: rec.Key, ContentKey: rec.ContentKey, Name: rec.Name, Res: res, Libs: libs,
 		bindKey: rec.BindKey,
+		shape:   shape,
 		place: placeRec{
 			SolverKey: rec.SolverKey,
 			TextBase:  rec.TextBase, TextSize: rec.TextSize,

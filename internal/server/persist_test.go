@@ -130,9 +130,10 @@ func restampBlobs(t *testing.T, dir string, version byte) int {
 }
 
 // TestOldCodecBlobsQuarantinedAndRebuilt: exactly one codec version
-// decodes.  Blobs stamped with an older one take the path a corrupt
-// blob takes — quarantined at attach, rebuilt on demand, re-persisted
-// at the current version — and the scrubber flags one it finds at rest.
+// decodes.  Blobs stamped with an older one (codec 5, before library
+// records kept their shapes) take the path a corrupt blob takes —
+// quarantined at attach, rebuilt on demand, re-persisted at the
+// current version — and the scrubber flags one it finds at rest.
 func TestOldCodecBlobsQuarantinedAndRebuilt(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newTestServer(t)
@@ -175,8 +176,13 @@ func TestOldCodecBlobsQuarantinedAndRebuilt(t *testing.T) {
 		if blob[4] != store.Version {
 			t.Fatalf("re-persisted blob %s has version %d, want %d", key, blob[4], store.Version)
 		}
-		if _, err := store.Decode(blob); err != nil {
+		rec, err := store.Decode(blob)
+		if err != nil {
 			t.Fatalf("re-persisted blob %s: %v", key, err)
+		}
+		// The library's record keeps its shape again, the program's none.
+		if isLib := key == inst.Libs[0].Key; (rec.Shape != nil) != isLib {
+			t.Fatalf("re-persisted blob %s: shape %+v, library %v", key, rec.Shape, isLib)
 		}
 	}
 

@@ -446,6 +446,10 @@ type Instance struct {
 	// placed under, so the persistent store can re-reserve the same
 	// addresses on warm boot.
 	place placeRec
+	// shape is a library's shape, which its store record keeps so a
+	// restarted server plans the library without evaluating it (nil for
+	// programs and branch-table libraries).
+	shape *libShape
 
 	// table is the partial-image function hash table segment, nil until
 	// ExportTable builds it.
@@ -474,6 +478,29 @@ func (e *entry) contentKey() string {
 		return e.inst.ContentKey
 	}
 	return e.head.ContentKey
+}
+
+// content is the library content hash the entry's image was planned
+// under, "" when it records none (programs, branch-table libraries).
+func (e *entry) content() string {
+	if e.inst != nil {
+		if e.inst.shape != nil {
+			return e.inst.shape.key.content
+		}
+	} else if e.head.Shape != nil {
+		return e.head.Shape.Content
+	}
+	return ""
+}
+
+// place is the solver placement of the entry's image.
+func (e *entry) place() placeRec {
+	if e.inst != nil {
+		return e.inst.place
+	}
+	h := e.head
+	return placeRec{SolverKey: h.SolverKey, TextBase: h.TextBase, TextSize: h.TextSize,
+		DataBase: h.DataBase, DataSize: h.DataSize}
 }
 
 // name is the entry's instance name.
@@ -685,12 +712,25 @@ func (s *Server) SetFaults(f *fault.Set) { s.faults = f }
 func (s *Server) Solver() *constraint.Solver { return s.solver }
 
 // RegisterSpecializer installs a custom specialization kind.
+// Replacing a kind already registered retires every cached image, live
+// and dormant, with its store record: an image's key names a
+// specializer by kind alone, so an image the replaced function built
+// would otherwise be served where the new one builds another.
 func (s *Server) RegisterSpecializer(kind string, fn SpecFunc) {
+	replaced := false
 	s.writeNS(func(v *nsVersion) {
+		_, replaced = v.specs[kind]
 		v.specs = maps.Clone(v.specs)
 		v.specs[kind] = fn
 		v.specGen++
 	})
+	if replaced {
+		s.cacheMu.Lock()
+		for key := range s.entries {
+			s.retireLocked(key, false)
+		}
+		s.cacheMu.Unlock()
+	}
 }
 
 func cleanPath(p string) string { return path.Clean("/" + p) }
@@ -729,6 +769,7 @@ func (s *Server) writeNSLocked(edit func(v *nsVersion)) {
 		for p, el := range ep.libs {
 			v.staged.entries[p] = el.entry
 		}
+		ep.view = v
 	}
 	s.ns.Store(v)
 }
@@ -782,7 +823,9 @@ func (s *Server) define(p, src string, isLib, allow bool) error {
 	}
 	prior := s.ns.Load().entries[meta.Path]
 	s.writeNS(func(v *nsVersion) { v.entries[meta.Path] = nsEntry{meta: meta} })
-	if prior.meta == nil || prior.meta.SrcHash != meta.SrcHash {
+	// A first definition keeps the shapes a store seeded for the path:
+	// each names the content it was measured for.
+	if prior.meta != nil && prior.meta.SrcHash != meta.SrcHash {
 		s.dropShapes(meta.Path)
 	}
 	return nil

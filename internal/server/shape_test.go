@@ -177,8 +177,8 @@ func TestShapeInvalidation(t *testing.T) {
 
 // TestShapeUpgradeCohorts: an epoch's v1 and v2 each keep their own
 // shape, so the two cohorts alternate without evaluating: staging v2
-// costs its one evaluation, and no plan evaluates after commit or
-// rollback.
+// costs its one evaluation, and nothing evaluates or links after commit
+// or rollback.
 func TestShapeUpgradeCohorts(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
@@ -234,15 +234,16 @@ func TestShapeUpgradeCohorts(t *testing.T) {
 			if n := shapeCount(s); n != 1 {
 				t.Fatalf("%d shapes memoized after the epoch, want the surviving version's", n)
 			}
-			// A rollback evicts the staged paths' images, v1's too, so
-			// libc's link evaluates it once more; its plan does not.
-			relink := map[bool]uint64{true: 0, false: 1}[commit]
+			// Either way the surviving version's image is still cached: a
+			// rollback releases only what v2 built.
+			built := s.Stats().ImagesBuilt
 			inst, n, hits := evals(t, s, "/lib/libc")
-			if n != relink || hits != 1 {
-				t.Fatalf("after the epoch: %d evaluations, %d shape hits; want %d, 1", n, hits, relink)
+			if n != 0 || hits != 1 || s.Stats().ImagesBuilt != built {
+				t.Fatalf("after the epoch: %d evaluations, %d shape hits, %d images built; want 0, 1, 0",
+					n, hits, s.Stats().ImagesBuilt-built)
 			}
-			if inst.ContentKey != want.ContentKey {
-				t.Fatal("after the epoch libc is not the surviving version's")
+			if inst != want {
+				t.Fatal("after the epoch libc is not the surviving version's cached image")
 			}
 			wantEvals(t, s, "/lib/libc", 0)
 		})
@@ -326,20 +327,28 @@ func TestShapeMemoBound(t *testing.T) {
 	}
 }
 
-// TestShapeRestartEvaluatesEachLibraryOnce: nothing is persisted, so a
-// restarted server evaluates each library once, and then no more.
-func TestShapeRestartEvaluatesEachLibraryOnce(t *testing.T) {
+// TestShapeRestartEvaluatesNoLibrary: each library record keeps its
+// shape, so a server restarted on the store plans libc from the
+// record's head: its second session evaluates only the program, once
+// per request, and builds nothing.  The store is attached before the
+// namespace is defined, as a daemon boots.
+func TestShapeRestartEvaluatesNoLibrary(t *testing.T) {
 	dir := t.TempDir()
 	for session := 0; session < 2; session++ {
-		s := shapeServer(t, new(atomic.Int32))
+		s := newTestServer(t)
+		s.RegisterSpecializer("pad", padSpec(new(atomic.Int32)))
 		s.AttachStore(openStore(t, dir, 0))
+		if err := s.DefineLibrary("/lib/libc", fmt.Sprintf(shapeLibSrc, 30)); err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Define("/bin/app", fmt.Sprintf(shapeProgSrc, 12)); err != nil {
 			t.Fatal(err)
 		}
-		wantEvals(t, s, "/bin/app", 2) // the program and libc
-		wantEvals(t, s, "/bin/app", 1) // the program
-		if st := s.Stats(); session == 1 && st.ImagesBuilt != 0 {
-			t.Fatalf("restarted session built %d images", st.ImagesBuilt)
+		first := map[int]uint64{0: 2, 1: 1}[session] // the program, and libc in the first session
+		wantEvals(t, s, "/bin/app", first)
+		wantEvals(t, s, "/bin/app", 1)
+		if st := s.Stats(); session == 1 && (st.ImagesBuilt != 0 || st.ShapeHits != 2) {
+			t.Fatalf("restarted session built %d images with %d shape hits, want 0 and 2", st.ImagesBuilt, st.ShapeHits)
 		}
 		if err := s.CloseStore(); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"omos/internal/constraint"
 	"omos/internal/fault"
 	"omos/internal/mgraph"
 	"omos/internal/refusal"
@@ -83,9 +84,10 @@ type upgradeEpoch struct {
 	cohortRuns  uint64
 	cohortFails uint64
 
-	// cohortProgs are the top-level names routed to the v2 cohort —
-	// the images rollback must release.
-	cohortProgs map[string]bool
+	// view is the last committed version published with this epoch's
+	// staged view (view.staged): rollback hashes the staged libraries in
+	// both to tell the images v2 built from v1's (retireStaged).
+	view *nsVersion
 
 	rollingBack bool
 	verdict     string
@@ -119,8 +121,8 @@ type UpgradeStatusInfo struct {
 // v.staged instead: the same program under the same epoch always lands
 // on the same side, so a client's retries converge instead of flapping
 // between versions.  With no epoch open, or a 0% canary, it reads only
-// v; recording a cohort member takes upMu.
-func (s *Server) canaryPick(v *nsVersion, name string, meta *mgraph.Meta) bool {
+// v; confirming that the epoch is still open takes upMu.
+func (s *Server) canaryPick(v *nsVersion, meta *mgraph.Meta) bool {
 	if v.staged == nil || v.staged.epoch.canaryPct <= 0 {
 		return false
 	}
@@ -136,11 +138,7 @@ func (s *Server) canaryPick(v *nsVersion, name string, meta *mgraph.Meta) bool {
 	}
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
-	if s.epoch != ep || ep.rollingBack {
-		return false
-	}
-	ep.cohortProgs[cleanPath(name)] = true
-	return true
+	return s.epoch == ep && !ep.rollingBack
 }
 
 // storeQuarantined snapshots the store's quarantine counter (0 when no
@@ -186,7 +184,6 @@ func (s *Server) UpgradeStart(canaryPct int) (string, error) {
 		id:            fmt.Sprintf("up%d.%d", s.epochSeq.Add(1), s.ns.Load().num),
 		canaryPct:     canaryPct,
 		libs:          map[string]epochLib{},
-		cohortProgs:   map[string]bool{},
 		savedBindings: saved,
 		baseline:      s.baseFailEWMA,
 		basePinViol:   s.stats.pinViolations.Load(),
@@ -337,9 +334,9 @@ func (s *Server) UpgradeRollback(reason string) error {
 }
 
 // rollbackEpoch unwinds an epoch: pre-epoch binding tables are
-// restored, the cohort's v2 images (and the staged libraries' cached
-// instances) are released, the durable record is deleted, and the
-// typed abort is retained for the next status/stage/commit call.
+// restored, the images v2 built are released (retireStaged), the
+// durable record is deleted, and the typed abort is retained for the
+// next status/stage/commit call.
 func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) error {
 	if err := s.faults.Fire(fault.SiteUpgradeRollback); err != nil {
 		return fmt.Errorf("server: rollback of %s: %w", ep.id, err)
@@ -358,22 +355,11 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 		}
 	}
 	s.bindMu.Unlock()
-	// Release every image the epoch built or could have built against
-	// staged content: the staged paths' instances and the cohort's
-	// programs.  Running processes keep their mapped frames through
-	// their own references; the cache entries and store blobs go.
 	s.upMu.Lock()
-	victims := make(map[string]bool, len(ep.libs)+len(ep.cohortProgs))
-	for p := range ep.libs {
-		victims[p] = true
-	}
-	for p := range ep.cohortProgs {
-		victims[p] = true
-	}
+	staged := maps.Clone(ep.libs)
+	view := ep.view
 	s.upMu.Unlock()
-	for p := range victims {
-		s.Evict(p)
-	}
+	s.retireStaged(staged, view)
 	s.upMu.Lock()
 	if s.epoch == ep {
 		s.epoch = nil
@@ -381,13 +367,87 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 	}
 	s.auditLocked(ep, fmt.Sprintf("epoch %s rolled back: %s", ep.id, verdict))
 	s.upMu.Unlock()
-	for p := range victims {
+	for p := range staged {
 		s.pruneShapes(p, nil)
 	}
 	s.deleteEpochRecord()
 	s.stats.upgradesRolledBack.Add(1)
 	s.lastAborted.Store(&refusal.UpgradeAbortedError{Epoch: ep.id, Verdict: verdict, Auto: auto})
 	return nil
+}
+
+// retireStaged releases what an epoch built against its staged view,
+// and nothing else: the images of a staged library whose content hash
+// in view.staged is v2's, not view's v1, every image of a staged path
+// that records no content hash (a program, a branch-table library, or
+// any path when no staged view was published), and every image linked
+// against one of those, transitively.  v1's images stay, live or
+// dormant, with their store records and the shapes those keep; so do
+// the images of programs the cohort ran against unchanged libraries,
+// which are v1's too.  Running processes keep their mapped frames
+// through their own references; the released entries and blobs go.
+//
+// v1 and v2 share each solver key, and Solver.Place re-placed a key
+// whose v2 image grew.  So each key a released image was placed under
+// goes back to the placement of the most recently used image kept
+// under it, and is released when none is kept.
+func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
+	v2 := map[string]string{} // staged library -> its v2 content hash
+	whole := map[string]bool{}
+	for p, el := range staged {
+		if !el.isLib || view == nil {
+			whole[p] = true
+			continue
+		}
+		ch2, err := (evalCtx{s: s, v: view.staged}).ContentHash(p)
+		if err != nil {
+			whole[p] = true
+			continue
+		}
+		if ch1, err := (evalCtx{s: s, v: view}).ContentHash(p); err != nil || ch1 != ch2 {
+			v2[p] = ch2
+		}
+	}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	victims := map[string]bool{}
+	for key, e := range s.entries {
+		name := e.name()
+		p := strings.TrimPrefix(name, "lib:")
+		ch, changed := v2[p]
+		if whole[p] || changed && (name != p || e.content() == "" || e.content() == ch) {
+			victims[key] = true
+		}
+	}
+	s.addDependentsLocked(victims)
+	placed := map[string]bool{}
+	for key := range victims {
+		placed[s.entries[key].place().SolverKey] = true
+		s.retireLocked(key, false)
+	}
+	s.solverMu.Lock()
+	defer s.solverMu.Unlock()
+	for sk := range placed {
+		var keep *entry
+		for _, e := range s.entries {
+			if e.place().SolverKey == sk && (keep == nil || e.lastUse.Load() > keep.lastUse.Load()) {
+				keep = e
+			}
+		}
+		if keep == nil {
+			s.solver.Release(sk)
+			continue
+		}
+		pr := keep.place()
+		if at, ok := s.solver.Lookup(sk); ok && at.TextBase == pr.TextBase && at.DataBase == pr.DataBase {
+			continue
+		}
+		s.solver.Release(sk)
+		// A region taken meanwhile leaves the key unplaced: v1 is placed
+		// afresh and linked there.
+		_ = s.solver.Restore(sk, constraint.Placement{TextBase: pr.TextBase, DataBase: pr.DataBase},
+			pr.TextSize, pr.DataSize)
+	}
 }
 
 // UpgradeStatus reports the engine's observable state.

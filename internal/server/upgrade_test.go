@@ -10,6 +10,7 @@ import (
 
 	"omos/internal/fault"
 	"omos/internal/mgraph"
+	"omos/internal/osim"
 	"omos/internal/refusal"
 )
 
@@ -122,9 +123,9 @@ func TestUpgradeCanaryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := s.canaryPick(s.ns.Load(), "/bin/t", meta)
+	first := s.canaryPick(s.ns.Load(), meta)
 	for i := 0; i < 16; i++ {
-		if got := s.canaryPick(s.ns.Load(), "/bin/t", meta); got != first {
+		if got := s.canaryPick(s.ns.Load(), meta); got != first {
 			t.Fatalf("pick flapped: %v then %v", first, got)
 		}
 	}
@@ -134,7 +135,7 @@ func TestUpgradeCanaryDeterministic(t *testing.T) {
 	if _, err := s.UpgradeStart(0); err != nil {
 		t.Fatal(err)
 	}
-	if s.canaryPick(s.ns.Load(), "/bin/t", meta) {
+	if s.canaryPick(s.ns.Load(), meta) {
 		t.Fatal("0%% canary routed a program to the cohort")
 	}
 }
@@ -155,7 +156,7 @@ func TestUpgradeCanaryShareMatchesPercentage(t *testing.T) {
 		picked := 0
 		for i := 0; i < progs; i++ {
 			meta := &mgraph.Meta{SrcHash: digestStr("synthetic", fmt.Sprint(i))}
-			if s.canaryPick(s.ns.Load(), fmt.Sprintf("/bin/p%d", i), meta) {
+			if s.canaryPick(s.ns.Load(), meta) {
 				picked++
 			}
 		}
@@ -503,11 +504,14 @@ func TestOptionalImportDegradesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestUpgradeRollbackEvictsDependents: rolling back an epoch with no
-// cohort traffic evicts the staged library's cached images — and must
+// TestUpgradeRollbackEvictsDependents: after a rollback of an epoch
+// with no cohort traffic the cached program still runs v1.  A rollback
+// once evicted the staged library's images, v1's included, and had to
 // take the cached programs linking against them along, or the next
-// warm hit maps released frames and exec-faults (found by driving the
-// CLI: stage, rollback, run).
+// warm hit mapped released frames and exec-faulted (found by driving
+// the CLI: stage, rollback, run).  It now releases only what v2 built,
+// which here is nothing, and evicts dependents with whatever it
+// releases (TestUpgradeRollbackKeepsV1Cohort).
 func TestUpgradeRollbackEvictsDependents(t *testing.T) {
 	s := newTestServer(t)
 	defineUpgradeWorld(t, s)
@@ -520,9 +524,7 @@ func TestUpgradeRollbackEvictsDependents(t *testing.T) {
 	if err := s.UpgradeStage("/lib/up", upLibV2, true); err != nil {
 		t.Fatal(err)
 	}
-	// No cohort traffic at all: the cohortProgs set is empty, so the
-	// only eviction path that can save the cached program is the
-	// dependent closure.
+	// No cohort traffic at all: nothing was built against v2.
 	if err := s.UpgradeRollback("operator drill"); err != nil {
 		t.Fatal(err)
 	}
@@ -562,5 +564,129 @@ func TestFaultCanaryRootPanicCountsCohortFailure(t *testing.T) {
 	}
 	if code := runExit(t, s); code != 43 {
 		t.Fatalf("canary exit after the panic = %d, want 43 (v2)", code)
+	}
+}
+
+// TestUpgradeRollbackKeepsV1Cohort: a rollback releases only what v2
+// built.  Programs first run during a 50% epoch land on either side;
+// after the rollback each one the v1 cohort ran is still its cached
+// image, and each one the v2 cohort ran is rebuilt, once, against v1's
+// library image, which was never rebuilt either.
+func TestUpgradeRollbackKeepsV1Cohort(t *testing.T) {
+	s := newTestServer(t)
+	defineUpgradeWorld(t, s)
+	pre, err := s.Instantiate("/bin/t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	libV1 := pre.Libs[0]
+	if _, err := s.UpgradeStart(50); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpgradeStage("/lib/up", upLibV2, true); err != nil {
+		t.Fatal(err)
+	}
+	ran := map[string]*Instance{}
+	cohort := map[bool][]string{}
+	for i := 0; i < 8; i++ {
+		p := fmt.Sprintf("/bin/c%d", i)
+		if err := s.Define(p, strings.Replace(upProg, "triple(14)", fmt.Sprintf("triple(14) + %d", 10*i), 1)); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := s.Instantiate(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, code := runInstance(t, s, inst, nil)
+		ran[p] = inst
+		cohort[code == uint64(43+10*i)] = append(cohort[code == uint64(43+10*i)], p)
+	}
+	if len(cohort[false]) == 0 || len(cohort[true]) == 0 {
+		t.Fatalf("cohorts v1 %v, v2 %v: want programs on both sides", cohort[false], cohort[true])
+	}
+	if err := s.UpgradeRollback("drill"); err != nil {
+		t.Fatal(err)
+	}
+	built := s.Stats().ImagesBuilt
+	if inst, err := s.Instantiate("/bin/t", nil); err != nil || inst != pre {
+		t.Fatalf("the program cached before the epoch: %v, same instance %v", err, inst == pre)
+	}
+	for _, p := range cohort[false] {
+		inst, err := s.Instantiate(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst != ran[p] {
+			t.Errorf("%s ran in the v1 cohort and is not its cached image after the rollback", p)
+		}
+	}
+	if got := s.Stats().ImagesBuilt - built; got != 0 {
+		t.Fatalf("the v1 cohort's programs built %d images after the rollback, want 0", got)
+	}
+	for i, p := range cohort[true] {
+		inst, err := s.Instantiate(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst == ran[p] || inst.Libs[0] != libV1 {
+			t.Errorf("%s ran in the v2 cohort: rebuilt %v, against v1's library image %v", p, inst != ran[p], inst.Libs[0] == libV1)
+		}
+		if _, code := runInstance(t, s, inst, nil); code%10 != 2 {
+			t.Errorf("%s exits %d after the rollback, want v1's", p, code)
+		}
+		if got := s.Stats().ImagesBuilt - built; got != uint64(i+1) {
+			t.Fatalf("%d images built after %d v2-cohort programs, want one each", got, i+1)
+		}
+	}
+}
+
+// TestUpgradeRollbackRestoresV1Placement: a v2 that outgrows v1's
+// place is moved past a neighbour by the solver, under the solver key
+// both versions share.  The rollback puts the key back where v1's
+// image sits, so v1 is a cache hit, not a relink at v2's address.
+func TestUpgradeRollbackRestoresV1Placement(t *testing.T) {
+	s := newTestServer(t)
+	defineUpgradeWorld(t, s)
+	pre, err := s.Instantiate("/bin/t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := pre.Libs[0]
+	if err := s.DefineLibrary("/lib/nb", fmt.Sprintf(`(constraint-list "T" %#x "D" 0x48000000)
+(source "c" "int nb_get() { return 5; }")`, lib.place.TextBase+osim.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Instantiate("/lib/nb", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.UpgradeStart(100); err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Replace(upLibV2, `(source "c"`, `(merge (source "asm" ".text
+pad_fill:
+    .space 8192
+    ret
+") (source "c"`, 1) + ")"
+	if err := s.UpgradeStage("/lib/up", big, true); err != nil {
+		t.Fatal(err)
+	}
+	canary, err := s.Instantiate("/bin/t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2 := canary.Libs[0]; v2.place.TextBase == lib.place.TextBase || v2.place.TextSize <= osim.PageSize {
+		t.Fatalf("v2 placed at %#x for %#x bytes of text, want it moved past its neighbour", v2.place.TextBase, v2.place.TextSize)
+	}
+	if err := s.UpgradeRollback("drill"); err != nil {
+		t.Fatal(err)
+	}
+	built := s.Stats().ImagesBuilt
+	inst, err := s.Instantiate("/bin/t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst != pre || s.Stats().ImagesBuilt != built {
+		t.Fatalf("after the rollback: same instance %v, %d images built; want v1's cached image",
+			inst == pre, s.Stats().ImagesBuilt-built)
 	}
 }

@@ -33,9 +33,14 @@ import (
 //	body     bodyLen bytes: every other field (see writeBody)
 //
 // The head is what a restarted server reads of every record at attach
-// — identity, placement, library keys, the resolution state — and the
-// body, which holds the segment bytes, what it reads when the image is
-// first used.  headSum covers bodySum, so the 32 bytes at offset 12
+// — identity, placement, library keys, the resolution state and, in a
+// library's record (type 2), the library's shape — and the body, which
+// holds the segment bytes, what it reads when the image is first used.
+// Version 6 added the shape: its content hash, code generation mode,
+// imported libraries and their preferences follow the pins, and a
+// record without one (a program's, a branch-table library's) is type
+// 0, byte for byte what version 5 wrote under its own version number.
+// headSum covers bodySum, so the 32 bytes at offset 12
 // still identify the whole blob (pins carry them), and a reader that
 // holds only the head already knows what the body must hash to.  Epoch
 // records are head-only: their body is empty.
@@ -54,13 +59,15 @@ var Magic = [4]byte{'O', 'M', 'S', '1'}
 // The head leads with a record-type byte so the store can hold more
 // than one kind of record: type 0 is a cached image, type 1 is a
 // live-upgrade epoch record (the write-ahead transaction state of an
-// in-flight library upgrade).
-const Version = 5
+// in-flight library upgrade), type 2 a cached image whose head also
+// carries its library's shape.
+const Version = 6
 
 // Record-type bytes leading every head.
 const (
-	recImage = uint8(0)
-	recEpoch = uint8(1)
+	recImage  = uint8(0)
+	recEpoch  = uint8(1)
+	recShaped = uint8(2)
 )
 
 // Epoch states persisted in an EpochRecord.  An active epoch found at
@@ -111,6 +118,8 @@ const (
 	minPinBytes      = 4 + 4 + 4
 	minEpochLibBytes = 4 + 4 + 4 + 1
 	minIndexBytes    = 4 + 8
+	minDepBytes      = 4 + 4
+	minDepPrefBytes  = 4 + 1 + 8
 )
 
 // Seg is a serialized image segment (shared read-only frames or a
@@ -168,6 +177,37 @@ type LibPin struct {
 	LibKey     string
 	ContentKey string
 	Checksum   string
+}
+
+// Shape is a library's shape as its record's head keeps it: what
+// planning the library needs from its evaluation, so that a restarted
+// server plans it without evaluating — and so without compiling — it.
+// The extents are the record's TextSize and DataSize, and the library
+// path and spec hash are in its SolverKey; Content is the library's
+// m-graph content hash, PIC the code generation mode it was evaluated
+// in, Libs the libraries it imports, in reference order, and Prefs
+// their address preferences.
+type Shape struct {
+	Content string
+	PIC     bool
+	Libs    []Dep
+	Prefs   []DepPref
+}
+
+// Dep is one library a shape imports: its namespace path and the kind
+// of specialization it is referenced under.
+type Dep struct {
+	Path string
+	Kind string
+}
+
+// DepPref is one address preference of the shape's Libs[Lib]: segment
+// class ('T'/'D') and preferred base.  One library's preferences keep
+// their order.
+type DepPref struct {
+	Lib  uint32
+	Seg  uint8
+	Addr uint64
 }
 
 // Record is the serializable form of one cached instance.  It carries
@@ -236,14 +276,18 @@ type Record struct {
 	Gen      uint64
 	Bindings []Binding
 	Pins     []LibPin
+
+	// Shape is the library's shape; nil in a program's record and in a
+	// branch-table library's, which binds while it is planned.
+	Shape *Shape
 }
 
 // Head is an image record's head, what a restarted server reads of
 // every record at attach.  Record holds only the head's fields — Key,
 // Name, SolverKey, the four placement fields, ContentKey, LibKeys,
-// BindKey, Gen, Bindings, Pins — and leaves the body's zero.  Sum is
-// the head's checksum, which covers the body's: the whole blob's
-// identity, the value pins carry.
+// BindKey, Gen, Bindings, Pins, Shape — and leaves the body's zero.
+// Sum is the head's checksum, which covers the body's: the whole
+// blob's identity, the value pins carry.
 type Head struct {
 	*Record
 	Sum [sha256.Size]byte
@@ -306,7 +350,11 @@ func EncodeEpoch(rec *EpochRecord) ([]byte, error) {
 }
 
 func writeHead(w *lebin.Writer, rec *Record) {
-	w.U8(recImage)
+	if rec.Shape == nil {
+		w.U8(recImage)
+	} else {
+		w.U8(recShaped)
+	}
 	w.Str(rec.Key)
 	w.Str(rec.Name)
 	w.Str(rec.SolverKey)
@@ -334,6 +382,21 @@ func writeHead(w *lebin.Writer, rec *Record) {
 		w.Str(p.LibKey)
 		w.Str(p.ContentKey)
 		w.Str(p.Checksum)
+	}
+	if sh := rec.Shape; sh != nil {
+		w.Str(sh.Content)
+		w.Bool(sh.PIC)
+		w.U32(uint32(len(sh.Libs)))
+		for _, d := range sh.Libs {
+			w.Str(d.Path)
+			w.Str(d.Kind)
+		}
+		w.U32(uint32(len(sh.Prefs)))
+		for _, p := range sh.Prefs {
+			w.U32(p.Lib)
+			w.U8(p.Seg)
+			w.U64(p.Addr)
+		}
 	}
 }
 
@@ -578,7 +641,8 @@ func Decode(b []byte) (*Record, error) {
 // fields stay zero.
 func readHead(fields []byte) (*Record, error) {
 	r := lebin.NewReader(fields)
-	if t := r.U8(); r.Err() == nil && t != recImage {
+	t := r.U8()
+	if r.Err() == nil && t != recImage && t != recShaped {
 		return nil, fmt.Errorf("store: record type %d is not an image", t)
 	}
 	rec := &Record{}
@@ -628,6 +692,9 @@ func readHead(fields []byte) (*Record, error) {
 		p.Checksum = r.Str()
 		rec.Pins = append(rec.Pins, p)
 	}
+	if t == recShaped {
+		rec.Shape = readShape(r)
+	}
 	if err := finish(r, "head"); err != nil {
 		return nil, err
 	}
@@ -635,6 +702,30 @@ func readHead(fields []byte) (*Record, error) {
 		return nil, fmt.Errorf("store: decode: empty key")
 	}
 	return rec, nil
+}
+
+// readShape parses a shape; a preference naming no library of the
+// shape fails the reader, as a binding does.
+func readShape(r *lebin.Reader) *Shape {
+	sh := &Shape{Content: r.Str(), PIC: r.Bool()}
+	if n := r.Count(minDepBytes); n > 0 {
+		sh.Libs = make([]Dep, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			sh.Libs = append(sh.Libs, Dep{Path: r.Str(), Kind: r.Str()})
+		}
+	}
+	if n := r.Count(minDepPrefBytes); n > 0 {
+		sh.Prefs = make([]DepPref, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			p := DepPref{Lib: r.U32(), Seg: r.U8(), Addr: r.U64()}
+			if int(p.Lib) >= len(sh.Libs) {
+				r.Fail(fmt.Errorf("shape preference: library index %d out of range (have %d libraries)",
+					p.Lib, len(sh.Libs)))
+			}
+			sh.Prefs = append(sh.Prefs, p)
+		}
+	}
+	return sh
 }
 
 func readPatches(r *lebin.Reader) []Patch {

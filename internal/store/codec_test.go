@@ -1,7 +1,11 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -72,5 +76,51 @@ func TestCodecRejectsOutOfRangeBindingIndex(t *testing.T) {
 	}
 	if _, err := Decode(blob); err == nil {
 		t.Fatal("Decode accepted a binding index outside the library list")
+	}
+}
+
+// TestCodec5HeadRejected: a head written by codec 5, the layout before
+// heads kept library shapes, is stale.  A record without a shape
+// encodes as codec 5 wrote it but for the version field, so stamping 5
+// there gives a genuine codec-5 blob (its digest is codec 5's
+// TestGoldenDigest pin); it and a shaped head stamped 5 are rejected
+// by every decoder, which the server takes as quarantine and rebuild
+// (TestOldCodecBlobsQuarantinedAndRebuilt).
+func TestCodec5HeadRejected(t *testing.T) {
+	const codec5Digest = "7b2a8671dbffe15e5cae8c357395aed601dc6576dc7d5d7bad5a0b833d4f61d0"
+	unshaped := goldenRecord()
+	unshaped.Shape = nil
+	for _, rec := range []*Record{unshaped, goldenRecord()} {
+		blob, err := Encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(blob[4:8], 5)
+		if sum := sha256.Sum256(blob); rec.Shape == nil && hex.EncodeToString(sum[:]) != codec5Digest {
+			t.Fatalf("a shapeless record stamped 5 is not codec 5's bytes: digest %x", sum)
+		}
+		if _, err := DecodeHead(blob); err == nil || !strings.Contains(err.Error(), "unsupported version 5") {
+			t.Errorf("shape %v: DecodeHead: %v", rec.Shape != nil, err)
+		}
+		if _, err := Decode(blob); err == nil {
+			t.Errorf("shape %v: Decode accepted a codec-5 blob", rec.Shape != nil)
+		}
+		if err := Verify(blob); err == nil {
+			t.Errorf("shape %v: Verify accepted a codec-5 blob", rec.Shape != nil)
+		}
+	}
+}
+
+// TestCodecRejectsOutOfRangeShapePref: a shape preference naming no
+// import of the shape fails decode, as an out-of-range binding does.
+func TestCodecRejectsOutOfRangeShapePref(t *testing.T) {
+	rec := goldenRecord()
+	rec.Shape.Prefs = append(rec.Shape.Prefs, DepPref{Lib: uint32(len(rec.Shape.Libs)), Seg: 'T', Addr: 1})
+	blob, err := Encode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeHead(blob); err == nil {
+		t.Fatal("DecodeHead accepted a preference outside the shape's imports")
 	}
 }

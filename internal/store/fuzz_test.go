@@ -9,8 +9,10 @@ import (
 // never panic, and anything it accepts must re-encode and re-decode
 // to the same record (the store round-trips what it validates).
 func FuzzStoreDecode(f *testing.F) {
-	if blob, err := Encode(sampleRecord()); err == nil {
-		f.Add(blob)
+	for _, rec := range []*Record{sampleRecord(), goldenRecord()} {
+		if blob, err := Encode(rec); err == nil {
+			f.Add(blob)
+		}
 	}
 	if blob, err := Encode(&Record{Key: "k"}); err == nil {
 		f.Add(blob)

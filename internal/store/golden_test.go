@@ -9,7 +9,8 @@ import (
 )
 
 // goldenRecord is sampleRecord with every remaining field set: the
-// rebase metadata with both patch lists, the binding table and pins.
+// rebase metadata with both patch lists, the binding table and pins,
+// and a library shape whose first import carries two preferences.
 func goldenRecord() *Record {
 	rec := sampleRecord()
 	rec.Syms[0].Seg = 'T'
@@ -29,6 +30,12 @@ func goldenRecord() *Record {
 	rec.Pins = []LibPin{
 		{LibKey: "feedbeef0001", ContentKey: "ck-libc", Checksum: "aa55"},
 		{LibKey: "feedbeef0002", ContentKey: "ck-util"},
+	}
+	rec.Shape = &Shape{
+		Content: "content-hash-1",
+		PIC:     true,
+		Libs:    []Dep{{Path: "/lib/util", Kind: "lib-static"}, {Path: "/lib/m"}},
+		Prefs:   []DepPref{{Lib: 0, Seg: 'T', Addr: 0x0200_0000}, {Lib: 0, Seg: 'D', Addr: 0x4200_0000}},
 	}
 	return rec
 }
@@ -89,9 +96,9 @@ func TestGoldenDigest(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"Encode", image, "7b2a8671dbffe15e5cae8c357395aed601dc6576dc7d5d7bad5a0b833d4f61d0"},
-		{"EncodeEpoch", epoch, "0f16e55016bc2e1659c9484b5920cf133eadb5c1adec870b37738867fa8105f7"},
-		{"Flush index", goldenIndex(t), "2c9d4a105c6a332c61336efeea1b0b447cefee172e77ffeb3e8182b0be23fdc6"},
+		{"Encode", image, "6815e0cd805efc8c10676185294a54284c9d2fd05beee84338eb05730b2f08b9"},
+		{"EncodeEpoch", epoch, "2736032f973f8c25ad34e448dbc870c44ca2475363d5bea827965b215eefda8a"},
+		{"Flush index", goldenIndex(t), "95bef5f55e3012314dede56514399270e2901947c0f3b655a33bd2d469bf207f"},
 	} {
 		sum := sha256.Sum256(c.enc)
 		if got := hex.EncodeToString(sum[:]); got != c.want {

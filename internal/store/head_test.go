@@ -19,7 +19,7 @@ func headOnly(rec *Record) *Record {
 		Key: rec.Key, Name: rec.Name, SolverKey: rec.SolverKey,
 		TextBase: rec.TextBase, TextSize: rec.TextSize, DataBase: rec.DataBase, DataSize: rec.DataSize,
 		ContentKey: rec.ContentKey, LibKeys: rec.LibKeys,
-		BindKey: rec.BindKey, Gen: rec.Gen, Bindings: rec.Bindings, Pins: rec.Pins,
+		BindKey: rec.BindKey, Gen: rec.Gen, Bindings: rec.Bindings, Pins: rec.Pins, Shape: rec.Shape,
 	}
 }
 
@@ -151,11 +151,11 @@ func TestGetHead(t *testing.T) {
 // the fuzzer's bytes as a blob, and the same bytes sealed as a head's
 // fields so the parser behind the checksum is reached — and allocates
 // no more than a small multiple of the input plus a constant: every
-// element it allocates for (a library key, a binding, a pin) is at most
-// four times its smallest encoding, and nothing is allocated for a
+// element it allocates for (a library key, a binding, a pin, a shape's
+// import or preference) is at most four times its smallest encoding, and nothing is allocated for a
 // length or count the input cannot hold.
 func FuzzStoreDecodeHead(f *testing.F) {
-	for _, rec := range []*Record{goldenRecord(), {Key: "k"}} {
+	for _, rec := range []*Record{goldenRecord(), sampleRecord(), {Key: "k"}} {
 		if blob, err := Encode(rec); err == nil {
 			f.Add(blob)
 			var head lebin.Writer

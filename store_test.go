@@ -41,7 +41,8 @@ func instantiateCodegen(t *testing.T, sys *omos.System) uint64 {
 // TestWarmRestartEndToEnd is the acceptance path: build codegen with a
 // store attached, tear the system down, boot a fresh one on the same
 // directory, and re-instantiate without a single image build — at a
-// measurably lower cost than the cold session.
+// measurably lower cost than the cold session, and without evaluating
+// a library.
 func TestWarmRestartEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 
@@ -69,6 +70,13 @@ func TestWarmRestartEndToEnd(t *testing.T) {
 	warmCycles := instantiateCodegen(t, sys2)
 	if sys2.Srv.Stats().ImagesBuilt != 0 {
 		t.Fatalf("warm session rebuilt %d images (want 0)", sys2.Srv.Stats().ImagesBuilt)
+	}
+	// Its libraries were planned from the shapes their records keep,
+	// seeded before the workloads were defined: only the program was
+	// evaluated.
+	if st := sys2.Srv.Stats(); st.PlanEvaluations != 1 || st.ShapeHits == 0 {
+		t.Fatalf("warm session made %d evaluations, %d shape hits; want the program's one, its libraries from their shapes",
+			st.PlanEvaluations, st.ShapeHits)
 	}
 	if warmCycles*2 >= coldCycles {
 		t.Fatalf("warm instantiation not measurably cheaper: warm=%d cold=%d",
