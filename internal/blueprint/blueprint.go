@@ -13,8 +13,10 @@ package blueprint
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // NodeKind discriminates s-expression node types.
@@ -110,6 +112,66 @@ func quoteString(s string) string {
 	return sb.String()
 }
 
+// AppendQuote appends strconv.Quote(s) to dst, the form a blueprint
+// writer gives a source literal, which stringLit reads back as s.  It
+// is strconv.AppendQuote without the walk rune by rune: runs of
+// printable ASCII are copied whole and \n \t \" \\ written directly.
+// Every other rune goes through strconv on its own, and strconv quotes
+// rune by rune, so the bytes are strconv's exactly.
+func AppendQuote(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for len(s) > 0 {
+		i := plainRun(s)
+		dst = append(dst, s[:i]...)
+		if s = s[i:]; len(s) == 0 {
+			break
+		}
+		switch c := s[0]; c {
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		default:
+			_, i = utf8.DecodeRuneInString(s)
+			var buf [16]byte // room for "\U0010ffff"
+			q := strconv.AppendQuote(buf[:0], s[:i])
+			dst = append(dst, q[1:len(q)-1]...)
+			s = s[i:]
+			continue
+		}
+		s = s[1:]
+	}
+	return append(dst, '"')
+}
+
+// plainRun returns the length of s's leading run of bytes that
+// strconv.Quote copies as they are: printable ASCII other than " and
+// \.  It tests eight bytes at a time; the tail goes byte by byte.
+func plainRun(s string) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		_ = s[i+7]
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		// Each term sets a byte's high bit if the byte is below ' ',
+		// above '~', '"' or '\\'.  A borrow or carry can set it falsely
+		// only above a byte that truly matched, so the lowest set bit
+		// marks the first byte to escape.
+		q, b := w^(ones*'"'), w^(ones*'\\')
+		m := ((w - ones*' ') &^ w) | (w + ones) | w | ((q - ones) &^ q) | ((b - ones) &^ b)
+		if m &= highs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(s) && s[i] >= ' ' && s[i] <= '~' && s[i] != '"' && s[i] != '\\' {
+		i++
+	}
+	return i
+}
+
 // ParseError reports a syntax error with position.
 type ParseError struct {
 	Line int
@@ -123,6 +185,7 @@ type parser struct {
 	src  string
 	pos  int
 	line int
+	lit  []byte // stringLit's decoding buffer, reused across literals
 }
 
 // Parse parses a blueprint containing exactly one top-level
@@ -220,47 +283,59 @@ func (p *parser) sexp() (*Node, error) {
 // write, plus \0 for a NUL byte; Go's octal \NNN is not accepted, so
 // \0 never absorbs the digits after it.  Raw bytes, newlines included
 // (source operator bodies commonly span lines), stand for themselves.
+// \n \t \" \\ and \0, which a quoted source is made of, are decoded
+// inline; the rest go through strconv.UnquoteChar.  The text is decoded
+// into a buffer the parse reuses and copied out once, at its exact
+// length: a meta-object keeps it for as long as it lives.
 func (p *parser) stringLit(line int) (*Node, error) {
 	p.pos++ // opening quote
-	var sb strings.Builder
+	lit := p.lit[:0]
 	for p.pos < len(p.src) {
-		if n := strings.IndexAny(p.src[p.pos:], "\"\\\n"); n != 0 {
-			if n < 0 {
-				break
-			}
-			sb.WriteString(p.src[p.pos : p.pos+n])
-			p.pos += n
+		n := p.pos + plainRun(p.src[p.pos:])
+		lit = append(lit, p.src[p.pos:n]...)
+		if p.pos = n; n == len(p.src) {
+			break
 		}
 		switch c := p.src[p.pos]; c {
 		case '"':
 			p.pos++
-			return &Node{Kind: KindString, Text: sb.String(), Line: line}, nil
-		case '\n':
-			p.line++
-			sb.WriteByte(c)
-			p.pos++
-		default: // '\\'
+			p.lit = lit
+			return &Node{Kind: KindString, Text: string(lit), Line: line}, nil
+		case '\\':
 			if p.pos+1 >= len(p.src) {
 				return nil, p.errf("unterminated escape")
 			}
 			switch e := p.src[p.pos+1]; {
+			case e == 'n':
+				lit = append(lit, '\n')
+			case e == 't':
+				lit = append(lit, '\t')
+			case e == '"' || e == '\\':
+				lit = append(lit, e)
 			case e == '0':
-				sb.WriteByte(0)
-				p.pos += 2
-				continue
+				lit = append(lit, 0)
 			case e == '\'' || e >= '1' && e <= '7':
 				return nil, p.errf("bad escape \\%c", e)
+			default:
+				v, multibyte, tail, err := strconv.UnquoteChar(p.src[p.pos:], '"')
+				if err != nil {
+					return nil, p.errf("bad escape \\%c", e)
+				}
+				if multibyte {
+					lit = utf8.AppendRune(lit, v)
+				} else {
+					lit = append(lit, byte(v))
+				}
+				p.pos = len(p.src) - len(tail)
+				continue
 			}
-			v, multibyte, tail, err := strconv.UnquoteChar(p.src[p.pos:], '"')
-			if err != nil {
-				return nil, p.errf("bad escape \\%c", p.src[p.pos+1])
+			p.pos += 2
+		default: // a raw byte a quoted literal would have escaped
+			if c == '\n' {
+				p.line++
 			}
-			if multibyte {
-				sb.WriteRune(v)
-			} else {
-				sb.WriteByte(byte(v))
-			}
-			p.pos = len(p.src) - len(tail)
+			lit = append(lit, c)
+			p.pos++
 		}
 	}
 	return nil, p.errf("unterminated string literal")
@@ -275,12 +350,16 @@ func (p *parser) atom(line int) (*Node, error) {
 	if text == "" {
 		return nil, p.errf("empty atom")
 	}
-	// Numbers: decimal or 0x hex, optionally negative.
-	if v, err := strconv.ParseInt(text, 0, 64); err == nil {
-		return &Node{Kind: KindNumber, Num: v, Line: line}, nil
-	}
-	if v, err := strconv.ParseUint(text, 0, 64); err == nil {
-		return &Node{Kind: KindNumber, Num: int64(v), Line: line}, nil
+	// Numbers: decimal or 0x hex, optionally negative.  Only text that
+	// starts with a digit or a sign can be one; the check spares every
+	// path symbol a failed parse and its error value.
+	if c := text[0]; c >= '0' && c <= '9' || c == '-' || c == '+' {
+		if v, err := strconv.ParseInt(text, 0, 64); err == nil {
+			return &Node{Kind: KindNumber, Num: v, Line: line}, nil
+		}
+		if v, err := strconv.ParseUint(text, 0, 64); err == nil {
+			return &Node{Kind: KindNumber, Num: int64(v), Line: line}, nil
+		}
 	}
 	return &Node{Kind: KindSymbol, Text: text, Line: line}, nil
 }

@@ -170,6 +170,9 @@ func TestStringLiteralQuoteRoundTrip(t *testing.T) {
 		"h\u00e9llo \u2028 \U0001f600 \ufeff",
 		`quote:" slash:\ tick:'`,
 	} {
+		if got := string(AppendQuote([]byte("x"), s)); got != "x"+strconv.Quote(s) {
+			t.Fatalf("AppendQuote(%q) = %s, want x%s", s, got, strconv.Quote(s))
+		}
 		for _, quoted := range []string{strconv.Quote(s), fmt.Sprintf("%q", s)} {
 			n, err := Parse(`(source "c" ` + quoted + `)`)
 			if err != nil {
@@ -189,5 +192,31 @@ func TestStringLiteralQuoteRoundTrip(t *testing.T) {
 		if _, err := Parse(`(source "c" ` + bad + `)`); err == nil {
 			t.Errorf("Parse accepted %s", bad)
 		}
+	}
+}
+
+// TestPlainRunEveryPair: the eight-byte scan stops at exactly the first
+// byte strconv.Quote escapes, for every pair of adjacent byte values at
+// every position across a word boundary, so no borrow or carry out of
+// one byte ever marks a plain byte before it.
+func TestPlainRunEveryPair(t *testing.T) {
+	plain := func(c byte) bool { return c >= ' ' && c <= '~' && c != '"' && c != '\\' }
+	b := []byte("abcdefghijklmnopqrstuvwx")
+	for pos := 0; pos+1 < len(b); pos++ {
+		for c1 := 0; c1 < 256; c1++ {
+			for c2 := 0; c2 < 256; c2++ {
+				b[pos], b[pos+1] = byte(c1), byte(c2)
+				want := len(b)
+				if !plain(byte(c1)) {
+					want = pos
+				} else if !plain(byte(c2)) {
+					want = pos + 1
+				}
+				if got := plainRun(string(b)); got != want {
+					t.Fatalf("plainRun(%q) = %d, want %d", b, got, want)
+				}
+			}
+		}
+		b[pos], b[pos+1] = 'a', 'a'
 	}
 }

@@ -49,3 +49,25 @@ func FuzzBlueprintString(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendQuote: the blueprint quoter appends strconv.Quote's bytes
+// exactly, and the literal reads back as the string that was quoted.
+func FuzzAppendQuote(f *testing.F) {
+	f.Add("int x = 0;\n\tputstr(1, \"a\\b\");\n")
+	f.Add("\r\n\x00\x7f\a\b\f\v\x1b")
+	f.Add("\xff\xfe invalid \xe2\x80")
+	f.Add("\u00e9\U0001f600\u2028\ufeff\ufffd")
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := string(AppendQuote(nil, s)), strconv.Quote(s)
+		if got != want {
+			t.Fatalf("AppendQuote(%q) = %s, want %s", s, got, want)
+		}
+		n, err := Parse(`(source "c" ` + got + `)`)
+		if err != nil {
+			t.Fatalf("%q: %v", s, err)
+		}
+		if got := n.Args()[1].Text; got != s {
+			t.Fatalf("read back %q, want %q", got, s)
+		}
+	})
+}

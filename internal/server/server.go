@@ -814,11 +814,13 @@ func (s *Server) DefineLibraryAllow(p, src string, allow bool) error {
 }
 
 func (s *Server) define(p, src string, isLib, allow bool) error {
-	if err := s.guardDefine(p, digestStr(src, fmt.Sprintf("lib=%v", isLib)), allow); err != nil {
-		return err
-	}
+	// Parse first: the guard compares the hash parseMeta computes, so
+	// the source is digested once.
 	meta, err := parseMeta(p, src, isLib)
 	if err != nil {
+		return err
+	}
+	if err := s.guardDefine(p, meta.SrcHash, allow); err != nil {
 		return err
 	}
 	prior := s.ns.Load().entries[meta.Path]

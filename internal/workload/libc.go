@@ -8,7 +8,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -25,11 +25,14 @@ func LibcUnits() map[string]string {
 		"string": libcString,
 		"stdlib": libcStdlib,
 	}
-	for _, sec := range []string{"hppa", "net", "quad", "rpc"} {
+	for _, sec := range libcBulk {
 		units[sec] = fillerUnit(sec, 40)
 	}
 	return units
 }
+
+// libcBulk names libc's bulk sections, in name order.
+var libcBulk = []string{"hppa", "net", "quad", "rpc"}
 
 // LibcUnitOrder returns unit names in the paper's merge order.
 func LibcUnitOrder() []string {
@@ -200,40 +203,68 @@ int max(int a, int b) { if (a > b) { return a; } return b; }
 // deterministically with the index so the section does not compress
 // into identical fragments.
 func fillerUnit(sec string, n int) string {
-	var sb strings.Builder
+	var t text
+	writeFiller(&t, sec, n)
+	return t.String()
+}
+
+func writeFiller(t *text, sec string, n int) {
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s_f%d", sec, i)
+		t.s("int ").s(sec).s("_f").d(i)
 		switch i % 4 {
 		case 0:
-			fmt.Fprintf(&sb, `int %s(int x) {
+			t.s(`(int x) {
     int acc;
-    acc = x * %d + %d;
-    if (acc > 1000) { acc = acc %% 997; }
+    acc = x * `).d(i + 3).s(` + `).d(i*7 + 1).s(`;
+    if (acc > 1000) { acc = acc % 997; }
     return acc;
 }
-`, name, i+3, i*7+1)
+`)
 		case 1:
-			fmt.Fprintf(&sb, `int %s(int x) {
+			t.s(`(int x) {
     int i;
     int s;
     s = 0;
     i = 0;
-    while (i < %d) { s = s + x + i; i = i + 1; }
+    while (i < `).d((i % 5) + 3).s(`) { s = s + x + i; i = i + 1; }
     return s;
 }
-`, name, (i%5)+3)
+`)
 		case 2:
-			fmt.Fprintf(&sb, `int %s(int x) {
-    return %s_f%d(x + %d) ^ %d;
+			t.s(`(int x) {
+    return `).s(sec).s("_f").d(i - 1).s(`(x + `).d(i).s(`) ^ `).d(i * 13).s(`;
 }
-`, name, sec, i-1, i, i*13)
+`)
 		default:
-			fmt.Fprintf(&sb, `int %s(int x) {
-    if (x < 0) { return %s_f%d(-x); }
-    return (x << %d) | %d;
+			t.s(`(int x) {
+    if (x < 0) { return `).s(sec).s("_f").d(i - 2).s(`(-x); }
+    return (x << `).d((i % 3) + 1).s(`) | `).d(i).s(`;
 }
-`, name, sec, i-2, (i%3)+1, i)
+`)
 		}
 	}
-	return sb.String()
+}
+
+// text is the builder the generators write C source into.  Its two
+// verbs stand in for fmt's %s and %d, whose formatting would otherwise
+// be most of a daemon boot's cost.
+type text struct{ strings.Builder }
+
+func (t *text) s(v string) *text {
+	t.WriteString(v)
+	return t
+}
+
+func (t *text) d(v int) *text {
+	var b [20]byte
+	t.Write(strconv.AppendInt(b[:0], int64(v), 10))
+	return t
+}
+
+// d2 is %02d.
+func (t *text) d2(v int) *text {
+	if v >= 0 && v < 10 {
+		t.WriteByte('0')
+	}
+	return t.d(v)
 }

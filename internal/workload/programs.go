@@ -1,8 +1,8 @@
 package workload
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -102,9 +102,13 @@ func DefaultCodegen() CodegenParams {
 func CodegenUnits(p CodegenParams) map[string]string {
 	units := make(map[string]string, p.Units+1)
 	for u := 0; u < p.Units; u++ {
-		units[unitName(u)] = codegenUnit(u, p)
+		var t text
+		writeCodegenUnit(&t, u, p)
+		units[unitName(u)] = t.String()
 	}
-	units["main"] = codegenMain(p)
+	var t text
+	writeCodegenMain(&t, p)
+	units["main"] = t.String()
 	return units
 }
 
@@ -118,89 +122,124 @@ func CodegenUnitOrder(p CodegenParams) []string {
 	return append(out, "main")
 }
 
-func unitName(u int) string { return fmt.Sprintf("cg%02d", u) }
+func unitName(u int) string {
+	var t text
+	t.s("cg").d2(u)
+	return t.String()
+}
 
-func codegenUnit(u int, p CodegenParams) string {
-	var sb strings.Builder
+// routine writes the name of unit u's routine r.
+func (t *text) routine(u, r int) *text { return t.s("cg").d2(u).s("_r").d(r) }
+
+// coldRef is a libc bulk-section routine a cold codegen routine
+// references: section sec's routine n.
+type coldRef struct {
+	sec string
+	n   int
+}
+
+// coldImport is the bulk routine unit u's cold routines reference
+// under index k.
+func coldImport(u, k int) coldRef {
+	return coldRef{libcBulk[(u+k)%len(libcBulk)], (u*7 + k*3) % 40}
+}
+
+// coldIndex is the import index cold routine r references, if any:
+// routines r ≡ 1 (mod 3) reference import r, routines r ≡ 2 import r+1.
+func coldIndex(r int) (int, bool) {
+	switch r % 3 {
+	case 1:
+		return r, true
+	case 2:
+		return r + 1, true
+	}
+	return 0, false
+}
+
+// compareRefs orders refs by name, "sec_fn": no section name is a
+// prefix of another, so by section, then by n as a decimal string.
+func compareRefs(a, b coldRef) int {
+	if c := strings.Compare(a.sec, b.sec); c != 0 {
+		return c
+	}
+	return strings.Compare(strconv.Itoa(a.n), strconv.Itoa(b.n))
+}
+
+func (t *text) ref(c coldRef) *text { return t.s(c.sec).s("_f").d(c.n) }
+
+func writeCodegenUnit(t *text, u int, p CodegenParams) {
 	// Cold routines reference libc bulk-section routines they never
 	// actually call on this input — the shape that makes deferred
-	// binding pay off: a large import set, a small called set.
-	libcSecs := []string{"hppa", "net", "quad", "rpc"}
-	externs := map[string]bool{}
-	coldImport := func(r int) string {
-		name := fmt.Sprintf("%s_f%d", libcSecs[(u+r)%len(libcSecs)], (u*7+r*3)%40)
-		externs[name] = true
-		return name
+	// binding pay off: a large import set, a small called set.  The
+	// unit declares them first, in name order.
+	imports := make([]coldRef, 0, max(p.FuncsPerUnit, 0))
+	for r := 1; r < p.FuncsPerUnit; r++ {
+		if k, ok := coldIndex(r); ok {
+			imports = append(imports, coldImport(u, k))
+		}
+	}
+	slices.SortFunc(imports, compareRefs)
+	for _, c := range slices.Compact(imports) {
+		t.s("extern int ").ref(c).s("(int x);\n")
 	}
 	// Routine 0: the hot chain link.  It does a little arithmetic and
 	// calls the next unit's hot routine.
 	if u+1 < p.Units {
-		fmt.Fprintf(&sb, "extern int cg%02d_r0(int x);\n", u+1)
-		fmt.Fprintf(&sb, `int cg%02d_r0(int x) {
+		t.s("extern int ").routine(u+1, 0).s("(int x);\n")
+		t.s("int ").routine(u, 0).s(`(int x) {
     int v;
-    v = x * %d + %d;
+    v = x * `).d(u+2).s(` + `).d(u*11+1).s(`;
     v = v ^ (v >> 3);
-    return cg%02d_r0(v %% 9973) + %d;
+    return `).routine(u+1, 0).s(`(v % 9973) + `).d(u).s(`;
 }
-`, u, u+2, u*11+1, u+1, u)
+`)
 	} else {
-		fmt.Fprintf(&sb, `int cg%02d_r0(int x) {
-    return x %% 9973 + %d;
+		t.s("int ").routine(u, 0).s(`(int x) {
+    return x % 9973 + `).d(u).s(`;
 }
-`, u, u)
+`)
 	}
 	// Cold routines: realistic interlinked code that this input never
 	// executes (the paper's codegen runs a small dataset through a
 	// large binary).
 	for r := 1; r < p.FuncsPerUnit; r++ {
-		name := fmt.Sprintf("cg%02d_r%d", u, r)
+		k, _ := coldIndex(r)
+		t.s("int ").routine(u, r)
 		switch r % 3 {
 		case 0:
-			fmt.Fprintf(&sb, `int %s(int a, int b) {
+			t.s(`(int a, int b) {
     int i;
     int acc;
     acc = a;
     i = 0;
-    while (i < b %% %d + 2) {
+    while (i < b % `).d(r + 2).s(` + 2) {
         acc = acc * 3 + i - (acc >> 2);
         i = i + 1;
     }
     return acc;
 }
-`, name, r+2)
+`)
 		case 1:
-			fmt.Fprintf(&sb, `int %s(int a, int b) {
-    if (a > b) { return cg%02d_r%d(b, a); }
-    return a * %d - b + %s(a);
+			t.s(`(int a, int b) {
+    if (a > b) { return `).routine(u, r-1).s(`(b, a); }
+    return a * `).d(r + 5).s(` - b + `).ref(coldImport(u, k)).s(`(a);
 }
-`, name, u, r-1, r+5, coldImport(r))
+`)
 		default:
-			fmt.Fprintf(&sb, `int %s(int a, int b) {
+			t.s(`(int a, int b) {
     int t;
-    t = (a ^ b) + %d;
+    t = (a ^ b) + `).d(r*17+u).s(`;
     if (t < 0) { t = -t; }
-    if (t == 12345678) { t = %s(t); }
-    return t %% %d + cg%02d_r%d(t, a);
+    if (t == 12345678) { t = `).ref(coldImport(u, k)).s(`(t); }
+    return t % `).d(r+11).s(` + `).routine(u, r-1).s(`(t, a);
 }
-`, name, r*17+u, coldImport(r+1), r+11, u, r-1)
+`)
 		}
 	}
-	var out strings.Builder
-	names := make([]string, 0, len(externs))
-	for n := range externs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&out, "extern int %s(int x);\n", n)
-	}
-	out.WriteString(sb.String())
-	return out.String()
 }
 
-func codegenMain(p CodegenParams) string {
-	var sb strings.Builder
-	sb.WriteString(`
+func writeCodegenMain(t *text, p CodegenParams) {
+	t.s(`
 extern int open(char *path, int flags);
 extern int close(int fd);
 extern int read(int fd, char *buf, int n);
@@ -241,9 +280,8 @@ int main(int argc, char **argv) {
     seed = seed + read_input("/data/cg/in3");
     acc = 0;
     i = 0;
-`)
-	fmt.Fprintf(&sb, "    while (i < %d) {\n", p.HotIters)
-	sb.WriteString(`        acc = acc + cg00_r0(seed + i);
+    while (i < `).d(p.HotIters).s(`) {
+        acc = acc + cg00_r0(seed + i);
         acc = acc + m_f0(acc) + l_f0(i) + C_f0(seed);
         acc = acc + a1_f0(acc) + a2_f0(i);
         i = i + 1;
@@ -256,5 +294,4 @@ int main(int argc, char **argv) {
     return 0;
 }
 `)
-	return sb.String()
 }

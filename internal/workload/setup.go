@@ -1,11 +1,11 @@
 package workload
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
 	"omos/internal/asm"
+	"omos/internal/blueprint"
 	"omos/internal/dynlink"
 	"omos/internal/jigsaw"
 	"omos/internal/loader"
@@ -62,36 +62,51 @@ func MakeFixtures(fs *osim.FS) error {
 		return err
 	}
 	for i := 0; i < 24; i++ {
-		p := fmt.Sprintf("/data/many/file%02d.txt", i)
+		var p text
+		p.s("/data/many/file").d2(i).s(".txt")
 		body := strings.Repeat("content\n", i+1)
-		if err := fs.WriteFile(p, []byte(body)); err != nil {
+		if err := fs.WriteFile(p.String(), []byte(body)); err != nil {
 			return err
 		}
 	}
 	for i, v := range []string{"17\n", "40\n", "6\n"} {
-		if err := fs.WriteFile(fmt.Sprintf("/data/cg/in%d", i+1), []byte(v)); err != nil {
+		if err := fs.WriteFile("/data/cg/in"+strconv.Itoa(i+1), []byte(v)); err != nil {
 			return err
 		}
 	}
 	return fs.MkdirAll("/data/cg")
 }
 
-// quoteBlueprint escapes source text for embedding in a blueprint
-// string literal.
-func quoteBlueprint(s string) string { return strconv.Quote(s) }
-
 // LibcBlueprint renders the libc library meta-object in the shape of
 // the paper's Figure 1.
 func LibcBlueprint() string {
-	var sb strings.Builder
-	sb.WriteString("(constraint-list \"T\" 0x1000000 \"D\" 0x41000000) ; default address constraint\n")
-	sb.WriteString("(merge\n")
 	units := LibcUnits()
+	srcs := make([]string, 0, len(units))
 	for _, name := range LibcUnitOrder() {
-		fmt.Fprintf(&sb, "  (source \"c\" %s)\n", quoteBlueprint(units[name]))
+		srcs = append(srcs, units[name])
 	}
-	sb.WriteString(")\n")
-	return sb.String()
+	return sourcesBlueprint("(constraint-list \"T\" 0x1000000 \"D\" 0x41000000) ; default address constraint\n(merge\n",
+		srcs, "  ", "\n", ")\n")
+}
+
+// sourcesBlueprint renders head, then each of srcs as a quoted
+// (source "c" ...) form between pre and post, then tail.  The namespace
+// keeps a blueprint's text for as long as its meta-object lives, so the
+// text is assembled in a scratch buffer and returned as an exact copy
+// that carries no growth slack.
+func sourcesBlueprint(head string, srcs []string, pre, post, tail string) string {
+	const form, end = `(source "c" `, ")"
+	n := len(head) + len(tail)
+	for _, src := range srcs {
+		// Room for the quotes and an escape every eight bytes.
+		n += len(pre) + len(form) + len(src) + len(src)/8 + 2 + len(end) + len(post)
+	}
+	b := append(make([]byte, 0, n), head...)
+	for _, src := range srcs {
+		b = append(append(b, pre...), form...)
+		b = append(append(blueprint.AppendQuote(b, src), end...), post...)
+	}
+	return string(append(b, tail...))
 }
 
 // OMOSWorld is a booted kernel + OMOS server + loader with the
@@ -143,14 +158,14 @@ func Install(fs *osim.FS, srv *server.Server, cg CodegenParams) error {
 	}
 	libBase := uint64(0x0200_0000)
 	for i, lib := range ExtraLibs() {
-		bp := fmt.Sprintf("(constraint-list \"T\" %#x \"D\" %#x)\n(merge (source \"c\" %s))",
-			libBase+uint64(i)*0x40_0000, 0x4200_0000+uint64(i)*0x40_0000,
-			quoteBlueprint(lib.Source))
+		head := "(constraint-list \"T\" 0x" + strconv.FormatUint(libBase+uint64(i)*0x40_0000, 16) +
+			" \"D\" 0x" + strconv.FormatUint(0x4200_0000+uint64(i)*0x40_0000, 16) + ")\n(merge "
+		bp := sourcesBlueprint(head, []string{lib.Source}, "", "", ")")
 		if err := srv.DefineLibrary("/lib/"+lib.Name, bp); err != nil {
 			return err
 		}
 	}
-	lsBP := fmt.Sprintf("(merge /lib/crt0.o (source \"c\" %s) /lib/libc)", quoteBlueprint(LsSource))
+	lsBP := sourcesBlueprint("(merge /lib/crt0.o ", []string{LsSource}, "", "", " /lib/libc)")
 	if err := srv.Define("/bin/ls", lsBP); err != nil {
 		return err
 	}
@@ -158,16 +173,27 @@ func Install(fs *osim.FS, srv *server.Server, cg CodegenParams) error {
 }
 
 // CodegenBlueprint renders the codegen program meta-object: crt0, the
-// 33 source units, and six libraries.
+// 33 source units, and six libraries.  The units are generated back to
+// back into one text and quoted from it.
 func CodegenBlueprint(cg CodegenParams) string {
-	var sb strings.Builder
-	sb.WriteString("(merge /lib/crt0.o\n")
-	units := CodegenUnits(cg)
-	for _, name := range CodegenUnitOrder(cg) {
-		fmt.Fprintf(&sb, "  (source \"c\" %s)\n", quoteBlueprint(units[name]))
+	var t text
+	ends := make([]int, 0, cg.Units+1)
+	for u := 0; u < cg.Units; u++ {
+		writeCodegenUnit(&t, u, cg)
+		if u == 0 {
+			t.Grow(t.Len() * cg.Units) // units are near one size
+		}
+		ends = append(ends, t.Len())
 	}
-	sb.WriteString("  /lib/libc /lib/liba1 /lib/liba2 /lib/libm /lib/libl /lib/libC)\n")
-	return sb.String()
+	writeCodegenMain(&t, cg)
+	ends = append(ends, t.Len())
+	all, start := t.String(), 0
+	srcs := make([]string, len(ends))
+	for i, end := range ends {
+		srcs[i], start = all[start:end], end
+	}
+	return sourcesBlueprint("(merge /lib/crt0.o\n", srcs, "  ", "\n",
+		"  /lib/libc /lib/liba1 /lib/liba2 /lib/libm /lib/libl /lib/libC)\n")
 }
 
 // BaselineWorld is a booted kernel with the workloads built as
