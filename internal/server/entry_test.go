@@ -56,7 +56,8 @@ func (w entryWorld) define(t *testing.T, s *Server) {
 
 // checkEntries checks the cache's one-entry-per-key invariants: every
 // entry holds exactly one of an instance and a head, under its own key;
-// the content index holds an entry under its content key exactly when
+// the content index holds an entry under its content key, and the shape
+// index one that keeps a shape under the shape's key, exactly when
 // entries holds it; a dormant entry exists only while a store is
 // attached; a checksum is that of the blob on disk; and every listed
 // content key exports.
@@ -87,8 +88,29 @@ func checkEntries(t *testing.T, s *Server, step string) {
 				bad = append(bad, fmt.Sprintf("entry %s indexed %d times under its content key", key, n))
 			}
 		}
+		if e.shape != nil {
+			n := 0
+			for _, x := range s.byShape[e.shape.key] {
+				if x == e {
+					n++
+				}
+			}
+			if n != 1 {
+				bad = append(bad, fmt.Sprintf("entry %s indexed %d times under its shape key", key, n))
+			}
+		}
 		if e.sum != "" {
 			sums[key] = e.sum
+		}
+	}
+	for k, es := range s.byShape {
+		if len(es) == 0 {
+			bad = append(bad, fmt.Sprintf("empty shape index list under %+v", k))
+		}
+		for _, e := range es {
+			if e.shape == nil || e.shape.key != k || (e.inst != nil && s.entries[e.inst.Key] != e) || (e.head != nil && s.entries[e.head.Key] != e) {
+				bad = append(bad, fmt.Sprintf("shape index under %+v holds an entry entries does not", k))
+			}
 		}
 	}
 	for ck, es := range s.byContent {

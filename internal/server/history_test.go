@@ -13,14 +13,15 @@ import (
 // The history oracle: seeded random sequences of namespace changes,
 // specializer registrations, evictions and restarts on one store,
 // interleaved with instantiations.  Every memo the server keeps — the
-// m-graph hash memo, the shape memo (seeded from the store after a
-// restart), the image entries live and dormant, the binding tables,
-// the solver's placements — is an implementation of "evaluate and link
-// it fresh", and after each instantiation the answer is compared with
-// that of a fresh server given only the current namespace: image
-// bytes, symbol and export tables, binding table.  The evaluations an
-// unchanged input should have let the server skip are counted and
-// logged, not failed.
+// m-graph hash memo, the image entries live and dormant with the
+// library shapes they keep (a dormant one's read from its store record
+// after a restart), the binding tables, the solver's placements — is
+// an implementation of "evaluate and link it fresh", and after each
+// instantiation the answer is compared with that of a fresh server
+// given only the current namespace: image bytes, symbol and export
+// tables, binding table.  An evaluation that only recomputed the key
+// of an image the server already held fails the test: that image's
+// entry keeps the shape which plans it without one.
 
 // histDefs is the history's namespace, libraries first: each source
 // takes a variant number, so a Define can change a source or repeat
@@ -268,6 +269,9 @@ func TestHistoryOracle(t *testing.T) {
 	}
 	t.Logf("%d histories, %d answers checked: %d evaluations, %d of them only recomputed the key of an image already held; %d answers had no binding table describing them",
 		histories, checks, evals, excess, untabled)
+	if excess != 0 {
+		t.Fatalf("%d evaluations only recomputed the key of an image already held, want 0", excess)
+	}
 }
 
 // TestPICFlipRebuilds: the history oracle found that image keys left
@@ -304,7 +308,9 @@ func TestPICFlipRebuilds(t *testing.T) {
 // replacing the "pad" specializer with one whose output grows was
 // answered with the image the replaced function built: la was placed
 // again at its preferred bases, so its key did not change.  Replacing
-// a kind now retires every cached image.
+// a kind now retires every cached image.  A kind registered after a
+// restart attached the store starts a new generation too, and the
+// shapes the store's records keep do not plan under it.
 func TestReregisteredSpecializerRebuilds(t *testing.T) {
 	var ns histNS
 	s := ns.start(t, nil)
@@ -331,5 +337,56 @@ func TestReregisteredSpecializerRebuilds(t *testing.T) {
 	}
 	if diff, _ := sameImage(fresh, want, s, got); diff != "" {
 		t.Fatalf("differs from a fresh server's: %s", diff)
+	}
+
+	// Across a restart: la's store record keeps its shape, which attach
+	// keys under the specializer generation of that moment.  Registering
+	// "pad" after the store is attached starts a new generation, in
+	// which that shape must not plan la, even once the record is woken
+	// (here by a mesh export, which plans nothing): the first request
+	// evaluates la, whose key is the record's; the entry then holds the
+	// shape of that evaluation, which plans the second.
+	dir := t.TempDir()
+	first := ns.start(t, openStore(t, dir, 0))
+	stored, err := first.Instantiate("/lib/la", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := newTestServer(t)
+	restarted.AttachStore(openStore(t, dir, 0))
+	restarted.RegisterSpecializer("pad", padSpec(pages))
+	for i, v := range ns.variant {
+		if err := define(restarted, i, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := restarted.ExportContent(stored.ContentKey); !ok {
+		t.Fatal("la's record was not woken for export")
+	}
+	for i := uint64(0); i < 2; i++ {
+		before := restarted.Stats()
+		got, err := restarted.Instantiate("/lib/la", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := restarted.Stats()
+		if evals, hits := after.PlanEvaluations-before.PlanEvaluations, after.ShapeHits-before.ShapeHits; evals != 1-i || hits != i {
+			t.Fatalf("restarted request %d: %d evaluations, %d shape hits; want %d, %d", i, evals, hits, 1-i, i)
+		}
+		if after.ImagesBuilt != 0 || after.StoreLoads != 1 {
+			t.Fatalf("restarted request %d: %d images built, %d records read; want the woken record served", i, after.ImagesBuilt, after.StoreLoads)
+		}
+		restarted.cacheMu.RLock()
+		sh := restarted.entries[got.Key].shape
+		restarted.cacheMu.RUnlock()
+		if gen := restarted.ns.Load().specGen; sh == nil || sh.key.specGen != gen {
+			t.Fatalf("restarted request %d: la's entry keeps shape %+v, want one measured under generation %d", i, sh, gen)
+		}
+		if diff, _ := sameImage(fresh, want, restarted, got); diff != "" {
+			t.Fatalf("restarted request %d differs from a fresh server's: %s", i, diff)
+		}
 	}
 }

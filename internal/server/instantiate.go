@@ -136,7 +136,7 @@ func (s *Server) buildCost(res *link.Result) uint64 {
 // evaluate is the build pipeline's one m-graph evaluation: the
 // build.eval fault site, then the meta-object's root in the request's
 // namespace version.  A plan runs it at stage 2, except a library plan
-// made from a memoized shape, whose link runs it at stage 9.
+// made from a cached image's shape, whose link runs it at stage 9.
 func (s *Server) evaluate(ctx context.Context, meta *mgraph.Meta) (*mgraph.Value, error) {
 	if err := s.faults.Fire(fault.SiteBuildEval); err != nil {
 		return nil, fmt.Errorf("server: evaluating %s: %w", meta.Path, err)
@@ -184,10 +184,10 @@ type plan struct {
 	name, image, label string
 	module             *jigsaw.Module
 	// shape is a library's shape (nil for programs and branch-table
-	// libraries): the instance carries it into its store record.  A
-	// library plan made from a memoized shape has meta instead of a
-	// module: the link evaluates meta and holds the result to shape
-	// (evalShaped).
+	// libraries): the instance carries it into its cache entry and
+	// its store record.  A library plan made from a cached image's
+	// shape has meta instead of a module: the link evaluates meta and
+	// holds the result to shape (evalShaped).
 	meta  *mgraph.Meta
 	shape *libShape
 	libs  []*Instance
@@ -227,113 +227,34 @@ type shapeKey struct {
 
 // libShape is what planning a library needs from its evaluation: the
 // extents link.Measure gives its module and the libraries it imports.
-// The server memoizes one per shapeKey (Server.shapes), so a library
-// whose inputs did not change is planned without being evaluated —
-// and, above all, without its sources being compiled again.  It holds
-// keys, sizes and a dependency list, never a module.  Each library
-// image's store record keeps its shape, and a restarted server seeds
-// the memo from the records it attaches (seedShape).
+// It lives on the cache entry of the image it was measured for
+// (entry.shape, indexed in Server.byShape), so a library whose inputs
+// did not change is planned without being evaluated — and, above all,
+// without its sources being compiled again — while that image is
+// cached; it leaves the cache with the image.  It holds keys, sizes
+// and a dependency list, never a module.  Each library image's store
+// record keeps its shape, which attach puts on the dormant entry.
 type libShape struct {
 	key                shapeKey
 	textSize, dataSize uint64
 	libs               []mgraph.LibDep
 }
 
-// shapeOf returns the memoized shape under k.
+// shapeOf returns the shape under k a cached image, live or dormant,
+// keeps.
 func (s *Server) shapeOf(k shapeKey) (libShape, bool) {
-	s.shapeMu.Lock()
-	defer s.shapeMu.Unlock()
-	for _, sh := range s.shapes[k.libID] {
-		if sh.key == k {
-			return sh, true
-		}
+	s.cacheMu.RLock()
+	defer s.cacheMu.RUnlock()
+	if es := s.byShape[k]; len(es) > 0 {
+		return *es[0].shape, true
 	}
 	return libShape{}, false
-}
-
-// seedShape memoizes sh, read from a store record at attach, unless a
-// shape under its key is memoized already.  It is checked at its first
-// plan like any other: its key names the library's content, and a
-// stale one is found out by the link's evaluation (evalShaped).
-func (s *Server) seedShape(sh libShape) {
-	s.shapeMu.Lock()
-	defer s.shapeMu.Unlock()
-	for _, o := range s.shapes[sh.key.libID] {
-		if o.key == sh.key {
-			return
-		}
-	}
-	s.shapes[sh.key.libID] = append(s.shapes[sh.key.libID], sh)
-}
-
-// dropShapes drops every shape memoized for path p: a Remove, or a
-// definition that changes p's source.
-func (s *Server) dropShapes(p string) {
-	s.shapeMu.Lock()
-	defer s.shapeMu.Unlock()
-	for id := range s.shapes {
-		if id.path == p {
-			delete(s.shapes, id)
-		}
-	}
-}
-
-func (s *Server) dropShapesLocked(id libID, drop func(libShape) bool) {
-	if shs := slices.DeleteFunc(s.shapes[id], drop); len(shs) > 0 {
-		s.shapes[id] = shs
-	} else {
-		delete(s.shapes, id)
-	}
-}
-
-// pruneShapes bounds the memo for library path p, adding sh (when
-// non-nil) in place of any shape of the same content: p keeps a shape
-// only for content that the committed namespace version or its staged
-// view still holds, measured under their specializers.  So an upgrade
-// epoch's v1 and v2 keep one shape each, and the shapes no request can
-// hit any more go.  The hashes are computed without the lock (never
-// under an m-graph hash: hashing can fetch from a mount, which
-// defines); a version published meanwhile starts the pass over.
-func (s *Server) pruneShapes(p string, sh *libShape) {
-	for {
-		v := s.ns.Load()
-		held := map[string]bool{}
-		for _, ver := range []*nsVersion{v, v.staged} {
-			if ver == nil {
-				continue
-			}
-			if _, ok := ver.entries[p]; !ok {
-				continue
-			}
-			if ch, err := (evalCtx{s: s, v: ver}).ContentHash(p); err == nil {
-				held[ch] = true
-			}
-		}
-		s.shapeMu.Lock()
-		if s.ns.Load() != v {
-			s.shapeMu.Unlock()
-			continue
-		}
-		for id := range s.shapes {
-			if id.path == p {
-				s.dropShapesLocked(id, func(o libShape) bool {
-					return !held[o.key.content] || o.key.specGen != v.specGen ||
-						sh != nil && o.key.libID == sh.key.libID && o.key.content == sh.key.content
-				})
-			}
-		}
-		if sh != nil && held[sh.key.content] && sh.key.specGen == v.specGen {
-			s.shapes[sh.key.libID] = append(s.shapes[sh.key.libID], *sh)
-		}
-		s.shapeMu.Unlock()
-		return
-	}
 }
 
 // staleShapeError is what the link of a library planned from its shape
 // returns when the evaluation it deferred no longer has that shape (a
 // specializer whose output changed while it stayed registered): the
-// memo entry is gone, and the library is planned again from v.
+// cached images drop that shape, and the library is planned from v.
 type staleShapeError struct {
 	path string
 	v    *mgraph.Value
@@ -359,9 +280,12 @@ func (s *Server) evalShaped(ctx context.Context, pl *plan) (*jigsaw.Module, erro
 			return v.Module, nil
 		}
 	}
-	s.shapeMu.Lock()
-	s.dropShapesLocked(pl.shape.key.libID, func(sh libShape) bool { return sh.key == pl.shape.key })
-	s.shapeMu.Unlock()
+	s.cacheMu.Lock()
+	for _, e := range s.byShape[pl.shape.key] {
+		e.shape = nil
+	}
+	delete(s.byShape, pl.shape.key)
+	s.cacheMu.Unlock()
 	return nil, &staleShapeError{path: pl.meta.Path, v: v}
 }
 
@@ -385,13 +309,14 @@ func (s *Server) settle(pl *plan, solverKey string, prefs []constraint.Pref, tex
 	return fmt.Sprintf("%#x/%#x", at.TextBase, at.DataBase), nil
 }
 
-// planLibrary plans dep.  A library whose shape is memoized under its
-// current inputs is not evaluated: its plan carries the meta-object
-// and the shape instead of a module.  Every other step — the lookup
-// charge, the dependency nodes, the placement and the keys — runs
-// either way.  v, when non-nil, is an evaluation of the library made
-// already (a stale shape's), planned from instead of the memo.
-// Branch-table libraries bind while planning, so they always evaluate.
+// planLibrary plans dep.  A library with a cached image whose shape
+// was measured under its current inputs is not evaluated: its plan
+// carries the meta-object and the shape instead of a module.  Every
+// other step — the lookup charge, the dependency nodes, the placement
+// and the keys — runs either way.  v, when non-nil, is an evaluation
+// of the library made already (a stale shape's), planned from instead
+// of a shape.  Branch-table libraries bind while planning, so they
+// always evaluate.
 func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, v *mgraph.Value) (*plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -475,8 +400,17 @@ func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, 
 		return nil, err
 	}
 	pl.key = digestStr(kind, code, sh.key.spec, at, libKeys(libs))
+	// An image cached under the key this evaluation gives takes its
+	// shape (one not cached yet takes it when it is published): an
+	// older specializer generation's or a stale one plans no more.
 	if !hit && !bt {
-		s.pruneShapes(dep.Path, &sh)
+		s.cacheMu.Lock()
+		if e := s.entries[pl.key]; e != nil {
+			s.unindexLocked(e)
+			e.shape = pl.shape
+			s.indexLocked(e)
+		}
+		s.cacheMu.Unlock()
 	}
 	return pl, nil
 }
@@ -532,7 +466,7 @@ func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta
 
 // libraryImage and programImage are the two ways into the pipeline:
 // fill the plan, then find or build its image.  A library whose link
-// found its memoized shape stale is planned and built once more, from
+// found the shape it was planned from stale is planned and built once more, from
 // the evaluation that found it.
 func (s *Server) libraryImage(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
 	pl, err := s.planLibrary(ctx, dep, c, nil)
@@ -743,8 +677,9 @@ func (s *Server) liveLocked(key string) (*entry, *Instance) {
 // publish makes a complete instance visible to cache hits, rebases and
 // mesh exports.  It is the only way an entry becomes live, and nothing
 // about the instance but its lazily built export table changes
-// afterwards.  A dormant entry under the same key becomes live in
-// place and keeps its blob checksum: the instance is its wake, or a
+// afterwards.  A new entry takes the shape the instance's plan
+// measured.  A dormant entry under the same key becomes live in place
+// and keeps its blob checksum and shape: the instance is its wake, or a
 // rebuild that supersedes it until the checkpoint rewrites the blob.
 // If another build published the key first (a watchdog-abandoned build
 // finishing late) the prior instance wins and this one's frames are
@@ -762,7 +697,7 @@ func (s *Server) publish(inst *Instance) *Instance {
 		return prior
 	}
 	if e == nil {
-		e = &entry{}
+		e = &entry{shape: inst.shape}
 		s.entries[inst.Key] = e
 	} else {
 		s.unindexLocked(e)
@@ -775,27 +710,38 @@ func (s *Server) publish(inst *Instance) *Instance {
 	return inst
 }
 
-// indexLocked adds e to the content index under its content key, and
-// unindexLocked removes it.  Caller holds cacheMu.
+// indexLocked adds e to the content index under its content key and
+// to the shape index under its shape's key, and unindexLocked removes
+// it from both.  Caller holds cacheMu.
 func (s *Server) indexLocked(e *entry) {
 	if ck := e.contentKey(); ck != "" {
 		s.byContent[ck] = append(s.byContent[ck], e)
 	}
-}
-
-func (s *Server) unindexLocked(e *entry) {
-	ck := e.contentKey()
-	if es := slices.DeleteFunc(s.byContent[ck], func(x *entry) bool { return x == e }); len(es) > 0 {
-		s.byContent[ck] = es
-	} else {
-		delete(s.byContent, ck)
+	if e.shape != nil {
+		s.byShape[e.shape.key] = append(s.byShape[e.shape.key], e)
 	}
 }
 
-// retireLocked removes the entry under key and, in the same step, the
-// key's blob: a live image's frames and export table are released
-// (frames a running process maps stay alive through the process's own
-// references), and the attached store deletes the blob — or
+func (s *Server) unindexLocked(e *entry) {
+	unindex(s.byContent, e.contentKey(), e)
+	if e.shape != nil {
+		unindex(s.byShape, e.shape.key, e)
+	}
+}
+
+// unindex removes e from index m under k.
+func unindex[K comparable](m map[K][]*entry, k K, e *entry) {
+	if es := slices.DeleteFunc(m[k], func(x *entry) bool { return x == e }); len(es) > 0 {
+		m[k] = es
+	} else {
+		delete(m, k)
+	}
+}
+
+// retireLocked removes the entry under key (its shape with it) and, in
+// the same step, the key's blob: a live image's frames and export table
+// are released (frames a running process maps stay alive through the
+// process's own references), and the attached store deletes the blob — or
 // quarantines it, when the image's own bytes or pins failed.  With no
 // store attached the blob stays for the next session.  The main solver
 // placement is deliberately kept so a rebuild lands at the same

@@ -2,9 +2,9 @@ package server_test
 
 // The fast-path oracle.  Every way an image can come into being other
 // than a full link with a fresh symbol search — replaying a recorded
-// binding table, linking a library planned from its memoized shape or
-// from the shape a restarted session read from its store record,
-// sliding a cached variant from other bases (one built this session,
+// binding table, linking a library evaluated afresh after its eviction
+// or planned from the shape a restarted session read from its store
+// record, sliding a cached variant from other bases (one built this session,
 // or one a restart decoded from the store), warm restart from the
 // store, installing a mesh peer's blob — is an alternative
 // implementation of "link it fresh", and this test holds each to that
@@ -327,13 +327,30 @@ func padded(t *testing.T, pages *atomic.Int32) func(*server.Server) {
 }
 
 // planned instantiates path and reports what the call did, with the
-// evaluations it made and the plans it made from a memoized shape.
+// evaluations it made and the plans it made from a cached image's
+// shape.
 func (w *world) planned(path string) (inst *server.Instance, d did, evals, hits uint64) {
 	w.t.Helper()
 	before := w.Srv.Stats()
 	inst, d = w.produce(path)
 	after := w.Srv.Stats()
 	return inst, d, after.PlanEvaluations - before.PlanEvaluations, after.ShapeHits - before.ShapeHits
+}
+
+// damageBody flips the last byte of the record under key in the store
+// in dir: a byte of its body, which a restarted session reads only when
+// it wakes the record.
+func damageBody(t *testing.T, dir, key string) {
+	t.Helper()
+	file := filepath.Join(dir, key+".img")
+	blob, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)-1] ^= 0xff
+	if err := os.WriteFile(file, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // blobHook is a mesh in which every content key is owned by a peer
@@ -395,31 +412,30 @@ func TestFastPathOracle(t *testing.T) {
 		})
 	}
 
-	// Shape: a library asked for again after its eviction (which takes
-	// its clients along) is planned from its memoized shape, without an
-	// evaluation, and linked from the evaluation its link defers.
+	// Shape: a library's shape lives on its cached image, so a library
+	// asked for again after its eviction (which takes its clients along)
+	// has none: it is evaluated while it is planned, once, and linked
+	// from that evaluation.
 	for _, sub := range subs {
 		if !sub.isLib {
 			continue
 		}
 		t.Run("shape"+sub.path, func(t *testing.T) {
 			fresh.Srv.Evict(sub.path)
-			before := fresh.Srv.Stats()
-			inst, d := fresh.produce(sub.path)
-			after := fresh.Srv.Stats()
-			if d != (did{built: 1, nodes: nodes{built: 1}}) || after.ShapeHits != before.ShapeHits+1 ||
-				after.PlanEvaluations != before.PlanEvaluations+1 {
-				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link, planned from the shape, evaluated once", d,
-					after.ShapeHits-before.ShapeHits, after.PlanEvaluations-before.PlanEvaluations)
+			inst, d, evals, hits := fresh.planned(sub.path)
+			if d != (did{built: 1, nodes: nodes{built: 1}}) || hits != 0 || evals != 1 {
+				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link of one fresh evaluation", d, hits, evals)
 			}
-			same(t, "shape-planned", sub.path, want[sub.path], fresh.snap(inst), false)
+			same(t, "evaluated after its eviction", sub.path, want[sub.path], fresh.snap(inst), false)
 		})
 	}
 
 	// Shape from the store: every library record keeps its shape, and a
-	// session restarted on the store seeds its memo from the heads.  A
-	// library evicted there (record and all) is planned from the seeded
-	// shape and linked from the evaluation its link defers.
+	// session restarted on the store keeps it on the record's entry from
+	// the head.  A record whose body was damaged still attaches, since
+	// its head is intact, and fails only when it is woken: its library
+	// is planned from the attached shape and linked from the evaluation
+	// its link defers.
 	sdir := t.TempDir()
 	seeder := newWorld(t, sdir, nil)
 	for _, sub := range subs {
@@ -430,13 +446,17 @@ func TestFastPathOracle(t *testing.T) {
 	if err := seeder.Srv.CloseStore(); err != nil {
 		t.Fatal(err)
 	}
+	for _, sub := range subs {
+		if sub.isLib {
+			damageBody(t, sdir, want[sub.path].rec.Key)
+		}
+	}
 	seeded := newWorld(t, sdir, nil)
 	for _, sub := range subs {
 		if !sub.isLib {
 			continue
 		}
 		t.Run("shape/restart/seeded"+sub.path, func(t *testing.T) {
-			seeded.Srv.Evict(sub.path)
 			inst, d, evals, hits := seeded.planned(sub.path)
 			if d != (did{built: 1, nodes: nodes{built: 1}}) || hits != 1 || evals != 1 {
 				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link, planned from the seeded shape, evaluated once",
@@ -476,9 +496,11 @@ func TestFastPathOracle(t *testing.T) {
 		}
 		damaged++
 	}
+	// The seeded session's damaged bodies are in quarantine already;
+	// this session's own rejections are the damaged heads alone.
 	corrupt := newWorld(t, sdir, nil)
-	if got := corrupt.Srv.Stats().StoreQuarantined; got != uint64(damaged) {
-		t.Fatalf("attach quarantined %d records, want the %d damaged library heads", got, damaged)
+	if got := corrupt.Srv.Stats().StoreCorrupt; got != uint64(damaged) {
+		t.Fatalf("attach rejected %d records, want the %d damaged library heads", got, damaged)
 	}
 	for _, sub := range subs {
 		if !sub.isLib {
@@ -493,11 +515,11 @@ func TestFastPathOracle(t *testing.T) {
 		})
 	}
 
-	// A seeded shape made stale by a specializer whose output grew while
-	// it stayed registered: the plan from the shape finds no record under
-	// its key, the link's evaluation finds the shape stale, and the
-	// library is planned again from that evaluation — one evaluation in
-	// all, and the fresh link's bytes.
+	// An attached shape made stale by a specializer whose output grew
+	// while it stayed registered: the plan from the shape finds a record
+	// under its key whose body fails to wake, the link's evaluation finds
+	// the shape stale, and the library is planned again from that
+	// evaluation — one evaluation in all, and the fresh link's bytes.
 	t.Run("shape/restart/stale/lib/padded", func(t *testing.T) {
 		grown := new(atomic.Int32)
 		grown.Store(2)
@@ -506,12 +528,12 @@ func TestFastPathOracle(t *testing.T) {
 		wantPad := spec.snap(padInst)
 		pdir := t.TempDir()
 		first := newWorld(t, pdir, nil, padded(t, new(atomic.Int32)))
-		first.produce("/lib/padded")
+		small, _ := first.produce("/lib/padded")
 		if err := first.Srv.CloseStore(); err != nil {
 			t.Fatal(err)
 		}
+		damageBody(t, pdir, small.Key)
 		stale := newWorld(t, pdir, nil, padded(t, grown))
-		stale.Srv.Evict("/lib/padded")
 		inst, d, evals, hits := stale.planned("/lib/padded")
 		if d.built != 1 || hits != 1 || evals != 1 {
 			t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link, planned from the stale shape, evaluated once",

@@ -29,14 +29,14 @@ import (
 // image cache and attaches every record in it by its head alone: the
 // head is checked, its blob identity registered for pins, its solver
 // placement re-reserved, its binding table reinstalled and a library's
-// shape memoized, and the record is left dormant — no segment read, no
-// frame made — until a request, a rebase or a mesh peer first needs
-// the image (wake).  Instantiations of unchanged meta-objects therefore
-// resolve to the same cache keys and are served without a single
-// relink, and their libraries are planned without an evaluation.  A
-// head that fails its own checks, a library shape that names no
-// library of its record included, is quarantined.  Returns the number
-// of records attached.
+// shape put on its entry, and the record is left dormant — no segment
+// read, no frame made — until a request, a rebase or a mesh peer first
+// needs the image (wake).  Instantiations of unchanged meta-objects
+// therefore resolve to the same cache keys and are served without a
+// single relink, and their libraries are planned without an
+// evaluation.  A head that fails its own checks, a library shape that
+// names no library of its record included, is quarantined.  Returns
+// the number of records attached.
 func (s *Server) AttachStore(st *store.Store) int {
 	s.cacheMu.Lock()
 	s.store = st
@@ -109,11 +109,13 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 		s.reject(key)
 		return
 	}
-	// The entry carries the blob's on-disk identity: images woken or
-	// linked after this verify their library pins against it.
+	// The entry carries the blob's on-disk identity, which images woken
+	// or linked after this verify their library pins against, and a
+	// library's shape, which plans it without an evaluation once the
+	// shape's key matches the library's inputs.
 	s.cacheMu.Lock()
 	if s.entries[key] == nil {
-		e := &entry{head: h, sum: hex.EncodeToString(h.Sum[:])}
+		e := &entry{head: h, sum: hex.EncodeToString(h.Sum[:]), shape: sh}
 		s.entries[key] = e
 		s.indexLocked(e)
 	}
@@ -127,12 +129,6 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 	if h.BindKey != "" && len(h.Bindings) > 0 && libsKnown {
 		s.installBindings(h.BindKey, &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load",
 			LibKeys: libCKs, Bindings: h.Bindings}, false)
-	}
-	// A library's shape, so that its first plan this session is made
-	// without evaluating it.  The namespace may not be defined yet: the
-	// shape's key is checked when the library is planned.
-	if shaped {
-		s.seedShape(*sh)
 	}
 	s.stats.warmLoaded.Add(1)
 }
@@ -504,7 +500,8 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 // for read-only segments (their one copy), pristine byte templates for
 // writable ones, a link.Result carrying the bound symbol table,
 // accounting and segment metadata, and a library's shape, so that a
-// record made from the woken instance (a mesh export) keeps it too.
+// record made from the woken instance (a mesh export) keeps it too;
+// publish leaves the entry the shape attach gave it.
 func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Instance, error) {
 	res := resultFromRecord(rec)
 	shape, _ := shapeOfRecord(rec, s.ns.Load().specGen)

@@ -24,16 +24,16 @@
 //     reply without a lock; writers publish a changed copy (writeNS).
 //   - solverMu: the constraint solver's address-space bookkeeping.
 //   - cacheMu (RWMutex): the image cache — one entry per cache key,
-//     live or dormant, with its blob checksum, and the content index
-//     over them — the in-flight build table, and the persistent store
-//     attachment.  An entry's LRU stamp is an atomic on the entry.
+//     live or dormant, with its blob checksum and a library's shape,
+//     and the content and shape indexes over them — the in-flight
+//     build table, and the persistent store attachment.  An entry's
+//     LRU stamp is an atomic on the entry.
 //   - bindMu (RWMutex): the binding tables, nothing else.
-//   - shapeMu: the memoized library shapes, nothing else.
 //   - upMu: the upgrade epoch; it also serializes namespace writers.
 //   - Stats counters are atomics; read them via the Stats method.
 //
 // Lock order: cacheMu may be taken before solverMu (eviction releases
-// placements); bindMu, shapeMu and upMu are leaves.  None of these
+// placements); bindMu and upMu are leaves.  None of these
 // locks is ever held across an m-graph evaluation or a link.  The one
 // store I/O done under a lock is deliberate: cacheMu is held while an
 // entry's blob is deleted or quarantined (retireLocked), so an entry
@@ -55,6 +55,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"omos/internal/blueprint"
 	"omos/internal/buildgraph"
@@ -205,10 +206,11 @@ type Stats struct {
 	MeshFallbacks    uint64 `stat:"mesh-hook fallbacks"`
 
 	// PlanEvaluations counts m-graph evaluations: a program's plan, a
-	// library plan with no memoized shape, the evaluation a library
-	// planned from its shape defers to its link, and EvalProgram.
-	// ShapeHits counts library plans made from a memoized shape
-	// (instantiate.go), which evaluate nothing unless they link.
+	// library plan that found no cached image's shape, the evaluation a
+	// library planned from a shape defers to its link, and EvalProgram.
+	// ShapeHits counts library plans made from the shape a cached image,
+	// live or dormant, keeps (instantiate.go), which evaluate nothing
+	// unless they link.
 	PlanEvaluations uint64 `stat:"plan evaluations"`
 	ShapeHits       uint64 `stat:"plan shape-hits"`
 }
@@ -446,9 +448,9 @@ type Instance struct {
 	// placed under, so the persistent store can re-reserve the same
 	// addresses on warm boot.
 	place placeRec
-	// shape is a library's shape, which its store record keeps so a
-	// restarted server plans the library without evaluating it (nil for
-	// programs and branch-table libraries).
+	// shape is a library's shape as its plan measured it or its store
+	// record keeps it (nil for programs and branch-table libraries):
+	// the instance carries it into its cache entry and its record.
 	shape *libShape
 
 	// table is the partial-image function hash table segment, nil until
@@ -460,7 +462,8 @@ type Instance struct {
 // published instance, or — until its first use — the head of the
 // record a previous session stored under the key (dormant: exactly one
 // of inst and head is set); the store checksum of the key's blob, ""
-// while none was written or attached; and the LRU stamp
+// while none was written or attached; a library image's shape (nil for
+// programs, branch-table libraries and a stale one); and the LRU stamp
 // (Server.useSeq at last touch), updated atomically so cache hits need
 // no write lock.  Waking a dormant entry sets inst and clears head in
 // place.  All fields but lastUse are guarded by cacheMu.
@@ -468,6 +471,7 @@ type entry struct {
 	inst    *Instance
 	head    *store.Head
 	sum     string
+	shape   *libShape
 	lastUse atomic.Uint64
 }
 
@@ -547,8 +551,8 @@ type nsVersion struct {
 	mounts  []mount
 	specs   map[string]SpecFunc
 	// specGen counts the RegisterSpecializer calls specs has seen: a
-	// library's memoized shape holds only under the generation it was
-	// measured in.
+	// library's shape holds only under the generation it was measured
+	// in.
 	specGen uint64
 	// staged is the open upgrade epoch's version, the one the canary
 	// cohort reads: these entries with the staged definitions layered
@@ -585,9 +589,9 @@ type Server struct {
 	solverMu sync.Mutex
 	solver   *constraint.Solver
 
-	// cacheMu guards the image cache tier: entries, byContent, the
-	// in-flight build table (singleflight), and the persistent store
-	// attachment.
+	// cacheMu guards the image cache tier: entries, byContent,
+	// byShape, the in-flight build table (singleflight), and the
+	// persistent store attachment.
 	cacheMu  sync.RWMutex
 	inflight map[string]*flight
 	store    *store.Store
@@ -600,6 +604,9 @@ type Server struct {
 	// the rebase fast path (rebase.go).  Dormant entries keep the order
 	// they were attached in, oldest first.
 	byContent map[string][]*entry
+	// byShape indexes the entries that keep a library's shape by its
+	// key: the shapes a library plan is made from (instantiate.go).
+	byShape map[shapeKey][]*entry
 
 	// useSeq is the monotone LRU clock; each entry stamps itself on
 	// use.
@@ -633,11 +640,6 @@ type Server struct {
 	// upgradeLog is the bounded upgrade audit trail surfaced through
 	// Explain and the upgrade status report.  Guarded by upMu.
 	upgradeLog []upgradeEvent
-
-	// shapeMu guards shapes, the memoized library shapes
-	// (instantiate.go), by library path and spec hash.  It is a leaf.
-	shapeMu sync.Mutex
-	shapes  map[libID][]libShape
 
 	stats statsCounters
 
@@ -689,9 +691,9 @@ func New(kern *osim.Kernel) *Server {
 		solver:    constraint.NewSolver(),
 		entries:   map[string]*entry{},
 		byContent: map[string][]*entry{},
+		byShape:   map[shapeKey][]*entry{},
 		inflight:  map[string]*flight{},
 		bindings:  map[string]*BindingTable{},
-		shapes:    map[libID][]libShape{},
 		exec:      buildgraph.NewExecutor(DefaultBuildWorkers),
 		graph:     buildgraph.NewLog(),
 	}
@@ -823,13 +825,7 @@ func (s *Server) define(p, src string, isLib, allow bool) error {
 	if err := s.guardDefine(p, meta.SrcHash, allow); err != nil {
 		return err
 	}
-	prior := s.ns.Load().entries[meta.Path]
 	s.writeNS(func(v *nsVersion) { v.entries[meta.Path] = nsEntry{meta: meta} })
-	// A first definition keeps the shapes a store seeded for the path:
-	// each names the content it was measured for.
-	if prior.meta != nil && prior.meta.SrcHash != meta.SrcHash {
-		s.dropShapes(meta.Path)
-	}
 	return nil
 }
 
@@ -913,7 +909,6 @@ func (s *Server) RemoveAllow(p string, allow bool) error {
 	}
 	s.writeNS(func(v *nsVersion) { delete(v.entries, p) })
 	s.dropBindingsOf(p)
-	s.dropShapes(p)
 	return nil
 }
 
@@ -930,14 +925,19 @@ func (s *Server) List(prefix string) []string {
 	return out
 }
 
+// digestStr hashes parts, each ended by a zero byte.  A part is written
+// as the bytes it is, which Write neither keeps nor changes: a []byte
+// conversion would copy it, and a part can be a whole blueprint.
 func digestStr(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		h.Write(unsafe.Slice(unsafe.StringData(p), len(p)))
+		h.Write(partEnd)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:24]
 }
+
+var partEnd = []byte{0}
 
 // ---- mgraph.Context implementation ----
 

@@ -12,9 +12,11 @@ import (
 	"omos/internal/osim"
 )
 
-// The shape memo: a library whose inputs did not change is planned
-// from its memoized shape, without an m-graph evaluation.  These tests
-// read the plan counters (Stats.PlanEvaluations, Stats.ShapeHits).
+// A library's shape lives on the cache entry of its image: a library
+// whose inputs did not change is planned from the shape its cached
+// image keeps, without an m-graph evaluation, and the shape leaves the
+// cache with the image.  These tests read the plan counters
+// (Stats.PlanEvaluations, Stats.ShapeHits).
 
 const (
 	shapeLibSrc = `
@@ -96,12 +98,14 @@ func wantEvals(t *testing.T, s *Server, path string, n uint64) *Instance {
 	return inst
 }
 
+// shapeCount is the number of cached images, live or dormant, that
+// keep a shape.
 func shapeCount(s *Server) int {
-	s.shapeMu.Lock()
-	defer s.shapeMu.Unlock()
+	s.cacheMu.RLock()
+	defer s.cacheMu.RUnlock()
 	n := 0
-	for _, shs := range s.shapes {
-		n += len(shs)
+	for _, es := range s.byShape {
+		n += len(es)
 	}
 	return n
 }
@@ -141,21 +145,24 @@ func TestShapeWarmLibraryPlanEvaluatesNothing(t *testing.T) {
 
 // TestShapeInvalidation: each change to an input of libc's evaluation
 // costs exactly one fresh evaluation, and the next plan is warm again.
+// A Remove and a Define of the same text change no input: libc's
+// cached image keeps its shape across them, so that costs none.
 func TestShapeInvalidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
+		evals  uint64
 		change func(t *testing.T, s *Server)
 	}{
-		{"redefine", func(t *testing.T, s *Server) {
+		{"redefine", 1, func(t *testing.T, s *Server) {
 			if err := s.DefineLibraryAllow("/lib/libc", fmt.Sprintf(shapeLibSrc, 31), true); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"pic", func(t *testing.T, s *Server) { s.PICSource = !s.PICSource }},
-		{"specializer", func(t *testing.T, s *Server) {
+		{"pic", 1, func(t *testing.T, s *Server) { s.PICSource = !s.PICSource }},
+		{"specializer", 1, func(t *testing.T, s *Server) {
 			s.RegisterSpecializer("pad", padSpec(new(atomic.Int32)))
 		}},
-		{"remove-define", func(t *testing.T, s *Server) {
+		{"remove-define", 0, func(t *testing.T, s *Server) {
 			if err := s.Remove("/lib/libc"); err != nil {
 				t.Fatal(err)
 			}
@@ -169,16 +176,38 @@ func TestShapeInvalidation(t *testing.T) {
 			wantEvals(t, s, "/lib/libc", 1)
 			wantEvals(t, s, "/lib/libc", 0)
 			tc.change(t, s)
-			wantEvals(t, s, "/lib/libc", 1)
+			wantEvals(t, s, "/lib/libc", tc.evals)
 			wantEvals(t, s, "/lib/libc", 0)
 		})
 	}
 }
 
-// TestShapeUpgradeCohorts: an epoch's v1 and v2 each keep their own
-// shape, so the two cohorts alternate without evaluating: staging v2
-// costs its one evaluation, and nothing evaluates or links after commit
-// or rollback.
+// TestShapeSourceRoundTrip: a library whose source returns to an
+// earlier text is planned from the shape its still-cached image keeps.
+// Text A, then B, then A again evaluates A once and B once, and the
+// third answer is A's first image.  (A Remove and a Define of the same
+// text is TestShapeInvalidation's remove-define.)
+func TestShapeSourceRoundTrip(t *testing.T) {
+	s := shapeServer(t, new(atomic.Int32))
+	define := func(v int) {
+		t.Helper()
+		if err := s.DefineLibraryAllow("/lib/libc", fmt.Sprintf(shapeLibSrc, v), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := wantEvals(t, s, "/lib/libc", 1)
+	define(31)
+	wantEvals(t, s, "/lib/libc", 1)
+	define(30)
+	if inst, n, hits := evals(t, s, "/lib/libc"); n != 0 || hits != 1 || inst != a {
+		t.Fatalf("text A again: %d evaluations, %d shape hits, A's first image %v; want 0, 1, true", n, hits, inst == a)
+	}
+}
+
+// TestShapeUpgradeCohorts: an epoch's v1 and v2 images each keep their
+// own shape, so the two cohorts alternate without evaluating: staging
+// v2 costs its one evaluation, and nothing evaluates or links after
+// commit or rollback.
 func TestShapeUpgradeCohorts(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		t.Run(fmt.Sprintf("commit=%v", commit), func(t *testing.T) {
@@ -219,9 +248,6 @@ func TestShapeUpgradeCohorts(t *testing.T) {
 			if n := s.Stats().PlanEvaluations - before; n != 1 {
 				t.Fatalf("the epoch's cohorts made %d evaluations, want v2's one", n)
 			}
-			if n := shapeCount(s); n != 2 {
-				t.Fatalf("%d shapes memoized during the epoch, want v1's and v2's", n)
-			}
 			want := v1
 			if commit {
 				want = v2
@@ -230,9 +256,6 @@ func TestShapeUpgradeCohorts(t *testing.T) {
 				}
 			} else if err := s.UpgradeRollback("test"); err != nil {
 				t.Fatal(err)
-			}
-			if n := shapeCount(s); n != 1 {
-				t.Fatalf("%d shapes memoized after the epoch, want the surviving version's", n)
 			}
 			// Either way the surviving version's image is still cached: a
 			// rollback releases only what v2 built.
@@ -251,21 +274,35 @@ func TestShapeUpgradeCohorts(t *testing.T) {
 }
 
 // TestShapeStaleGuard: a library planned from its shape is evaluated at
-// its link, and linked only if it still has that shape.  Here libc is
-// evicted, a neighbour takes the address space right after it, and the
-// "pad" specializer grows its output: through re-registration (the
-// shape key changes, the plan evaluates) or silently, while it stays
-// registered (the shape is stale, the link's evaluation finds out).
-// Either way one evaluation is made, and libc lands where it fits.
+// its link, and linked only if it still has that shape.  Here libc's
+// image is built into a store, a restarted server attaches its record
+// (and the shape the record keeps) and places a neighbour right after
+// it, libc's record body is damaged so that waking it fails, and the
+// "pad" specializer grows its output: through re-registration (every
+// cached image is retired, its shape with it, and the plan evaluates)
+// or silently, while it stays registered (the shape is stale, the
+// link's evaluation finds out).  Either way one evaluation is made,
+// and libc lands where it fits.
 func TestShapeStaleGuard(t *testing.T) {
 	for _, reregister := range []bool{true, false} {
 		t.Run(fmt.Sprintf("reregister=%v", reregister), func(t *testing.T) {
+			dir := t.TempDir()
+			first := shapeServer(t, new(atomic.Int32))
+			first.AttachStore(openStore(t, dir, 0))
+			old := wantEvals(t, first, "/lib/libc", 1)
+			if err := first.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			flipBlobByte(t, dir, old.Key, func(n int) int { return n - 1 })
 			pages := new(atomic.Int32)
-			s := shapeServer(t, pages)
-			old := wantEvals(t, s, "/lib/libc", 1)
+			s := newTestServer(t)
+			s.RegisterSpecializer("pad", padSpec(pages))
+			s.AttachStore(openStore(t, dir, 0))
+			if err := s.DefineLibrary("/lib/libc", fmt.Sprintf(shapeLibSrc, 30)); err != nil {
+				t.Fatal(err)
+			}
 			textEnd := old.place.TextBase + osim.PageAlign(old.place.TextSize)
 			dataEnd := old.place.DataBase + osim.PageAlign(old.place.DataSize)
-			s.Evict("/lib/libc")
 			if err := s.DefineLibrary("/lib/nb", fmt.Sprintf(`(constraint-list "T" %#x "D" %#x)
 (source "c" "int nb_get() { return 5; }")`, textEnd, dataEnd)); err != nil {
 				t.Fatal(err)
@@ -301,9 +338,10 @@ func TestShapeStaleGuard(t *testing.T) {
 	}
 }
 
-// TestShapeMemoBound: a thousand content changes of one library leave
-// one shape for it and one for a library importing it — the content the
-// namespace still holds.
+// TestShapeMemoBound: a library's shapes are bounded by its cached
+// images.  A thousand content changes of one library, each evicted with
+// the library importing it, leave no shape behind, and the next plan of
+// each evaluates again.
 func TestShapeMemoBound(t *testing.T) {
 	s := shapeServer(t, new(atomic.Int32))
 	if err := s.DefineLibrary("/lib/libdep", shapeDepSrc); err != nil {
@@ -314,16 +352,13 @@ func TestShapeMemoBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantEvals(t, s, "/lib/libdep", 2)
-		s.Evict("/lib/libc")
 		if n := shapeCount(s); n != 2 {
-			t.Fatalf("change %d: %d shapes memoized, want libc's and libdep's", i, n)
+			t.Fatalf("change %d: %d cached images keep a shape, want libc's and libdep's", i, n)
 		}
-	}
-	if err := s.Remove("/lib/libdep"); err != nil {
-		t.Fatal(err)
-	}
-	if n := shapeCount(s); n != 1 {
-		t.Fatalf("%d shapes memoized after removing libdep, want libc's", n)
+		s.Evict("/lib/libc")
+		if n := shapeCount(s); n != 0 {
+			t.Fatalf("change %d: %d shapes left after their images were evicted", i, n)
+		}
 	}
 }
 
@@ -358,7 +393,8 @@ func TestShapeRestartEvaluatesNoLibrary(t *testing.T) {
 
 // TestShapeMemoConcurrentPlans plans libc from 8 goroutines against one
 // server while one of them evicts it and defines and removes
-// unrelated programs: run under -race.
+// unrelated programs: run under -race.  An eviction takes libc's shape
+// along, so each planner evaluates libc at most once per eviction.
 func TestShapeMemoConcurrentPlans(t *testing.T) {
 	s := shapeServer(t, new(atomic.Int32))
 	want := wantEvals(t, s, "/lib/libc", 1)
@@ -400,9 +436,9 @@ func TestShapeMemoConcurrentPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := shapeCount(s); n != 1 {
-		t.Fatalf("%d shapes memoized, want libc's one", n)
+		t.Fatalf("%d cached images keep a shape, want libc's one", n)
 	}
-	if st := s.Stats(); st.PlanEvaluations > 1+20 {
-		t.Fatalf("%d evaluations for one cold plan and 20 evictions", st.PlanEvaluations)
+	if st := s.Stats(); st.PlanEvaluations > 1+8*20 {
+		t.Fatalf("%d evaluations for one cold plan and 8 planners across 20 evictions", st.PlanEvaluations)
 	}
 }

@@ -300,9 +300,6 @@ func (s *Server) UpgradeCommit() (err error) {
 	s.auditLocked(ep, fmt.Sprintf("epoch %s committed %d path(s) (canary %d%%, %d cohort builds, %d failed)",
 		ep.id, len(libs), ep.canaryPct, runs, fails))
 	s.upMu.Unlock()
-	for p := range libs {
-		s.pruneShapes(p, nil)
-	}
 	s.deleteEpochRecord()
 	s.stats.upgradesCommitted.Add(1)
 	return nil
@@ -367,9 +364,6 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 	}
 	s.auditLocked(ep, fmt.Sprintf("epoch %s rolled back: %s", ep.id, verdict))
 	s.upMu.Unlock()
-	for p := range staged {
-		s.pruneShapes(p, nil)
-	}
 	s.deleteEpochRecord()
 	s.stats.upgradesRolledBack.Add(1)
 	s.lastAborted.Store(&refusal.UpgradeAbortedError{Epoch: ep.id, Verdict: verdict, Auto: auto})
