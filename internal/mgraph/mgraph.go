@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"omos/internal/constraint"
 	"omos/internal/jigsaw"
@@ -129,20 +130,28 @@ type Node interface {
 	// Eval executes the subgraph.
 	Eval(ctx Context) (*Value, error)
 	// Hash returns a stable digest of the subgraph including the
-	// content of everything it references.
+	// content of everything it references.  It memoizes nothing: the
+	// context's ContentHash is where a caller keeps results.
 	Hash(ctx Context) (string, error)
 	// String renders the node for diagnostics.
 	String() string
 }
 
-func digest(parts ...string) string {
+// Digest hashes parts, each ended by a zero byte, to 24 hex digits:
+// every m-graph hash and every server cache key is one.  A part is
+// written as the bytes it is, which Write neither keeps nor changes: a
+// []byte conversion would copy it, and a part can be a whole source
+// text.
+func Digest(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		h.Write(unsafe.Slice(unsafe.StringData(p), len(p)))
+		h.Write(partEnd)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:24]
 }
+
+var partEnd = []byte{0}
 
 // mergeValues combines child values (shared by merge/override paths).
 func mergeValues(vals []*Value, combine func(mods []*jigsaw.Module) (*jigsaw.Module, error)) (*Value, error) {
@@ -171,7 +180,6 @@ func mergeValues(vals []*Value, combine func(mods []*jigsaw.Module) (*jigsaw.Mod
 // others; duplicate definitions are an error.
 type MergeNode struct {
 	Children []Node
-	memo     hashMemo
 }
 
 // Eval implements Node.
@@ -187,7 +195,7 @@ func (n *MergeNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *MergeNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) { return hashOp(ctx, "merge", nil, n.Children) })
+	return hashOp(ctx, "merge", nil, n.Children)
 }
 
 // String renders the node in blueprint syntax.
@@ -199,7 +207,6 @@ func (n *MergeNode) String() string { return opString("merge", nil, n.Children) 
 // second.
 type OverrideNode struct {
 	Base, Over Node
-	memo       hashMemo
 }
 
 // Eval implements Node.
@@ -228,9 +235,7 @@ func (n *OverrideNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *OverrideNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		return hashOp(ctx, "override", nil, []Node{n.Base, n.Over})
-	})
+	return hashOp(ctx, "override", nil, []Node{n.Base, n.Over})
 }
 
 // String renders the node in blueprint syntax.
@@ -256,8 +261,7 @@ type RegexNode struct {
 	Regex string
 	Child Node
 
-	re   *regexp.Regexp
-	memo hashMemo
+	re *regexp.Regexp
 }
 
 // NewRegexNode validates the pattern eagerly.
@@ -298,9 +302,7 @@ func (n *RegexNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *RegexNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		return hashOp(ctx, string(n.Op), []string{n.Regex}, []Node{n.Child})
-	})
+	return hashOp(ctx, string(n.Op), []string{n.Regex}, []Node{n.Child})
 }
 
 // String renders the node in blueprint syntax.
@@ -315,7 +317,6 @@ type CopyAsNode struct {
 	Regex, NewName string
 	Child          Node
 	re             *regexp.Regexp
-	memo           hashMemo
 }
 
 // NewCopyAsNode validates the pattern eagerly.
@@ -347,9 +348,7 @@ func (n *CopyAsNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *CopyAsNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		return hashOp(ctx, "copy-as", []string{n.Regex, n.NewName}, []Node{n.Child})
-	})
+	return hashOp(ctx, "copy-as", []string{n.Regex, n.NewName}, []Node{n.Child})
 }
 
 // String renders the node in blueprint syntax.
@@ -363,7 +362,6 @@ type RenameNode struct {
 	Mode            jigsaw.RenameMode
 	Child           Node
 	re              *regexp.Regexp
-	memo            hashMemo
 }
 
 // NewRenameNode validates the pattern eagerly.
@@ -391,9 +389,7 @@ func (n *RenameNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *RenameNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		return hashOp(ctx, fmt.Sprintf("rename%d", n.Mode), []string{n.Regex, n.Template}, []Node{n.Child})
-	})
+	return hashOp(ctx, fmt.Sprintf("rename%d", n.Mode), []string{n.Regex, n.Template}, []Node{n.Child})
 }
 
 // String renders the node in blueprint syntax.
@@ -407,7 +403,6 @@ func (n *RenameNode) String() string {
 // fragment) or a meta-object (library deps or expanded graphs).
 type RefNode struct {
 	Path string
-	memo hashMemo
 }
 
 // Eval implements Node.
@@ -435,13 +430,11 @@ func (n *RefNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *RefNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		ch, err := ctx.ContentHash(n.Path)
-		if err != nil {
-			return "", err
-		}
-		return digest("ref", n.Path, ch), nil
-	})
+	ch, err := ctx.ContentHash(n.Path)
+	if err != nil {
+		return "", err
+	}
+	return Digest("ref", n.Path, ch), nil
 }
 
 // String renders the node in blueprint syntax.
@@ -457,7 +450,6 @@ func (n *RefNode) String() string { return n.Path }
 type OptionalNode struct {
 	Path     string
 	Fallback Node // nil: degrade to an empty contribution
-	memo     hashMemo
 }
 
 // Eval implements Node.
@@ -481,28 +473,26 @@ func (n *OptionalNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *OptionalNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		avail := true
-		if r, ok := ctx.(OptionalResolver); ok {
-			avail = r.OptionalAvailable(n.Path)
+	avail := true
+	if r, ok := ctx.(OptionalResolver); ok {
+		avail = r.OptionalAvailable(n.Path)
+	}
+	if avail {
+		ch, err := ctx.ContentHash(n.Path)
+		if err != nil {
+			return "", err
 		}
-		if avail {
-			ch, err := ctx.ContentHash(n.Path)
-			if err != nil {
-				return "", err
-			}
-			return digest("optional", "present", n.Path, ch), nil
+		return Digest("optional", "present", n.Path, ch), nil
+	}
+	fh := "none"
+	if n.Fallback != nil {
+		h, err := n.Fallback.Hash(ctx)
+		if err != nil {
+			return "", err
 		}
-		fh := "none"
-		if n.Fallback != nil {
-			h, err := n.Fallback.Hash(ctx)
-			if err != nil {
-				return "", err
-			}
-			fh = h
-		}
-		return digest("optional", "absent", n.Path, fh), nil
-	})
+		fh = h
+	}
+	return Digest("optional", "absent", n.Path, fh), nil
 }
 
 // String renders the node in blueprint syntax.
@@ -517,7 +507,6 @@ func (n *OptionalNode) String() string {
 // operator).
 type SourceNode struct {
 	Lang, Text string
-	memo       hashMemo
 }
 
 // Eval implements Node.
@@ -535,9 +524,7 @@ func (n *SourceNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *SourceNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		return digest("source", n.Lang, n.Text), nil
-	})
+	return Digest("source", n.Lang, n.Text), nil
 }
 
 // String renders the node in blueprint syntax.
@@ -551,7 +538,6 @@ func (n *SourceNode) String() string { return fmt.Sprintf("(source %q %q)", n.La
 type ConstrainNode struct {
 	Prefs []constraint.Pref
 	Child Node
-	memo  hashMemo
 }
 
 // Eval implements Node.
@@ -576,13 +562,11 @@ func (n *ConstrainNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *ConstrainNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		args := make([]string, 0, len(n.Prefs))
-		for _, p := range n.Prefs {
-			args = append(args, fmt.Sprintf("%c=%#x", p.Seg, p.Addr))
-		}
-		return hashOp(ctx, "constrain", args, []Node{n.Child})
-	})
+	args := make([]string, 0, len(n.Prefs))
+	for _, p := range n.Prefs {
+		args = append(args, fmt.Sprintf("%c=%#x", p.Seg, p.Addr))
+	}
+	return hashOp(ctx, "constrain", args, []Node{n.Child})
 }
 
 // String renders the node in blueprint syntax.
@@ -603,7 +587,6 @@ type SpecializeNode struct {
 	Args  []string
 	Prefs []constraint.Pref
 	Child Node
-	memo  hashMemo
 }
 
 // Eval implements Node.
@@ -643,13 +626,11 @@ func (n *SpecializeNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *SpecializeNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		args := append([]string{n.Kind}, n.Args...)
-		for _, p := range n.Prefs {
-			args = append(args, fmt.Sprintf("%c=%#x", p.Seg, p.Addr))
-		}
-		return hashOp(ctx, "specialize", args, []Node{n.Child})
-	})
+	args := append([]string{n.Kind}, n.Args...)
+	for _, p := range n.Prefs {
+		args = append(args, fmt.Sprintf("%c=%#x", p.Seg, p.Addr))
+	}
+	return hashOp(ctx, "specialize", args, []Node{n.Child})
 }
 
 // String renders the node in blueprint syntax.
@@ -664,7 +645,6 @@ func (n *SpecializeNode) String() string {
 // static initializers.
 type InitializersNode struct {
 	Child Node
-	memo  hashMemo
 }
 
 // CtorPrefix marks constructor functions gathered by InitializersNode.
@@ -711,9 +691,7 @@ func (n *InitializersNode) Eval(ctx Context) (*Value, error) {
 
 // Hash implements Node.
 func (n *InitializersNode) Hash(ctx Context) (string, error) {
-	return n.memo.resolve(ctx, func() (string, error) {
-		return hashOp(ctx, "initializers", nil, []Node{n.Child})
-	})
+	return hashOp(ctx, "initializers", nil, []Node{n.Child})
 }
 
 // String renders the node in blueprint syntax.
@@ -761,7 +739,7 @@ func hashOp(ctx Context, op string, args []string, children []Node) (string, err
 		}
 		parts = append(parts, h)
 	}
-	return digest(parts...), nil
+	return Digest(parts...), nil
 }
 
 func opString(op string, args []string, children []Node) string {

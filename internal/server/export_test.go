@@ -1,6 +1,11 @@
 package server
 
-import "omos/internal/store"
+import (
+	"fmt"
+	"sort"
+
+	"omos/internal/store"
+)
 
 // RecordOf exposes an instance's full reconstruction state — segments
 // as materialized in frames, symbols, entry, placement, pins, binding
@@ -10,4 +15,35 @@ import "omos/internal/store"
 func (s *Server) RecordOf(inst *Instance) *store.Record {
 	rec, _ := s.recordOf(inst)
 	return rec
+}
+
+// Identities returns, sorted, the identities a store's records and
+// shapes are kept under: the content hash of every path in the
+// committed namespace, and each cached image's key, content key, bind
+// key and shape key.
+func (s *Server) Identities() ([]string, error) {
+	c := s.current()
+	var ids []string
+	for _, p := range s.List("/") {
+		h, err := c.ContentHash(p)
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, "path "+p+" "+h)
+	}
+	s.cacheMu.RLock()
+	defer s.cacheMu.RUnlock()
+	for key, e := range s.entries {
+		if e.inst == nil {
+			return nil, fmt.Errorf("image %s is dormant", key)
+		}
+		shape := "none"
+		if e.shape != nil {
+			shape = fmt.Sprint(e.shape.key)
+		}
+		ids = append(ids, fmt.Sprintf("image %s key=%s content=%s bind=%s shape=%s",
+			e.inst.Name, key, e.inst.ContentKey, e.inst.bindKey, shape))
+	}
+	sort.Strings(ids)
+	return ids, nil
 }

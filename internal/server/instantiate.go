@@ -115,7 +115,7 @@ func (s *Server) InstantiateBlueprint(src string, p *osim.Process) (*Instance, e
 	if err != nil {
 		return nil, err
 	}
-	meta := &mgraph.Meta{Path: "(anonymous)", Root: root, SrcHash: digestStr(src)}
+	meta := &mgraph.Meta{Path: "(anonymous)", Root: root, SrcHash: mgraph.Digest(src)}
 	name := "(anonymous:" + meta.SrcHash + ")"
 	return s.inNode(withVersion(context.Background(), s.ns.Load()), name, buildgraph.KindProgram, true, asCharger(p),
 		func(ctx context.Context, c charger) (*Instance, error) { return s.programImage(ctx, name, meta, c) })
@@ -399,7 +399,7 @@ func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, 
 	if err != nil {
 		return nil, err
 	}
-	pl.key = digestStr(kind, code, sh.key.spec, at, libKeys(libs))
+	pl.key = mgraph.Digest(kind, code, sh.key.spec, at, libKeys(libs))
 	// An image cached under the key this evaluation gives takes its
 	// shape (one not cached yet takes it when it is published): an
 	// older specializer generation's or a stale one plans no more.
@@ -421,7 +421,7 @@ const picMark = "/pic"
 
 func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*plan, error) {
 	s.chargeLookup(c)
-	subHash, err := meta.Root.Hash(s.ectx(ctx))
+	subHash, err := s.ectx(ctx).treeHash(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +460,7 @@ func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta
 	if err != nil {
 		return nil, err
 	}
-	pl.key = digestStr("prog", meta.SrcHash, subHash, at, libKeys(libs))
+	pl.key = mgraph.Digest("prog", meta.SrcHash, subHash, at, libKeys(libs))
 	return pl, nil
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"omos/internal/image"
 	"omos/internal/link"
+	"omos/internal/mgraph"
 )
 
 // This file is the server half of the rebase fast path.  The cache
@@ -26,13 +27,13 @@ import (
 // landed, so variants are only interchangeable when they were linked
 // against the very same library instances.
 func contentKeyLib(ch, specKind string, libs []*Instance) string {
-	return digestStr("librb", ch, specKind, libKeys(libs))
+	return mgraph.Digest("librb", ch, specKind, libKeys(libs))
 }
 
 // contentKeyProg is a program's placement-independent identity: the
 // construction subgraph hash plus library identities.
 func contentKeyProg(subHash string, libs []*Instance) string {
-	return digestStr("progrb", subHash, libKeys(libs))
+	return mgraph.Digest("progrb", subHash, libKeys(libs))
 }
 
 // rebaseSource reports whether a cached instance carries everything

@@ -60,13 +60,13 @@ type BindingTable struct {
 // invalidation (the lib content keys recorded in the table no longer
 // match) rather than silently missing.
 func bindKeyProg(meta *mgraph.Meta) string {
-	return digestStr("bind", meta.Path, meta.SrcHash)
+	return mgraph.Digest("bind", meta.Path, meta.SrcHash)
 }
 
 // bindKeyLib is a library's resolution identity: path + source hash +
 // specialization.
 func bindKeyLib(dep mgraph.LibDep, meta *mgraph.Meta) string {
-	return digestStr("bindlib", dep.Path, meta.SrcHash, dep.Spec.Hash())
+	return mgraph.Digest("bindlib", dep.Path, meta.SrcHash, dep.Spec.Hash())
 }
 
 // definerPath recovers the namespace path from a library instance

@@ -22,6 +22,8 @@
 //   - The namespace is an immutable version (nsVersion) behind an
 //     atomic pointer.  A request reads one version from its root to its
 //     reply without a lock; writers publish a changed copy (writeNS).
+//     Each version memoizes every path's hashes, and a new one starts
+//     with an empty memo: no hash outlives the entries it was taken of.
 //   - solverMu: the constraint solver's address-space bookkeeping.
 //   - cacheMu (RWMutex): the image cache — one entry per cache key,
 //     live or dormant, with its blob checksum and a library's shape,
@@ -55,7 +57,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"omos/internal/blueprint"
 	"omos/internal/buildgraph"
@@ -543,8 +544,7 @@ type placeRec struct {
 // reply.  A published version never changes; a writer publishes a
 // changed copy (writeNS).  num numbers it in one monotone sequence
 // shared by every version the server publishes, committed or staged:
-// it is the m-graph memo generation, the binding tables' Gen and the
-// epoch-id salt.
+// it is the binding tables' Gen and the epoch-id salt.
 type nsVersion struct {
 	num     uint64
 	entries map[string]nsEntry
@@ -564,18 +564,23 @@ type nsVersion struct {
 	// optional import of one degrades to its stub, since a version about
 	// to disappear must not earn new bindings.
 	unwinding map[string]bool
-	// memo caches content hashes by path.  It stays valid for the
+	// memo caches each path's hashes.  It stays valid for the
 	// version's lifetime: the entries it hashes never change.
 	memoMu sync.RWMutex
-	memo   map[string]string
+	memo   map[string]pathHashes
 }
+
+// pathHashes are the hashes of one namespace path in one version: a
+// meta-object's construction graph (tree) and its content, which is
+// the tree's hash with the blueprint's; an object has content only.
+type pathHashes struct{ tree, content string }
 
 // copy returns an unpublished copy of v's entries, mounts and
 // specializers for a writer to change.  Mounts and specializers are
 // shared: a writer replaces them, never changes them in place.
 func (v *nsVersion) copy() *nsVersion {
 	return &nsVersion{entries: maps.Clone(v.entries), mounts: v.mounts, specs: v.specs, specGen: v.specGen,
-		memo: map[string]string{}}
+		memo: map[string]pathHashes{}}
 }
 
 // Server is an OMOS instance.  It is safe for concurrent use.
@@ -697,7 +702,7 @@ func New(kern *osim.Kernel) *Server {
 		exec:      buildgraph.NewExecutor(DefaultBuildWorkers),
 		graph:     buildgraph.NewLog(),
 	}
-	s.ns.Store(&nsVersion{entries: map[string]nsEntry{}, specs: map[string]SpecFunc{}, memo: map[string]string{}})
+	s.ns.Store(&nsVersion{entries: map[string]nsEntry{}, specs: map[string]SpecFunc{}, memo: map[string]pathHashes{}})
 	return s
 }
 
@@ -735,7 +740,14 @@ func (s *Server) RegisterSpecializer(kind string, fn SpecFunc) {
 	}
 }
 
-func cleanPath(p string) string { return path.Clean("/" + p) }
+// cleanPath roots and cleans p.  A path that already starts with a
+// slash is cleaned as it is, which allocates nothing when it is clean.
+func cleanPath(p string) string {
+	if strings.HasPrefix(p, "/") {
+		return path.Clean(p)
+	}
+	return path.Clean("/" + p)
+}
 
 // writeNS is the namespace's one write path: it copies the committed
 // version, lets edit change the copy, layers the open epoch over it and
@@ -860,7 +872,7 @@ func parseMeta(p, src string, isLib bool) (*mgraph.Meta, error) {
 	meta := &mgraph.Meta{
 		Path:      cleanPath(p),
 		IsLibrary: isLib,
-		SrcHash:   digestStr(src, fmt.Sprintf("lib=%v", isLib)),
+		SrcHash:   mgraph.Digest(src, fmt.Sprintf("lib=%v", isLib)),
 		Src:       src,
 	}
 	meta.DefaultSpec = mgraph.Spec{Kind: "lib-static"}
@@ -925,20 +937,6 @@ func (s *Server) List(prefix string) []string {
 	return out
 }
 
-// digestStr hashes parts, each ended by a zero byte.  A part is written
-// as the bytes it is, which Write neither keeps nor changes: a []byte
-// conversion would copy it, and a part can be a whole blueprint.
-func digestStr(parts ...string) string {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(unsafe.Slice(unsafe.StringData(p), len(p)))
-		h.Write(partEnd)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:24]
-}
-
-var partEnd = []byte{0}
-
 // ---- mgraph.Context implementation ----
 
 // evalCtx is one evaluation's view of the server: the namespace
@@ -951,7 +949,6 @@ type evalCtx struct {
 }
 
 var _ mgraph.Context = evalCtx{}
-var _ mgraph.HashGenerator = evalCtx{}
 var _ mgraph.OptionalResolver = evalCtx{}
 var _ mgraph.StubRecorder = evalCtx{}
 var _ mgraph.Fanout = evalCtx{}
@@ -980,10 +977,6 @@ func withVersion(ctx context.Context, v *nsVersion) context.Context {
 func (s *Server) ectx(ctx context.Context) evalCtx {
 	return evalCtx{s: s, v: ctx.Value(versionCtxKey{}).(*nsVersion)}
 }
-
-// HashGeneration implements mgraph.HashGenerator: m-graph subtree
-// hashes memoized under one version number stay valid for that version.
-func (c evalCtx) HashGeneration() uint64 { return c.v.num }
 
 // entry resolves a namespace path in this evaluation's version,
 // consulting its mounts on a miss.
@@ -1040,10 +1033,27 @@ func (c evalCtx) LookupMeta(p string) (*mgraph.Meta, error) {
 	return e.meta, nil // nil for raw objects
 }
 
-// ContentHash implements mgraph.Context.  Results are memoized per
-// path in the version: the warm path costs one read-locked map lookup
-// instead of a transitive re-hash.
+// ContentHash implements mgraph.Context.
 func (c evalCtx) ContentHash(p string) (string, error) {
+	h, err := c.hashes(p)
+	return h.content, err
+}
+
+// treeHash returns the hash of meta's construction graph: memoized
+// when meta is this version's entry at its path, computed afresh for
+// one that is not (an anonymous blueprint).
+func (c evalCtx) treeHash(meta *mgraph.Meta) (string, error) {
+	if e, ok := c.v.entries[meta.Path]; ok && e.meta == meta {
+		h, err := c.hashes(meta.Path)
+		return h.tree, err
+	}
+	return meta.Root.Hash(c)
+}
+
+// hashes returns p's hashes in this version, memoized per path: the
+// warm path costs one read-locked map lookup instead of a transitive
+// re-hash.  Concurrent first callers each compute them, alike.
+func (c evalCtx) hashes(p string) (pathHashes, error) {
 	p = cleanPath(p)
 	c.v.memoMu.RLock()
 	h, ok := c.v.memo[p]
@@ -1053,21 +1063,20 @@ func (c evalCtx) ContentHash(p string) (string, error) {
 	}
 	e, ok, err := c.entry(p)
 	if err != nil {
-		return "", err
+		return h, err
 	}
 	if !ok {
-		return "", fmt.Errorf("server: nothing at %s", p)
+		return h, fmt.Errorf("server: nothing at %s", p)
 	}
 	if e.object != nil {
-		h = e.objHash
+		h.content = e.objHash
 	} else {
-		// Meta: include the blueprint hash; the transitive content of
-		// its references is folded in by hashing the root graph.
-		sub, err := e.meta.Root.Hash(c)
-		if err != nil {
-			return "", err
+		// Meta: the blueprint hash, and the transitive content of its
+		// references folded in by hashing the root graph.
+		if h.tree, err = e.meta.Root.Hash(c); err != nil {
+			return h, err
 		}
-		h = digestStr(e.meta.SrcHash, sub)
+		h.content = mgraph.Digest(e.meta.SrcHash, h.tree)
 	}
 	c.v.memoMu.Lock()
 	c.v.memo[p] = h

@@ -395,6 +395,9 @@ func TestShapeRestartEvaluatesNoLibrary(t *testing.T) {
 // server while one of them evicts it and defines and removes
 // unrelated programs: run under -race.  An eviction takes libc's shape
 // along, so each planner evaluates libc at most once per eviction.
+// Then all 8 plan a program and its library at once right after a
+// Define, so each computes the fresh version's hashes: they agree on
+// one key, and one image is built.
 func TestShapeMemoConcurrentPlans(t *testing.T) {
 	s := shapeServer(t, new(atomic.Int32))
 	want := wantEvals(t, s, "/lib/libc", 1)
@@ -440,5 +443,35 @@ func TestShapeMemoConcurrentPlans(t *testing.T) {
 	}
 	if st := s.Stats(); st.PlanEvaluations > 1+8*20 {
 		t.Fatalf("%d evaluations for one cold plan and 8 planners across 20 evictions", st.PlanEvaluations)
+	}
+
+	if err := s.Define("/bin/fresh", fmt.Sprintf(shapeProgSrc, 99)); err != nil {
+		t.Fatal(err)
+	}
+	built := s.Stats().ImagesBuilt
+	keys := make([]string, 8)
+	start := make(chan struct{})
+	for g := range keys {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			inst, err := s.Instantiate("/bin/fresh", nil)
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+				return
+			}
+			keys[g] = inst.Key
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, k := range keys {
+		if k != keys[0] {
+			t.Fatalf("goroutine %d planned /bin/fresh under key %q, goroutine 0 under %q", g, k, keys[0])
+		}
+	}
+	if n := s.Stats().ImagesBuilt - built; n != 1 {
+		t.Fatalf("%d images built for one program on a fresh version, want 1", n)
 	}
 }

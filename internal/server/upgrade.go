@@ -130,7 +130,7 @@ func (s *Server) canaryPick(v *nsVersion, meta *mgraph.Meta) bool {
 	if ep.canaryPct < 100 {
 		// 32 hash bits: the residues of 2^32 mod 100 are uneven by
 		// less than one part in 4·10^7 (one byte made a 10% canary 11.7%).
-		h := digestStr("canary", ep.id, meta.SrcHash)
+		h := mgraph.Digest("canary", ep.id, meta.SrcHash)
 		n, _ := strconv.ParseUint(h[:8], 16, 64)
 		if int(n%100) >= ep.canaryPct {
 			return false

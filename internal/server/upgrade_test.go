@@ -155,7 +155,7 @@ func TestUpgradeCanaryShareMatchesPercentage(t *testing.T) {
 		}
 		picked := 0
 		for i := 0; i < progs; i++ {
-			meta := &mgraph.Meta{SrcHash: digestStr("synthetic", fmt.Sprint(i))}
+			meta := &mgraph.Meta{SrcHash: mgraph.Digest("synthetic", fmt.Sprint(i))}
 			if s.canaryPick(s.ns.Load(), meta) {
 				picked++
 			}
