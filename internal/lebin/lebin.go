@@ -136,6 +136,10 @@ func (r *Reader) length() []byte {
 	return r.Raw(int(n))
 }
 
+// Span reads a length-prefixed blob without copying it (the result
+// aliases the input), nil once the reader has failed.
+func (r *Reader) Span() []byte { return r.length() }
+
 // Blob reads a length-prefixed blob into a fresh slice.
 func (r *Reader) Blob() []byte {
 	src := r.length()

@@ -122,6 +122,36 @@ func TestDormantCorruptHeadQuarantinedAtAttach(t *testing.T) {
 	}
 }
 
+// TestDormantAttachFromIndex: a restart on a store whose blobs all
+// predate its index attaches every record from the index's copy of its
+// head, keeps none of those copies past the attach, and serves the
+// first request from both records without a rebuild.
+func TestDormantAttachFromIndex(t *testing.T) {
+	dir, appKey, _ := persistedWorld(t)
+	AgeBlobs(t, dir)
+
+	s := newTestServer(t)
+	st := openStore(t, dir, 0)
+	if n := s.AttachStore(st); n != 2 {
+		t.Fatalf("attached %d records, want 2", n)
+	}
+	if got := s.Stats(); got.StoreIndexHeads != got.WarmLoaded {
+		t.Fatalf("%d of %d records attached from the index", got.StoreIndexHeads, got.WarmLoaded)
+	}
+	if _, ok, err := st.GetHead(appKey); !ok || err != nil {
+		t.Fatalf("GetHead after attach: ok=%v err=%v", ok, err)
+	}
+	if got := s.Stats().StoreIndexHeads; got != 2 {
+		t.Fatalf("the index served %d heads, want 2: it kept a head past the attach", got)
+	}
+	definePersistWorld(t, s)
+	runApp(t, s)
+	if got := s.Stats(); got.ImagesBuilt != 0 || got.StoreLoads != 2 || got.StoreCorrupt != 0 {
+		t.Fatalf("built %d, body reads %d, corrupt %d; want both records woken and nothing built",
+			got.ImagesBuilt, got.StoreLoads, got.StoreCorrupt)
+	}
+}
+
 // TestDormantCorruptBodyQuarantinedAtFirstUse: a damaged body passes
 // attach — its head is intact — and is caught when the first request
 // reads it: quarantined, counted corrupt, rebuilt, and the request

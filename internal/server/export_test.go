@@ -2,7 +2,11 @@ package server
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
+	"testing"
+	"time"
 
 	"omos/internal/store"
 )
@@ -46,4 +50,21 @@ func (s *Server) Identities() ([]string, error) {
 	}
 	sort.Strings(ids)
 	return ids, nil
+}
+
+// AgeBlobs moves the modification time of every blob under dir an hour
+// into the past, before the store's index file was written: each of
+// the index's rows may then serve its record's head.
+func AgeBlobs(t *testing.T, dir string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour)
+	for _, p := range paths {
+		if err := os.Chtimes(p, past, past); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -148,11 +148,18 @@ func (h *history) step(r *rand.Rand) {
 			h.t.Fatal(err)
 		}
 		h.ns.variant[i] = v
-	case 6: // a restart on the same store
+	case 6: // a restart on the same store, every blob older than its index
 		if err := s.CloseStore(); err != nil {
 			h.t.Fatal(err)
 		}
+		AgeBlobs(h.t, h.dir)
 		h.s = h.ns.start(h.t, openStore(h.t, h.dir, 0))
+		// Each head attach read came from the index: it was attached or,
+		// failing its checks, rejected.
+		if st := h.s.Stats(); st.StoreIndexHeads != st.WarmLoaded+st.StoreCorrupt {
+			h.t.Fatalf("restart after %v: %d heads from the index, %d attached, %d rejected",
+				h.ops, st.StoreIndexHeads, st.WarmLoaded, st.StoreCorrupt)
+		}
 	default: // Instantiate
 		h.check(histDefs[r.Intn(len(histDefs))].path)
 	}

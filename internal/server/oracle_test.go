@@ -353,6 +353,63 @@ func damageBody(t *testing.T, dir, key string) {
 	}
 }
 
+// flipIndexByte flips a byte in the middle of the store index in dir.
+func flipIndexByte(t *testing.T, dir string) {
+	t.Helper()
+	file := filepath.Join(dir, "index")
+	b, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(file, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// staleIndexRows leaves the store index in dir holding, for each of
+// keys, the head of another generation of its record — the same size,
+// a valid head naming the key, one field apart — while each blob stays
+// as it was.
+func staleIndexRows(t *testing.T, dir string, keys []string) {
+	t.Helper()
+	blobs := make([][]byte, len(keys))
+	for i, key := range keys {
+		file := filepath.Join(dir, key+".img")
+		blob, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := store.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Gen++
+		other, err := store.Encode(rec)
+		if err != nil || len(other) != len(blob) {
+			t.Fatalf("re-encoded %d bytes of a %d-byte record: %v", len(other), len(blob), err)
+		}
+		if err := os.WriteFile(file, other, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = blob
+	}
+	// A store opened on the other generations copies their heads into
+	// the index it flushes; the blobs then get their own bytes back.
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		if err := os.WriteFile(filepath.Join(dir, key+".img"), blobs[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // blobHook is a mesh in which every content key is owned by a peer
 // that holds exactly the blobs it was given.
 type blobHook struct {
@@ -512,6 +569,80 @@ func TestFastPathOracle(t *testing.T) {
 				t.Fatalf("%+v, shape hits +%d, evaluations +%d; want one link of one fresh evaluation", d, hits, evals)
 			}
 			same(t, "rebuilt after a damaged head", sub.path, want[sub.path], corrupt.snap(inst), false)
+		})
+	}
+
+	// Index: a restarted session attaches each record from the store
+	// index's copy of its head when the blob predates the index.  A
+	// damaged index serves no head — every record attaches from its own
+	// blob, nothing is quarantined, and each library is woken as stored.
+	idir := t.TempDir()
+	iseed := newWorld(t, idir, nil)
+	for _, sub := range subs {
+		if sub.isLib {
+			iseed.produce(sub.path)
+		}
+	}
+	if err := iseed.Srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	flipIndexByte(t, idir)
+	server.AgeBlobs(t, idir)
+	damagedIdx := newWorld(t, idir, nil)
+	if st := damagedIdx.Srv.Stats(); st.StoreIndexHeads != 0 || st.StoreQuarantined != 0 || st.WarmLoaded == 0 {
+		t.Fatalf("damaged index: %d heads from it, %d quarantined, %d attached; want every record attached from its blob",
+			st.StoreIndexHeads, st.StoreQuarantined, st.WarmLoaded)
+	}
+	for _, sub := range subs {
+		if !sub.isLib {
+			continue
+		}
+		t.Run("shape/restart/damaged-index"+sub.path, func(t *testing.T) {
+			inst, d := damagedIdx.produce(sub.path)
+			if d != (did{nodes: nodes{resumed: 1}}) {
+				t.Fatalf("%+v; want the stored image, resumed once", d)
+			}
+			same(t, "woken past a damaged index", sub.path, want[sub.path], damagedIdx.snap(inst), false)
+		})
+	}
+	if st := damagedIdx.Srv.Stats(); st.StoreQuarantined != 0 {
+		t.Fatalf("damaged index: %d records quarantined, want none", st.StoreQuarantined)
+	}
+
+	// A row whose head is valid but is not its blob's — a head of
+	// another generation of the record under that key, trusted because
+	// the blob still predates the index, as a clock stepped back could
+	// leave it — attaches, and its blob's body, which does not carry the
+	// head's sum, is refused at wake: at most one quarantine, and the
+	// fresh link's bytes.
+	if err := damagedIdx.Srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	var libKeys []string
+	for _, sub := range subs {
+		if sub.isLib {
+			libKeys = append(libKeys, want[sub.path].rec.Key)
+		}
+	}
+	staleIndexRows(t, idir, libKeys)
+	server.AgeBlobs(t, idir)
+	staleIdx := newWorld(t, idir, nil)
+	if st := staleIdx.Srv.Stats(); st.StoreIndexHeads != st.WarmLoaded || st.StoreQuarantined != 0 {
+		t.Fatalf("stale index: %d of %d records attached from it, %d quarantined; want all from it and none",
+			st.StoreIndexHeads, st.WarmLoaded, st.StoreQuarantined)
+	}
+	for _, sub := range subs {
+		if !sub.isLib {
+			continue
+		}
+		t.Run("shape/restart/stale-index"+sub.path, func(t *testing.T) {
+			before := staleIdx.Srv.Stats()
+			inst, d := staleIdx.produce(sub.path)
+			quarantined := staleIdx.Srv.Stats().StoreQuarantined - before.StoreQuarantined
+			if d.built != 1 || quarantined > 1 {
+				t.Fatalf("%+v, %d quarantined; want one link and at most one quarantine", d, quarantined)
+			}
+			same(t, "rebuilt past a stale index row", sub.path, want[sub.path], staleIdx.snap(inst), false)
 		})
 	}
 

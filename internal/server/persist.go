@@ -26,17 +26,18 @@ import (
 // and evicted LRU-first when the store exceeds its byte budget.
 
 // AttachStore attaches a persistent store as the backing tier of the
-// image cache and attaches every record in it by its head alone: the
-// head is checked, its blob identity registered for pins, its solver
-// placement re-reserved, its binding table reinstalled and a library's
-// shape put on its entry, and the record is left dormant — no segment
-// read, no frame made — until a request, a rebase or a mesh peer first
-// needs the image (wake).  Instantiations of unchanged meta-objects
-// therefore resolve to the same cache keys and are served without a
-// single relink, and their libraries are planned without an
-// evaluation.  A head that fails its own checks, a library shape that
-// names no library of its record included, is quarantined.  Returns
-// the number of records attached.
+// image cache and attaches every record in it by its head alone, which
+// the store serves from its index file where it can and otherwise from
+// the blob (store.GetHead): the head is checked, its blob identity
+// registered for pins, its solver placement re-reserved, its binding
+// table reinstalled and a library's shape put on its entry, and the
+// record is left dormant — no segment read, no frame made — until a
+// request, a rebase or a mesh peer first needs the image (wake).
+// Instantiations of unchanged meta-objects therefore resolve to the
+// same cache keys and are served without a single relink, and their
+// libraries are planned without an evaluation.  A head that fails its
+// own checks, a library shape that names no library of its record
+// included, is quarantined.  Returns the number of records attached.
 func (s *Server) AttachStore(st *store.Store) int {
 	s.cacheMu.Lock()
 	s.store = st
@@ -58,6 +59,10 @@ func (s *Server) AttachStore(st *store.Store) int {
 			s.attach(st, key, seen)
 		}()
 	}
+	// Heads the store's index supplied for records not attached here
+	// (the epoch record, entries already held) are dropped with the rest:
+	// the store keeps no head past the attach.
+	st.ForgetHeads()
 	n := int(s.stats.warmLoaded.Load() - before)
 	// A daemon killed mid-upgrade left its epoch record behind: redo a
 	// durable commit intent, roll back anything earlier — either way

@@ -127,6 +127,9 @@ type Stats struct {
 	// directory after failing validation (including those found there
 	// at boot).
 	StoreQuarantined uint64 `stat:"store quarantined"`
+	// StoreIndexHeads counts record heads attached from the store's
+	// index file rather than read from their blobs.
+	StoreIndexHeads uint64 `stat:"store index-heads"`
 
 	// The Scrub* fields mirror the store's background scrubber: blobs
 	// re-verified, blobs quarantined by the scrubber, and orphaned
@@ -383,6 +386,7 @@ func (s *Server) Stats() Stats {
 		st.StoreEvictions = sst.Evictions
 		st.StoreCorrupt = sst.CorruptRejects
 		st.StoreQuarantined = sst.Quarantined
+		st.StoreIndexHeads = sst.IndexHeads
 		st.StoreBytes = sst.Bytes
 		st.ScrubChecked = sst.ScrubChecked
 		st.ScrubQuarantined = sst.ScrubQuarantined

@@ -117,7 +117,7 @@ const (
 	minBindingBytes  = 4 + 4 + 4 + 4 + 8
 	minPinBytes      = 4 + 4 + 4
 	minEpochLibBytes = 4 + 4 + 4 + 1
-	minIndexBytes    = 4 + 8
+	minIndexBytes    = 4 + 8 + 8 + 4
 	minDepBytes      = 4 + 4
 	minDepPrefBytes  = 4 + 1 + 8
 )

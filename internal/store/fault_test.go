@@ -193,3 +193,24 @@ func dirCensus(t *testing.T, dir string) (tmps, imgs int) {
 	}
 	return tmps, imgs
 }
+
+// TestQuarantineCountsOnce: a key quarantined in two sessions keeps one
+// file in the quarantine directory, and Quarantined counts it once.
+func TestQuarantineCountsOnce(t *testing.T) {
+	dir := t.TempDir()
+	blob, _ := Encode(sampleRecord())
+	for session := 1; session <= 2; session++ {
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("cafe01", blob); err != nil {
+			t.Fatal(err)
+		}
+		s.Quarantine("cafe01")
+		if got := s.Stats().Quarantined; got != 1 {
+			t.Fatalf("session %d: Quarantined = %d, want 1", session, got)
+		}
+		s.Close()
+	}
+}
