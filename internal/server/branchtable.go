@@ -18,7 +18,7 @@ import (
 // lib-branch-table image.
 const btSlotPrefix = "$bt$slot$"
 
-// routeUpward is planLibrary's step for the "lib-branch-table"
+// routeUpward is the planner's step for the "lib-branch-table"
 // specialization of §4.1: upward references (library calls to
 // procedures the client must supply) are routed through per-process
 // data slots, so one cached text image serves every application

@@ -30,7 +30,7 @@ func TestPlanAllocBudgets(t *testing.T) {
 		{"/bin/ls", 4420, func() error { _, err := w.Srv.Instantiate("/bin/ls", nil); return err }},
 		{"/bin/codegen", 58930, func() error { _, err := w.Srv.Instantiate("/bin/codegen", nil); return err }},
 		{"/lib/libc", 38, func() error { _, err := w.Srv.Instantiate("/lib/libc", nil); return err }},
-		{"InstantiateLib(/lib/libc)", 25, func() error { _, err := w.Srv.InstantiateLib(libc, nil); return err }},
+		{"InstantiateLib(/lib/libc)", 29, func() error { _, err := w.Srv.InstantiateLib(libc, nil); return err }},
 	}
 	for _, r := range rows {
 		if err := r.hit(); err != nil { // warm the cache

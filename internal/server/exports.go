@@ -58,14 +58,15 @@ func (s *Server) EvalProgram(name string) (*mgraph.Value, *mgraph.Meta, error) {
 
 // InstantiateLib resolves one library dependency to an instance (the
 // "lib-dynamic-impl" specialization: the implementation that will be
-// loaded and shared at run time).
+// loaded and shared at run time).  Like every request it is the root of
+// one build-graph run.
 func (s *Server) InstantiateLib(dep mgraph.LibDep, p *osim.Process) (*Instance, error) {
 	// The implementation of a dynamic library is a normal
 	// self-contained image; only the client's access mechanism
 	// differs.
 	impl := dep
 	impl.Spec.Kind = "lib-static"
-	return s.libraryImage(withVersion(context.Background(), s.ns.Load()), impl, asCharger(p))
+	return s.inNode(withVersion(context.Background(), s.ns.Load()), libTarget(impl), true, asCharger(p))
 }
 
 // ExportTable returns (building and caching on first use) the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"omos/internal/fault"
+	"omos/internal/mgraph"
 )
 
 // defineProg installs a tiny program (with one library dep) used by
@@ -90,7 +91,7 @@ func TestFaultEvalPanicRecovered(t *testing.T) {
 
 	f := fault.New(1)
 	// Hit 2 only: the program's own evaluation survives; the library
-	// branch (running under buildDep's recovery) panics.
+	// branch (running under its own node's recovery) panics.
 	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindPanic, EveryN: 2, Count: 1})
 	s.SetFaults(f)
 
@@ -318,6 +319,39 @@ func TestFaultRootEvalPanicRecovered(t *testing.T) {
 		t.Fatalf("post-panic instantiate: %v", err)
 	} else if _, code := runInstance(t, s, inst, nil); code != 42 {
 		t.Fatalf("exit = %d, want 42", code)
+	}
+}
+
+// TestFaultInstantiateLibPanicRecovered: InstantiateLib (the loader's
+// DYNLOAD and partial-image paths) is a root like any request: a panic
+// in its library's evaluation fails the call, is counted, and retires
+// its run, and a retry builds.
+func TestFaultInstantiateLibPanicRecovered(t *testing.T) {
+	s := newTestServer(t)
+	defineFaultProg(t, s)
+	f := fault.New(1)
+	f.Enable(fault.Rule{Site: fault.SiteBuildEval, Kind: fault.KindPanic, EveryN: 1, Count: 1})
+	s.SetFaults(f)
+
+	dep := mgraph.LibDep{Path: "/lib/tiny"}
+	_, err := s.InstantiateLib(dep, nil)
+	if err == nil || !strings.Contains(err.Error(), "recovered panic") {
+		t.Fatalf("err = %v, want recovered panic", err)
+	}
+	if got := s.Stats().Recovered; got == 0 {
+		t.Fatalf("Stats.Recovered = %d, want > 0", got)
+	}
+	if st := s.Stats(); st.NodesFailed != 1 {
+		t.Fatalf("NodesFailed = %d, want the root alone", st.NodesFailed)
+	}
+	if report := s.GraphReport(); !strings.Contains(report, "build graph: runs=1 active=0\n") {
+		t.Fatalf("panicked run not recorded and retired:\n%s", report)
+	}
+	if _, err := s.InstantiateLib(dep, nil); err != nil {
+		t.Fatalf("post-panic InstantiateLib: %v", err)
+	}
+	if st := s.Stats(); st.ImagesBuilt != 1 {
+		t.Fatalf("ImagesBuilt = %d after the retry, want 1", st.ImagesBuilt)
 	}
 }
 

@@ -55,9 +55,6 @@ int main() { return lb_f(%d); }
 ") /lib/lb)`, false},
 }
 
-// histLibs is how many of histDefs are libraries.
-const histLibs = 2
-
 // define defines histDefs[i] in variant v.
 func define(s *Server, i, v int) error {
 	d := histDefs[i]
@@ -123,8 +120,8 @@ func (h *history) step(r *rand.Rand) {
 	op := r.Intn(10)
 	defer func() { h.ops = append(h.ops, fmt.Sprintf("%d:%+v", op, h.ns)) }()
 	switch op {
-	case 0, 1: // Define a library, changed or identical
-		i, v := r.Intn(histLibs), r.Intn(2)
+	case 0, 1: // Define a library or a program, changed or identical
+		i, v := r.Intn(len(histDefs)), r.Intn(2)
 		if err := define(s, i, v); err != nil {
 			h.t.Fatal(err)
 		}

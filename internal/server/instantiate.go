@@ -78,17 +78,11 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 			meta = m2
 		}
 	}
-	ctx = withVersion(ctx, c.v)
-	kind := buildgraph.KindProgram
+	t := target{name: name, prog: meta}
 	if meta.IsLibrary {
-		kind = buildgraph.KindLibrary
+		t = libTarget(mgraph.LibDep{Path: name, Spec: meta.DefaultSpec})
 	}
-	inst, err := s.inNode(ctx, name, kind, true, asCharger(p), func(ctx context.Context, c charger) (*Instance, error) {
-		if meta.IsLibrary {
-			return s.libraryImage(ctx, mgraph.LibDep{Path: name, Spec: meta.DefaultSpec}, c)
-		}
-		return s.programImage(ctx, name, meta, c)
-	})
+	inst, err := s.inNode(withVersion(ctx, c.v), t, true, asCharger(p))
 	// Feed the health gate: the server-wide failure baseline always,
 	// the canary cohort's verdict during an epoch.  A regression here
 	// triggers the automatic rollback (synchronously, so the caller
@@ -117,8 +111,7 @@ func (s *Server) InstantiateBlueprint(src string, p *osim.Process) (*Instance, e
 	}
 	meta := &mgraph.Meta{Path: "(anonymous)", Root: root, SrcHash: mgraph.Digest(src)}
 	name := "(anonymous:" + meta.SrcHash + ")"
-	return s.inNode(withVersion(context.Background(), s.ns.Load()), name, buildgraph.KindProgram, true, asCharger(p),
-		func(ctx context.Context, c charger) (*Instance, error) { return s.programImage(ctx, name, meta, c) })
+	return s.inNode(withVersion(context.Background(), s.ns.Load()), target{name: name, prog: meta}, true, asCharger(p))
 }
 
 func (s *Server) chargeLookup(c charger) {
@@ -174,9 +167,9 @@ func (s *Server) place(req constraint.Request) (constraint.Placement, error) {
 
 // plan is everything the server must know to find or build one image:
 // what it is called, what it is made of, where it goes and under which
-// identities it is cached.  planProgram and planLibrary fill one from
-// the namespace (hash, evaluate, measure, place, key); build consumes
-// it.  Nothing in it changes once the planner returns.
+// identities it is cached.  planFor fills one from the namespace (hash,
+// evaluate, measure, place, key); build consumes it.  Nothing in it
+// changes once the planner returns.
 type plan struct {
 	// name is the instance name: cache entries, frame-segment names and
 	// store records carry it.  image is the link image name; label is
@@ -309,101 +302,146 @@ func (s *Server) settle(pl *plan, solverKey string, prefs []constraint.Pref, tex
 	return fmt.Sprintf("%#x/%#x", at.TextBase, at.DataBase), nil
 }
 
-// planLibrary plans dep.  A library with a cached image whose shape
-// was measured under its current inputs is not evaluated: its plan
-// carries the meta-object and the shape instead of a module.  Every
-// other step — the lookup charge, the dependency nodes, the placement
-// and the keys — runs either way.  v, when non-nil, is an evaluation
+// target is what a request finds or builds: a library dependency, or a
+// program whose meta-object its entry point already looked up (prog).
+// name is the program's name or the library's path.
+type target struct {
+	name string
+	prog *mgraph.Meta
+	dep  mgraph.LibDep
+}
+
+func libTarget(dep mgraph.LibDep) target { return target{name: dep.Path, dep: dep} }
+
+// kind is the build-graph node kind of t's build.
+func (t target) kind() buildgraph.Kind {
+	switch {
+	case t.prog != nil:
+		return buildgraph.KindProgram
+	case t.dep.Spec.Kind == "lib-branch-table":
+		return buildgraph.KindBranchTable
+	}
+	return buildgraph.KindLibrary
+}
+
+// planFor is the one planner: look t up, hash it, evaluate it, build its
+// dependencies, place it and key it.  A library with a cached image
+// whose shape was measured under its current inputs is not evaluated:
+// its plan carries the meta-object and the shape instead of a module.
+// Every other step runs either way.  v, when non-nil, is an evaluation
 // of the library made already (a stale shape's), planned from instead
-// of a shape.  Branch-table libraries bind while planning, so they
-// always evaluate.
-func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, v *mgraph.Value) (*plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// of a shape.  Programs always evaluate, and so do branch-table
+// libraries, which bind while planning.
+func (s *Server) planFor(ctx context.Context, t target, c charger, v *mgraph.Value) (*plan, error) {
 	cx := s.ectx(ctx)
-	meta, err := cx.LookupMeta(dep.Path)
-	if err != nil {
-		return nil, err
+	meta, lib := t.prog, t.prog == nil
+	bt := lib && t.dep.Spec.Kind == "lib-branch-table"
+	var hash string
+	var err error
+	if lib {
+		if meta, err = cx.LookupMeta(t.name); err != nil {
+			return nil, err
+		}
+		if meta == nil || !meta.IsLibrary {
+			return nil, fmt.Errorf("server: %s is not a library meta-object", t.name)
+		}
+		hash, err = cx.ContentHash(t.name)
+	} else {
+		hash, err = cx.treeHash(meta)
 	}
-	if meta == nil || !meta.IsLibrary {
-		return nil, fmt.Errorf("server: %s is not a library meta-object", dep.Path)
-	}
-	ch, err := cx.ContentHash(dep.Path)
 	if err != nil {
 		return nil, err
 	}
 	s.chargeLookup(c)
 
-	bt := dep.Spec.Kind == "lib-branch-table"
-	key := shapeKey{libID: libID{dep.Path, dep.Spec.Hash()}, content: ch, pic: s.PICSource, specGen: cx.v.specGen}
+	// The code generation mode changes every compiled byte, so it is
+	// part of the image's identity as much as the content is.
+	pic, code := s.PICSource, hash
+	if pic {
+		code += picMark
+	}
 	var sh libShape
 	hit := false
-	if v == nil && !bt {
-		sh, hit = s.shapeOf(key)
-	}
-	if !hit {
+	if lib {
+		key := shapeKey{libID: libID{t.name, t.dep.Spec.Hash()}, content: hash, pic: pic, specGen: cx.v.specGen}
+		if v == nil && !bt {
+			sh, hit = s.shapeOf(key)
+		}
 		sh.key = key
+	}
+	pl := &plan{name: t.name, image: t.name, label: t.name, entry: "_start"}
+	if lib {
+		pl.image, pl.label, pl.entry = "lib:"+t.name, "library "+t.name, ""
+	}
+	if hit {
+		s.stats.shapeHits.Add(1)
+		pl.meta = meta
+	} else {
 		if v == nil {
 			if v, err = s.evaluate(ctx, meta); err != nil {
 				return nil, err
 			}
 		}
 		if v.Module == nil {
-			return nil, fmt.Errorf("server: library %s produced no fragments", dep.Path)
+			return nil, fmt.Errorf("server: %s produced no fragments", pl.label)
 		}
-		sh.libs = v.Libs
-		if !bt {
-			sh.textSize, sh.dataSize = link.Measure(v.Module)
-		}
-	} else {
-		s.stats.shapeHits.Add(1)
+		sh.libs, pl.module = v.Libs, v.Module
 	}
-	libs, err := s.instantiateDeps(ctx, sh.libs, c)
-	if err != nil {
+	if pl.libs, err = s.instantiateDeps(ctx, sh.libs, c); err != nil {
 		return nil, err
 	}
-	prefs := dep.Spec.Prefs
-	if len(prefs) == 0 {
-		prefs = meta.DefaultSpec.Prefs
-	}
-	pl := &plan{name: dep.Path, image: "lib:" + dep.Path, label: "library " + dep.Path, libs: libs}
-	if !bt {
-		pl.shape = &sh
-	}
-	if hit {
-		pl.meta = meta
-	} else {
-		pl.module = v.Module
-	}
-	kind := "lib"
 	if bt {
-		kind = "lib-bt"
 		pl.name, pl.label = pl.image, "branch-table "+pl.label
-		if err := pl.routeUpward(dep.Path); err != nil {
+		if err := pl.routeUpward(t.name); err != nil {
 			return nil, err
 		}
+	}
+	if !hit {
 		sh.textSize, sh.dataSize = link.Measure(pl.module)
 	}
-	// The code generation mode changes every compiled byte, so it is
-	// part of the image's identity as much as the content is.
-	code := ch
-	if sh.key.pic {
-		code += picMark
+	if lib && !bt {
+		shape := sh
+		pl.shape = &shape
 	}
-	if !bt {
-		pl.ckey = contentKeyLib(code, dep.Spec.Kind, libs)
-		pl.bkey = bindKeyLib(dep, meta)
+
+	prefs := t.dep.Spec.Prefs
+	if !lib {
+		prefs = v.Prefs
 	}
-	at, err := s.settle(pl, "lib:"+dep.Path+"|"+sh.key.spec, prefs, sh.textSize, sh.dataSize)
+	if len(prefs) == 0 {
+		// A leading (constraint-list ...) in the blueprint gives default
+		// preferences (Figure 1).  It is not part of a program's
+		// construction subgraph, so programs differing only in placement
+		// share a content key and can rebase.
+		prefs = meta.DefaultSpec.Prefs
+	}
+	if len(prefs) == 0 && !lib {
+		prefs = []constraint.Pref{
+			{Seg: 'T', Addr: DefaultClientText},
+			{Seg: 'D', Addr: DefaultClientData},
+		}
+	}
+	var solverKey string
+	var id [3]string // the image key's leading parts
+	switch {
+	case !lib:
+		solverKey, id = "prog:"+t.name, [3]string{"prog", meta.SrcHash, code}
+		pl.ckey, pl.bkey = contentKeyProg(code, pl.libs), bindKeyProg(meta)
+	case bt:
+		solverKey, id = "lib:"+t.name+"|"+sh.key.spec, [3]string{"lib-bt", code, sh.key.spec}
+	default:
+		solverKey, id = "lib:"+t.name+"|"+sh.key.spec, [3]string{"lib", code, sh.key.spec}
+		pl.ckey, pl.bkey = contentKeyLib(code, t.dep.Spec.Kind, pl.libs), bindKeyLib(t.dep, meta)
+	}
+	at, err := s.settle(pl, solverKey, prefs, sh.textSize, sh.dataSize)
 	if err != nil {
 		return nil, err
 	}
-	pl.key = mgraph.Digest(kind, code, sh.key.spec, at, libKeys(libs))
+	pl.key = mgraph.Digest(id[0], id[1], id[2], at, libKeys(pl.libs))
 	// An image cached under the key this evaluation gives takes its
 	// shape (one not cached yet takes it when it is published): an
 	// older specializer generation's or a stale one plans no more.
-	if !hit && !bt {
+	if pl.shape != nil && !hit {
 		s.cacheMu.Lock()
 		if e := s.entries[pl.key]; e != nil {
 			s.unindexLocked(e)
@@ -419,74 +457,24 @@ func (s *Server) planLibrary(ctx context.Context, dep mgraph.LibDep, c charger, 
 // position-independent code (Server.PICSource).
 const picMark = "/pic"
 
-func (s *Server) planProgram(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*plan, error) {
-	s.chargeLookup(c)
-	subHash, err := s.ectx(ctx).treeHash(meta)
-	if err != nil {
-		return nil, err
-	}
-	if s.PICSource {
-		subHash += picMark
-	}
-	v, err := s.evaluate(ctx, meta)
-	if err != nil {
-		return nil, err
-	}
-	libs, err := s.instantiateDeps(ctx, v.Libs, c)
-	if err != nil {
-		return nil, err
-	}
-	if v.Module == nil {
-		return nil, fmt.Errorf("server: program %s produced no fragments", name)
-	}
-	prefs := v.Prefs
-	if len(prefs) == 0 {
-		// A leading (constraint-list ...) in the program's blueprint
-		// gives default preferences, like a library's (Figure 1).  It is
-		// not part of the construction subgraph, so programs differing
-		// only in placement share a content key and can rebase.
-		prefs = meta.DefaultSpec.Prefs
-	}
-	if len(prefs) == 0 {
-		prefs = []constraint.Pref{
-			{Seg: 'T', Addr: DefaultClientText},
-			{Seg: 'D', Addr: DefaultClientData},
-		}
-	}
-	pl := &plan{name: name, image: name, label: name, module: v.Module, libs: libs, entry: "_start",
-		ckey: contentKeyProg(subHash, libs), bkey: bindKeyProg(meta)}
-	textSize, dataSize := link.Measure(v.Module)
-	at, err := s.settle(pl, "prog:"+name, prefs, textSize, dataSize)
-	if err != nil {
-		return nil, err
-	}
-	pl.key = mgraph.Digest("prog", meta.SrcHash, subHash, at, libKeys(libs))
-	return pl, nil
-}
-
-// libraryImage and programImage are the two ways into the pipeline:
-// fill the plan, then find or build its image.  A library whose link
-// found the shape it was planned from stale is planned and built once more, from
-// the evaluation that found it.
-func (s *Server) libraryImage(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
-	pl, err := s.planLibrary(ctx, dep, c, nil)
+// image is the one way into the pipeline: plan t, then find or build
+// its image.  A library whose link found the shape it was planned from
+// stale is planned and built once more, from the evaluation that found
+// it.
+func (s *Server) image(ctx context.Context, t target, c charger) (*Instance, error) {
+	pl, err := s.planFor(ctx, t, c, nil)
 	if err != nil {
 		return nil, err
 	}
 	inst, err := s.build(ctx, pl, c)
-	var stale *staleShapeError
-	if errors.As(err, &stale) {
-		if pl, err = s.planLibrary(ctx, dep, c, stale.v); err != nil {
-			return nil, err
-		}
-		return s.build(ctx, pl, c)
+	if err == nil {
+		return inst, nil
 	}
-	return inst, err
-}
-
-func (s *Server) programImage(ctx context.Context, name string, meta *mgraph.Meta, c charger) (*Instance, error) {
-	pl, err := s.planProgram(ctx, name, meta, c)
-	if err != nil {
+	var stale *staleShapeError
+	if !errors.As(err, &stale) {
+		return nil, err
+	}
+	if pl, err = s.planFor(ctx, t, c, stale.v); err != nil {
 		return nil, err
 	}
 	return s.build(ctx, pl, c)

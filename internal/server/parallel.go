@@ -114,7 +114,7 @@ func (s *Server) instantiateDeps(ctx context.Context, deps []mgraph.LibDep, c ch
 	if len(distinct) == 1 || workers <= 1 {
 		var insts []*Instance
 		for _, dep := range distinct {
-			inst, err := s.buildDep(ctx, dep, c)
+			inst, err := s.inNode(ctx, libTarget(dep), false, c)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +130,7 @@ func (s *Server) instantiateDeps(ctx context.Context, deps []mgraph.LibDep, c ch
 	for i := range distinct {
 		i := i
 		tasks[i] = func() {
-			insts[i], errs[i] = s.buildDep(ctx, distinct[i], &tallies[i])
+			insts[i], errs[i] = s.inNode(ctx, libTarget(distinct[i]), false, &tallies[i])
 		}
 	}
 	s.exec.Run(tasks)
@@ -159,25 +159,4 @@ func (s *Server) instantiateDeps(ctx context.Context, deps []mgraph.LibDep, c ch
 		c.ChargeServer(charged)
 	}
 	return insts, nil
-}
-
-// buildDep builds one library dependency as one build-graph node
-// (inNode), so a panic in the branch fails this dependency, never the
-// worker goroutine it happens to be running on.
-func (s *Server) buildDep(ctx context.Context, dep mgraph.LibDep, c charger) (*Instance, error) {
-	kind := buildgraph.KindLibrary
-	if dep.Spec.Kind == "lib-branch-table" {
-		kind = buildgraph.KindBranchTable
-	}
-	return s.inNode(ctx, dep.Path, kind, false, c, func(ctx context.Context, c charger) (*Instance, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Scheduling a node has a small fixed cost (queue + join
-		// bookkeeping), charged to the requester like the lookup is.
-		if c != nil {
-			c.ChargeServer(s.kern.Cost.ServerNodeSchedule)
-		}
-		return s.libraryImage(ctx, dep, c)
-	})
 }

@@ -590,3 +590,24 @@ func TestExportMetaAndObject(t *testing.T) {
 		t.Fatal("meta exported as object")
 	}
 }
+
+// TestFragmentlessProgramBuildsNothing: a program whose blueprint
+// names only a library has no fragments of its own to link.  It is
+// refused before its libraries are built, so the failed request leaves
+// no image behind.
+func TestFragmentlessProgramBuildsNothing(t *testing.T) {
+	s := newTestServer(t)
+	if err := s.DefineLibrary("/lib/tiny", `(source "c" "int lib_val() { return 40; }")`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Define("/bin/empty", `(merge /lib/tiny)`); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Instantiate("/bin/empty", nil)
+	if err == nil || !strings.Contains(err.Error(), "produced no fragments") {
+		t.Fatalf("err = %v, want the program refused for producing no fragments", err)
+	}
+	if st := s.Stats(); st.ImagesBuilt != 0 || st.CacheMisses != 0 {
+		t.Fatalf("%d images built, %d cache misses; want the library left unbuilt", st.ImagesBuilt, st.CacheMisses)
+	}
+}

@@ -229,7 +229,7 @@ func TestShapeUpgradeCohorts(t *testing.T) {
 			cohort := func() *Instance {
 				t.Helper()
 				ctx := withVersion(context.Background(), s.ns.Load().staged)
-				inst, err := s.libraryImage(ctx, dep, nil)
+				inst, err := s.inNode(ctx, libTarget(dep), true, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
