@@ -313,7 +313,8 @@ type target struct {
 
 func libTarget(dep mgraph.LibDep) target { return target{name: dep.Path, dep: dep} }
 
-// kind is the build-graph node kind of t's build.
+// kind is the build-graph node kind of t's build, and the planner's
+// role for it.
 func (t target) kind() buildgraph.Kind {
 	switch {
 	case t.prog != nil:
@@ -334,8 +335,8 @@ func (t target) kind() buildgraph.Kind {
 // libraries, which bind while planning.
 func (s *Server) planFor(ctx context.Context, t target, c charger, v *mgraph.Value) (*plan, error) {
 	cx := s.ectx(ctx)
-	meta, lib := t.prog, t.prog == nil
-	bt := lib && t.dep.Spec.Kind == "lib-branch-table"
+	kind := t.kind()
+	meta, lib, bt := t.prog, kind != buildgraph.KindProgram, kind == buildgraph.KindBranchTable
 	var hash string
 	var err error
 	if lib {
