@@ -1,9 +1,13 @@
 package server_test
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"omos/internal/mgraph"
+	"omos/internal/server"
+	"omos/internal/store"
 	"omos/internal/workload"
 )
 
@@ -51,4 +55,95 @@ func TestPlanAllocBudgets(t *testing.T) {
 			t.Logf("%s: %.0f allocations per warm hit (budget %.0f ± %.0f)", r.name, got, r.budget, headroom)
 		}
 	}
+}
+
+// TestRestartAllocBudgets pins the allocations of a warm restart, on a
+// store holding the workload world's /bin/ls and /bin/codegen images
+// (every head served from the store's index): AttachStore, and the
+// first /bin/ls after it, which wakes ls and libc and compiles ls.
+// Each row is the median of seven fresh worlds' malloc counts, held to
+// an exact budget with 5 % headroom either way, as in
+// TestPlanAllocBudgets.
+func TestRestartAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector drift by ~8 % and vary between runs")
+	}
+	dir := t.TempDir()
+	w := restartWorld(t)
+	st, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Srv.AttachStore(st)
+	for _, p := range []string{"/bin/ls", "/bin/codegen"} {
+		if _, err := w.Srv.Instantiate(p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Srv.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	server.AgeBlobs(t, dir)
+
+	const runs = 7
+	var attach, first [runs]uint64
+	for i := range runs {
+		w := restartWorld(t)
+		st, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attach[i] = mallocs(func() { w.Srv.AttachStore(st) })
+		first[i] = mallocs(func() {
+			if _, err := w.Srv.Instantiate("/bin/ls", nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if stats := w.Srv.Stats(); stats.ImagesBuilt != 0 || stats.StoreIndexHeads == 0 {
+			t.Fatalf("restart %d: %d images built, %d index heads; want none built, heads from the index", i, stats.ImagesBuilt, stats.StoreIndexHeads)
+		}
+		if err := w.Srv.CloseStore(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct {
+		name   string
+		budget float64
+		got    [runs]uint64
+	}{
+		{"AttachStore", 373, attach},
+		{"first /bin/ls after the attach", 4867, first},
+	} {
+		sorted := r.got[:]
+		slices.Sort(sorted)
+		got := float64(sorted[runs/2])
+		headroom := max(r.budget/20, 2)
+		switch {
+		case got > r.budget+headroom:
+			t.Errorf("%s: %.0f allocations, over its budget of %.0f ± %.0f (runs %v)", r.name, got, r.budget, headroom, sorted)
+		case got < r.budget-headroom:
+			t.Errorf("%s: %.0f allocations, under its budget of %.0f ± %.0f: lower the budget (runs %v)", r.name, got, r.budget, headroom, sorted)
+		default:
+			t.Logf("%s: %.0f allocations (budget %.0f ± %.0f, runs %v)", r.name, got, r.budget, headroom, sorted)
+		}
+	}
+}
+
+// restartWorld boots a fresh workload world.
+func restartWorld(t *testing.T) *workload.OMOSWorld {
+	t.Helper()
+	w, err := workload.SetupOMOS(oracleCG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// mallocs returns the number of heap allocations fn makes.
+func mallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
