@@ -476,6 +476,69 @@ int main() { return libpad_get() + 7; }
 	}
 }
 
+// TestConcurrentExportDuringRelink exports a program's image to a mesh
+// peer while the program is evicted and relinked over and over, each
+// relink under a namespace version an unrelated Define published: each
+// relink replays the program's binding table and each export reads the
+// table's generation into the record, so the table must not change once
+// installed.  Its generation stays the one it was recorded under, and
+// under -race a re-stamp shows as a data race besides.
+func TestConcurrentExportDuringRelink(t *testing.T) {
+	s := newTestServer(t)
+	definePersistWorld(t, s)
+	inst, err := s.Instantiate("/bin/app", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckey, gen := inst.ContentKey, s.bindingTable(inst.bindKey).Gen
+	const rounds = 1000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			blob, ok := s.ExportContent(ckey)
+			if !ok {
+				continue
+			}
+			rec, err := store.Decode(blob)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if rec.Gen != gen {
+				t.Errorf("exported binding table generation %d, want %d, the one it was recorded under", rec.Gen, gen)
+				return
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		s.Evict("/bin/app")
+		if err := s.Define("/bin/idle", persistProgSrc); err != nil {
+			t.Error(err)
+			break
+		}
+		if _, err := s.Instantiate("/bin/app", nil); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if hits := s.Stats().BindingHits; hits < rounds {
+		t.Fatalf("%d binding-table replays in %d relinks, want one each", hits, rounds)
+	}
+	if got := s.bindingTable(inst.bindKey).Gen; got != gen {
+		t.Fatalf("binding table generation %d after the relinks, want %d, the one it was recorded under", got, gen)
+	}
+}
+
 // TestMaterializeReleasesFramesOnFailure: when a later segment cannot
 // be materialized, the frames already made for earlier ones go back to
 // the frame table.

@@ -213,9 +213,9 @@ type snapshot struct {
 func (w *world) snap(inst *server.Instance) snapshot {
 	w.t.Helper()
 	rec := w.Srv.RecordOf(inst)
-	// The namespace generation a binding table was last confirmed under
-	// is a timestamp, not part of the resolution: worlds that defined
-	// extra variants are further along.
+	// The namespace generation a binding table was recorded under is a
+	// timestamp, not part of the resolution: worlds that defined extra
+	// variants are further along.
 	rec.Gen = 0
 	sn := snapshot{rec: rec, entry: inst.Entry(), segs: inst.Res.Image.Segments,
 		syms: inst.Res.Image.Syms, exports: inst.Res.Exports}

@@ -45,7 +45,9 @@ import (
 
 // BindingTable is one image's recorded resolution.  Each binding is
 // the audit record of who defined one symbol, in the store's own form
-// (store.Binding), so a table persists and warm-loads as it is.
+// (store.Binding), so a table persists and warm-loads as it is.  An
+// installed table never changes (a replay reads it without a lock), so
+// a new resolution installs a new table.
 type BindingTable struct {
 	Image    string   // image name the resolution was performed for
 	Gen      uint64   // namespace version number at resolution
@@ -129,12 +131,6 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 		s.bindMu.Unlock()
 		return nil, false
 	}
-	// Revalidated against the live library identities: re-stamp the
-	// generation so the audit trail reports when it was last confirmed.
-	gen := s.ns.Load().num
-	s.bindMu.Lock()
-	tbl.Gen = gen
-	s.bindMu.Unlock()
 	if c != nil && len(ext) > 0 {
 		c.ChargeServer(uint64(len(ext)) * s.kern.Cost.ServerBindingBind)
 	}
