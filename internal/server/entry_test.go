@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -55,8 +56,8 @@ func (w entryWorld) define(t *testing.T, s *Server) {
 }
 
 // checkEntries checks the cache's one-entry-per-key invariants: every
-// entry holds exactly one of an instance and a head, under its own key;
-// the content index holds an entry under its content key, and the shape
+// entry sits under its own key, and a live one carries its instance's
+// key, name, content key, placement and library keys; the content index holds an entry under its content key, and the shape
 // index one that keeps a shape under the shape's key, exactly when
 // entries holds it; a dormant entry exists only while a store is
 // attached; a checksum is that of the blob on disk; and every listed
@@ -69,17 +70,23 @@ func checkEntries(t *testing.T, s *Server, step string) {
 	st := s.store
 	for key, e := range s.entries {
 		switch {
-		case (e.inst == nil) == (e.head == nil):
-			bad = append(bad, fmt.Sprintf("entry %s holds instance %v and head %v, want exactly one", key, e.inst != nil, e.head != nil))
-			continue
-		case e.inst != nil && e.inst.Key != key, e.head != nil && e.head.Key != key:
-			bad = append(bad, fmt.Sprintf("entry under %s holds another key's image", key))
-		case e.head != nil && st == nil:
+		case e.key != key:
+			bad = append(bad, fmt.Sprintf("entry under %s carries key %s", key, e.key))
+		case e.inst == nil && st == nil:
 			bad = append(bad, fmt.Sprintf("dormant entry %s with no store attached", key))
+		case e.inst != nil:
+			var libs []string
+			for _, li := range e.inst.Libs {
+				libs = append(libs, li.Key)
+			}
+			if e.inst.Key != key || e.name != e.inst.Name || e.ckey != e.inst.ContentKey || e.place != e.inst.place || !slices.Equal(e.libs, libs) {
+				bad = append(bad, fmt.Sprintf("live entry %s (%s, content %s, %+v, libs %v) is not its instance's (%s %s, content %s, %+v, libs %v)",
+					key, e.name, e.ckey, e.place, e.libs, e.inst.Key, e.inst.Name, e.inst.ContentKey, e.inst.place, libs))
+			}
 		}
-		if ck := e.contentKey(); ck != "" {
+		if e.ckey != "" {
 			n := 0
-			for _, x := range s.byContent[ck] {
+			for _, x := range s.byContent[e.ckey] {
 				if x == e {
 					n++
 				}
@@ -108,7 +115,7 @@ func checkEntries(t *testing.T, s *Server, step string) {
 			bad = append(bad, fmt.Sprintf("empty shape index list under %+v", k))
 		}
 		for _, e := range es {
-			if e.shape == nil || e.shape.key != k || (e.inst != nil && s.entries[e.inst.Key] != e) || (e.head != nil && s.entries[e.head.Key] != e) {
+			if e.shape == nil || e.shape.key != k || s.entries[e.key] != e {
 				bad = append(bad, fmt.Sprintf("shape index under %+v holds an entry entries does not", k))
 			}
 		}
@@ -118,7 +125,7 @@ func checkEntries(t *testing.T, s *Server, step string) {
 			bad = append(bad, fmt.Sprintf("empty index list under %s", ck))
 		}
 		for _, e := range es {
-			if e.contentKey() != ck || (e.inst != nil && s.entries[e.inst.Key] != e) || (e.head != nil && s.entries[e.head.Key] != e) {
+			if e.ckey != ck || s.entries[e.key] != e {
 				bad = append(bad, fmt.Sprintf("index under %s holds an entry entries does not", ck))
 			}
 		}

@@ -518,7 +518,7 @@ func (s *Server) build(ctx context.Context, pl *plan, c charger) (*Instance, err
 			outcome = buildgraph.OutcomeBuilt
 		}
 		node.Produced(outcome)
-		inst = s.publish(inst)
+		inst = s.publish(inst, pl.shape)
 		s.checkpointInstance(node, inst)
 		if !ok { // linked here, not fetched or slid
 			s.offerMesh(pl.ckey, inst)
@@ -620,7 +620,7 @@ func (s *Server) ReleaseInstance(inst *Instance) {
 // released if a later segment fails.
 func (s *Server) materialize(pl *plan, res *link.Result, src *Instance) (inst *Instance, shared int, err error) {
 	inst = &Instance{Key: pl.key, ContentKey: pl.ckey, Name: pl.name, Res: res, Libs: pl.libs,
-		Pins: s.pinsOf(pl.libs), bindKey: pl.bkey, place: pl.place, shape: pl.shape}
+		Pins: s.pinsOf(pl.libs), bindKey: pl.bkey, place: pl.place}
 	for i := range res.Image.Segments {
 		seg := &res.Image.Segments[i]
 		if seg.Perm&image.PermW != 0 {
@@ -666,14 +666,15 @@ func (s *Server) liveLocked(key string) (*entry, *Instance) {
 // publish makes a complete instance visible to cache hits, rebases and
 // mesh exports.  It is the only way an entry becomes live, and nothing
 // about the instance but its lazily built export table changes
-// afterwards.  A new entry takes the shape the instance's plan
-// measured.  A dormant entry under the same key becomes live in place
-// and keeps its blob checksum and shape: the instance is its wake, or a
-// rebuild that supersedes it until the checkpoint rewrites the blob.
-// If another build published the key first (a watchdog-abandoned build
-// finishing late) the prior instance wins and this one's frames are
-// released.
-func (s *Server) publish(inst *Instance) *Instance {
+// afterwards.  A new entry takes the instance's identity and sh, the
+// shape its plan measured (nil for programs and branch-table
+// libraries).  A dormant entry under the same key becomes live in place
+// and keeps its identity, blob checksum and shape: the instance is its
+// wake, or a rebuild of the same image that supersedes it until the
+// checkpoint rewrites the blob.  If another build published the key
+// first (a watchdog-abandoned build finishing late) the prior instance
+// wins and this one's frames are released.
+func (s *Server) publish(inst *Instance, sh *libShape) *Instance {
 	if s.DisableCache {
 		return inst
 	}
@@ -686,13 +687,17 @@ func (s *Server) publish(inst *Instance) *Instance {
 		return prior
 	}
 	if e == nil {
-		e = &entry{shape: inst.shape}
+		e = &entry{key: inst.Key, name: inst.Name, ckey: inst.ContentKey, place: inst.place, shape: sh}
+		for _, li := range inst.Libs {
+			e.libs = append(e.libs, li.Key)
+		}
+		if sh != nil {
+			e.content = sh.key.content
+		}
 		s.entries[inst.Key] = e
-	} else {
-		s.unindexLocked(e)
+		s.indexLocked(e)
 	}
-	e.inst, e.head = inst, nil
-	s.indexLocked(e)
+	e.inst = inst
 	st := s.store
 	s.cacheMu.Unlock()
 	s.touch(inst.Key, e, st)
@@ -703,8 +708,8 @@ func (s *Server) publish(inst *Instance) *Instance {
 // to the shape index under its shape's key, and unindexLocked removes
 // it from both.  Caller holds cacheMu.
 func (s *Server) indexLocked(e *entry) {
-	if ck := e.contentKey(); ck != "" {
-		s.byContent[ck] = append(s.byContent[ck], e)
+	if e.ckey != "" {
+		s.byContent[e.ckey] = append(s.byContent[e.ckey], e)
 	}
 	if e.shape != nil {
 		s.byShape[e.shape.key] = append(s.byShape[e.shape.key], e)
@@ -712,7 +717,7 @@ func (s *Server) indexLocked(e *entry) {
 }
 
 func (s *Server) unindexLocked(e *entry) {
-	unindex(s.byContent, e.contentKey(), e)
+	unindex(s.byContent, e.ckey, e)
 	if e.shape != nil {
 		unindex(s.byShape, e.shape.key, e)
 	}
@@ -769,7 +774,7 @@ func (s *Server) Evict(name string) int {
 	defer s.cacheMu.Unlock()
 	victims := map[string]bool{}
 	for key, e := range s.entries {
-		if n := e.name(); n == name || n == "lib:"+name {
+		if e.name == name || e.name == "lib:"+name {
 			victims[key] = true
 		}
 	}
@@ -799,11 +804,11 @@ func (s *Server) addDependentsLocked(victims map[string]bool) {
 	for changed := true; changed; {
 		changed = false
 		for key, e := range s.entries {
-			e.eachLib(func(lk string) {
+			for _, lk := range e.libs {
 				if !victims[key] && victims[lk] {
 					victims[key], changed = true, true
 				}
-			})
+			}
 		}
 	}
 }

@@ -44,67 +44,58 @@ type MeshHook interface {
 // before the server sees traffic.
 func (s *Server) SetMesh(h MeshHook) { s.mesh = h }
 
-// mruVariant returns the most recently used rebase-capable live
-// variant of ckey, or nil.  Without one it wakes the newest dormant one
-// — through that record's flight, and never one whose flight is
-// already running (it may be the caller's own: the build of that very
-// key, whose wake failed).
+// mruVariant returns the most recently used live variant of ckey, or
+// nil.  Without one it wakes the newest dormant one — through that
+// record's flight, and never one whose flight is already running (it
+// may be the caller's own: the build of that very key, whose wake
+// failed).  Every variant can serve as a rebase source: an image with a
+// content key carries the rebase metadata, linked or read from its
+// record.
 func (s *Server) mruVariant(ckey string) *Instance {
 	var src *Instance
 	var srcUse uint64
 	var sleeper string
 	s.cacheMu.RLock()
 	for _, e := range s.byContent[ckey] {
-		if e.head != nil {
-			sleeper = e.head.Key // dormant entries keep attach order: the last is the newest
-		} else if use := e.lastUse.Load(); rebaseSource(e.inst) && (src == nil || use > srcUse) {
+		if e.inst == nil {
+			sleeper = e.key // dormant entries keep attach order: the last is the newest
+		} else if use := e.lastUse.Load(); src == nil || use > srcUse {
 			src, srcUse = e.inst, use
 		}
 	}
 	wake := src == nil && sleeper != "" && s.inflight[sleeper] == nil
 	s.cacheMu.RUnlock()
 	if wake {
-		if inst := s.awake(sleeper); inst != nil && rebaseSource(inst) {
+		if inst := s.awake(sleeper); inst != nil {
 			return inst
 		}
 	}
 	return src
 }
 
-// HasVariant reports whether the server holds a rebase-capable variant
-// of ckey, live or dormant (without waking it).
+// HasVariant reports whether the server holds a variant of ckey, live
+// or dormant (without waking it).
 func (s *Server) HasVariant(ckey string) bool {
 	s.cacheMu.RLock()
 	defer s.cacheMu.RUnlock()
-	return s.hasVariantLocked(ckey)
+	return len(s.byContent[ckey]) > 0
 }
 
-func (s *Server) hasVariantLocked(ckey string) bool {
-	for _, e := range s.byContent[ckey] {
-		if e.head != nil || rebaseSource(e.inst) {
-			return true
-		}
-	}
-	return false
-}
-
-// ContentKeys lists every content key with at least one rebase-capable
-// variant, live or dormant — the digest summary gossip exchanges.
+// ContentKeys lists every content key with at least one variant, live
+// or dormant — the digest summary gossip exchanges.
 func (s *Server) ContentKeys() []string {
 	s.cacheMu.RLock()
 	defer s.cacheMu.RUnlock()
 	out := make([]string, 0, len(s.byContent))
 	for ck := range s.byContent {
-		if s.hasVariantLocked(ck) {
-			out = append(out, ck)
-		}
+		out = append(out, ck)
 	}
 	return out
 }
 
 // ExportContent encodes the MRU variant of ckey for a mesh peer,
 // waking a dormant one when nothing is cached.  ok is false when no
-// rebase-capable variant can be had, or an eviction released the
+// variant can be had, or an eviction released the
 // variant's frames before they were read.  The encode runs without any
 // server lock (instances are immutable once published; their frames
 // are read under the frame table's).
@@ -183,10 +174,10 @@ func fetchedResult(pl *plan, blob []byte) (*link.Result, error) {
 // offerMesh hands a freshly built image of remotely owned content to
 // its ring owner, so the fleet converges on this one build instead of
 // relinking per daemon.  No-op outside a mesh, for content this daemon
-// owns, or for images that cannot serve as rebase sources.
+// owns, or for images without a content key (branch-table libraries).
 func (s *Server) offerMesh(ckey string, inst *Instance) {
 	h := s.mesh
-	if h == nil || ckey == "" || h.Owned(ckey) || !rebaseSource(inst) {
+	if h == nil || ckey == "" || h.Owned(ckey) {
 		return
 	}
 	rec, err := s.recordOf(inst)

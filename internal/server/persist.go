@@ -114,13 +114,18 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 		s.reject(key)
 		return
 	}
-	// The entry carries the blob's on-disk identity, which images woken
-	// or linked after this verify their library pins against, and a
-	// library's shape, which plans it without an evaluation once the
-	// shape's key matches the library's inputs.
+	// The entry carries the image's identity from the head, the blob's
+	// on-disk identity, which images woken or linked after this verify
+	// their library pins against, and a library's shape, which plans it
+	// without an evaluation once the shape's key matches the library's
+	// inputs.  The head itself is not kept.
 	s.cacheMu.Lock()
 	if s.entries[key] == nil {
-		e := &entry{head: h, sum: hex.EncodeToString(h.Sum[:]), shape: sh}
+		e := &entry{key: key, name: h.Name, ckey: h.ContentKey, place: placeOf(h.Record), libs: h.LibKeys,
+			sum: hex.EncodeToString(h.Sum[:]), shape: sh}
+		if h.Shape != nil {
+			e.content = h.Shape.Content
+		}
 		s.entries[key] = e
 		s.indexLocked(e)
 	}
@@ -163,6 +168,12 @@ func shapeOfRecord(rec *store.Record, gen uint64) (*libShape, bool) {
 	return sh, true
 }
 
+// placeOf is the solver placement a store record keeps.
+func placeOf(rec *store.Record) placeRec {
+	return placeRec{SolverKey: rec.SolverKey, TextBase: rec.TextBase, TextSize: rec.TextSize,
+		DataBase: rec.DataBase, DataSize: rec.DataSize}
+}
+
 // storedShape is sh as a store record keeps it; nil for nil.
 func storedShape(sh *libShape) *store.Shape {
 	if sh == nil {
@@ -188,7 +199,7 @@ func (s *Server) contentKeysLocked(keys []string) ([]string, bool) {
 		if e == nil {
 			return nil, false
 		}
-		cks[i] = e.contentKey()
+		cks[i] = e.ckey
 	}
 	return cks, true
 }
@@ -206,30 +217,29 @@ var errNotDormant = errors.New("server: no dormant record to wake")
 
 // wake turns the dormant record under key into a published instance.
 // It reads the body and decodes the record — both checksums verified,
-// and the blob must still be the one attached — wakes the record's
-// libraries, rebuilds the instance from the record's own segment
-// format and verifies its pins.  It returns nil, and the caller builds
-// instead, when key is not dormant or cannot be woken: a record whose
-// own body, key or pins fail is quarantined; one that could not be
-// read, or whose libraries are absent or unreadable, stays dormant.
+// and the blob must still be the one attached (the entry's checksum) —
+// wakes the record's libraries, rebuilds the instance from the record's
+// own segment format and verifies its pins.  It returns nil, and the
+// caller builds instead, when key is not dormant or cannot be woken: a
+// record whose own body, key or pins fail is quarantined; one that
+// could not be read, or whose libraries are absent or unreadable, stays
+// dormant.
 func (s *Server) wake(key string) *Instance {
-	var h *store.Head
 	s.cacheMu.RLock()
-	if e := s.entries[key]; e != nil {
-		h = e.head
-	}
-	st := s.store
-	s.cacheMu.RUnlock()
-	if h == nil || st == nil {
+	e, st := s.entries[key], s.store
+	if e == nil || e.inst != nil || st == nil {
+		s.cacheMu.RUnlock()
 		return nil
 	}
+	sum, sh := e.sum, e.shape
+	s.cacheMu.RUnlock()
 	blob, ok, err := st.Get(key)
 	if err != nil || !ok {
 		return nil
 	}
 	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreLoadPerByte)
 	rec, err := store.Decode(blob)
-	if err != nil || rec.Key != key || !bytes.Equal(blob[blobCheckSumLo:blobCheckSumHi], h.Sum[:]) {
+	if err != nil || rec.Key != key || blobChecksum(blob) != sum {
 		s.reject(key)
 		return nil
 	}
@@ -253,7 +263,7 @@ func (s *Server) wake(key string) *Instance {
 		s.reject(key)
 		return nil
 	}
-	return s.publish(inst)
+	return s.publish(inst, sh)
 }
 
 // awake returns the instance under key, live or woken.  A wake runs
@@ -290,7 +300,7 @@ func (s *Server) CloseStore() error {
 	st := s.store
 	s.store = nil
 	for key, e := range s.entries {
-		if e.head != nil {
+		if e.inst == nil {
 			s.retireLocked(key, false)
 		}
 	}
@@ -419,8 +429,9 @@ var errReleased = errors.New("server: image frames released by an eviction")
 // bytes (read-only ones from the frames, their one copy), bound
 // symbols, branch-table slots, placement, library keys, the resolution
 // state — the binding table recorded for the image and the library
-// pins to re-verify when it is woken — and a library's shape.  It fails
-// with errReleased when a concurrent eviction released the frames.
+// pins to re-verify when it is woken — and the shape its cache entry
+// keeps (none for an instance the cache does not hold).  It fails with
+// errReleased when a concurrent eviction released the frames.
 func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 	rec := &store.Record{
 		Key:         inst.Key,
@@ -440,8 +451,12 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 		ResTextBase: inst.Res.TextBase,
 		ResDataBase: inst.Res.DataBase,
 		EntrySeg:    inst.Res.EntrySeg,
-		Shape:       storedShape(inst.shape),
 	}
+	s.cacheMu.RLock()
+	if e := s.entries[inst.Key]; e != nil && e.inst == inst {
+		rec.Shape = storedShape(e.shape)
+	}
+	s.cacheMu.RUnlock()
 	for _, p := range inst.Res.AbsPatches {
 		rec.AbsPatches = append(rec.AbsPatches, store.Patch{Site: p.Site, Value: p.Value, Seg: p.Seg})
 	}
@@ -503,22 +518,12 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 
 // instanceFromRecord rebuilds the in-memory instance: shared frames
 // for read-only segments (their one copy), pristine byte templates for
-// writable ones, a link.Result carrying the bound symbol table,
-// accounting and segment metadata, and a library's shape, so that a
-// record made from the woken instance (a mesh export) keeps it too;
-// publish leaves the entry the shape attach gave it.
+// writable ones, and a link.Result carrying the bound symbol table,
+// accounting and segment metadata.
 func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Instance, error) {
-	res := resultFromRecord(rec)
-	shape, _ := shapeOfRecord(rec, s.ns.Load().specGen)
 	inst := &Instance{
-		Key: rec.Key, ContentKey: rec.ContentKey, Name: rec.Name, Res: res, Libs: libs,
-		bindKey: rec.BindKey,
-		shape:   shape,
-		place: placeRec{
-			SolverKey: rec.SolverKey,
-			TextBase:  rec.TextBase, TextSize: rec.TextSize,
-			DataBase: rec.DataBase, DataSize: rec.DataSize,
-		},
+		Key: rec.Key, ContentKey: rec.ContentKey, Name: rec.Name, Res: resultFromRecord(rec), Libs: libs,
+		bindKey: rec.BindKey, place: placeOf(rec),
 	}
 	for _, sr := range rec.ROSegs {
 		fs, err := s.kern.FT.MakeFrameSeg(sr.Name, sr.Addr, sr.Data, sr.MemSize, sr.Perm)
@@ -619,7 +624,9 @@ func (s *Server) evictForCapacity(exclude string) {
 	// dormant.
 	deps := map[string]int{}
 	for _, e := range s.entries {
-		e.eachLib(func(lk string) { deps[lk]++ })
+		for _, lk := range e.libs {
+			deps[lk]++
+		}
 	}
 	for _, key := range st.KeysLRU() {
 		if st.OverCapacity() == 0 {

@@ -36,15 +36,6 @@ func contentKeyProg(subHash string, libs []*Instance) string {
 	return mgraph.Digest("progrb", subHash, libKeys(libs))
 }
 
-// rebaseSource reports whether a cached instance carries everything
-// link.Rebase needs besides its frames: segment metadata and the
-// exports' segment classes recorded at link time.  Branch-table
-// libraries carry no content key and never reach the content index.
-func rebaseSource(src *Instance) bool {
-	r := src.Res
-	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.Exports != nil
-}
-
 // tryRebase attempts to serve a placement miss from a content hit:
 // slide the most recently used variant of the plan's content to
 // the plan's bases, sharing clean pages with it.  Returns (nil, false)

@@ -453,10 +453,6 @@ type Instance struct {
 	// placed under, so the persistent store can re-reserve the same
 	// addresses on warm boot.
 	place placeRec
-	// shape is a library's shape as its plan measured it or its store
-	// record keeps it (nil for programs and branch-table libraries):
-	// the instance carries it into its cache entry and its record.
-	shape *libShape
 
 	// table is the partial-image function hash table segment, nil until
 	// ExportTable builds it.
@@ -464,74 +460,27 @@ type Instance struct {
 }
 
 // entry is everything the server holds under one cache key: the
-// published instance, or — until its first use — the head of the
-// record a previous session stored under the key (dormant: exactly one
-// of inst and head is set); the store checksum of the key's blob, ""
-// while none was written or attached; a library image's shape (nil for
-// programs, branch-table libraries and a stale one); and the LRU stamp
-// (Server.useSeq at last touch), updated atomically so cache hits need
-// no write lock.  Waking a dormant entry sets inst and clears head in
+// identity of the key's image, which every walk of the cache reads —
+// its name, content key ("" for branch-table libraries, which no rebase
+// or mesh peer may use), a library's content hash ("" for programs and
+// branch-table libraries), its solver placement and the cache keys of
+// the libraries it links against — set once, from the record's head by
+// attach or from the instance by publish; the published instance, nil
+// while the entry is dormant (a record a previous session stored under
+// the key, until its first use wakes it); the store checksum of the
+// key's blob, "" while none was written or attached; a library image's
+// shape (nil for programs, branch-table libraries and a stale one); and
+// the LRU stamp (Server.useSeq at last touch), updated atomically so
+// cache hits need no write lock.  Waking a dormant entry sets inst in
 // place.  All fields but lastUse are guarded by cacheMu.
 type entry struct {
-	inst    *Instance
-	head    *store.Head
-	sum     string
-	shape   *libShape
-	lastUse atomic.Uint64
-}
-
-// contentKey is the entry's placement-independent identity ("" for
-// branch-table libraries, which no rebase or mesh peer may use).
-func (e *entry) contentKey() string {
-	if e.inst != nil {
-		return e.inst.ContentKey
-	}
-	return e.head.ContentKey
-}
-
-// content is the library content hash the entry's image was planned
-// under, "" when it records none (programs, branch-table libraries).
-func (e *entry) content() string {
-	if e.inst != nil {
-		if e.inst.shape != nil {
-			return e.inst.shape.key.content
-		}
-	} else if e.head.Shape != nil {
-		return e.head.Shape.Content
-	}
-	return ""
-}
-
-// place is the solver placement of the entry's image.
-func (e *entry) place() placeRec {
-	if e.inst != nil {
-		return e.inst.place
-	}
-	h := e.head
-	return placeRec{SolverKey: h.SolverKey, TextBase: h.TextBase, TextSize: h.TextSize,
-		DataBase: h.DataBase, DataSize: h.DataSize}
-}
-
-// name is the entry's instance name.
-func (e *entry) name() string {
-	if e.inst != nil {
-		return e.inst.Name
-	}
-	return e.head.Name
-}
-
-// eachLib calls fn with the cache key of every image the entry links
-// against: a live image's Libs, a dormant record's head LibKeys.
-func (e *entry) eachLib(fn func(key string)) {
-	if e.inst == nil {
-		for _, lk := range e.head.LibKeys {
-			fn(lk)
-		}
-		return
-	}
-	for _, li := range e.inst.Libs {
-		fn(li.Key)
-	}
+	key, name, ckey, content string
+	place                    placeRec
+	libs                     []string
+	inst                     *Instance
+	sum                      string
+	shape                    *libShape
+	lastUse                  atomic.Uint64
 }
 
 // placeRec is the solver placement an instance occupies.

@@ -406,17 +406,16 @@ func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
 	defer s.cacheMu.Unlock()
 	victims := map[string]bool{}
 	for key, e := range s.entries {
-		name := e.name()
-		p := strings.TrimPrefix(name, "lib:")
+		p := strings.TrimPrefix(e.name, "lib:")
 		ch, changed := v2[p]
-		if whole[p] || changed && (name != p || e.content() == "" || e.content() == ch) {
+		if whole[p] || changed && (e.name != p || e.content == "" || e.content == ch) {
 			victims[key] = true
 		}
 	}
 	s.addDependentsLocked(victims)
 	placed := map[string]bool{}
 	for key := range victims {
-		placed[s.entries[key].place().SolverKey] = true
+		placed[s.entries[key].place.SolverKey] = true
 		s.retireLocked(key, false)
 	}
 	s.solverMu.Lock()
@@ -424,7 +423,7 @@ func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
 	for sk := range placed {
 		var keep *entry
 		for _, e := range s.entries {
-			if e.place().SolverKey == sk && (keep == nil || e.lastUse.Load() > keep.lastUse.Load()) {
+			if e.place.SolverKey == sk && (keep == nil || e.lastUse.Load() > keep.lastUse.Load()) {
 				keep = e
 			}
 		}
@@ -432,7 +431,7 @@ func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
 			s.solver.Release(sk)
 			continue
 		}
-		pr := keep.place()
+		pr := keep.place
 		if at, ok := s.solver.Lookup(sk); ok && at.TextBase == pr.TextBase && at.DataBase == pr.DataBase {
 			continue
 		}
