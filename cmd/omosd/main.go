@@ -9,7 +9,7 @@
 //	omosd [-listen :7070] [-workloads] [-store DIR] [-store-max-bytes N]
 //	      [-faults SPEC] [-fault-seed N]
 //	      [-max-inflight N] [-queue-depth N] [-build-timeout D]
-//	      [-scrub-interval D] [-scrub-per-tick N] [-handlers-per-conn N]
+//	      [-scrub-interval D] [-handlers-per-conn N]
 //	      [-peers addr,addr...] [-mesh-secret S] [-mesh-gossip-interval D]
 //	omosd -list-faults
 //
@@ -93,7 +93,6 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 256, "admission gate: waiting requests before shedding")
 	buildTimeout := flag.Duration("build-timeout", time.Minute, "watchdog bound per image build (0: none)")
 	scrubInterval := flag.Duration("scrub-interval", 30*time.Second, "store scrub tick (0: no scrubbing; needs -store)")
-	scrubPerTick := flag.Int("scrub-per-tick", 4, "blobs re-verified per scrub tick")
 	handlersPerConn := flag.Int("handlers-per-conn", ipc.DefaultHandlerPool,
 		"concurrent tagged requests per connection (backpressure: the reader pauses when full)")
 	peers := flag.String("peers", "", "comma-separated peer daemon addresses: join the federated mesh")
@@ -120,7 +119,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		BuildTimeout:  *buildTimeout,
 		ScrubInterval: *scrubInterval,
-		ScrubPerTick:  *scrubPerTick,
 	})
 	if err != nil {
 		log.Fatalf("omosd: %v", err)

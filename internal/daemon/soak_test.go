@@ -45,7 +45,6 @@ func TestChaosSoak(t *testing.T) {
 		QueueDepth:    2,
 		BuildTimeout:  5 * time.Second,
 		ScrubInterval: time.Millisecond,
-		ScrubPerTick:  8,
 		// Every eval pays 1ms (saturates the tiny gate under 8
 		// clients); 5% of links die of an injected error.
 		FaultSpec: "build.eval:delay:n=1:delay=1ms;build.link:error:p=0.05",

@@ -189,7 +189,7 @@ func TestOldCodecBlobsQuarantinedAndRebuilt(t *testing.T) {
 	// At rest: an old-version blob the running daemon never reads is
 	// the scrubber's to find.
 	restampBlobs(t, dir, store.Version-1)
-	stop := st.StartScrub(store.ScrubConfig{Interval: time.Millisecond, PerTick: 8})
+	stop := st.StartScrub(time.Millisecond)
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)
 	for s2.Stats().ScrubQuarantined < 2 {

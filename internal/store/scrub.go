@@ -17,43 +17,30 @@ import (
 // it into the reconstruction path.  It also sweeps .tmp orphans from
 // crashed writes continuously rather than only at Open.
 //
-// The walk is rate-limited (PerTick blobs per Interval) so scrubbing
+// The walk is rate-limited (scrubPerTick blobs per tick) so scrubbing
 // a large store never competes with request traffic for disk
 // bandwidth.  A verification failure is confirmed by a second
 // independent read before the blob is quarantined — a transient read
 // error (or an injected store.scrub fault) must never cost a healthy
 // blob.
 
-// ScrubConfig tunes the background scrubber.  The zero value of any
-// field selects its default.
-type ScrubConfig struct {
-	// Interval is the pause between scrub ticks (default 1s).
-	Interval time.Duration
-	// PerTick is how many blobs are verified per tick (default 4).
-	PerTick int
-	// OrphanAge is the minimum age of a .tmp file before the sweeper
+const (
+	// scrubPerTick is how many blobs one scrub tick verifies.
+	scrubPerTick = 4
+	// orphanAge is the minimum age of a .tmp file before the sweeper
 	// treats it as a crashed write's orphan rather than a Put in
-	// progress (default 1m).
-	OrphanAge time.Duration
-}
+	// progress.
+	orphanAge = time.Minute
+)
 
-func (c *ScrubConfig) defaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
+// StartScrub launches the background scrubber, one tick every interval
+// (1s when it is not positive), and returns a stop function
+// (idempotent; also called by Close).  Restarting replaces any previous
+// scrubber.
+func (s *Store) StartScrub(interval time.Duration) (stop func()) {
+	if interval <= 0 {
+		interval = time.Second
 	}
-	if c.PerTick <= 0 {
-		c.PerTick = 4
-	}
-	if c.OrphanAge <= 0 {
-		c.OrphanAge = time.Minute
-	}
-}
-
-// StartScrub launches the background scrubber and returns a stop
-// function (idempotent; also called by Close).  Restarting replaces
-// any previous scrubber.
-func (s *Store) StartScrub(cfg ScrubConfig) (stop func()) {
-	cfg.defaults()
 	s.mu.Lock()
 	if s.scrubStop != nil {
 		close(s.scrubStop)
@@ -63,7 +50,7 @@ func (s *Store) StartScrub(cfg ScrubConfig) (stop func()) {
 	s.mu.Unlock()
 
 	done := make(chan struct{})
-	go s.scrubLoop(cfg, stopCh, done)
+	go s.scrubLoop(interval, stopCh, done)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -83,11 +70,11 @@ func (s *Store) StartScrub(cfg ScrubConfig) (stop func()) {
 	}
 }
 
-// scrubLoop walks the key space round-robin, PerTick blobs per tick,
-// sweeping write orphans once per full pass.
-func (s *Store) scrubLoop(cfg ScrubConfig, stopCh <-chan struct{}, done chan<- struct{}) {
+// scrubLoop walks the key space round-robin, scrubPerTick blobs per
+// tick, sweeping write orphans once per full pass.
+func (s *Store) scrubLoop(interval time.Duration, stopCh <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	ticker := time.NewTicker(cfg.Interval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	cursor := ""
 	for {
@@ -98,7 +85,7 @@ func (s *Store) scrubLoop(cfg ScrubConfig, stopCh <-chan struct{}, done chan<- s
 		}
 		keys := s.keysSorted()
 		if len(keys) == 0 {
-			s.sweepOrphans(cfg.OrphanAge)
+			s.sweepOrphans()
 			continue
 		}
 		// Resume after the cursor; wrap (and sweep orphans) at the end
@@ -109,9 +96,9 @@ func (s *Store) scrubLoop(cfg ScrubConfig, stopCh <-chan struct{}, done chan<- s
 		}
 		if start >= len(keys) {
 			start = 0
-			s.sweepOrphans(cfg.OrphanAge)
+			s.sweepOrphans()
 		}
-		for i := 0; i < cfg.PerTick && i+start < len(keys); i++ {
+		for i := 0; i < scrubPerTick && i+start < len(keys); i++ {
 			key := keys[start+i]
 			s.scrubOne(key)
 			cursor = key
@@ -181,12 +168,12 @@ func (s *Store) verifyOnce(key string) (bad, readable bool) {
 
 // sweepOrphans removes .tmp files old enough that no in-progress Put
 // can still own them, counting each sweep.
-func (s *Store) sweepOrphans(age time.Duration) {
+func (s *Store) sweepOrphans() {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
-	cutoff := time.Now().Add(-age)
+	cutoff := time.Now().Add(-orphanAge)
 	for _, de := range ents {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".tmp") {

@@ -58,7 +58,7 @@ func TestScrubQuarantinesDamagedBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := s.StartScrub(ScrubConfig{Interval: time.Millisecond, PerTick: 8})
+	stop := s.StartScrub(time.Millisecond)
 	defer stop()
 	waitFor(t, 5*time.Second, func() bool {
 		return s.Stats().ScrubQuarantined >= 1
@@ -109,7 +109,7 @@ func TestScrubTransientFaultSparesHealthyBlob(t *testing.T) {
 	f.Enable(fault.Rule{Site: fault.SiteStoreScrub, Kind: fault.KindCorrupt, EveryN: 1, Count: 1})
 	s.SetFaults(f)
 
-	stop := s.StartScrub(ScrubConfig{Interval: time.Millisecond, PerTick: 4})
+	stop := s.StartScrub(time.Millisecond)
 	defer stop()
 	waitFor(t, 5*time.Second, func() bool {
 		return s.Stats().ScrubChecked >= 3 && f.Trips(fault.SiteStoreScrub) >= 1
@@ -124,7 +124,7 @@ func TestScrubTransientFaultSparesHealthyBlob(t *testing.T) {
 	}
 }
 
-// TestScrubSweepsOrphans: stray .tmp files older than OrphanAge are
+// TestScrubSweepsOrphans: stray .tmp files older than orphanAge are
 // removed by the continuous sweep; fresh ones (a Put in progress) are
 // left alone.
 func TestScrubSweepsOrphans(t *testing.T) {
@@ -148,7 +148,7 @@ func TestScrubSweepsOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := s.StartScrub(ScrubConfig{Interval: time.Millisecond, PerTick: 4, OrphanAge: time.Minute})
+	stop := s.StartScrub(time.Millisecond)
 	defer stop()
 	waitFor(t, 5*time.Second, func() bool {
 		return s.Stats().ScrubOrphans >= 1
@@ -171,8 +171,8 @@ func TestScrubStopIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := s.StartScrub(ScrubConfig{Interval: time.Millisecond})
-	stop2 := s.StartScrub(ScrubConfig{Interval: time.Millisecond}) // replaces the first
+	stop := s.StartScrub(time.Millisecond)
+	stop2 := s.StartScrub(time.Millisecond) // replaces the first
 	stop()
 	if err := s.Close(); err != nil { // closes the second
 		t.Fatal(err)

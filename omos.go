@@ -92,13 +92,10 @@ type Options struct {
 	// age past which health reports the server degraded.
 	BuildTimeout time.Duration
 	// ScrubInterval enables the store's background scrubber (requires
-	// StoreDir): every interval it re-verifies ScrubPerTick blob
-	// checksums, quarantining rot proactively, and sweeps orphaned
-	// temp files.  Zero disables scrubbing.
+	// StoreDir): every interval it re-verifies four blob checksums,
+	// quarantining rot proactively, and sweeps orphaned temp files.
+	// Zero disables scrubbing.
 	ScrubInterval time.Duration
-	// ScrubPerTick is how many blobs each scrub tick verifies
-	// (default 4).
-	ScrubPerTick int
 }
 
 // NewSystem boots a fresh machine, attaches an OMOS server, installs
@@ -148,10 +145,7 @@ func NewSystemWith(opts Options) (*System, error) {
 		st.SetFaults(sys.Faults)
 		sys.WarmLoaded = srv.AttachStore(st)
 		if opts.ScrubInterval > 0 {
-			sys.stops = append(sys.stops, st.StartScrub(store.ScrubConfig{
-				Interval: opts.ScrubInterval,
-				PerTick:  opts.ScrubPerTick,
-			}))
+			sys.stops = append(sys.stops, st.StartScrub(opts.ScrubInterval))
 		}
 	}
 	if opts.MaxInflight > 0 || opts.QueueDepth > 0 {
