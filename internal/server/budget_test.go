@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -45,15 +46,22 @@ func TestPlanAllocBudgets(t *testing.T) {
 				t.Fatalf("%s: %v", r.name, err)
 			}
 		})
-		headroom := max(r.budget/20, 2)
-		switch {
-		case got > r.budget+headroom:
-			t.Errorf("%s: %.0f allocations per warm hit, over its budget of %.0f ± %.0f", r.name, got, r.budget, headroom)
-		case got < r.budget-headroom:
-			t.Errorf("%s: %.0f allocations per warm hit, under its budget of %.0f ± %.0f: lower the budget", r.name, got, r.budget, headroom)
-		default:
-			t.Logf("%s: %.0f allocations per warm hit (budget %.0f ± %.0f)", r.name, got, r.budget, headroom)
-		}
+		checkBudget(t, r.name+" warm hit", got, r.budget)
+	}
+}
+
+// checkBudget holds an allocation count to budget with 5 % headroom (at
+// least 2) either way.
+func checkBudget(t *testing.T, name string, got, budget float64) {
+	t.Helper()
+	headroom := max(budget/20, 2)
+	switch {
+	case got > budget+headroom:
+		t.Errorf("%s: %.0f allocations, over its budget of %.0f ± %.0f", name, got, budget, headroom)
+	case got < budget-headroom:
+		t.Errorf("%s: %.0f allocations, under its budget of %.0f ± %.0f: lower the budget", name, got, budget, headroom)
+	default:
+		t.Logf("%s: %.0f allocations (budget %.0f ± %.0f)", name, got, budget, headroom)
 	}
 }
 
@@ -68,8 +76,15 @@ func TestRestartAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector drift by ~8 % and vary between runs")
 	}
+	boot := func() *workload.OMOSWorld {
+		w, err := workload.SetupOMOS(oracleCG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
 	dir := t.TempDir()
-	w := restartWorld(t)
+	w := boot()
 	st, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +103,7 @@ func TestRestartAllocBudgets(t *testing.T) {
 	const runs = 7
 	var attach, first [runs]uint64
 	for i := range runs {
-		w := restartWorld(t)
+		w := boot()
 		st, err := store.Open(dir, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -116,27 +131,8 @@ func TestRestartAllocBudgets(t *testing.T) {
 	} {
 		sorted := r.got[:]
 		slices.Sort(sorted)
-		got := float64(sorted[runs/2])
-		headroom := max(r.budget/20, 2)
-		switch {
-		case got > r.budget+headroom:
-			t.Errorf("%s: %.0f allocations, over its budget of %.0f ± %.0f (runs %v)", r.name, got, r.budget, headroom, sorted)
-		case got < r.budget-headroom:
-			t.Errorf("%s: %.0f allocations, under its budget of %.0f ± %.0f: lower the budget (runs %v)", r.name, got, r.budget, headroom, sorted)
-		default:
-			t.Logf("%s: %.0f allocations (budget %.0f ± %.0f, runs %v)", r.name, got, r.budget, headroom, sorted)
-		}
+		checkBudget(t, fmt.Sprintf("%s (runs %v)", r.name, sorted), float64(sorted[runs/2]), r.budget)
 	}
-}
-
-// restartWorld boots a fresh workload world.
-func restartWorld(t *testing.T) *workload.OMOSWorld {
-	t.Helper()
-	w, err := workload.SetupOMOS(oracleCG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
 }
 
 // mallocs returns the number of heap allocations fn makes.

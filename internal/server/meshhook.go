@@ -95,10 +95,10 @@ func (s *Server) ContentKeys() []string {
 
 // ExportContent encodes the MRU variant of ckey for a mesh peer,
 // waking a dormant one when nothing is cached.  ok is false when no
-// variant can be had, or an eviction released the
-// variant's frames before they were read.  The encode runs without any
-// server lock (instances are immutable once published; their frames
-// are read under the frame table's).
+// variant can be had, or an eviction released the variant's frames
+// before they were read.  The encode runs without any server lock
+// (instances are immutable once published; their frames are read under
+// the frame table's).
 func (s *Server) ExportContent(ckey string) (blob []byte, ok bool) {
 	src := s.mruVariant(ckey)
 	if src == nil {
