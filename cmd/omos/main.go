@@ -47,7 +47,7 @@
 //	                            processes keep v1, the canary cohort
 //	                            builds v2
 //	upgrade --commit            apply the staged definitions atomically
-//	upgrade --rollback [reason] abort the epoch, restoring v1 bindings
+//	upgrade --rollback [reason] abort the epoch, forgetting v2's bindings
 //	upgrade --status            report the upgrade engine's state
 //
 // -allow-rebind makes define/define-lib/rm explicit about re-binding:

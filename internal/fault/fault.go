@@ -151,8 +151,8 @@ const (
 	// applied — the mid-commit crash window.  Warm restart must finish
 	// the commit, never boot a torn namespace.
 	SiteUpgradeCommit = "upgrade.commit"
-	// SiteUpgradeRollback fires inside UpgradeRollback before the old
-	// bindings are restored.  A triggered fault leaves the epoch
+	// SiteUpgradeRollback fires inside UpgradeRollback before v2's
+	// images and bindings are released.  A triggered fault leaves the epoch
 	// rolling back (health reports it); the rollback is retried.
 	SiteUpgradeRollback = "upgrade.rollback"
 )

@@ -105,12 +105,14 @@ type history struct {
 	evals  uint64
 	excess uint64
 	// untabled counts answers served with no binding table describing
-	// them: the server keeps one table per resolution identity, the
-	// last one resolved, so a variant served from the cache or the
-	// store after another was linked has none, and its next link
-	// searches instead of replaying.
-	untabled uint64
-	ops      []string // what the history did so far, for a failure to show
+	// them.  Each one must follow a Remove of its path: Remove forgets
+	// the path's tables, but a same-source redefine serves the cached
+	// image again, with none until its next link searches.  removed
+	// holds the paths removed since an answer for them last had a table;
+	// unremoved counts the untabled answers of any other path.
+	untabled, unremoved uint64
+	removed             map[string]bool
+	ops                 []string // what the history did so far, for a failure to show
 }
 
 // step runs one random operation.
@@ -141,6 +143,7 @@ func (h *history) step(r *rand.Rand) {
 		if err := s.RemoveAllow(histDefs[i].path, true); err != nil {
 			h.t.Fatal(err)
 		}
+		h.removed[histDefs[i].path] = true
 		if err := define(s, i, v); err != nil {
 			h.t.Fatal(err)
 		}
@@ -191,11 +194,17 @@ func (h *history) check(path string) {
 		h.t.Fatalf("fresh %s: %v", path, err)
 	}
 	diff, untabled := sameImage(fresh, want, h.s, got)
-	if untabled {
-		h.untabled++
-	}
 	if diff != "" {
 		h.t.Fatalf("%s differs from a fresh server's after %v: %s", path, h.ops, diff)
+	}
+	if untabled {
+		h.untabled++
+		if !h.removed[path] {
+			h.unremoved++
+			h.t.Errorf("%s after %v: no binding table describes the answer, and the path was not removed since one did", path, h.ops)
+		}
+	} else {
+		delete(h.removed, path)
 	}
 }
 
@@ -255,9 +264,9 @@ func sameImage(ws *Server, want *Instance, gs *Server, got *Instance) (diff stri
 // Most of its time is the history servers' store writes.
 func TestHistoryOracle(t *testing.T) {
 	const histories, steps = 200, 24
-	var evals, excess, untabled, checks uint64
+	var evals, excess, untabled, unremoved, checks uint64
 	for seed := 0; seed < histories; seed++ {
-		h := &history{t: t, dir: t.TempDir()}
+		h := &history{t: t, dir: t.TempDir(), removed: map[string]bool{}}
 		h.s = h.ns.start(t, openStore(t, h.dir, 0))
 		r := rand.New(rand.NewSource(int64(seed)))
 		for i := 0; i < steps; i++ {
@@ -269,10 +278,11 @@ func TestHistoryOracle(t *testing.T) {
 		evals += h.evals
 		excess += h.excess
 		untabled += h.untabled
+		unremoved += h.unremoved
 		checks += h.checks
 	}
-	t.Logf("%d histories, %d answers checked: %d evaluations, %d of them only recomputed the key of an image already held; %d answers had no binding table describing them",
-		histories, checks, evals, excess, untabled)
+	t.Logf("%d histories, %d answers checked: %d evaluations, %d of them only recomputed the key of an image already held; %d answers had no binding table describing them, %d after a Remove of their path and %d not",
+		histories, checks, evals, excess, untabled, untabled-unremoved, unremoved)
 	if excess != 0 {
 		t.Fatalf("%d evaluations only recomputed the key of an image already held, want 0", excess)
 	}

@@ -129,16 +129,19 @@ func (s *Server) attach(st *store.Store, key string, seen map[string]bool) {
 		s.entries[key] = e
 		s.indexLocked(e)
 	}
-	libCKs, libsKnown := s.contentKeysLocked(h.LibKeys)
 	s.cacheMu.Unlock()
 	// Reinstall the persisted binding table, so this session resolves
 	// the image with zero symbol searches and the rebind guard and
-	// Explain see it from boot.  It needs every library's content key,
-	// from the library's head; a table this session already recomputed
-	// wins over the stored one.
-	if h.BindKey != "" && len(h.Bindings) > 0 && libsKnown {
-		s.installBindings(h.BindKey, &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load",
-			LibKeys: libCKs, Bindings: h.Bindings}, false)
+	// Explain see it from boot.  Its variant is named by the content
+	// keys the head pins; a table this session already recomputed for
+	// them wins over the stored one.
+	if h.BindKey != "" && len(h.Bindings) > 0 {
+		tbl := &BindingTable{Image: h.Name, Gen: h.Gen, Resolved: "warm-load",
+			LibKeys: make([]string, len(h.Pins)), Bindings: h.Bindings}
+		for i, p := range h.Pins {
+			tbl.LibKeys[i] = p.ContentKey
+		}
+		s.installBindings(h.BindKey, tbl, false)
 	}
 	s.stats.warmLoaded.Add(1)
 }
@@ -187,21 +190,6 @@ func storedShape(sh *libShape) *store.Shape {
 		}
 	}
 	return st
-}
-
-// contentKeysLocked returns the content keys of the images under keys,
-// live or dormant, and whether every one is present.  Caller holds
-// cacheMu.
-func (s *Server) contentKeysLocked(keys []string) ([]string, bool) {
-	cks := make([]string, len(keys))
-	for i, k := range keys {
-		e := s.entries[k]
-		if e == nil {
-			return nil, false
-		}
-		cks[i] = e.ckey
-	}
-	return cks, true
 }
 
 // reject retires the entry under key, whose own bytes failed, and
@@ -506,10 +494,9 @@ func (s *Server) recordOf(inst *Instance) (*store.Record, error) {
 	}
 	rec.BindKey = inst.bindKey
 	rec.Pins = inst.Pins
-	// Persist the binding table only while it still describes this
-	// instance's libraries — a concurrent re-resolution for different
-	// library content must not be attributed to this image.
-	if tbl := s.bindingTable(inst.bindKey); tbl != nil && tbl.describes(inst.Libs) {
+	// Persist the variant recorded against this instance's libraries —
+	// another variant's resolution must not be attributed to this image.
+	if tbl := s.bindingTable(inst.bindKey).variant(inst.Libs); tbl != nil {
 		rec.Gen = tbl.Gen
 		rec.Bindings = tbl.Bindings
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,11 +19,12 @@ import (
 // server performs once and then owns.  The server records each
 // resolution as a BindingTable: symbol -> (definer path, definer
 // content key, library index), stamped with the namespace generation
-// it was computed under and who resolved it.  The table is keyed by
-// the image's *resolution identity* (path + source hash, independent
-// of where libraries landed or what they currently contain), so a
-// rebuild of an unchanged program — after eviction, a placement
-// change, or a warm restart — replays the recorded bindings with
+// it was computed under and who resolved it.  A table is one *variant*
+// of the image's resolution identity (path + source hash, independent
+// of where libraries landed): the one resolved against the library
+// content keys it records.  Each identity keeps its two newest, so a
+// rebuild of an unchanged program — after eviction, a placement change,
+// a library change undone, or a warm restart — replays its variant with
 // direct definer lookups instead of searching the library list.
 // Tables persist through the store codec, so a warm-restarted
 // daemon resolves with zero symbol searches.
@@ -40,8 +42,8 @@ import (
 //     rejected with a typed *refusal.RebindError unless the caller
 //     passes an explicit allow flag.
 //
-// `omos explain <sym>` walks the tables and answers "who binds this
-// symbol, from which view, at which generation, and why".
+// `omos explain <sym>` walks every kept variant and answers "who binds
+// this symbol, from which view, at which generation, and why".
 
 // BindingTable is one image's recorded resolution.  Each binding is
 // the audit record of who defined one symbol, in the store's own form
@@ -54,13 +56,13 @@ type BindingTable struct {
 	Resolved string   // "search" (computed here) or "warm-load" (prior session)
 	LibKeys  []string // content keys of the libraries, positional
 	Bindings []store.Binding
+	older    *BindingTable // the identity's other kept variant, if any
 }
 
 // bindKeyProg is a program's resolution identity: path + blueprint
 // source hash.  Deliberately free of library identities, so a library
-// content change hits the *same* table and is detected as an
-// invalidation (the lib content keys recorded in the table no longer
-// match) rather than silently missing.
+// content change finds the *same* identity and, with no variant for
+// the new content, is counted as an invalidation rather than a miss.
 func bindKeyProg(meta *mgraph.Meta) string {
 	return mgraph.Digest("bind", meta.Path, meta.SrcHash)
 }
@@ -111,24 +113,17 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 		s.stats.bindingMisses.Add(1)
 		return nil, false
 	}
-	s.bindMu.RLock()
-	tbl := s.bindings[bindKey]
-	s.bindMu.RUnlock()
-	if tbl == nil {
+	head := s.bindingTable(bindKey)
+	if head == nil {
 		s.stats.bindingMisses.Add(1)
 		return nil, false
 	}
-	ext, ok = tbl.replay(und, libs)
+	ext, ok = head.variant(libs).replay(und, libs)
 	if !ok {
-		// The table no longer describes this resolution — a library's
-		// content (and therefore possibly its exports) changed since it
-		// was recorded.  Drop it; the search below records a fresh one.
+		// No kept variant describes this resolution — a library's
+		// content (and therefore possibly its exports) differs from every
+		// one recorded.  The search below records a variant beside them.
 		s.stats.bindingInvalidations.Add(1)
-		s.bindMu.Lock()
-		if s.bindings[bindKey] == tbl {
-			delete(s.bindings, bindKey)
-		}
-		s.bindMu.Unlock()
 		return nil, false
 	}
 	if c != nil && len(ext) > 0 {
@@ -138,13 +133,11 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 	return ext, true
 }
 
-// replay validates a table against the live libraries and undefined
-// set, and rebuilds the extern map with direct definer lookups.
-// Valid means: same library count, every recorded library content key
-// matches the live instance, and every undefined symbol has a
+// replay rebuilds the extern map of the variant t (nil for none) with
+// direct definer lookups: valid when every undefined symbol has a
 // recorded binding that the definer still exports.
 func (t *BindingTable) replay(und []string, libs []*Instance) (map[string]uint64, bool) {
-	if !t.describes(libs) {
+	if t == nil {
 		return nil, false
 	}
 	byName := make(map[string]*store.Binding, len(t.Bindings))
@@ -166,19 +159,17 @@ func (t *BindingTable) replay(und []string, libs []*Instance) (map[string]uint64
 	return ext, true
 }
 
-// describes reports whether the table was recorded against exactly
-// these libraries: the same count, and every recorded content key that
-// of the live library at its position.
-func (t *BindingTable) describes(libs []*Instance) bool {
-	if len(t.LibKeys) != len(libs) {
-		return false
-	}
-	for i, ck := range t.LibKeys {
-		if ck == "" || libs[i].ContentKey != ck {
-			return false
+// variant returns the kept variant, from t on, recorded against exactly
+// the libraries libs — the same count, and every recorded content key
+// that of the live library at its position — or nil for none.
+func (t *BindingTable) variant(libs []*Instance) *BindingTable {
+	live := func(ck string, li *Instance) bool { return ck != "" && ck == li.ContentKey }
+	for ; t != nil; t = t.older {
+		if slices.EqualFunc(t.LibKeys, libs, live) {
+			return t
 		}
 	}
-	return true
+	return nil
 }
 
 // searchExterns is the cold path: the classic symbol search over the
@@ -225,23 +216,66 @@ func (s *Server) searchExterns(name, bindKey string, und []string, libs []*Insta
 	return ext
 }
 
-// installBindings publishes a binding table.  A freshly searched
-// table always wins; a warm-loaded one only fills an absent slot (it
-// must not clobber a resolution this session already confirmed).
+// installBindings publishes tbl as its identity's newest variant, the
+// other kept one older.  A fresh search (overwrite) replaces a variant
+// for the same libraries; a warm-loaded table does not (it must not
+// clobber a resolution this session already confirmed).
 func (s *Server) installBindings(bindKey string, tbl *BindingTable, overwrite bool) {
 	s.bindMu.Lock()
-	if overwrite || s.bindings[bindKey] == nil {
-		s.bindings[bindKey] = tbl
+	defer s.bindMu.Unlock()
+	for t := s.bindings[bindKey]; t != nil; t = t.older {
+		if slices.Equal(t.LibKeys, tbl.LibKeys) {
+			if !overwrite {
+				return
+			}
+		} else if tbl.older == nil {
+			tbl.older = t.alone()
+		}
 	}
-	s.bindMu.Unlock()
+	s.bindings[bindKey] = tbl
 }
 
-// bindingTable returns the table recorded under a resolution identity
-// (nil when absent).
+// alone is a copy of t without its older variant: an installed table
+// never changes.
+func (t BindingTable) alone() *BindingTable {
+	t.older = nil
+	return &t
+}
+
+// bindingTable returns the newest variant recorded under a resolution
+// identity (nil when absent).
 func (s *Server) bindingTable(bindKey string) *BindingTable {
 	s.bindMu.RLock()
 	defer s.bindMu.RUnlock()
 	return s.bindings[bindKey]
+}
+
+// eachBinding calls fn on every kept variant, each identity's newest
+// first.
+func (s *Server) eachBinding(fn func(*BindingTable)) {
+	s.bindMu.RLock()
+	defer s.bindMu.RUnlock()
+	for _, head := range s.bindings {
+		for t := head; t != nil; t = t.older {
+			fn(t)
+		}
+	}
+}
+
+// dropBindings forgets every kept variant drop selects.
+func (s *Server) dropBindings(drop func(*BindingTable) bool) {
+	s.bindMu.Lock()
+	defer s.bindMu.Unlock()
+	for k, head := range s.bindings {
+		switch older := head.older; {
+		case drop(head) && (older == nil || drop(older)):
+			delete(s.bindings, k)
+		case drop(head):
+			s.bindings[k] = older
+		case older != nil && drop(older):
+			s.bindings[k] = head.alone()
+		}
+	}
 }
 
 // dropBindingsOf forgets every resolution recorded for the image at a
@@ -252,13 +286,7 @@ func (s *Server) bindingTable(bindKey string) *BindingTable {
 // exists.  p is a clean path, as image names are (Evict matches them
 // the same way).
 func (s *Server) dropBindingsOf(p string) {
-	s.bindMu.Lock()
-	for k, tbl := range s.bindings {
-		if tbl.Image == p {
-			delete(s.bindings, k)
-		}
-	}
-	s.bindMu.Unlock()
+	s.dropBindings(func(t *BindingTable) bool { return t.Image == p })
 }
 
 // blobSum returns the store checksum the entry under key carries (""
@@ -343,19 +371,20 @@ func (s *Server) verifyPinned(inst *Instance) error {
 }
 
 // rebindConflict reports whether mutating path would re-bind a symbol
-// some recorded program resolution currently binds through that path.
+// some kept binding-table variant binds through that path.
 // prefix mutations (mount/unmount) conflict only for definer paths
 // the mutation could actually capture: those under the prefix with no
 // local namespace entry (local entries always win the lookup).
-func (s *Server) rebindConflict(mutation, p string) *refusal.RebindError {
+func (s *Server) rebindConflict(mutation, p string) (re *refusal.RebindError) {
 	p = cleanPath(p)
 	prefixOp := mutation == "mount" || mutation == "unmount"
 	entries := s.ns.Load().entries
-	s.bindMu.RLock()
-	defer s.bindMu.RUnlock()
-	for _, tbl := range s.bindings {
+	s.eachBinding(func(tbl *BindingTable) {
 		for i := range tbl.Bindings {
 			b := &tbl.Bindings[i]
+			if re != nil {
+				return
+			}
 			if prefixOp {
 				if b.Definer != p && !strings.HasPrefix(b.Definer, p+"/") {
 					continue
@@ -366,7 +395,7 @@ func (s *Server) rebindConflict(mutation, p string) *refusal.RebindError {
 			} else if b.Definer != p {
 				continue
 			}
-			return &refusal.RebindError{
+			re = &refusal.RebindError{
 				Mutation: mutation,
 				Path:     p,
 				Program:  tbl.Image,
@@ -374,8 +403,8 @@ func (s *Server) rebindConflict(mutation, p string) *refusal.RebindError {
 				Definer:  b.Definer,
 			}
 		}
-	}
-	return nil
+	})
+	return re
 }
 
 // guardRebind enforces the allow flag on a conflicting mutation:
@@ -395,12 +424,12 @@ func (s *Server) guardRebind(mutation, p string, allow bool) error {
 	return nil
 }
 
-// Explain answers "who binds sym and why": for every recorded
-// resolution that binds the symbol, the consuming image, the definer
-// path and content key, the library position it was found at, the
-// bound address, the namespace generation, and how it was resolved
-// (fresh search or a prior session's warm-loaded table).  This is the
-// audit surface behind `omos explain <sym>`.
+// Explain answers "who binds sym and why": for every kept variant that
+// binds the symbol, the consuming image, the definer path and content
+// key, the library position it was found at, the bound address, the
+// namespace generation, and how it was resolved (fresh search or a
+// prior session's warm-loaded table).  This is the audit surface behind
+// `omos explain <sym>`.
 func (s *Server) Explain(sym string) (string, error) {
 	type row struct {
 		image string
@@ -409,19 +438,17 @@ func (s *Server) Explain(sym string) (string, error) {
 		how   string
 	}
 	var rows []row
-	s.bindMu.RLock()
-	for _, tbl := range s.bindings {
+	s.eachBinding(func(tbl *BindingTable) {
 		for _, b := range tbl.Bindings {
 			if b.Symbol == sym {
 				rows = append(rows, row{image: tbl.Image, b: b, gen: tbl.Gen, how: tbl.Resolved})
 			}
 		}
-	}
-	s.bindMu.RUnlock()
+	})
 	if len(rows) == 0 {
 		return "", fmt.Errorf("server: no recorded binding for %q", sym)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].image < rows[j].image })
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].image < rows[j].image })
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "symbol %s:\n", sym)
 	definers := make(map[string]bool, len(rows))

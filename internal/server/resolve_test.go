@@ -407,6 +407,74 @@ func TestRollbackDoesNotResurrectRemovedPath(t *testing.T) {
 	}
 }
 
+// TestBindingVariantReplayAfterRevert: a binding table is one variant
+// of its resolution identity, keyed by the content of the libraries it
+// was resolved against.  /lib/up goes v1 -> v2 -> v1; /bin/t, evicted
+// and relinked, replays the v1 variant.  With one table per identity,
+// v2's had replaced v1's and the relink searched.
+func TestBindingVariantReplayAfterRevert(t *testing.T) {
+	s := newTestServer(t)
+	defineUpgradeWorld(t, s)
+	for _, src := range []string{upLibV1, upLibV2, upLibV1} {
+		if err := s.DefineLibraryAllow("/lib/up", src, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Instantiate("/bin/t", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Evict("/bin/t")
+	before := s.Stats()
+	if code := runExit(t, s); code != 42 {
+		t.Fatalf("exit = %d, want v1's 42", code)
+	}
+	after := s.Stats()
+	if hits, searches := after.BindingHits-before.BindingHits, after.SymbolSearches-before.SymbolSearches; hits != 1 || searches != 0 {
+		t.Fatalf("relink after v1 -> v2 -> v1: %d binding hits, %d symbol searches; want 1 and 0", hits, searches)
+	}
+}
+
+// TestBindingVariantsWarmRestart: both variants of one resolution
+// identity persist with their images and warm-load beside each other,
+// so after a restart /bin/t relinks against either version of /lib/up
+// without a search.  With one table per identity, the first record
+// attached claimed the identity and the other variant searched.
+func TestBindingVariantsWarmRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t)
+	s1.AttachStore(openStore(t, dir, 0))
+	defineUpgradeWorld(t, s1)
+	for _, src := range []string{upLibV1, upLibV2} {
+		if err := s1.DefineLibraryAllow("/lib/up", src, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.Instantiate("/bin/t", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t)
+	s2.AttachStore(openStore(t, dir, 0))
+	defineUpgradeWorld(t, s2)
+	for i, src := range []string{upLibV1, upLibV2} {
+		if err := s2.DefineLibraryAllow("/lib/up", src, true); err != nil {
+			t.Fatal(err)
+		}
+		s2.Evict("/bin/t")
+		before := s2.Stats()
+		if code := runExit(t, s2); code != uint64(42+i) {
+			t.Fatalf("v%d: exit = %d, want %d", i+1, code, 42+i)
+		}
+		after := s2.Stats()
+		if hits, searches := after.BindingHits-before.BindingHits, after.SymbolSearches-before.SymbolSearches; hits != 1 || searches != 0 {
+			t.Fatalf("v%d relink after the restart: %d binding hits, %d symbol searches; want 1 and 0", i+1, hits, searches)
+		}
+	}
+}
+
 // TestRemoveForgetsResolutionState: a binding table survives eviction
 // (that is what replay is for) but not removal of the path it
 // describes, and a blob checksum dies with its store blob.  Before the
@@ -417,9 +485,6 @@ func TestRemoveForgetsResolutionState(t *testing.T) {
 	s := newTestServer(t)
 	s.AttachStore(openStore(t, t.TempDir(), 0))
 	definePersistWorld(t, s)
-	if _, err := s.Instantiate("/bin/app", nil); err != nil {
-		t.Fatal(err)
-	}
 	sizes := func() (bindings, sums int) {
 		s.bindMu.RLock()
 		bindings = len(s.bindings)
@@ -432,6 +497,11 @@ func TestRemoveForgetsResolutionState(t *testing.T) {
 			}
 		}
 		return bindings, sums
+	}
+	bindStart, _ := sizes()
+	app, err := s.Instantiate("/bin/app", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	bind0, sums0 := sizes()
 
@@ -469,11 +539,35 @@ func TestRemoveForgetsResolutionState(t *testing.T) {
 			b, c, bind0, sums0)
 	}
 
+	// Library churn: each redefine of /lib/tiny relinks /bin/app against
+	// new content, one variant of its resolution identity each, and the
+	// identity keeps the newest two.
+	for i := 0; i < 5; i++ {
+		src := strings.Replace(persistLibSrc, "lib_val = 30", fmt.Sprintf("lib_val = %d", 31+i), 1)
+		if err := s.DefineLibraryAllow("/lib/tiny", src, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Instantiate("/bin/app", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	variants := 0
+	for tbl := s.bindingTable(app.bindKey); tbl != nil; tbl = tbl.older {
+		variants++
+	}
+	if b, _ := sizes(); variants != 2 || b != bind0 {
+		t.Fatalf("after 5 library redefines: %d variants of /bin/app's resolution, %d identities; want 2 and %d",
+			variants, b, bind0)
+	}
+
 	// A removed program is nobody the guard needs to protect, and
 	// nothing Explain should list.
 	s.Evict("/bin/app")
 	if err := s.Remove("/bin/app"); err != nil {
 		t.Fatal(err)
+	}
+	if b, _ := sizes(); b != bindStart {
+		t.Fatalf("after removing /bin/app: %d binding identities, want %d as before it was linked", b, bindStart)
 	}
 	if out, err := s.Explain("lib_add"); err == nil {
 		t.Fatalf("Explain still lists a removed program:\n%s", out)

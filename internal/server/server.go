@@ -169,9 +169,9 @@ type Stats struct {
 	// counts symbols resolved by searching the library list (the cold
 	// path); a warm build replaying a valid binding table performs
 	// zero.  BindingHits/Misses/Invalidations account the table
-	// lookups: an invalidation is a table found but no longer matching
-	// the live library identities (a definer changed), which forces a
-	// re-search.
+	// lookups: an invalidation is an identity with tables, none of them
+	// the variant for the live libraries' content (a definer changed),
+	// which forces a search that records that variant.
 	SymbolSearches       uint64 `stat:"resolve searches"`
 	BindingHits          uint64 `stat:"resolve hits"`
 	BindingMisses        uint64 `stat:"resolve misses"`
@@ -570,8 +570,9 @@ type Server struct {
 	// use.
 	useSeq atomic.Uint64
 
-	// bindMu guards the binding tables (resolve.go), keyed by resolution
-	// identity.  It is a leaf: no other lock is taken under it.
+	// bindMu guards the binding tables (resolve.go): by resolution
+	// identity, the newest variant, which links the one older variant
+	// kept.  It is a leaf: no other lock is taken under it.
 	bindMu   sync.RWMutex
 	bindings map[string]*BindingTable
 
@@ -854,10 +855,11 @@ func (s *Server) GetObject(p string) (*obj.Object, error) {
 	return s.current().LookupObject(p)
 }
 
-// Remove deletes a namespace entry.  Memoized hashes are invalidated,
-// so a later redefine at the same path yields new cache keys rather
-// than serving a stale image.  Removing a path some live program's
-// resolution binds a symbol through is rejected with a typed
+// Remove deletes a namespace entry and forgets the binding tables of
+// its image.  A later redefine with other source yields new cache
+// keys; one with the same source serves the cached image again, with
+// no table until its next link searches.  Removing a path some kept
+// binding table binds a symbol through is rejected with a typed
 // *refusal.RebindError — use RemoveAllow to make it explicit.
 func (s *Server) Remove(p string) error { return s.RemoveAllow(p, false) }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,8 +25,8 @@ import (
 // resolving v1.  A health gate watches the cohort (build failures
 // against the pre-upgrade EWMA baseline, pin violations, quarantine
 // events) and on regression rolls the epoch back automatically: staged
-// definitions are discarded, the pre-epoch binding tables are restored,
-// the cohort's images are released, and a typed
+// definitions are discarded, the cohort's images are released with the
+// binding tables resolved against them, and a typed
 // *refusal.UpgradeAbortedError carries the verdict.  Commit is
 // write-ahead: the intent is made durable in the store (codec v4)
 // before the staged definitions replace their paths in one version
@@ -69,11 +70,6 @@ type upgradeEpoch struct {
 	canaryPct int
 	libs      map[string]epochLib
 	order     []string
-
-	// savedBindings is the pre-epoch binding-table snapshot restored
-	// wholesale at rollback (canary program builds overwrite tables,
-	// since a program's resolution identity ignores library content).
-	savedBindings map[string]*BindingTable
 
 	// Health-gate state: the pre-upgrade baseline and the cohort's
 	// running verdict.
@@ -165,15 +161,6 @@ func (s *Server) UpgradeStart(canaryPct int) (string, error) {
 		return "", fmt.Errorf("server: canary percentage %d out of range [0,100]", canaryPct)
 	}
 	quar := s.storeQuarantined()
-	// Snapshot the binding tables before the epoch exists: a table
-	// recorded in the gap re-searches after a rollback, which is only
-	// slower, never wrong.
-	s.bindMu.RLock()
-	saved := make(map[string]*BindingTable, len(s.bindings))
-	for k, v := range s.bindings {
-		saved[k] = v
-	}
-	s.bindMu.RUnlock()
 	s.upMu.Lock()
 	if s.epoch != nil {
 		id := s.epoch.id
@@ -181,13 +168,12 @@ func (s *Server) UpgradeStart(canaryPct int) (string, error) {
 		return "", fmt.Errorf("server: upgrade %s already in progress", id)
 	}
 	ep := &upgradeEpoch{
-		id:            fmt.Sprintf("up%d.%d", s.epochSeq.Add(1), s.ns.Load().num),
-		canaryPct:     canaryPct,
-		libs:          map[string]epochLib{},
-		savedBindings: saved,
-		baseline:      s.baseFailEWMA,
-		basePinViol:   s.stats.pinViolations.Load(),
-		baseQuar:      quar,
+		id:          fmt.Sprintf("up%d.%d", s.epochSeq.Add(1), s.ns.Load().num),
+		canaryPct:   canaryPct,
+		libs:        map[string]epochLib{},
+		baseline:    s.baseFailEWMA,
+		basePinViol: s.stats.pinViolations.Load(),
+		baseQuar:    quar,
 	}
 	s.epoch = ep
 	s.lastAborted.Store(nil)
@@ -330,33 +316,26 @@ func (s *Server) UpgradeRollback(reason string) error {
 	return s.rollbackEpoch(ep, reason, false)
 }
 
-// rollbackEpoch unwinds an epoch: pre-epoch binding tables are
-// restored, the images v2 built are released (retireStaged), the
-// durable record is deleted, and the typed abort is retained for the
-// next status/stage/commit call.
+// rollbackEpoch unwinds an epoch: the images v2 built are released
+// (retireStaged) and what v2 resolved is forgotten, the durable record
+// is deleted, and the typed abort is retained for the next
+// status/stage/commit call.
 func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) error {
 	if err := s.faults.Fire(fault.SiteUpgradeRollback); err != nil {
 		return fmt.Errorf("server: rollback of %s: %w", ep.id, err)
 	}
-	// Restore the pre-epoch resolution state: any table a canary build
-	// overwrote goes back to naming the v1 definers.  A path removed
-	// while the epoch was open stays forgotten (see dropBindingsOf) —
-	// its snapshot table would be a ghost Explain row and a ghost rebind
-	// conflict.
-	entries := s.ns.Load().entries
-	s.bindMu.Lock()
-	s.bindings = make(map[string]*BindingTable, len(ep.savedBindings))
-	for k, v := range ep.savedBindings {
-		if _, live := entries[v.Image]; live {
-			s.bindings[k] = v
-		}
-	}
-	s.bindMu.Unlock()
 	s.upMu.Lock()
 	staged := maps.Clone(ep.libs)
 	view := ep.view
 	s.upMu.Unlock()
-	s.retireStaged(staged, view)
+	// A canary build recorded a variant beside v1's, never over it: the
+	// tables of staged paths and those resolved against a released image
+	// go, and v1's variants answer again.
+	released := s.retireStaged(staged, view)
+	s.dropBindings(func(t *BindingTable) bool {
+		_, isStaged := staged[t.Image]
+		return isStaged || slices.ContainsFunc(t.LibKeys, func(ck string) bool { return released[ck] })
+	})
 	s.upMu.Lock()
 	if s.epoch == ep {
 		s.epoch = nil
@@ -384,8 +363,9 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 // v1 and v2 share each solver key, and Solver.Place re-placed a key
 // whose v2 image grew.  So each key a released image was placed under
 // goes back to the placement of the most recently used image kept
-// under it, and is released when none is kept.
-func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
+// under it, and is released when none is kept.  It returns the content
+// keys of the released images.
+func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) map[string]bool {
 	v2 := map[string]string{} // staged library -> its v2 content hash
 	whole := map[string]bool{}
 	for p, el := range staged {
@@ -413,9 +393,10 @@ func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
 		}
 	}
 	s.addDependentsLocked(victims)
-	placed := map[string]bool{}
+	placed, released := map[string]bool{}, map[string]bool{}
 	for key := range victims {
 		placed[s.entries[key].place.SolverKey] = true
+		released[s.entries[key].ckey] = true
 		s.retireLocked(key, false)
 	}
 	s.solverMu.Lock()
@@ -441,6 +422,8 @@ func (s *Server) retireStaged(staged map[string]epochLib, view *nsVersion) {
 		_ = s.solver.Restore(sk, constraint.Placement{TextBase: pr.TextBase, DataBase: pr.DataBase},
 			pr.TextSize, pr.DataSize)
 	}
+	delete(released, "") // a branch-table library's: no table replays against it
+	return released
 }
 
 // UpgradeStatus reports the engine's observable state.

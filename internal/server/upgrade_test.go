@@ -640,6 +640,40 @@ func TestUpgradeRollbackKeepsV1Cohort(t *testing.T) {
 	}
 }
 
+// TestUpgradeRollbackForgetsV2Bindings: a canary that links records
+// its resolution as a variant beside v1's.  The rollback forgets it
+// with the images v2 built: Explain names v1's library content key
+// and not v2's.
+func TestUpgradeRollbackForgetsV2Bindings(t *testing.T) {
+	s := newTestServer(t)
+	defineUpgradeWorld(t, s)
+	pre, err := s.Instantiate("/bin/t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.UpgradeStart(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpgradeStage("/lib/up", upLibV2, true); err != nil {
+		t.Fatal(err)
+	}
+	canary, err := s.Instantiate("/bin/t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := pre.Libs[0].ContentKey, canary.Libs[0].ContentKey
+	if out, err := s.Explain("triple"); err != nil || v1 == v2 || !strings.Contains(out, v2) {
+		t.Fatalf("the canary linked against %s (v1 %s) and recorded no binding naming it: %v\n%s", v2, v1, err, out)
+	}
+	if err := s.UpgradeRollback("drill"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Explain("triple")
+	if err != nil || !strings.Contains(out, v1) || strings.Contains(out, v2) {
+		t.Fatalf("after the rollback Explain should name v1's definer key %s and not v2's %s: %v\n%s", v1, v2, err, out)
+	}
+}
+
 // TestUpgradeRollbackRestoresV1Placement: a v2 that outgrows v1's
 // place is moved past a neighbour by the solver, under the solver key
 // both versions share.  The rollback puts the key back where v1's
