@@ -237,9 +237,10 @@ func (s *Server) installBindings(bindKey string, tbl *BindingTable, overwrite bo
 
 // alone is a copy of t without its older variant: an installed table
 // never changes.
-func (t BindingTable) alone() *BindingTable {
-	t.older = nil
-	return &t
+func (t *BindingTable) alone() *BindingTable {
+	c := *t
+	c.older = nil
+	return &c
 }
 
 // bindingTable returns the newest variant recorded under a resolution
